@@ -1,9 +1,11 @@
-//! End-to-end control-flow benchmark: the seed's serial uncached pipeline
-//! vs the content-addressed cached + parallel pipeline, per benchmark
-//! design, plus the warm-cache (all-hits) re-run.
+//! End-to-end control-flow benchmark: the serial per-instance reference
+//! flow vs the content-addressed cached + parallel production flow, per
+//! benchmark design, plus the warm-cache (all-hits) re-run.
 
 use bmbe_designs::all_designs;
-use bmbe_flow::{run_control_flow, run_control_flow_with, ControllerCache, FlowOptions};
+use bmbe_flow::{
+    reference_flow, run_control_flow, run_control_flow_with, ControllerCache, FlowOptions,
+};
 use bmbe_gates::Library;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -13,21 +15,20 @@ fn bench_flow_e2e(c: &mut Criterion) {
     let designs = all_designs().expect("shipped designs build");
     let mut g = c.benchmark_group("flow_e2e");
     g.sample_size(10);
+    let serial = FlowOptions {
+        threads: Some(1),
+        ..FlowOptions::optimized()
+    };
     for design in &designs {
-        g.bench_function(format!("{}_serial_uncached", design.name), |b| {
+        g.bench_function(format!("{}_reference", design.name), |b| {
             b.iter(|| {
-                run_control_flow(
-                    black_box(&design.compiled),
-                    &FlowOptions::optimized().serial_uncached(),
-                    &library,
-                )
-                .expect("flow runs")
+                reference_flow(black_box(&design.compiled), &serial, &library).expect("flow runs")
             })
         });
         g.bench_function(format!("{}_cached_parallel", design.name), |b| {
             b.iter(|| {
                 // A fresh cache per iteration: measures dedup + fan-out on a
-                // cold cache, the honest comparison against the seed.
+                // cold cache, the honest comparison against the reference.
                 run_control_flow(
                     black_box(&design.compiled),
                     &FlowOptions::optimized(),

@@ -6,7 +6,7 @@
 //! benchmark design.
 
 use bmbe_designs::all_designs;
-use bmbe_flow::{run_control_flow, ControllerArtifact, FlowOptions};
+use bmbe_flow::{reference_flow, ControllerArtifact, FlowOptions};
 use bmbe_gates::{verify_equivalence_algebraic, verify_equivalence_pointwise, Library};
 use bmbe_logic::hfmin::{MinimizeBackend, MinimizeOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -23,12 +23,11 @@ fn hardest_controller() -> (ControllerArtifact, usize) {
         .iter()
         .find(|d| d.name.contains("Microprocessor"))
         .expect("Microprocessor core design");
-    let mut result = run_control_flow(
-        &micro.compiled,
-        &FlowOptions::optimized().serial_uncached(),
-        &library,
-    )
-    .expect("flow");
+    let serial = FlowOptions {
+        threads: Some(1),
+        ..FlowOptions::optimized()
+    };
+    let mut result = reference_flow(&micro.compiled, &serial, &library).expect("flow");
     let prime_time = |s: &bmbe_logic::hfmin::FunctionSpec| {
         let t = std::time::Instant::now();
         let _ = black_box(s.dhf_primes());

@@ -3,9 +3,8 @@
 //! merges and costs area.
 
 use bmbe_bm::synth::MinimizeMode;
-use bmbe_core::{balsa_to_ch, ClusterOptions};
 use bmbe_designs::all_designs;
-use bmbe_flow::ControllerCache;
+use bmbe_flow::{run_control_flow_with, ControllerCache, FlowOptions};
 use bmbe_gates::{Library, MapObjective, MapStyle};
 use std::process::ExitCode;
 
@@ -26,28 +25,22 @@ fn run() -> Result<(), String> {
     let cache = ControllerCache::new();
     println!("Ablation: split-module vs whole-controller technology mapping (area um2)");
     for design in all_designs().map_err(|e| format!("shipped designs: {e}"))? {
-        let mut ctrl = balsa_to_ch(&design.compiled.netlist)
-            .map_err(|e| format!("{}: translate: {e}", design.name))?;
-        ctrl.t2_clustering(&ClusterOptions::default());
-        let mut split = 0.0;
-        let mut whole = 0.0;
-        for c in &ctrl.components {
-            for (style, acc) in [
-                (MapStyle::SplitModules, &mut split),
-                (MapStyle::WholeController, &mut whole),
-            ] {
-                let (artifact, _) = cache
-                    .get_or_synthesize(
-                        &c.program,
-                        MinimizeMode::Speed,
-                        MapObjective::Area,
-                        style,
-                        &lib,
-                    )
-                    .map_err(|e| format!("{}: {e}", c.name))?;
-                *acc += artifact.mapped.area;
-            }
+        let mut area = [0.0; 2];
+        for (style, acc) in [MapStyle::SplitModules, MapStyle::WholeController]
+            .into_iter()
+            .zip(&mut area)
+        {
+            let options = FlowOptions {
+                minimize_mode: MinimizeMode::Speed,
+                map_objective: MapObjective::Area,
+                map_style: style,
+                ..FlowOptions::optimized()
+            };
+            *acc = run_control_flow_with(&design.compiled, &options, &lib, &cache)
+                .map_err(|e| format!("{}: {e}", design.name))?
+                .control_area;
         }
+        let [split, whole] = area;
         println!(
             "{:<22} split {:>8.0}  whole {:>8.0}  (split penalty {:+.1}%)",
             design.name,

@@ -3,9 +3,8 @@
 //! benchmark controller set.
 
 use bmbe_bm::synth::MinimizeMode;
-use bmbe_core::{balsa_to_ch, ClusterOptions};
 use bmbe_designs::all_designs;
-use bmbe_flow::ControllerCache;
+use bmbe_flow::{run_control_flow_with, ControllerCache, FlowOptions};
 use bmbe_gates::{Library, MapObjective, MapStyle};
 use std::process::ExitCode;
 
@@ -24,26 +23,22 @@ fn run() -> Result<(), String> {
     // Repeated component shapes (across clusters and across designs) are
     // synthesized once through the content-addressed cache.
     let cache = ControllerCache::new();
+    let options = FlowOptions {
+        minimize_mode: MinimizeMode::Speed,
+        map_objective: MapObjective::Delay,
+        map_style: MapStyle::SplitModules,
+        ..FlowOptions::optimized()
+    };
     println!("Ablation: minimization mode (products / distinct products)");
     for design in all_designs().map_err(|e| format!("shipped designs: {e}"))? {
-        let mut ctrl = balsa_to_ch(&design.compiled.netlist)
-            .map_err(|e| format!("{}: translate: {e}", design.name))?;
-        ctrl.t2_clustering(&ClusterOptions::default());
-        let mut total = 0usize;
-        let mut distinct = 0usize;
-        for c in &ctrl.components {
-            let (artifact, _) = cache
-                .get_or_synthesize(
-                    &c.program,
-                    MinimizeMode::Speed,
-                    MapObjective::Delay,
-                    MapStyle::SplitModules,
-                    &library,
-                )
-                .map_err(|e| format!("{}: {e}", c.name))?;
-            total += artifact.controller.num_products();
-            distinct += artifact.controller.num_distinct_products();
-        }
+        let flow = run_control_flow_with(&design.compiled, &options, &library, &cache)
+            .map_err(|e| format!("{}: {e}", design.name))?;
+        let total = flow.total_products();
+        let distinct: usize = flow
+            .controllers
+            .iter()
+            .map(|c| c.controller.num_distinct_products())
+            .sum();
         println!(
             "{:<22} speed-mode products {:>4}, shareable (area mode) {:>4}  ({:.1}% duplication)",
             design.name,

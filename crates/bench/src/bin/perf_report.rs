@@ -1,6 +1,6 @@
 //! Performance report for the parallel, content-addressed back-end: times
-//! the seed's serial uncached pipeline against the cached + parallel
-//! pipeline on every benchmark design and writes `BENCH_flow.json`,
+//! the serial per-instance reference flow against the cached + parallel
+//! production flow on every benchmark design and writes `BENCH_flow.json`,
 //! including a per-phase profile (compile / statemin / synth / primes /
 //! covering / verify / map) and, when a previous `BENCH_flow.json` exists,
 //! before/after numbers against it.
@@ -14,8 +14,8 @@
 use bmbe_bench::report::{emit_report, run_main};
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_control_flow, run_control_flow_with, ControllerCache, FlowOptions, MinimizeBackend,
-    PhaseProfile,
+    reference_flow, run_control_flow, run_control_flow_with, ControllerCache, FlowOptions,
+    MinimizeBackend, PhaseProfile,
 };
 use bmbe_gates::Library;
 use std::fmt::Write as _;
@@ -53,7 +53,7 @@ fn interleaved_median_secs(routines: &mut [&mut dyn FnMut()]) -> Vec<f64> {
 struct Row {
     design: String,
     components: usize,
-    serial_s: f64,
+    reference_s: f64,
     cached_s: f64,
     warm_s: f64,
     hits: usize,
@@ -64,13 +64,13 @@ struct Row {
     /// the per-backend before/after the perf-smoke gate checks.
     prime_gen_auto_s: f64,
     prime_gen_exact_s: f64,
-    prev_serial_s: Option<f64>,
+    prev_reference_s: Option<f64>,
     prev_cached_s: Option<f64>,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.serial_s / self.cached_s
+        self.reference_s / self.cached_s
     }
 }
 
@@ -85,7 +85,7 @@ fn field_after(text: &str, from: usize, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Reads the previous report's per-design serial/cached seconds so the new
+/// Reads the previous report's per-design reference/cached seconds so the new
 /// report can carry before/after numbers. Tolerant by construction: any
 /// missing file, design, or field simply yields `None`.
 fn previous_numbers(design: &str) -> (Option<f64>, Option<f64>) {
@@ -96,7 +96,7 @@ fn previous_numbers(design: &str) -> (Option<f64>, Option<f64>) {
         return (None, None);
     };
     (
-        field_after(&text, at, "serial_uncached_s"),
+        field_after(&text, at, "reference_s"),
         field_after(&text, at, "cached_parallel_s"),
     )
 }
@@ -108,34 +108,34 @@ fn main() -> ExitCode {
 fn run() -> Result<bool, String> {
     bmbe_obs::init_from_env();
     let library = Library::cmos035();
+    let serial = FlowOptions {
+        threads: Some(1),
+        ..FlowOptions::optimized()
+    };
     let designs = all_designs().map_err(|e| format!("shipped designs: {e}"))?;
     let mut rows = Vec::new();
     let mut threads_used = 1;
     for design in &designs {
-        let (prev_serial_s, prev_cached_s) = previous_numbers(design.name);
+        let (prev_reference_s, prev_cached_s) = previous_numbers(design.name);
         // Preflight each configuration once with any BMBE_FAULT plan armed:
         // an injected (or genuine) failure surfaces here as a structured
         // error instead of a panic mid-timing. The timed runs below then
         // measure the plain, fault-free options.
-        for options in [
-            FlowOptions::optimized().serial_uncached().with_env_fault(),
-            FlowOptions::optimized().with_env_fault(),
-        ] {
-            run_control_flow(&design.compiled, &options, &library)
-                .map_err(|e| format!("{}: {e}", design.name))?;
-        }
+        reference_flow(&design.compiled, &serial.clone().with_env_fault(), &library)
+            .map_err(|e| format!("{}: {e}", design.name))?;
+        run_control_flow(
+            &design.compiled,
+            &FlowOptions::optimized().with_env_fault(),
+            &library,
+        )
+        .map_err(|e| format!("{}: {e}", design.name))?;
         let warm = ControllerCache::new();
         // Fresh cache on every "cached" run: cold-cache dedup + parallel
         // fan-out, the honest comparison against the seed.
         let timings = interleaved_median_secs(&mut [
             &mut || {
                 black_box(
-                    run_control_flow(
-                        &design.compiled,
-                        &FlowOptions::optimized().serial_uncached(),
-                        &library,
-                    )
-                    .expect("serial flow"),
+                    reference_flow(&design.compiled, &serial, &library).expect("reference flow"),
                 );
             },
             &mut || {
@@ -156,7 +156,7 @@ fn run() -> Result<bool, String> {
                 );
             },
         ]);
-        let (serial_s, cached_s, warm_s) = (timings[0], timings[1], timings[2]);
+        let (reference_s, cached_s, warm_s) = (timings[0], timings[1], timings[2]);
         let result = run_control_flow(&design.compiled, &FlowOptions::optimized(), &library)
             .map_err(|e| format!("{}: {e}", design.name))?;
         threads_used = result.threads_used;
@@ -180,7 +180,7 @@ fn run() -> Result<bool, String> {
         rows.push(Row {
             design: design.name.to_string(),
             components: result.controllers.len(),
-            serial_s,
+            reference_s,
             cached_s,
             warm_s,
             hits: result.cache_hits,
@@ -188,7 +188,7 @@ fn run() -> Result<bool, String> {
             phases: result.phases,
             prime_gen_auto_s,
             prime_gen_exact_s,
-            prev_serial_s,
+            prev_reference_s,
             prev_cached_s,
         });
     }
@@ -202,7 +202,7 @@ fn run() -> Result<bool, String> {
         "{:<22} {:>5} {:>12} {:>12} {:>9} {:>12} {:>6} {:>6}",
         "design",
         "ctrl",
-        "serial s",
+        "reference s",
         "cold s",
         "speedup",
         "warm s",
@@ -215,7 +215,7 @@ fn run() -> Result<bool, String> {
             "{:<22} {:>5} {:>12.4} {:>12.4} {:>8.2}x {:>12.4} {:>6} {:>6}",
             r.design,
             r.components,
-            r.serial_s,
+            r.reference_s,
             r.cached_s,
             r.speedup(),
             r.warm_s,
@@ -282,31 +282,31 @@ fn run() -> Result<bool, String> {
     let _ = writeln!(
         json,
         "  \"note\": \"cold-cache shape fan-out is gated by a small-work cutoff \
-         (pipeline::PAR_COST_CUTOFF), so designs whose pending shapes are too small to \
-         amortize a worker pool run inline; on a host without spare cores every design runs \
-         inline and the serial-vs-cached ratio sits at 1.0 within measurement noise, with \
-         dedup (cache hits) the only structural saving\","
+         (batch::PAR_COST_CUTOFF, applied by the shape registry), so designs whose pending \
+         shapes are too small to amortize a worker pool run inline; on a host without spare \
+         cores every design runs inline and the reference-vs-cached ratio sits at 1.0 within \
+         measurement noise, with dedup (cache hits) the only structural saving\","
     );
     json.push_str("  \"designs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"design\": \"{}\", \"controllers\": {}, \"serial_uncached_s\": {:.6}, \
+            "    {{\"design\": \"{}\", \"controllers\": {}, \"reference_s\": {:.6}, \
              \"cached_parallel_s\": {:.6}, \"speedup\": {:.3}, \"warm_cache_s\": {:.6}, \
              \"cache_hits\": {}, \"cache_misses\": {}",
             r.design,
             r.components,
-            r.serial_s,
+            r.reference_s,
             r.cached_s,
             r.speedup(),
             r.warm_s,
             r.hits,
             r.misses
         );
-        if let (Some(ps), Some(pc)) = (r.prev_serial_s, r.prev_cached_s) {
+        if let (Some(ps), Some(pc)) = (r.prev_reference_s, r.prev_cached_s) {
             let _ = write!(
                 json,
-                ", \"before\": {{\"serial_uncached_s\": {ps:.6}, \"cached_parallel_s\": {pc:.6}, \
+                ", \"before\": {{\"reference_s\": {ps:.6}, \"cached_parallel_s\": {pc:.6}, \
                  \"cached_speedup_vs_before\": {:.3}}}",
                 pc / r.cached_s
             );

@@ -3,19 +3,24 @@
 //! distinct controller shape is synthesized **exactly once** per fleet no
 //! matter how many jobs need it or how they interleave.
 //!
-//! The per-job pipeline mirrors [`crate::pipeline::run_control_flow_with`]
-//! — translate, cluster, key — but resolves every unique shape through a
-//! [`ShapeRegistry`] instead of synthesizing its own misses. The registry
-//! layers on top of the shared [`ControllerCache`] (and through it the
-//! persistent [`crate::DiskCache`], when configured):
+//! [`flow_through_registry`] is the one production flow — translate,
+//! cluster, key, resolve every distinct shape through a [`ShapeRegistry`],
+//! instantiate; [`crate::run_control_flow_with`] is the same flow as a
+//! single job over a private registry. The registry layers on top of the
+//! shared [`ControllerCache`] (and through it the persistent
+//! [`crate::DiskCache`], when configured):
 //!
 //! * **hit** — the shape is already in the cache (memory or disk);
 //! * **synthesized** — this job claimed the in-flight slot and ran the
 //!   per-shape chain, storing the artifact write-through;
 //! * **shared** — another job is synthesizing the same digest right now;
-//!   the caller blocks on the slot's condvar and reuses the owner's result
+//!   the caller blocks until the slot lands and reuses the owner's result
 //!   (successes *and* failures — a failed flight is not retried, which is
 //!   what keeps synthesis exactly-once).
+//!
+//! One job's synthesized shapes fan out longest first under its thread
+//! budget (`fanout_budget`), so single-design runs and fleet jobs share
+//! one scheduling policy.
 //!
 //! Jobs fan out across the `bmbe-par` worker pool with per-job panic
 //! isolation: a panicking job becomes a [`JobFailure`] with phase `panic`
@@ -30,20 +35,19 @@ use crate::cache::{
 };
 use crate::csim::simulate_scenarios;
 use crate::fault::FaultPhase;
-use crate::pipeline::{instantiate, ControllerArtifact, FlowOptions, FlowResult};
+use crate::pipeline::{instantiate, FlowError, FlowOptions, FlowResult, Partition};
 use crate::profile::PhaseProfile;
 use crate::table3::{check_outcome, to_flow_scenario};
-use crate::templates::template_table;
 use bmbe_balsa::CompiledDesign;
-use bmbe_core::balsa_to_ch::balsa_to_ch;
 use bmbe_designs::scenarios::DesignScenario;
 use bmbe_designs::variants_of;
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::SimBackend;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Histogram bounds for singleflight waits, in microseconds: sub-100µs
@@ -97,34 +101,65 @@ pub enum Resolution {
     Shared,
 }
 
-/// A singleflight slot: one in-flight (or finished) synthesis of a shape.
-struct Slot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
+/// Canonical-program-text length below which a shape counts as small work:
+/// cheap controllers finish in well under the cost of parking them on a
+/// worker thread, so fanning them out loses time. The value sits between
+/// the largest shape of the small benchmark designs and the long-pole
+/// cluster controllers that actually profit from a worker (measured via
+/// `perf_report`; see BENCH_flow.json).
+const PAR_COST_CUTOFF: usize = 160;
 
-enum SlotState {
-    Running,
-    Done(Result<Arc<SynthArtifact>, Arc<ShapeError>>),
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(SlotState::Running),
-            ready: Condvar::new(),
-        }
+/// Splits one job's thread budget between the fan-out over the shapes it
+/// claimed and the parallelism *inside* each shape (per-function jobs and
+/// the partitioned prime-generation worklist), returning `(workers,
+/// inner)` with `workers * inner <= threads.max(1)` — the two levels
+/// compose instead of double-subscribing the pool.
+///
+/// The outer width is set by the number of shapes above the small-work
+/// cutoff, not by the total shape count: small shapes finish in noise, so
+/// counting them would starve the long poles of inner workers. With fewer
+/// than two long poles the outer loop stays serial and the whole budget
+/// moves inside — which is where a single huge cluster controller spends
+/// it best.
+fn fanout_budget(threads: usize, costs: impl Iterator<Item = usize>) -> (usize, usize) {
+    let threads = threads.max(1);
+    let big = costs.filter(|&c| c >= PAR_COST_CUTOFF).count();
+    if big < 2 {
+        return (1, threads);
     }
+    let workers = threads.min(big);
+    (workers, (threads / workers).max(1))
 }
 
-/// Recovers a poisoned guard: slot state transitions are single
-/// assignments, valid even when the poisoning panic happened elsewhere.
+/// A shape's resolution, or the owning flight's shared error.
+type Resolved = Result<(Arc<SynthArtifact>, Resolution), Arc<ShapeError>>;
+
+/// A flight's outcome, shared by the owner and every waiter.
+type Flight = Result<Arc<SynthArtifact>, Arc<ShapeError>>;
+
+/// A singleflight slot: one in-flight (or landed) synthesis of a shape.
+/// Only the owner sets it; everyone else blocks in `wait` until it lands.
+type Slot = OnceLock<Flight>;
+
+/// What one lookup found for a shape.
+enum Claim {
+    /// Served by the cache.
+    Hit(Arc<SynthArtifact>),
+    /// This caller claimed the flight and must fly it.
+    Owner(Arc<Slot>),
+    /// Another caller's flight (running or landed) serves it.
+    Waiter(Arc<Slot>),
+}
+
+/// Recovers a poisoned guard: the registry's maps are only ever inserted
+/// into, valid even when the poisoning panic happened elsewhere.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The fleet-wide shape resolver: cache read-through plus singleflight on
-/// in-flight digests. Shared (by reference) across every job of a batch.
+/// in-flight digests. Shared (by reference) across every job of a batch;
+/// a single-design flow runs one job over a registry of its own.
 pub struct ShapeRegistry<'a> {
     cache: &'a ControllerCache,
     library: &'a Library,
@@ -176,118 +211,161 @@ impl<'a> ShapeRegistry<'a> {
     }
 
     /// Resolves one keyed shape: cache peek, then claim-or-wait on the
-    /// in-flight slot. The owner synthesizes on the canonical program
+    /// in-flight slot. The owner synthesizes the canonical program
     /// (panic-isolated) with `inner` worker threads and stores the result
     /// write-through; waiters block until the flight lands and reuse its
-    /// result.
+    /// result. `options` supplies the fault plan; the synthesis options
+    /// come from the key itself.
     ///
     /// # Errors
     ///
     /// The owning flight's error, shared by every waiter on the same
     /// digest. Failed flights stay failed (the slot is not retried) so a
     /// poisoned shape is synthesized at most once per fleet.
-    pub fn resolve(
+    pub fn resolve(&self, keyed: &KeyedProgram, options: &FlowOptions, inner: usize) -> Resolved {
+        // One shape in, one resolution out.
+        self.resolve_all(&[keyed], options, inner).remove(0)
+    }
+
+    /// Resolves one job's distinct shapes, in order. The shapes this job
+    /// claims fan out longest first under `threads` (see
+    /// [`fanout_budget`]); their claim indices — which a fault plan
+    /// targets — follow that dispatch order and are fixed before the
+    /// fan-out, so they do not depend on the thread count. Waits on other
+    /// jobs' flights start only after every claimed flight has landed:
+    /// a job never blocks while holding an unfinished claim, which is what
+    /// keeps a fleet of jobs deadlock-free.
+    fn resolve_all(
         &self,
-        keyed: &KeyedProgram,
+        shapes: &[&KeyedProgram],
         options: &FlowOptions,
-        inner: usize,
-    ) -> Result<(Arc<SynthArtifact>, Resolution), Arc<ShapeError>> {
-        lock(&self.seen).insert(keyed.key.clone());
-        if let Some(artifact) = self.cache.peek(&keyed.key) {
+        threads: usize,
+    ) -> Vec<Resolved> {
+        let claims: Vec<Claim> = shapes.iter().map(|k| self.claim(&k.key)).collect();
+        let mut owned: Vec<(&KeyedProgram, &Slot)> = shapes
+            .iter()
+            .zip(&claims)
+            .filter_map(|(k, claim)| match claim {
+                Claim::Owner(slot) => Some((*k, &**slot)),
+                _ => None,
+            })
+            .collect();
+        // Longest job first, so the long-pole shape never starts last.
+        owned.sort_by_key(|(k, _)| Reverse(k.key.canonical.len()));
+        let first = self.claims.fetch_add(owned.len(), Ordering::Relaxed);
+        let (workers, inner) =
+            fanout_budget(threads, owned.iter().map(|(k, _)| k.key.canonical.len()));
+        // Claim spans nest under the dispatching span on whichever worker
+        // runs them, so the span tree does not depend on the thread count.
+        let parent = bmbe_obs::current_span();
+        bmbe_par::par_map(&owned, workers, |j, (keyed, slot)| {
+            self.fly(keyed, slot, first + j, options, inner, parent)
+        });
+        shapes
+            .iter()
+            .zip(claims)
+            .map(|(k, claim)| match claim {
+                Claim::Hit(artifact) => Ok((artifact, Resolution::Hit)),
+                Claim::Owner(slot) => slot.wait().clone().map(|a| (a, Resolution::Synthesized)),
+                Claim::Waiter(slot) => self.wait(&k.key, &slot).map(|a| (a, Resolution::Shared)),
+            })
+            .collect()
+    }
+
+    /// Looks `key` up: a cache hit, or the in-flight slot — claimed by
+    /// this caller when nobody holds it yet.
+    fn claim(&self, key: &CacheKey) -> Claim {
+        lock(&self.seen).insert(key.clone());
+        if let Some(artifact) = self.cache.peek(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             bmbe_obs::trace_counter!("batch.shapes.hits", 1);
-            return Ok((artifact, Resolution::Hit));
+            return Claim::Hit(artifact);
         }
-        let (slot, owner) = {
-            let mut slots = lock(&self.slots);
-            match slots.entry(keyed.key.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    (v.insert(Arc::new(Slot::new())).clone(), true)
-                }
-            }
-        };
-        let digest = keyed.key.digest();
-        if owner {
-            // The claim span carries the shape digest so the fleet
-            // analyzer can attribute waiters' blocked time to this
-            // synthesis (and to its hottest phase below).
-            let _claim_span = bmbe_obs::span!("batch.claim", "batch");
-            bmbe_obs::annotate_num!("shape.digest", digest as i64);
-            bmbe_obs::recorder::note("batch.claim", || format!("digest {digest:016x} claimed"));
-            // Claim index across the fleet, for deterministic fault
-            // targeting: `BMBE_FAULT=<phase>:<n>` hits the n-th shape any
-            // job claims (cache_io plans are handled by the disk layer and
-            // skipped here).
-            let claim = self.claims.fetch_add(1, Ordering::Relaxed);
-            let fault = options
-                .fault
-                .as_ref()
-                .filter(|f| f.phase != FaultPhase::CacheIo && f.targets_job(claim));
-            let result = bmbe_par::catch_job(|| {
-                synthesize_shape_with_fault(
-                    "shape",
-                    &keyed.canonical,
-                    options.minimize_mode,
-                    options.minimize_backend,
-                    options.map_objective,
-                    options.map_style,
-                    self.library,
-                    inner,
-                    fault,
-                )
-            })
-            .unwrap_or_else(|payload| Err(ShapeError::Panic(payload)));
-            let done = match result {
-                Ok(artifact) => {
-                    let artifact = Arc::new(artifact);
-                    self.cache.store(keyed.key.clone(), artifact.clone());
-                    self.synthesized.fetch_add(1, Ordering::Relaxed);
-                    bmbe_obs::trace_counter!("batch.shapes.synthesized", 1);
-                    Ok(artifact)
-                }
-                Err(e) => {
-                    bmbe_obs::trace_counter!("batch.shapes.failed", 1);
-                    bmbe_obs::recorder::note("batch.claim.failed", || {
-                        format!("digest {digest:016x}: {e}")
-                    });
-                    Err(Arc::new(e))
-                }
-            };
-            let mut state = lock(&slot.state);
-            *state = SlotState::Done(done.clone());
-            self.ready_all(&slot);
-            done.map(|a| (a, Resolution::Synthesized))
-        } else {
-            // The wait span records the *same* microsecond value that goes
-            // into the `batch.singleflight_wait_us` histogram, so the
-            // analyzer's per-shape attribution sums to the histogram total
-            // exactly.
-            let _wait_span = bmbe_obs::span!("batch.wait", "batch");
-            bmbe_obs::annotate_num!("shape.digest", digest as i64);
-            let start = Instant::now();
-            let mut state = lock(&slot.state);
-            while matches!(*state, SlotState::Running) {
-                state = slot
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            let waited = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            bmbe_obs::histogram!("batch.singleflight_wait_us", &WAIT_BUCKETS).observe(waited);
-            bmbe_obs::annotate_num!("wait.us", waited as i64);
-            self.shared.fetch_add(1, Ordering::Relaxed);
-            bmbe_obs::trace_counter!("batch.shapes.shared", 1);
-            match &*state {
-                SlotState::Done(Ok(artifact)) => Ok((artifact.clone(), Resolution::Shared)),
-                SlotState::Done(Err(e)) => Err(e.clone()),
-                SlotState::Running => unreachable!("condvar loop exits only on Done"),
+        match lock(&self.slots).entry(key.clone()) {
+            std::collections::hash_map::Entry::Occupied(e) => Claim::Waiter(e.get().clone()),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                Claim::Owner(v.insert(Arc::default()).clone())
             }
         }
     }
 
-    fn ready_all(&self, slot: &Slot) {
-        slot.ready.notify_all();
+    /// Runs the claimed flight with fleet-wide claim index `claim`:
+    /// synthesizes the canonical program (panic-isolated) with `inner`
+    /// threads, stores the artifact write-through, and lands the outcome
+    /// in `slot` for its waiters.
+    fn fly(
+        &self,
+        keyed: &KeyedProgram,
+        slot: &Slot,
+        claim: usize,
+        options: &FlowOptions,
+        inner: usize,
+        parent: u64,
+    ) {
+        let digest = keyed.key.digest();
+        // The claim span carries the shape digest so the fleet analyzer
+        // can attribute waiters' blocked time to this synthesis (and to its
+        // hottest phase below).
+        let _claim_span = bmbe_obs::span_with_parent!("batch.claim", "batch", parent);
+        bmbe_obs::annotate_num!("shape.digest", digest as i64);
+        bmbe_obs::recorder::note("batch.claim", || format!("digest {digest:016x} claimed"));
+        // `BMBE_FAULT=<phase>:<n>` hits the n-th shape any job claims
+        // (cache_io plans are handled by the disk layer and skipped here).
+        let fault = options
+            .fault
+            .as_ref()
+            .filter(|f| f.phase != FaultPhase::CacheIo && f.targets_job(claim));
+        let key = &keyed.key;
+        let result = bmbe_par::catch_job(|| {
+            synthesize_shape_with_fault(
+                "shape",
+                &keyed.canonical,
+                key.minimize_mode,
+                key.minimize_backend,
+                key.map_objective,
+                key.map_style,
+                self.library,
+                inner,
+                fault,
+            )
+        })
+        .unwrap_or_else(|payload| Err(ShapeError::Panic(payload)));
+        let flight = match result {
+            Ok(artifact) => {
+                let artifact = Arc::new(artifact);
+                self.cache.store(key.clone(), artifact.clone());
+                self.synthesized.fetch_add(1, Ordering::Relaxed);
+                bmbe_obs::trace_counter!("batch.shapes.synthesized", 1);
+                Ok(artifact)
+            }
+            Err(e) => {
+                bmbe_obs::trace_counter!("batch.shapes.failed", 1);
+                bmbe_obs::recorder::note("batch.claim.failed", || {
+                    format!("digest {digest:016x}: {e}")
+                });
+                Err(Arc::new(e))
+            }
+        };
+        // The owner is the only writer, so the slot is still empty here.
+        let _ = slot.set(flight);
+    }
+
+    /// Blocks on another job's flight of `key` and reuses its outcome.
+    fn wait(&self, key: &CacheKey, slot: &Slot) -> Flight {
+        // The wait span records the *same* microsecond value that goes
+        // into the `batch.singleflight_wait_us` histogram, so the
+        // analyzer's per-shape attribution sums to the histogram total
+        // exactly.
+        let _wait_span = bmbe_obs::span!("batch.wait", "batch");
+        bmbe_obs::annotate_num!("shape.digest", key.digest() as i64);
+        let start = Instant::now();
+        let flight = slot.wait().clone();
+        let waited = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        bmbe_obs::histogram!("batch.singleflight_wait_us", &WAIT_BUCKETS).observe(waited);
+        bmbe_obs::annotate_num!("wait.us", waited as i64);
+        self.shared.fetch_add(1, Ordering::Relaxed);
+        bmbe_obs::trace_counter!("batch.shapes.shared", 1);
+        flight
     }
 }
 
@@ -499,13 +577,15 @@ pub struct ShapeStats {
     pub shared: usize,
 }
 
-/// Runs one design's flow — translate, cluster, key, resolve each unique
-/// shape through the registry, instantiate — and returns the
-/// [`FlowResult`] plus how its shapes resolved.
+/// Runs one design's production flow — translate, cluster, key, resolve
+/// each distinct shape through the registry, instantiate — and returns the
+/// [`FlowResult`] plus how its shapes resolved. `threads` is the design's
+/// thread budget, split between the fan-out over the shapes it claims and
+/// the work inside each shape.
 ///
 /// This is the per-design half of [`run_job`], shared with the
-/// differential gauntlet so corpus designs route through exactly the
-/// singleflight + shared-cache path the batch fleet uses.
+/// differential gauntlet, and — over a private registry — what
+/// [`crate::run_control_flow_with`] runs.
 ///
 /// # Errors
 ///
@@ -516,109 +596,112 @@ pub fn flow_through_registry(
     design: &CompiledDesign,
     options: &FlowOptions,
     registry: &ShapeRegistry<'_>,
-    inner: usize,
+    threads: usize,
 ) -> Result<(FlowResult, ShapeStats), JobFailure> {
-    let fail = |design: &str, phase: &'static str, error: String| JobFailure {
-        label: label.to_string(),
-        design: design.to_string(),
-        component: String::new(),
-        cache_key: String::new(),
-        phase,
-        error,
-    };
-    let design_name = design.netlist.name().to_string();
-    let mut ctrl = balsa_to_ch(&design.netlist)
-        .map_err(|e| fail(&design_name, "translate", e.to_string()))?;
-    let components_before = ctrl.components.len();
-    let cluster_report = options
-        .optimize
-        .then(|| ctrl.t2_clustering(&options.cluster));
-    let templates = if options.use_templates {
-        template_table(&design.netlist)
-    } else {
-        Default::default()
-    };
+    run_flow(design, options, registry, threads).map_err(|e| {
+        let (component, cache_key, phase, error) = match e {
+            FlowError::Translate(e) => (String::new(), String::new(), "translate", e.to_string()),
+            FlowError::Job {
+                component,
+                cache_key,
+                phase,
+                error,
+                ..
+            } => (component, cache_key, phase, error.to_string()),
+        };
+        JobFailure {
+            label: label.to_string(),
+            design: design.netlist.name().to_string(),
+            component,
+            cache_key,
+            phase,
+            error,
+        }
+    })
+}
 
-    // Resolve unique shapes in deterministic component order, so the first
-    // failing component is the one the serial pipeline would report.
-    let keyed: Vec<KeyedProgram> = ctrl
-        .components
+/// The body of [`flow_through_registry`], with the flow's own error type.
+pub(crate) fn run_flow(
+    design: &CompiledDesign,
+    options: &FlowOptions,
+    registry: &ShapeRegistry<'_>,
+    threads: usize,
+) -> Result<(FlowResult, ShapeStats), FlowError> {
+    let _flow_span = bmbe_obs::span!("flow.run", "flow");
+    bmbe_obs::annotate_str!("job.design", design.netlist.name());
+    let part = Partition::of(design, options)?;
+    let keyed: Vec<KeyedProgram> = {
+        let _s = bmbe_obs::span!("flow.key", "flow");
+        part.ctrl
+            .components
+            .iter()
+            .map(|comp| {
+                KeyedProgram::new(
+                    &comp.program,
+                    options.minimize_mode,
+                    options.minimize_backend,
+                    options.map_objective,
+                    options.map_style,
+                )
+            })
+            .collect()
+    };
+    // Distinct shapes in first-use order, and each component's shape.
+    let mut first_use: HashMap<&CacheKey, usize> = HashMap::new();
+    let mut distinct: Vec<&KeyedProgram> = Vec::new();
+    let shape_of: Vec<usize> = keyed
         .iter()
-        .map(|comp| {
-            KeyedProgram::new(
-                &comp.program,
-                options.minimize_mode,
-                options.minimize_backend,
-                options.map_objective,
-                options.map_style,
-            )
+        .map(|k| {
+            *first_use.entry(&k.key).or_insert_with(|| {
+                distinct.push(k);
+                distinct.len() - 1
+            })
         })
         .collect();
-    let mut shapes: HashMap<&CacheKey, Arc<SynthArtifact>> = HashMap::new();
-    let (mut hits, mut synthesized, mut shared) = (0usize, 0usize, 0usize);
+    let resolved = registry.resolve_all(&distinct, options, threads);
+
+    let mut stats = ShapeStats {
+        distinct: distinct.len(),
+        ..ShapeStats::default()
+    };
     let mut phases = PhaseProfile::default();
-    for (comp, k) in ctrl.components.iter().zip(&keyed) {
-        if shapes.contains_key(&k.key) {
-            continue;
-        }
-        match registry.resolve(k, options, inner) {
-            Ok((artifact, resolution)) => {
-                match resolution {
-                    Resolution::Hit => hits += 1,
-                    Resolution::Synthesized => {
-                        // Owners alone account the synthesis time, mirroring
-                        // the pipeline's "cache hits contribute nothing".
-                        phases.accumulate(&artifact.profile);
-                        synthesized += 1;
-                    }
-                    Resolution::Shared => shared += 1,
-                }
-                shapes.insert(&k.key, artifact);
+    for (artifact, resolution) in resolved.iter().flatten() {
+        match resolution {
+            Resolution::Hit => stats.hits += 1,
+            Resolution::Synthesized => {
+                // Owners alone account the synthesis time: cache hits and
+                // shared flights contribute nothing.
+                phases.accumulate(&artifact.profile);
+                stats.synthesized += 1;
             }
+            Resolution::Shared => stats.shared += 1,
+        }
+    }
+    // Instantiate in component order; the first component whose shape
+    // failed names the error.
+    let mut controllers = Vec::with_capacity(keyed.len());
+    for ((comp, k), &shape) in part.ctrl.components.iter().zip(&keyed).zip(&shape_of) {
+        match &resolved[shape] {
+            Ok((artifact, _)) => controllers.push(instantiate(
+                artifact,
+                k,
+                &comp.name,
+                &comp.program,
+                part.template(&comp.name),
+            )),
             Err(e) => {
-                return Err(JobFailure {
-                    label: label.to_string(),
-                    design: design_name,
-                    component: comp.name.clone(),
-                    cache_key: format!("{:016x}", k.key.digest()),
-                    phase: e.phase(),
-                    error: e.to_string(),
-                })
+                return Err(FlowError::job(
+                    design.netlist.name(),
+                    &comp.name,
+                    &k.key,
+                    e.clone(),
+                ))
             }
         }
     }
-    registry.cache.record(hits + shared, synthesized);
-
-    let controllers: Vec<ControllerArtifact> = ctrl
-        .components
-        .iter()
-        .zip(&keyed)
-        .map(|(comp, k)| {
-            let template = templates.get(&comp.name).copied();
-            instantiate(&shapes[&k.key], k, &comp.name, &comp.program, template)
-        })
-        .collect();
-    let control_area = controllers.iter().map(ControllerArtifact::area).sum();
-    let flow = FlowResult {
-        design: design_name,
-        components_before,
-        controllers,
-        cluster_report,
-        control_area,
-        cache_hits: hits + shared,
-        cache_misses: synthesized,
-        threads_used: inner,
-        phases,
-    };
-    Ok((
-        flow,
-        ShapeStats {
-            distinct: shapes.len(),
-            hits,
-            synthesized,
-            shared,
-        },
-    ))
+    let flow = part.finish(design, controllers, stats.synthesized, threads, phases);
+    registry.cache.record(flow.cache_hits, flow.cache_misses);
+    Ok((flow, stats))
 }
 
 /// Runs a batch of design jobs over a shared cache, sharding distinct
@@ -626,11 +709,12 @@ pub fn flow_through_registry(
 /// once per fleet.
 ///
 /// The thread budget splits between job-level workers
-/// (`threads.min(jobs)`) and synthesis threads inside each job; waiters on
-/// a shared flight block their job worker, which is deadlock-free because
-/// the owning flight always runs to completion on its own worker. Job
-/// order is preserved in the summary; a failing (or panicking) job never
-/// takes its siblings down.
+/// (`threads.min(jobs)`) and a per-job budget that fans the job's claimed
+/// shapes out (see `fanout_budget`). Waiters on a shared flight block
+/// their job worker, which is deadlock-free because a job finishes every
+/// flight it claimed before it waits on another job's, and a flight never
+/// waits on anything. Job order is preserved in the summary; a failing (or
+/// panicking) job never takes its siblings down.
 pub fn run_batch(
     jobs: &[BatchJob],
     library: &Library,
@@ -688,5 +772,75 @@ pub fn run_batch(
         job_workers,
         inner_threads: inner,
         wall_s: start.elapsed().as_secs_f64(),
+    }
+}
+
+#[cfg(test)]
+mod budget_tests {
+    use super::{fanout_budget, PAR_COST_CUTOFF};
+
+    const BIG: usize = PAR_COST_CUTOFF;
+    const SMALL: usize = PAR_COST_CUTOFF - 1;
+
+    #[test]
+    fn composed_levels_never_oversubscribe() {
+        for threads in 0..=9 {
+            for big in 0..=6 {
+                for small in 0..=6 {
+                    let costs = std::iter::repeat(BIG)
+                        .take(big)
+                        .chain(std::iter::repeat(SMALL).take(small));
+                    let (workers, inner) = fanout_budget(threads, costs);
+                    assert!(workers >= 1 && inner >= 1);
+                    assert!(
+                        workers * inner <= threads.max(1),
+                        "threads={threads} big={big} small={small}: \
+                         workers={workers} inner={inner}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_long_pole_gets_the_whole_budget_inside() {
+        // One big shape among many small ones: the outer loop stays serial
+        // and every worker moves inside the long pole — small shapes must
+        // not be counted as fan-out jobs (the regression this pins).
+        let costs = || std::iter::once(BIG).chain(std::iter::repeat(SMALL).take(20));
+        assert_eq!(fanout_budget(8, costs()), (1, 8));
+        assert_eq!(fanout_budget(1, costs()), (1, 1));
+    }
+
+    #[test]
+    fn two_shape_design_without_dedup_stays_inline() {
+        // The clustered Stack benchmark: one tiny loop controller and one
+        // 500+-char cluster controller, no dedup between them. Exactly one
+        // shape clears the cutoff, so the outer loop must stay inline
+        // (workers == 1) at every thread count — fanning two jobs out for
+        // one long pole and one trivial shape only buys scheduling
+        // overhead (the BENCH_flow.json Stack regression this pins).
+        let stack_like = || [62usize, 537].into_iter();
+        for threads in [1, 2, 4, 8] {
+            let (workers, inner) = fanout_budget(threads, stack_like());
+            assert_eq!(workers, 1, "threads={threads}");
+            assert_eq!(inner, threads);
+        }
+    }
+
+    #[test]
+    fn long_poles_split_the_budget_with_the_remainder_inside() {
+        // Two long poles, eight workers: fan the poles out and give each
+        // four inner workers, rather than eight outer workers with small
+        // shapes diluting the inner budget to one.
+        let costs = || {
+            std::iter::repeat(BIG)
+                .take(2)
+                .chain(std::iter::repeat(SMALL).take(10))
+        };
+        assert_eq!(fanout_budget(8, costs()), (2, 4));
+        // More poles than workers: outer width caps at the thread budget.
+        let many = || std::iter::repeat(BIG).take(12);
+        assert_eq!(fanout_budget(4, many()), (4, 1));
     }
 }

@@ -750,7 +750,7 @@ pub fn decode_entry(bytes: &[u8]) -> Result<(CacheKey, SynthArtifact), CodecErro
 #[cfg(test)]
 mod codec_tests {
     use super::*;
-    use crate::cache::{synthesize_shape, KeyedProgram};
+    use crate::cache::{synthesize_shape_with_fault, KeyedProgram};
     use bmbe_core::components::sequencer;
     use bmbe_gates::Library;
 
@@ -763,7 +763,7 @@ mod codec_tests {
             MapObjective::Delay,
             MapStyle::SplitModules,
         );
-        let artifact = synthesize_shape(
+        let artifact = synthesize_shape_with_fault(
             "shape",
             &keyed.canonical,
             MinimizeMode::Speed,
@@ -772,6 +772,7 @@ mod codec_tests {
             MapStyle::SplitModules,
             &Library::cmos035(),
             1,
+            None,
         )
         .expect("shape synthesizes");
         (keyed.key, artifact)

@@ -13,10 +13,11 @@
 //! artifact by renaming its canonical wires (`k0_r`, `k1_a`, …) back to the
 //! instance's actual channel names.
 //!
-//! The cache is thread-safe (a mutexed map probed before and after the
-//! parallel fan-out) and can be shared across flow runs: the bench drivers
-//! reuse one cache across all four benchmark designs and across the
-//! unoptimized/optimized sides of a comparison.
+//! The cache is thread-safe (a mutexed map that [`crate::ShapeRegistry`]
+//! probes before claiming a shape and writes when a flight lands) and can
+//! be shared across flow runs: the bench binaries reuse one cache across
+//! all four benchmark designs and across the unoptimized/optimized sides
+//! of a comparison.
 //!
 //! It is also *poison-tolerant*: a worker that panics while holding the
 //! entry lock must not take every later flow run down with a
@@ -237,38 +238,10 @@ pub struct SynthArtifact {
 /// exported trace are the same measurement, whether or not tracing is
 /// enabled.
 ///
-/// # Errors
-///
-/// Returns the first failing stage.
-#[allow(clippy::too_many_arguments)]
-pub fn synthesize_shape(
-    spec_name: &str,
-    program: &ChExpr,
-    minimize_mode: MinimizeMode,
-    minimize_backend: MinimizeBackend,
-    map_objective: MapObjective,
-    map_style: MapStyle,
-    library: &Library,
-    threads: usize,
-) -> Result<SynthArtifact, ShapeError> {
-    synthesize_shape_with_fault(
-        spec_name,
-        program,
-        minimize_mode,
-        minimize_backend,
-        map_objective,
-        map_style,
-        library,
-        threads,
-        None,
-    )
-}
-
-/// [`synthesize_shape`] with an optional armed [`FaultPlan`]: when given,
-/// the plan fires at the start of its targeted phase — a panic or a typed
-/// [`ShapeError::Injected`] — so the flow's recovery paths can be driven
-/// deterministically. The caller passes `Some` only for the one fan-out
-/// job the plan targets.
+/// An armed [`FaultPlan`] fires at the start of its targeted phase — a
+/// panic or a typed [`ShapeError::Injected`] — so the flow's recovery
+/// paths can be driven deterministically. The caller passes `Some` only
+/// for the one synthesis job the plan targets.
 ///
 /// # Errors
 ///
@@ -625,42 +598,6 @@ impl ControllerCache {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
     }
-
-    /// Serial convenience used by the ablation drivers: key the program,
-    /// return the cached artifact or synthesize-and-store it, together with
-    /// the name table for re-instantiation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing stage of a miss's synthesis chain.
-    pub fn get_or_synthesize(
-        &self,
-        program: &ChExpr,
-        minimize_mode: MinimizeMode,
-        map_objective: MapObjective,
-        map_style: MapStyle,
-        library: &Library,
-    ) -> Result<(Arc<SynthArtifact>, KeyedProgram), ShapeError> {
-        let backend = MinimizeBackend::default();
-        let keyed = KeyedProgram::new(program, minimize_mode, backend, map_objective, map_style);
-        if let Some(entry) = self.peek(&keyed.key) {
-            self.record(1, 0);
-            return Ok((entry, keyed));
-        }
-        let artifact = Arc::new(synthesize_shape(
-            "shape",
-            &keyed.canonical,
-            minimize_mode,
-            backend,
-            map_objective,
-            map_style,
-            library,
-            1,
-        )?);
-        self.store(keyed.key.clone(), artifact.clone());
-        self.record(0, 1);
-        Ok((artifact, keyed))
-    }
 }
 
 #[cfg(test)]
@@ -677,7 +614,7 @@ mod cache_tests {
             MapObjective::Delay,
             MapStyle::SplitModules,
         );
-        let artifact = synthesize_shape(
+        let artifact = synthesize_shape_with_fault(
             "shape",
             &keyed.canonical,
             MinimizeMode::Speed,
@@ -686,6 +623,7 @@ mod cache_tests {
             MapStyle::SplitModules,
             &Library::cmos035(),
             1,
+            None,
         )
         .expect("shape synthesizes");
         (keyed.key, Arc::new(artifact))

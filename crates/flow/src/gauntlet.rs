@@ -9,8 +9,8 @@
 //! | `heap_vs_wheel` | calendar-queue wheel | seed `BinaryHeap` scheduler | [`SimOutcome::same_result`] |
 //! | `compiled_vs_wheel` | bit-parallel compiled tapes | event wheel | [`SimOutcome::same_behaviour`] |
 //! | `otf_vs_materialized` | on-the-fly ACR verification | materialized composition | verdict equality |
-//! | `serial_vs_parallel` | parallel cached flow + 4-thread sim | serial uncached flow + 1-thread sim | digest equality |
-//! | `fault_vs_clean` | flow with an injected `synth:0:err` | clean flow | typed failure + clean digest |
+//! | `serial_vs_parallel` | registry flow + 4-thread sim | per-instance [`reference_flow`] + 1-thread sim | digest equality |
+//! | `fault_vs_clean` | [`run_control_flow`] with an injected `synth:0:err` | clean flow | typed failure + clean digest |
 //!
 //! Designs route through the batch [`ShapeRegistry`] over the shared
 //! [`ControllerCache`] (and the disk layer when `BMBE_CACHE_DIR` is set),
@@ -25,7 +25,7 @@
 
 use crate::batch::{flow_through_registry, ShapeRegistry};
 use crate::cache::ControllerCache;
-use crate::pipeline::{run_control_flow_with, FlowOptions, FlowResult};
+use crate::pipeline::{reference_flow, run_control_flow, FlowOptions, FlowResult};
 use crate::simbuild::{simulate_with, SimOutcome};
 use crate::csim::simulate_scenarios;
 use crate::fault::FaultPlan;
@@ -364,14 +364,16 @@ fn run_design(
         }
     }
 
-    // Pair 4b + pair 5: a serial, uncached re-flow must match the
-    // parallel cached one digest-for-digest, and the same flow with an
-    // injected synthesis fault must fail with a typed error, never a
+    // Pair 4b + pair 5: the serial per-instance reference flow must match
+    // the registry flow digest-for-digest, and a single-design flow with
+    // an injected synthesis fault must fail with a typed error, never a
     // panic or a silent success.
-    let serial_opts = FlowOptions::optimized().serial_uncached();
-    let clean_cache = ControllerCache::new();
+    let serial_opts = FlowOptions {
+        threads: Some(1),
+        ..FlowOptions::optimized()
+    };
     v.checks.serial_vs_parallel += 1;
-    match run_control_flow_with(&d.compiled, &serial_opts, library, &clean_cache) {
+    match reference_flow(&d.compiled, &serial_opts, library) {
         Ok(serial) => {
             if let Some(diff) = digest_diff(&flow, &serial) {
                 v.findings.push(finding(d, "serial_vs_parallel", diff));
@@ -380,15 +382,16 @@ fn run_design(
         Err(e) => v.findings.push(finding(
             d,
             "serial_vs_parallel",
-            format!("serial uncached flow failed: {e}"),
+            format!("reference flow failed: {e}"),
         )),
     }
 
-    let mut fault_opts = FlowOptions::optimized().serial_uncached();
-    fault_opts.fault = Some(FaultPlan::parse("synth:0:err").expect("static fault spec"));
-    let fault_cache = ControllerCache::new();
+    let fault_opts = FlowOptions {
+        fault: Some(FaultPlan::parse("synth:0:err").expect("static fault spec")),
+        ..serial_opts
+    };
     v.checks.fault_vs_clean += 1;
-    match run_control_flow_with(&d.compiled, &fault_opts, library, &fault_cache) {
+    match run_control_flow(&d.compiled, &fault_opts, library) {
         Err(_typed) => {} // the fault surfaced as a typed error: correct
         Ok(_) => v.findings.push(finding(
             d,

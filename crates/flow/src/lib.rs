@@ -42,7 +42,8 @@ pub use experiment::{compare, compare_with, Comparison};
 pub use bmbe_logic::MinimizeBackend;
 pub use fault::{FaultKind, FaultParseError, FaultPhase, FaultPlan};
 pub use pipeline::{
-    run_control_flow, run_control_flow_with, ControllerArtifact, FlowError, FlowOptions, FlowResult,
+    reference_flow, run_control_flow, run_control_flow_with, ControllerArtifact, FlowError,
+    FlowOptions, FlowResult,
 };
 pub use profile::PhaseProfile;
 pub use simbuild::{

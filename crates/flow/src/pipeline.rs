@@ -1,6 +1,7 @@
 //! The back-end pipeline of Fig. 1: partition → Balsa-to-CH → clustering →
 //! CH-to-BMS → Minimalist synthesis → technology mapping → hazard analysis.
 
+use crate::batch::{run_flow, ShapeRegistry};
 use crate::cache::{
     synthesize_shape_with_fault, CacheKey, ControllerCache, KeyedProgram, ShapeError, SynthArtifact,
 };
@@ -11,9 +12,8 @@ use bmbe_balsa::CompiledDesign;
 use bmbe_bm::synth::{Controller, MinimizeMode};
 use bmbe_logic::MinimizeBackend;
 use bmbe_core::balsa_to_ch::{balsa_to_ch, TranslateError};
-use bmbe_core::opt::cluster::{ClusterOptions, ClusterReport};
+use bmbe_core::opt::cluster::{ClusterOptions, ClusterReport, CtrlNetlist};
 use bmbe_gates::{Library, MapObjective, MapStyle, MappedNetlist};
-use bmbe_par::par_try_map;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -39,17 +39,14 @@ pub struct FlowOptions {
     /// area/latency (stock Balsa's baseline, §6) instead of the figures of
     /// their individually synthesized controllers.
     pub use_templates: bool,
-    /// Memoize synthesis through the content-addressed controller cache so
-    /// structurally identical components are synthesized once. Off = the
-    /// original per-instance path (each component compiled from its own
-    /// program); the two paths produce identical product counts, areas, and
-    /// delays.
-    pub cache: bool,
-    /// Worker threads for the per-component synthesis fan-out. `None` uses
-    /// [`bmbe_par::default_threads`] (the `BMBE_THREADS` environment
-    /// variable, or every available core); `Some(1)` forces the serial
-    /// path. Results are identical (same order, same artifacts, same first
-    /// error) regardless of the thread count.
+    /// Worker threads of one flow, split between the fan-out over its
+    /// pending shapes and the parallelism inside each shape (see
+    /// [`ShapeRegistry`]). `None` uses [`bmbe_par::default_threads`] (the
+    /// `BMBE_THREADS` environment variable, or every available core);
+    /// `Some(1)` runs everything on the calling thread. Results are
+    /// identical (same order, same artifacts, same first error) regardless
+    /// of the thread count. Batch jobs take their budget from
+    /// [`crate::run_batch`] instead.
     pub threads: Option<usize>,
     /// Deterministic fault injection: force a panic or a typed error at a
     /// chosen phase of a chosen synthesis job (see [`FaultPlan`]). `None`
@@ -70,7 +67,6 @@ impl FlowOptions {
             map_style: MapStyle::SplitModules,
             cluster: ClusterOptions::default(),
             use_templates: false,
-            cache: true,
             threads: None,
             fault: None,
         }
@@ -84,15 +80,6 @@ impl FlowOptions {
             use_templates: true,
             ..Self::optimized()
         }
-    }
-
-    /// The seed's serial, uncached behaviour: per-instance synthesis on one
-    /// thread. The reference against which the cached/parallel path is
-    /// checked bit-identical.
-    pub fn serial_uncached(mut self) -> Self {
-        self.cache = false;
-        self.threads = Some(1);
-        self
     }
 
     /// Arms the fault plan named by the `BMBE_FAULT` environment variable
@@ -128,8 +115,9 @@ pub enum FlowError {
         /// The per-shape phase that failed (`compile`, `synth`, `verify`,
         /// `map`, `statemin`, or `panic` for a caught unwind).
         phase: &'static str,
-        /// The underlying shape error.
-        error: ShapeError,
+        /// The underlying shape error, shared with every job that needed
+        /// the same shape.
+        error: Arc<ShapeError>,
     },
 }
 
@@ -201,14 +189,16 @@ pub struct FlowResult {
     pub cluster_report: Option<ClusterReport>,
     /// Total control cell area (µm²).
     pub control_area: f64,
-    /// Components whose controller came out of the content-addressed cache
-    /// (an earlier run sharing the cache, or a structurally identical
-    /// component of this run). Zero when the cache is disabled.
+    /// Components served without synthesis by this run: from the
+    /// content-addressed cache (an earlier run sharing the cache), from
+    /// another job's flight, or as a structurally identical sibling of a
+    /// shape this run synthesized. `cache_hits + cache_misses` is always the
+    /// controller count; zero for [`reference_flow`].
     pub cache_hits: usize,
     /// Unique controller shapes synthesized by this run (every component
-    /// when the cache is disabled).
+    /// for [`reference_flow`]).
     pub cache_misses: usize,
-    /// Worker threads the fan-out actually used (the resolved value of
+    /// The flow's thread budget (the resolved value of
     /// [`FlowOptions::threads`]).
     pub threads_used: usize,
     /// Aggregate per-phase wall-clock profile of the shapes this run
@@ -226,40 +216,53 @@ impl FlowResult {
     }
 }
 
-impl ShapeError {
+impl FlowError {
     /// Attaches the full job context — design, component, cache key, and
-    /// failing phase — producing the flow-level error report.
-    fn into_flow(self, design: &str, component: &str, key: &CacheKey) -> FlowError {
-        let phase = self.phase();
-        let cache_key = format!("{:016x}", key.digest());
-        // Every per-shape flow failure drains the flight recorder with the
-        // same identity fields the typed error carries (file/stderr sink
-        // only — the pure-JSON stdout contract holds; a no-op when no dump
-        // sink is configured).
-        bmbe_obs::recorder::dump(
-            "flow-error",
-            &[
-                ("design", design.to_string()),
-                ("component", component.to_string()),
-                ("cache_key", cache_key.clone()),
-                ("phase", phase.to_string()),
-            ],
-        );
+    /// failing phase — to a shape error.
+    pub(crate) fn job(
+        design: &str,
+        component: &str,
+        key: &CacheKey,
+        error: Arc<ShapeError>,
+    ) -> FlowError {
         FlowError::Job {
             design: design.to_string(),
             component: component.to_string(),
+            cache_key: format!("{:016x}", key.digest()),
+            phase: error.phase(),
+            error,
+        }
+    }
+
+    /// Dumps the flight recorder for a failed synthesis job with the same
+    /// identity fields the typed error carries (file/stderr sink only — the
+    /// pure-JSON stdout contract holds; a no-op when no dump sink is
+    /// configured).
+    fn dump(&self) {
+        if let FlowError::Job {
+            design,
+            component,
             cache_key,
             phase,
-            error: self,
+            ..
+        } = self
+        {
+            bmbe_obs::recorder::dump(
+                "flow-error",
+                &[
+                    ("design", design.clone()),
+                    ("component", component.clone()),
+                    ("cache_key", cache_key.clone()),
+                    ("phase", phase.to_string()),
+                ],
+            );
         }
     }
 }
 
 /// Re-materializes a cached canonical artifact as one component's
 /// controller: clones the shape, renames canonical wires back to the
-/// component's channel names, and attaches the instance name. Shared with
-/// the batch driver (`crate::batch`), whose jobs resolve shapes through
-/// the fleet-wide singleflight registry instead of this pipeline.
+/// component's channel names, and attaches the instance name.
 pub(crate) fn instantiate(
     shape: &SynthArtifact,
     keyed: &KeyedProgram,
@@ -282,58 +285,72 @@ pub(crate) fn instantiate(
     }
 }
 
-/// Runs one component through the per-shape chain under its own name and
-/// program (the uncached path, and the error-reporting path of the cached
-/// one).
-fn synthesize_direct(
-    name: &str,
-    program: &bmbe_core::ast::ChExpr,
-    options: &FlowOptions,
-    library: &Library,
-    threads: usize,
-    fault: Option<&FaultPlan>,
-) -> Result<SynthArtifact, ShapeError> {
-    synthesize_shape_with_fault(
-        name,
-        program,
-        options.minimize_mode,
-        options.minimize_backend,
-        options.map_objective,
-        options.map_style,
-        library,
-        threads,
-        fault,
-    )
+/// The front half every flow shares: Balsa-to-CH translation, clustering
+/// (when optimizing), and the template table (when annotating stock Balsa
+/// components).
+pub(crate) struct Partition {
+    /// The control components to synthesize, in deterministic order.
+    pub(crate) ctrl: CtrlNetlist,
+    components_before: usize,
+    cluster_report: Option<ClusterReport>,
+    templates: HashMap<String, Template>,
 }
 
-/// Canonical-program-text length below which a shape counts as small work:
-/// cheap controllers finish in well under the cost of parking them on a
-/// worker thread, so fanning them out loses time. The value sits between
-/// the largest shape of the small benchmark designs and the long-pole
-/// cluster controllers that actually profit from a worker (measured via
-/// `perf_report`; see BENCH_flow.json).
-const PAR_COST_CUTOFF: usize = 160;
-
-/// Splits the flow's thread budget between the per-shape fan-out and the
-/// parallelism *inside* each shape (per-function jobs and the partitioned
-/// prime-generation worklist), returning `(workers, inner)` with
-/// `workers * inner <= threads.max(1)` — the two levels compose instead of
-/// double-subscribing the pool.
-///
-/// The outer width is set by the number of shapes above the small-work
-/// cutoff, not by the total shape count: small shapes finish in noise, so
-/// counting them would starve the long poles of inner workers. With fewer
-/// than two long poles the outer loop stays serial and the whole budget
-/// moves inside — which is where a single huge cluster controller spends
-/// it best.
-fn fanout_budget(threads: usize, costs: impl Iterator<Item = usize>) -> (usize, usize) {
-    let threads = threads.max(1);
-    let big = costs.filter(|&c| c >= PAR_COST_CUTOFF).count();
-    if big < 2 {
-        return (1, threads);
+impl Partition {
+    /// Translates and (per `options`) clusters the design's control part.
+    pub(crate) fn of(design: &CompiledDesign, options: &FlowOptions) -> Result<Self, FlowError> {
+        let mut ctrl = {
+            let _s = bmbe_obs::span!("flow.translate", "flow");
+            balsa_to_ch(&design.netlist)?
+        };
+        let components_before = ctrl.components.len();
+        let cluster_report = options.optimize.then(|| {
+            let _s = bmbe_obs::span!("flow.cluster", "flow");
+            ctrl.t2_clustering(&options.cluster)
+        });
+        let templates = if options.use_templates {
+            template_table(&design.netlist)
+        } else {
+            HashMap::new()
+        };
+        Ok(Partition {
+            ctrl,
+            components_before,
+            cluster_report,
+            templates,
+        })
     }
-    let workers = threads.min(big);
-    (workers, (threads / workers).max(1))
+
+    /// The template annotation of component `name`, if any.
+    pub(crate) fn template(&self, name: &str) -> Option<Template> {
+        self.templates.get(name).copied()
+    }
+
+    /// Assembles the flow result. `cache_misses` shapes were synthesized by
+    /// this run; every other component was served without synthesis.
+    pub(crate) fn finish(
+        self,
+        design: &CompiledDesign,
+        controllers: Vec<ControllerArtifact>,
+        cache_misses: usize,
+        threads_used: usize,
+        phases: PhaseProfile,
+    ) -> FlowResult {
+        // One source of truth for area accounting: the artifact's own
+        // figure (template annotation when present, mapped area otherwise).
+        let control_area = controllers.iter().map(ControllerArtifact::area).sum();
+        FlowResult {
+            design: design.netlist.name().to_string(),
+            components_before: self.components_before,
+            cache_hits: controllers.len() - cache_misses,
+            controllers,
+            cluster_report: self.cluster_report,
+            control_area,
+            cache_misses,
+            threads_used,
+            phases,
+        }
+    }
 }
 
 /// Runs the control back-end on a compiled design with a private,
@@ -356,11 +373,11 @@ pub fn run_control_flow(
 /// benchmark designs and both sides of an unoptimized/optimized
 /// comparison.
 ///
-/// The per-component loop fans out across threads (see
-/// [`FlowOptions::threads`]): unique cache misses are deduplicated first,
-/// so only distinct shapes occupy workers. Component order, artifacts, and
-/// the first failing component's error are identical to the serial
-/// uncached path.
+/// This is one job through a private [`ShapeRegistry`] over `cache` — the
+/// same path the batch fleet takes (see [`crate::flow_through_registry`]),
+/// with the whole [`FlowOptions::threads`] budget. Component order,
+/// artifacts, and the first failing component are identical to
+/// [`reference_flow`] at any thread count.
 ///
 /// # Errors
 ///
@@ -371,313 +388,69 @@ pub fn run_control_flow_with(
     library: &Library,
     cache: &ControllerCache,
 ) -> Result<FlowResult, FlowError> {
-    let _flow_span = bmbe_obs::span!("flow.run", "flow");
-    bmbe_obs::annotate_str!("job.design", design.netlist.name());
-    let mut ctrl = {
-        let _s = bmbe_obs::span!("flow.translate", "flow");
-        balsa_to_ch(&design.netlist)?
-    };
-    let components_before = ctrl.components.len();
-    let cluster_report = if options.optimize {
-        let _s = bmbe_obs::span!("flow.cluster", "flow");
-        Some(ctrl.t2_clustering(&options.cluster))
-    } else {
-        None
-    };
-    let templates = if options.use_templates {
-        template_table(&design.netlist)
-    } else {
-        Default::default()
-    };
     let threads = options.threads.unwrap_or_else(bmbe_par::default_threads);
-
-    let mut controllers = Vec::with_capacity(ctrl.components.len());
-    let mut phases = PhaseProfile::default();
-    let cache_hits;
-    let cache_misses;
-    if options.cache {
-        // Key every component, probe the cache, and fan the unique misses
-        // out across workers.
-        let _key_span = bmbe_obs::span!("flow.key", "flow");
-        let keyed: Vec<KeyedProgram> = ctrl
-            .components
-            .iter()
-            .map(|comp| {
-                KeyedProgram::new(
-                    &comp.program,
-                    options.minimize_mode,
-                    options.minimize_backend,
-                    options.map_objective,
-                    options.map_style,
-                )
-            })
-            .collect();
-        drop(_key_span);
-        let mut shapes: HashMap<&crate::cache::CacheKey, Option<Arc<SynthArtifact>>> =
-            HashMap::new();
-        let mut pending: Vec<&KeyedProgram> = Vec::new();
-        for k in &keyed {
-            shapes.entry(&k.key).or_insert_with(|| {
-                let found = cache.peek(&k.key);
-                if found.is_none() {
-                    pending.push(k);
-                }
-                found
-            });
-        }
-        cache_misses = pending.len();
-        cache_hits = ctrl.components.len() - cache_misses;
-        cache.record(cache_hits, cache_misses);
-        // Longest job first, so the long-pole shape never starts last;
-        // results are matched back through `shapes` by key, so dispatch
-        // order is free to differ from component order.
-        pending.sort_by_key(|k| std::cmp::Reverse(k.key.canonical.len()));
-        let (workers, inner) =
-            fanout_budget(threads, pending.iter().map(|k| k.key.canonical.len()));
-        // The fan-out queue depth: set to the number of unique misses, then
-        // decremented by each worker as its shape finishes — the Chrome
-        // counter lane shows the queue draining.
-        bmbe_obs::trace_gauge!("flow.pending_shapes", pending.len() as i64);
-        let fanout_span = bmbe_obs::span!("flow.synth", "flow");
-        let fanout_parent = fanout_span.id();
-        let synthesized: Vec<Result<SynthArtifact, ShapeError>> = if workers == 1 {
-            // Inline path: with fewer than two long-pole shapes (e.g. a
-            // 2-shape design with no dedup, like the clustered Stack) the
-            // fan-out machinery is pure overhead — run the misses on the
-            // calling thread, keeping the same job indexing (for fault
-            // targeting) and the same per-shape panic isolation.
-            pending
-                .iter()
-                .enumerate()
-                .map(|(i, k)| {
-                    let _g = bmbe_obs::span_with_parent!("shape.job", "flow", fanout_parent);
-                    let fault = options.fault.as_ref().filter(|f| f.targets_job(i));
-                    let result = bmbe_par::catch_job(|| {
-                        synthesize_direct("shape", &k.canonical, options, library, inner, fault)
-                    })
-                    .unwrap_or_else(|payload| Err(ShapeError::Panic(payload)));
-                    bmbe_obs::trace_gauge!("flow.pending_shapes", add: -1);
-                    result
-                })
-                .collect()
-        } else {
-            par_try_map(
-                &pending,
-                workers,
-                |i, k| format!("shape job {i} (cache key {:016x})", k.key.digest()),
-                |i, k| {
-                    let _g = bmbe_obs::span_with_parent!("shape.job", "flow", fanout_parent);
-                    let fault = options.fault.as_ref().filter(|f| f.targets_job(i));
-                    let result =
-                        synthesize_direct("shape", &k.canonical, options, library, inner, fault);
-                    bmbe_obs::trace_gauge!("flow.pending_shapes", add: -1);
-                    result
-                },
-            )
-            .into_iter()
-            // A panicked worker folds into the same per-shape error channel
-            // as a typed failure; its siblings have already completed.
-            .map(|slot| slot.unwrap_or_else(|job| Err(ShapeError::Panic(job.payload))))
-            .collect()
-        };
-        drop(fanout_span);
-        let mut failed: HashMap<&crate::cache::CacheKey, ShapeError> = HashMap::new();
-        for (k, result) in pending.iter().zip(synthesized) {
-            match result {
-                Ok(artifact) => {
-                    phases.accumulate(&artifact.profile);
-                    let artifact = Arc::new(artifact);
-                    cache.store(k.key.clone(), artifact.clone());
-                    shapes.insert(&k.key, Some(artifact));
-                }
-                Err(e) => {
-                    bmbe_obs::trace_counter!("flow.jobs.failed", 1);
-                    failed.insert(&k.key, e);
-                }
-            }
-        }
-        // Assemble in component order; the first component whose shape
-        // failed reports the error the serial path would have raised (the
-        // shape is re-run under the component's own names so the error
-        // text matches exactly). Panics and injected faults are reported
-        // as-is — re-running those jobs would just fail (or, for an
-        // index-targeted injection, spuriously succeed) again.
-        for (comp, k) in ctrl.components.iter().zip(&keyed) {
-            let artifact = match shapes.get(&k.key) {
-                Some(Some(artifact)) => {
-                    let template = templates.get(&comp.name).copied();
-                    instantiate(artifact, k, &comp.name, &comp.program, template)
-                }
-                _ => {
-                    debug_assert!(failed.contains_key(&k.key));
-                    if let Some(e @ (ShapeError::Panic(_) | ShapeError::Injected(_))) =
-                        failed.remove(&k.key)
-                    {
-                        return Err(e.into_flow(design.netlist.name(), &comp.name, &k.key));
-                    }
-                    bmbe_obs::trace_counter!("flow.jobs.retried", 1);
-                    let retried = bmbe_par::catch_job(|| {
-                        synthesize_direct(&comp.name, &comp.program, options, library, threads, None)
-                    })
-                    .unwrap_or_else(|payload| Err(ShapeError::Panic(payload)));
-                    match retried {
-                        Err(e) => {
-                            return Err(e.into_flow(design.netlist.name(), &comp.name, &k.key))
-                        }
-                        // Name-dependent divergence (canonical failed,
-                        // direct succeeded) — use the direct artifact and
-                        // leave the shape uncached.
-                        Ok(shape) => {
-                            phases.accumulate(&shape.profile);
-                            let template = templates.get(&comp.name).copied();
-                            ControllerArtifact {
-                                name: comp.name.clone(),
-                                bm_states: shape.bm_states,
-                                controller: shape.controller,
-                                mapped: shape.mapped,
-                                program: comp.program.clone(),
-                                template,
-                            }
-                        }
-                    }
-                }
-            };
-            controllers.push(artifact);
-        }
-    } else {
-        cache_hits = 0;
-        cache_misses = ctrl.components.len();
-        let costs: Vec<usize> = ctrl
-            .components
-            .iter()
-            .map(|comp| bmbe_core::parse::print_ch(&comp.program).len())
-            .collect();
-        let (workers, inner) = fanout_budget(threads, costs.into_iter());
-        bmbe_obs::trace_gauge!("flow.pending_shapes", ctrl.components.len() as i64);
-        let fanout_span = bmbe_obs::span!("flow.synth", "flow");
-        let fanout_parent = fanout_span.id();
-        let synthesized = par_try_map(
-            &ctrl.components,
-            workers,
-            |i, comp| format!("component job {i} ({})", comp.name),
-            |i, comp| {
-                let _g = bmbe_obs::span_with_parent!("shape.job", "flow", fanout_parent);
-                let fault = options.fault.as_ref().filter(|f| f.targets_job(i));
-                let result =
-                    synthesize_direct(&comp.name, &comp.program, options, library, inner, fault);
-                bmbe_obs::trace_gauge!("flow.pending_shapes", add: -1);
-                result
-            },
-        );
-        drop(fanout_span);
-        for (comp, slot) in ctrl.components.iter().zip(synthesized) {
-            let result = slot.unwrap_or_else(|job| Err(ShapeError::Panic(job.payload)));
-            let shape = result.map_err(|e| {
-                bmbe_obs::trace_counter!("flow.jobs.failed", 1);
-                let key = KeyedProgram::new(
-                    &comp.program,
-                    options.minimize_mode,
-                    options.minimize_backend,
-                    options.map_objective,
-                    options.map_style,
-                )
-                .key;
-                e.into_flow(design.netlist.name(), &comp.name, &key)
-            })?;
-            phases.accumulate(&shape.profile);
-            let template = templates.get(&comp.name).copied();
-            controllers.push(ControllerArtifact {
-                name: comp.name.clone(),
-                bm_states: shape.bm_states,
-                controller: shape.controller,
-                mapped: shape.mapped,
-                program: comp.program.clone(),
-                template,
-            });
-        }
-    }
-    // One source of truth for area accounting: the artifact's own figure
-    // (template annotation when present, mapped area otherwise).
-    let control_area = controllers.iter().map(ControllerArtifact::area).sum();
-    Ok(FlowResult {
-        design: design.netlist.name().to_string(),
-        components_before,
-        controllers,
-        cluster_report,
-        control_area,
-        cache_hits,
-        cache_misses,
-        threads_used: threads,
-        phases,
-    })
+    let registry = ShapeRegistry::new(cache, library);
+    run_flow(design, options, &registry, threads)
+        .map(|(flow, _)| flow)
+        .inspect_err(FlowError::dump)
 }
 
-#[cfg(test)]
-mod budget_tests {
-    use super::{fanout_budget, PAR_COST_CUTOFF};
-
-    const BIG: usize = PAR_COST_CUTOFF;
-    const SMALL: usize = PAR_COST_CUTOFF - 1;
-
-    #[test]
-    fn composed_levels_never_oversubscribe() {
-        for threads in 0..=9 {
-            for big in 0..=6 {
-                for small in 0..=6 {
-                    let costs = std::iter::repeat(BIG)
-                        .take(big)
-                        .chain(std::iter::repeat(SMALL).take(small));
-                    let (workers, inner) = fanout_budget(threads, costs);
-                    assert!(workers >= 1 && inner >= 1);
-                    assert!(
-                        workers * inner <= threads.max(1),
-                        "threads={threads} big={big} small={small}: \
-                         workers={workers} inner={inner}"
-                    );
-                }
-            }
-        }
+/// The per-instance reference flow, the oracle the production path is
+/// checked against: every component is synthesized from its own program
+/// under its own names, one after another, with no cache and no dedup.
+/// The whole [`FlowOptions::threads`] budget goes inside each shape, and a
+/// fault plan targets the `n`-th component.
+///
+/// # Errors
+///
+/// The first failing component's [`FlowError`].
+pub fn reference_flow(
+    design: &CompiledDesign,
+    options: &FlowOptions,
+    library: &Library,
+) -> Result<FlowResult, FlowError> {
+    let _flow_span = bmbe_obs::span!("flow.run", "flow");
+    let threads = options.threads.unwrap_or_else(bmbe_par::default_threads);
+    let part = Partition::of(design, options)?;
+    let mut controllers = Vec::with_capacity(part.ctrl.components.len());
+    let mut phases = PhaseProfile::default();
+    for (i, comp) in part.ctrl.components.iter().enumerate() {
+        let fault = options.fault.as_ref().filter(|f| f.targets_job(i));
+        let shape = bmbe_par::catch_job(|| {
+            synthesize_shape_with_fault(
+                &comp.name,
+                &comp.program,
+                options.minimize_mode,
+                options.minimize_backend,
+                options.map_objective,
+                options.map_style,
+                library,
+                threads,
+                fault,
+            )
+        })
+        .unwrap_or_else(|payload| Err(ShapeError::Panic(payload)))
+        .map_err(|e| {
+            let key = KeyedProgram::new(
+                &comp.program,
+                options.minimize_mode,
+                options.minimize_backend,
+                options.map_objective,
+                options.map_style,
+            )
+            .key;
+            FlowError::job(design.netlist.name(), &comp.name, &key, Arc::new(e))
+        })?;
+        phases.accumulate(&shape.profile);
+        controllers.push(ControllerArtifact {
+            name: comp.name.clone(),
+            bm_states: shape.bm_states,
+            controller: shape.controller,
+            mapped: shape.mapped,
+            program: comp.program.clone(),
+            template: part.template(&comp.name),
+        });
     }
-
-    #[test]
-    fn single_long_pole_gets_the_whole_budget_inside() {
-        // One big shape among many small ones: the outer loop stays serial
-        // and every worker moves inside the long pole — small shapes must
-        // not be counted as fan-out jobs (the regression this pins).
-        let costs = || std::iter::once(BIG).chain(std::iter::repeat(SMALL).take(20));
-        assert_eq!(fanout_budget(8, costs()), (1, 8));
-        assert_eq!(fanout_budget(1, costs()), (1, 1));
-    }
-
-    #[test]
-    fn two_shape_design_without_dedup_stays_inline() {
-        // The clustered Stack benchmark: one tiny loop controller and one
-        // 500+-char cluster controller, no dedup between them. Exactly one
-        // shape clears the cutoff, so the outer loop must stay inline
-        // (workers == 1) at every thread count — fanning two jobs out for
-        // one long pole and one trivial shape only buys scheduling
-        // overhead (the BENCH_flow.json Stack regression this pins).
-        let stack_like = || [62usize, 537].into_iter();
-        for threads in [1, 2, 4, 8] {
-            let (workers, inner) = fanout_budget(threads, stack_like());
-            assert_eq!(workers, 1, "threads={threads}");
-            assert_eq!(inner, threads);
-        }
-    }
-
-    #[test]
-    fn long_poles_split_the_budget_with_the_remainder_inside() {
-        // Two long poles, eight workers: fan the poles out and give each
-        // four inner workers, rather than eight outer workers with small
-        // shapes diluting the inner budget to one.
-        let costs = || {
-            std::iter::repeat(BIG)
-                .take(2)
-                .chain(std::iter::repeat(SMALL).take(10))
-        };
-        assert_eq!(fanout_budget(8, costs()), (2, 4));
-        // More poles than workers: outer width caps at the thread budget.
-        let many = || std::iter::repeat(BIG).take(12);
-        assert_eq!(fanout_budget(4, many()), (4, 1));
-    }
+    let misses = controllers.len();
+    Ok(part.finish(design, controllers, misses, threads, phases))
 }

@@ -5,7 +5,8 @@
 
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_batch, run_control_flow_with, BatchJob, ControllerCache, FaultPlan, FlowOptions,
+    flow_through_registry, run_batch, run_control_flow, run_control_flow_with, BatchJob,
+    ControllerCache, FaultPlan, FlowOptions, ShapeRegistry,
 };
 use bmbe_gates::Library;
 use std::sync::Mutex;
@@ -111,6 +112,46 @@ fn batch_results_match_the_pipeline() {
     }
 }
 
+/// `cache_hits` has one meaning on both entry points: components served
+/// without synthesis, so hits + misses == controllers. A fresh-registry
+/// registry flow and the single-design flow must report the same split.
+#[test]
+fn registry_flow_reports_the_single_design_cache_split() {
+    let _serial = lock();
+    let library = Library::cmos035();
+    let designs = all_designs().expect("shipped designs build");
+    for design in &designs {
+        let options = FlowOptions::optimized();
+        let single = run_control_flow(&design.compiled, &options, &library)
+            .unwrap_or_else(|e| panic!("{} single: {e}", design.name));
+        let cache = ControllerCache::new();
+        let registry = ShapeRegistry::new(&cache, &library);
+        let (fleet, stats) =
+            flow_through_registry(design.name, &design.compiled, &options, &registry, 1)
+                .unwrap_or_else(|e| panic!("{} registry: {e}", design.name));
+        assert_eq!(
+            fleet.cache_hits, single.cache_hits,
+            "{}: cache_hits",
+            design.name
+        );
+        assert_eq!(
+            fleet.cache_misses, single.cache_misses,
+            "{}: cache_misses",
+            design.name
+        );
+        assert_eq!(
+            fleet.cache_hits + fleet.cache_misses,
+            fleet.controllers.len(),
+            "{}: hit/miss accounting",
+            design.name
+        );
+        // The per-job shape counts stay distinct-shape counts.
+        assert_eq!(stats.synthesized, stats.distinct, "{}", design.name);
+        assert_eq!(cache.stats().hits, fleet.cache_hits, "{}", design.name);
+        assert_eq!(cache.stats().misses, fleet.cache_misses, "{}", design.name);
+    }
+}
+
 /// A job whose shape panics fails alone; jobs needing other shapes
 /// complete, and the batch reports both in submission order.
 #[test]
@@ -146,12 +187,19 @@ fn shared_failures_are_not_retried() {
         j.options.fault = Some(fault.clone());
         j
     };
+    let failed_before = bmbe_obs::counter!("batch.shapes.failed").get();
     let summary = run_batch(&[job("first"), job("second")], &library, &ControllerCache::new(), 1);
     assert_eq!(summary.failed(), 2);
     let first = summary.jobs[0].as_ref().expect_err("owner fails");
     let second = summary.jobs[1].as_ref().expect_err("waiter shares the failure");
     assert_eq!(first.cache_key, second.cache_key, "same digest fails both");
     assert_eq!(first.error, second.error, "waiter reports the owner's error");
-    // The failing claim was the only synthesis attempt; nothing landed.
-    assert_eq!(summary.synthesized, 0);
+    // The failing shape was attempted exactly once and never landed; the
+    // owner still flew the other shape it claimed, exactly once.
+    assert_eq!(
+        bmbe_obs::counter!("batch.shapes.failed").get() - failed_before,
+        1,
+        "the failed flight is not retried"
+    );
+    assert_eq!(summary.synthesized, summary.distinct_shapes - 1);
 }

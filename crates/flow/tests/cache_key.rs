@@ -3,7 +3,9 @@
 
 use bmbe_bm::synth::MinimizeMode;
 use bmbe_core::components::{call, decision_wait, sequencer};
-use bmbe_flow::{ControllerCache, KeyedProgram, MinimizeBackend};
+use bmbe_flow::{
+    ControllerCache, FlowOptions, KeyedProgram, MinimizeBackend, Resolution, ShapeRegistry,
+};
 use bmbe_gates::{Library, MapObjective, MapStyle};
 
 fn names(xs: &[&str]) -> Vec<String> {
@@ -107,25 +109,30 @@ fn synthesis_options_are_part_of_the_key() {
 
 #[test]
 fn renamed_instances_hit_and_options_miss() {
-    // get_or_synthesize keys under the default backend internally.
-    let (mode, _backend, objective, style) = DEFAULTS;
+    let (mode, backend, objective, style) = DEFAULTS;
     let library = Library::cmos035();
     let cache = ControllerCache::new();
+    let registry = ShapeRegistry::new(&cache, &library);
+    let resolve = |program, mode, style| {
+        let keyed = KeyedProgram::new(program, mode, backend, objective, style);
+        let (artifact, resolution) = registry
+            .resolve(&keyed, &FlowOptions::optimized(), 1)
+            .expect("sequencer synthesizes");
+        (artifact, resolution, keyed)
+    };
 
     let first = sequencer("activate", &names(&["left", "right"]));
-    let (art1, _) = cache
-        .get_or_synthesize(&first, mode, objective, style, &library)
-        .expect("sequencer synthesizes");
-    assert_eq!(cache.stats().misses, 1);
-    assert_eq!(cache.stats().hits, 0);
+    let (art1, resolution, _) = resolve(&first, mode, style);
+    assert_eq!(resolution, Resolution::Synthesized);
+    assert_eq!(registry.synthesized(), 1);
+    assert_eq!(registry.cache_hits(), 0);
 
     // Same shape, fresh channel names: must be served from the cache.
     let renamed = sequencer("go", &names(&["first", "second"]));
-    let (art2, keyed) = cache
-        .get_or_synthesize(&renamed, mode, objective, style, &library)
-        .expect("cached sequencer");
-    assert_eq!(cache.stats().hits, 1);
-    assert_eq!(cache.stats().misses, 1);
+    let (art2, resolution, keyed) = resolve(&renamed, mode, style);
+    assert_eq!(resolution, Resolution::Hit);
+    assert_eq!(registry.cache_hits(), 1);
+    assert_eq!(registry.synthesized(), 1);
     assert!(
         std::sync::Arc::ptr_eq(&art1, &art2),
         "hit must reuse the stored artifact"
@@ -136,19 +143,10 @@ fn renamed_instances_hit_and_options_miss() {
     assert_eq!(keyed.rename_wire("y0"), "y0");
 
     // Changing MinimizeMode or MapStyle must miss.
-    cache
-        .get_or_synthesize(&renamed, MinimizeMode::Area, objective, style, &library)
-        .expect("area-mode sequencer");
-    assert_eq!(cache.stats().misses, 2);
-    cache
-        .get_or_synthesize(
-            &renamed,
-            mode,
-            objective,
-            MapStyle::WholeController,
-            &library,
-        )
-        .expect("whole-controller-style sequencer");
-    assert_eq!(cache.stats().misses, 3);
+    resolve(&renamed, MinimizeMode::Area, style);
+    assert_eq!(registry.synthesized(), 2);
+    resolve(&renamed, mode, MapStyle::WholeController);
+    assert_eq!(registry.synthesized(), 3);
+    assert_eq!(registry.cache_hits(), 1);
     assert_eq!(cache.len(), 3);
 }

@@ -1,11 +1,12 @@
 //! Determinism of the parallel, memoized back-end: on all four benchmark
-//! designs, the cached/parallel pipeline must be bit-identical (controller
-//! order, product counts, areas, delays) to the seed's serial uncached
-//! path, and a warm cache must reproduce the same result again.
+//! designs, the cached/parallel production flow must be bit-identical
+//! (controller order, product counts, areas, delays) to the serial
+//! per-instance reference flow, and a warm cache must reproduce the same
+//! result again.
 
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_control_flow, run_control_flow_with, ControllerCache, FlowOptions, FlowResult,
+    reference_flow, run_control_flow_with, ControllerCache, FlowOptions, FlowResult,
     MinimizeBackend,
 };
 use bmbe_gates::Library;
@@ -83,7 +84,7 @@ fn assert_identical(design: &str, label: &str, reference: &FlowResult, candidate
 }
 
 #[test]
-fn cached_parallel_flow_is_bit_identical_to_serial_uncached() {
+fn cached_parallel_flow_is_bit_identical_to_reference() {
     let library = Library::cmos035();
     let designs = all_designs().expect("shipped designs build");
     let mut total_hits = 0usize;
@@ -93,12 +94,12 @@ fn cached_parallel_flow_is_bit_identical_to_serial_uncached() {
             ("unoptimized", FlowOptions::unoptimized()),
         ] {
             // The seed behaviour: one component at a time, no memoization.
-            let reference = run_control_flow(
-                &design.compiled,
-                &options.clone().serial_uncached(),
-                &library,
-            )
-            .unwrap_or_else(|e| panic!("{}/{label} serial: {e}", design.name));
+            let serial = FlowOptions {
+                threads: Some(1),
+                ..options.clone()
+            };
+            let reference = reference_flow(&design.compiled, &serial, &library)
+                .unwrap_or_else(|e| panic!("{}/{label} serial: {e}", design.name));
             assert_eq!(reference.cache_hits, 0);
             assert_eq!(reference.cache_misses, reference.controllers.len());
 
@@ -153,9 +154,12 @@ fn per_output_parallel_minimization_is_bit_identical_to_serial() {
     ] {
         for design in &designs {
             // Serial, uncached: one function minimized at a time.
-            let mut serial = FlowOptions::optimized().serial_uncached();
-            serial.minimize_backend = backend;
-            let reference = run_control_flow(&design.compiled, &serial, &library)
+            let serial = FlowOptions {
+                threads: Some(1),
+                minimize_backend: backend,
+                ..FlowOptions::optimized()
+            };
+            let reference = reference_flow(&design.compiled, &serial, &library)
                 .unwrap_or_else(|e| panic!("{}/{backend:?} serial: {e}", design.name));
             // Same uncached path, but with the minimizations inside each
             // controller fanned across workers. Every cover must come back
@@ -163,7 +167,7 @@ fn per_output_parallel_minimization_is_bit_identical_to_serial() {
             for threads in [1usize, 4] {
                 let mut options = serial.clone();
                 options.threads = Some(threads);
-                let candidate = run_control_flow(&design.compiled, &options, &library)
+                let candidate = reference_flow(&design.compiled, &options, &library)
                     .unwrap_or_else(|e| panic!("{}/{backend:?} {threads}t: {e}", design.name));
                 assert_eq!(
                     candidate.threads_used, threads,

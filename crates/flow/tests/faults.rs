@@ -8,10 +8,11 @@
 use bmbe_core::balsa_to_ch::balsa_to_ch;
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_control_flow, run_control_flow_with, ControllerCache, FaultKind, FaultPhase, FaultPlan,
-    FlowError, FlowOptions, KeyedProgram, ShapeError,
+    reference_flow, run_control_flow, run_control_flow_with, ControllerCache, FaultKind,
+    FaultPhase, FaultPlan, FlowError, FlowOptions, KeyedProgram, ShapeError,
 };
 use bmbe_gates::Library;
+use std::sync::Arc;
 
 fn faulted(phase: FaultPhase, nth: usize, kind: FaultKind) -> FlowOptions {
     let mut options = FlowOptions::optimized();
@@ -44,7 +45,7 @@ fn component_keys(design: &bmbe_designs::Design, options: &FlowOptions) -> Vec<(
 }
 
 /// Destructures the one error shape a fault may produce.
-fn job_error(err: FlowError) -> (String, String, String, &'static str, ShapeError) {
+fn job_error(err: FlowError) -> (String, String, String, &'static str, Arc<ShapeError>) {
     match err {
         FlowError::Job {
             design,
@@ -72,7 +73,7 @@ fn injected_panic_fails_only_that_flow_and_names_the_job() {
     let (design, component, cache_key, phase, shape) = job_error(err);
     assert_eq!(design, designs[0].compiled.netlist.name());
     assert_eq!(phase, "panic", "a caught unwind reports phase \"panic\"");
-    match &shape {
+    match &*shape {
         ShapeError::Panic(payload) => assert!(
             payload.contains("injected fault: panic at phase synth of job 0"),
             "panic payload must carry the injection message, got: {payload}"
@@ -120,7 +121,7 @@ fn typed_injected_error_reports_its_phase() {
     let (_, _, cache_key, phase, shape) = job_error(err);
     assert_eq!(phase, "verify");
     assert!(
-        matches!(shape, ShapeError::Injected(FaultPhase::Verify)),
+        matches!(*shape, ShapeError::Injected(FaultPhase::Verify)),
         "expected ShapeError::Injected(Verify), got: {shape}"
     );
     assert!(
@@ -143,7 +144,7 @@ fn injected_prime_gen_panic_unwinds_from_inside_the_minimizer() {
         .expect("injected prime_gen panic must fail the flow");
     let (_, _, _, phase, shape) = job_error(err);
     assert_eq!(phase, "panic", "a caught unwind reports phase \"panic\"");
-    match &shape {
+    match &*shape {
         ShapeError::Panic(payload) => assert!(
             payload.contains("injected fault: panic at phase prime_gen"),
             "panic payload must carry the injection message, got: {payload}"
@@ -172,7 +173,7 @@ fn typed_prime_gen_error_reports_the_prime_gen_phase() {
     let (_, _, cache_key, phase, shape) = job_error(err);
     assert_eq!(phase, "prime_gen");
     assert!(
-        matches!(shape, ShapeError::Injected(FaultPhase::PrimeGen)),
+        matches!(*shape, ShapeError::Injected(FaultPhase::PrimeGen)),
         "expected ShapeError::Injected(PrimeGen), got: {shape}"
     );
     assert!(
@@ -208,9 +209,8 @@ fn thread_count_does_not_change_the_failing_job() {
 fn fault_on_the_uncached_path_names_the_component() {
     let library = Library::cmos035();
     let designs = all_designs().expect("shipped designs build");
-    let mut options = faulted(FaultPhase::Compile, 0, FaultKind::Error);
-    options.cache = false;
-    let err = run_control_flow(&designs[0].compiled, &options, &library)
+    let options = faulted(FaultPhase::Compile, 0, FaultKind::Error);
+    let err = reference_flow(&designs[0].compiled, &options, &library)
         .err()
         .expect("injected error must fail the uncached flow");
     let (_, component, cache_key, phase, _) = job_error(err);

@@ -1,25 +1,32 @@
 //! Round-trip property tests for the generated design corpus: every
 //! program any family (or the random generator) emits must parse, compile
 //! through the front end, and synthesize crash-free at small sizes — and
-//! synthesis must be digest-identical at 1 and 4 worker threads, the
-//! determinism equality the repo pins for the shipped designs.
+//! the production flow must be digest-identical to the serial per-instance
+//! reference at 1 and 4 worker threads, the determinism equality the repo
+//! pins for the shipped designs (the gauntlet's `serial_vs_parallel` pair,
+//! as a property test).
 
 use bmbe_designs::corpus::{
     call_tree, generate_corpus, pipeline, random_design, token_ring, wagging_chain, CorpusSpec,
     GeneratedDesign,
 };
-use bmbe_flow::{run_control_flow_with, ControllerCache, FlowOptions, FlowResult};
+use bmbe_flow::{reference_flow, run_control_flow_with, ControllerCache, FlowOptions, FlowResult};
 use bmbe_gates::Library;
 use proptest::prelude::*;
 
+fn options_at(threads: usize) -> FlowOptions {
+    FlowOptions {
+        threads: Some(threads),
+        ..FlowOptions::optimized()
+    }
+}
+
+/// The production flow over a private cache.
 fn flow_at(design: &GeneratedDesign, threads: usize) -> FlowResult {
-    let mut options = FlowOptions::optimized();
-    options.threads = Some(threads);
-    options.cache = false;
     let library = Library::cmos035();
     let cache = ControllerCache::new();
-    run_control_flow_with(&design.compiled, &options, &library, &cache)
-        .unwrap_or_else(|e| panic!("{}: flow failed: {e}", design.name))
+    run_control_flow_with(&design.compiled, &options_at(threads), &library, &cache)
+        .unwrap_or_else(|e| panic!("{}: flow failed at {threads} threads: {e}", design.name))
 }
 
 fn assert_identical(design: &GeneratedDesign, a: &FlowResult, b: &FlowResult) {
@@ -63,9 +70,10 @@ fn roundtrip(design: &GeneratedDesign) {
         .netlist
         .validate()
         .unwrap_or_else(|e| panic!("{}: netlist invalid: {e}", design.name));
-    let serial = flow_at(design, 1);
-    let parallel = flow_at(design, 4);
-    assert_identical(design, &serial, &parallel);
+    let reference = reference_flow(&design.compiled, &options_at(1), &Library::cmos035())
+        .unwrap_or_else(|e| panic!("{}: reference flow failed: {e}", design.name));
+    assert_identical(design, &reference, &flow_at(design, 1));
+    assert_identical(design, &reference, &flow_at(design, 4));
 }
 
 proptest! {

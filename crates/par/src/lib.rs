@@ -126,8 +126,8 @@ fn run_caught<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 /// Runs `f` on the calling thread, converting a panic into
 /// `Err(stringified payload)` instead of unwinding — the single-job
 /// counterpart of [`par_try_map`], sharing its quiet panic hook (the
-/// caught panic does not print the default report). Used by the flow for
-/// isolated retries outside a fan-out.
+/// caught panic does not print the default report). Used by the flow to
+/// isolate each shape synthesis, inside or outside a fan-out.
 pub fn catch_job<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_quiet_hook();
     run_caught(f)

@@ -2,45 +2,49 @@
 # Tier-1 CI gate. Fails on the first broken step.
 #
 #   1. release build + full test suite (the hard acceptance floor);
-#   2. every bench binary builds in release (table/figure regeneration
+#   2. every workspace crate's test suite in release (`cargo test
+#      --workspace`): the root package's suite alone skips the crate
+#      suites, among them the flow's determinism, fault, batch and
+#      trace-tree oracles;
+#   3. every bench binary builds in release (table/figure regeneration
 #      and the obs_report smoke binary);
-#   3. bmbe-obs builds clean under -D warnings (new crate, zero-warning
+#   4. bmbe-obs builds clean under -D warnings (new crate, zero-warning
 #      policy);
-#   4. obs_report --check: runs a traced Stack flow + sim + verification
+#   5. obs_report --check: runs a traced Stack flow + sim + verification
 #      and validates the emitted Chrome trace / JSONL / span coverage;
-#   5. fault smoke: an injected fault (BMBE_FAULT=synth:0, then one
+#   6. fault smoke: an injected fault (BMBE_FAULT=synth:0, then one
 #      inside prime generation, BMBE_FAULT=prime_gen:0:err) must fail
 #      perf_report with a structured error line and a nonzero exit, and
 #      the same binary must then pass clean; a simulation-compile fault
 #      (BMBE_FAULT=sim_compile:0) must likewise fail sim_report;
-#   6. perf smoke: in the clean pass's report, the Microprocessor core's
+#   7. perf smoke: in the clean pass's report, the Microprocessor core's
 #      cold prime generation under the default backend must be at least
 #      5x faster than under the exact prime-enumerating backend (the
 #      seed behaviour; its recorded cold baseline was 0.0804 s);
-#   7. sim perf smoke: in a fresh sim_report, the compiled backend's
+#   8. sim perf smoke: in a fresh sim_report, the compiled backend's
 #      batched 64-scenario Microprocessor-core run must beat the event
 #      wheel's aggregate events/s by at least 5x (per-lane parity with
 #      the wheel oracle is asserted inside sim_report itself);
-#   8. batch + persistent cache: a batch_report fleet over a scratch
+#   9. batch + persistent cache: a batch_report fleet over a temporary
 #      BMBE_CACHE_DIR must emit pure-JSON stdout, synthesize each
 #      distinct shape exactly once, and a second *process* over the same
 #      cache directory must synthesize nothing and run the
 #      Microprocessor core at least 3x faster than the cold process;
-#   9. cache_io fault smoke: with BMBE_FAULT=cache_io:0:err the disk
+#  10. cache_io fault smoke: with BMBE_FAULT=cache_io:0:err the disk
 #      layer degrades to misses and the same fleet must still succeed;
-#  10. fleet trace correlation: two traced batch_report processes (cold,
+#  11. fleet trace correlation: two traced batch_report processes (cold,
 #      then warm over the same scratch cache) each leave a
 #      self-describing JSONL stream; trace_report --check validates every
 #      line and must find a non-empty critical path rooted at batch.run
 #      in the merged cold+warm trace;
-#  11. perf-regression sentinel: bench_trend comparing the fresh
-#      BENCH_flow.json / BENCH_sim.json from step 5/7 against the
+#  12. perf-regression sentinel: bench_trend comparing the fresh
+#      BENCH_flow.json / BENCH_sim.json from step 6/8 against the
 #      committed baselines must pass, an injected structural
 #      regression (controllers count bumped on a copy) must fail it,
 #      and an empty baseline must produce the structured no-baseline
 #      verdict (nonzero exit, explicit reason) instead of a vacuous
 #      pass or a parse error;
-#  12. differential gauntlet: a fixed-seed corpus slice of >= 200
+#  13. differential gauntlet: a fixed-seed corpus slice of >= 200
 #      generated designs (parametric families + random mini-Balsa
 #      programs) must run clean through all five oracle pairs (heap vs
 #      wheel, compiled vs wheel, on-the-fly vs materialized
@@ -55,6 +59,9 @@ cargo build --release
 
 echo "== tier1: tests =="
 cargo test -q
+
+echo "== tier1: workspace tests =="
+cargo test -q --release --workspace
 
 echo "== tier1: bench binaries =="
 cargo build --release -p bmbe-bench --bins

@@ -6,7 +6,9 @@
 //! in ordinary `cargo test` runs.
 
 use bmbe_designs::all_designs;
-use bmbe_flow::{run_control_flow_with, ControllerCache, FlowOptions, PhaseProfile};
+use bmbe_flow::{
+    reference_flow, run_control_flow_with, ControllerCache, FlowOptions, PhaseProfile,
+};
 use bmbe_gates::Library;
 use std::time::{Duration, Instant};
 
@@ -65,9 +67,10 @@ fn warm_cache_full_flow_stays_within_wall_clock_bound() {
 }
 
 /// The cached cold flow on a 2-shape design with no dedup (the clustered
-/// Stack) must stay within noise of the serial uncached flow: its misses
-/// run inline (see `fanout_budget` — one long pole means no fan-out), so
-/// the only extra work is keying and instantiation, which is microseconds
+/// Stack) must stay within noise of the serial per-instance reference
+/// flow: its misses run inline (see the shape registry's `fanout_budget` —
+/// one long pole means no fan-out), so the only extra work is keying,
+/// registry bookkeeping and instantiation, which is microseconds
 /// against a multi-millisecond flow. The generous margin absorbs loaded-CI
 /// noise; what this pins is the *absence* of a fan-out or bookkeeping
 /// penalty on small designs (the BENCH_flow.json Stack regression).
@@ -79,7 +82,6 @@ fn stack_cached_cold_flow_is_not_slower_than_serial() {
         .iter()
         .find(|d| d.name == "Stack")
         .expect("Stack benchmark present");
-    let serial_options = FlowOptions::optimized().serial_uncached();
     let mut cached_options = FlowOptions::optimized();
     cached_options.threads = Some(1);
     let mut serial_samples = Vec::new();
@@ -88,8 +90,7 @@ fn stack_cached_cold_flow_is_not_slower_than_serial() {
     // equally; compare medians, which shrug off stray slow samples.
     for _ in 0..9 {
         let start = Instant::now();
-        run_control_flow_with(&stack.compiled, &serial_options, &library, &ControllerCache::new())
-            .expect("serial flow");
+        reference_flow(&stack.compiled, &cached_options, &library).expect("serial flow");
         serial_samples.push(start.elapsed());
         let start = Instant::now();
         run_control_flow_with(&stack.compiled, &cached_options, &library, &ControllerCache::new())
