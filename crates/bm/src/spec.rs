@@ -282,8 +282,17 @@ impl BmSpec {
         if self.signals.len() > 64 {
             return Err(BmError::TooManySignals);
         }
-        let input_ix = self.input_index_map();
-        let output_ix = self.output_index_map();
+        // Position of each signal among the signals of its direction.
+        let mut counts = [0usize; 2];
+        let position: Vec<usize> = self
+            .signals
+            .iter()
+            .map(|s| {
+                let n = &mut counts[usize::from(s.dir == SignalDir::Output)];
+                *n += 1;
+                *n - 1
+            })
+            .collect();
         // Direction / emptiness checks.
         for (ai, arc) in self.arcs.iter().enumerate() {
             if arc.inputs.is_empty() {
@@ -306,12 +315,26 @@ impl BmSpec {
                 }
             }
         }
-        // Maximal set property per state.
-        let mut by_state: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (ai, arc) in self.arcs.iter().enumerate() {
-            by_state.entry(arc.from).or_default().push(ai);
+        // Arcs by source state, in arc order: those of state `s` are
+        // `by_state[first[s]..first[s + 1]]`.
+        let mut first = vec![0usize; self.num_states + 1];
+        for arc in &self.arcs {
+            first[arc.from + 1] += 1;
         }
-        for (&state, arcs) in &by_state {
+        for s in 0..self.num_states {
+            first[s + 1] += first[s];
+        }
+        let mut by_state = vec![0usize; self.arcs.len()];
+        let mut fill = first.clone();
+        for (ai, arc) in self.arcs.iter().enumerate() {
+            by_state[fill[arc.from]] = ai;
+            fill[arc.from] += 1;
+        }
+        let arcs_from = |s: usize| &by_state[first[s]..first[s + 1]];
+        // Maximal set property per state, states in index order so the same
+        // violation is reported on every call.
+        for state in 0..self.num_states {
+            let arcs = arcs_from(state);
             for (i, &a) in arcs.iter().enumerate() {
                 for &b in &arcs[i + 1..] {
                     let ia = &self.arcs[a].inputs;
@@ -344,11 +367,11 @@ impl BmSpec {
         while let Some(s) = queue.pop_front() {
             let in_vec = entry_in[s].expect("queued states have vectors");
             let out_vec = entry_out[s].expect("queued states have vectors");
-            for &ai in by_state.get(&s).map(|v| v.as_slice()).unwrap_or(&[]) {
+            for &ai in arcs_from(s) {
                 let arc = &self.arcs[ai];
                 let mut new_in = in_vec;
                 for e in &arc.inputs {
-                    let bit = 1u64 << input_ix[&e.signal];
+                    let bit = 1u64 << position[e.signal];
                     let cur = new_in & bit != 0;
                     if cur == e.rising {
                         return Err(BmError::PolarityError {
@@ -360,7 +383,7 @@ impl BmSpec {
                 }
                 let mut new_out = out_vec;
                 for e in &arc.outputs {
-                    let bit = 1u64 << output_ix[&e.signal];
+                    let bit = 1u64 << position[e.signal];
                     let cur = new_out & bit != 0;
                     if cur == e.rising {
                         return Err(BmError::PolarityError {
@@ -543,6 +566,31 @@ mod tests {
             s.validate(),
             Err(BmError::MaximalSetViolation { .. })
         ));
+    }
+
+    #[test]
+    fn maximal_set_violation_is_reported_at_the_first_state() {
+        // Violations at states 0 and 1: every call names state 0.
+        let mut s = BmSpec::new("bad");
+        let a = s.add_signal("a", SignalDir::Input);
+        let b = s.add_signal("b", SignalDir::Input);
+        for _ in 0..3 {
+            s.add_state();
+        }
+        s.add_arc(1, 2, &[(a, true)], &[]);
+        s.add_arc(1, 2, &[(a, true), (b, true)], &[]);
+        s.add_arc(0, 1, &[(a, true)], &[]);
+        s.add_arc(0, 2, &[(a, true), (b, true)], &[]);
+        for _ in 0..64 {
+            assert_eq!(
+                s.validate(),
+                Err(BmError::MaximalSetViolation {
+                    state: 0,
+                    arc_a: 2,
+                    arc_b: 3
+                })
+            );
+        }
     }
 
     #[test]

@@ -241,40 +241,44 @@ impl ChExpr {
 
     /// The channels mentioned in the expression, with their activity.
     /// Multiple mentions of the same name must agree (call fragments share
-    /// their active channel).
+    /// their active channel); where they do not, the last mention in
+    /// left-to-right depth-first order wins.
     pub fn channels(&self) -> BTreeMap<String, ChActivity> {
         let mut map = BTreeMap::new();
-        self.collect_channels(&mut map);
+        self.for_each_channel(&mut |name, activity| match map.get_mut(name) {
+            Some(a) => *a = activity,
+            None => {
+                map.insert(name.to_string(), activity);
+            }
+        });
         map
     }
 
-    fn collect_channels(&self, map: &mut BTreeMap<String, ChActivity>) {
+    /// Calls `f` on every channel mention with its activity, in
+    /// left-to-right depth-first order.
+    pub(crate) fn for_each_channel<'a, F: FnMut(&'a str, ChActivity)>(&'a self, f: &mut F) {
         match self {
             ChExpr::PToP { activity, name }
             | ChExpr::MultAck { activity, name, .. }
-            | ChExpr::MultReq { activity, name, .. } => {
-                map.insert(name.clone(), *activity);
-            }
+            | ChExpr::MultReq { activity, name, .. } => f(name, *activity),
             ChExpr::MuxAck { name, arms } => {
-                map.insert(name.clone(), ChActivity::Active);
+                f(name, ChActivity::Active);
                 for (_, e) in arms {
-                    e.collect_channels(map);
+                    e.for_each_channel(f);
                 }
             }
             ChExpr::MuxReq { name, arms } => {
-                map.insert(name.clone(), ChActivity::Passive);
+                f(name, ChActivity::Passive);
                 for (_, e) in arms {
-                    e.collect_channels(map);
+                    e.for_each_channel(f);
                 }
             }
             ChExpr::Void | ChExpr::Break => {}
-            ChExpr::Verb { name, .. } => {
-                map.insert(name.clone(), self.activity());
-            }
-            ChExpr::Rep(e) => e.collect_channels(map),
+            ChExpr::Verb { name, .. } => f(name, self.activity()),
+            ChExpr::Rep(e) => e.for_each_channel(f),
             ChExpr::Op { a, b, .. } => {
-                a.collect_channels(map);
-                b.collect_channels(map);
+                a.for_each_channel(f);
+                b.for_each_channel(f);
             }
         }
     }

@@ -11,9 +11,8 @@
 //! return arcs).
 
 use crate::ast::ChExpr;
-use crate::expand::{expand, ExpandError, Io, Item};
+use crate::expand::{expand_linear, ExpandError, Io, Item, Linear, Stream, Tails};
 use bmbe_bm::spec::{BmError, BmSpec, SignalDir};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors raised by CH-to-BMS compilation.
@@ -104,20 +103,11 @@ impl From<BmError> for CompileError {
 /// # }
 /// ```
 pub fn compile_to_bm(name: &str, expr: &ChExpr) -> Result<BmSpec, CompileError> {
-    let items = expand(expr)?.linearize();
-    compile_items(name, &items)
-}
-
-/// Compiles an already-linearized intermediate form.
-///
-/// # Errors
-///
-/// See [`CompileError`].
-pub fn compile_items(name: &str, items: &[Item]) -> Result<BmSpec, CompileError> {
-    let mut b = Builder::new(name);
+    let linear = expand_linear(expr)?;
+    let mut b = Builder::new(name, &linear);
     let start = b.fresh_state();
     b.walk(
-        items,
+        Stream::new(&linear.items),
         Some(Cursor {
             state: start,
             pin: Vec::new(),
@@ -141,36 +131,48 @@ enum ToRef {
     Label(usize),
 }
 
-#[derive(Debug, Clone)]
-enum Binding {
+#[derive(Debug, Clone, Copy)]
+enum Binding<'a> {
+    Unbound,
     State(usize),
-    Continuation(Vec<Item>),
+    Continuation(Stream<'a>),
 }
 
-struct Builder {
-    name: String,
-    signal_names: Vec<(String, SignalDir)>,
-    signal_ix: HashMap<String, usize>,
+type Burst = Vec<(usize, bool)>;
+
+struct Builder<'a> {
+    name: &'a str,
+    wires: &'a [String],
+    /// The signal of each wire the walk has met. Signals are numbered in
+    /// walk first-occurrence order, not wire-table order.
+    signal_of: Vec<Option<usize>>,
+    /// `(wire, direction)` of each signal.
+    signals: Vec<(usize, SignalDir)>,
     num_states: usize,
-    arcs: Vec<(usize, ToRef, Vec<(usize, bool)>, Vec<(usize, bool)>)>,
-    labels: HashMap<usize, Binding>,
+    arcs: Vec<(usize, ToRef, Burst, Burst)>,
+    /// Indexed by label.
+    labels: Vec<Binding<'a>>,
     /// Outputs that lead a label's continuation (a loop head that re-emits
-    /// a request); appended to every arc entering that label.
-    label_prefix: HashMap<usize, Vec<(usize, bool)>>,
+    /// a request); appended to every arc entering that label. Indexed by
+    /// label.
+    label_prefix: Vec<Burst>,
     merge_parent: Vec<usize>,
+    tails: Tails<'a>,
 }
 
-impl Builder {
-    fn new(name: &str) -> Self {
+impl<'a> Builder<'a> {
+    fn new(name: &'a str, linear: &'a Linear) -> Self {
         Builder {
-            name: name.to_string(),
-            signal_names: Vec::new(),
-            signal_ix: HashMap::new(),
+            name,
+            wires: &linear.wires,
+            signal_of: vec![None; linear.wires.len()],
+            signals: Vec::new(),
             num_states: 0,
             arcs: Vec::new(),
-            labels: HashMap::new(),
-            label_prefix: HashMap::new(),
+            labels: vec![Binding::Unbound; linear.labels],
+            label_prefix: vec![Vec::new(); linear.labels],
             merge_parent: Vec::new(),
+            tails: Tails::default(),
         }
     }
 
@@ -197,31 +199,41 @@ impl Builder {
         }
     }
 
-    fn intern(&mut self, name: &str, dir: SignalDir) -> Result<usize, CompileError> {
-        if let Some(&i) = self.signal_ix.get(name) {
-            if self.signal_names[i].1 != dir {
+    fn intern(&mut self, wire: usize, dir: SignalDir) -> Result<usize, CompileError> {
+        if let Some(i) = self.signal_of[wire] {
+            if self.signals[i].1 != dir {
                 return Err(CompileError::DirectionConflict {
-                    signal: name.to_string(),
+                    signal: self.wires[wire].clone(),
                 });
             }
             return Ok(i);
         }
-        let i = self.signal_names.len();
-        self.signal_names.push((name.to_string(), dir));
-        self.signal_ix.insert(name.to_string(), i);
+        let i = self.signals.len();
+        self.signals.push((wire, dir));
+        self.signal_of[wire] = Some(i);
         Ok(i)
     }
 
-    fn walk(&mut self, items: &[Item], mut cur: Option<Cursor>) -> Result<(), CompileError> {
-        let mut i = 0;
-        while i < items.len() {
-            match &items[i] {
+    fn label_state(&self, l: usize) -> Option<usize> {
+        match self.labels[l] {
+            Binding::State(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn walk(
+        &mut self,
+        mut stream: Stream<'a>,
+        mut cur: Option<Cursor>,
+    ) -> Result<(), CompileError> {
+        while let Some(item) = stream.next(&self.tails) {
+            match item {
                 Item::T(t) => {
                     let dir = match t.io {
                         Io::In => SignalDir::Input,
                         Io::Out => SignalDir::Output,
                     };
-                    let sig = self.intern(&t.signal, dir)?;
+                    let sig = self.intern(t.wire, dir)?;
                     if let Some(c) = cur.as_mut() {
                         match t.io {
                             Io::In => {
@@ -238,7 +250,7 @@ impl Builder {
                                 }
                                 if c.pin.iter().any(|&(s, _)| s == sig) {
                                     return Err(CompileError::SignalTwiceInBurst {
-                                        signal: t.signal.clone(),
+                                        signal: self.wires[t.wire].clone(),
                                     });
                                 }
                                 c.pin.push((sig, t.rising));
@@ -246,12 +258,12 @@ impl Builder {
                             Io::Out => {
                                 if c.pin.is_empty() {
                                     return Err(CompileError::OutputWithoutTrigger {
-                                        signal: t.signal.clone(),
+                                        signal: self.wires[t.wire].clone(),
                                     });
                                 }
                                 if c.pout.iter().any(|&(s, _)| s == sig) {
                                     return Err(CompileError::SignalTwiceInBurst {
-                                        signal: t.signal.clone(),
+                                        signal: self.wires[t.wire].clone(),
                                     });
                                 }
                                 c.pout.push((sig, t.rising));
@@ -260,26 +272,22 @@ impl Builder {
                     }
                 }
                 Item::Label(l) => {
-                    if !self.labels.contains_key(l) {
-                        let binding = match &cur {
+                    if let Binding::Unbound = self.labels[*l] {
+                        self.labels[*l] = match &cur {
                             Some(c) if c.pin.is_empty() && c.pout.is_empty() => {
                                 Binding::State(c.state)
                             }
-                            _ => Binding::Continuation(items[i + 1..].to_vec()),
+                            _ => Binding::Continuation(stream),
                         };
-                        self.labels.insert(*l, binding);
                     }
                 }
                 Item::Goto(l) | Item::BGoto(l) => {
                     if let Some(c) = cur.take() {
                         if c.pin.is_empty() && c.pout.is_empty() {
                             // At a state boundary: the jump aliases states.
-                            match self.labels.get(l) {
-                                Some(Binding::State(s)) => {
-                                    let s = *s;
-                                    self.merge(c.state, s);
-                                }
-                                _ => {
+                            match self.label_state(*l) {
+                                Some(s) => self.merge(c.state, s),
+                                None => {
                                     // Bind the label's eventual state to this
                                     // one by noting an empty-burst arc is not
                                     // representable; defer via alias arc.
@@ -314,17 +322,13 @@ impl Builder {
                             ));
                             c.state = next;
                         }
-                        let rest = &items[i + 1..];
-                        for arm in arms {
-                            let mut stream = arm.clone();
-                            stream.extend_from_slice(rest);
-                            self.walk(&stream, Some(c.clone()))?;
+                        for arm in self.tails.fork(arms, stream) {
+                            self.walk(arm, Some(c.clone()))?;
                         }
                     }
                     return Ok(());
                 }
             }
-            i += 1;
         }
         // End of stream with pending work: close into a terminal state.
         if let Some(c) = cur {
@@ -338,50 +342,44 @@ impl Builder {
 
     /// Resolves every label referenced by an arc, compiling label
     /// continuations on demand (this is where loop-head states entered
-    /// "fresh" from a goto get their own arcs).
+    /// "fresh" from a goto get their own arcs). Labels resolve in the order
+    /// their first referencing arc appears; arcs before the last one
+    /// resolved never need another look.
     fn resolve_all(&mut self) -> Result<(), CompileError> {
-        loop {
-            let unresolved: Option<usize> = self.arcs.iter().find_map(|(_, to, _, _)| match to {
-                ToRef::Label(l) if !matches!(self.labels.get(l), Some(Binding::State(_))) => {
-                    Some(*l)
+        let mut scan = 0;
+        while let Some(offset) = self.arcs[scan..].iter().position(
+            |(_, to, _, _)| matches!(to, ToRef::Label(l) if self.label_state(*l).is_none()),
+        ) {
+            scan += offset;
+            let ToRef::Label(l) = self.arcs[scan].1 else {
+                unreachable!("position() matched a label arc")
+            };
+            let Binding::Continuation(mut rest) = self.labels[l] else {
+                return Err(CompileError::UndefinedLabel { label: l });
+            };
+            // Leading output transitions of a loop-head continuation
+            // belong to the arcs that *enter* the label.
+            let mut prefix: Burst = Vec::new();
+            let mut peek = rest;
+            while let Some(Item::T(t)) = peek.next(&self.tails) {
+                if t.io != Io::Out {
+                    break;
                 }
-                _ => None,
-            });
-            let Some(l) = unresolved else { break };
-            match self.labels.remove(&l) {
-                Some(Binding::State(s)) => {
-                    self.labels.insert(l, Binding::State(s));
-                }
-                Some(Binding::Continuation(items)) => {
-                    // Leading output transitions of a loop-head continuation
-                    // belong to the arcs that *enter* the label.
-                    let mut prefix: Vec<(usize, bool)> = Vec::new();
-                    let mut rest = items.as_slice();
-                    while let Some(Item::T(t)) = rest.first() {
-                        if t.io != Io::Out {
-                            break;
-                        }
-                        let sig = self.intern(&t.signal, SignalDir::Output)?;
-                        prefix.push((sig, t.rising));
-                        rest = &rest[1..];
-                    }
-                    if !prefix.is_empty() {
-                        self.label_prefix.insert(l, prefix);
-                    }
-                    let s = self.fresh_state();
-                    self.labels.insert(l, Binding::State(s));
-                    let rest = rest.to_vec();
-                    self.walk(
-                        &rest,
-                        Some(Cursor {
-                            state: s,
-                            pin: Vec::new(),
-                            pout: Vec::new(),
-                        }),
-                    )?;
-                }
-                None => return Err(CompileError::UndefinedLabel { label: l }),
+                let sig = self.intern(t.wire, SignalDir::Output)?;
+                prefix.push((sig, t.rising));
+                rest = peek;
             }
+            self.label_prefix[l] = prefix;
+            let s = self.fresh_state();
+            self.labels[l] = Binding::State(s);
+            self.walk(
+                rest,
+                Some(Cursor {
+                    state: s,
+                    pin: Vec::new(),
+                    pout: Vec::new(),
+                }),
+            )?;
         }
         // Apply state aliases created by empty-burst gotos to labels.
         let alias_arcs: Vec<(usize, usize)> = self
@@ -391,10 +389,7 @@ impl Builder {
             .map(|(from, to, _, _)| {
                 let t = match to {
                     ToRef::State(s) => *s,
-                    ToRef::Label(l) => match &self.labels[l] {
-                        Binding::State(s) => *s,
-                        Binding::Continuation(_) => unreachable!("resolved above"),
-                    },
+                    ToRef::Label(l) => self.label_state(*l).expect("resolved above"),
                 };
                 (*from, t)
             })
@@ -408,72 +403,68 @@ impl Builder {
     }
 
     fn finish(mut self, start: usize) -> Result<BmSpec, CompileError> {
-        // Remap states through the union-find, compacting to 0..n.
-        let mut spec = BmSpec::new(&self.name);
-        for (name, dir) in &self.signal_names {
-            spec.add_signal(name.clone(), *dir);
+        let mut spec = BmSpec::new(self.name);
+        for &(wire, dir) in &self.signals {
+            spec.add_signal(self.wires[wire].clone(), dir);
         }
-        let mut compact: HashMap<usize, usize> = HashMap::new();
+        // Remap states through the union-find, compacting to 0..n and
+        // keeping only states that are sources/destinations of arcs (or
+        // start), in root order.
         let roots: Vec<usize> = (0..self.num_states).map(|s| self.find(s)).collect();
-        // Keep only states that are sources/destinations of arcs (or start).
-        let mut used: Vec<usize> = vec![self.find(start)];
-        for i in 0..self.arcs.len() {
-            let from = self.arcs[i].0;
-            used.push(roots[from]);
-            let to = match &self.arcs[i].1 {
-                ToRef::State(s) => *s,
-                ToRef::Label(l) => match &self.labels[l] {
-                    Binding::State(s) => *s,
-                    Binding::Continuation(_) => {
-                        return Err(CompileError::UndefinedLabel { label: *l })
-                    }
-                },
-            };
-            used.push(roots[to]);
-        }
-        used.sort_unstable();
-        used.dedup();
-        for &s in &used {
-            let id = spec.add_state();
-            compact.insert(s, id);
-        }
-        spec.set_initial(compact[&roots[start]]);
-        let mut emitted: Vec<(usize, usize, Vec<(usize, bool)>, Vec<(usize, bool)>)> = Vec::new();
         let arcs = std::mem::take(&mut self.arcs);
-        for (from, to, pin, mut pout) in arcs {
+        let mut targets = Vec::with_capacity(arcs.len());
+        let mut used = vec![false; self.num_states];
+        used[roots[start]] = true;
+        for (from, to, _, _) in &arcs {
             let to = match to {
-                ToRef::State(s) => s,
-                ToRef::Label(l) => {
-                    if let Some(prefix) = self.label_prefix.get(&l) {
-                        for &(sig, rising) in prefix {
-                            if pout.iter().any(|&(s2, _)| s2 == sig) {
-                                return Err(CompileError::SignalTwiceInBurst {
-                                    signal: self.signal_names[sig].0.clone(),
-                                });
-                            }
-                            pout.push((sig, rising));
-                        }
-                    }
-                    match &self.labels[&l] {
-                        Binding::State(s) => *s,
-                        Binding::Continuation(_) => unreachable!("resolved"),
-                    }
-                }
+                ToRef::State(s) => *s,
+                ToRef::Label(l) => self
+                    .label_state(*l)
+                    .ok_or(CompileError::UndefinedLabel { label: *l })?,
             };
-            let f = compact[&roots[from]];
-            let t = compact[&roots[to]];
-            let mut pin = pin;
-            let mut pout = pout;
+            used[roots[*from]] = true;
+            used[roots[to]] = true;
+            targets.push(to);
+        }
+        let mut compact = vec![usize::MAX; self.num_states];
+        for (id, _) in compact.iter_mut().zip(&used).filter(|(_, &u)| u) {
+            *id = spec.add_state();
+        }
+        spec.set_initial(compact[roots[start]]);
+        // Drop duplicate arcs, comparing each only with the arcs already
+        // emitted from its source state: `latest[f]` is the last arc kept
+        // from `f`, and each kept arc links to the one kept before it.
+        let mut latest = vec![usize::MAX; spec.num_states()];
+        let mut kept: Vec<(usize, Burst, Burst, usize)> = Vec::with_capacity(arcs.len());
+        for ((from, to, mut pin, mut pout), target) in arcs.into_iter().zip(targets) {
+            if let ToRef::Label(l) = to {
+                for &(sig, rising) in &self.label_prefix[l] {
+                    if pout.iter().any(|&(s2, _)| s2 == sig) {
+                        return Err(CompileError::SignalTwiceInBurst {
+                            signal: self.wires[self.signals[sig].0].clone(),
+                        });
+                    }
+                    pout.push((sig, rising));
+                }
+            }
+            let f = compact[roots[from]];
+            let t = compact[roots[target]];
             pin.sort_unstable();
             pout.sort_unstable();
-            if emitted
-                .iter()
-                .any(|(ef, et, ei, eo)| *ef == f && *et == t && *ei == pin && *eo == pout)
-            {
+            let mut a = latest[f];
+            while a != usize::MAX {
+                let (kt, ki, ko, prev) = &kept[a];
+                if *kt == t && *ki == pin && *ko == pout {
+                    break;
+                }
+                a = *prev;
+            }
+            if a != usize::MAX {
                 continue;
             }
             spec.add_arc(f, t, &pin, &pout);
-            emitted.push((f, t, pin, pout));
+            kept.push((t, pin, pout, latest[f]));
+            latest[f] = kept.len() - 1;
         }
         spec.validate()?;
         Ok(spec)

@@ -2,11 +2,18 @@
 //!
 //! Every CH expression denotes an *expansion*: four "higher-level" atomic
 //! events, each a list of items — signal transitions, loop labels/gotos, and
-//! external-choice branches. Interleaving operators combine the four events
+//! external-choice branches. Interleaving operators place the four events
 //! of their arguments exactly per Table 2 of the paper; `rep`/`break` insert
 //! the label/goto machinery of §3.2; the mux channels insert `choice`.
+//!
+//! Expansion is one pass: event `k` of a node is emitted straight into the
+//! caller's buffer, each operator following its row of Table 2 as a static
+//! placement table, so no per-node event lists are built and joined.
+//! Transitions name their wire by index into the expansion's wire table,
+//! where each distinct wire name is formatted once.
 
 use crate::ast::{ChActivity, ChExpr, InterleaveOp};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Direction of a transition relative to the component.
@@ -19,12 +26,12 @@ pub enum Io {
 }
 
 /// A single signal transition, e.g. `(o a_r +)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Trans {
     /// Input or output.
     pub io: Io,
-    /// Wire name (e.g. `a_r`).
-    pub signal: String,
+    /// Index of the wire (e.g. `a_r`) in the expansion's wire table.
+    pub wire: usize,
     /// Rising (`+`) or falling (`-`).
     pub rising: bool,
 }
@@ -49,31 +56,81 @@ pub enum Item {
 pub struct Expansion {
     /// The four atomic events.
     pub events: [Vec<Item>; 4],
+    /// Wire names, indexed by [`Trans::wire`].
+    pub wires: Vec<String>,
+}
+
+/// The linear intermediate form of §3.6: the four events of an expansion
+/// concatenated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Linear {
+    /// The items, in order.
+    pub items: Vec<Item>,
+    /// Wire names, indexed by [`Trans::wire`].
+    pub wires: Vec<String>,
+    /// Labels are numbered `0..labels`.
+    pub labels: usize,
+}
+
+/// A read position in a linear form, as a chain of borrowed slices: a
+/// choice arm is walked as the arm followed by the tail all arms share, and
+/// a label's continuation is the position just past it, so walking never
+/// copies a stream suffix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stream<'a> {
+    head: &'a [Item],
+    tail: Option<usize>,
+}
+
+/// The shared tails [`Stream`]s continue into, by index.
+#[derive(Debug, Default)]
+pub(crate) struct Tails<'a>(Vec<Stream<'a>>);
+
+impl<'a> Stream<'a> {
+    pub(crate) fn new(items: &'a [Item]) -> Self {
+        Stream {
+            head: items,
+            tail: None,
+        }
+    }
+
+    /// Takes the next item, moving on into the tail when the head runs out.
+    pub(crate) fn next(&mut self, tails: &Tails<'a>) -> Option<&'a Item> {
+        loop {
+            if let Some((item, rest)) = self.head.split_first() {
+                self.head = rest;
+                return Some(item);
+            }
+            *self = tails.0[self.tail?];
+        }
+    }
+}
+
+impl<'a> Tails<'a> {
+    /// The streams of a choice's arms, each continuing into `rest`.
+    pub(crate) fn fork(
+        &mut self,
+        arms: &'a [Vec<Item>],
+        rest: Stream<'a>,
+    ) -> impl Iterator<Item = Stream<'a>> + 'a {
+        let tail = if rest.head.is_empty() {
+            rest.tail
+        } else {
+            self.0.push(rest);
+            Some(self.0.len() - 1)
+        };
+        arms.iter().map(move |arm| Stream { head: arm, tail })
+    }
 }
 
 impl Expansion {
-    fn empty() -> Self {
-        Expansion::default()
-    }
-
-    /// Concatenates the four events into the linear intermediate form of
-    /// §3.6.
-    pub fn linearize(self) -> Vec<Item> {
-        let [a, b, c, d] = self.events;
-        let mut out = a;
-        out.extend(b);
-        out.extend(c);
-        out.extend(d);
-        out
-    }
-
     /// The transitions of the expansion in linear order, descending into
     /// choices.
     pub fn transitions(&self) -> Vec<Trans> {
         fn walk(items: &[Item], out: &mut Vec<Trans>) {
             for item in items {
                 match item {
-                    Item::T(t) => out.push(t.clone()),
+                    Item::T(t) => out.push(*t),
                     Item::Choice(arms) => {
                         for arm in arms {
                             walk(arm, out);
@@ -88,6 +145,11 @@ impl Expansion {
             walk(e, &mut out);
         }
         out
+    }
+
+    /// The name of a transition's wire.
+    pub fn wire_name(&self, t: &Trans) -> &str {
+        &self.wires[t.wire]
     }
 }
 
@@ -106,7 +168,7 @@ impl fmt::Display for Expansion {
                         f,
                         "({} {} {})",
                         if t.io == Io::In { "i" } else { "o" },
-                        t.signal,
+                        self.wires[t.wire],
                         if t.rising { "+" } else { "-" }
                     )?,
                     Item::Label(l) => write!(f, "(label L{l})")?,
@@ -145,295 +207,384 @@ impl std::error::Error for ExpandError {}
 /// Returns [`ExpandError::BreakOutsideLoop`] when a `break` has no
 /// enclosing `rep`.
 pub fn expand(expr: &ChExpr) -> Result<Expansion, ExpandError> {
-    let mut ctx = Ctx {
-        next_label: 0,
-        loop_exits: Vec::new(),
-    };
-    ctx.expand(expr)
+    let mut emitter = Emitter::default();
+    let mut events: [Vec<Item>; 4] = Default::default();
+    for (k, event) in events.iter_mut().enumerate() {
+        emitter.emit(Part::Expr(expr), k, event)?;
+    }
+    Ok(Expansion {
+        events,
+        wires: emitter.wires.names,
+    })
 }
 
-struct Ctx {
+/// Expands a CH expression straight into its linear intermediate form of
+/// §3.6: the four events of [`expand`], concatenated.
+///
+/// # Errors
+///
+/// Returns [`ExpandError::BreakOutsideLoop`] when a `break` has no
+/// enclosing `rep`.
+pub fn expand_linear(expr: &ChExpr) -> Result<Linear, ExpandError> {
+    let mut emitter = Emitter::default();
+    let items = emitter.linear(|e, k, out| e.emit(Part::Expr(expr), k, out))?;
+    Ok(Linear {
+        items,
+        wires: emitter.wires.names,
+        labels: emitter.next_label,
+    })
+}
+
+/// Which wire of a channel a transition drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Suffix {
+    /// `_r`
+    Req,
+    /// `_a`
+    Ack,
+    /// `_r{i}`
+    ReqN(usize),
+    /// `_a{i}`
+    AckN(usize),
+    /// A verb wire whose name is not of the form `{channel}_{suffix}`.
+    Verbatim,
+}
+
+impl Suffix {
+    /// Splits a wire name into its channel and suffix, when it has the
+    /// form a channel wire's formatted name takes. A suffix never contains
+    /// `_`, so the split is unique.
+    fn split(name: &str) -> Option<(&str, Suffix)> {
+        let (chan, suffix) = name.rsplit_once('_')?;
+        let index = |digits: &str| {
+            digits
+                .parse::<usize>()
+                .ok()
+                .filter(|i| i.to_string() == digits)
+        };
+        let suffix = match suffix.split_at(suffix.len().min(1)) {
+            ("r", "") => Suffix::Req,
+            ("a", "") => Suffix::Ack,
+            ("r", digits) => Suffix::ReqN(index(digits)?),
+            ("a", digits) => Suffix::AckN(index(digits)?),
+            _ => return None,
+        };
+        Some((chan, suffix))
+    }
+}
+
+/// The wire table of one expansion. A wire is keyed by its channel and
+/// suffix, so its name is formatted only the first time it is met; a verb
+/// wire named like a channel wire is keyed as that wire.
+#[derive(Default)]
+struct Wires<'a> {
+    names: Vec<String>,
+    index: HashMap<(&'a str, Suffix), usize>,
+}
+
+impl<'a> Wires<'a> {
+    /// The wire `suffix` of channel `chan`.
+    fn channel(&mut self, chan: &'a str, suffix: Suffix) -> usize {
+        let names = &mut self.names;
+        *self.index.entry((chan, suffix)).or_insert_with(|| {
+            names.push(match suffix {
+                Suffix::Req => format!("{chan}_r"),
+                Suffix::Ack => format!("{chan}_a"),
+                Suffix::ReqN(i) => format!("{chan}_r{i}"),
+                Suffix::AckN(i) => format!("{chan}_a{i}"),
+                Suffix::Verbatim => chan.to_string(),
+            });
+            names.len() - 1
+        })
+    }
+
+    /// A verb wire, named verbatim.
+    fn verbatim(&mut self, name: &'a str) -> usize {
+        let (chan, suffix) = Suffix::split(name).unwrap_or((name, Suffix::Verbatim));
+        self.channel(chan, suffix)
+    }
+}
+
+/// An argument of an interleaving operator: a CH expression, or the
+/// virtual channel of one mux arm.
+#[derive(Clone, Copy)]
+enum Part<'a> {
+    Expr(&'a ChExpr),
+    /// Arm `i` of a mux-ack: acknowledge on wire `i` and the shared
+    /// return-to-zero of the request, whose rise is hoisted out in front of
+    /// the choice.
+    MuxAckArm(&'a str, usize),
+    /// Arm `i` of a mux-req: request on wire `i`, shared acknowledge.
+    MuxReqArm(&'a str, usize),
+}
+
+/// The two arguments of an operator.
+#[derive(Clone, Copy)]
+enum Arg {
+    A,
+    B,
+}
+
+/// One row of Table 2: `row[k]` lists, in order, the argument events
+/// (0-based) that make up event `k` of the result.
+type Placement = [&'static [(Arg, usize)]; 4];
+
+use Arg::{A, B};
+
+/// `enc-early`, active first argument: `[a1][a2 b1 b2 b3 b4][a3][a4]`.
+const ENC_EARLY_ACTIVE: Placement = [
+    &[(A, 0)],
+    &[(A, 1), (B, 0), (B, 1), (B, 2), (B, 3)],
+    &[(A, 2)],
+    &[(A, 3)],
+];
+/// `enc-early`, passive first argument: `[a1 b1 b2 b3 b4][a2][a3][a4]`.
+const ENC_EARLY_PASSIVE: Placement = [
+    &[(A, 0), (B, 0), (B, 1), (B, 2), (B, 3)],
+    &[(A, 1)],
+    &[(A, 2)],
+    &[(A, 3)],
+];
+/// `enc-late`: `[a1][a2][a3][b1 b2 b3 b4 a4]`.
+const ENC_LATE: Placement = [
+    &[(A, 0)],
+    &[(A, 1)],
+    &[(A, 2)],
+    &[(B, 0), (B, 1), (B, 2), (B, 3), (A, 3)],
+];
+/// `enc-middle`: `[a1 b1][b2 a2][a3 b3][b4 a4]`.
+const ENC_MIDDLE: Placement = [
+    &[(A, 0), (B, 0)],
+    &[(B, 1), (A, 1)],
+    &[(A, 2), (B, 2)],
+    &[(B, 3), (A, 3)],
+];
+/// `seq`: `[a1 a2 a3 a4 b1][b2][b3][b4]`.
+const SEQ: Placement = [
+    &[(A, 0), (A, 1), (A, 2), (A, 3), (B, 0)],
+    &[(B, 1)],
+    &[(B, 2)],
+    &[(B, 3)],
+];
+/// `seq-ov`: `[a1 a2][b1 b2][a3 a4][b3 b4]`.
+const SEQ_OV: Placement = [
+    &[(A, 0), (A, 1)],
+    &[(B, 0), (B, 1)],
+    &[(A, 2), (A, 3)],
+    &[(B, 2), (B, 3)],
+];
+
+/// The Table 2 row of `op`; only `enc-early` depends on whether the first
+/// argument is active (a `Neither` argument behaves as passive: its events
+/// are empty, so the placement collapses to the other argument's events).
+/// `mutex` has no row: it places each argument, linearized, in one arm of
+/// a choice.
+fn placement(op: InterleaveOp, a_active: bool) -> Option<&'static Placement> {
+    match op {
+        InterleaveOp::EncEarly if a_active => Some(&ENC_EARLY_ACTIVE),
+        InterleaveOp::EncEarly => Some(&ENC_EARLY_PASSIVE),
+        InterleaveOp::EncLate => Some(&ENC_LATE),
+        InterleaveOp::EncMiddle => Some(&ENC_MIDDLE),
+        InterleaveOp::Seq => Some(&SEQ),
+        InterleaveOp::SeqOv => Some(&SEQ_OV),
+        InterleaveOp::Mutex => None,
+    }
+}
+
+#[derive(Default)]
+struct Emitter<'a> {
+    wires: Wires<'a>,
     next_label: usize,
     loop_exits: Vec<usize>,
 }
 
-impl Ctx {
+impl<'a> Emitter<'a> {
     fn fresh_label(&mut self) -> usize {
         self.next_label += 1;
         self.next_label - 1
     }
 
-    fn expand(&mut self, expr: &ChExpr) -> Result<Expansion, ExpandError> {
-        match expr {
-            ChExpr::PToP { activity, name } => Ok(ptop_expansion(name, *activity)),
-            ChExpr::MultAck { activity, name, n } => Ok(mult_ack_expansion(name, *activity, *n)),
-            ChExpr::MultReq { activity, name, n } => Ok(mult_req_expansion(name, *activity, *n)),
-            ChExpr::Void => Ok(Expansion::empty()),
-            ChExpr::Verb { events, .. } => {
-                let mut out = Expansion::empty();
-                for (i, ev) in events.iter().enumerate() {
-                    out.events[i] = ev
-                        .iter()
-                        .map(|t| {
-                            Item::T(Trans {
-                                io: if t.out { Io::Out } else { Io::In },
-                                signal: t.signal.clone(),
-                                rising: t.rising,
-                            })
-                        })
-                        .collect();
+    fn trans(&mut self, io: Io, chan: &'a str, suffix: Suffix, rising: bool) -> Item {
+        Item::T(Trans {
+            io,
+            wire: self.wires.channel(chan, suffix),
+            rising,
+        })
+    }
+
+    /// The four events of one construct, concatenated; `event(self, k,
+    /// out)` appends event `k` to `out`.
+    fn linear(
+        &mut self,
+        mut event: impl FnMut(&mut Self, usize, &mut Vec<Item>) -> Result<(), ExpandError>,
+    ) -> Result<Vec<Item>, ExpandError> {
+        let mut out = Vec::new();
+        for k in 0..4 {
+            event(self, k, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// The choice of a mux channel: each arm is the arm's virtual channel
+    /// combined with the arm's expression, linearized.
+    fn mux_choice(
+        &mut self,
+        arms: &'a [(InterleaveOp, ChExpr)],
+        vchan: impl Fn(usize) -> Part<'a>,
+        vchan_active: bool,
+    ) -> Result<Item, ExpandError> {
+        let mut choice = Vec::with_capacity(arms.len());
+        for (i, (op, arg)) in arms.iter().enumerate() {
+            choice.push(self.linear(|e, k, out| {
+                e.emit_op(*op, vchan(i), vchan_active, Part::Expr(arg), k, out)
+            })?);
+        }
+        Ok(Item::Choice(choice))
+    }
+
+    /// Appends event `k` (0-based) of `part` to `out`. Every event of every
+    /// node lands in exactly one event of its parent, so each is emitted
+    /// exactly once.
+    fn emit(&mut self, part: Part<'a>, k: usize, out: &mut Vec<Item>) -> Result<(), ExpandError> {
+        let expr = match part {
+            Part::Expr(expr) => expr,
+            Part::MuxAckArm(name, i) => {
+                match k {
+                    1 => out.push(self.trans(Io::In, name, Suffix::AckN(i), true)),
+                    2 => out.push(self.trans(Io::Out, name, Suffix::Req, false)),
+                    3 => out.push(self.trans(Io::In, name, Suffix::AckN(i), false)),
+                    _ => {}
                 }
-                Ok(out)
+                return Ok(());
             }
-            ChExpr::Rep(inner) => {
+            Part::MuxReqArm(name, i) => {
+                let item = match k {
+                    0 | 2 => self.trans(Io::In, name, Suffix::ReqN(i), k == 0),
+                    _ => self.trans(Io::Out, name, Suffix::Ack, k == 1),
+                };
+                out.push(item);
+                return Ok(());
+            }
+        };
+        // Events 1 and 2 rise, 3 and 4 fall; 1 and 3 (0 and 2 here) are the
+        // request wires'.
+        let rising = k < 2;
+        let on_req = matches!(k, 0 | 2);
+        match expr {
+            ChExpr::PToP { activity, name } => {
+                let (io, suffix) = if on_req {
+                    (req_io(*activity), Suffix::Req)
+                } else {
+                    (ack_io(*activity), Suffix::Ack)
+                };
+                out.push(self.trans(io, name, suffix, rising));
+            }
+            ChExpr::MultAck { activity, name, n } => {
+                if on_req {
+                    out.push(self.trans(req_io(*activity), name, Suffix::Req, rising));
+                } else {
+                    for i in 0..*n {
+                        out.push(self.trans(ack_io(*activity), name, Suffix::AckN(i), rising));
+                    }
+                }
+            }
+            ChExpr::MultReq { activity, name, n } => {
+                if on_req {
+                    for i in 0..*n {
+                        out.push(self.trans(req_io(*activity), name, Suffix::ReqN(i), rising));
+                    }
+                } else {
+                    out.push(self.trans(ack_io(*activity), name, Suffix::Ack, rising));
+                }
+            }
+            ChExpr::Void => {}
+            ChExpr::Verb { events, .. } => {
+                for t in &events[k] {
+                    out.push(Item::T(Trans {
+                        io: if t.out { Io::Out } else { Io::In },
+                        wire: self.wires.verbatim(&t.signal),
+                        rising: t.rising,
+                    }));
+                }
+            }
+            ChExpr::Rep(inner) if k == 0 => {
                 let head = self.fresh_label();
                 let exit = self.fresh_label();
                 self.loop_exits.push(exit);
-                let body = self.expand(inner)?;
+                out.push(Item::Label(head));
+                for j in 0..4 {
+                    self.emit(Part::Expr(inner), j, out)?;
+                }
+                out.push(Item::Goto(head));
+                out.push(Item::Label(exit));
                 self.loop_exits.pop();
-                let mut e1 = vec![Item::Label(head)];
-                e1.extend(body.linearize());
-                e1.push(Item::Goto(head));
-                e1.push(Item::Label(exit));
-                Ok(Expansion {
-                    events: [e1, vec![], vec![], vec![]],
-                })
             }
-            ChExpr::Break => {
+            ChExpr::Break if k == 0 => {
                 let exit = *self
                     .loop_exits
                     .last()
                     .ok_or(ExpandError::BreakOutsideLoop)?;
-                Ok(Expansion {
-                    events: [vec![Item::BGoto(exit)], vec![], vec![], vec![]],
-                })
+                out.push(Item::BGoto(exit));
             }
-            ChExpr::MuxAck { name, arms } => {
-                let mut compiled_arms = Vec::with_capacity(arms.len());
-                for (i, (op, arg)) in arms.iter().enumerate() {
-                    // The virtual channel: ack on wire i, shared return-to-
-                    // zero of the request; the r+ is hoisted out in front of
-                    // the choice.
-                    let vchan = Expansion {
-                        events: [
-                            vec![],
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_a{i}"),
-                                rising: true,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::Out,
-                                signal: format!("{name}_r"),
-                                rising: false,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_a{i}"),
-                                rising: false,
-                            })],
-                        ],
-                    };
-                    let arg_exp = self.expand(arg)?;
-                    let combined = combine(*op, vchan, ChActivity::Active, arg_exp, arg.activity());
-                    compiled_arms.push(combined.linearize());
-                }
-                let e1 = vec![
-                    Item::T(Trans {
-                        io: Io::Out,
-                        signal: format!("{name}_r"),
-                        rising: true,
-                    }),
-                    Item::Choice(compiled_arms),
-                ];
-                Ok(Expansion {
-                    events: [e1, vec![], vec![], vec![]],
-                })
+            ChExpr::MuxAck { name, arms } if k == 0 => {
+                out.push(self.trans(Io::Out, name, Suffix::Req, true));
+                out.push(self.mux_choice(arms, |i| Part::MuxAckArm(name, i), true)?);
             }
-            ChExpr::MuxReq { name, arms } => {
-                let mut compiled_arms = Vec::with_capacity(arms.len());
-                for (i, (op, arg)) in arms.iter().enumerate() {
-                    let vchan = Expansion {
-                        events: [
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_r{i}"),
-                                rising: true,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::Out,
-                                signal: format!("{name}_a"),
-                                rising: true,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_r{i}"),
-                                rising: false,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::Out,
-                                signal: format!("{name}_a"),
-                                rising: false,
-                            })],
-                        ],
-                    };
-                    let arg_exp = self.expand(arg)?;
-                    let combined =
-                        combine(*op, vchan, ChActivity::Passive, arg_exp, arg.activity());
-                    compiled_arms.push(combined.linearize());
-                }
-                Ok(Expansion {
-                    events: [vec![Item::Choice(compiled_arms)], vec![], vec![], vec![]],
-                })
+            ChExpr::MuxReq { name, arms } if k == 0 => {
+                out.push(self.mux_choice(arms, |i| Part::MuxReqArm(name, i), false)?);
             }
+            // Loops, breaks and the mux channels occupy event 1 only.
+            ChExpr::Rep(_) | ChExpr::Break | ChExpr::MuxAck { .. } | ChExpr::MuxReq { .. } => {}
             ChExpr::Op { op, a, b } => {
-                let ea = self.expand(a)?;
-                let eb = self.expand(b)?;
-                Ok(combine(*op, ea, a.activity(), eb, b.activity()))
+                let a_active = *op == InterleaveOp::EncEarly && a.activity() == ChActivity::Active;
+                self.emit_op(*op, Part::Expr(a), a_active, Part::Expr(b), k, out)?;
             }
         }
+        Ok(())
     }
-}
 
-fn trans(io: Io, signal: String, rising: bool) -> Item {
-    Item::T(Trans { io, signal, rising })
-}
-
-fn ptop_expansion(name: &str, activity: ChActivity) -> Expansion {
-    let (req_io, ack_io) = match activity {
-        ChActivity::Active => (Io::Out, Io::In),
-        _ => (Io::In, Io::Out),
-    };
-    Expansion {
-        events: [
-            vec![trans(req_io, format!("{name}_r"), true)],
-            vec![trans(ack_io, format!("{name}_a"), true)],
-            vec![trans(req_io, format!("{name}_r"), false)],
-            vec![trans(ack_io, format!("{name}_a"), false)],
-        ],
-    }
-}
-
-fn mult_ack_expansion(name: &str, activity: ChActivity, n: usize) -> Expansion {
-    let (req_io, ack_io) = match activity {
-        ChActivity::Active => (Io::Out, Io::In),
-        _ => (Io::In, Io::Out),
-    };
-    let acks = |rising: bool| -> Vec<Item> {
-        (0..n)
-            .map(|i| trans(ack_io, format!("{name}_a{i}"), rising))
-            .collect()
-    };
-    Expansion {
-        events: [
-            vec![trans(req_io, format!("{name}_r"), true)],
-            acks(true),
-            vec![trans(req_io, format!("{name}_r"), false)],
-            acks(false),
-        ],
-    }
-}
-
-fn mult_req_expansion(name: &str, activity: ChActivity, n: usize) -> Expansion {
-    let (req_io, ack_io) = match activity {
-        ChActivity::Active => (Io::Out, Io::In),
-        _ => (Io::In, Io::Out),
-    };
-    let reqs = |rising: bool| -> Vec<Item> {
-        (0..n)
-            .map(|i| trans(req_io, format!("{name}_r{i}"), rising))
-            .collect()
-    };
-    Expansion {
-        events: [
-            reqs(true),
-            vec![trans(ack_io, format!("{name}_a"), true)],
-            reqs(false),
-            vec![trans(ack_io, format!("{name}_a"), false)],
-        ],
-    }
-}
-
-/// Combines two expansions per Table 2. The activity arguments select the
-/// row variant (only `enc-early` differs between active and passive first
-/// arguments); `Neither` behaves as passive — its events are empty, so the
-/// placement collapses to the other argument's events.
-fn combine(
-    op: InterleaveOp,
-    a: Expansion,
-    a_act: ChActivity,
-    b: Expansion,
-    _b_act: ChActivity,
-) -> Expansion {
-    let [a1, a2, a3, a4] = a.events;
-    let [b1, b2, b3, b4] = b.events;
-    let cat = |parts: Vec<Vec<Item>>| -> Vec<Item> { parts.into_iter().flatten().collect() };
-    match op {
-        InterleaveOp::EncEarly => {
-            if a_act == ChActivity::Active {
-                // [a1][a2 b1 b2 b3 b4][a3][a4]
-                Expansion {
-                    events: [a1, cat(vec![a2, b1, b2, b3, b4]), a3, a4],
-                }
-            } else {
-                // [a1 b1 b2 b3 b4][a2][a3][a4]
-                Expansion {
-                    events: [cat(vec![a1, b1, b2, b3, b4]), a2, a3, a4],
+    /// Appends event `k` of `op(a, b)` to `out`.
+    fn emit_op(
+        &mut self,
+        op: InterleaveOp,
+        a: Part<'a>,
+        a_active: bool,
+        b: Part<'a>,
+        k: usize,
+        out: &mut Vec<Item>,
+    ) -> Result<(), ExpandError> {
+        match placement(op, a_active) {
+            Some(row) => {
+                for &(arg, j) in row[k] {
+                    let part = match arg {
+                        A => a,
+                        B => b,
+                    };
+                    self.emit(part, j, out)?;
                 }
             }
+            None if k == 0 => {
+                let arm_a = self.linear(|e, k, out| e.emit(a, k, out))?;
+                let arm_b = self.linear(|e, k, out| e.emit(b, k, out))?;
+                out.push(Item::Choice(vec![arm_a, arm_b]));
+            }
+            None => {}
         }
-        InterleaveOp::EncLate => {
-            // [a1][a2][a3][b1 b2 b3 b4 a4]
-            Expansion {
-                events: [a1, a2, a3, cat(vec![b1, b2, b3, b4, a4])],
-            }
-        }
-        InterleaveOp::EncMiddle => {
-            // [a1 b1][b2 a2][a3 b3][b4 a4]
-            Expansion {
-                events: [
-                    cat(vec![a1, b1]),
-                    cat(vec![b2, a2]),
-                    cat(vec![a3, b3]),
-                    cat(vec![b4, a4]),
-                ],
-            }
-        }
-        InterleaveOp::Seq => {
-            // [a1 a2 a3 a4 b1][b2][b3][b4]
-            Expansion {
-                events: [cat(vec![a1, a2, a3, a4, b1]), b2, b3, b4],
-            }
-        }
-        InterleaveOp::SeqOv => {
-            // [a1 a2][b1 b2][a3 a4][b3 b4]
-            Expansion {
-                events: [
-                    cat(vec![a1, a2]),
-                    cat(vec![b1, b2]),
-                    cat(vec![a3, a4]),
-                    cat(vec![b3, b4]),
-                ],
-            }
-        }
-        InterleaveOp::Mutex => {
-            let arm_a = Expansion {
-                events: [a1, a2, a3, a4],
-            }
-            .linearize();
-            let arm_b = Expansion {
-                events: [b1, b2, b3, b4],
-            }
-            .linearize();
-            Expansion {
-                events: [
-                    vec![Item::Choice(vec![arm_a, arm_b])],
-                    vec![],
-                    vec![],
-                    vec![],
-                ],
-            }
-        }
+        Ok(())
+    }
+}
+
+fn req_io(activity: ChActivity) -> Io {
+    match activity {
+        ChActivity::Active => Io::Out,
+        _ => Io::In,
+    }
+}
+
+fn ack_io(activity: ChActivity) -> Io {
+    match activity {
+        ChActivity::Active => Io::In,
+        _ => Io::Out,
     }
 }
 
@@ -538,8 +689,8 @@ mod tests {
 
     #[test]
     fn rep_wraps_with_label_and_goto() {
-        let e = expand(&ChExpr::Rep(Box::new(ChExpr::passive("p")))).unwrap();
-        let items = e.linearize();
+        let e = expand_linear(&ChExpr::Rep(Box::new(ChExpr::passive("p")))).unwrap();
+        let items = e.items;
         assert!(matches!(items[0], Item::Label(_)));
         assert!(matches!(items[items.len() - 1], Item::Label(_)));
         assert!(items.iter().any(|i| matches!(i, Item::Goto(_))));
@@ -556,8 +707,8 @@ mod tests {
             ChExpr::passive("p"),
             ChExpr::Break,
         )));
-        let e = expand(&ok).unwrap();
-        assert!(e.linearize().iter().any(|i| matches!(i, Item::BGoto(_))));
+        let e = expand_linear(&ok).unwrap();
+        assert!(e.items.iter().any(|i| matches!(i, Item::BGoto(_))));
     }
 
     #[test]
@@ -582,8 +733,8 @@ mod tests {
         // (enc-early void (seq c1 c2)) linearizes exactly like the seq.
         let seq = ChExpr::op(Seq, ChExpr::active("c1"), ChExpr::active("c2"));
         let enclosed = ChExpr::op(EncEarly, ChExpr::Void, seq.clone());
-        let a = expand(&enclosed).unwrap().linearize();
-        let b = expand(&seq).unwrap().linearize();
+        let a = expand_linear(&enclosed).unwrap();
+        let b = expand_linear(&seq).unwrap();
         assert_eq!(a, b);
     }
 
@@ -607,7 +758,7 @@ mod tests {
                 let names: Vec<&str> = arms[0]
                     .iter()
                     .filter_map(|i| match i {
-                        Item::T(t) => Some(t.signal.as_str()),
+                        Item::T(t) => Some(e.wire_name(t)),
                         _ => None,
                     })
                     .collect();

@@ -10,7 +10,7 @@
 
 use crate::ast::{ChActivity, ChExpr, InterleaveOp};
 use crate::opt::acr::activation_channel_removal;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A named control component with its CH program.
@@ -119,37 +119,51 @@ impl CtrlNetlist {
     /// `T1_clustering` (§4.4): for every internal point-to-point channel,
     /// attempt Activation Channel Removal; on success replace the two
     /// components by the merged one. Iterates until no channel merges.
+    ///
+    /// Channels are tried in name order, each at most once. The set of
+    /// internal channels is kept up to date merge by merge and always
+    /// equals what [`CtrlNetlist::internal_channels`] would report.
     pub fn t1_clustering(&mut self, opts: &ClusterOptions) -> ClusterReport {
         let mut report = ClusterReport::default();
-        let mut tried: Vec<String> = Vec::new();
-        loop {
-            let candidates = self.internal_channels();
-            let next = candidates.into_iter().find(|c| !tried.contains(&c.name));
-            let Some(chan) = next else { break };
-            tried.push(chan.name.clone());
-            let activating = &self.components[chan.active].program;
-            let activated = &self.components[chan.passive].program;
-            match activation_channel_removal(activating, activated, &chan.name, opts.state_limit) {
-                Ok(merged) => {
-                    let merged_name = format!(
-                        "{}+{}",
-                        self.components[chan.active].name, self.components[chan.passive].name
-                    );
-                    let (hi, lo) = (chan.active.max(chan.passive), chan.active.min(chan.passive));
-                    self.components.remove(hi);
-                    self.components.remove(lo);
-                    self.components.push(CtrlComponent {
-                        name: merged_name,
-                        program: merged,
-                    });
-                    report.eliminated_channels.push(chan.name);
-                }
-                Err(e) => {
-                    report.rejected.push((chan.name.clone(), e.to_string()));
-                }
-            }
-        }
+        let mut index = ChannelIndex::new(&self.components);
+        while self.t1_step(&mut index, opts, &mut report) {}
         report
+    }
+
+    /// One `T1` attempt, on the first untried internal channel. Returns
+    /// `false` when none is left.
+    fn t1_step(
+        &mut self,
+        index: &mut ChannelIndex,
+        opts: &ClusterOptions,
+        report: &mut ClusterReport,
+    ) -> bool {
+        let Some((chan, active_id, passive_id)) = index.next_untried() else {
+            return false;
+        };
+        let (active, passive) = (index.position(active_id), index.position(passive_id));
+        let name = index.names[chan].clone();
+        let activating = &self.components[active].program;
+        let activated = &self.components[passive].program;
+        match activation_channel_removal(activating, activated, &name, opts.state_limit) {
+            Ok(merged) => {
+                let merged_name = format!(
+                    "{}+{}",
+                    self.components[active].name, self.components[passive].name
+                );
+                let (hi, lo) = (active.max(passive), active.min(passive));
+                self.components.remove(hi);
+                self.components.remove(lo);
+                index.merge(active_id, passive_id, &merged);
+                self.components.push(CtrlComponent {
+                    name: merged_name,
+                    program: merged,
+                });
+                report.eliminated_channels.push(name);
+            }
+            Err(e) => report.rejected.push((name, e.to_string())),
+        }
+        true
     }
 
     /// `T2_clustering` (§4.4): split each call component into single-arm
@@ -204,6 +218,139 @@ impl CtrlNetlist {
             }
         }
         report
+    }
+}
+
+/// `T1`'s view of which channels are internal, updated merge by merge: a
+/// merge re-reads only the components it replaces and the merged one.
+///
+/// Channel ids follow name order. Components carry stable ids that follow
+/// component order: the initial components are numbered in order, and a
+/// merged component, which `T1` appends, takes the next id.
+struct ChannelIndex {
+    /// Channel names by id.
+    names: Vec<String>,
+    /// The stable id of each component, parallel to
+    /// [`CtrlNetlist::components`].
+    comp_ids: Vec<usize>,
+    /// The `(channel, activity)` uses of each component by stable id, in
+    /// channel order; emptied when the component is merged away.
+    comp_uses: Vec<Vec<(usize, ChActivity)>>,
+    /// The `(component, activity)` uses of each channel, in component
+    /// order.
+    uses: Vec<Vec<(usize, ChActivity)>>,
+    tried: Vec<bool>,
+    /// The untried internal channels, in name order.
+    untried: BTreeSet<usize>,
+    /// Scratch for [`ChannelIndex::read`]: the activity of each channel
+    /// met so far.
+    seen: Vec<Option<ChActivity>>,
+}
+
+impl ChannelIndex {
+    fn new(components: &[CtrlComponent]) -> Self {
+        let mut names: Vec<&str> = Vec::new();
+        for c in components {
+            c.program.for_each_channel(&mut |name, _| names.push(name));
+        }
+        names.sort_unstable();
+        names.dedup();
+        let n = names.len();
+        let mut index = ChannelIndex {
+            names: names.into_iter().map(str::to_string).collect(),
+            comp_ids: Vec::with_capacity(components.len()),
+            comp_uses: Vec::with_capacity(components.len()),
+            uses: vec![Vec::new(); n],
+            tried: vec![false; n],
+            untried: BTreeSet::new(),
+            seen: vec![None; n],
+        };
+        for c in components {
+            index.push(&c.program);
+        }
+        index.untried = (0..n)
+            .filter(|&ch| internal_ends(&index.uses[ch]).is_some())
+            .collect();
+        index
+    }
+
+    /// The `(channel, activity)` uses of a program, in channel order, with
+    /// the activity [`ChExpr::channels`] records.
+    fn read(&mut self, program: &ChExpr) -> Vec<(usize, ChActivity)> {
+        let (names, seen) = (&self.names, &mut self.seen);
+        let mut met = Vec::new();
+        program.for_each_channel(&mut |name, activity| {
+            let ch = names
+                .binary_search_by(|n| n.as_str().cmp(name))
+                .expect("programs only combine the netlist's channels");
+            if seen[ch].replace(activity).is_none() {
+                met.push(ch);
+            }
+        });
+        met.sort_unstable();
+        met.into_iter()
+            .map(|ch| (ch, seen[ch].take().expect("met channels were seen")))
+            .collect()
+    }
+
+    /// Appends a component, taking the next stable id.
+    fn push(&mut self, program: &ChExpr) {
+        let id = self.comp_uses.len();
+        let uses = self.read(program);
+        for &(ch, activity) in &uses {
+            self.uses[ch].push((id, activity));
+        }
+        self.comp_uses.push(uses);
+        self.comp_ids.push(id);
+    }
+
+    /// Takes the first untried internal channel: `(channel, active
+    /// component, passive component)`, components by stable id.
+    fn next_untried(&mut self) -> Option<(usize, usize, usize)> {
+        let ch = self.untried.pop_first()?;
+        self.tried[ch] = true;
+        let (active, passive) =
+            internal_ends(&self.uses[ch]).expect("untried channels are internal");
+        Some((ch, active, passive))
+    }
+
+    /// The position in [`CtrlNetlist::components`] of a live component.
+    fn position(&self, id: usize) -> usize {
+        self.comp_ids
+            .binary_search(&id)
+            .expect("channel uses name live components")
+    }
+
+    /// Replaces components `a` and `b` (stable ids) by their merge, which
+    /// the caller appends to the netlist. Only the channels of `a` and `b`
+    /// are re-indexed: the merge mentions no other channel.
+    fn merge(&mut self, a: usize, b: usize, merged: &ChExpr) {
+        let mut touched = Vec::new();
+        for old in [a, b] {
+            for (ch, _) in std::mem::take(&mut self.comp_uses[old]) {
+                self.uses[ch].retain(|&(c, _)| c != old);
+                touched.push(ch);
+            }
+        }
+        self.comp_ids.retain(|&c| c != a && c != b);
+        self.push(merged);
+        for ch in touched {
+            if !self.tried[ch] && internal_ends(&self.uses[ch]).is_some() {
+                self.untried.insert(ch);
+            } else {
+                self.untried.remove(&ch);
+            }
+        }
+    }
+}
+
+/// The `(active, passive)` ends of a channel used by exactly two
+/// components, one actively and one passively.
+fn internal_ends(uses: &[(usize, ChActivity)]) -> Option<(usize, usize)> {
+    match *uses {
+        [(a, ChActivity::Active), (b, ChActivity::Passive)] => Some((a, b)),
+        [(a, ChActivity::Passive), (b, ChActivity::Active)] => Some((b, a)),
+        _ => None,
     }
 }
 
@@ -394,6 +541,66 @@ mod tests {
         let report = n.t1_clustering(&ClusterOptions::default());
         assert!(report.eliminated_channels.is_empty());
         assert_eq!(n.components.len(), 1);
+    }
+
+    /// After every `T1` merge, the index's untried internal channels (with
+    /// their active and passive components) are exactly what
+    /// `internal_channels()` reports, minus the channels already tried.
+    #[test]
+    fn index_tracks_internal_channels_after_every_merge() {
+        use bmbe_designs::{all_designs, generate_corpus, CorpusSpec};
+        let paper = all_designs().expect("shipped designs build");
+        let corpus = generate_corpus(&CorpusSpec {
+            seed: 11,
+            designs: 24,
+        })
+        .expect("corpus builds");
+        let netlists = paper
+            .iter()
+            .map(|d| &d.compiled.netlist)
+            .chain(corpus.iter().map(|d| &d.compiled.netlist));
+        let opts = ClusterOptions::default();
+        let mut merges = 0;
+        for netlist in netlists {
+            let mut n = crate::balsa_to_ch(netlist).expect("designs translate");
+            let mut index = ChannelIndex::new(&n.components);
+            let mut report = ClusterReport::default();
+            loop {
+                let before = report.eliminated_channels.len();
+                if !n.t1_step(&mut index, &opts, &mut report) {
+                    break;
+                }
+                if report.eliminated_channels.len() == before {
+                    continue;
+                }
+                merges += 1;
+                let tried: Vec<&String> = report
+                    .eliminated_channels
+                    .iter()
+                    .chain(report.rejected.iter().map(|(c, _)| c))
+                    .collect();
+                let expected: Vec<InternalChannel> = n
+                    .internal_channels()
+                    .into_iter()
+                    .filter(|c| !tried.contains(&&c.name))
+                    .collect();
+                let indexed: Vec<InternalChannel> = index
+                    .untried
+                    .iter()
+                    .map(|&ch| {
+                        let (active, passive) =
+                            internal_ends(&index.uses[ch]).expect("untried are internal");
+                        InternalChannel {
+                            name: index.names[ch].clone(),
+                            active: index.position(active),
+                            passive: index.position(passive),
+                        }
+                    })
+                    .collect();
+                assert_eq!(indexed, expected);
+            }
+        }
+        assert!(merges > 50, "{merges} merges");
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! position), choices branch, and gotos loop.
 
 use crate::ast::ChExpr;
-use crate::expand::{expand, ExpandError, Io, Item};
+use crate::expand::{expand_linear, ExpandError, Io, Item, Stream, Tails};
 use bmbe_trace::{Dir, TraceStructure};
-use std::collections::HashMap;
 
 /// Errors raised during trace generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,44 +48,68 @@ impl From<ExpandError> for TraceGenError {
 ///
 /// See [`TraceGenError`].
 pub fn trace_of(expr: &ChExpr) -> Result<TraceStructure, TraceGenError> {
-    let items = expand(expr)?.linearize();
+    let linear = expand_linear(expr)?;
     let mut b = TraceBuilder {
         ts: TraceStructure::new(),
-        labels: HashMap::new(),
+        wires: &linear.wires,
+        symbol_of: vec![None; linear.wires.len()],
+        labels: vec![LabelBinding::Unbound; linear.labels],
         pending_gotos: Vec::new(),
+        tails: Tails::default(),
     };
     let start = b.ts.initial();
-    b.walk(&items, Some(start))?;
+    b.walk(Stream::new(&linear.items), Some(start))?;
     b.resolve()?;
     Ok(b.ts)
 }
 
-enum LabelBinding {
+#[derive(Clone, Copy)]
+enum LabelBinding<'a> {
+    Unbound,
     State(usize),
-    Continuation(Vec<Item>),
+    Continuation(Stream<'a>),
 }
 
-struct TraceBuilder {
+struct TraceBuilder<'a> {
     ts: TraceStructure,
-    labels: HashMap<usize, LabelBinding>,
+    wires: &'a [String],
+    /// The symbol of each wire the walk has met.
+    symbol_of: Vec<Option<usize>>,
+    /// Indexed by label.
+    labels: Vec<LabelBinding<'a>>,
     /// `(from_state, symbol, label)` edges awaiting label resolution —
     /// `symbol == usize::MAX` marks a pure aliasing request handled by
     /// binding the label to `from_state` itself.
     pending_gotos: Vec<(usize, usize, usize)>,
+    tails: Tails<'a>,
 }
 
-impl TraceBuilder {
-    fn walk(&mut self, items: &[Item], mut cur: Option<usize>) -> Result<(), TraceGenError> {
-        let mut i = 0;
-        while i < items.len() {
-            match &items[i] {
+impl<'a> TraceBuilder<'a> {
+    fn symbol(&mut self, wire: usize, dir: Dir) -> usize {
+        match self.symbol_of[wire] {
+            Some(sym) if self.ts.symbols()[sym].1 == dir => sym,
+            _ => {
+                let sym = self.ts.add_symbol(self.wires[wire].clone(), dir);
+                self.symbol_of[wire] = Some(sym);
+                sym
+            }
+        }
+    }
+
+    fn walk(
+        &mut self,
+        mut stream: Stream<'a>,
+        mut cur: Option<usize>,
+    ) -> Result<(), TraceGenError> {
+        while let Some(item) = stream.next(&self.tails) {
+            match item {
                 Item::T(t) => {
                     let dir = if t.io == Io::In {
                         Dir::Input
                     } else {
                         Dir::Output
                     };
-                    let sym = self.ts.add_symbol(t.signal.clone(), dir);
+                    let sym = self.symbol(t.wire, dir);
                     if let Some(s) = cur {
                         // Peek: if the very next meaningful item is a goto at
                         // this point we still need a state; always create one.
@@ -95,26 +118,19 @@ impl TraceBuilder {
                         cur = Some(next);
                     }
                 }
-                Item::Label(l) => {
-                    if !self.labels.contains_key(l) {
-                        let binding = match cur {
-                            Some(s) => LabelBinding::State(s),
-                            None => LabelBinding::Continuation(items[i + 1..].to_vec()),
-                        };
-                        self.labels.insert(*l, binding);
-                    } else if let (Some(s), Some(LabelBinding::State(t))) =
-                        (cur, self.labels.get(l))
-                    {
-                        // Re-encountered label while live: redirect by alias.
-                        let t = *t;
-                        if s != t {
-                            // Merge by re-walking is avoided: instead alias
-                            // via an identity note (pending with MAX symbol).
-                            self.pending_gotos.push((s, usize::MAX, *l));
-                            let _ = t;
-                        }
+                Item::Label(l) => match (self.labels[*l], cur) {
+                    (LabelBinding::Unbound, Some(s)) => self.labels[*l] = LabelBinding::State(s),
+                    (LabelBinding::Unbound, None) => {
+                        self.labels[*l] = LabelBinding::Continuation(stream);
                     }
-                }
+                    // Re-encountered label while live: alias the live state
+                    // with the label's via an identity note (pending with
+                    // MAX symbol) instead of re-walking.
+                    (LabelBinding::State(t), Some(s)) if s != t => {
+                        self.pending_gotos.push((s, usize::MAX, *l));
+                    }
+                    _ => {}
+                },
                 Item::Goto(l) | Item::BGoto(l) => {
                     if let Some(s) = cur.take() {
                         // The state `s` *is* the label's state: since trace
@@ -125,47 +141,44 @@ impl TraceBuilder {
                 }
                 Item::Choice(arms) => {
                     if let Some(s) = cur {
-                        let rest = &items[i + 1..];
-                        for arm in arms {
-                            let mut stream = arm.clone();
-                            stream.extend_from_slice(rest);
-                            self.walk(&stream, Some(s))?;
+                        for arm in self.tails.fork(arms, stream) {
+                            self.walk(arm, Some(s))?;
                         }
                     }
                     return Ok(());
                 }
             }
-            i += 1;
         }
         Ok(())
+    }
+
+    fn label_state(&self, l: usize) -> Option<usize> {
+        match self.labels[l] {
+            LabelBinding::State(s) => Some(s),
+            _ => None,
+        }
     }
 
     /// Resolves label continuations and merges goto sources with label
     /// states by copying outgoing edges (trace automata tolerate the
     /// duplication; conformance checking is insensitive to it).
     fn resolve(&mut self) -> Result<(), TraceGenError> {
-        // First force every referenced label to have a state.
-        loop {
-            let unresolved =
-                self.pending_gotos
-                    .iter()
-                    .find_map(|(_, _, l)| match self.labels.get(l) {
-                        Some(LabelBinding::State(_)) => None,
-                        Some(LabelBinding::Continuation(_)) => Some(*l),
-                        None => Some(*l),
-                    });
-            let Some(l) = unresolved else { break };
-            match self.labels.remove(&l) {
-                Some(LabelBinding::Continuation(items)) => {
-                    let s = self.ts.add_state();
-                    self.labels.insert(l, LabelBinding::State(s));
-                    self.walk(&items, Some(s))?;
-                }
-                Some(LabelBinding::State(s)) => {
-                    self.labels.insert(l, LabelBinding::State(s));
-                }
-                None => return Err(TraceGenError::UndefinedLabel { label: l }),
-            }
+        // First force every referenced label to have a state, in the order
+        // of their first pending goto; gotos before the last one resolved
+        // never need another look.
+        let mut scan = 0;
+        while let Some(offset) = self.pending_gotos[scan..]
+            .iter()
+            .position(|&(_, _, l)| self.label_state(l).is_none())
+        {
+            scan += offset;
+            let l = self.pending_gotos[scan].2;
+            let LabelBinding::Continuation(rest) = self.labels[l] else {
+                return Err(TraceGenError::UndefinedLabel { label: l });
+            };
+            let s = self.ts.add_state();
+            self.labels[l] = LabelBinding::State(s);
+            self.walk(rest, Some(s))?;
         }
         // Merge each goto source with its label state: copy the label
         // state's outgoing edges onto the source, iterating to a fixpoint so
@@ -173,13 +186,7 @@ impl TraceBuilder {
         let pairs: Vec<(usize, usize)> = self
             .pending_gotos
             .iter()
-            .map(|(s, _, l)| {
-                let t = match &self.labels[l] {
-                    LabelBinding::State(t) => *t,
-                    LabelBinding::Continuation(_) => unreachable!("resolved above"),
-                };
-                (*s, t)
-            })
+            .map(|&(s, _, l)| (s, self.label_state(l).expect("resolved above")))
             .collect();
         loop {
             let before = self.ts.num_transitions();

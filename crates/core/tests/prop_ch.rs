@@ -3,72 +3,14 @@
 //! Burst-Mode machines, and synthesize hazard-free.
 
 use bmbe_bm::synth::{synthesize, MinimizeMode};
-use bmbe_core::ast::{check_bm_aware, ChActivity, ChExpr, InterleaveOp};
+use bmbe_core::ast::{check_bm_aware, ChActivity};
 use bmbe_core::compile::compile_to_bm;
 use bmbe_core::expand::expand;
 use bmbe_core::parse::{parse_ch, print_ch};
 use proptest::prelude::*;
-use std::cell::Cell;
 
-thread_local! {
-    static COUNTER: Cell<usize> = const { Cell::new(0) };
-}
-
-fn fresh(prefix: &str) -> String {
-    COUNTER.with(|c| {
-        c.set(c.get() + 1);
-        format!("{prefix}{}", c.get())
-    })
-}
-
-/// Random *active* (BM-aware) expression of bounded depth: the "body" side
-/// of a component.
-fn arb_active(depth: u32) -> BoxedStrategy<ChExpr> {
-    if depth == 0 {
-        return Just(()).prop_map(|()| ChExpr::active(fresh("a"))).boxed();
-    }
-    prop_oneof![
-        Just(()).prop_map(|()| ChExpr::active(fresh("a"))),
-        (arb_active(depth - 1), arb_active(depth - 1)).prop_map(|(x, y)| ChExpr::op(
-            InterleaveOp::Seq,
-            x,
-            y
-        )),
-        (arb_active(depth - 1), arb_active(depth - 1)).prop_map(|(x, y)| ChExpr::op(
-            InterleaveOp::SeqOv,
-            x,
-            y
-        )),
-        (arb_active(depth - 1), arb_active(depth - 1)).prop_map(|(x, y)| ChExpr::op(
-            InterleaveOp::EncEarly,
-            x,
-            y
-        )),
-        (arb_active(depth - 1), arb_active(depth - 1)).prop_map(|(x, y)| ChExpr::op(
-            InterleaveOp::EncMiddle,
-            x,
-            y
-        )),
-    ]
-    .boxed()
-}
-
-/// Random BM-aware *component*: `rep` of a passive enclosure (the standard
-/// controller shape) with a random active body, possibly a mutex of such.
-fn arb_component() -> impl Strategy<Value = ChExpr> {
-    let arm =
-        |(body,): (ChExpr,)| ChExpr::op(InterleaveOp::EncEarly, ChExpr::passive(fresh("p")), body);
-    prop_oneof![
-        arb_active(2).prop_map(move |b| ChExpr::Rep(Box::new(arm((b,))))),
-        (arb_active(1), arb_active(1)).prop_map(move |(b1, b2)| {
-            ChExpr::Rep(Box::new(ChExpr::op(
-                InterleaveOp::Mutex,
-                arm((b1,)),
-                arm((b2,)),
-            )))
-        }),
-    ]
-}
+mod support;
+use support::arb_component;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -85,8 +27,9 @@ proptest! {
         // Every transition's signal comes from a declared channel.
         let channels = e.channels();
         for t in x.transitions() {
-            let chan = t.signal.rsplit_once('_').expect("wire names are chan_suffix").0;
-            prop_assert!(channels.contains_key(chan), "{}", t.signal);
+            let wire = x.wire_name(&t);
+            let chan = wire.rsplit_once('_').expect("wire names are chan_suffix").0;
+            prop_assert!(channels.contains_key(chan), "{}", wire);
         }
     }
 

@@ -1,0 +1,79 @@
+//! Pins the clustering result on a fixed design set: the four shipped
+//! paper designs plus the first 64 corpus designs of seed 11. The digest
+//! covers every surviving component's name and printed CH program and the
+//! full `ClusterReport`, reason strings included, so any change to an
+//! Activation Channel Removal verdict, a merge order or a rejection
+//! message moves it.
+
+use bmbe_core::opt::cluster::ClusterReport;
+use bmbe_core::{balsa_to_ch, print_ch, ClusterOptions, CtrlNetlist};
+use bmbe_designs::{all_designs, generate_corpus, CorpusSpec};
+
+/// Recorded with the rescanning `T1` and the list-based Table 2 expansion,
+/// which the current code must reproduce exactly.
+const PINNED: u64 = 0x1ec2_3555_1785_04df;
+
+/// FNV-1a, 64-bit: a hash whose value is fixed by its definition, unlike
+/// the standard library's hashers.
+struct Fnv(u64);
+
+impl Fnv {
+    fn field(&mut self, text: &str) {
+        for &b in text.as_bytes().iter().chain(&[0u8]) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+fn absorb(h: &mut Fnv, design: &str, ctrl: &CtrlNetlist, report: &ClusterReport) {
+    h.field(design);
+    for c in &ctrl.components {
+        h.field(&c.name);
+        h.field(&print_ch(&c.program));
+    }
+    for chan in &report.eliminated_channels {
+        h.field(chan);
+    }
+    h.field("rejected");
+    for (chan, reason) in &report.rejected {
+        h.field(chan);
+        h.field(reason);
+    }
+    h.field("distributed");
+    for call in &report.distributed_calls {
+        h.field(call);
+    }
+    h.field("restored");
+    for call in &report.restored_calls {
+        h.field(call);
+    }
+}
+
+#[test]
+fn clustering_of_paper_designs_and_corpus_slice_is_pinned() {
+    let paper = all_designs().expect("shipped designs build");
+    let corpus = generate_corpus(&CorpusSpec {
+        seed: 11,
+        designs: 64,
+    })
+    .expect("corpus builds");
+    let designs = paper
+        .iter()
+        .map(|d| (d.name.to_string(), &d.compiled))
+        .chain(corpus.iter().map(|d| (d.name.clone(), &d.compiled)));
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut merged, mut rejected) = (0, 0);
+    for (name, compiled) in designs {
+        let mut ctrl = balsa_to_ch(&compiled.netlist).expect("designs translate");
+        let report = ctrl.t2_clustering(&ClusterOptions::default());
+        merged += report.eliminated_channels.len();
+        rejected += report.rejected.len();
+        absorb(&mut h, &name, &ctrl, &report);
+    }
+    assert_eq!(
+        h.0, PINNED,
+        "clustering digest {:#018x} ({merged} merged, {rejected} rejected)",
+        h.0
+    );
+}

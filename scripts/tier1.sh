@@ -8,8 +8,8 @@
 #      trace-tree oracles;
 #   3. every bench binary builds in release (table/figure regeneration
 #      and the obs_report smoke binary);
-#   4. bmbe-obs builds clean under -D warnings (new crate, zero-warning
-#      policy);
+#   4. bmbe-obs, bmbe-core and bmbe-bm build clean under -D warnings
+#      (zero-warning policy: a leftover helper fails the gate);
 #   5. obs_report --check: runs a traced Stack flow + sim + verification
 #      and validates the emitted Chrome trace / JSONL / span coverage;
 #   6. fault smoke: an injected fault (BMBE_FAULT=synth:0, then one
@@ -66,8 +66,10 @@ cargo test -q --release --workspace
 echo "== tier1: bench binaries =="
 cargo build --release -p bmbe-bench --bins
 
-echo "== tier1: bmbe-obs deny-warnings =="
-cargo rustc -p bmbe-obs --release -- -D warnings
+echo "== tier1: deny-warnings (bmbe-obs, bmbe-core, bmbe-bm) =="
+for crate in bmbe-obs bmbe-core bmbe-bm; do
+    cargo rustc -p "$crate" --release -- -D warnings
+done
 
 echo "== tier1: obs_report --check =="
 BMBE_TRACE_OUT="${TMPDIR:-/tmp}/bmbe_tier1_trace.json" \
