@@ -112,57 +112,133 @@ pub fn dichotomies_with(
     spec: &BmSpec,
     separation: Separation,
 ) -> Result<Vec<Dichotomy>, AssignError> {
-    let entry = spec.validate()?;
-    let input_ix = spec.input_index_map();
-    // Post-burst input vector of each arc.
-    let post: Vec<u64> = spec
-        .arcs()
-        .iter()
-        .map(|arc| {
-            let mut v = entry.entry_in[arc.from];
-            for e in &arc.inputs {
-                v ^= 1u64 << input_ix[&e.signal];
+    let bits = DichotomyBits::build(spec, separation)?;
+    Ok((0..bits.len())
+        .map(|i| {
+            let (left, right) = bits.sides(i);
+            Dichotomy {
+                left: states_of(left).collect(),
+                right: states_of(right).collect(),
             }
-            v
         })
-        .collect();
-    let mut out: Vec<Dichotomy> = Vec::new();
-    let arcs = spec.arcs();
-    for i in 0..arcs.len() {
-        for j in i + 1..arcs.len() {
-            let (a, b) = (&arcs[i], &arcs[j]);
-            let left: BTreeSet<usize> = [a.from, a.to].into_iter().collect();
-            let right: BTreeSet<usize> = [b.from, b.to].into_iter().collect();
-            match separation {
-                Separation::Conflicts => {
-                    if a.to == b.to || post[i] != post[j] {
-                        continue;
+        .collect())
+}
+
+/// The dichotomies of a specification as pairs of state bitsets of
+/// `words` 64-bit words each, stored flat: dichotomy `i` is the left set
+/// `bits[2iw..2iw+w]` followed by the right set.
+struct DichotomyBits {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl DichotomyBits {
+    /// Builds the dichotomies straight from the arcs, in the order
+    /// [`dichotomies_with`] reports them.
+    fn build(spec: &BmSpec, separation: Separation) -> Result<Self, AssignError> {
+        let entry = spec.validate()?;
+        let input_ix = spec.input_index_map();
+        // Post-burst input vector of each arc.
+        let arcs = spec.arcs();
+        let post: Vec<u64> = arcs
+            .iter()
+            .map(|arc| {
+                let mut v = entry.entry_in[arc.from];
+                for e in &arc.inputs {
+                    v ^= 1u64 << input_ix[&e.signal];
+                }
+                v
+            })
+            .collect();
+        let mut out = DichotomyBits {
+            words: spec.num_states().div_ceil(64).max(1),
+            bits: Vec::new(),
+        };
+        for i in 0..arcs.len() {
+            for j in i + 1..arcs.len() {
+                let (a, b) = (&arcs[i], &arcs[j]);
+                let shared = |s: usize| s == b.from || s == b.to;
+                let disjoint = !shared(a.from) && !shared(a.to);
+                match separation {
+                    Separation::Conflicts => {
+                        if a.to == b.to || post[i] != post[j] {
+                            continue;
+                        }
+                        if !disjoint {
+                            let mut states: Vec<usize> =
+                                [a.from, a.to].into_iter().filter(|&s| shared(s)).collect();
+                            states.sort_unstable();
+                            states.dedup();
+                            return Err(AssignError::UnsatisfiableDichotomy { states });
+                        }
                     }
-                    if !left.is_disjoint(&right) {
-                        return Err(AssignError::UnsatisfiableDichotomy {
-                            states: left.intersection(&right).copied().collect(),
-                        });
+                    Separation::AllArcs => {
+                        if !disjoint {
+                            continue;
+                        }
                     }
                 }
-                Separation::AllArcs => {
-                    if !left.is_disjoint(&right) {
-                        continue;
-                    }
-                }
+                out.push(&[a.from, a.to], &[b.from, b.to]);
             }
-            out.push(Dichotomy { left, right });
+        }
+        // Distinct codes for all state pairs.
+        for s in 0..spec.num_states() {
+            for t in s + 1..spec.num_states() {
+                out.push(&[s], &[t]);
+            }
+        }
+        Ok(out)
+    }
+
+    fn push(&mut self, left: &[usize], right: &[usize]) {
+        let base = self.bits.len();
+        self.bits.resize(base + 2 * self.words, 0);
+        for &s in left {
+            self.bits[base + s / 64] |= 1 << (s % 64);
+        }
+        for &s in right {
+            self.bits[base + self.words + s / 64] |= 1 << (s % 64);
         }
     }
-    // Distinct codes for all state pairs.
-    for s in 0..spec.num_states() {
-        for t in s + 1..spec.num_states() {
-            out.push(Dichotomy {
-                left: BTreeSet::from([s]),
-                right: BTreeSet::from([t]),
-            });
-        }
+
+    fn len(&self) -> usize {
+        self.bits.len() / (2 * self.words)
     }
-    Ok(out)
+
+    /// The left and right state sets of dichotomy `i`.
+    fn sides(&self, i: usize) -> (&[u64], &[u64]) {
+        self.bits[2 * i * self.words..2 * (i + 1) * self.words].split_at(self.words)
+    }
+}
+
+/// The states of a bitset, ascending.
+fn states_of(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word).filter(|&x| x != 0), |&x| {
+            Some(x & (x - 1)).filter(|&y| y != 0)
+        })
+        .map(move |x| 64 * w + x.trailing_zeros() as usize)
+    })
+}
+
+fn disjoint(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & y == 0)
+}
+
+fn subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & !y == 0)
+}
+
+fn union_into(acc: &mut [u64], set: &[u64]) {
+    for (x, y) in acc.iter_mut().zip(set) {
+        *x |= y;
+    }
+}
+
+/// Whether the completed column whose 1-states are `ones` separates the
+/// dichotomy `(left, right)` in either orientation.
+fn separates(left: &[u64], right: &[u64], ones: &[u64]) -> bool {
+    (disjoint(left, ones) && subset(right, ones)) || (subset(left, ones) && disjoint(right, ones))
 }
 
 /// Computes a critical-race-free state assignment by greedy dichotomy
@@ -178,6 +254,13 @@ pub fn assign(spec: &BmSpec) -> Result<StateAssignment, AssignError> {
 
 /// Computes an assignment at the chosen separation level.
 ///
+/// Each new column is seeded with the first outstanding dichotomy; every
+/// later outstanding one is folded in, left side to 0 if it fits, else
+/// left side to 1, else skipped. A column is held as two state bitsets
+/// (its 0-states and 1-states), so a fold is a few word operations.
+/// States the column leaves unassigned complete to 0, and every
+/// dichotomy the completed column separates leaves the outstanding list.
+///
 /// # Errors
 ///
 /// See [`dichotomies`].
@@ -189,99 +272,55 @@ pub fn assign_with(spec: &BmSpec, separation: Separation) -> Result<StateAssignm
             codes: vec![0; n],
         });
     }
-    let all = dichotomies_with(spec, separation)?;
-    let mut unsat: Vec<&Dichotomy> = all.iter().collect();
-    let mut columns: Vec<Vec<Option<bool>>> = Vec::new();
-    while !unsat.is_empty() {
-        // Seed a new column with the first outstanding dichotomy.
-        let mut col: Vec<Option<bool>> = vec![None; n];
-        let seed = unsat[0];
-        for &s in &seed.left {
-            col[s] = Some(false);
-        }
-        for &s in &seed.right {
-            col[s] = Some(true);
-        }
-        // Fold in as many other dichotomies as fit.
-        let mut satisfied_now: Vec<usize> = vec![0];
-        for (di, d) in unsat.iter().enumerate().skip(1) {
-            if let Some(newcol) = try_fold(&col, d) {
-                col = newcol;
-                satisfied_now.push(di);
+    let all = DichotomyBits::build(spec, separation)?;
+    let mut unsat: Vec<usize> = (0..all.len()).collect();
+    let mut codes = vec![0u64; n];
+    let mut num_bits = 0usize;
+    let mut zeros = vec![0u64; all.words];
+    let mut ones = vec![0u64; all.words];
+    while let Some(&first) = unsat.first() {
+        let (left, right) = all.sides(first);
+        zeros.copy_from_slice(left);
+        ones.copy_from_slice(right);
+        for &di in &unsat[1..] {
+            let (left, right) = all.sides(di);
+            if disjoint(left, &ones) && disjoint(right, &zeros) {
+                union_into(&mut zeros, left);
+                union_into(&mut ones, right);
+            } else if disjoint(left, &zeros) && disjoint(right, &ones) {
+                union_into(&mut ones, left);
+                union_into(&mut zeros, right);
             }
         }
-        // Complete unassigned states with 0.
-        let complete: Vec<bool> = col.iter().map(|v| v.unwrap_or(false)).collect();
-        columns.push(complete.iter().map(|&b| Some(b)).collect());
-        let keep: Vec<&Dichotomy> = unsat
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !satisfied_now.contains(i))
-            .map(|(_, d)| *d)
-            .collect();
-        unsat = keep;
-        // Drop dichotomies now satisfied by the completed column (zero
-        // completion may have satisfied extra ones).
-        let codes_partial = StateAssignment {
-            num_bits: columns.len(),
-            codes: (0..n)
-                .map(|s| {
-                    columns.iter().enumerate().fold(0u64, |acc, (bit, c)| {
-                        acc | ((c[s] == Some(true)) as u64) << bit
-                    })
-                })
-                .collect(),
-        };
-        unsat.retain(|d| !codes_partial.satisfies(d));
+        // A code holds 64 bits; a wider assignment wraps (synthesis then
+        // rejects it as too many variables).
+        for s in states_of(&ones) {
+            codes[s] |= 1u64.wrapping_shl(num_bits as u32);
+        }
+        num_bits += 1;
+        unsat.retain(|&di| {
+            let (left, right) = all.sides(di);
+            !separates(left, right, &ones)
+        });
     }
-    let codes: Vec<u64> = (0..n)
-        .map(|s| {
-            columns.iter().enumerate().fold(0u64, |acc, (bit, c)| {
-                acc | ((c[s] == Some(true)) as u64) << bit
-            })
-        })
-        .collect();
-    let assignment = StateAssignment {
-        num_bits: columns.len(),
-        codes,
-    };
-    debug_assert!(all.iter().all(|d| assignment.satisfies(d)));
-    Ok(assignment)
-}
-
-/// Attempts to merge dichotomy `d` into a partial column; returns the
-/// extended column on success.
-fn try_fold(col: &[Option<bool>], d: &Dichotomy) -> Option<Vec<Option<bool>>> {
-    for orientation in [false, true] {
-        let mut c = col.to_vec();
-        let mut ok = true;
-        for &s in &d.left {
-            match c[s] {
-                None => c[s] = Some(orientation),
-                Some(v) if v == orientation => {}
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            for &s in &d.right {
-                match c[s] {
-                    None => c[s] = Some(!orientation),
-                    Some(v) if v == !orientation => {}
-                    _ => {
-                        ok = false;
-                        break;
+    debug_assert!(
+        num_bits > 64 || {
+            let columns: Vec<Vec<u64>> = (0..num_bits)
+                .map(|bit| {
+                    let mut column = vec![0u64; all.words];
+                    for (s, code) in codes.iter().enumerate() {
+                        column[s / 64] |= (code >> bit & 1) << (s % 64);
                     }
-                }
-            }
+                    column
+                })
+                .collect();
+            (0..all.len()).all(|di| {
+                let (left, right) = all.sides(di);
+                columns.iter().any(|column| separates(left, right, column))
+            })
         }
-        if ok {
-            return Some(c);
-        }
-    }
-    None
+    );
+    Ok(StateAssignment { num_bits, codes })
 }
 
 #[cfg(test)]

@@ -51,6 +51,14 @@ pub enum SynthError {
         /// Total variables required.
         needed: usize,
     },
+    /// A minimized cover failed the independent structural hazard check
+    /// (an internal error of the minimizer).
+    BadCover {
+        /// The function's name.
+        function: String,
+        /// The first violation found.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SynthError {
@@ -63,6 +71,12 @@ impl fmt::Display for SynthError {
             }
             SynthError::TooManyVariables { needed } => {
                 write!(f, "{needed} variables exceed the 64-variable cube space")
+            }
+            SynthError::BadCover { function, detail } => {
+                write!(
+                    f,
+                    "internal: minimizer returned a bad cover for {function}: {detail}"
+                )
             }
         }
     }
@@ -156,20 +170,6 @@ impl Controller {
         self.inputs.len() + self.num_state_bits
     }
 
-    /// All function covers in order: outputs then next-state bits.
-    pub fn all_covers(&self) -> Vec<(&str, &Cover)> {
-        let mut v: Vec<(&str, &Cover)> = Vec::new();
-        for (name, c) in self.outputs.iter().zip(&self.output_covers) {
-            v.push((name.as_str(), c));
-        }
-        for (j, c) in self.next_state_covers.iter().enumerate() {
-            // next-state names are synthesized as y0, y1, ...
-            let _ = j;
-            v.push(("y", c));
-        }
-        v
-    }
-
     /// Rewrites every primary input and output name through `f`. Used by
     /// the flow's controller cache to re-instantiate a controller
     /// synthesized under canonical channel names with a component's actual
@@ -190,25 +190,10 @@ impl Controller {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn verify_ternary(&self) -> Result<(), String> {
-        let n = self.num_vars();
-        let covers: Vec<&Cover> = self
-            .output_covers
-            .iter()
-            .chain(&self.next_state_covers)
-            .collect();
-        for (fi, (spec, cover)) in self.function_specs.iter().zip(&covers).enumerate() {
+        let covers = self.output_covers.iter().chain(&self.next_state_covers);
+        for (fi, (spec, cover)) in self.function_specs.iter().zip(covers).enumerate() {
             for t in spec.transitions() {
-                let changing = t.start ^ t.end;
-                let mut values: Vec<Tv> = (0..n)
-                    .map(|i| {
-                        if changing >> i & 1 == 1 {
-                            Tv::X
-                        } else {
-                            Tv::from_bool(t.start >> i & 1 == 1)
-                        }
-                    })
-                    .collect();
-                let mid = cover.eval_ternary(&values);
+                let mid = cover.eval_burst(t.start, t.start ^ t.end);
                 if t.from == t.to && mid != Tv::from_bool(t.from) {
                     return Err(format!(
                         "function {fi}: static-{} transition {:#x}->{:#x} reads {mid} mid-burst",
@@ -216,10 +201,7 @@ impl Controller {
                     ));
                 }
                 // Settle at the end point.
-                for i in 0..n {
-                    values[i] = Tv::from_bool(t.end >> i & 1 == 1);
-                }
-                let fin = cover.eval_ternary(&values);
+                let fin = cover.eval_burst(t.end, 0);
                 if fin != Tv::from_bool(t.to) {
                     return Err(format!(
                         "function {fi}: transition {:#x}->{:#x} settles at {fin}, expected {}",
@@ -433,10 +415,8 @@ pub fn synthesize_with_opts(
     // Workers parent their spans on the dispatching span, so the trace's
     // span tree is independent of the worker-thread count.
     let fanout_parent = bmbe_obs::current_span();
-    let results: Vec<Result<bmbe_logic::hfmin::HfminResult, SynthError>> = par_map(
-        &specs,
-        fan,
-        |fi, fspec| {
+    let results: Vec<Result<bmbe_logic::hfmin::HfminResult, SynthError>> =
+        par_map(&specs, fan, |fi, fspec| {
             let _g = bmbe_obs::span_with_parent!("hfmin.job", "hfmin", fanout_parent);
             let name = function_name(fi);
             let result = fspec
@@ -445,16 +425,9 @@ pub fn synthesize_with_opts(
                     function: name.clone(),
                     error,
                 })?;
-            if let Err(e) = fspec.verify_cover(&result.cover) {
-                panic!(
-                "internal: minimizer returned a bad cover for {name}: {e}\n                 spec transitions: {:?}\ncover: {}",
-                fspec.transitions(),
-                result.cover
-            );
-            }
+            check_cover(&name, fspec, &result.cover)?;
             Ok(result)
-        },
-    );
+        });
     let mut covers: Vec<Cover> = Vec::with_capacity(num_funcs);
     let mut exact = true;
     let mut minimize_stats = MinimizeStats::default();
@@ -496,6 +469,16 @@ pub fn synthesize_with_opts(
         exact,
         minimize_stats,
         function_specs: specs,
+    })
+}
+
+/// Checks a minimized cover with the independent structural hazard check
+/// [`FunctionSpec::verify_cover`], which recomputes the function's OFF,
+/// required and privileged cubes itself.
+fn check_cover(function: &str, fspec: &FunctionSpec, cover: &Cover) -> Result<(), SynthError> {
+    fspec.verify_cover(cover).map_err(|e| SynthError::BadCover {
+        function: function.to_string(),
+        detail: format!("{e}; cover {cover}"),
     })
 }
 
@@ -682,6 +665,86 @@ mod tests {
             );
             assert!(cofactor.minimize_stats.cofactor_funcs > 0);
             assert_eq!(cofactor.minimize_stats.exact_funcs, 0);
+        }
+    }
+
+    fn cover_mut(ctrl: &mut Controller, fi: usize) -> &mut Cover {
+        let outputs = ctrl.output_covers.len();
+        if fi < outputs {
+            &mut ctrl.output_covers[fi]
+        } else {
+            &mut ctrl.next_state_covers[fi - outputs]
+        }
+    }
+
+    /// Breaks one cover of the synthesized sequencer twice, once into a
+    /// static glitch and once into a wrong settle: the mask-based check
+    /// must report each in the words of the per-variable evaluator it
+    /// replaced.
+    #[test]
+    fn ternary_verification_reports_glitch_and_settle_in_the_same_words() {
+        let ctrl = synthesize(&sequencer(), MinimizeMode::Speed).unwrap();
+        let n = ctrl.num_vars();
+        // Static glitch: split the product holding the first static-1
+        // burst into its two halves on a changing variable.
+        let (fi, t) = ctrl
+            .function_specs
+            .iter()
+            .enumerate()
+            .find_map(|(fi, spec)| {
+                let t = spec
+                    .transitions()
+                    .iter()
+                    .find(|t| t.from && t.to && t.start != t.end)?;
+                Some((fi, *t))
+            })
+            .expect("some function holds 1 across a burst");
+        let mut glitchy = ctrl.clone();
+        let cover = cover_mut(&mut glitchy, fi);
+        let burst = bmbe_logic::Cube::spanning(n, t.start, t.end);
+        let pos = cover
+            .cubes()
+            .iter()
+            .position(|p| p.contains_cube(&burst))
+            .expect("a hazard-free cover holds the burst in one product");
+        let p = cover.cubes()[pos];
+        let var = (t.start ^ t.end).trailing_zeros() as usize;
+        let mut cubes = cover.cubes().to_vec();
+        cubes.splice(
+            pos..=pos,
+            [p.with_fixed(var, false), p.with_fixed(var, true)],
+        );
+        *cover = Cover::from_cubes(cubes);
+        assert_eq!(
+            glitchy.verify_ternary().unwrap_err(),
+            "function 0: static-1 transition 0x19->0x39 reads X mid-burst"
+        );
+        // Wrong settle: a1_r rises on the first burst; with its cover
+        // emptied it settles at 0 there.
+        let mut stuck = ctrl.clone();
+        let oi = stuck.outputs.iter().position(|o| o == "a1_r").unwrap();
+        stuck.output_covers[oi] = Cover::empty();
+        assert_eq!(
+            stuck.verify_ternary().unwrap_err(),
+            "function 1: transition 0x0->0x1 settles at 0, expected 1"
+        );
+    }
+
+    #[test]
+    fn bad_cover_is_a_typed_error_naming_its_function() {
+        let ctrl = synthesize(&sequencer(), MinimizeMode::Speed).unwrap();
+        let oi = ctrl.outputs.iter().position(|o| o == "a1_r").unwrap();
+        let fspec = &ctrl.function_specs[oi];
+        assert_eq!(check_cover("a1_r", fspec, &ctrl.output_covers[oi]), Ok(()));
+        match check_cover("a1_r", fspec, &Cover::empty()) {
+            Err(SynthError::BadCover { function, detail }) => {
+                assert_eq!(function, "a1_r");
+                assert!(
+                    detail.starts_with("required cube ") && detail.ends_with("; cover 0"),
+                    "{detail}"
+                );
+            }
+            other => panic!("expected BadCover, got {other:?}"),
         }
     }
 

@@ -381,12 +381,14 @@ pub fn verify_equivalence_algebraic(
     None
 }
 
-fn named_covers(controller: &Controller) -> Vec<(&str, &Cover)> {
+/// Every function of `controller` with the name of its mapped root:
+/// outputs first, then next-state bit `j` as `y{j}`.
+fn named_covers(controller: &Controller) -> Vec<(String, &Cover)> {
     controller
         .outputs
         .iter()
-        .map(|s| s.as_str())
-        .chain((0..controller.num_state_bits).map(|_| "y"))
+        .cloned()
+        .chain((0..controller.num_state_bits).map(|j| format!("y{j}")))
         .zip(
             controller
                 .output_covers
@@ -523,6 +525,39 @@ mod tests {
             let m = map(&subject, &Library::cmos035(), MapObjective::Delay, style);
             let violations = verify_mapped(&ctrl, &m);
             assert!(violations.is_empty(), "{style:?}: {violations:?}");
+        }
+    }
+
+    #[test]
+    fn perturbed_next_state_cover_names_its_root() {
+        let mut ctrl = synthesize(&sequencer_spec(), MinimizeMode::Speed).unwrap();
+        assert!(ctrl.num_state_bits >= 2);
+        let functions: Vec<(String, &Cover)> = ctrl
+            .outputs
+            .iter()
+            .cloned()
+            .chain((0..ctrl.num_state_bits).map(|j| format!("y{j}")))
+            .zip(
+                ctrl.output_covers
+                    .iter()
+                    .chain(ctrl.next_state_covers.iter()),
+            )
+            .collect();
+        let subject = SubjectGraph::from_covers(ctrl.num_vars(), &functions);
+        let m = map(
+            &subject,
+            &Library::cmos035(),
+            MapObjective::Delay,
+            MapStyle::SplitModules,
+        );
+        // Drop one product of next-state function 1 after mapping: the
+        // netlist no longer implements the cover, and the witness must name
+        // the mapped root `y1`.
+        let cubes = ctrl.next_state_covers[1].cubes()[1..].to_vec();
+        ctrl.next_state_covers[1] = Cover::from_cubes(cubes);
+        match verify_mapped(&ctrl, &m).first() {
+            Some(HazardViolation::NotEquivalent { function, .. }) => assert_eq!(function, "y1"),
+            other => panic!("expected a y1 equivalence witness, got {other:?}"),
         }
     }
 

@@ -173,18 +173,41 @@ impl Cover {
     /// Panics if `values.len()` differs from the space dimension of the
     /// first product term (an empty cover accepts anything and returns 0).
     pub fn eval_ternary(&self, values: &[Tv]) -> Tv {
-        let mut saw_x = false;
-        for cube in &self.cubes {
-            assert_eq!(
-                values.len(),
-                cube.num_vars(),
-                "ternary vector dimension mismatch"
-            );
-            match eval_cube_ternary(cube, values) {
-                Tv::One => return Tv::One,
-                Tv::X => saw_x = true,
+        let Some(first) = self.cubes.first() else {
+            return Tv::Zero;
+        };
+        assert_eq!(
+            values.len(),
+            first.num_vars(),
+            "ternary vector dimension mismatch"
+        );
+        let (mut point, mut unknown) = (0u64, 0u64);
+        for (i, v) in values.iter().enumerate() {
+            match v {
+                Tv::One => point |= 1 << i,
+                Tv::X => unknown |= 1 << i,
                 Tv::Zero => {}
             }
+        }
+        self.eval_burst(point, unknown)
+    }
+
+    /// Three-valued evaluation with the variables of `unknown` at `X` and
+    /// every other variable at its bit of `point` (bits of `point` inside
+    /// `unknown` are ignored). A product is 0 when a known variable
+    /// contradicts it, `X` when it fixes an unknown variable, and 1
+    /// otherwise; the cover is the Kleene OR of its products.
+    pub fn eval_burst(&self, point: Point, unknown: u64) -> Tv {
+        let mut saw_x = false;
+        for c in &self.cubes {
+            let (care, value) = (c.care_mask(), c.value_mask());
+            if (point ^ value) & care & !unknown != 0 {
+                continue;
+            }
+            if care & unknown == 0 {
+                return Tv::One;
+            }
+            saw_x = true;
         }
         if saw_x {
             Tv::X
@@ -217,24 +240,6 @@ impl Cover {
             idx += 1;
             k
         });
-    }
-}
-
-fn eval_cube_ternary(cube: &Cube, values: &[Tv]) -> Tv {
-    let mut saw_x = false;
-    for i in 0..cube.num_vars() {
-        if let Some(v) = cube.var_value(i) {
-            match (values[i], v) {
-                (Tv::One, true) | (Tv::Zero, false) => {}
-                (Tv::X, _) => saw_x = true,
-                _ => return Tv::Zero,
-            }
-        }
-    }
-    if saw_x {
-        Tv::X
-    } else {
-        Tv::One
     }
 }
 
@@ -276,9 +281,99 @@ impl Extend<Cube> for Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cover(strs: &[&str]) -> Cover {
         strs.iter().map(|s| Cube::parse(s).unwrap()).collect()
+    }
+
+    /// The per-variable Kleene evaluation of one product: the oracle the
+    /// mask-based evaluator is checked against.
+    fn eval_cube_ternary(cube: &Cube, values: &[Tv]) -> Tv {
+        let mut saw_x = false;
+        for (i, &value) in values.iter().enumerate().take(cube.num_vars()) {
+            if let Some(v) = cube.var_value(i) {
+                match (value, v) {
+                    (Tv::One, true) | (Tv::Zero, false) => {}
+                    (Tv::X, _) => saw_x = true,
+                    _ => return Tv::Zero,
+                }
+            }
+        }
+        if saw_x {
+            Tv::X
+        } else {
+            Tv::One
+        }
+    }
+
+    /// The Kleene OR of the per-product oracle.
+    fn eval_oracle(f: &Cover, values: &[Tv]) -> Tv {
+        let mut saw_x = false;
+        for cube in f.cubes() {
+            match eval_cube_ternary(cube, values) {
+                Tv::One => return Tv::One,
+                Tv::X => saw_x = true,
+                Tv::Zero => {}
+            }
+        }
+        if saw_x {
+            Tv::X
+        } else {
+            Tv::Zero
+        }
+    }
+
+    /// A random cover over `n <= 64` variables with its ternary input: few
+    /// literals per product and few unknowns, so every outcome shows up.
+    fn arb_case() -> impl Strategy<Value = (Cover, u64, u64)> {
+        (
+            1usize..65,
+            proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..6),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        )
+            .prop_map(|(n, raw, point, x1, x2)| {
+                let f: Cover = raw
+                    .into_iter()
+                    .map(|(c1, c2, value)| Cube::from_masks(n, c1 & c2, value))
+                    .collect();
+                let space = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+                (f, point & space, x1 & x2 & space)
+            })
+    }
+
+    fn ternary_values(n: usize, point: u64, unknown: u64) -> Vec<Tv> {
+        (0..n)
+            .map(|i| {
+                if unknown >> i & 1 == 1 {
+                    Tv::X
+                } else {
+                    Tv::from_bool(point >> i & 1 == 1)
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn mask_evaluation_matches_the_kleene_oracle((f, point, unknown) in arb_case()) {
+            let n = f.cubes().first().map_or(0, Cube::num_vars);
+            let values = ternary_values(n, point, unknown);
+            let expected = eval_oracle(&f, &values);
+            prop_assert_eq!(f.eval_burst(point, unknown), expected);
+            prop_assert_eq!(f.eval_ternary(&values), expected);
+            // Bits of `point` under `unknown` are ignored.
+            prop_assert_eq!(f.eval_burst(point ^ unknown, unknown), expected);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ternary vector dimension mismatch")]
+    fn ternary_dimension_is_checked() {
+        cover(&["10-"]).eval_ternary(&[Tv::One, Tv::X]);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::covering::CoveringProblem;
 use crate::cube::Cube;
 use crate::hfmin::{
     trip_prime_gen_fault, FunctionSpec, HfminError, HfminResult, MinimizeOptions, MinimizeStats,
-    PrivilegedCube,
+    PrivilegedCube, SeedMasks,
 };
 use std::time::Instant;
 
@@ -52,18 +52,20 @@ const LEAF_BUDGET: usize = 64;
 /// exact in practice.
 const IRREDUNDANT_EFFORT: u64 = 50_000;
 
-/// One seed's compiled constraint system over the set `S` of freed
-/// variables (bit `i` of `s` set ⇔ variable `i` freed).
+/// One seed's EXPAND state over the set `S` of freed variables (bit `i` of
+/// `s` set ⇔ variable `i` freed). Its buffers are reused across the seeds
+/// of one function.
+#[derive(Default)]
 struct SeedExpansion {
-    /// Variables fixed in the seed, i.e. the ones expansion may free.
-    freeable: u64,
-    /// Disagreement mask of each OFF cube; `d ⊆ S` blocks the expansion.
-    off_masks: Vec<u64>,
-    /// Active privileged implications `(d, a)`: `d ⊆ S → a ⊆ S`.
-    priv_masks: Vec<(u64, u64)>,
+    /// The seed's compiled DHF-implicant constraints.
+    masks: SeedMasks,
     /// Gain mask of every *other* required cube `r'`: the variables that
     /// must be freed for `r'` to fall inside the expanded cube.
     gains: Vec<u64>,
+    /// Completed leaves of the current seed.
+    leaves: Vec<u64>,
+    /// Gains still worth testing in the current leaf's greedy loop.
+    candidates: Vec<u64>,
     /// Remaining leaf budget.
     leaves_left: usize,
     /// Deepest recursion reached (for the flow's observability counters).
@@ -71,31 +73,16 @@ struct SeedExpansion {
 }
 
 impl SeedExpansion {
-    /// The full DHF-implicant feasibility predicate over `S`.
-    fn ok(&self, s: u64) -> bool {
-        for &d in &self.off_masks {
-            if d & !s == 0 {
-                return false;
-            }
-        }
-        for &(d, a) in &self.priv_masks {
-            if d & !s == 0 && a & !s != 0 {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Recursive cube-cofactor expansion. `s` is the feasible set built so
     /// far (`ok(s)` holds), `b` the variables vetoed by earlier branches.
     /// Branches on the first still-undecided privileged implication; when
     /// none is left (a unate leaf) or the leaf budget is spent, completes
     /// `s` greedily and records the leaf.
-    fn expand(&mut self, s: u64, b: u64, depth: usize, leaves: &mut Vec<u64>) {
+    fn expand(&mut self, s: u64, b: u64, depth: usize) {
         self.max_depth = self.max_depth.max(depth);
         if self.leaves_left > 1 {
-            for k in 0..self.priv_masks.len() {
-                let (d, a) = self.priv_masks[k];
+            for k in 0..self.masks.privileged.len() {
+                let (d, a) = self.masks.privileged[k];
                 if d & b != 0 {
                     continue; // trigger vetoed: the implication never fires
                 }
@@ -108,35 +95,61 @@ impl SeedExpansion {
                 // its lowest unfreed variable.
                 let sa = s | a;
                 let veto = 1u64 << (d & !s).trailing_zeros();
-                if self.ok(sa) {
-                    self.expand(sa, b, depth + 1, leaves);
-                    self.expand(s, b | veto, depth + 1, leaves);
-                } else {
-                    self.expand(s, b | veto, depth + 1, leaves);
+                if self.masks.ok(sa) {
+                    self.expand(sa, b, depth + 1);
                 }
+                self.expand(s, b | veto, depth + 1);
                 return;
             }
         }
         self.leaves_left = self.leaves_left.saturating_sub(1);
-        leaves.push(self.complete(s, b));
+        let leaf = self.complete(s, b);
+        self.leaves.push(leaf);
     }
 
     /// Greedy unate-leaf completion: absorb whole gain sets (cheapest
     /// first) while feasible, then run a single-variable maximality pass
     /// under the full predicate until fixpoint — so the returned set is a
     /// true DHF prime (no single variable can still be freed).
-    fn complete(&self, mut s: u64, b: u64) -> u64 {
+    ///
+    /// Both loops are lazy without changing a single pick. OFF blocking is
+    /// monotone in `S`, so a gain (or variable) once OFF-blocked is dropped
+    /// for good; a gain whose missing variables hit a veto stays vetoed,
+    /// since veto bits never enter `S` here; an absorbed gain stays
+    /// absorbed. Only privileged rejections are retried. And a candidate's
+    /// feasibility is tested only when its `(cost, missing)` key beats the
+    /// best feasible one found so far, so each absorption is still the
+    /// minimum key over the feasible candidates.
+    fn complete(&mut self, mut s: u64, b: u64) -> u64 {
+        let m = &self.masks;
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend(self.gains.iter().filter(|&&g| {
+            let missing = g & !s;
+            missing != 0 && missing & b == 0
+        }));
         loop {
             let mut best: Option<(u32, u64)> = None;
-            for &g in &self.gains {
-                let missing = g & !s;
-                if missing == 0 || missing & b != 0 || !self.ok(s | missing) {
+            let mut i = 0;
+            while i < candidates.len() {
+                let missing = candidates[i] & !s;
+                if missing == 0 {
+                    candidates.swap_remove(i);
                     continue;
                 }
-                let cost = missing.count_ones();
-                if best.map_or(true, |(c, m)| (cost, missing) < (c, m)) {
-                    best = Some((cost, missing));
+                let key = (missing.count_ones(), missing);
+                if best.is_some_and(|best| key >= best) {
+                    i += 1;
+                    continue;
                 }
+                if m.off_blocked(s | missing) {
+                    candidates.swap_remove(i);
+                    continue;
+                }
+                if !m.priv_blocked(s | missing) {
+                    best = Some(key);
+                }
+                i += 1;
             }
             match best {
                 Some((_, missing)) => s |= missing,
@@ -144,17 +157,20 @@ impl SeedExpansion {
             }
         }
         // Freeing one variable can satisfy a privileged consequence and
-        // thereby unlock others, so iterate to fixpoint. Vetoes no longer
-        // apply: they steered the branching, not primality.
+        // thereby unlock others, so iterate to fixpoint, in ascending
+        // variable order per sweep. Vetoes no longer apply: they steered
+        // the branching, not primality.
+        let mut dead = 0u64;
         loop {
             let mut grew = false;
-            let mut rest = self.freeable & !s;
+            let mut rest = m.freeable & !s & !dead;
             while rest != 0 {
-                let i = rest.trailing_zeros();
+                let bit = rest & rest.wrapping_neg();
                 rest &= rest - 1;
-                let s2 = s | 1u64 << i;
-                if self.ok(s2) {
-                    s = s2;
+                if m.off_blocked(s | bit) {
+                    dead |= bit;
+                } else if !m.priv_blocked(s | bit) {
+                    s |= bit;
                     grew = true;
                 }
             }
@@ -164,81 +180,55 @@ impl SeedExpansion {
         }
         s
     }
-}
 
-/// Expands one required cube to its chosen DHF prime. Returns the pick,
-/// the deepest recursion level, and the number of leaves completed.
-fn expand_seed(
-    spec: &FunctionSpec,
-    seed: Cube,
-    required: &[Cube],
-    off: &Cover,
-    privileged: &[PrivilegedCube],
-) -> (Cube, usize, usize) {
-    let freeable = seed.care_mask();
-    let seed_value = seed.value_mask();
-    let mut off_masks: Vec<u64> = off
-        .cubes()
-        .iter()
-        .map(|o| (seed_value ^ o.value_mask()) & (freeable & o.care_mask()))
-        .collect();
-    debug_assert!(
-        off_masks.iter().all(|&d| d != 0),
-        "seed must be an implicant"
-    );
-    off_masks.sort_unstable_by_key(|d| d.count_ones());
-    let mut priv_masks: Vec<(u64, u64)> = Vec::new();
-    for p in privileged {
-        let d = (seed_value ^ p.cube.value_mask()) & (freeable & p.cube.care_mask());
-        if d == 0 {
-            // The seed already intersects this privileged cube; as a DHF
-            // implicant it contains the privileged point, and so does every
-            // expansion — the constraint can never bite.
-            continue;
+    /// Expands one required cube to its chosen DHF prime. Returns the pick,
+    /// the deepest recursion level, and the number of leaves completed.
+    fn expand_seed(
+        &mut self,
+        spec: &FunctionSpec,
+        seed: Cube,
+        required: &[Cube],
+        off: &Cover,
+        privileged: &[PrivilegedCube],
+    ) -> (Cube, usize, usize) {
+        self.masks.compile(seed, off, privileged);
+        let (freeable, seed_value) = (self.masks.freeable, self.masks.value);
+        // r' ⊆ expanded cube ⇔ its gain mask ⊆ S: every variable the
+        // expanded cube still fixes must be fixed to the same value in r'.
+        self.gains.clear();
+        self.gains.extend(
+            required
+                .iter()
+                .filter(|r| **r != seed)
+                .map(|r| freeable & !(r.care_mask() & !(r.value_mask() ^ seed_value))),
+        );
+        self.leaves.clear();
+        self.leaves_left = LEAF_BUDGET;
+        self.max_depth = 0;
+        self.expand(0, 0, 0);
+        // Deterministic pick: most other required cubes absorbed, then the
+        // biggest cube (fewest literals), then the numerically smallest set.
+        let mut best: Option<(usize, u32, u64)> = None;
+        for &s in &self.leaves {
+            let absorbed = self.gains.iter().filter(|&&g| g & !s == 0).count();
+            let key = (absorbed, s.count_ones(), s);
+            let better = match best {
+                None => true,
+                Some((ba, bp, bs)) => {
+                    (absorbed, s.count_ones()) > (ba, bp)
+                        || ((absorbed, s.count_ones()) == (ba, bp) && s < bs)
+                }
+            };
+            if better {
+                best = Some(key);
+            }
         }
-        let a = (p.point ^ seed_value) & freeable;
-        if a == d {
-            continue; // D ⊆ S → A ⊆ S holds trivially
-        }
-        priv_masks.push((d, a));
+        let (_, _, s) = best.expect("expansion always completes at least one leaf");
+        let pick = self.masks.cube_of(spec.num_vars(), s);
+        debug_assert!(spec.is_dhf_implicant(&pick, off, privileged));
+        debug_assert!(pick.contains_cube(&seed));
+        (pick, self.max_depth, self.leaves.len())
     }
-    // r' ⊆ expanded cube ⇔ its gain mask ⊆ S: every variable the expanded
-    // cube still fixes must be fixed to the same value in r'.
-    let gains: Vec<u64> = required
-        .iter()
-        .filter(|r| **r != seed)
-        .map(|r| freeable & !(r.care_mask() & !(r.value_mask() ^ seed_value)))
-        .collect();
-    let mut exp = SeedExpansion {
-        freeable,
-        off_masks,
-        priv_masks,
-        gains,
-        leaves_left: LEAF_BUDGET,
-        max_depth: 0,
-    };
-    let mut leaves: Vec<u64> = Vec::new();
-    exp.expand(0, 0, 0, &mut leaves);
-    // Deterministic pick: most other required cubes absorbed, then the
-    // biggest cube (fewest literals), then the numerically smallest set.
-    let mut best: Option<(usize, u32, u64)> = None;
-    for &s in &leaves {
-        let absorbed = exp.gains.iter().filter(|&&g| g & !s == 0).count();
-        let key = (absorbed, s.count_ones(), s);
-        let better = match best {
-            None => true,
-            Some((ba, bp, bs)) => (absorbed, s.count_ones()) > (ba, bp)
-                || ((absorbed, s.count_ones()) == (ba, bp) && s < bs),
-        };
-        if better {
-            best = Some(key);
-        }
-    }
-    let (_, _, s) = best.expect("expansion always completes at least one leaf");
-    let pick = Cube::from_masks(spec.num_vars(), freeable & !s, seed_value);
-    debug_assert!(spec.is_dhf_implicant(&pick, off, privileged));
-    debug_assert!(pick.contains_cube(&seed));
-    (pick, exp.max_depth, leaves.len())
 }
 
 /// Runs the full cube-cofactor minimization: per-seed EXPAND (fanned
@@ -269,10 +259,20 @@ pub(crate) fn minimize_cofactor(
             return Err(HfminError::NoHazardFreeCover { required: *r });
         }
     }
+    // Contiguous seed chunks, one expansion buffer set per chunk; the
+    // order-preserving map keeps the picks in seed order.
     let threads = opts.threads.max(1);
-    let picks: Vec<(Cube, usize, usize)> = bmbe_par::par_map(required, threads, |_, r| {
-        expand_seed(spec, *r, required, &off, &privileged)
-    });
+    let chunks: Vec<&[Cube]> = required.chunks(required.len().div_ceil(threads)).collect();
+    let picks: Vec<(Cube, usize, usize)> = bmbe_par::par_map(&chunks, threads, |_, seeds| {
+        let mut exp = SeedExpansion::default();
+        seeds
+            .iter()
+            .map(|r| exp.expand_seed(spec, *r, required, &off, &privileged))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let mut implicants: Vec<Cube> = Vec::new();
     let mut cofactor_depth = 0usize;
     let mut leaves_total = 0usize;

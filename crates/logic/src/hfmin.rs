@@ -20,6 +20,7 @@ use crate::covering::CoveringProblem;
 use crate::cube::{Cube, Point};
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Variable-count ceiling for exhaustive DHF-prime enumeration; larger
@@ -168,6 +169,12 @@ pub enum HfminError {
     /// Prime generation was aborted by an injected fault (see
     /// [`PrimeGenFault`]); only producible under fault injection.
     Injected,
+    /// The engine's own cover failed its post-covering check (an internal
+    /// error: the covering solver left a required cube uncovered).
+    BadCover {
+        /// What the check found.
+        detail: String,
+    },
 }
 
 impl fmt::Display for HfminError {
@@ -194,6 +201,9 @@ impl fmt::Display for HfminError {
             }
             HfminError::Injected => {
                 write!(f, "prime generation aborted by an injected fault")
+            }
+            HfminError::BadCover { detail } => {
+                write!(f, "internal: minimizer produced a bad cover: {detail}")
             }
         }
     }
@@ -246,6 +256,189 @@ pub struct HfminResult {
     pub num_primes: usize,
     /// Per-phase timing of this run.
     pub stats: MinimizeStats,
+}
+
+/// Multiply-add hasher for the ascent's sets of masks and cubes: one
+/// multiply per word where SipHash spends dozens of cycles, and no
+/// per-process seed. The final rotation moves the well-mixed high product
+/// bits down to where `HashSet` picks its bucket.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct MaskHasher(u64);
+
+impl MaskHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for MaskHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.add(u64::from(b));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A hash set keyed through [`MaskHasher`].
+pub(crate) type MaskSet<T> = HashSet<T, BuildHasherDefault<MaskHasher>>;
+
+/// One seed's DHF-implicant test compiled into bit-mask constraints over
+/// the set `S` of freed variables (bit `i` of `s` set ⇔ variable `i`
+/// freed). Both prime engines compile every seed through this one type;
+/// the cube-cofactor engine reuses one instance across the seeds of a
+/// function.
+///
+/// * An OFF cube `o` blocks `S` iff its disagreement mask `D_o`
+///   (variables where the seed and `o` disagree) is contained in `S`. Only
+///   the inclusion-minimal masks are kept: if `D ⊆ D'` then `D' ⊆ S`
+///   implies `D ⊆ S`, so `D'` never decides anything.
+/// * An active privileged cube `q` contributes the implication
+///   `D_q ⊆ S → A_q ⊆ S` (`A_q` = variables where the seed differs from
+///   the privileged point), kept in specification order because the
+///   cube-cofactor recursion branches on the first undecided one.
+#[derive(Debug, Default)]
+pub(crate) struct SeedMasks {
+    /// Variables fixed in the seed, i.e. the ones expansion may free.
+    pub(crate) freeable: u64,
+    /// The seed's value mask.
+    pub(crate) value: u64,
+    /// Inclusion-minimal OFF disagreement masks.
+    pub(crate) off: Vec<u64>,
+    /// Active privileged implications `(d, a)`: `d ⊆ S → a ⊆ S`.
+    pub(crate) privileged: Vec<(u64, u64)>,
+    /// Union of the active consequences `a`: the variables whose freeing
+    /// order a privileged implication can constrain.
+    pub(crate) exempt: u64,
+}
+
+impl SeedMasks {
+    /// Compiles the constraints of `seed`, a DHF implicant, into this
+    /// instance's buffers.
+    pub(crate) fn compile(&mut self, seed: Cube, off: &Cover, privileged: &[PrivilegedCube]) {
+        let freeable = seed.care_mask();
+        let value = seed.value_mask();
+        self.freeable = freeable;
+        self.value = value;
+        // Online minimal-set build: skip a mask that contains a kept one,
+        // evict the kept masks that contain the new one.
+        self.off.clear();
+        for o in off.cubes() {
+            let d = (value ^ o.value_mask()) & (freeable & o.care_mask());
+            debug_assert!(d != 0, "seed must be an implicant");
+            if self.off.iter().any(|&k| k & !d == 0) {
+                continue;
+            }
+            self.off.retain(|&k| d & !k != 0);
+            self.off.push(d);
+        }
+        self.privileged.clear();
+        self.exempt = 0;
+        for p in privileged {
+            let d = (value ^ p.cube.value_mask()) & (freeable & p.cube.care_mask());
+            if d == 0 {
+                // The seed intersects this privileged cube; as a DHF
+                // implicant it contains the privileged point, and so does
+                // every expansion — the constraint can never bite.
+                debug_assert_eq!((p.point ^ value) & freeable, 0);
+                continue;
+            }
+            let a = (p.point ^ value) & freeable;
+            debug_assert_eq!(d & !a, 0, "D_q is a subset of A_q");
+            if a == d {
+                continue; // D ⊆ S → A ⊆ S holds trivially
+            }
+            self.exempt |= a;
+            self.privileged.push((d, a));
+        }
+    }
+
+    /// Whether some OFF cube blocks `s`. Monotone: once blocked, every
+    /// superset of `s` is blocked too.
+    pub(crate) fn off_blocked(&self, s: u64) -> bool {
+        self.off.iter().any(|&d| d & !s == 0)
+    }
+
+    /// Whether some privileged implication is triggered but unmet at `s`.
+    pub(crate) fn priv_blocked(&self, s: u64) -> bool {
+        self.privileged
+            .iter()
+            .any(|&(d, a)| d & !s == 0 && a & !s != 0)
+    }
+
+    /// The full DHF-implicant predicate over `S`.
+    pub(crate) fn ok(&self, s: u64) -> bool {
+        !self.off_blocked(s) && !self.priv_blocked(s)
+    }
+
+    /// The cube obtained by freeing `s` from the seed.
+    pub(crate) fn cube_of(&self, n: usize, s: u64) -> Cube {
+        Cube::from_masks(n, self.freeable & !s, self.value)
+    }
+}
+
+/// One worklist chunk's discoveries, deduplicated against the chunk's own
+/// set only.
+#[derive(Default)]
+struct AscentChunk {
+    seen: MaskSet<u64>,
+    /// Successors worth exploring, in canonical order.
+    explore: Vec<u64>,
+    /// Sets that are primes (no feasible growth at all, canonical or not).
+    found: Vec<u64>,
+}
+
+impl AscentChunk {
+    fn expand(&mut self, m: &SeedMasks, chunk: &[u64]) {
+        self.seen.clear();
+        self.explore.clear();
+        self.found.clear();
+        let ordered = m.freeable & !m.exempt;
+        for &s in chunk {
+            // Ordered variables may only ascend past the highest one freed
+            // so far (a property of the *set* S, not of the path to it).
+            let freed_ordered = s & ordered;
+            let ascend = if freed_ordered == 0 {
+                ordered
+            } else {
+                ordered & !(u64::MAX >> freed_ordered.leading_zeros())
+            };
+            let expandable = m.exempt | ascend;
+            let mut grew = false;
+            let mut rest = m.freeable & !s;
+            while rest != 0 {
+                let i = rest.trailing_zeros();
+                rest &= rest - 1;
+                let s2 = s | 1u64 << i;
+                if m.ok(s2) {
+                    // Primality considers every variable; the canonical
+                    // order only restricts which successors are *explored*.
+                    grew = true;
+                    if expandable >> i & 1 == 1 && self.seen.insert(s2) {
+                        self.explore.push(s2);
+                    }
+                }
+            }
+            if !grew {
+                self.found.push(s);
+            }
+        }
+        bmbe_obs::trace_counter!("hfmin.worklist.chunk_cubes", self.explore.len() as u64);
+    }
 }
 
 impl FunctionSpec {
@@ -361,7 +554,7 @@ impl FunctionSpec {
             }
         }
         // Dedup while preserving order.
-        let mut seen = HashSet::new();
+        let mut seen: MaskSet<Cube> = MaskSet::default();
         req.retain(|c| seen.insert(*c));
         req
     }
@@ -377,7 +570,7 @@ impl FunctionSpec {
             let point = if t.from { t.start } else { t.end };
             priv_cubes.push(PrivilegedCube { cube, point });
         }
-        let mut seen = HashSet::new();
+        let mut seen: MaskSet<(Cube, Point)> = MaskSet::default();
         priv_cubes.retain(|p| seen.insert((p.cube, p.point)));
         priv_cubes
     }
@@ -456,9 +649,9 @@ impl FunctionSpec {
         let off = self.off_set_ordered();
         let privileged = self.privileged_cubes();
         let required = self.required_cubes();
-        let mut primes: HashSet<Cube> = HashSet::new();
+        let mut primes: MaskSet<Cube> = MaskSet::default();
         let exact = self.n <= EXACT_PRIME_VARS;
-        let mut visited: HashSet<Cube> = HashSet::new();
+        let mut visited: MaskSet<Cube> = MaskSet::default();
         let mut merges = 0usize;
         for r in &required {
             if !self.is_dhf_implicant(r, &off, &privileged) {
@@ -488,9 +681,9 @@ impl FunctionSpec {
         let off = self.off_set();
         let privileged = self.privileged_cubes();
         let required = self.required_cubes();
-        let mut primes: HashSet<Cube> = HashSet::new();
+        let mut primes: MaskSet<Cube> = MaskSet::default();
         let exact = self.n <= EXACT_PRIME_VARS;
-        let mut visited: HashSet<Cube> = HashSet::new();
+        let mut visited: MaskSet<Cube> = MaskSet::default();
         for r in &required {
             if !self.is_dhf_implicant(r, &off, &privileged) {
                 return Err(HfminError::NoHazardFreeCover { required: *r });
@@ -514,7 +707,7 @@ impl FunctionSpec {
     }
 
     /// Keeps only maximal cubes, in a deterministic order.
-    fn maximal_sorted(primes: HashSet<Cube>) -> Vec<Cube> {
+    fn maximal_sorted(primes: MaskSet<Cube>) -> Vec<Cube> {
         let mut out: Vec<Cube> = primes.into_iter().collect();
         out.sort_by_key(|c| c.num_literals());
         let mut maximal: Vec<Cube> = Vec::new();
@@ -533,7 +726,7 @@ impl FunctionSpec {
         seed: Cube,
         off: &Cover,
         privileged: &[PrivilegedCube],
-        primes: &mut HashSet<Cube>,
+        primes: &mut MaskSet<Cube>,
     ) {
         let n = self.n;
         let starts: Vec<usize> = (0..n).step_by((n / 8).max(1)).collect();
@@ -561,13 +754,9 @@ impl FunctionSpec {
     /// primes above it. Produces exactly the set [`expand_to_primes`] would
     /// (same reachable cubes, same primes), but:
     ///
-    /// * the DHF-implicant test is compiled, per seed, into bit-mask
-    ///   constraints over the set `S` of freed variables — an OFF cube `o`
-    ///   blocks the expansion `S` iff its disagreement mask `D_o` (variables
-    ///   where the seed and `o` disagree) is contained in `S`, and an active
-    ///   privileged cube contributes the implication `D_q ⊆ S → A_q ⊆ S`
-    ///   (`A_q` = variables where the seed differs from the privileged
-    ///   point) — so each candidate check is a handful of word operations;
+    /// * the DHF-implicant test is compiled, per seed, into the bit-mask
+    ///   constraints of [`SeedMasks`] over the set `S` of freed variables,
+    ///   so each candidate check is a handful of word operations;
     /// * variables not mentioned by any privileged constraint are *ordered*:
     ///   they may only be freed in ascending index, which collapses the
     ///   factorially many freeing orders the plain recursion wades through
@@ -592,137 +781,51 @@ impl FunctionSpec {
         seed: Cube,
         off: &Cover,
         privileged: &[PrivilegedCube],
-        visited: &mut HashSet<Cube>,
-        primes: &mut HashSet<Cube>,
+        visited: &mut MaskSet<Cube>,
+        primes: &mut MaskSet<Cube>,
         threads: usize,
     ) -> usize {
-        let freeable = seed.care_mask();
-        let seed_value = seed.value_mask();
-        // OFF obstacles as disagreement masks, biggest cubes first (small
-        // masks are the likeliest to be contained in S).
-        let mut off_masks: Vec<u64> = off
-            .cubes()
-            .iter()
-            .map(|o| (seed_value ^ o.value_mask()) & (freeable & o.care_mask()))
-            .collect();
-        debug_assert!(
-            off_masks.iter().all(|&d| d != 0),
-            "seed must be an implicant"
-        );
-        off_masks.sort_unstable_by_key(|d| d.count_ones());
-        // Active privileged constraints: cubes disjoint from the seed.
-        let mut priv_masks: Vec<(u64, u64)> = Vec::new();
-        let mut ordered_exempt = 0u64;
-        for p in privileged {
-            let d = (seed_value ^ p.cube.value_mask()) & (freeable & p.cube.care_mask());
-            if d == 0 {
-                // The seed intersects this privileged cube; as a DHF
-                // implicant it contains the privileged point, and so does
-                // every expansion — the constraint can never bite.
-                debug_assert_eq!((p.point ^ seed_value) & freeable, 0);
-                continue;
-            }
-            let a = (p.point ^ seed_value) & freeable;
-            debug_assert_eq!(d & !a, 0, "D_q is a subset of A_q");
-            if a == d {
-                continue; // D ⊆ S → A ⊆ S holds trivially
-            }
-            ordered_exempt |= a;
-            priv_masks.push((d, a));
-        }
-        let ordered = freeable & !ordered_exempt;
-        let ok = |s: u64| -> bool {
-            for &d in &off_masks {
-                if d & !s == 0 {
-                    return false;
-                }
-            }
-            for &(d, a) in &priv_masks {
-                if d & !s == 0 && a & !s != 0 {
-                    return false;
-                }
-            }
-            true
-        };
-        let cube_of = |s: u64| Cube::from_masks(self.n, freeable & !s, seed_value);
         if !visited.insert(seed) {
             return 0; // region already explored from an earlier seed
         }
-        // Expands one set: feasible successors worth exploring (canonical
-        // order), plus whether the set is a prime (no feasible growth at
-        // all, canonical or not).
-        let step = |s: u64, explore: &mut Vec<u64>| -> bool {
-            // Ordered variables may only ascend past the highest one freed
-            // so far (a property of the *set* S, not of the path to it).
-            let freed_ordered = s & ordered;
-            let ascend = if freed_ordered == 0 {
-                ordered
-            } else {
-                ordered & !(u64::MAX >> freed_ordered.leading_zeros())
-            };
-            let expandable = ordered_exempt | ascend;
-            let mut grew = false;
-            let mut rest = freeable & !s;
-            while rest != 0 {
-                let i = rest.trailing_zeros();
-                rest &= rest - 1;
-                let s2 = s | 1u64 << i;
-                if ok(s2) {
-                    // Primality considers every variable; the canonical
-                    // order only restricts which successors are *explored*.
-                    grew = true;
-                    if expandable >> i & 1 == 1 {
-                        explore.push(s2);
-                    }
-                }
-            }
-            grew
-        };
+        let mut masks = SeedMasks::default();
+        masks.compile(seed, off, privileged);
+        let masks = &masks;
         let mut merged_dups = 0usize;
         let mut frontier: Vec<u64> = vec![0];
+        let mut next: Vec<u64> = Vec::new();
+        let mut chunk = AscentChunk::default();
         while !frontier.is_empty() {
-            // (discovered-to-explore, primes-found) for one chunk, both
-            // deduplicated against the worker's private set only.
-            let expand_chunk = |chunk: &[u64]| -> (Vec<u64>, Vec<u64>) {
-                let mut local_seen: HashSet<u64> = HashSet::new();
-                let mut explore = Vec::new();
-                let mut found = Vec::new();
-                let mut succ = Vec::new();
-                for &s in chunk {
-                    succ.clear();
-                    if !step(s, &mut succ) {
-                        found.push(s);
-                    }
-                    explore.extend(succ.iter().copied().filter(|&s2| local_seen.insert(s2)));
-                }
-                bmbe_obs::trace_counter!("hfmin.worklist.chunk_cubes", explore.len() as u64);
-                (explore, found)
-            };
-            let results: Vec<(Vec<u64>, Vec<u64>)> =
-                if threads > 1 && frontier.len() >= PAR_FRONTIER_MIN {
-                    let chunk = frontier.len().div_ceil(threads);
-                    let chunks: Vec<&[u64]> = frontier.chunks(chunk).collect();
-                    bmbe_par::par_map(&chunks, threads, |_, c| expand_chunk(c))
-                } else {
-                    vec![expand_chunk(&frontier)]
-                };
+            next.clear();
             // Serial merge barrier, in chunk order: the shared visited set
             // is the only cross-chunk state, and it is only appended to
             // here, deterministically.
-            let mut next = Vec::new();
-            for (explore, found) in results {
-                for s2 in explore {
-                    if visited.insert(cube_of(s2)) {
+            let mut merge = |c: &AscentChunk| {
+                for &s2 in &c.explore {
+                    if visited.insert(masks.cube_of(self.n, s2)) {
                         next.push(s2);
                     } else {
                         merged_dups += 1;
                     }
                 }
-                for s in found {
-                    primes.insert(cube_of(s));
+                for &s in &c.found {
+                    primes.insert(masks.cube_of(self.n, s));
                 }
+            };
+            if threads > 1 && frontier.len() >= PAR_FRONTIER_MIN {
+                let size = frontier.len().div_ceil(threads);
+                let chunks: Vec<&[u64]> = frontier.chunks(size).collect();
+                let results = bmbe_par::par_map(&chunks, threads, |_, c| {
+                    let mut out = AscentChunk::default();
+                    out.expand(masks, c);
+                    out
+                });
+                results.iter().for_each(&mut merge);
+            } else {
+                chunk.expand(masks, &frontier);
+                merge(&chunk);
             }
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
         }
         if merged_dups > 0 {
             bmbe_obs::trace_counter!("hfmin.worklist.merged", merged_dups as u64);
@@ -735,8 +838,8 @@ impl FunctionSpec {
         cube: Cube,
         off: &Cover,
         privileged: &[PrivilegedCube],
-        visited: &mut HashSet<Cube>,
-        primes: &mut HashSet<Cube>,
+        visited: &mut MaskSet<Cube>,
+        primes: &mut MaskSet<Cube>,
     ) {
         if !visited.insert(cube) {
             return;
@@ -819,15 +922,7 @@ impl FunctionSpec {
             .expect("every required cube is a dhf-implicant contained in some prime");
         let covering = t_cover.elapsed();
         let cover: Cover = solution.columns.iter().map(|&c| primes[c]).collect();
-        if let Some(bad) = required.iter().find(|r| !cover.some_cube_contains(r)) {
-            let holders = primes.iter().filter(|p| p.contains_cube(bad)).count();
-            panic!(
-                "DEBUG: required {bad} uncovered; {holders} primes contain it;                  exact={}, rows={}, cols={}",
-                solution.exact,
-                required.len(),
-                primes.len()
-            );
-        }
+        check_required_covered(&required, &cover, &primes)?;
         Ok(HfminResult {
             cover,
             exact: solution.exact,
@@ -869,6 +964,28 @@ impl FunctionSpec {
             }
         }
         Ok(())
+    }
+}
+
+/// The exact path's post-covering check: every required cube must lie in
+/// one product of the selected `cover` (the covering solver guarantees it;
+/// a violation is an internal error, reported instead of panicking).
+fn check_required_covered(
+    required: &[Cube],
+    cover: &Cover,
+    primes: &[Cube],
+) -> Result<(), HfminError> {
+    match required.iter().find(|r| !cover.some_cube_contains(r)) {
+        None => Ok(()),
+        Some(bad) => {
+            let holders = primes.iter().filter(|p| p.contains_cube(bad)).count();
+            Err(HfminError::BadCover {
+                detail: format!(
+                    "required cube {bad} is uncovered though {holders} of {} primes contain it",
+                    primes.len()
+                ),
+            })
+        }
     }
 }
 
@@ -985,6 +1102,26 @@ mod tests {
                 "bad product {c}"
             );
         }
+    }
+
+    #[test]
+    fn post_covering_check_reports_an_uncovered_required_cube() {
+        let spec = consensus_spec();
+        let required = spec.required_cubes();
+        let primes = spec.dhf_primes().unwrap();
+        // The two-product cover without the consensus term leaves the
+        // 1-1 transition cube without a single holder.
+        let bad: Cover = [Cube::parse("10-").unwrap(), Cube::parse("-11").unwrap()]
+            .into_iter()
+            .collect();
+        let err = check_required_covered(&required, &bad, &primes).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "internal: minimizer produced a bad cover: required cube 1-1 is uncovered \
+             though 1 of 3 primes contain it"
+        );
+        let good = spec.minimize().unwrap().cover;
+        assert_eq!(check_required_covered(&required, &good, &primes), Ok(()));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 #      trace-tree oracles;
 #   3. every bench binary builds in release (table/figure regeneration
 #      and the obs_report smoke binary);
-#   4. bmbe-obs, bmbe-core and bmbe-bm build clean under -D warnings
-#      (zero-warning policy: a leftover helper fails the gate);
+#   4. bmbe-obs, bmbe-core, bmbe-bm, bmbe-logic and bmbe-gates build
+#      clean under -D warnings (zero-warning policy: a leftover helper
+#      fails the gate);
 #   5. obs_report --check: runs a traced Stack flow + sim + verification
 #      and validates the emitted Chrome trace / JSONL / span coverage;
 #   6. fault smoke: an injected fault (BMBE_FAULT=synth:0, then one
@@ -66,8 +67,8 @@ cargo test -q --release --workspace
 echo "== tier1: bench binaries =="
 cargo build --release -p bmbe-bench --bins
 
-echo "== tier1: deny-warnings (bmbe-obs, bmbe-core, bmbe-bm) =="
-for crate in bmbe-obs bmbe-core bmbe-bm; do
+echo "== tier1: deny-warnings (bmbe-obs, bmbe-core, bmbe-bm, bmbe-logic, bmbe-gates) =="
+for crate in bmbe-obs bmbe-core bmbe-bm bmbe-logic bmbe-gates; do
     cargo rustc -p "$crate" --release -- -D warnings
 done
 
