@@ -228,15 +228,19 @@ pub fn variants_of(base: &DesignScenario, n: usize, seed: u64) -> Vec<DesignScen
     (0..n)
         .map(|k| {
             // Each variant draws from its own stream derived from (seed,
-            // variant index): variant k's data is a pure function of the
-            // pair, independent of how many ports earlier variants
-            // randomized — so inserting a port or reordering variants
-            // never reshuffles every later variant's values.
+            // variant index), visiting the ports in sorted order: variant
+            // k's data is a pure function of the pair and the base
+            // scenario, independent of how many ports earlier variants
+            // randomized and of the port map's iteration order — so
+            // inserting a port or reordering variants never reshuffles
+            // every later variant's values.
             let mut rng =
                 seed ^ 0xd6e8_feb8_6659_fd93 ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut s = base.clone();
             if k > 0 {
-                for (port, values) in &mut s.input_values {
+                let mut ports: Vec<(&String, &mut Vec<u64>)> = s.input_values.iter_mut().collect();
+                ports.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                for (port, values) in ports {
                     // Command/selector scripts steer control flow; changing
                     // them changes the handshake count the done condition
                     // waits for, so only data ports vary (the scripts cycle,
@@ -354,6 +358,32 @@ mod tests {
         assert_ne!(derive_seed(1, "a", "", 0), derive_seed(1, "a", "", 1));
         assert_ne!(derive_seed(1, "ab", "c", 0), derive_seed(1, "a", "bc", 0));
         assert_eq!(derive_seed(7, "x", "p", 3), derive_seed(7, "x", "p", 3));
+    }
+
+    #[test]
+    fn variant_data_ignores_port_map_order() {
+        // Each fresh `HashMap` gets its own hasher keys, so two data ports
+        // iterate in either order; the drawn data must not follow it.
+        let base = || {
+            let mut input_values = HashMap::new();
+            input_values.insert("a".to_string(), vec![1, 2, 3]);
+            input_values.insert("b".to_string(), vec![4, 5, 6]);
+            DesignScenario {
+                activation_cycles: 1,
+                input_values,
+                memory_init: HashMap::new(),
+                done: ("output".into(), "o".into(), 3),
+                max_time: 1_000_000,
+                check: Check::None,
+            }
+        };
+        let first = variants_of(&base(), 8, 17);
+        for _ in 0..32 {
+            let again = variants_of(&base(), 8, 17);
+            for (k, (x, y)) in first.iter().zip(&again).enumerate() {
+                assert_eq!(x.input_values, y.input_values, "variant {k}");
+            }
+        }
     }
 
     #[test]
