@@ -1,7 +1,9 @@
-//! Checking-side performance report: times the event-wheel scheduler
-//! against the seed's binary-heap scheduler on every benchmark scenario
-//! (asserting identical simulated outcomes), compares on-the-fly against
-//! materialized ACR trace verification, and writes `BENCH_sim.json`.
+//! Checking-side performance report: times the event engine on every
+//! benchmark scenario against the pre-change engine recorded in
+//! `BENCH_sim_baseline.json`, times the compiled backend against the event
+//! engine on a 64-scenario batch (asserting per-lane parity), compares
+//! on-the-fly against materialized ACR trace verification, and writes
+//! `BENCH_sim.json`.
 //!
 //! Run with `--release`; the debug build is an order of magnitude slower.
 //!
@@ -14,18 +16,18 @@ use bmbe_core::components::{decision_wait, sequencer};
 use bmbe_core::opt::verify_acr_compared;
 use bmbe_designs::{all_designs, scenario_variants};
 use bmbe_flow::{
-    run_control_flow, simulate_scenarios, simulate_with, to_flow_scenario, FaultPlan, FlowOptions,
+    run_control_flow, simulate, simulate_scenarios, to_flow_scenario, FaultPlan, FlowOptions,
     FlowResult, Scenario, SimBackend, SimOutcome,
 };
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
-use bmbe_sim::{SchedulerKind, LANES};
+use bmbe_sim::LANES;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 const SAMPLES: usize = 9;
 /// Samples for the batched backend comparison (64 event runs per sample on
-/// the wheel side make each sample an order of magnitude heavier).
+/// the event side make each sample an order of magnitude heavier).
 const BATCH_SAMPLES: usize = 5;
 
 struct SchedNumbers {
@@ -38,22 +40,16 @@ struct SchedNumbers {
 struct Row {
     design: String,
     events: u64,
-    wheel: SchedNumbers,
-    heap: SchedNumbers,
-    /// Run-loop events/sec of the pre-wheel engine, from
-    /// `BENCH_sim_baseline.json` (measured at the commit before this
-    /// change), when that file is present.
+    event: SchedNumbers,
+    /// Run-loop events/sec of the pre-change engine, from
+    /// `BENCH_sim_baseline.json`, when that file is present.
     baseline_events_per_sec: Option<f64>,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.wheel.events_per_sec / self.heap.events_per_sec
-    }
-
     /// Run-loop throughput gain over the pre-change engine.
     fn speedup_vs_baseline(&self) -> Option<f64> {
-        Some(self.wheel.events_per_sec / self.baseline_events_per_sec?)
+        Some(self.event.events_per_sec / self.baseline_events_per_sec?)
     }
 }
 
@@ -77,17 +73,17 @@ fn baseline_events_per_sec(design: &str) -> Option<f64> {
     field_after(&text, at, "run_loop_events_per_sec")
 }
 
-/// Runs one scenario `SAMPLES` times per scheduler, interleaved so host
-/// drift lands on both equally, and keeps the median run-loop wall time.
+/// Runs one scenario `SAMPLES` times on the event engine and keeps the
+/// median run-loop and end-to-end wall times.
 fn measure(
     design: &bmbe_designs::scenarios::Design,
     flow: &FlowResult,
     scenario: &Scenario,
     delays: &Delays,
 ) -> Result<Row, String> {
-    let run_one = |kind: SchedulerKind| -> Result<(SimOutcome, f64), String> {
+    let run_one = || -> Result<(SimOutcome, f64), String> {
         let start = std::time::Instant::now();
-        let run = simulate_with(&design.compiled, flow, scenario, delays, kind)
+        let run = simulate(&design.compiled, flow, scenario, delays)
             .map_err(|e| format!("{} sim: {e}", design.name))?;
         let total_s = start.elapsed().as_secs_f64();
         if !run.completed {
@@ -95,54 +91,45 @@ fn measure(
         }
         Ok((run, total_s))
     };
-    // Warm-up, and the outcome-identity check the numbers depend on.
-    let (wheel_ref, _) = run_one(SchedulerKind::Wheel)?;
-    let (heap_ref, _) = run_one(SchedulerKind::Heap)?;
-    if !wheel_ref.same_result(&heap_ref) {
-        return Err(format!(
-            "{}: wheel and heap schedulers disagree",
-            design.name
-        ));
-    }
-    let mut walls = [Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES)];
-    let mut totals = [Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES)];
+    // Warm-up, and the reference outcome every sample must reproduce.
+    let (reference, _) = run_one()?;
+    let mut walls = Vec::with_capacity(SAMPLES);
+    let mut totals = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
-        for (i, kind) in [SchedulerKind::Wheel, SchedulerKind::Heap].into_iter().enumerate() {
-            let (run, total_s) = run_one(kind)?;
-            walls[i].push(run.stats.wall_s);
-            totals[i].push(total_s);
+        let (run, total_s) = run_one()?;
+        if !run.same_result(&reference) {
+            return Err(format!("{}: event engine is not deterministic", design.name));
         }
+        walls.push(run.stats.wall_s);
+        totals.push(total_s);
     }
-    for w in walls.iter_mut().chain(totals.iter_mut()) {
-        w.sort_by(f64::total_cmp);
-    }
-    let events = wheel_ref.events;
-    let numbers = |wall_s: f64, total_s: f64, reference: &SimOutcome| SchedNumbers {
-        wall_s,
-        total_s,
-        events_per_sec: events as f64 / wall_s,
-        peak_queue_depth: reference.stats.peak_queue_depth,
-    };
+    walls.sort_by(f64::total_cmp);
+    totals.sort_by(f64::total_cmp);
+    let wall_s = walls[SAMPLES / 2];
     Ok(Row {
         design: design.name.to_string(),
-        events,
-        wheel: numbers(walls[0][SAMPLES / 2], totals[0][SAMPLES / 2], &wheel_ref),
-        heap: numbers(walls[1][SAMPLES / 2], totals[1][SAMPLES / 2], &heap_ref),
+        events: reference.events,
+        event: SchedNumbers {
+            wall_s,
+            total_s: totals[SAMPLES / 2],
+            events_per_sec: reference.events as f64 / wall_s,
+            peak_queue_depth: reference.stats.peak_queue_depth,
+        },
         baseline_events_per_sec: baseline_events_per_sec(design.name),
     })
 }
 
-/// One design's batched compiled-vs-wheel comparison: the same 64-scenario
+/// One design's batched compiled-vs-event comparison: the same 64-scenario
 /// batch end to end on each backend, single worker thread.
 struct BackendRow {
     design: String,
     lanes: usize,
-    /// Oracle aggregate event count across the batch — the common work
-    /// unit both throughput figures divide, so their ratio is a pure
+    /// Event-engine aggregate event count across the batch — the common
+    /// work unit both throughput figures divide, so their ratio is a pure
     /// wall-time ratio on identical work.
     events: u64,
     compiled_wall_s: f64,
-    wheel_wall_s: f64,
+    event_wall_s: f64,
 }
 
 impl BackendRow {
@@ -150,19 +137,19 @@ impl BackendRow {
         self.events as f64 / self.compiled_wall_s
     }
 
-    fn wheel_events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wheel_wall_s
+    fn event_events_per_sec(&self) -> f64 {
+        self.events as f64 / self.event_wall_s
     }
 
     fn speedup(&self) -> f64 {
-        self.wheel_wall_s / self.compiled_wall_s
+        self.event_wall_s / self.compiled_wall_s
     }
 }
 
 /// Runs the design's 64-variant scenario batch on the compiled backend and
-/// the event wheel, asserting per-lane behavioural parity with the oracle
-/// before any timing, then keeps the median end-to-end wall of
-/// `BATCH_SAMPLES` interleaved runs per backend.
+/// the event engine, asserting per-lane behavioural parity before any
+/// timing, then keeps the median end-to-end wall of `BATCH_SAMPLES`
+/// interleaved runs per backend.
 fn measure_backends(
     design: &bmbe_designs::scenarios::Design,
     flow: &FlowResult,
@@ -185,23 +172,23 @@ fn measure_backends(
         Ok((runs, wall_s))
     };
     // Warm-up, and the per-lane parity assertion the numbers depend on:
-    // every compiled lane must reproduce its event-oracle behaviour.
+    // every compiled lane must reproduce its event-engine behaviour.
     let (compiled_ref, _) = run_batch(SimBackend::Compiled)?;
-    let (wheel_ref, _) = run_batch(SimBackend::EventWheel)?;
-    for (lane, (c, o)) in compiled_ref.iter().zip(&wheel_ref).enumerate() {
+    let (event_ref, _) = run_batch(SimBackend::Event)?;
+    for (lane, (c, o)) in compiled_ref.iter().zip(&event_ref).enumerate() {
         if !o.completed {
-            return Err(format!("{}: oracle lane {lane} incomplete", design.name));
+            return Err(format!("{}: event lane {lane} incomplete", design.name));
         }
         if !c.same_behaviour(o) {
             return Err(format!(
-                "{}: compiled lane {lane} diverged from the event-wheel oracle",
+                "{}: compiled lane {lane} diverged from the event engine",
                 design.name
             ));
         }
     }
     let mut walls = [Vec::with_capacity(BATCH_SAMPLES), Vec::with_capacity(BATCH_SAMPLES)];
     for _ in 0..BATCH_SAMPLES {
-        for (i, backend) in [SimBackend::Compiled, SimBackend::EventWheel]
+        for (i, backend) in [SimBackend::Compiled, SimBackend::Event]
             .into_iter()
             .enumerate()
         {
@@ -215,9 +202,9 @@ fn measure_backends(
     Ok(BackendRow {
         design: design.name.to_string(),
         lanes: scenarios.len(),
-        events: wheel_ref.iter().map(|o| o.events).sum(),
+        events: event_ref.iter().map(|o| o.events).sum(),
         compiled_wall_s: walls[0][BATCH_SAMPLES / 2],
-        wheel_wall_s: walls[1][BATCH_SAMPLES / 2],
+        event_wall_s: walls[1][BATCH_SAMPLES / 2],
     })
 }
 
@@ -282,20 +269,14 @@ fn run() -> Result<bool, String> {
     }
     let verify = verify_rows()?;
 
+    bmbe_obs::vlog!(1, "event engine (median of {SAMPLES} runs; run loop only)");
     bmbe_obs::vlog!(
         1,
-        "sim perf (median of {SAMPLES} interleaved runs; run loop only)"
-    );
-    bmbe_obs::vlog!(
-        1,
-        "{:<22} {:>9} {:>12} {:>14} {:>12} {:>14} {:>8} {:>9}",
+        "{:<22} {:>9} {:>12} {:>14} {:>9}",
         "design",
         "events",
-        "wheel s",
-        "wheel ev/s",
-        "heap s",
-        "heap ev/s",
-        "vs heap",
+        "wall s",
+        "ev/s",
         "vs seed"
     );
     for r in &rows {
@@ -304,14 +285,11 @@ fn run() -> Result<bool, String> {
             .map_or_else(|| "-".to_string(), |s| format!("{s:.2}x"));
         bmbe_obs::vlog!(
             1,
-            "{:<22} {:>9} {:>12.6} {:>14.0} {:>12.6} {:>14.0} {:>7.2}x {:>9}",
+            "{:<22} {:>9} {:>12.6} {:>14.0} {:>9}",
             r.design,
             r.events,
-            r.wheel.wall_s,
-            r.wheel.events_per_sec,
-            r.heap.wall_s,
-            r.heap.events_per_sec,
-            r.speedup(),
+            r.event.wall_s,
+            r.event.events_per_sec,
             vs_base
         );
     }
@@ -327,9 +305,9 @@ fn run() -> Result<bool, String> {
         "events",
         "compiled s",
         "compiled ev/s",
-        "wheel s",
-        "wheel ev/s",
-        "vs wheel"
+        "event s",
+        "event ev/s",
+        "vs event"
     );
     for r in &backends {
         bmbe_obs::vlog!(
@@ -340,8 +318,8 @@ fn run() -> Result<bool, String> {
             r.events,
             r.compiled_wall_s,
             r.compiled_events_per_sec(),
-            r.wheel_wall_s,
-            r.wheel_events_per_sec(),
+            r.event_wall_s,
+            r.event_events_per_sec(),
             r.speedup()
         );
     }
@@ -360,43 +338,29 @@ fn run() -> Result<bool, String> {
     let mut json = String::from("{\n  \"bench\": \"sim_verify\",\n");
     let _ = writeln!(json, "  \"samples\": {SAMPLES},");
     json.push_str(
-        "  \"note\": \"events_per_sec_speedup compares the wheel against the in-tree heap \
-         oracle in the same build, run loop only; both sides share the controller transition \
-         memoization and hoisted done checks added alongside the wheel, and the shipped \
-         scenarios idle at queue depth 1-3 where a binary heap is nearly free, so this ratio \
-         sits near 1.0 (the sim_kernels ring benchmarks, which isolate the scheduler at \
-         steady depth 4/256, show the wheel 1.2-1.4x ahead). \
-         events_per_sec_speedup_vs_baseline is the headline before/after: run-loop \
-         throughput against the pre-change engine recorded in BENCH_sim_baseline.json \
-         (measured at the prior commit, run loop estimated by subtracting an \
-         empty-scenario call), capturing scheduler, free-listed action slots, \
-         memoization, and done-check hoisting together. The backends section times the \
-         same 64-scenario variant batch end to end (compile/build included) on one worker \
-         thread per backend; both events_per_sec figures divide the event-wheel oracle's \
-         aggregate event count so compiled_vs_wheel is a pure wall-time ratio on identical \
-         work. Per-lane behavioural parity between the compiled backend and the wheel \
-         oracle is asserted before any timing (a divergence fails this report), not \
-         sampled.\",\n",
+        "  \"note\": \"Each design row times the event engine's run loop on the shipped \
+         scenario (median of the samples). events_per_sec_speedup_vs_baseline is the \
+         before/after against the pre-change engine recorded in BENCH_sim_baseline.json \
+         (measured at an earlier commit, run loop estimated by subtracting an \
+         empty-scenario call). The backends section times the same 64-scenario variant \
+         batch end to end (lowering and compilation included) on one worker thread per \
+         backend; both events_per_sec figures divide the event engine's aggregate event \
+         count, so compiled_vs_event is a pure wall-time ratio on identical work. Both \
+         engines run one lowered circuit; per-lane behavioural parity between them is \
+         asserted before any timing (a divergence fails this report), not sampled.\",\n",
     );
     json.push_str("  \"designs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
             "    {{\"design\": \"{}\", \"events\": {}, \
-             \"wheel\": {{\"wall_s\": {:.6}, \"total_s\": {:.6}, \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}}}, \
-             \"heap\": {{\"wall_s\": {:.6}, \"total_s\": {:.6}, \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}}}, \
-             \"events_per_sec_speedup\": {:.3}",
+             \"event\": {{\"wall_s\": {:.6}, \"total_s\": {:.6}, \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}}}",
             r.design,
             r.events,
-            r.wheel.wall_s,
-            r.wheel.total_s,
-            r.wheel.events_per_sec,
-            r.wheel.peak_queue_depth,
-            r.heap.wall_s,
-            r.heap.total_s,
-            r.heap.events_per_sec,
-            r.heap.peak_queue_depth,
-            r.speedup()
+            r.event.wall_s,
+            r.event.total_s,
+            r.event.events_per_sec,
+            r.event.peak_queue_depth
         );
         if let (Some(base), Some(vs)) = (r.baseline_events_per_sec, r.speedup_vs_baseline()) {
             let _ = write!(
@@ -414,15 +378,15 @@ fn run() -> Result<bool, String> {
             json,
             "    {{\"design\": \"{}\", \"lanes\": {}, \"events\": {}, \
              \"compiled\": {{\"wall_s\": {:.6}, \"events_per_sec\": {:.0}}}, \
-             \"wheel\": {{\"wall_s\": {:.6}, \"events_per_sec\": {:.0}}}, \
-             \"compiled_vs_wheel\": {:.3}}}",
+             \"event\": {{\"wall_s\": {:.6}, \"events_per_sec\": {:.0}}}, \
+             \"compiled_vs_event\": {:.3}}}",
             r.design,
             r.lanes,
             r.events,
             r.compiled_wall_s,
             r.compiled_events_per_sec(),
-            r.wheel_wall_s,
-            r.wheel_events_per_sec(),
+            r.event_wall_s,
+            r.event_events_per_sec(),
             r.speedup()
         );
         json.push_str(if i + 1 < backends.len() { ",\n" } else { "\n" });

@@ -1,12 +1,11 @@
 //! The bit-parallel compiled simulation backend for complete designs.
 //!
-//! [`compile_sim`] walks the same design structure as
-//! [`crate::simbuild::simulate_with`] — synthesized controllers, select
-//! adapters, behavioural datapath components, and the scripted environment
-//! — but lowers it into a [`bmbe_sim::CompiledCircuit`]: controllers
-//! become levelized instruction tapes over their technology-mapped gates
-//! (one lane-parallel op per cell), and every primitive evaluates all 64
-//! scenario lanes of a batch at once.
+//! [`compile_sim`] lowers a design once through [`crate::lower`] — the
+//! same circuit the event engine runs — and compiles it into a
+//! [`bmbe_sim::CompiledCircuit`]: controllers become levelized instruction
+//! tapes over their technology-mapped gates (one lane-parallel op per
+//! cell), and every part evaluates all 64 scenario lanes of a batch at
+//! once.
 //!
 //! The lane-packing layer is [`CompiledSim::run_batch`]: it takes up to
 //! [`LANES`] scenarios, binds each to a lane (a partial batch simply
@@ -20,71 +19,28 @@
 //! once up front, compiled outcomes are bit-identical at any thread count.
 //!
 //! The compiled backend is untimed. Differential tests assert
-//! [`SimOutcome::same_behaviour`] against the event-wheel oracle, which
-//! remains the timing/hazard reference.
+//! [`SimOutcome::same_behaviour`] against the event engine, which remains
+//! the timing/hazard reference.
 
 use crate::fault::{FaultPhase, FaultPlan};
-use crate::pipeline::FlowResult;
-use crate::simbuild::{
-    provider_name, simulate_all, Done, Scenario, SimBuildError, SimJob, SimOutcome, SimStats,
-};
+use crate::lower::{bind, lower};
+use crate::pipeline::{ControllerArtifact, FlowResult};
+use crate::simbuild::{simulate, simulate_circuit, Scenario, SimBuildError, SimOutcome, SimStats};
 use bmbe_balsa::CompiledDesign;
 use bmbe_gates::SubjectNode;
-use bmbe_hsnet::{Component, ComponentKind, Netlist};
-use bmbe_sim::{
-    CCh, CPrim, CSite, CWire, CircuitBuilder, CompiledCircuit, DoneSpec, GateSpec, LaneSpec,
-    RunSpec, SchedulerKind, SimBackend, LANES,
-};
 use bmbe_sim::prims::Delays;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use bmbe_sim::{CompiledCircuit, ControllerTape, RunSpec, SimBackend, LANES};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Safety net against a non-quiescing (oscillating) circuit; real designs
 /// either complete or quiesce in far fewer waves.
 const MAX_WAVES: u64 = 1_000_000;
 
-/// A design compiled for bit-parallel simulation, with the environment
-/// primitives needed to bind scenarios to lanes and demux results.
+/// A design compiled for bit-parallel simulation; the circuit's handles
+/// bind scenarios to lanes and demux the results.
 pub struct CompiledSim {
     circuit: CompiledCircuit,
-    driver: CPrim,
-    /// Input port name -> pull provider.
-    providers: BTreeMap<String, CPrim>,
-    /// Output port name -> push consumer.
-    consumers: BTreeMap<String, CPrim>,
-    /// Sync port name -> responder.
-    syncs: BTreeMap<String, CPrim>,
-    /// Memory name -> memory primitive.
-    mems: Vec<(String, CPrim)>,
-}
-
-struct NameTable {
-    wires: HashMap<String, CWire>,
-    chans: HashMap<String, CCh>,
-}
-
-impl NameTable {
-    fn wire(&mut self, b: &mut CircuitBuilder, name: &str) -> CWire {
-        if let Some(&w) = self.wires.get(name) {
-            return w;
-        }
-        let w = b.wire();
-        self.wires.insert(name.to_string(), w);
-        w
-    }
-
-    fn ch(&mut self, b: &mut CircuitBuilder, name: &str) -> CCh {
-        if let Some(&c) = self.chans.get(name) {
-            return c;
-        }
-        let c = CCh {
-            req: self.wire(b, &format!("{name}_r")),
-            ack: self.wire(b, &format!("{name}_a")),
-            slot: b.slot(),
-        };
-        self.chans.insert(name.to_string(), c);
-        c
-    }
 }
 
 /// Compiles a design (controllers, datapath, environment) into a
@@ -108,253 +64,75 @@ pub fn compile_sim(
     fault: Option<&FaultPlan>,
 ) -> Result<CompiledSim, SimBuildError> {
     let _span = bmbe_obs::span!("sim.compile", "sim");
-    let netlist = &design.netlist;
-    let mut b = CircuitBuilder::new();
-    let mut t = NameTable {
-        wires: HashMap::new(),
-        chans: HashMap::new(),
+    let circuit = lower(design, flow, |port| input_ports.contains(port));
+    let circuit = CompiledCircuit::new(circuit, |i, inputs, outputs| {
+        let art = &flow.controllers[i];
+        if let Some(plan) = fault.filter(|plan| plan.targets_job(i)) {
+            plan.trip(FaultPhase::SimCompile)
+                .map_err(|_| SimBuildError::Compile {
+                    controller: art.name.clone(),
+                    detail: format!("injected fault at sim_compile of job {i}"),
+                })?;
+        }
+        tape(art, inputs, outputs)
+    })?;
+    Ok(CompiledSim { circuit })
+}
+
+/// A controller's levelized tape, built from its technology-mapped gates
+/// (the subject-graph nodes are the tape's scratch slots).
+fn tape(
+    art: &ControllerArtifact,
+    inputs: usize,
+    outputs: usize,
+) -> Result<ControllerTape, SimBuildError> {
+    let ctrl = &art.controller;
+    let subject = &art.mapped.subject;
+    let bad = |detail: String| SimBuildError::Compile {
+        controller: art.name.clone(),
+        detail,
     };
-
-    // Select channels needing an adapter, with branch counts (sorted: the
-    // compiled circuit must be built in a deterministic order).
-    let mut adapted: BTreeMap<String, usize> = BTreeMap::new();
-    for comp in netlist.components() {
-        match &comp.kind {
-            ComponentKind::Case { branches } => {
-                let name = netlist.channel(comp.channels[1]).name.clone();
-                adapted.insert(name, *branches);
-            }
-            ComponentKind::While => {
-                let name = netlist.channel(comp.channels[1]).name.clone();
-                adapted.insert(name, 2);
-            }
-            _ => {}
-        }
-    }
-
-    // Controllers: one levelized tape per synthesized artifact, built from
-    // its technology-mapped gates (the subject-graph nodes are the tape's
-    // scratch slots).
-    for (i, art) in flow.controllers.iter().enumerate() {
-        if let Some(plan) = fault {
-            if plan.targets_job(i) {
-                plan.trip(FaultPhase::SimCompile)
-                    .map_err(|_| SimBuildError::Compile {
-                        controller: art.name.clone(),
-                        detail: format!("injected fault at sim_compile of job {i}"),
-                    })?;
-            }
-        }
-        let ctrl = &art.controller;
-        let subject = &art.mapped.subject;
-        let bad = |detail: String| SimBuildError::Compile {
-            controller: art.name.clone(),
-            detail,
-        };
-        let root_of = |name: &str| {
-            subject
-                .roots
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, r)| r)
-        };
-        let out_roots: Vec<usize> = ctrl
-            .outputs
+    let root_of = |name: &str| {
+        subject
+            .roots
             .iter()
-            .map(|n| root_of(n).ok_or_else(|| bad(format!("no function root for output {n}"))))
-            .collect::<Result<_, _>>()?;
-        let state_roots: Vec<usize> = (0..ctrl.num_state_bits)
-            .map(|j| {
-                root_of(&format!("y{j}"))
-                    .ok_or_else(|| bad(format!("no function root for state bit y{j}")))
-            })
-            .collect::<Result<_, _>>()?;
-        let ones: Vec<usize> = subject
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n, SubjectNode::One))
-            .map(|(ix, _)| ix)
-            .collect();
-        let gates: Vec<GateSpec> = art
-            .mapped
-            .gates
-            .iter()
-            .map(|g| GateSpec {
-                cell: g.cell,
-                inputs: g.inputs.clone(),
-                output: g.output,
-            })
-            .collect();
-        let inputs: Vec<CWire> = ctrl.inputs.iter().map(|n| t.wire(&mut b, n)).collect();
-        let outputs: Vec<CWire> = ctrl.outputs.iter().map(|n| t.wire(&mut b, n)).collect();
-        b.add_controller(
-            &art.name,
-            inputs,
-            outputs,
-            ctrl.num_state_bits,
-            ctrl.initial_code,
-            subject.nodes.len(),
-            &ones,
-            &gates,
-            &out_roots,
-            &state_roots,
-        )
-        .map_err(|e| SimBuildError::Compile {
-            controller: art.name.clone(),
-            detail: e.to_string(),
-        })?;
-    }
-
-    // Select adapters.
-    for (chan, branches) in &adapted {
-        let sel_req = t.wire(&mut b, &format!("{chan}_r"));
-        let sel_acks: Vec<CWire> = (0..*branches)
-            .map(|i| t.wire(&mut b, &format!("{chan}_a{i}")))
-            .collect();
-        let provider = t.ch(&mut b, &provider_name(chan));
-        b.add_select_adapter(sel_req, sel_acks, provider);
-    }
-
-    // Datapath components.
-    let chan_name = |netlist: &Netlist, comp: &Component, port: usize| -> String {
-        let raw = netlist.channel(comp.channels[port]).name.clone();
-        if adapted.contains_key(&raw) {
-            provider_name(&raw)
-        } else {
-            raw
-        }
+            .find(|(n, _)| n == name)
+            .map(|&(_, r)| r)
     };
-    let mut mems: Vec<(String, CPrim)> = Vec::new();
-    for comp in netlist.components() {
-        match &comp.kind {
-            ComponentKind::Variable { reads, .. } => {
-                let write = t.ch(&mut b, &chan_name(netlist, comp, 0));
-                let read_chs: Vec<CCh> = (0..*reads)
-                    .map(|i| {
-                        let name = chan_name(netlist, comp, 1 + i);
-                        t.ch(&mut b, &name)
-                    })
-                    .collect();
-                b.add_variable(write, read_chs);
-            }
-            ComponentKind::Constant { value, .. } => {
-                let ch = t.ch(&mut b, &chan_name(netlist, comp, 0));
-                b.add_constant(ch, *value);
-            }
-            ComponentKind::BinaryFunc { op, .. } => {
-                let out = t.ch(&mut b, &chan_name(netlist, comp, 0));
-                let lhs = t.ch(&mut b, &chan_name(netlist, comp, 1));
-                let rhs = t.ch(&mut b, &chan_name(netlist, comp, 2));
-                b.add_binfunc(*op, out, lhs, rhs);
-            }
-            ComponentKind::UnaryFunc { op, .. } => {
-                let out = t.ch(&mut b, &chan_name(netlist, comp, 0));
-                let operand = t.ch(&mut b, &chan_name(netlist, comp, 1));
-                b.add_unfunc(*op, out, operand);
-            }
-            ComponentKind::CallMux { inputs, .. } => {
-                let ins: Vec<CCh> = (0..*inputs)
-                    .map(|i| {
-                        let name = chan_name(netlist, comp, i);
-                        t.ch(&mut b, &name)
-                    })
-                    .collect();
-                let out = t.ch(&mut b, &chan_name(netlist, comp, *inputs));
-                b.add_call_mux(ins, out);
-            }
-            ComponentKind::PullMux { clients, .. } => {
-                let cl: Vec<CCh> = (0..*clients)
-                    .map(|i| {
-                        let name = chan_name(netlist, comp, i);
-                        t.ch(&mut b, &name)
-                    })
-                    .collect();
-                let source = t.ch(&mut b, &chan_name(netlist, comp, *clients));
-                b.add_pull_mux(cl, source);
-            }
-            ComponentKind::Memory {
-                words,
-                reads,
-                writes,
-                ..
-            } => {
-                let mem_name = netlist
-                    .channel(comp.channels[0])
-                    .name
-                    .strip_suffix("_rd0")
-                    .unwrap_or("mem")
-                    .to_string();
-                let mut port = 0;
-                let mut rsites = Vec::new();
-                for _ in 0..*reads {
-                    let data = t.ch(&mut b, &chan_name(netlist, comp, port));
-                    let addr = t.ch(&mut b, &chan_name(netlist, comp, port + 1));
-                    rsites.push(CSite { data, addr });
-                    port += 2;
-                }
-                let mut wsites = Vec::new();
-                for _ in 0..*writes {
-                    let data = t.ch(&mut b, &chan_name(netlist, comp, port));
-                    let addr = t.ch(&mut b, &chan_name(netlist, comp, port + 1));
-                    wsites.push(CSite { data, addr });
-                    port += 2;
-                }
-                let id = b.add_memory(*words, rsites, wsites);
-                mems.push((mem_name, id));
-            }
-            ComponentKind::Fetch => {
-                let pull = t.ch(&mut b, &chan_name(netlist, comp, 1));
-                let push = t.ch(&mut b, &chan_name(netlist, comp, 2));
-                b.add_fetch(pull, push);
-            }
-            _ => {}
-        }
-    }
-
-    // Environment: activation driver.
-    let act_name = netlist.channel(design.activate).name.clone();
-    let act_req = t.wire(&mut b, &format!("{act_name}_r"));
-    let act_ack = t.wire(&mut b, &format!("{act_name}_a"));
-    let driver = b.add_activation_driver(act_req, act_ack);
-
-    // Environment: ports (sorted for a deterministic build).
-    let mut providers = BTreeMap::new();
-    let mut consumers = BTreeMap::new();
-    let mut syncs = BTreeMap::new();
-    let ports: BTreeMap<&String, _> = design.port_channels.iter().collect();
-    for (name, &chid) in ports {
-        let channel = netlist.channel(chid);
-        if channel.width == 0 {
-            let req = t.wire(&mut b, &format!("{name}_r"));
-            let ack = t.wire(&mut b, &format!("{name}_a"));
-            syncs.insert(name.clone(), b.add_sync_responder(req, ack));
-        } else {
-            let ch = t.ch(&mut b, name);
-            if input_ports.contains(name) {
-                providers.insert(name.clone(), b.add_pull_provider(ch));
-            } else {
-                consumers.insert(name.clone(), b.add_push_consumer(ch));
-            }
-        }
-    }
-
-    Ok(CompiledSim {
-        circuit: b.finish(),
-        driver,
-        providers,
-        consumers,
-        syncs,
-        mems,
-    })
+    let out_roots: Vec<usize> = ctrl
+        .outputs
+        .iter()
+        .map(|n| root_of(n).ok_or_else(|| bad(format!("no function root for output {n}"))))
+        .collect::<Result<_, _>>()?;
+    let state_roots: Vec<usize> = (0..ctrl.num_state_bits)
+        .map(|j| {
+            root_of(&format!("y{j}"))
+                .ok_or_else(|| bad(format!("no function root for state bit y{j}")))
+        })
+        .collect::<Result<_, _>>()?;
+    let ones: Vec<usize> = subject
+        .nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| matches!(n, SubjectNode::One))
+        .map(|(ix, _)| ix)
+        .collect();
+    ControllerTape::compile(
+        &art.name,
+        inputs,
+        outputs,
+        ctrl.num_state_bits,
+        ctrl.initial_code,
+        subject.nodes.len(),
+        &ones,
+        &art.mapped.gates,
+        &out_roots,
+        &state_roots,
+    )
+    .map_err(|e| bad(e.to_string()))
 }
 
 impl CompiledSim {
-    /// The underlying circuit (tape statistics for reports).
-    pub fn circuit(&self) -> &CompiledCircuit {
-        &self.circuit
-    }
-
     /// Runs up to [`LANES`] scenarios as one bit-parallel batch and demuxes
     /// one [`SimOutcome`] per scenario, in order.
     ///
@@ -375,51 +153,18 @@ impl CompiledSim {
                 scenarios.len()
             )));
         }
+        let circuit = self.circuit.circuit();
         let mut lanes = Vec::with_capacity(scenarios.len());
         for s in scenarios {
             for port in s.input_values.keys() {
-                if !self.providers.contains_key(port) {
+                if !circuit.providers.iter().any(|(name, _)| name == port) {
                     return Err(SimBuildError::BatchShape(format!(
                         "scenario scripts port {port}, but the circuit was compiled without it \
                          as an input"
                     )));
                 }
             }
-            let provider_values: Vec<(CPrim, Vec<u64>)> = self
-                .providers
-                .iter()
-                .map(|(name, &p)| {
-                    (p, s.input_values.get(name).cloned().unwrap_or_default())
-                })
-                .collect();
-            let memory_init: Vec<(CPrim, Vec<u64>)> = self
-                .mems
-                .iter()
-                .filter_map(|(name, p)| s.memory_init.get(name).map(|init| (*p, init.clone())))
-                .collect();
-            let done = match &s.done {
-                Done::Activations(n) => DoneSpec::Activations(self.driver, *n as u64),
-                Done::Outputs { port, count } => DoneSpec::Outputs(
-                    *self
-                        .consumers
-                        .get(port)
-                        .ok_or_else(|| SimBuildError::UnknownPort(port.clone()))?,
-                    *count,
-                ),
-                Done::Syncs { port, count } => DoneSpec::Syncs(
-                    *self
-                        .syncs
-                        .get(port)
-                        .ok_or_else(|| SimBuildError::UnknownPort(port.clone()))?,
-                    *count as u64,
-                ),
-            };
-            lanes.push(LaneSpec {
-                activation_cycles: s.activation_cycles as u64,
-                provider_values,
-                memory_init,
-                done,
-            });
+            lanes.push(bind(circuit, s)?);
         }
         let n = lanes.len();
         let spec = RunSpec {
@@ -445,30 +190,28 @@ impl CompiledSim {
                 completed: r.completed >> lane & 1 == 1,
                 time_ns: 0.0,
                 events: r.lane_events[lane],
-                outputs: self
+                outputs: circuit
                     .consumers
                     .iter()
-                    .map(|(name, p)| (name.clone(), r.consumer_received[&p.0][lane].clone()))
+                    .map(|(name, p)| (name.clone(), r.consumer_received[p][lane].clone()))
                     .collect(),
-                sync_counts: self
+                sync_counts: circuit
                     .syncs
                     .iter()
-                    .map(|(name, p)| (name.clone(), r.sync_counts[&p.0][lane] as usize))
+                    .map(|(name, p)| (name.clone(), r.sync_counts[p][lane] as usize))
                     .collect(),
-                memories: self
-                    .mems
+                memories: circuit
+                    .memories
                     .iter()
-                    .map(|(name, p)| (name.clone(), r.memories[&p.0][lane].clone()))
+                    .map(|(name, p)| (name.clone(), r.memories[p][lane].clone()))
                     .collect(),
                 stats: SimStats {
                     backend: SimBackend::Compiled,
-                    scheduler: SchedulerKind::default(),
                     lanes: n,
                     waves: r.waves,
                     peak_queue_depth: 0,
                     wall_s,
                     far_heap_hits: 0,
-                    refits: 0,
                     events_per_s,
                 },
             })
@@ -489,9 +232,10 @@ pub fn batch_input_ports(scenarios: &[Scenario]) -> BTreeSet<String> {
 /// Simulates a scenario set on the chosen backend, returning one outcome
 /// per scenario, in order.
 ///
-/// [`SimBackend::EventWheel`] runs each scenario as an independent event
-/// simulation across `threads` workers (exactly [`simulate_all`] with the
-/// auto-picked scheduler). [`SimBackend::Compiled`] compiles the design
+/// [`SimBackend::Event`] lowers the design once and runs each scenario as
+/// an independent event simulation across `threads` workers (a scenario
+/// scripting a different port set than the rest is lowered on its own).
+/// [`SimBackend::Compiled`] compiles the design
 /// once, packs the scenarios into [`LANES`]-wide batches, and fans the
 /// batches out across `threads` workers; results are bit-identical at any
 /// thread count. [`SimBackend::Auto`] compiles when the set has more than
@@ -512,28 +256,39 @@ pub fn simulate_scenarios(
     if scenarios.is_empty() {
         return Vec::new();
     }
+    let all = |e: SimBuildError| scenarios.iter().map(|_| Err(e.clone())).collect();
+    let ports = batch_input_ports(scenarios);
     match backend.resolve(scenarios.len()) {
-        SimBackend::EventWheel | SimBackend::Auto => {
-            let jobs: Vec<SimJob<'_>> = scenarios
-                .iter()
-                .map(|scenario| SimJob {
-                    design,
-                    flow,
-                    scenario,
-                    scheduler: SchedulerKind::Auto,
-                })
-                .collect();
-            simulate_all(&jobs, delays, threads)
+        SimBackend::Event | SimBackend::Auto => {
+            let circuit = match bmbe_par::catch_job(|| {
+                let _build = bmbe_obs::span!("sim.build", "sim");
+                lower(design, flow, |port| ports.contains(port))
+            }) {
+                Ok(circuit) => circuit,
+                Err(payload) => return all(SimBuildError::Panic(payload)),
+            };
+            bmbe_par::par_try_map(
+                scenarios,
+                threads,
+                |i, _| format!("sim job {i} ({})", design.netlist.name()),
+                |_, s| {
+                    if s.input_values.len() == ports.len() {
+                        let build = bmbe_obs::span!("sim.build", "sim");
+                        simulate_circuit(&circuit, flow, s, delays, build)
+                    } else {
+                        simulate(design, flow, s, delays)
+                    }
+                },
+            )
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|job| Err(SimBuildError::Panic(job.payload))))
+            .collect()
         }
         SimBackend::Compiled => {
-            let input_ports = batch_input_ports(scenarios);
-            let cs = match bmbe_par::catch_job(|| compile_sim(design, flow, &input_ports, fault)) {
+            let cs = match bmbe_par::catch_job(|| compile_sim(design, flow, &ports, fault)) {
                 Ok(Ok(cs)) => cs,
-                Ok(Err(e)) => return scenarios.iter().map(|_| Err(e.clone())).collect(),
-                Err(payload) => {
-                    let e = SimBuildError::Panic(payload);
-                    return scenarios.iter().map(|_| Err(e.clone())).collect();
-                }
+                Ok(Err(e)) => return all(e),
+                Err(payload) => return all(SimBuildError::Panic(payload)),
             };
             let chunks: Vec<&[Scenario]> = scenarios.chunks(LANES).collect();
             let results = bmbe_par::par_try_map(

@@ -2,12 +2,11 @@
 //! trace-verifier, each stage checked against an independent in-tree
 //! oracle (ROADMAP item 4).
 //!
-//! Five oracle pairs, all production-path-vs-reference:
+//! Four oracle pairs, all production-path-vs-reference:
 //!
 //! | pair | production | oracle | equality |
 //! |------|-----------|--------|----------|
-//! | `heap_vs_wheel` | calendar-queue wheel | seed `BinaryHeap` scheduler | [`SimOutcome::same_result`] |
-//! | `compiled_vs_wheel` | bit-parallel compiled tapes | event wheel | [`SimOutcome::same_behaviour`] |
+//! | `compiled_vs_event` | bit-parallel compiled tapes | event engine | [`SimOutcome::same_behaviour`] |
 //! | `otf_vs_materialized` | on-the-fly ACR verification | materialized composition | verdict equality |
 //! | `serial_vs_parallel` | registry flow + 4-thread sim | per-instance [`reference_flow`] + 1-thread sim | digest equality |
 //! | `fault_vs_clean` | [`run_control_flow`] with an injected `synth:0:err` | clean flow | typed failure + clean digest |
@@ -26,7 +25,7 @@
 use crate::batch::{flow_through_registry, ShapeRegistry};
 use crate::cache::ControllerCache;
 use crate::pipeline::{reference_flow, run_control_flow, FlowOptions, FlowResult};
-use crate::simbuild::{simulate_with, SimOutcome};
+use crate::simbuild::{simulate, SimOutcome};
 use crate::csim::simulate_scenarios;
 use crate::fault::FaultPlan;
 use crate::table3::{check_outcome, to_flow_scenario};
@@ -36,7 +35,7 @@ use bmbe_designs::corpus::{generate_corpus, CorpusSpec, GeneratedDesign};
 use bmbe_designs::{derive_seed, variants_of};
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
-use bmbe_sim::{SchedulerKind, SimBackend};
+use bmbe_sim::SimBackend;
 use std::time::Instant;
 
 /// What to run: a gauntlet is a pure function of this configuration (plus
@@ -98,13 +97,11 @@ pub struct Finding {
 }
 
 /// Comparisons executed per oracle pair (all designs summed); every
-/// counter being positive is what "through all five pairs" means.
+/// counter being positive is what "through all four pairs" means.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleCounts {
-    /// Event-engine scheduler pair comparisons.
-    pub heap_vs_wheel: usize,
-    /// Backend pair comparisons (includes the 1-vs-4-thread lanes).
-    pub compiled_vs_wheel: usize,
+    /// Backend pair comparisons.
+    pub compiled_vs_event: usize,
     /// Verification obligations compared.
     pub otf_vs_materialized: usize,
     /// Serial-uncached flow digests + sim thread-split lanes compared.
@@ -115,8 +112,7 @@ pub struct OracleCounts {
 
 impl OracleCounts {
     fn merge(&mut self, o: &OracleCounts) {
-        self.heap_vs_wheel += o.heap_vs_wheel;
-        self.compiled_vs_wheel += o.compiled_vs_wheel;
+        self.compiled_vs_event += o.compiled_vs_event;
         self.otf_vs_materialized += o.otf_vs_materialized;
         self.serial_vs_parallel += o.serial_vs_parallel;
         self.fault_vs_clean += o.fault_vs_clean;
@@ -124,8 +120,7 @@ impl OracleCounts {
 
     /// Whether every oracle pair ran at least once.
     pub fn all_exercised(&self) -> bool {
-        self.heap_vs_wheel > 0
-            && self.compiled_vs_wheel > 0
+        self.compiled_vs_event > 0
             && self.otf_vs_materialized > 0
             && self.serial_vs_parallel > 0
             && self.fault_vs_clean > 0
@@ -186,7 +181,7 @@ fn describe(o: &SimOutcome) -> String {
     )
 }
 
-/// Runs all five oracle pairs over one design. Never panics on a
+/// Runs all four oracle pairs over one design. Never panics on a
 /// divergence — every mismatch becomes a finding.
 fn run_design(
     d: &GeneratedDesign,
@@ -219,49 +214,27 @@ fn run_design(
 
     let scenario = to_flow_scenario(&d.scenario);
 
-    // Pair 1: calendar-queue wheel vs the seed's binary-heap scheduler.
-    let wheel = simulate_with(&d.compiled, &flow, &scenario, &delays, SchedulerKind::Wheel);
-    let heap = simulate_with(&d.compiled, &flow, &scenario, &delays, SchedulerKind::Heap);
-    v.checks.heap_vs_wheel += 1;
-    let wheel = match (wheel, heap) {
-        (Ok(w), Ok(h)) => {
-            if !w.same_result(&h) {
-                v.findings.push(finding(
-                    d,
-                    "heap_vs_wheel",
-                    format!("wheel: {} | heap: {}", describe(&w), describe(&h)),
-                ));
-            }
-            Some(w)
-        }
-        (w, h) => {
-            let detail = [("wheel", &w), ("heap", &h)]
-                .iter()
-                .filter_map(|(k, r)| r.as_ref().err().map(|e| format!("{k}: {e}")))
-                .collect::<Vec<_>>()
-                .join(" | ");
-            v.findings.push(finding(d, "heap_vs_wheel", detail));
-            w.ok()
-        }
-    };
-
-    if let Some(wheel) = &wheel {
+    let event = simulate(&d.compiled, &flow, &scenario, &delays)
+        .map_err(|e| v.findings.push(finding(d, "check", format!("event run failed: {e}"))))
+        .ok();
+    if let Some(event) = &event {
         // The family's modelled expectation, where one exists.
-        if wheel.completed {
-            if let Err(detail) = check_outcome(&d.scenario.check, wheel) {
+        if event.completed {
+            if let Err(detail) = check_outcome(&d.scenario.check, event) {
                 v.findings.push(finding(d, "check", detail));
             }
         } else {
             v.findings.push(finding(
                 d,
                 "check",
-                format!("wheel run did not complete: {}", describe(wheel)),
+                format!("event run did not complete: {}", describe(event)),
             ));
         }
 
-        // Pair 2: compiled tapes vs the wheel (untimed equality). The
-        // injected-divergence smoke perturbs the compiled outcome here, so
-        // a finding proves the *real* detection + reporting path.
+        // Pair 1: compiled tapes vs the event engine (untimed equality).
+        // Both run one lowered circuit, so a divergence is an evaluator
+        // bug. The injected-divergence smoke perturbs the compiled outcome
+        // here, so a finding proves the *real* detection + reporting path.
         let compiled = simulate_scenarios(
             &d.compiled,
             &flow,
@@ -271,7 +244,7 @@ fn run_design(
             1,
             None,
         );
-        v.checks.compiled_vs_wheel += 1;
+        v.checks.compiled_vs_event += 1;
         match compiled.into_iter().next() {
             Some(Ok(mut c)) => {
                 if inject_here {
@@ -280,24 +253,24 @@ fn run_design(
                     }
                     c.completed = !c.completed;
                 }
-                if !c.same_behaviour(wheel) {
+                if !c.same_behaviour(event) {
                     v.findings.push(finding(
                         d,
-                        "compiled_vs_wheel",
-                        format!("compiled: {} | wheel: {}", describe(&c), describe(wheel)),
+                        "compiled_vs_event",
+                        format!("compiled: {} | event: {}", describe(&c), describe(event)),
                     ));
                 }
             }
-            Some(Err(e)) => v.findings.push(finding(d, "compiled_vs_wheel", e.to_string())),
+            Some(Err(e)) => v.findings.push(finding(d, "compiled_vs_event", e.to_string())),
             None => v.findings.push(finding(
                 d,
-                "compiled_vs_wheel",
+                "compiled_vs_event",
                 "compiled backend returned no outcome".into(),
             )),
         }
     }
 
-    // Pair 3: on-the-fly vs materialized trace verification, over the
+    // Pair 2: on-the-fly vs materialized trace verification, over the
     // design's first few internal-channel obligations.
     match balsa_to_ch(&d.compiled.netlist) {
         Ok(ctrl) => {
@@ -333,7 +306,7 @@ fn run_design(
             .push(finding(d, "otf_vs_materialized", e.to_string())),
     }
 
-    // Pair 4a: compiled sim, 1 thread vs 4, over seeded scenario variants —
+    // Pair 3a: compiled sim, 1 thread vs 4, over seeded scenario variants —
     // per-lane bit-identical.
     if cfg.sim_variants > 0 {
         let variant_seed = derive_seed(cfg.seed, &d.name, &d.params, 0);
@@ -364,7 +337,7 @@ fn run_design(
         }
     }
 
-    // Pair 4b + pair 5: the serial per-instance reference flow must match
+    // Pair 3b + pair 4: the serial per-instance reference flow must match
     // the registry flow digest-for-digest, and a single-design flow with
     // an injected synthesis fault must fail with a typed error, never a
     // panic or a silent success.
@@ -550,7 +523,7 @@ mod tests {
         let hit: Vec<_> = report
             .findings
             .iter()
-            .filter(|f| f.oracle == "compiled_vs_wheel")
+            .filter(|f| f.oracle == "compiled_vs_event")
             .collect();
         assert_eq!(hit.len(), 1, "findings: {:?}", report.findings);
         assert!(!hit[0].family.is_empty());

@@ -19,6 +19,7 @@ pub mod csim;
 pub mod experiment;
 pub mod fault;
 pub mod gauntlet;
+pub mod lower;
 pub mod pipeline;
 pub mod profile;
 pub mod simbuild;
@@ -46,10 +47,8 @@ pub use pipeline::{
     FlowOptions, FlowResult,
 };
 pub use profile::PhaseProfile;
-pub use simbuild::{
-    simulate, simulate_all, simulate_with, Done, Scenario, SimBuildError, SimJob, SimOutcome,
-    SimStats,
-};
+pub use lower::{bind, lower};
+pub use simbuild::{simulate, simulate_with, Done, Scenario, SimBuildError, SimOutcome, SimStats};
 pub use table3::{
     check_outcome, run_design, run_design_with, run_designs_with, to_flow_scenario, BenchError,
 };

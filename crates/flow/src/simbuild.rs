@@ -1,15 +1,13 @@
-//! Builds a simulation of a complete design: the synthesized controllers
-//! plus behavioural datapath and a scripted environment.
+//! Simulates a complete design on the event engine: the synthesized
+//! controllers plus behavioural datapath and a scripted environment,
+//! lowered once by [`crate::lower`] into the circuit the compiled engine
+//! runs too.
 
-use crate::pipeline::FlowResult;
+use crate::lower::{bind, lower};
+use crate::pipeline::{ControllerArtifact, FlowResult};
 use bmbe_balsa::CompiledDesign;
-use bmbe_hsnet::{ComponentKind, Netlist, UnOp};
-use bmbe_sim::prims::{
-    ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerPrim, DataCh, Delays,
-    FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv, PushConsumerEnv,
-    SelectAdapterPrim, SyncResponderEnv, UnFuncPrim, VariablePrim,
-};
-use bmbe_sim::{NodeId, PrimId, SchedulerKind, Sim, SimBackend, Time};
+use bmbe_sim::prims::{ControllerPrim, Delays, MemoryPrim, PushConsumerEnv, SyncResponderEnv};
+use bmbe_sim::{Circuit, NodeId, SchedulerKind, SimBackend, Time};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -70,9 +68,6 @@ impl Scenario {
 pub struct SimStats {
     /// The backend the run used.
     pub backend: SimBackend,
-    /// The scheduler the run used (meaningful only on the event backend;
-    /// the compiled backend has no event queue).
-    pub scheduler: SchedulerKind,
     /// Scenario lanes sharing the run (1 on the event backend, up to 64 on
     /// the compiled backend — every outcome of a batch reports the batch's
     /// lane count and wall time).
@@ -84,11 +79,10 @@ pub struct SimStats {
     pub peak_queue_depth: usize,
     /// Host wall-clock seconds spent inside the event loop.
     pub wall_s: f64,
-    /// Events that overflowed the wheel horizon into the far heap (zero on
-    /// the heap oracle).
+    /// Always 0: the event engine's one scheduler has no overflow heap.
+    /// Kept because the frozen benchmark harness
+    /// (`perfbench/src/simstep.rs`) reads it.
     pub far_heap_hits: u64,
-    /// Wheel rebases (bucket-width refits; zero on the heap oracle).
-    pub refits: u64,
     /// Processed events per host wall-clock second.
     pub events_per_s: f64,
 }
@@ -115,8 +109,8 @@ pub struct SimOutcome {
 impl SimOutcome {
     /// Whether two runs simulated identical behaviour: same completion,
     /// simulated time, event count, port data, and memory contents. Stats
-    /// (wall time, queue depth, scheduler) are ignored — this is the
-    /// equality the wheel-vs-heap differential checks assert.
+    /// (wall time, queue depth) are ignored — this is the equality the
+    /// serial-vs-parallel and determinism checks assert.
     pub fn same_result(&self, other: &SimOutcome) -> bool {
         self.completed == other.completed
             && self.time_ns == other.time_ns
@@ -183,64 +177,8 @@ impl fmt::Display for SimBuildError {
 
 impl std::error::Error for SimBuildError {}
 
-struct ChannelTable {
-    chans: HashMap<String, DataCh>,
-}
-
-impl ChannelTable {
-    fn get(&mut self, sim: &mut Sim, name: &str) -> DataCh {
-        if let Some(&c) = self.chans.get(name) {
-            return c;
-        }
-        let c = DataCh {
-            req: sim.node(&format!("{name}_r")),
-            ack: sim.node(&format!("{name}_a")),
-            slot: sim.slot(),
-        };
-        self.chans.insert(name.to_string(), c);
-        c
-    }
-}
-
-/// Channels pulled through a select adapter (case/while selectors) use a
-/// renamed provider side.
-pub(crate) fn provider_name(name: &str) -> String {
-    format!("{name}$p")
-}
-
-/// One independent simulation job for [`simulate_all`].
-pub struct SimJob<'a> {
-    /// The compiled design.
-    pub design: &'a CompiledDesign,
-    /// Its synthesized flow artifacts.
-    pub flow: &'a FlowResult,
-    /// The scenario to run.
-    pub scenario: &'a Scenario,
-    /// The scheduler to run it on.
-    pub scheduler: SchedulerKind,
-}
-
-/// Runs independent simulation scenarios across worker threads; results
-/// come back in job order, each identical to a serial [`simulate_with`]
-/// call (simulations share nothing, so parallelism cannot change them).
-pub fn simulate_all(
-    jobs: &[SimJob<'_>],
-    delays: &Delays,
-    threads: usize,
-) -> Vec<Result<SimOutcome, SimBuildError>> {
-    bmbe_par::par_try_map(
-        jobs,
-        threads,
-        |i, job| format!("sim job {i} ({})", job.design.netlist.name()),
-        |_, job| simulate_with(job.design, job.flow, job.scenario, delays, job.scheduler),
-    )
-    .into_iter()
-    .map(|slot| slot.unwrap_or_else(|job| Err(SimBuildError::Panic(job.payload))))
-    .collect()
-}
-
-/// Simulates a design with its synthesized controllers, on the production
-/// event-wheel scheduler.
+/// Simulates a design with its synthesized controllers on the event
+/// engine.
 ///
 /// # Errors
 ///
@@ -251,12 +189,14 @@ pub fn simulate(
     scenario: &Scenario,
     delays: &Delays,
 ) -> Result<SimOutcome, SimBuildError> {
-    simulate_with(design, flow, scenario, delays, SchedulerKind::default())
+    let build = bmbe_obs::span!("sim.build", "sim");
+    let circuit = lower(design, flow, |port| scenario.input_values.contains_key(port));
+    simulate_circuit(&circuit, flow, scenario, delays, build)
 }
 
-/// Simulates a design on a chosen scheduler. [`SchedulerKind::Heap`] is the
-/// seed engine, kept for before/after benchmarks and the differential
-/// tests; both schedulers produce [`SimOutcome::same_result`] outcomes.
+/// [`simulate`] for callers that name a scheduler. The event engine has
+/// one scheduler, so `_scheduler` is ignored; the function stays because
+/// the frozen benchmark harness (`perfbench/src/simstep.rs`) calls it.
 ///
 /// # Errors
 ///
@@ -266,345 +206,66 @@ pub fn simulate_with(
     flow: &FlowResult,
     scenario: &Scenario,
     delays: &Delays,
-    scheduler: SchedulerKind,
+    _scheduler: SchedulerKind,
 ) -> Result<SimOutcome, SimBuildError> {
-    let _sim_span = bmbe_obs::span!("sim.build", "sim");
-    let netlist = &design.netlist;
-    // `Auto` picks the scheduler by design size (handshake components plus
-    // synthesized controllers ~ primitive count).
-    let scheduler = scheduler.resolve(flow.controllers.len() + netlist.components().len());
-    let mut sim = Sim::with_scheduler(scheduler);
-    let mut table = ChannelTable {
-        chans: HashMap::new(),
-    };
+    simulate(design, flow, scenario, delays)
+}
 
-    // Select channels needing an adapter, with branch counts.
-    let mut adapted: HashMap<String, usize> = HashMap::new();
-    for comp in netlist.components() {
-        match &comp.kind {
-            ComponentKind::Case { branches } => {
-                let name = netlist.channel(comp.channels[1]).name.clone();
-                adapted.insert(name, *branches);
-            }
-            ComponentKind::While => {
-                let name = netlist.channel(comp.channels[1]).name.clone();
-                adapted.insert(name, 2);
-            }
-            _ => {}
-        }
-    }
+/// The event engine's timed primitive for a controller: its covers and
+/// initial code, with each output delayed by its mapped arrival time (or
+/// its template's delay) plus the wire delay.
+fn controller_prim(
+    art: &ControllerArtifact,
+    inputs: &[NodeId],
+    outputs: &[NodeId],
+    delays: &Delays,
+) -> ControllerPrim {
+    let output_delays: Vec<Time> = art
+        .controller
+        .outputs
+        .iter()
+        .map(|n| {
+            let ns = match art.template {
+                Some(t) => t.delay_ns,
+                None => art.mapped.output_delays.get(n).copied().unwrap_or(0.1),
+            };
+            (ns * 1000.0) as Time + delays.wire
+        })
+        .collect();
+    ControllerPrim::new(
+        inputs.to_vec(),
+        outputs.to_vec(),
+        art.controller.output_covers.clone(),
+        art.controller.next_state_covers.clone(),
+        art.controller.initial_code,
+        output_delays,
+    )
+}
 
-    // Controllers.
-    for art in &flow.controllers {
-        let inputs: Vec<NodeId> = art.controller.inputs.iter().map(|n| sim.node(n)).collect();
-        let outputs: Vec<NodeId> = art.controller.outputs.iter().map(|n| sim.node(n)).collect();
-        let output_delays: Vec<Time> = art
-            .controller
-            .outputs
-            .iter()
-            .map(|n| {
-                let ns = match art.template {
-                    Some(t) => t.delay_ns,
-                    None => art.mapped.output_delays.get(n).copied().unwrap_or(0.1),
-                };
-                (ns * 1000.0) as Time + delays.wire
-            })
-            .collect();
-        let prim = ControllerPrim::new(
-            inputs.clone(),
-            outputs,
-            art.controller.output_covers.clone(),
-            art.controller.next_state_covers.clone(),
-            art.controller.initial_code,
-            output_delays,
-        );
-        sim.add_prim(Box::new(prim), &inputs);
-    }
-
-    // Select adapters.
-    for (chan, branches) in &adapted {
-        let sel_req = sim.node(&format!("{chan}_r"));
-        let sel_acks: Vec<NodeId> = (0..*branches)
-            .map(|i| sim.node(&format!("{chan}_a{i}")))
-            .collect();
-        let provider = table.get(&mut sim, &provider_name(chan));
-        let watch: Vec<NodeId> = [sel_req, provider.ack].into();
-        sim.add_prim(
-            Box::new(SelectAdapterPrim::new(
-                sel_req,
-                sel_acks,
-                provider,
-                delays.select,
-            )),
-            &watch,
-        );
-    }
-
-    // Datapath components.
-    let chan_name = |netlist: &Netlist, comp: &bmbe_hsnet::Component, port: usize| -> String {
-        let raw = netlist.channel(comp.channels[port]).name.clone();
-        if adapted.contains_key(&raw) {
-            provider_name(&raw)
-        } else {
-            raw
-        }
-    };
-    let mut mem_prims: Vec<(String, PrimId)> = Vec::new();
-    for comp in netlist.components() {
-        match &comp.kind {
-            ComponentKind::Variable { reads, .. } => {
-                let write = table.get(&mut sim, &chan_name(netlist, comp, 0));
-                let read_chs: Vec<DataCh> = (0..*reads)
-                    .map(|i| {
-                        let name = chan_name(netlist, comp, 1 + i);
-                        table.get(&mut sim, &name)
-                    })
-                    .collect();
-                let mut watch = vec![write.req];
-                watch.extend(read_chs.iter().map(|c| c.req));
-                sim.add_prim(
-                    Box::new(VariablePrim {
-                        value: 0,
-                        write,
-                        reads: read_chs,
-                        wdelay: delays.var_write,
-                        rdelay: delays.var_read,
-                    }),
-                    &watch,
-                );
-            }
-            ComponentKind::Constant { value, .. } => {
-                let ch = table.get(&mut sim, &chan_name(netlist, comp, 0));
-                sim.add_prim(
-                    Box::new(ConstantPrim {
-                        ch,
-                        value: *value,
-                        delay: delays.constant,
-                    }),
-                    &[ch.req],
-                );
-            }
-            ComponentKind::BinaryFunc { op, .. } => {
-                let out = table.get(&mut sim, &chan_name(netlist, comp, 0));
-                let lhs = table.get(&mut sim, &chan_name(netlist, comp, 1));
-                let rhs = table.get(&mut sim, &chan_name(netlist, comp, 2));
-                sim.add_prim(
-                    Box::new(BinFuncPrim {
-                        op: *op,
-                        out,
-                        lhs,
-                        rhs,
-                        delay: delays.binop(*op),
-                    }),
-                    &[out.req, lhs.ack, rhs.ack],
-                );
-            }
-            ComponentKind::UnaryFunc { op, .. } => {
-                let out = table.get(&mut sim, &chan_name(netlist, comp, 0));
-                let operand = table.get(&mut sim, &chan_name(netlist, comp, 1));
-                let delay = if *op == UnOp::Id { 1 } else { delays.unary };
-                sim.add_prim(
-                    Box::new(UnFuncPrim {
-                        op: *op,
-                        out,
-                        operand,
-                        delay,
-                    }),
-                    &[out.req, operand.ack],
-                );
-            }
-            ComponentKind::CallMux { inputs, .. } => {
-                let ins: Vec<DataCh> = (0..*inputs)
-                    .map(|i| {
-                        let name = chan_name(netlist, comp, i);
-                        table.get(&mut sim, &name)
-                    })
-                    .collect();
-                let out = table.get(&mut sim, &chan_name(netlist, comp, *inputs));
-                let mut watch: Vec<NodeId> = ins.iter().map(|c| c.req).collect();
-                watch.push(out.ack);
-                sim.add_prim(Box::new(CallMuxPrim::new(ins, out, delays.mux)), &watch);
-            }
-            ComponentKind::PullMux { clients, .. } => {
-                let cl: Vec<DataCh> = (0..*clients)
-                    .map(|i| {
-                        let name = chan_name(netlist, comp, i);
-                        table.get(&mut sim, &name)
-                    })
-                    .collect();
-                let source = table.get(&mut sim, &chan_name(netlist, comp, *clients));
-                let mut watch: Vec<NodeId> = cl.iter().map(|c| c.req).collect();
-                watch.push(source.ack);
-                sim.add_prim(Box::new(PullMuxPrim::new(cl, source, delays.mux)), &watch);
-            }
-            ComponentKind::Memory {
-                words,
-                reads,
-                writes,
-                ..
-            } => {
-                // The memory's declared name is the first channel's prefix
-                // ("m_rd0" -> "m").
-                let mem_name = netlist
-                    .channel(comp.channels[0])
-                    .name
-                    .strip_suffix("_rd0")
-                    .unwrap_or("mem")
-                    .to_string();
-                let mut port = 0;
-                let mut rsites = Vec::new();
-                for _ in 0..*reads {
-                    let data = table.get(&mut sim, &chan_name(netlist, comp, port));
-                    let addr = table.get(&mut sim, &chan_name(netlist, comp, port + 1));
-                    rsites.push(MemSite { data, addr });
-                    port += 2;
-                }
-                let mut wsites = Vec::new();
-                for _ in 0..*writes {
-                    let data = table.get(&mut sim, &chan_name(netlist, comp, port));
-                    let addr = table.get(&mut sim, &chan_name(netlist, comp, port + 1));
-                    wsites.push(MemSite { data, addr });
-                    port += 2;
-                }
-                let mut watch = Vec::new();
-                for s in rsites.iter().chain(&wsites) {
-                    watch.push(s.data.req);
-                    watch.push(s.addr.ack);
-                }
-                let mut prim = MemoryPrim::new(*words, rsites, wsites, delays.memory);
-                if let Some(init) = scenario.memory_init.get(&mem_name) {
-                    for (i, v) in init.iter().enumerate().take(prim.words.len()) {
-                        prim.words[i] = *v;
-                    }
-                }
-                let id = sim.add_prim(Box::new(prim), &watch);
-                mem_prims.push((mem_name, id));
-            }
-            ComponentKind::Fetch => {
-                // The control is synthesized; add the bundled-data copy.
-                let pull = table.get(&mut sim, &chan_name(netlist, comp, 1));
-                let push = table.get(&mut sim, &chan_name(netlist, comp, 2));
-                sim.add_prim(Box::new(FetchDataPrim { pull, push }), &[pull.ack]);
-            }
-            _ => {}
-        }
-    }
-
-    // Environment: activation driver.
-    let act_name = netlist.channel(design.activate).name.clone();
-    let act_req = sim.node(&format!("{act_name}_r"));
-    let act_ack = sim.node(&format!("{act_name}_a"));
-    let driver = sim.add_prim(
-        Box::new(ActivationDriverEnv {
-            req: act_req,
-            ack: act_ack,
-            cycles: scenario.activation_cycles,
-            completions: 0,
-            done_time: None,
-            delay: delays.env,
-        }),
-        &[act_ack],
-    );
-
-    // Environment: ports.
-    let mut sync_env: HashMap<String, PrimId> = HashMap::new();
-    let mut out_env: HashMap<String, PrimId> = HashMap::new();
-    for (name, &chid) in &design.port_channels {
-        let channel = netlist.channel(chid);
-        if channel.width == 0 {
-            // sync port: design is active, environment passive.
-            let req = sim.node(&format!("{name}_r"));
-            let ack = sim.node(&format!("{name}_a"));
-            let id = sim.add_prim(
-                Box::new(SyncResponderEnv {
-                    req,
-                    ack,
-                    delay: delays.env,
-                    count: 0,
-                }),
-                &[req],
-            );
-            sync_env.insert(name.clone(), id);
-        } else {
-            // Determine direction: if the external side is the passive end,
-            // the design pulls (input port) or pushes (output port)?
-            // Input ports: design pulls -> env passive provider.
-            // Output ports: design pushes -> env passive consumer.
-            // Distinguish by which side is external: both are passive-
-            // external in our compilation; use scripted inputs to decide.
-            let ch = table.get(&mut sim, name);
-            if scenario.input_values.contains_key(name) {
-                let values = scenario.input_values[name].clone();
-                sim.add_prim(
-                    Box::new(PullProviderEnv {
-                        ch,
-                        values,
-                        ix: 0,
-                        delay: delays.env,
-                    }),
-                    &[ch.req],
-                );
-            } else {
-                let id = sim.add_prim(
-                    Box::new(PushConsumerEnv {
-                        ch,
-                        received: Vec::new(),
-                        delay: delays.env,
-                    }),
-                    &[ch.req],
-                );
-                out_env.insert(name.clone(), id);
-            }
-        }
-    }
-
-    // Done condition, with the port name resolved to its primitive up
-    // front: the closure runs once per event, so it must not re-hash the
-    // port string every time.
-    enum DoneCheck {
-        Activations { driver: PrimId, n: usize },
-        Outputs { id: PrimId, count: usize },
-        Syncs { id: PrimId, count: usize },
-    }
-    let check = match &scenario.done {
-        Done::Activations(n) => DoneCheck::Activations { driver, n: *n },
-        Done::Outputs { port, count } => DoneCheck::Outputs {
-            id: *out_env
-                .get(port)
-                .ok_or_else(|| SimBuildError::UnknownPort(port.clone()))?,
-            count: *count,
-        },
-        Done::Syncs { port, count } => DoneCheck::Syncs {
-            id: *sync_env
-                .get(port)
-                .ok_or_else(|| SimBuildError::UnknownPort(port.clone()))?,
-            count: *count,
-        },
-    };
-    if std::env::var("BMBE_SIM_TRACE").is_ok() {
-        sim.trace = true;
+/// Runs one scenario on the event engine over a lowered circuit. `build`
+/// is the open `sim.build` span, closed once the simulation is set up.
+pub(crate) fn simulate_circuit(
+    circuit: &Circuit,
+    flow: &FlowResult,
+    scenario: &Scenario,
+    delays: &Delays,
+    build: bmbe_obs::SpanGuard,
+) -> Result<SimOutcome, SimBuildError> {
+    let lane = bind(circuit, scenario)?;
+    let mut sim = circuit.event_sim(&lane, delays, |k, inputs, outputs| {
+        controller_prim(&flow.controllers[k], inputs, outputs, delays)
+    });
+    if std::env::var_os("BMBE_SIM_TRACE").is_some() {
+        sim.trace_wires(circuit.wire_names.clone());
         // The wire-change log goes through `vlog!` at level 1; asking for a
         // sim trace implies asking for that verbosity.
         bmbe_obs::ensure_verbosity(1);
     }
     sim.init();
-    drop(_sim_span);
+    drop(build);
     let run_span = bmbe_obs::span!("sim.run", "sim");
     let loop_start = Instant::now();
-    let completed = sim.run_until(
-        |s| match check {
-            DoneCheck::Activations { driver, n } => s
-                .prim::<ActivationDriverEnv>(driver)
-                .is_some_and(|d| d.completions >= n),
-            DoneCheck::Outputs { id, count } => s
-                .prim::<PushConsumerEnv>(id)
-                .is_some_and(|c| c.received.len() >= count),
-            DoneCheck::Syncs { id, count } => s
-                .prim::<SyncResponderEnv>(id)
-                .is_some_and(|c| c.count >= count),
-        },
-        scenario.max_time,
-    );
+    let completed = sim.run_until(|s| lane.done.met(s), scenario.max_time);
     let wall_s = loop_start.elapsed().as_secs_f64();
     drop(run_span);
     let events_per_s = if wall_s > 0.0 {
@@ -613,58 +274,42 @@ pub fn simulate_with(
         0.0
     };
     bmbe_obs::trace_counter!("sim.events", sim.events_processed);
-    bmbe_obs::trace_counter!("sim.far_heap_hits", sim.far_heap_hits());
-    bmbe_obs::trace_counter!("sim.refits", sim.refit_count());
     bmbe_obs::gauge!("sim.events_per_s").set(events_per_s as i64);
-    let outputs: HashMap<String, Vec<u64>> = out_env
-        .iter()
-        .map(|(name, &id)| {
-            (
-                name.clone(),
-                sim.prim::<PushConsumerEnv>(id)
-                    .map(|c| c.received.clone())
-                    .unwrap_or_default(),
-            )
-        })
-        .collect();
-    let sync_counts: HashMap<String, usize> = sync_env
-        .iter()
-        .map(|(name, &id)| {
-            (
-                name.clone(),
-                sim.prim::<SyncResponderEnv>(id)
-                    .map(|c| c.count)
-                    .unwrap_or(0),
-            )
-        })
-        .collect();
-    let memories: HashMap<String, Vec<u64>> = mem_prims
-        .iter()
-        .map(|(name, id)| {
-            (
-                name.clone(),
-                sim.prim::<MemoryPrim>(*id)
-                    .map(|m| m.words.clone())
-                    .unwrap_or_default(),
-            )
-        })
-        .collect();
     Ok(SimOutcome {
         completed,
         time_ns: sim.now() as f64 / 1000.0,
         events: sim.events_processed,
-        outputs,
-        sync_counts,
-        memories,
+        outputs: circuit
+            .consumers
+            .iter()
+            .map(|(name, p)| {
+                let received = sim.prim::<PushConsumerEnv>(*p).map(|c| c.received.clone());
+                (name.clone(), received.unwrap_or_default())
+            })
+            .collect(),
+        sync_counts: circuit
+            .syncs
+            .iter()
+            .map(|(name, p)| {
+                let count = sim.prim::<SyncResponderEnv>(*p).map_or(0, |c| c.count);
+                (name.clone(), count)
+            })
+            .collect(),
+        memories: circuit
+            .memories
+            .iter()
+            .map(|(name, p)| {
+                let words = sim.prim::<MemoryPrim>(*p).map(|m| m.words.clone());
+                (name.clone(), words.unwrap_or_default())
+            })
+            .collect(),
         stats: SimStats {
-            backend: SimBackend::EventWheel,
-            scheduler,
+            backend: SimBackend::Event,
             lanes: 1,
             waves: 0,
             peak_queue_depth: sim.peak_queue_depth(),
             wall_s,
-            far_heap_hits: sim.far_heap_hits(),
-            refits: sim.refit_count(),
+            far_heap_hits: 0,
             events_per_s,
         },
     })

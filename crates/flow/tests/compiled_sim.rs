@@ -1,18 +1,22 @@
 //! Differential property tests for the bit-parallel compiled backend:
 //! every per-scenario outcome must match the event-engine oracle's
 //! *behaviour* (completion, port traffic, memory contents) exactly — on
-//! all four paper designs, on randomized scenario batches, on partial
-//! batches narrower than a lane word, and bit-identically at any worker
-//! thread count.
+//! all four paper designs, on a generated-corpus slice, on randomized
+//! scenario batches, on partial batches narrower than a lane word, and
+//! bit-identically at any worker thread count — and the one lowering both
+//! engines run must not depend on hash-map order.
 
-use bmbe_designs::{all_designs, scenario_variants, Design};
+use bmbe_designs::corpus::{generate_corpus, CorpusSpec};
+use bmbe_designs::{all_designs, derive_seed, scenario_variants, variants_of, Design};
 use bmbe_flow::{
-    check_outcome, run_control_flow_with, simulate_scenarios, to_flow_scenario, ControllerCache,
-    FaultKind, FaultPhase, FaultPlan, FlowOptions, FlowResult, Scenario, SimBackend,
-    SimBuildError,
+    batch_input_ports, check_outcome, lower, run_control_flow_with, simulate, simulate_scenarios,
+    to_flow_scenario, ControllerCache, FaultKind, FaultPhase, FaultPlan, FlowOptions, FlowResult,
+    Scenario, SimBackend, SimBuildError,
 };
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
+use bmbe_sim::{Part, LANES};
+use std::collections::{BTreeSet, HashMap};
 
 fn flows(designs: &[Design]) -> Vec<FlowResult> {
     let library = Library::cmos035();
@@ -56,7 +60,7 @@ fn compiled_matches_event_oracle_on_all_designs() {
             &flow,
             &scenarios,
             &delays,
-            SimBackend::EventWheel,
+            SimBackend::Event,
             4,
             None,
         );
@@ -95,6 +99,125 @@ fn bm_seed(design: &Design) -> u64 {
     design.name.bytes().map(u64::from).sum::<u64>() * 0x9e37_79b9
 }
 
+/// Corpus traffic: the first 48 seed-11 corpus designs, 64 variants each.
+/// Every compiled lane must reproduce the event engine's behaviour, and
+/// the event engine's batch path (one lowering for all scenarios) must
+/// reproduce single-scenario runs exactly. The slice must cover every
+/// corpus family, a case/while select adapter, and a design scripting
+/// two or more data ports.
+#[test]
+fn compiled_matches_event_engine_on_corpus_slice() {
+    let corpus = generate_corpus(&CorpusSpec {
+        seed: 11,
+        designs: 48,
+    })
+    .expect("corpus builds");
+    let library = Library::cmos035();
+    let cache = ControllerCache::new();
+    let delays = Delays::default();
+    let mut families = BTreeSet::new();
+    let (mut adapters, mut multi_port) = (0, 0);
+    for d in &corpus {
+        let flow = run_control_flow_with(&d.compiled, &FlowOptions::optimized(), &library, &cache)
+            .unwrap_or_else(|e| panic!("{}: flow: {e}", d.name));
+        let seed = derive_seed(11, &d.name, &d.params, 0);
+        let scenarios: Vec<Scenario> = variants_of(&d.scenario, LANES, seed)
+            .iter()
+            .map(to_flow_scenario)
+            .collect();
+        let ports = batch_input_ports(&scenarios);
+        let circuit = lower(&d.compiled, &flow, |p| ports.contains(p));
+        families.insert(d.family);
+        if circuit.parts.iter().any(|p| matches!(p, Part::SelectAdapter { .. })) {
+            adapters += 1;
+        }
+        if circuit.providers.len() >= 2 {
+            multi_port += 1;
+        }
+        let compiled = simulate_scenarios(
+            &d.compiled,
+            &flow,
+            &scenarios,
+            &delays,
+            SimBackend::Compiled,
+            2,
+            None,
+        );
+        let event = simulate_scenarios(
+            &d.compiled,
+            &flow,
+            &scenarios,
+            &delays,
+            SimBackend::Event,
+            2,
+            None,
+        );
+        for (lane, (c, e)) in compiled.iter().zip(&event).enumerate() {
+            let c = c
+                .as_ref()
+                .unwrap_or_else(|err| panic!("{}: compiled lane {lane}: {err}", d.name));
+            let e = e
+                .as_ref()
+                .unwrap_or_else(|err| panic!("{}: event lane {lane}: {err}", d.name));
+            assert!(
+                c.same_behaviour(e),
+                "{}: lane {lane} diverged:\ncompiled: {:?} {:?} {:?}\nevent:    {:?} {:?} {:?}",
+                d.name,
+                c.outputs,
+                c.sync_counts,
+                c.memories,
+                e.outputs,
+                e.sync_counts,
+                e.memories
+            );
+            if lane < 8 {
+                let solo = simulate(&d.compiled, &flow, &scenarios[lane], &delays)
+                    .unwrap_or_else(|err| panic!("{}: solo lane {lane}: {err}", d.name));
+                assert!(
+                    solo.same_result(e),
+                    "{}: lane {lane}: batch and single event runs differ",
+                    d.name
+                );
+            }
+        }
+    }
+    assert_eq!(
+        families.into_iter().collect::<Vec<_>>(),
+        ["calltree", "pipeline", "ring", "rnd", "wagging"],
+        "the slice must cover every corpus family"
+    );
+    assert!(adapters > 0, "no design in the slice has a select adapter");
+    assert!(multi_port > 0, "no design in the slice scripts two data ports");
+}
+
+/// The lowering never iterates a hash map: a design whose port map is
+/// rebuilt in fresh `HashMap`s (each with its own iteration order) lowers
+/// to the identical circuit.
+#[test]
+fn lowering_ignores_port_map_order() {
+    let designs = all_designs().expect("designs build");
+    let stack = designs.iter().find(|d| d.name == "Stack").unwrap();
+    assert!(stack.compiled.port_channels.len() >= 3, "Stack has several ports");
+    let flow = flows(std::slice::from_ref(stack)).remove(0);
+    let scenario = to_flow_scenario(&stack.scenario);
+    let is_input = |p: &str| scenario.input_values.contains_key(p);
+    let reference = lower(&stack.compiled, &flow, is_input);
+    assert!(reference.providers.len() >= 2, "Stack scripts two data ports");
+    let mut orders = BTreeSet::new();
+    for _ in 0..16 {
+        let mut rebuilt = stack.compiled.clone();
+        rebuilt.port_channels = stack
+            .compiled
+            .port_channels
+            .iter()
+            .map(|(k, &v)| (k.clone(), v))
+            .collect::<HashMap<_, _>>();
+        orders.insert(rebuilt.port_channels.keys().cloned().collect::<Vec<_>>());
+        assert_eq!(lower(&rebuilt, &flow, is_input), reference);
+    }
+    assert!(orders.len() > 1, "the rebuilt port maps never changed order");
+}
+
 /// A partial batch (fewer scenarios than lanes) must behave exactly like
 /// the oracle; the dead upper lanes are padding only.
 #[test]
@@ -118,7 +241,7 @@ fn partial_batches_match_the_oracle() {
         &flow,
         &scenarios,
         &delays,
-        SimBackend::EventWheel,
+        SimBackend::Event,
         2,
         None,
     );
@@ -244,7 +367,7 @@ fn auto_backend_dispatches_by_batch_size() {
         None,
     );
     let o = r[0].as_ref().expect("single scenario");
-    assert_eq!(o.stats.backend, SimBackend::EventWheel);
+    assert_eq!(o.stats.backend, SimBackend::Event);
     assert!(o.time_ns > 0.0, "event runs are timed");
     let three = variants(counter, 3, 1);
     let r = simulate_scenarios(
@@ -327,7 +450,7 @@ fn sim_compile_fault_surfaces_as_typed_error() {
         &flow,
         &scenarios,
         &delays,
-        SimBackend::EventWheel,
+        SimBackend::Event,
         2,
         Some(&plan),
     );

@@ -2,14 +2,16 @@
 //!
 //! Instead of scheduling discrete events, a [`CompiledCircuit`] evaluates
 //! **64 independent scenarios at once**: every wire holds a `u64` *lane
-//! word* whose bit `L` is the wire's value in scenario lane `L`. Mapped
-//! controller netlists are levelized (via [`bmbe_hsnet::levelize`]) into
-//! straight-line instruction tapes — one [`TapeOp`] per cell, evaluated
-//! with [`CellKind::eval_lanes`] — and the asynchronous state feedback is
-//! resolved by a settle-to-fixpoint loop per activation, mirroring the
-//! event engine's `ControllerPrim::settle` exactly (lane-wise: a lane at
-//! its fixpoint is unchanged by further iterations, so mixed-convergence
-//! batches still match the scalar oracle bit for bit).
+//! word* whose bit `L` is the wire's value in scenario lane `L`. It runs
+//! the same [`Circuit`] the event engine instantiates, part for part.
+//! Mapped controller netlists are levelized (via
+//! [`bmbe_hsnet::levelize`]) into straight-line instruction tapes — one
+//! [`TapeOp`] per cell, evaluated with [`CellKind::eval_lanes`] — and the
+//! asynchronous state feedback is resolved by a settle-to-fixpoint loop
+//! per activation, mirroring the event engine's `ControllerPrim::settle`
+//! exactly (lane-wise: a lane at its fixpoint is unchanged by further
+//! iterations, so mixed-convergence batches still match the scalar engine
+//! bit for bit).
 //!
 //! The run itself is a *wave* loop with unit-delay (Jacobi) semantics:
 //! all wire writes scheduled in wave `k` apply simultaneously at the start
@@ -21,20 +23,22 @@
 //! `Ctx::write_slot`.
 //!
 //! The backend is untimed: per-scenario *behaviour* (completion, port
-//! traffic, memory contents) matches the event-wheel oracle — asserted by
-//! the differential property tests — while `time_ns` does not exist here.
-//! The event wheel remains the timing/hazard oracle.
+//! traffic, memory contents) matches the event engine — asserted by the
+//! differential tests — while `time_ns` does not exist here. The event
+//! engine remains the timing/hazard reference.
 //!
 //! Lanes complete independently: when a lane's done condition first holds
 //! at the end of a wave, the lane is removed from the live mask and its
 //! pending writes are cancelled — the analogue of the event engine
 //! stopping at the done event and leaving the queue unprocessed.
 
-use bmbe_gates::CellKind;
-use bmbe_hsnet::{levelize, BinOp, UnOp};
+use bmbe_gates::{CellKind, MappedGate};
+use bmbe_hsnet::levelize;
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::circuit::{Circuit, DoneSpec, LaneSpec, Part};
+use crate::engine::{NodeId, PrimId, SlotId};
 use crate::prims::{eval_binop, eval_unop};
 
 /// Number of scenario lanes a batch evaluates at once (the bits of a
@@ -44,9 +48,8 @@ pub const LANES: usize = 64;
 /// Which simulation backend runs a scenario set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
-    /// The event-driven engine (wheel or heap scheduler) — the timing and
-    /// hazard oracle.
-    EventWheel,
+    /// The event-driven engine — the timing and hazard reference.
+    Event,
     /// The bit-parallel compiled engine: 64 scenarios per lane word.
     Compiled,
     /// Compiled for batches of more than one scenario, the event engine
@@ -60,7 +63,7 @@ impl SimBackend {
     pub fn resolve(self, scenarios: usize) -> SimBackend {
         match self {
             SimBackend::Auto if scenarios > 1 => SimBackend::Compiled,
-            SimBackend::Auto => SimBackend::EventWheel,
+            SimBackend::Auto => SimBackend::Event,
             other => other,
         }
     }
@@ -68,56 +71,11 @@ impl SimBackend {
     /// The backend's report name.
     pub fn name(self) -> &'static str {
         match self {
-            SimBackend::EventWheel => "event_wheel",
+            SimBackend::Event => "event",
             SimBackend::Compiled => "compiled",
             SimBackend::Auto => "auto",
         }
     }
-}
-
-/// A wire in the compiled circuit: one `u64` lane word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CWire(pub u32);
-
-/// A per-lane data slot (64 `u64` values, one per lane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CSlot(pub u32);
-
-/// A compiled primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CPrim(pub u32);
-
-/// A four-phase bundled-data channel endpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct CCh {
-    /// Request wire.
-    pub req: CWire,
-    /// Acknowledge wire.
-    pub ack: CWire,
-    /// Data slot.
-    pub slot: CSlot,
-}
-
-/// One read or write site of a compiled memory.
-#[derive(Debug, Clone, Copy)]
-pub struct CSite {
-    /// Data channel.
-    pub data: CCh,
-    /// Address channel.
-    pub addr: CCh,
-}
-
-/// A mapped gate handed to [`CircuitBuilder::add_controller`]: cell kind,
-/// input subject-node ids, output subject-node id (mirrors
-/// `bmbe_gates::MappedGate` without depending on the mapping structs).
-#[derive(Debug, Clone)]
-pub struct GateSpec {
-    /// The cell.
-    pub cell: CellKind,
-    /// Input subject-node ids.
-    pub inputs: Vec<usize>,
-    /// Output subject-node id.
-    pub output: usize,
 }
 
 /// One instruction of a controller tape: opcode (the cell kind), up to
@@ -135,16 +93,12 @@ pub struct TapeOp {
 }
 
 /// A levelized controller instruction tape. Scratch slots are the subject
-/// nodes: slots `0..inputs.len()` load from the input wires, slots
-/// `inputs.len()..inputs.len()+num_state` load from the fed-back state
-/// word (the feedback arcs the settle loop iterates), constant-one slots
-/// are preset, and the ops write the rest in level order.
+/// nodes: slots `0..inputs` load from the controller part's input wires,
+/// slots `inputs..inputs+num_state` load from the fed-back state word (the
+/// feedback arcs the settle loop iterates), constant-one slots are
+/// preset, and the ops write the rest in level order.
 #[derive(Debug, Clone)]
 pub struct ControllerTape {
-    /// Input wires, in function-variable order.
-    pub inputs: Vec<CWire>,
-    /// Output wires, matching `out_roots`.
-    pub outputs: Vec<CWire>,
     /// Number of state bits (the feedback arcs).
     pub num_state: usize,
     /// Scratch slots needed (= subject nodes).
@@ -153,7 +107,8 @@ pub struct ControllerTape {
     pub ones: Vec<u16>,
     /// The instructions, in levelized topological order.
     pub ops: Vec<TapeOp>,
-    /// Scratch slot of each output function root.
+    /// Scratch slot of each output function root, matching the part's
+    /// output wires.
     pub out_roots: Vec<u16>,
     /// Scratch slot of each next-state function root — the feedback arcs:
     /// these values are written back into the state input slots on the
@@ -211,31 +166,11 @@ impl std::error::Error for CompileError {}
 
 const NO_ACTIVE: u16 = u16::MAX;
 
-/// A compiled primitive's specification (behavioural ops mirror the event
-/// primitives in [`crate::prims`] one for one).
-#[derive(Debug, Clone)]
-enum POp {
-    Controller(usize),
-    Constant { ch: CCh, value: u64 },
-    Variable { write: CCh, reads: Vec<CCh> },
-    BinFunc { op: BinOp, out: CCh, lhs: CCh, rhs: CCh },
-    UnFunc { op: UnOp, out: CCh, operand: CCh },
-    CallMux { ins: Vec<CCh>, out: CCh },
-    PullMux { clients: Vec<CCh>, source: CCh },
-    Memory { words: usize, reads: Vec<CSite>, writes: Vec<CSite> },
-    SelectAdapter { sel_req: CWire, sel_acks: Vec<CWire>, provider: CCh },
-    FetchData { pull: CCh, push: CCh },
-    ActivationDriver { req: CWire, ack: CWire },
-    SyncResponder { req: CWire, ack: CWire },
-    PullProvider { ch: CCh },
-    PushConsumer { ch: CCh },
-}
-
 /// Per-primitive mutable run state (lane-indexed vectors).
 #[derive(Debug, Clone)]
 enum PState {
     None,
-    Ctrl { state: Vec<u64> },
+    Ctrl { tape: usize, state: Vec<u64> },
     Var { value: Vec<u64> },
     Mux { active: Vec<u16> },
     Mem { words: Vec<u64>, raddr: Vec<u64> },
@@ -246,75 +181,31 @@ enum PState {
     Consumer { received: Vec<Vec<u64>> },
 }
 
-/// Builds a [`CompiledCircuit`].
-#[derive(Default)]
-pub struct CircuitBuilder {
-    num_wires: u32,
-    num_slots: u32,
-    ops: Vec<POp>,
-    watch: Vec<(u32, Vec<CWire>)>,
-    tapes: Vec<ControllerTape>,
-}
-
-impl CircuitBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates a wire.
-    pub fn wire(&mut self) -> CWire {
-        self.num_wires += 1;
-        CWire(self.num_wires - 1)
-    }
-
-    /// Allocates a data slot.
-    pub fn slot(&mut self) -> CSlot {
-        self.num_slots += 1;
-        CSlot(self.num_slots - 1)
-    }
-
-    /// Allocates a channel (req + ack wires and a slot).
-    pub fn ch(&mut self) -> CCh {
-        CCh {
-            req: self.wire(),
-            ack: self.wire(),
-            slot: self.slot(),
-        }
-    }
-
-    fn add(&mut self, op: POp, watch: Vec<CWire>) -> CPrim {
-        let id = self.ops.len() as u32;
-        self.ops.push(op);
-        self.watch.push((id, watch));
-        CPrim(id)
-    }
-
+impl ControllerTape {
     /// Compiles a mapped controller netlist into a levelized tape.
     ///
     /// `gates` come with subject-node ids; `ones` are constant-one subject
     /// nodes; `out_roots`/`state_roots` are the subject nodes of the output
     /// and next-state function roots. Subject inputs must be laid out as
-    /// the event engine's function variables: wires `inputs` first, then
-    /// `num_state` fed-back state bits.
+    /// the event engine's function variables: the `inputs` wires first,
+    /// then `num_state` fed-back state bits.
     ///
     /// # Errors
     ///
     /// [`CompileError`] on a combinational cycle or malformed netlist.
     #[allow(clippy::too_many_arguments)]
-    pub fn add_controller(
-        &mut self,
+    pub fn compile(
         name: &str,
-        inputs: Vec<CWire>,
-        outputs: Vec<CWire>,
+        inputs: usize,
+        outputs: usize,
         num_state: usize,
         initial_code: u64,
         num_nodes: usize,
         ones: &[usize],
-        gates: &[GateSpec],
+        gates: &[MappedGate],
         out_roots: &[usize],
         state_roots: &[usize],
-    ) -> Result<CPrim, CompileError> {
+    ) -> Result<ControllerTape, CompileError> {
         let bad = |detail: String| CompileError::BadTape {
             controller: name.to_string(),
             detail,
@@ -322,18 +213,16 @@ impl CircuitBuilder {
         if num_nodes > u16::MAX as usize {
             return Err(bad(format!("{num_nodes} subject nodes exceed the tape limit")));
         }
-        let num_fn_inputs = inputs.len() + num_state;
+        let num_fn_inputs = inputs + num_state;
         if num_fn_inputs > num_nodes {
             return Err(bad(format!(
-                "{} wires + {num_state} state bits exceed {num_nodes} subject nodes",
-                inputs.len()
+                "{inputs} wires + {num_state} state bits exceed {num_nodes} subject nodes"
             )));
         }
-        if out_roots.len() != outputs.len() {
+        if out_roots.len() != outputs {
             return Err(bad(format!(
-                "{} output roots for {} output wires",
-                out_roots.len(),
-                outputs.len()
+                "{} output roots for {outputs} output wires",
+                out_roots.len()
             )));
         }
         if state_roots.len() != num_state {
@@ -402,9 +291,7 @@ impl CircuitBuilder {
                 }
             })
             .collect();
-        let tape = ControllerTape {
-            inputs,
-            outputs,
+        Ok(ControllerTape {
             num_state,
             slots: num_nodes,
             ones: ones.iter().map(|&o| o as u16).collect(),
@@ -413,174 +300,23 @@ impl CircuitBuilder {
             state_roots: state_roots.iter().map(|&r| r as u16).collect(),
             initial_code,
             levels: lev.num_levels,
-        };
-        let watch = tape.inputs.clone();
-        let k = self.tapes.len();
-        self.tapes.push(tape);
-        Ok(self.add(POp::Controller(k), watch))
+        })
     }
-
-    /// Adds a constant source (see `ConstantPrim`).
-    pub fn add_constant(&mut self, ch: CCh, value: u64) -> CPrim {
-        self.add(POp::Constant { ch, value }, vec![ch.req])
-    }
-
-    /// Adds a storage variable (see `VariablePrim`).
-    pub fn add_variable(&mut self, write: CCh, reads: Vec<CCh>) -> CPrim {
-        let mut watch = vec![write.req];
-        watch.extend(reads.iter().map(|c| c.req));
-        self.add(POp::Variable { write, reads }, watch)
-    }
-
-    /// Adds a binary function (see `BinFuncPrim`).
-    pub fn add_binfunc(&mut self, op: BinOp, out: CCh, lhs: CCh, rhs: CCh) -> CPrim {
-        self.add(
-            POp::BinFunc { op, out, lhs, rhs },
-            vec![out.req, lhs.ack, rhs.ack],
-        )
-    }
-
-    /// Adds a unary function (see `UnFuncPrim`).
-    pub fn add_unfunc(&mut self, op: UnOp, out: CCh, operand: CCh) -> CPrim {
-        self.add(POp::UnFunc { op, out, operand }, vec![out.req, operand.ack])
-    }
-
-    /// Adds a call-mux (see `CallMuxPrim`).
-    pub fn add_call_mux(&mut self, ins: Vec<CCh>, out: CCh) -> CPrim {
-        let mut watch: Vec<CWire> = ins.iter().map(|c| c.req).collect();
-        watch.push(out.ack);
-        self.add(POp::CallMux { ins, out }, watch)
-    }
-
-    /// Adds a pull-mux (see `PullMuxPrim`).
-    pub fn add_pull_mux(&mut self, clients: Vec<CCh>, source: CCh) -> CPrim {
-        let mut watch: Vec<CWire> = clients.iter().map(|c| c.req).collect();
-        watch.push(source.ack);
-        self.add(POp::PullMux { clients, source }, watch)
-    }
-
-    /// Adds a word-addressed memory (see `MemoryPrim`).
-    pub fn add_memory(&mut self, words: usize, reads: Vec<CSite>, writes: Vec<CSite>) -> CPrim {
-        let mut watch = Vec::new();
-        for s in reads.iter().chain(&writes) {
-            watch.push(s.data.req);
-            watch.push(s.addr.ack);
-        }
-        self.add(
-            POp::Memory {
-                words: words.max(1),
-                reads,
-                writes,
-            },
-            watch,
-        )
-    }
-
-    /// Adds a select adapter (see `SelectAdapterPrim`).
-    pub fn add_select_adapter(
-        &mut self,
-        sel_req: CWire,
-        sel_acks: Vec<CWire>,
-        provider: CCh,
-    ) -> CPrim {
-        let watch = vec![sel_req, provider.ack];
-        self.add(
-            POp::SelectAdapter {
-                sel_req,
-                sel_acks,
-                provider,
-            },
-            watch,
-        )
-    }
-
-    /// Adds a fetch bundled-data copy (see `FetchDataPrim`).
-    pub fn add_fetch(&mut self, pull: CCh, push: CCh) -> CPrim {
-        self.add(POp::FetchData { pull, push }, vec![pull.ack])
-    }
-
-    /// Adds the activation driver environment (see `ActivationDriverEnv`);
-    /// per-lane cycle counts come from the run's [`LaneSpec`]s.
-    pub fn add_activation_driver(&mut self, req: CWire, ack: CWire) -> CPrim {
-        self.add(POp::ActivationDriver { req, ack }, vec![ack])
-    }
-
-    /// Adds a sync responder environment (see `SyncResponderEnv`).
-    pub fn add_sync_responder(&mut self, req: CWire, ack: CWire) -> CPrim {
-        self.add(POp::SyncResponder { req, ack }, vec![req])
-    }
-
-    /// Adds a pull provider environment (see `PullProviderEnv`); per-lane
-    /// value scripts come from the run's [`LaneSpec`]s.
-    pub fn add_pull_provider(&mut self, ch: CCh) -> CPrim {
-        self.add(POp::PullProvider { ch }, vec![ch.req])
-    }
-
-    /// Adds a push consumer environment (see `PushConsumerEnv`).
-    pub fn add_push_consumer(&mut self, ch: CCh) -> CPrim {
-        self.add(POp::PushConsumer { ch }, vec![ch.req])
-    }
-
-    /// Finalizes the circuit (computes the wire-to-watchers index).
-    pub fn finish(self) -> CompiledCircuit {
-        let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); self.num_wires as usize];
-        for (op, wires) in &self.watch {
-            for w in wires {
-                let list = &mut watchers[w.0 as usize];
-                if list.last() != Some(op) {
-                    list.push(*op);
-                }
-            }
-        }
-        let max_tape_slots = self.tapes.iter().map(|t| t.slots).max().unwrap_or(0);
-        CompiledCircuit {
-            num_wires: self.num_wires as usize,
-            num_slots: self.num_slots as usize,
-            ops: self.ops,
-            watchers,
-            tapes: self.tapes,
-            max_tape_slots,
-        }
-    }
-}
-
-/// When a lane's run is complete (mirrors the flow's `Done`).
-#[derive(Debug, Clone, Copy)]
-pub enum DoneSpec {
-    /// The activation driver completed this many handshakes.
-    Activations(CPrim, u64),
-    /// A push consumer received this many values.
-    Outputs(CPrim, usize),
-    /// A sync responder completed this many handshakes.
-    Syncs(CPrim, u64),
-}
-
-/// Per-lane scenario bindings for one run.
-#[derive(Debug, Clone)]
-pub struct LaneSpec {
-    /// Activation handshakes the driver performs on this lane.
-    pub activation_cycles: u64,
-    /// Scripted values per pull-provider primitive.
-    pub provider_values: Vec<(CPrim, Vec<u64>)>,
-    /// Initial memory contents per memory primitive (zero-filled).
-    pub memory_init: Vec<(CPrim, Vec<u64>)>,
-    /// The lane's completion condition.
-    pub done: DoneSpec,
 }
 
 /// One batched run: up to [`LANES`] lane specs and a wave budget (the
 /// untimed analogue of the event engine's `max_time`).
 #[derive(Debug, Clone)]
-pub struct RunSpec {
+pub struct RunSpec<'a> {
     /// The lanes (1..=64).
-    pub lanes: Vec<LaneSpec>,
+    pub lanes: Vec<LaneSpec<'a>>,
     /// Wave budget; lanes not complete when it runs out report
     /// `completed = false`.
     pub max_waves: u64,
 }
 
 /// Outcome of a batched run, with per-lane data harvested from every
-/// environment and memory primitive (keyed by [`CPrim`]).
+/// environment and memory primitive (keyed by part).
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Lanes the run evaluated.
@@ -595,13 +331,13 @@ pub struct RunResult {
     /// Total controller settle iterations across the run.
     pub settle_iters: u64,
     /// Values received per push consumer, per lane.
-    pub consumer_received: HashMap<u32, Vec<Vec<u64>>>,
+    pub consumer_received: HashMap<PrimId, Vec<Vec<u64>>>,
     /// Handshakes completed per sync responder, per lane.
-    pub sync_counts: HashMap<u32, Vec<u64>>,
+    pub sync_counts: HashMap<PrimId, Vec<u64>>,
     /// Activation completions per driver, per lane.
-    pub driver_completions: HashMap<u32, Vec<u64>>,
+    pub driver_completions: HashMap<PrimId, Vec<u64>>,
     /// Final memory words per memory, per lane.
-    pub memories: HashMap<u32, Vec<Vec<u64>>>,
+    pub memories: HashMap<PrimId, Vec<Vec<u64>>>,
 }
 
 impl RunResult {
@@ -617,30 +353,66 @@ impl RunResult {
     }
 }
 
-/// A compiled circuit: immutable specification shared by any number of
-/// batched runs (compile once, run many batches).
+/// A compiled circuit: a [`Circuit`] with its controller tapes and
+/// wire-to-watchers index, shared by any number of batched runs (compile
+/// once, run many batches).
 #[derive(Debug)]
 pub struct CompiledCircuit {
-    num_wires: usize,
-    num_slots: usize,
-    ops: Vec<POp>,
+    circuit: Circuit,
     watchers: Vec<Vec<u32>>,
     tapes: Vec<ControllerTape>,
     max_tape_slots: usize,
 }
 
 impl CompiledCircuit {
-    /// Number of controller tapes.
-    pub fn num_tapes(&self) -> usize {
-        self.tapes.len()
+    /// Compiles `circuit`: `tape` builds each controller part's tape from
+    /// its artifact index and its numbers of input and output wires, in
+    /// part order.
+    ///
+    /// # Errors
+    ///
+    /// The first error `tape` returns.
+    pub fn new<E>(
+        circuit: Circuit,
+        mut tape: impl FnMut(usize, usize, usize) -> Result<ControllerTape, E>,
+    ) -> Result<CompiledCircuit, E> {
+        let mut tapes = Vec::new();
+        let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); circuit.num_wires()];
+        let mut watch = Vec::new();
+        for (i, part) in circuit.parts.iter().enumerate() {
+            if let Part::Controller {
+                artifact,
+                inputs,
+                outputs,
+            } = part
+            {
+                tapes.push(tape(*artifact, inputs.len(), outputs.len())?);
+            }
+            watch.clear();
+            part.watch(&mut watch);
+            for w in &watch {
+                let list = &mut watchers[w.0];
+                if list.last() != Some(&(i as u32)) {
+                    list.push(i as u32);
+                }
+            }
+        }
+        let max_tape_slots = tapes.iter().map(|t| t.slots).max().unwrap_or(0);
+        Ok(CompiledCircuit {
+            circuit,
+            watchers,
+            tapes,
+            max_tape_slots,
+        })
     }
 
-    /// Number of wires (lane words).
-    pub fn num_wires(&self) -> usize {
-        self.num_wires
+    /// The circuit it runs.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
     }
 
-    /// The controller tapes (for reporting: op counts, levels).
+    /// The controller tapes, in part order (for reporting: op counts,
+    /// levels).
     pub fn tapes(&self) -> &[ControllerTape] {
         &self.tapes
     }
@@ -651,8 +423,8 @@ impl CompiledCircuit {
     /// # Panics
     ///
     /// Panics if `spec.lanes` is empty or exceeds [`LANES`], or if a
-    /// [`LaneSpec`] references a primitive of the wrong kind.
-    pub fn run(&self, spec: &RunSpec) -> RunResult {
+    /// [`LaneSpec`]'s done condition names a primitive of the wrong kind.
+    pub fn run(&self, spec: &RunSpec<'_>) -> RunResult {
         let n = spec.lanes.len();
         assert!(n >= 1 && n <= LANES, "lane count {n} out of range");
         static LANE_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 24, 32, 64];
@@ -678,10 +450,10 @@ impl CompiledCircuit {
 struct RunState {
     wires: Vec<u64>,
     changed: Vec<u64>,
-    chg_dirty: Vec<u32>,
+    chg_dirty: Vec<usize>,
     pend_val: Vec<u64>,
     pend_mask: Vec<u64>,
-    pend_dirty: Vec<u32>,
+    pend_dirty: Vec<usize>,
     slots: Vec<u64>, // slot-major: slots[slot * LANES + lane]
     pstates: Vec<PState>,
     scratch: Vec<u64>,
@@ -703,36 +475,38 @@ fn for_lanes(mut m: u64, mut f: impl FnMut(usize)) {
 }
 
 impl RunState {
-    fn new(c: &CompiledCircuit, spec: &RunSpec) -> RunState {
+    fn new(c: &CompiledCircuit, spec: &RunSpec<'_>) -> RunState {
         let n = spec.lanes.len();
         let live = if n == LANES { !0u64 } else { (1u64 << n) - 1 };
-        let mut pstates = Vec::with_capacity(c.ops.len());
-        for (pi, op) in c.ops.iter().enumerate() {
-            pstates.push(match op {
-                POp::Controller(k) => {
-                    let t = &c.tapes[*k];
-                    let code = t.initial_code;
+        let parts = &c.circuit.parts;
+        let mut pstates = Vec::with_capacity(parts.len());
+        let mut tapes = 0;
+        for (pi, part) in parts.iter().enumerate() {
+            let p = PrimId(pi);
+            pstates.push(match part {
+                Part::Controller { .. } => {
+                    let code = c.tapes[tapes].initial_code;
+                    let state = (0..c.tapes[tapes].num_state)
+                        .map(|j| if code >> j & 1 == 1 { !0u64 } else { 0 })
+                        .collect();
+                    tapes += 1;
                     PState::Ctrl {
-                        state: (0..t.num_state)
-                            .map(|j| if code >> j & 1 == 1 { !0u64 } else { 0 })
-                            .collect(),
+                        tape: tapes - 1,
+                        state,
                     }
                 }
-                POp::Variable { .. } => PState::Var {
+                Part::Variable { .. } => PState::Var {
                     value: vec![0; LANES],
                 },
-                POp::CallMux { .. } | POp::PullMux { .. } => PState::Mux {
+                Part::CallMux { .. } | Part::PullMux { .. } => PState::Mux {
                     active: vec![NO_ACTIVE; LANES],
                 },
-                POp::Memory { words, reads, .. } => {
+                Part::Memory { words, reads, .. } => {
+                    let words = (*words).max(1);
                     let mut w = vec![0u64; words * LANES];
                     for (lane, ls) in spec.lanes.iter().enumerate() {
-                        for (p, init) in &ls.memory_init {
-                            if p.0 as usize == pi {
-                                for (a, v) in init.iter().enumerate().take(*words) {
-                                    w[a * LANES + lane] = *v;
-                                }
-                            }
+                        for (a, v) in ls.memory_init(p).iter().enumerate().take(words) {
+                            w[a * LANES + lane] = *v;
                         }
                     }
                     PState::Mem {
@@ -740,10 +514,10 @@ impl RunState {
                         raddr: vec![0; reads.len() * LANES],
                     }
                 }
-                POp::SelectAdapter { .. } => PState::Sel {
+                Part::SelectAdapter { .. } => PState::Sel {
                     chosen: vec![NO_ACTIVE; LANES],
                 },
-                POp::ActivationDriver { .. } => {
+                Part::ActivationDriver { .. } => {
                     let mut cycles = vec![0u64; LANES];
                     for (lane, ls) in spec.lanes.iter().enumerate() {
                         cycles[lane] = ls.activation_cycles;
@@ -753,40 +527,36 @@ impl RunState {
                         completions: vec![0; LANES],
                     }
                 }
-                POp::SyncResponder { .. } => PState::Sync {
+                Part::SyncResponder { .. } => PState::Sync {
                     count: vec![0; LANES],
                 },
-                POp::PullProvider { .. } => {
+                Part::PullProvider { .. } => {
                     let mut values: Vec<Vec<u64>> = vec![Vec::new(); LANES];
                     for (lane, ls) in spec.lanes.iter().enumerate() {
-                        for (p, vals) in &ls.provider_values {
-                            if p.0 as usize == pi {
-                                values[lane] = vals.clone();
-                            }
-                        }
+                        values[lane] = ls.provider_values(p).to_vec();
                     }
                     PState::Provider {
                         values,
                         ix: vec![0; LANES],
                     }
                 }
-                POp::PushConsumer { .. } => PState::Consumer {
+                Part::PushConsumer { .. } => PState::Consumer {
                     received: vec![Vec::new(); LANES],
                 },
                 _ => PState::None,
             });
         }
         RunState {
-            wires: vec![0; c.num_wires],
-            changed: vec![0; c.num_wires],
+            wires: vec![0; c.circuit.num_wires()],
+            changed: vec![0; c.circuit.num_wires()],
             chg_dirty: Vec::new(),
-            pend_val: vec![0; c.num_wires],
-            pend_mask: vec![0; c.num_wires],
+            pend_val: vec![0; c.circuit.num_wires()],
+            pend_mask: vec![0; c.circuit.num_wires()],
             pend_dirty: Vec::new(),
-            slots: vec![0; c.num_slots * LANES],
+            slots: vec![0; c.circuit.num_slots * LANES],
             pstates,
             scratch: vec![0; c.max_tape_slots],
-            trig: vec![false; c.ops.len()],
+            trig: vec![false; parts.len()],
             trig_list: Vec::new(),
             live,
             completed: 0,
@@ -798,46 +568,46 @@ impl RunState {
 
     /// Schedules a (masked) wire write for the next wave. Masks are
     /// restricted to live lanes, freezing completed scenarios.
-    fn sched(&mut self, w: CWire, val: u64, mask: u64) {
+    fn sched(&mut self, w: NodeId, val: u64, mask: u64) {
         let mask = mask & self.live;
         if mask == 0 {
             return;
         }
-        let ix = w.0 as usize;
+        let ix = w.0;
         if self.pend_mask[ix] == 0 {
-            self.pend_dirty.push(w.0);
+            self.pend_dirty.push(ix);
         }
         self.pend_val[ix] = (self.pend_val[ix] & !mask) | (val & mask);
         self.pend_mask[ix] |= mask;
     }
 
-    fn sched_lane(&mut self, w: CWire, bit: bool, lane: usize) {
+    fn sched_lane(&mut self, w: NodeId, bit: bool, lane: usize) {
         self.sched(w, if bit { !0 } else { 0 }, 1u64 << lane);
     }
 
-    fn wire(&self, w: CWire) -> u64 {
-        self.wires[w.0 as usize]
+    fn wire(&self, w: NodeId) -> u64 {
+        self.wires[w.0]
     }
 
-    fn chg(&self, w: CWire) -> u64 {
-        self.changed[w.0 as usize]
+    fn chg(&self, w: NodeId) -> u64 {
+        self.changed[w.0]
     }
 
-    fn slot_ix(s: CSlot, lane: usize) -> usize {
-        s.0 as usize * LANES + lane
+    fn slot_ix(s: SlotId, lane: usize) -> usize {
+        s.0 * LANES + lane
     }
 
     /// Initial actions (the event engine's `Sim::init`): only the
     /// activation driver schedules.
-    fn init(&mut self, c: &CompiledCircuit, spec: &RunSpec) {
+    fn init(&mut self, c: &CompiledCircuit, spec: &RunSpec<'_>) {
         let mut mask = 0u64;
         for (lane, ls) in spec.lanes.iter().enumerate() {
             if ls.activation_cycles > 0 {
                 mask |= 1 << lane;
             }
         }
-        for op in &c.ops {
-            if let POp::ActivationDriver { req, .. } = op {
+        for part in &c.circuit.parts {
+            if let Part::ActivationDriver { req, .. } = part {
                 let req = *req;
                 self.sched(req, !0, mask);
             }
@@ -848,7 +618,7 @@ impl RunState {
     /// watcher primitives.
     fn apply(&mut self, c: &CompiledCircuit) {
         for di in 0..self.pend_dirty.len() {
-            let w = self.pend_dirty[di] as usize;
+            let w = self.pend_dirty[di];
             let m = self.pend_mask[w];
             self.pend_mask[w] = 0;
             if m == 0 {
@@ -862,7 +632,7 @@ impl RunState {
             }
             self.wires[w] = new;
             self.changed[w] = diff;
-            self.chg_dirty.push(w as u32);
+            self.chg_dirty.push(w);
             for_lanes(diff, |l| self.lane_events[l] += 1);
             for &op in &c.watchers[w] {
                 if !self.trig[op as usize] {
@@ -891,7 +661,7 @@ impl RunState {
 
     fn clear_changed(&mut self) {
         for &w in &self.chg_dirty {
-            self.changed[w as usize] = 0;
+            self.changed[w] = 0;
         }
         self.chg_dirty.clear();
     }
@@ -899,7 +669,7 @@ impl RunState {
     /// End-of-wave done update: newly completed lanes leave the live mask
     /// and their pending writes are cancelled (the event engine stops at
     /// the done event; nothing scheduled after it runs).
-    fn check_done(&mut self, spec: &RunSpec) {
+    fn check_done(&mut self, spec: &RunSpec<'_>) {
         let mut newly = 0u64;
         for (lane, ls) in spec.lanes.iter().enumerate() {
             let bit = 1u64 << lane;
@@ -907,15 +677,15 @@ impl RunState {
                 continue;
             }
             let done = match ls.done {
-                DoneSpec::Activations(p, count) => match &self.pstates[p.0 as usize] {
+                DoneSpec::Activations(p, count) => match &self.pstates[p.0] {
                     PState::Driver { completions, .. } => completions[lane] >= count,
                     _ => panic!("done condition targets a non-driver primitive"),
                 },
-                DoneSpec::Outputs(p, count) => match &self.pstates[p.0 as usize] {
+                DoneSpec::Outputs(p, count) => match &self.pstates[p.0] {
                     PState::Consumer { received } => received[lane].len() >= count,
                     _ => panic!("done condition targets a non-consumer primitive"),
                 },
-                DoneSpec::Syncs(p, count) => match &self.pstates[p.0 as usize] {
+                DoneSpec::Syncs(p, count) => match &self.pstates[p.0] {
                     PState::Sync { count: n } => n[lane] >= count,
                     _ => panic!("done condition targets a non-responder primitive"),
                 },
@@ -928,7 +698,7 @@ impl RunState {
             self.completed |= newly;
             self.live &= !newly;
             for &w in &self.pend_dirty {
-                self.pend_mask[w as usize] &= self.live;
+                self.pend_mask[w] &= self.live;
             }
         }
     }
@@ -937,16 +707,18 @@ impl RunState {
         // Take the per-primitive state out so `self` stays free for wire
         // and slot access during evaluation.
         let mut pst = std::mem::replace(&mut self.pstates[op_ix], PState::None);
-        match &c.ops[op_ix] {
-            POp::Controller(k) => self.eval_controller(&c.tapes[*k], &mut pst),
-            POp::Constant { ch, value } => {
+        match &c.circuit.parts[op_ix] {
+            Part::Controller {
+                inputs, outputs, ..
+            } => self.eval_controller(&c.tapes, inputs, outputs, &mut pst),
+            Part::Constant { ch, value } => {
                 let m = self.chg(ch.req);
                 let up = m & self.wire(ch.req);
                 for_lanes(up, |l| self.slots[Self::slot_ix(ch.slot, l)] = *value);
                 self.sched(ch.ack, !0, up);
                 self.sched(ch.ack, 0, m & !self.wire(ch.req));
             }
-            POp::Variable { write, reads } => {
+            Part::Variable { write, reads } => {
                 let PState::Var { value } = &mut pst else {
                     unreachable!()
                 };
@@ -963,7 +735,7 @@ impl RunState {
                     self.sched(r.ack, 0, m & !v);
                 }
             }
-            POp::BinFunc { op, out, lhs, rhs } => {
+            Part::BinFunc { op, out, lhs, rhs } => {
                 let out_req = self.wire(out.req);
                 let m1 = self.chg(out.req) & out_req;
                 self.sched(lhs.req, !0, m1);
@@ -990,7 +762,7 @@ impl RunState {
                     & self.wire(out.ack);
                 self.sched(out.ack, 0, m3);
             }
-            POp::UnFunc { op, out, operand } => {
+            Part::UnFunc { op, out, operand } => {
                 let out_req = self.wire(out.req);
                 let m1 = self.chg(out.req) & out_req;
                 self.sched(operand.req, !0, m1);
@@ -1007,7 +779,7 @@ impl RunState {
                     & self.wire(out.ack);
                 self.sched(out.ack, 0, m3);
             }
-            POp::CallMux { ins, out } => {
+            Part::CallMux { ins, out } => {
                 let PState::Mux { active } = &mut pst else {
                     unreachable!()
                 };
@@ -1035,7 +807,7 @@ impl RunState {
                     }
                 });
             }
-            POp::PullMux { clients, source } => {
+            Part::PullMux { clients, source } => {
                 let PState::Mux { active } = &mut pst else {
                     unreachable!()
                 };
@@ -1063,7 +835,7 @@ impl RunState {
                     }
                 });
             }
-            POp::Memory {
+            Part::Memory {
                 words,
                 reads,
                 writes,
@@ -1075,6 +847,7 @@ impl RunState {
                 else {
                     unreachable!()
                 };
+                let words = (*words).max(1);
                 for (i, site) in reads.iter().enumerate() {
                     let m = self.chg(site.data.req);
                     let v = self.wire(site.data.req);
@@ -1108,7 +881,7 @@ impl RunState {
                     self.sched(site.data.ack, !0, ma & !av & self.wire(site.data.req));
                 }
             }
-            POp::SelectAdapter {
+            Part::SelectAdapter {
                 sel_req,
                 sel_acks,
                 provider,
@@ -1135,14 +908,14 @@ impl RunState {
                 });
                 self.sched(provider.req, 0, m2);
             }
-            POp::FetchData { pull, push } => {
+            Part::FetchData { pull, push } => {
                 let up = self.chg(pull.ack) & self.wire(pull.ack);
                 for_lanes(up, |l| {
                     self.slots[Self::slot_ix(push.slot, l)] =
                         self.slots[Self::slot_ix(pull.slot, l)];
                 });
             }
-            POp::ActivationDriver { req, ack } => {
+            Part::ActivationDriver { req, ack } => {
                 let PState::Driver {
                     cycles,
                     completions,
@@ -1160,7 +933,7 @@ impl RunState {
                     }
                 });
             }
-            POp::SyncResponder { req, ack } => {
+            Part::SyncResponder { req, ack } => {
                 let PState::Sync { count } = &mut pst else {
                     unreachable!()
                 };
@@ -1169,7 +942,7 @@ impl RunState {
                 for_lanes(m & !v, |l| count[l] += 1);
                 self.sched(*ack, v, m);
             }
-            POp::PullProvider { ch } => {
+            Part::PullProvider { ch } => {
                 let PState::Provider { values, ix } = &mut pst else {
                     unreachable!()
                 };
@@ -1187,7 +960,7 @@ impl RunState {
                 self.sched(ch.ack, !0, m & v);
                 self.sched(ch.ack, 0, m & !v);
             }
-            POp::PushConsumer { ch } => {
+            Part::PushConsumer { ch } => {
                 let PState::Consumer { received } = &mut pst else {
                     unreachable!()
                 };
@@ -1204,17 +977,24 @@ impl RunState {
     }
 
     /// Lane-parallel mirror of `ControllerPrim::on_change` + `settle`.
-    fn eval_controller(&mut self, t: &ControllerTape, pst: &mut PState) {
-        let PState::Ctrl { state } = pst else {
+    fn eval_controller(
+        &mut self,
+        tapes: &[ControllerTape],
+        inputs: &[NodeId],
+        outputs: &[NodeId],
+        pst: &mut PState,
+    ) {
+        let PState::Ctrl { tape, state } = pst else {
             unreachable!()
         };
+        let t = &tapes[*tape];
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch[..t.slots].fill(0);
         for &o in &t.ones {
             scratch[o as usize] = !0;
         }
-        let ni = t.inputs.len();
-        for (i, &w) in t.inputs.iter().enumerate() {
+        let ni = inputs.len();
+        for (i, &w) in inputs.iter().enumerate() {
             scratch[i] = self.wire(w);
         }
         // Settle the feedback: up to 4 next-state evaluations, exactly the
@@ -1252,7 +1032,7 @@ impl RunState {
         self.settle_iters += iters;
         static SETTLE_BUCKETS: [u64; 6] = [1, 2, 3, 4, 5, 8];
         bmbe_obs::histogram!("sim.settle_iters", &SETTLE_BUCKETS).observe(iters);
-        for (o, &ow) in t.outputs.iter().enumerate() {
+        for (o, &ow) in outputs.iter().enumerate() {
             let computed = scratch[t.out_roots[o] as usize];
             let diff = computed ^ self.wire(ow);
             if diff != 0 {
@@ -1278,21 +1058,22 @@ impl RunState {
         let mut sync_counts = HashMap::new();
         let mut driver_completions = HashMap::new();
         let mut memories = HashMap::new();
-        for (pi, (op, pst)) in c.ops.iter().zip(&self.pstates).enumerate() {
-            let pi = pi as u32;
-            match (op, pst) {
-                (POp::PushConsumer { .. }, PState::Consumer { received }) => {
+        for (pi, (part, pst)) in c.circuit.parts.iter().zip(&self.pstates).enumerate() {
+            let pi = PrimId(pi);
+            match (part, pst) {
+                (Part::PushConsumer { .. }, PState::Consumer { received }) => {
                     consumer_received.insert(pi, received[..n].to_vec());
                 }
-                (POp::SyncResponder { .. }, PState::Sync { count }) => {
+                (Part::SyncResponder { .. }, PState::Sync { count }) => {
                     sync_counts.insert(pi, count[..n].to_vec());
                 }
-                (POp::ActivationDriver { .. }, PState::Driver { completions, .. }) => {
+                (Part::ActivationDriver { .. }, PState::Driver { completions, .. }) => {
                     driver_completions.insert(pi, completions[..n].to_vec());
                 }
-                (POp::Memory { words, .. }, PState::Mem { words: mem, .. }) => {
+                (Part::Memory { words, .. }, PState::Mem { words: mem, .. }) => {
+                    let words = (*words).max(1);
                     let per_lane: Vec<Vec<u64>> = (0..n)
-                        .map(|l| (0..*words).map(|a| mem[a * LANES + l]).collect())
+                        .map(|l| (0..words).map(|a| mem[a * LANES + l]).collect())
                         .collect();
                     memories.insert(pi, per_lane);
                 }
@@ -1332,7 +1113,7 @@ fn run_tape(t: &ControllerTape, scratch: &mut [u64]) {
 mod tests {
     use super::*;
 
-    fn lane_spec(cycles: u64, done: DoneSpec) -> LaneSpec {
+    fn lane_spec(cycles: u64, done: DoneSpec) -> LaneSpec<'static> {
         LaneSpec {
             activation_cycles: cycles,
             provider_values: Vec::new(),
@@ -1341,16 +1122,49 @@ mod tests {
         }
     }
 
+    /// A circuit of `wires` wires and these parts, the driver first.
+    fn circuit(wires: usize, parts: Vec<Part>) -> Circuit {
+        Circuit {
+            wire_names: (0..wires).map(|i| format!("w{i}")).collect(),
+            num_slots: 0,
+            parts,
+            driver: PrimId(0),
+            providers: Vec::new(),
+            consumers: Vec::new(),
+            syncs: Vec::new(),
+            memories: Vec::new(),
+        }
+    }
+
+    fn gate(cell: CellKind, inputs: &[usize], output: usize) -> MappedGate {
+        MappedGate {
+            cell,
+            inputs: inputs.to_vec(),
+            output,
+        }
+    }
+
+    fn no_tapes(_: usize, _: usize, _: usize) -> Result<ControllerTape, CompileError> {
+        unreachable!("circuit has no controllers")
+    }
+
     /// Driver -> sync responder loop: lane L performs L % 3 + 1
     /// activations; counts and completion must track per lane.
     #[test]
     fn driver_responder_loop_completes_per_lane() {
-        let mut b = CircuitBuilder::new();
-        let req = b.wire();
-        let ack = b.wire();
-        let driver = b.add_activation_driver(req, ack);
-        let resp = b.add_sync_responder(req, ack);
-        let c = b.finish();
+        let (req, ack) = (NodeId(0), NodeId(1));
+        let c = CompiledCircuit::new(
+            circuit(
+                2,
+                vec![
+                    Part::ActivationDriver { req, ack },
+                    Part::SyncResponder { req, ack },
+                ],
+            ),
+            no_tapes,
+        )
+        .unwrap();
+        let (driver, resp) = (PrimId(0), PrimId(1));
         let lanes: Vec<LaneSpec> = (0..64)
             .map(|l| lane_spec(l % 3 + 1, DoneSpec::Activations(driver, l % 3 + 1)))
             .collect();
@@ -1360,8 +1174,8 @@ mod tests {
         });
         assert_eq!(r.completed, !0u64);
         for l in 0..64 {
-            assert_eq!(r.sync_counts[&resp.0][l], l as u64 % 3 + 1, "lane {l}");
-            assert_eq!(r.driver_completions[&driver.0][l], l as u64 % 3 + 1);
+            assert_eq!(r.sync_counts[&resp][l], l as u64 % 3 + 1, "lane {l}");
+            assert_eq!(r.driver_completions[&driver][l], l as u64 % 3 + 1);
         }
         // Lanes complete at different waves; later traffic must not bump
         // frozen counters.
@@ -1372,41 +1186,41 @@ mod tests {
     /// pair) between driver and responder.
     #[test]
     fn controller_tape_propagates_through_gates() {
-        let mut b = CircuitBuilder::new();
-        let a_req = b.wire();
-        let a_ack = b.wire();
-        let c_req = b.wire();
-        b.add_activation_driver(a_req, a_ack);
+        let (a_req, a_ack, c_req) = (NodeId(0), NodeId(1), NodeId(2));
+        let parts = vec![
+            Part::ActivationDriver {
+                req: a_req,
+                ack: a_ack,
+            },
+            Part::Controller {
+                artifact: 0,
+                inputs: vec![a_req],
+                outputs: vec![c_req],
+            },
+            Part::SyncResponder {
+                req: c_req,
+                ack: a_ack,
+            },
+        ];
         // Tape: node 0 = input (a_req), node 1 = Inv(0), node 2 = Inv(1).
         // Output root = node 2 (== input), driving c_req.
-        let ctrl = b
-            .add_controller(
+        let c = CompiledCircuit::new(circuit(3, parts), |_, ni, no| {
+            ControllerTape::compile(
                 "buf",
-                vec![a_req],
-                vec![c_req],
+                ni,
+                no,
                 0,
                 0,
                 3,
                 &[],
-                &[
-                    GateSpec {
-                        cell: CellKind::Inv,
-                        inputs: vec![0],
-                        output: 1,
-                    },
-                    GateSpec {
-                        cell: CellKind::Inv,
-                        inputs: vec![1],
-                        output: 2,
-                    },
-                ],
+                &[gate(CellKind::Inv, &[0], 1), gate(CellKind::Inv, &[1], 2)],
                 &[2],
                 &[],
             )
-            .unwrap();
-        let resp = b.add_sync_responder(c_req, a_ack);
-        let c = b.finish();
-        assert_eq!(c.tapes()[ctrl.0 as usize - 1].levels, 3);
+        })
+        .unwrap();
+        assert_eq!(c.tapes()[0].levels, 3);
+        let resp = PrimId(2);
         let lanes: Vec<LaneSpec> = (0..10)
             .map(|_| lane_spec(2, DoneSpec::Syncs(resp, 2)))
             .collect();
@@ -1416,7 +1230,7 @@ mod tests {
         });
         assert_eq!(r.completed, (1u64 << 10) - 1);
         for l in 0..10 {
-            assert_eq!(r.sync_counts[&resp.0][l], 2);
+            assert_eq!(r.sync_counts[&resp][l], 2);
         }
         assert!(r.settle_iters > 0);
     }
@@ -1426,140 +1240,103 @@ mod tests {
     /// deliver the output of the *settled* state.
     #[test]
     fn state_feedback_settles_to_fixpoint() {
-        let mut b = CircuitBuilder::new();
-        let a_req = b.wire();
-        let a_ack = b.wire();
-        let o = b.wire();
-        let driver = b.add_activation_driver(a_req, a_ack);
+        let (a_req, a_ack, o) = (NodeId(0), NodeId(1), NodeId(2));
+        let parts = vec![
+            Part::ActivationDriver {
+                req: a_req,
+                ack: a_ack,
+            },
+            Part::Controller {
+                artifact: 0,
+                inputs: vec![a_req],
+                outputs: vec![o],
+            },
+            Part::SyncResponder { req: o, ack: a_ack },
+        ];
         // Nodes: 0 = input wire, 1 = state bit y0, 2 = Buf(0) (next-state
         // root), 3 = Buf(1) (output root).
-        b.add_controller(
-            "fb",
-            vec![a_req],
-            vec![o],
-            1,
-            0,
-            4,
-            &[],
-            &[
-                GateSpec {
-                    cell: CellKind::Buf,
-                    inputs: vec![0],
-                    output: 2,
-                },
-                GateSpec {
-                    cell: CellKind::Buf,
-                    inputs: vec![1],
-                    output: 3,
-                },
-            ],
-            &[3],
-            &[2],
-        )
+        let c = CompiledCircuit::new(circuit(3, parts), |_, ni, no| {
+            ControllerTape::compile(
+                "fb",
+                ni,
+                no,
+                1,
+                0,
+                4,
+                &[],
+                &[gate(CellKind::Buf, &[0], 2), gate(CellKind::Buf, &[1], 3)],
+                &[3],
+                &[2],
+            )
+        })
         .unwrap();
-        let resp = b.add_sync_responder(o, a_ack);
-        let c = b.finish();
-        let lanes = vec![lane_spec(1, DoneSpec::Activations(driver, 1))];
+        let lanes = vec![lane_spec(1, DoneSpec::Activations(PrimId(0), 1))];
         let r = c.run(&RunSpec {
             lanes,
             max_waves: 1000,
         });
         assert_eq!(r.completed, 1);
-        assert_eq!(r.sync_counts[&resp.0][0], 1);
+        assert_eq!(r.sync_counts[&PrimId(2)][0], 1);
     }
 
     #[test]
     fn cyclic_tape_is_rejected() {
-        let mut b = CircuitBuilder::new();
-        let w = b.wire();
-        let o = b.wire();
-        let err = b
-            .add_controller(
-                "cyc",
-                vec![w],
-                vec![o],
-                0,
-                0,
-                3,
-                &[],
-                &[
-                    GateSpec {
-                        cell: CellKind::Inv,
-                        inputs: vec![2],
-                        output: 1,
-                    },
-                    GateSpec {
-                        cell: CellKind::Inv,
-                        inputs: vec![1],
-                        output: 2,
-                    },
-                ],
-                &[1],
-                &[],
-            )
-            .unwrap_err();
+        let err = ControllerTape::compile(
+            "cyc",
+            1,
+            1,
+            0,
+            0,
+            3,
+            &[],
+            &[gate(CellKind::Inv, &[2], 1), gate(CellKind::Inv, &[1], 2)],
+            &[1],
+            &[],
+        )
+        .unwrap_err();
         assert!(matches!(err, CompileError::Cycle { node: 1, .. }), "{err}");
     }
 
     #[test]
     fn malformed_tapes_are_rejected() {
-        let mut b = CircuitBuilder::new();
-        let w = b.wire();
-        let o = b.wire();
         // Stateful cell.
-        let err = b
-            .add_controller(
-                "c2",
-                vec![w],
-                vec![o],
-                0,
-                0,
-                2,
-                &[],
-                &[GateSpec {
-                    cell: CellKind::Celem2,
-                    inputs: vec![0, 0],
-                    output: 1,
-                }],
-                &[1],
-                &[],
-            )
-            .unwrap_err();
+        let err = ControllerTape::compile(
+            "c2",
+            1,
+            1,
+            0,
+            0,
+            2,
+            &[],
+            &[gate(CellKind::Celem2, &[0, 0], 1)],
+            &[1],
+            &[],
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("stateful"));
         // Double-driven node.
-        let err = b
-            .add_controller(
-                "dd",
-                vec![w],
-                vec![o],
-                0,
-                0,
-                2,
-                &[],
-                &[
-                    GateSpec {
-                        cell: CellKind::Inv,
-                        inputs: vec![0],
-                        output: 1,
-                    },
-                    GateSpec {
-                        cell: CellKind::Buf,
-                        inputs: vec![0],
-                        output: 1,
-                    },
-                ],
-                &[1],
-                &[],
-            )
-            .unwrap_err();
+        let err = ControllerTape::compile(
+            "dd",
+            1,
+            1,
+            0,
+            0,
+            2,
+            &[],
+            &[gate(CellKind::Inv, &[0], 1), gate(CellKind::Buf, &[0], 1)],
+            &[1],
+            &[],
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("two gates"));
     }
 
     #[test]
     fn backend_auto_resolves_by_batch_size() {
-        assert_eq!(SimBackend::Auto.resolve(1), SimBackend::EventWheel);
+        assert_eq!(SimBackend::Auto.resolve(1), SimBackend::Event);
         assert_eq!(SimBackend::Auto.resolve(2), SimBackend::Compiled);
         assert_eq!(SimBackend::Compiled.resolve(1), SimBackend::Compiled);
-        assert_eq!(SimBackend::EventWheel.resolve(64), SimBackend::EventWheel);
+        assert_eq!(SimBackend::Event.resolve(64), SimBackend::Event);
+        assert_eq!(SimBackend::Event.name(), "event");
     }
 }

@@ -8,28 +8,18 @@
 //!
 //! # Scheduling
 //!
-//! The production scheduler is a hierarchical event wheel (a calendar
-//! queue, [`EventWheel`]): events within a fixed horizon live in
-//! granularity-sized buckets indexed by an occupancy bitmap, events beyond
-//! the horizon wait in an overflow heap and cascade into the wheel when it
-//! rebases. Same-timestamp events are drained as one batch sorted by
-//! sequence number, which reproduces the exact `(time, seq)` FIFO
-//! tie-break of a binary heap while touching each bucket once. The seed's
-//! `BinaryHeap` scheduler is kept, bit-for-bit, as [`SchedulerKind::Heap`]
-//! — the reference oracle the differential property tests and the
-//! `BENCH_sim` before/after numbers compare against.
-//!
-//! Action slots are free-listed: a slot is recycled as soon as its event
-//! fires, so the action table stays as small as the peak number of
-//! in-flight events instead of growing with the lifetime event count (the
-//! heap oracle intentionally keeps the seed's append-only log). Watcher
-//! delivery is indexed — no per-event clone of the watcher list.
+//! Events wait in one binary heap ordered by `(time, seq)`; `seq` is
+//! globally monotonic, so same-timestamp events fire in the order they
+//! were scheduled. Action slots are free-listed: a slot is recycled as
+//! soon as its event fires, so the action table stays as small as the
+//! peak number of in-flight events instead of growing with the lifetime
+//! event count. Watcher delivery is indexed — no per-event clone of the
+//! watcher list. Handshake circuits run at queue depths of a few events,
+//! where a heap operation costs a handful of comparisons.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Simulation time in picoseconds.
 pub type Time = u64;
@@ -52,364 +42,20 @@ enum Action {
     Notify(PrimId, u64),
 }
 
-/// Which scheduler backs a [`Sim`].
+/// The event engine's scheduler choice. The engine has one scheduler, so
+/// the type has one value; it stays only because the frozen benchmark
+/// harness (`perfbench/src/simstep.rs`) passes `SchedulerKind::Auto` to
+/// `simulate_with`, which accepts and ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// The calendar-queue event wheel with free-listed action slots and
-    /// indexed watcher delivery (the production path).
+    /// The one scheduler.
     #[default]
-    Wheel,
-    /// The seed's `BinaryHeap` scheduler with its append-only action log
-    /// and per-event watcher-list clone, kept as the reference oracle.
-    Heap,
-    /// Picks per design: the heap for small circuits (whose peak queue
-    /// depth of 1–3 never reaches the wheel's interesting regime), the
-    /// wheel above [`AUTO_HEAP_MAX_PRIMS`] primitives. Resolved by
-    /// [`SchedulerKind::resolve`] before a [`Sim`] is built.
     Auto,
-}
-
-/// Primitive-count threshold for [`SchedulerKind::Auto`]: at or below this
-/// many primitives a design's event traffic is so shallow (BENCH_sim shows
-/// peak queue depths of 1–3 on the three small paper designs) that the
-/// plain binary heap wins; above it the wheel's O(1) bucket operations pay
-/// off. The paper designs straddle it (counting handshake components plus
-/// synthesized controllers): Systolic counter (10), Stack (26) and Wagging
-/// register (53) resolve to the heap, the Microprocessor core (74) to the
-/// wheel.
-pub const AUTO_HEAP_MAX_PRIMS: usize = 56;
-
-impl SchedulerKind {
-    /// Resolves [`SchedulerKind::Auto`] against the size of the simulation
-    /// (number of primitives); `Wheel` and `Heap` pass through unchanged.
-    pub fn resolve(self, prims: usize) -> SchedulerKind {
-        match self {
-            SchedulerKind::Auto if prims <= AUTO_HEAP_MAX_PRIMS => SchedulerKind::Heap,
-            SchedulerKind::Auto => SchedulerKind::Wheel,
-            other => other,
-        }
-    }
 }
 
 /// A scheduled event: `(time, seq, action slot)`. Ordered by `(time, seq)`;
 /// `seq` is globally monotonic, so ties in time resolve FIFO.
 type Event = (Time, u64, u32);
-
-const MIN_SHIFT: u32 = 6; // finest bucket granularity: 64 ps
-const MAX_SHIFT: u32 = 26; // coarsest: ~67 µs per bucket
-const WHEEL_BUCKETS: usize = 128;
-const WORDS: usize = WHEEL_BUCKETS / 64;
-
-/// A hierarchical event wheel (calendar queue) with adaptive bucket width.
-///
-/// Events with `time < wheel_start + horizon` live in one of
-/// [`WHEEL_BUCKETS`] buckets of `2^shift` ps each; an occupancy bitmap
-/// finds the next non-empty bucket in a few word operations. Events beyond
-/// the horizon wait in an overflow min-heap and migrate into the buckets
-/// when the wheel rebases (which only happens once every bucket is empty,
-/// so no event is ever left behind). At each rebase the bucket width is
-/// re-fit to the observed inter-event gap, so sparse event streams (gaps
-/// wider than the whole fine-grained horizon) do not thrash the overflow
-/// heap. Bucket width affects only how events are grouped, never the order
-/// they come back out: within a bucket, the minimum timestamp is extracted
-/// as a whole batch and sorted by sequence number — identical pop order to
-/// a `(time, seq)` binary heap, pinned by the differential property tests
-/// in `tests/prop_sched.rs`.
-#[derive(Debug)]
-pub struct EventWheel {
-    /// Depth-1 fast slot: when the queue is empty, the next event is held
-    /// here and popped back without touching a bucket, the occupancy
-    /// bitmap, or the batch machinery. Handshake circuits spend most of
-    /// their life at queue depth 1 (BENCH_sim peaks of 1–3), so this is
-    /// the common case; a second push spills the held event into the
-    /// buckets and the wheel proceeds as before.
-    single: Option<Event>,
-    buckets: Vec<Vec<Event>>,
-    occupied: [u64; WORDS],
-    wheel_start: Time,
-    shift: u32,
-    cursor: usize,
-    near: usize,
-    far: BinaryHeap<Reverse<Event>>,
-    batch: Vec<Event>,
-    batch_ix: usize,
-    len: usize,
-    peak: usize,
-    /// EWMA of the time gap between consecutively popped events, the
-    /// density estimate the next rebase fits the bucket width to.
-    avg_gap: Time,
-    last_pop: Time,
-    /// Events that landed in the overflow heap (beyond the horizon).
-    far_pushes: u64,
-    /// Times the wheel rebased (each rebase re-fits the bucket width).
-    refits: u64,
-}
-
-impl Default for EventWheel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventWheel {
-    /// An empty wheel based at time zero.
-    pub fn new() -> Self {
-        EventWheel {
-            single: None,
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; WORDS],
-            wheel_start: 0,
-            shift: MIN_SHIFT,
-            cursor: 0,
-            near: 0,
-            far: BinaryHeap::new(),
-            batch: Vec::new(),
-            batch_ix: 0,
-            len: 0,
-            peak: 0,
-            avg_gap: 1 << MIN_SHIFT,
-            last_pop: 0,
-            far_pushes: 0,
-            refits: 0,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Largest number of simultaneously pending events seen so far.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Events pushed beyond the horizon into the overflow heap.
-    pub fn far_pushes(&self) -> u64 {
-        self.far_pushes
-    }
-
-    /// Number of rebases (bucket-width refits) performed.
-    pub fn refits(&self) -> u64 {
-        self.refits
-    }
-
-    /// Schedules an event. `time` must not precede the last popped event's
-    /// time (simulation time never runs backwards).
-    pub fn push(&mut self, time: Time, seq: u64, slot: u32) {
-        debug_assert!(time >= self.wheel_start, "event scheduled in the past");
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-        if self.len == 1 {
-            // Empty queue: hold the event in the fast slot, skipping the
-            // bucket machinery entirely for depth-1 traffic.
-            self.single = Some((time, seq, slot));
-            return;
-        }
-        if let Some(held) = self.single.take() {
-            self.push_inner(held);
-        }
-        self.push_inner((time, seq, slot));
-    }
-
-    /// Files an event into a bucket or the overflow heap (no accounting —
-    /// `push` has already counted it).
-    fn push_inner(&mut self, e: Event) {
-        let offset = ((e.0 - self.wheel_start) >> self.shift) as usize;
-        if offset >= WHEEL_BUCKETS {
-            self.far_pushes += 1;
-            self.far.push(Reverse(e));
-            return;
-        }
-        self.buckets[offset].push(e);
-        self.occupied[offset / 64] |= 1 << (offset % 64);
-        self.near += 1;
-    }
-
-    /// Records the inter-event gap of a popped event for the density
-    /// estimate (integer EWMA over the last ~8 events).
-    fn note_pop(&mut self, time: Time) {
-        let gap = time - self.last_pop;
-        self.last_pop = time;
-        self.avg_gap = (self.avg_gap - self.avg_gap / 8 + gap / 8).max(1);
-    }
-
-    /// Pops the pending event with the least `(time, seq)`.
-    pub fn pop(&mut self) -> Option<Event> {
-        loop {
-            if self.batch_ix < self.batch.len() {
-                let e = self.batch[self.batch_ix];
-                self.batch_ix += 1;
-                self.len -= 1;
-                self.note_pop(e.0);
-                return Some(e);
-            }
-            self.batch.clear();
-            self.batch_ix = 0;
-            if self.len == 0 {
-                return None;
-            }
-            if let Some(e) = self.single.take() {
-                // The fast slot only holds an event while it is the whole
-                // queue (a second push spills it), so it is the minimum.
-                debug_assert_eq!(self.len, 1);
-                self.len = 0;
-                self.note_pop(e.0);
-                return Some(e);
-            }
-            if self.near == 0 {
-                self.rebase();
-            }
-            let b = self.next_occupied_bucket();
-            self.cursor = b;
-            let bucket = &mut self.buckets[b];
-            // Fast path: a lone event needs none of the batch machinery.
-            // This is the common case at the low queue depths handshake
-            // circuits run at.
-            if bucket.len() == 1 {
-                let e = bucket.pop().expect("occupied");
-                self.occupied[b / 64] &= !(1 << (b % 64));
-                self.near -= 1;
-                self.len -= 1;
-                self.note_pop(e.0);
-                return Some(e);
-            }
-            // Extract the whole minimum-timestamp batch; later same-time
-            // arrivals carry larger seqs and form the next batch, exactly
-            // as a heap would interleave them.
-            let tmin = bucket.iter().map(|e| e.0).min().expect("occupied");
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].0 == tmin {
-                    self.batch.push(bucket.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            self.near -= self.batch.len();
-            if bucket.is_empty() {
-                self.occupied[b / 64] &= !(1 << (b % 64));
-            }
-            self.batch.sort_unstable_by_key(|&(_, seq, _)| seq);
-        }
-    }
-
-    /// First non-empty bucket at or after the cursor (callers guarantee one
-    /// exists: `near > 0`, and events are never scheduled before the last
-    /// popped time, so nothing sits behind the cursor).
-    fn next_occupied_bucket(&self) -> usize {
-        let mut word = self.cursor / 64;
-        let mut bits = self.occupied[word] & (!0u64 << (self.cursor % 64));
-        loop {
-            if bits != 0 {
-                return word * 64 + bits.trailing_zeros() as usize;
-            }
-            word += 1;
-            debug_assert!(word < WORDS, "near > 0 but no occupied bucket");
-            bits = self.occupied[word];
-        }
-    }
-
-    /// Re-bases the (fully drained) wheel at the earliest overflow event
-    /// and migrates everything within the new horizon into the buckets.
-    ///
-    /// Bucket width is re-fit here from the observed inter-event gap so the
-    /// horizon tracks the workload's time scale: sparse schedules (large
-    /// gaps) get wide buckets instead of thrashing the overflow heap.
-    /// Since the wheel is empty at rebase and width only affects grouping
-    /// (order is resolved per-bucket in `pop`), this never reorders events.
-    fn rebase(&mut self) {
-        debug_assert_eq!(self.near, 0);
-        self.refits += 1;
-        // Aim for a bucket width of roughly twice the average gap, i.e.
-        // ~2 events per bucket, clamped to the supported range.
-        let target = self.avg_gap << 1;
-        self.shift = (63 - target.max(1).leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT);
-        let &Reverse((t0, _, _)) = self.far.peek().expect("len > 0 with empty wheel");
-        self.wheel_start = t0 & !((1 << self.shift) - 1);
-        self.cursor = 0;
-        let horizon = self.wheel_start + ((WHEEL_BUCKETS as Time) << self.shift);
-        while let Some(&Reverse((t, _, _))) = self.far.peek() {
-            if t >= horizon {
-                break;
-            }
-            let Reverse(e) = self.far.pop().expect("peeked");
-            let offset = ((e.0 - self.wheel_start) >> self.shift) as usize;
-            self.buckets[offset].push(e);
-            self.occupied[offset / 64] |= 1 << (offset % 64);
-            self.near += 1;
-        }
-        // Occupancy after migration: how well the refit width spreads the
-        // pending events over the 128 buckets. Rebases are rare (the wheel
-        // must drain first), so a histogram observation here is off the
-        // hot path.
-        static OCC_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-        let occupied: u32 = self.occupied.iter().map(|w| w.count_ones()).sum();
-        bmbe_obs::histogram!("sim.wheel_occupancy", &OCC_BUCKETS).observe(occupied as u64);
-    }
-}
-
-/// The scheduler behind a [`Sim`]: the event wheel or the heap oracle.
-#[derive(Debug)]
-enum EventQueue {
-    Wheel(EventWheel),
-    Heap {
-        heap: BinaryHeap<Reverse<Event>>,
-        peak: usize,
-    },
-}
-
-impl EventQueue {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            // `Auto` should be resolved by the caller (it needs the design
-            // size); an unresolved `Auto` gets the production default.
-            SchedulerKind::Wheel | SchedulerKind::Auto => EventQueue::Wheel(EventWheel::new()),
-            SchedulerKind::Heap => EventQueue::Heap {
-                heap: BinaryHeap::new(),
-                peak: 0,
-            },
-        }
-    }
-
-    fn push(&mut self, time: Time, seq: u64, slot: u32) {
-        match self {
-            EventQueue::Wheel(w) => w.push(time, seq, slot),
-            EventQueue::Heap { heap, peak } => {
-                heap.push(Reverse((time, seq, slot)));
-                *peak = (*peak).max(heap.len());
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap { heap, .. } => heap.pop().map(|Reverse(e)| e),
-        }
-    }
-
-    fn peak(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.peak(),
-            EventQueue::Heap { peak, .. } => *peak,
-        }
-    }
-
-    /// `(far_pushes, refits)` — zero on the heap oracle, which has no
-    /// horizon and never rebases.
-    fn wheel_stats(&self) -> (u64, u64) {
-        match self {
-            EventQueue::Wheel(w) => (w.far_pushes(), w.refits()),
-            EventQueue::Heap { .. } => (0, 0),
-        }
-    }
-}
 
 /// A behavioural element of the simulation.
 pub trait Primitive: Any {
@@ -426,14 +72,49 @@ pub trait Primitive: Any {
     fn as_any(&self) -> &dyn Any;
 }
 
+/// The pending events and the action slots they index.
+#[derive(Default)]
+struct Queue {
+    heap: BinaryHeap<Reverse<Event>>,
+    peak: usize,
+    actions: Vec<Action>,
+    free: Vec<u32>,
+    seq: u64,
+}
+
+impl Queue {
+    /// Schedules `action` at `time`, claiming an action slot from the free
+    /// list or extending the table.
+    fn push(&mut self, time: Time, action: Action) {
+        self.seq += 1;
+        let slot = match self.free.pop() {
+            Some(i) => {
+                self.actions[i as usize] = action;
+                i
+            }
+            None => {
+                self.actions.push(action);
+                (self.actions.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse((time, self.seq, slot)));
+        self.peak = self.peak.max(self.heap.len());
+    }
+
+    /// Pops the pending event with the least `(time, seq)`, releasing its
+    /// action slot.
+    fn pop(&mut self) -> Option<(Time, Action)> {
+        let Reverse((time, _, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        Some((time, self.actions[slot as usize]))
+    }
+}
+
 /// The API primitives use to interact with the simulation.
 pub struct Ctx<'a> {
     nodes: &'a [bool],
     slots: &'a mut [u64],
-    queue: &'a mut EventQueue,
-    actions: &'a mut Vec<Action>,
-    free: &'a mut Vec<u32>,
-    seq: &'a mut u64,
+    queue: &'a mut Queue,
     now: Time,
     self_id: PrimId,
 }
@@ -462,123 +143,61 @@ impl Ctx<'_> {
 
     /// Schedules a wire change `delay` picoseconds from now.
     pub fn set_after(&mut self, node: NodeId, value: bool, delay: Time) {
-        *self.seq += 1;
-        let idx = self.push_action(Action::SetNode(node, value));
-        self.queue.push(self.now + delay, *self.seq, idx);
+        self.queue.push(self.now + delay, Action::SetNode(node, value));
     }
 
     /// Schedules a notification to this primitive.
     pub fn notify_after(&mut self, tag: u64, delay: Time) {
-        *self.seq += 1;
-        let id = self.self_id;
-        let idx = self.push_action(Action::Notify(id, tag));
-        self.queue.push(self.now + delay, *self.seq, idx);
-    }
-
-    /// Claims an action slot from the free list, or extends the table.
-    fn push_action(&mut self, a: Action) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.actions[i as usize] = a;
-                i
-            }
-            None => {
-                self.actions.push(a);
-                (self.actions.len() - 1) as u32
-            }
-        }
+        self.queue
+            .push(self.now + delay, Action::Notify(self.self_id, tag));
     }
 }
 
 /// The simulator.
+#[derive(Default)]
 pub struct Sim {
     nodes: Vec<bool>,
-    node_names: Vec<Arc<str>>,
-    names: HashMap<Arc<str>, NodeId>,
     slots: Vec<u64>,
     prims: Vec<Option<Box<dyn Primitive>>>,
     watchers: Vec<Vec<PrimId>>,
-    queue: EventQueue,
-    actions: Vec<Action>,
-    free: Vec<u32>,
-    kind: SchedulerKind,
-    seq: u64,
+    queue: Queue,
     now: Time,
     /// Count of processed events (for run-away detection).
     pub events_processed: u64,
-    /// Log every applied wire change (debugging aid). Lines go to stderr
-    /// via `bmbe_obs::vlog!` at verbosity ≥ 1; callers that set this should
-    /// also call `bmbe_obs::ensure_verbosity(1)` (simbuild does when
-    /// `BMBE_SIM_TRACE` is set).
-    pub trace: bool,
-}
-
-impl Default for Sim {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Wire names for the wire-change log; `None` keeps the log off.
+    trace: Option<Vec<String>>,
 }
 
 impl Sim {
-    /// Creates an empty simulator on the event-wheel scheduler.
+    /// Creates an empty simulator.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::Wheel)
+        Self::default()
     }
 
-    /// Creates an empty simulator on the given scheduler.
-    ///
-    /// [`SchedulerKind::Heap`] reproduces the seed engine exactly — binary
-    /// heap, append-only action log, per-event watcher clone — and exists
-    /// as the reference oracle for differential tests and benchmarks.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        // An unresolved `Auto` (see `SchedulerKind::resolve`) falls back to
-        // the production wheel so `self.kind` is always concrete.
-        let kind = match kind {
-            SchedulerKind::Auto => SchedulerKind::Wheel,
-            k => k,
-        };
+    /// Creates a simulator with `wires` wires (all 0) and `slots` data
+    /// slots; ids are dense, `NodeId(0..wires)` and `SlotId(0..slots)`.
+    pub fn with_size(wires: usize, slots: usize) -> Self {
         Sim {
-            nodes: Vec::new(),
-            node_names: Vec::new(),
-            names: HashMap::new(),
-            slots: Vec::new(),
-            prims: Vec::new(),
-            watchers: Vec::new(),
-            queue: EventQueue::new(kind),
-            actions: Vec::new(),
-            free: Vec::new(),
-            kind,
-            seq: 0,
-            now: 0,
-            events_processed: 0,
-            trace: false,
+            nodes: vec![false; wires],
+            slots: vec![0; slots],
+            watchers: vec![Vec::new(); wires],
+            ..Self::default()
         }
     }
 
-    /// Which scheduler this simulator runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.kind
-    }
-
-    /// Creates (or finds) a named wire, initially 0. The name is interned
-    /// once (the lookup table and the id-to-name table share one
-    /// allocation).
-    pub fn node(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.names.get(name) {
-            return id;
-        }
-        let id = NodeId(self.nodes.len());
-        let interned: Arc<str> = Arc::from(name);
+    /// Adds a wire, initially 0.
+    pub fn wire(&mut self) -> NodeId {
         self.nodes.push(false);
-        self.node_names.push(interned.clone());
-        self.names.insert(interned, id);
         self.watchers.push(Vec::new());
-        id
+        NodeId(self.nodes.len() - 1)
     }
 
-    /// The name of a wire.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
+    /// Logs every applied wire change under these wire names (debugging
+    /// aid). Lines go to stderr via `bmbe_obs::vlog!` at verbosity ≥ 1;
+    /// callers should also call `bmbe_obs::ensure_verbosity(1)` (the flow
+    /// does when `BMBE_SIM_TRACE` is set).
+    pub fn trace_wires(&mut self, names: Vec<String>) {
+        self.trace = Some(names);
     }
 
     /// Current value of a wire.
@@ -621,27 +240,13 @@ impl Sim {
 
     /// Largest number of simultaneously pending events seen so far.
     pub fn peak_queue_depth(&self) -> usize {
-        self.queue.peak()
+        self.queue.peak
     }
 
-    /// Events that overflowed the wheel horizon into the far heap (zero on
-    /// the heap oracle).
-    pub fn far_heap_hits(&self) -> u64 {
-        self.queue.wheel_stats().0
-    }
-
-    /// Wheel rebases (bucket-width refits) performed so far (zero on the
-    /// heap oracle).
-    pub fn refit_count(&self) -> u64 {
-        self.queue.wheel_stats().1
-    }
-
-    /// Size of the action-slot table. On the wheel scheduler slots are
-    /// free-listed, so this is bounded by the peak queue depth, not the
-    /// lifetime event count (the heap oracle keeps the seed's append-only
-    /// log, where it equals total scheduled events).
+    /// Size of the action-slot table: slots are free-listed, so this is
+    /// bounded by the peak queue depth, not the lifetime event count.
     pub fn action_slots(&self) -> usize {
-        self.actions.len()
+        self.queue.actions.len()
     }
 
     fn call<F: FnOnce(&mut dyn Primitive, &mut Ctx<'_>)>(&mut self, id: PrimId, f: F) {
@@ -650,9 +255,6 @@ impl Sim {
             nodes: &self.nodes,
             slots: &mut self.slots,
             queue: &mut self.queue,
-            actions: &mut self.actions,
-            free: &mut self.free,
-            seq: &mut self.seq,
             now: self.now,
             self_id: id,
         };
@@ -673,51 +275,28 @@ impl Sim {
         if done(self) {
             return true;
         }
-        while let Some((t, _, action_ix)) = self.queue.pop() {
+        while let Some((t, action)) = self.queue.pop() {
+            self.now = t;
             if t > max_time {
-                self.now = t;
                 return false;
             }
-            self.now = t;
             self.events_processed += 1;
-            let action = self.actions[action_ix as usize];
-            if self.kind == SchedulerKind::Wheel {
-                self.free.push(action_ix);
-            }
             match action {
                 Action::SetNode(node, value) => {
                     if self.nodes[node.0] == value {
                         continue;
                     }
                     self.nodes[node.0] = value;
-                    if self.trace {
-                        bmbe_obs::vlog!(
-                            1,
-                            "[{:>8}ps] {} <- {}",
-                            t,
-                            self.node_names[node.0],
-                            value as u8
-                        );
+                    if let Some(names) = &self.trace {
+                        bmbe_obs::vlog!(1, "[{:>8}ps] {} <- {}", t, names[node.0], value as u8);
                         bmbe_obs::event!("sim.wire_change", node.0 as i64);
                     }
-                    match self.kind {
-                        SchedulerKind::Heap => {
-                            // The seed's per-event clone, preserved in the
-                            // oracle so before/after numbers are honest.
-                            let watchers = self.watchers[node.0].clone();
-                            for w in watchers {
-                                self.call(w, |p, ctx| p.on_change(ctx, node));
-                            }
-                        }
-                        _ => {
-                            // Indexed delivery: the watcher lists are fixed
-                            // once simulation starts (primitives cannot
-                            // register new ones), so no defensive clone.
-                            for i in 0..self.watchers[node.0].len() {
-                                let w = self.watchers[node.0][i];
-                                self.call(w, |p, ctx| p.on_change(ctx, node));
-                            }
-                        }
+                    // Indexed delivery: the watcher lists are fixed once
+                    // simulation starts (primitives cannot register new
+                    // ones), so no defensive clone.
+                    for i in 0..self.watchers[node.0].len() {
+                        let w = self.watchers[node.0][i];
+                        self.call(w, |p, ctx| p.on_change(ctx, node));
                     }
                 }
                 Action::Notify(prim, tag) => {
@@ -757,11 +336,12 @@ mod tests {
         }
     }
 
-    fn inverter_chain(kind: SchedulerKind) -> bool {
-        let mut sim = Sim::with_scheduler(kind);
-        let a = sim.node("a");
-        let b = sim.node("b");
-        let c = sim.node("c");
+    #[test]
+    fn inverter_chain_propagates_with_delay() {
+        let mut sim = Sim::new();
+        let a = sim.wire();
+        let b = sim.wire();
+        let c = sim.wire();
         sim.add_prim(
             Box::new(Inv {
                 input: a,
@@ -780,19 +360,13 @@ mod tests {
         );
         sim.init();
         // after init: b = 1 (at t=100), c = !b ... settles: a=0,b=1,c=0.
-        sim.run_until(|s| s.value(b) && !s.value(c) && s.now() >= 200, 10_000)
-    }
-
-    #[test]
-    fn inverter_chain_propagates_with_delay() {
-        assert!(inverter_chain(SchedulerKind::Wheel));
-        assert!(inverter_chain(SchedulerKind::Heap));
+        assert!(sim.run_until(|s| s.value(b) && !s.value(c) && s.now() >= 200, 10_000));
     }
 
     #[test]
     fn ring_oscillator_keeps_running_until_limit() {
         let mut sim = Sim::new();
-        let a = sim.node("a");
+        let a = sim.wire();
         sim.add_prim(
             Box::new(Inv {
                 input: a,
@@ -813,7 +387,7 @@ mod tests {
         // event in flight; after hundreds of thousands of events the slot
         // table must still be O(peak depth), not O(events).
         let mut sim = Sim::new();
-        let a = sim.node("a");
+        let a = sim.wire();
         sim.add_prim(
             Box::new(Inv {
                 input: a,
@@ -835,9 +409,50 @@ mod tests {
     }
 
     #[test]
-    fn far_events_cascade_through_the_overflow_heap() {
-        // Delays far beyond the wheel horizon (65 536 ps) must still fire
-        // in order.
+    fn same_time_events_fire_in_scheduling_order() {
+        // Three writes to one wire at the same instant, scheduled in the
+        // order 1, 0, 1: the last one scheduled wins, and each applied
+        // change is delivered.
+        struct Writer {
+            out: NodeId,
+        }
+        impl Primitive for Writer {
+            fn init(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_after(self.out, true, 100);
+                ctx.set_after(self.out, false, 100);
+                ctx.set_after(self.out, true, 100);
+            }
+            fn on_change(&mut self, _ctx: &mut Ctx<'_>, _node: NodeId) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        struct Log {
+            seen: Vec<bool>,
+        }
+        impl Primitive for Log {
+            fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
+                self.seen.push(ctx.get(node));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let mut sim = Sim::with_size(1, 0);
+        let w = NodeId(0);
+        sim.add_prim(Box::new(Writer { out: w }), &[]);
+        let log = sim.add_prim(Box::new(Log { seen: Vec::new() }), &[w]);
+        sim.init();
+        sim.run_until(|_| false, 1_000);
+        assert_eq!(sim.prim::<Log>(log).unwrap().seen, [true, false, true]);
+        assert_eq!(sim.events_processed, 3);
+        assert_eq!(sim.peak_queue_depth(), 3);
+    }
+
+    #[test]
+    fn far_events_fire_in_order() {
+        // Delays of milliseconds next to picosecond gate delays must still
+        // fire in time order.
         struct SlowInv {
             input: NodeId,
             output: NodeId,
@@ -855,7 +470,7 @@ mod tests {
             }
         }
         let mut sim = Sim::new();
-        let a = sim.node("a");
+        let a = sim.wire();
         sim.add_prim(Box::new(SlowInv { input: a, output: a }), &[a]);
         sim.init();
         let done = sim.run_until(|s| s.events_processed >= 5, 100_000_000);
@@ -864,76 +479,11 @@ mod tests {
     }
 
     #[test]
-    fn named_nodes_are_shared() {
-        let mut sim = Sim::new();
-        let a1 = sim.node("x_r");
-        let a2 = sim.node("x_r");
-        assert_eq!(a1, a2);
-        assert_eq!(sim.node_name(a1), "x_r");
-    }
-
-    #[test]
-    fn slots_hold_data() {
-        let mut sim = Sim::new();
-        let s = sim.slot();
-        assert_eq!(sim.slot_value(s), 0);
-    }
-
-    #[test]
-    fn singleton_fast_slot_handles_depth_one_traffic() {
-        let mut w = EventWheel::new();
-        // Alternating push/pop never touches a bucket.
-        for i in 0..1000u64 {
-            w.push(i * 64, i, i as u32);
-            assert_eq!(w.pop(), Some((i * 64, i, i as u32)));
-        }
-        assert!(w.is_empty());
-        assert_eq!(w.peak(), 1);
-        assert_eq!(w.refits(), 0);
-        // A held event far beyond the horizon spills into the far heap
-        // when a second push arrives, and still pops in order.
-        w.push(100_000_000, 1000, 0);
-        w.push(64_000, 1001, 1);
-        assert_eq!(w.pop(), Some((64_000, 1001, 1)));
-        assert_eq!(w.pop(), Some((100_000_000, 1000, 0)));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn auto_resolves_by_design_size() {
-        assert_eq!(
-            SchedulerKind::Auto.resolve(AUTO_HEAP_MAX_PRIMS),
-            SchedulerKind::Heap
-        );
-        assert_eq!(
-            SchedulerKind::Auto.resolve(AUTO_HEAP_MAX_PRIMS + 1),
-            SchedulerKind::Wheel
-        );
-        assert_eq!(SchedulerKind::Wheel.resolve(1), SchedulerKind::Wheel);
-        assert_eq!(SchedulerKind::Heap.resolve(10_000), SchedulerKind::Heap);
-        // An unresolved Auto still builds a working (wheel) simulator.
-        let sim = Sim::with_scheduler(SchedulerKind::Auto);
-        assert_eq!(sim.scheduler(), SchedulerKind::Wheel);
-    }
-
-    #[test]
-    fn wheel_pops_in_time_seq_order() {
-        let mut w = EventWheel::new();
-        // Same time, out-of-order seqs; far events; batch interleaving.
-        w.push(100, 3, 0);
-        w.push(100, 1, 1);
-        w.push(50, 2, 2);
-        w.push(1_000_000, 4, 3); // beyond the horizon
-        w.push(100, 5, 4);
-        assert_eq!(w.pop(), Some((50, 2, 2)));
-        assert_eq!(w.pop(), Some((100, 1, 1)));
-        assert_eq!(w.pop(), Some((100, 3, 0)));
-        assert_eq!(w.pop(), Some((100, 5, 4)));
-        // Push at current time after partial drain still orders by seq.
-        w.push(200, 6, 5);
-        assert_eq!(w.pop(), Some((200, 6, 5)));
-        assert_eq!(w.pop(), Some((1_000_000, 4, 3)));
-        assert_eq!(w.pop(), None);
-        assert_eq!(w.peak(), 5);
+    fn sized_sim_has_dense_ids() {
+        let mut sim = Sim::with_size(2, 1);
+        assert_eq!(sim.wire(), NodeId(2));
+        assert_eq!(sim.slot(), SlotId(1));
+        assert_eq!(sim.slot_value(SlotId(0)), 0);
+        assert!(!sim.value(NodeId(1)));
     }
 }

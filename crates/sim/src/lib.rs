@@ -7,21 +7,21 @@
 //! bundled-data datapath components, and scripted environment processes —
 //! the role the paper's `pearl` + Verilog-XL combination plays.
 //!
-//! See [`engine::Sim`] for the core and [`prims`] for the primitive
-//! library.
+//! A design is lowered once into a [`circuit::Circuit`], which both
+//! engines consume: [`engine::Sim`] (timed, event-driven, with the
+//! primitive library of [`prims`]) and [`compile::CompiledCircuit`]
+//! (untimed, 64 scenario lanes at once).
 
+pub mod circuit;
 pub mod compile;
 pub mod engine;
 pub mod prims;
 
+pub use circuit::{Circuit, DoneSpec, LaneSpec, Part};
 pub use compile::{
-    CCh, CPrim, CSite, CSlot, CWire, CircuitBuilder, CompileError, CompiledCircuit,
-    ControllerTape, DoneSpec, GateSpec, LaneSpec, RunResult, RunSpec, SimBackend, TapeOp, LANES,
+    CompileError, CompiledCircuit, ControllerTape, RunResult, RunSpec, SimBackend, TapeOp, LANES,
 };
-pub use engine::{
-    Ctx, EventWheel, NodeId, PrimId, Primitive, SchedulerKind, Sim, SlotId, Time,
-    AUTO_HEAP_MAX_PRIMS,
-};
+pub use engine::{Ctx, NodeId, PrimId, Primitive, SchedulerKind, Sim, SlotId, Time};
 pub use prims::{
     ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerPrim, DataCh, Delays,
     FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv, PushConsumerEnv,

@@ -72,7 +72,7 @@ impl Delays {
 }
 
 /// A four-phase bundled-data channel endpoint used by primitives.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataCh {
     /// Request wire.
     pub req: NodeId,
@@ -540,7 +540,7 @@ impl Primitive for PullMuxPrim {
 }
 
 /// One read or write site of a memory.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemSite {
     /// Data channel (pull provider for reads, push consumer for writes).
     pub data: DataCh,
@@ -836,10 +836,10 @@ mod tests {
     use super::*;
     use crate::engine::Sim;
 
-    fn ch(sim: &mut Sim, name: &str) -> DataCh {
+    fn ch(sim: &mut Sim) -> DataCh {
         DataCh {
-            req: sim.node(&format!("{name}_r")),
-            ack: sim.node(&format!("{name}_a")),
+            req: sim.wire(),
+            ack: sim.wire(),
             slot: sim.slot(),
         }
     }
@@ -847,7 +847,7 @@ mod tests {
     #[test]
     fn constant_answers_pulls() {
         let mut sim = Sim::new();
-        let c = ch(&mut sim, "k");
+        let c = ch(&mut sim);
         sim.add_prim(
             Box::new(ConstantPrim {
                 ch: c,
@@ -896,8 +896,8 @@ mod tests {
     #[test]
     fn variable_stores_and_reads() {
         let mut sim = Sim::new();
-        let w = ch(&mut sim, "v_w");
-        let r = ch(&mut sim, "v_rd");
+        let w = ch(&mut sim);
+        let r = ch(&mut sim);
         sim.add_prim(
             Box::new(VariablePrim {
                 value: 0,
@@ -958,9 +958,9 @@ mod tests {
     #[test]
     fn binfunc_computes_sum_of_constants() {
         let mut sim = Sim::new();
-        let out = ch(&mut sim, "f");
-        let l = ch(&mut sim, "l");
-        let r = ch(&mut sim, "r");
+        let out = ch(&mut sim);
+        let l = ch(&mut sim);
+        let r = ch(&mut sim);
         sim.add_prim(
             Box::new(ConstantPrim {
                 ch: l,

@@ -16,7 +16,7 @@
 //! stdout.
 //!
 //! `gauntlet` generates a seeded corpus slice and runs every design
-//! through all five differential oracle pairs (see
+//! through all four differential oracle pairs (see
 //! `bmbe::flow::gauntlet`), printing one JSON object per finding plus a
 //! summary; a finding's `seed`, `family`, and `params` fields make
 //! `bmbe gauntlet --seed S --designs N --only NAME` a one-command
@@ -244,14 +244,13 @@ fn cmd_gauntlet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "{{\"summary\": true, \"seed\": {}, \"designs\": {}, \"findings\": {}, \
-         \"heap_vs_wheel\": {}, \"compiled_vs_wheel\": {}, \"otf_vs_materialized\": {}, \
+         \"compiled_vs_event\": {}, \"otf_vs_materialized\": {}, \
          \"serial_vs_parallel\": {}, \"fault_vs_clean\": {}, \
          \"cache_hits\": {}, \"synthesized\": {}, \"shared\": {}, \"wall_s\": {:.3}}}",
         report.seed,
         report.designs,
         report.findings.len(),
-        report.checks.heap_vs_wheel,
-        report.checks.compiled_vs_wheel,
+        report.checks.compiled_vs_event,
         report.checks.otf_vs_materialized,
         report.checks.serial_vs_parallel,
         report.checks.fault_vs_clean,

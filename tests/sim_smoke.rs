@@ -1,21 +1,17 @@
-//! Simulation smoke test: every benchmark scenario must run on the
-//! event-wheel scheduler well inside a generous wall-clock bound, and must
-//! reproduce the heap oracle's outcome exactly. Like `perf_smoke`, this is
-//! not a benchmark — the bound is an order of magnitude above the measured
-//! time — it catches catastrophic scheduler regressions in ordinary
-//! `cargo test` runs.
+//! Simulation smoke test: every benchmark scenario must run on the event
+//! engine well inside a generous wall-clock bound. Like `perf_smoke`, this
+//! is not a benchmark — the bound is an order of magnitude above the
+//! measured time — it catches catastrophic scheduler regressions in
+//! ordinary `cargo test` runs.
 
 use bmbe_designs::all_designs;
-use bmbe_flow::{
-    run_control_flow_with, simulate_with, to_flow_scenario, ControllerCache, FlowOptions,
-};
+use bmbe_flow::{run_control_flow_with, simulate, to_flow_scenario, ControllerCache, FlowOptions};
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
-use bmbe_sim::SchedulerKind;
 use std::time::{Duration, Instant};
 
 #[test]
-fn wheel_scheduler_runs_all_scenarios_within_wall_clock_bound() {
+fn event_engine_runs_all_scenarios_within_wall_clock_bound() {
     let bound = if cfg!(debug_assertions) {
         Duration::from_secs(300)
     } else {
@@ -42,52 +38,24 @@ fn wheel_scheduler_runs_all_scenarios_within_wall_clock_bound() {
         })
         .collect();
 
-    // The timed pass: every scenario on the production wheel scheduler.
     let start = Instant::now();
-    let mut wheel_runs = Vec::new();
     for (design, scenario, flow) in &flows {
-        let run = simulate_with(
-            &design.compiled,
-            flow,
-            scenario,
-            &delays,
-            SchedulerKind::Wheel,
-        )
-        .unwrap_or_else(|e| panic!("{} wheel sim: {e}", design.name));
+        let run = simulate(&design.compiled, flow, scenario, &delays)
+            .unwrap_or_else(|e| panic!("{} sim: {e}", design.name));
         assert!(
             run.completed,
-            "{}: wheel run did not complete (reached {} ns after {} events)",
+            "{}: event run did not complete (reached {} ns after {} events)",
             design.name, run.time_ns, run.events
         );
-        assert_eq!(run.stats.scheduler, SchedulerKind::Wheel);
         assert!(
             run.stats.peak_queue_depth > 0,
             "{}: a completed run must have queued events",
             design.name
         );
-        wheel_runs.push(run);
     }
     let elapsed = start.elapsed();
     assert!(
         elapsed < bound,
-        "wheel simulation of all scenarios took {elapsed:?} (bound {bound:?})"
+        "event simulation of all scenarios took {elapsed:?} (bound {bound:?})"
     );
-
-    // Differential pass: the heap oracle must agree on every observable of
-    // every design (events, end time, outputs, sync counts, memories).
-    for ((design, scenario, flow), wheel_run) in flows.iter().zip(&wheel_runs) {
-        let heap_run = simulate_with(
-            &design.compiled,
-            flow,
-            scenario,
-            &delays,
-            SchedulerKind::Heap,
-        )
-        .unwrap_or_else(|e| panic!("{} heap sim: {e}", design.name));
-        assert!(
-            wheel_run.same_result(&heap_run),
-            "{}: wheel and heap schedulers disagree",
-            design.name
-        );
-    }
 }
