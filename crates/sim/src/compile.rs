@@ -464,6 +464,14 @@ struct RunState {
     waves: u64,
     settle_iters: u64,
     lane_events: Vec<u64>,
+    /// The batch's lanes (the initial live mask).
+    batch: u64,
+    /// Wire changes that hit every lane of the batch at once, counted
+    /// here instead of lane by lane and added to each lane at harvest.
+    batch_events: u64,
+    /// Whether an environment counter a done condition reads may have
+    /// moved since the last done check.
+    counted: bool,
 }
 
 fn for_lanes(mut m: u64, mut f: impl FnMut(usize)) {
@@ -563,6 +571,9 @@ impl RunState {
             waves: 0,
             settle_iters: 0,
             lane_events: vec![0; LANES],
+            batch: live,
+            batch_events: 0,
+            counted: true,
         }
     }
 
@@ -633,7 +644,11 @@ impl RunState {
             self.wires[w] = new;
             self.changed[w] = diff;
             self.chg_dirty.push(w);
-            for_lanes(diff, |l| self.lane_events[l] += 1);
+            if diff == self.batch {
+                self.batch_events += 1;
+            } else {
+                for_lanes(diff, |l| self.lane_events[l] += 1);
+            }
             for &op in &c.watchers[w] {
                 if !self.trig[op as usize] {
                     self.trig[op as usize] = true;
@@ -670,6 +685,11 @@ impl RunState {
     /// and their pending writes are cancelled (the event engine stops at
     /// the done event; nothing scheduled after it runs).
     fn check_done(&mut self, spec: &RunSpec<'_>) {
+        // Done conditions read the driver, consumer and responder counters
+        // only; while none of those parts ran, no lane can newly complete.
+        if !std::mem::take(&mut self.counted) {
+            return;
+        }
         let mut newly = 0u64;
         for (lane, ls) in spec.lanes.iter().enumerate() {
             let bit = 1u64 << lane;
@@ -916,6 +936,7 @@ impl RunState {
                 });
             }
             Part::ActivationDriver { req, ack } => {
+                self.counted = true;
                 let PState::Driver {
                     cycles,
                     completions,
@@ -934,6 +955,7 @@ impl RunState {
                 });
             }
             Part::SyncResponder { req, ack } => {
+                self.counted = true;
                 let PState::Sync { count } = &mut pst else {
                     unreachable!()
                 };
@@ -961,6 +983,7 @@ impl RunState {
                 self.sched(ch.ack, 0, m & !v);
             }
             Part::PushConsumer { ch } => {
+                self.counted = true;
                 let PState::Consumer { received } = &mut pst else {
                     unreachable!()
                 };
@@ -1042,7 +1065,7 @@ impl RunState {
         self.scratch = scratch;
     }
 
-    fn harvest(self, c: &CompiledCircuit, n: usize) -> RunResult {
+    fn harvest(mut self, c: &CompiledCircuit, n: usize) -> RunResult {
         // Live-lane accounting contract: a partial batch pads the 64-wide
         // words with dead lanes, but every scheduled write is masked with
         // `live` before it lands, so the padding can never accrue events.
@@ -1054,6 +1077,9 @@ impl RunState {
             "dead padded lanes accrued events: {:?}",
             &self.lane_events[n..]
         );
+        for e in &mut self.lane_events[..n] {
+            *e += self.batch_events;
+        }
         let mut consumer_received = HashMap::new();
         let mut sync_counts = HashMap::new();
         let mut driver_completions = HashMap::new();
