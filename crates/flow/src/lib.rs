@@ -47,7 +47,7 @@ pub use pipeline::{
     FlowOptions, FlowResult,
 };
 pub use profile::PhaseProfile;
-pub use lower::{bind, lower};
+pub use lower::lower;
 pub use simbuild::{simulate, simulate_with, Done, Scenario, SimBuildError, SimOutcome, SimStats};
 pub use table3::{
     check_outcome, run_design, run_design_with, run_designs_with, to_flow_scenario, BenchError,

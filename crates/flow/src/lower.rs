@@ -237,7 +237,7 @@ pub fn lower(
 ///
 /// [`SimBuildError::UnknownPort`] when the done condition names a port
 /// the circuit has no consumer (or responder) for.
-pub fn bind<'a>(circuit: &Circuit, s: &'a Scenario) -> Result<LaneSpec<'a>, SimBuildError> {
+pub(crate) fn bind<'a>(circuit: &Circuit, s: &'a Scenario) -> Result<LaneSpec<'a>, SimBuildError> {
     let find = |handles: &[(String, PrimId)], port: &str| {
         handles
             .iter()

@@ -145,9 +145,20 @@ impl Part {
                 out.push(write.req);
                 out.extend(reads.iter().map(|c| c.req));
             }
-            Part::BinFunc { out: o, lhs, rhs, .. } => out.extend([o.req, lhs.ack, rhs.ack]),
-            Part::UnFunc { out: o, operand, .. } => out.extend([o.req, operand.ack]),
-            Part::CallMux { ins: chs, out: tail } | Part::PullMux { clients: chs, source: tail } => {
+            Part::BinFunc {
+                out: o, lhs, rhs, ..
+            } => out.extend([o.req, lhs.ack, rhs.ack]),
+            Part::UnFunc {
+                out: o, operand, ..
+            } => out.extend([o.req, operand.ack]),
+            Part::CallMux {
+                ins: chs,
+                out: tail,
+            }
+            | Part::PullMux {
+                clients: chs,
+                source: tail,
+            } => {
                 out.extend(chs.iter().map(|c| c.req));
                 out.push(tail.ack);
             }
@@ -156,7 +167,9 @@ impl Part {
                     out.extend([s.data.req, s.addr.ack]);
                 }
             }
-            Part::SelectAdapter { sel_req, provider, .. } => out.extend([*sel_req, provider.ack]),
+            Part::SelectAdapter {
+                sel_req, provider, ..
+            } => out.extend([*sel_req, provider.ack]),
             Part::FetchData { pull, .. } => out.push(pull.ack),
             Part::ActivationDriver { ack, .. } => out.push(*ack),
             Part::SyncResponder { req, .. } => out.push(*req),
@@ -230,7 +243,7 @@ pub struct LaneSpec<'a> {
 
 impl LaneSpec<'_> {
     /// The script of pull provider `p` (empty when unscripted).
-    pub fn provider_values(&self, p: PrimId) -> &[u64] {
+    pub fn script(&self, p: PrimId) -> &[u64] {
         self.provider_values
             .iter()
             .find(|(q, _)| *q == p)
@@ -238,7 +251,7 @@ impl LaneSpec<'_> {
     }
 
     /// The preload of memory `p` (empty when none).
-    pub fn memory_init(&self, p: PrimId) -> &[u64] {
+    pub fn preload(&self, p: PrimId) -> &[u64] {
         self.memory_init
             .iter()
             .find(|(q, _)| *q == p)
@@ -309,7 +322,7 @@ impl Circuit {
                 } => {
                     let mut m =
                         MemoryPrim::new(*words, reads.clone(), writes.clone(), delays.memory);
-                    for (w, v) in m.words.iter_mut().zip(lane.memory_init(PrimId(i))) {
+                    for (w, v) in m.words.iter_mut().zip(lane.preload(PrimId(i))) {
                         *w = *v;
                     }
                     Box::new(m)
@@ -341,7 +354,7 @@ impl Circuit {
                 }),
                 &Part::PullProvider { ch } => Box::new(PullProviderEnv {
                     ch,
-                    values: lane.provider_values(PrimId(i)).to_vec(),
+                    values: lane.script(PrimId(i)).to_vec(),
                     ix: 0,
                     delay: delays.env,
                 }),

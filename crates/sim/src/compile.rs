@@ -513,7 +513,7 @@ impl RunState {
                     let words = (*words).max(1);
                     let mut w = vec![0u64; words * LANES];
                     for (lane, ls) in spec.lanes.iter().enumerate() {
-                        for (a, v) in ls.memory_init(p).iter().enumerate().take(words) {
+                        for (a, v) in ls.preload(p).iter().enumerate().take(words) {
                             w[a * LANES + lane] = *v;
                         }
                     }
@@ -541,7 +541,7 @@ impl RunState {
                 Part::PullProvider { .. } => {
                     let mut values: Vec<Vec<u64>> = vec![Vec::new(); LANES];
                     for (lane, ls) in spec.lanes.iter().enumerate() {
-                        values[lane] = ls.provider_values(p).to_vec();
+                        values[lane] = ls.script(p).to_vec();
                     }
                     PState::Provider {
                         values,

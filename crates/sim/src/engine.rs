@@ -143,7 +143,8 @@ impl Ctx<'_> {
 
     /// Schedules a wire change `delay` picoseconds from now.
     pub fn set_after(&mut self, node: NodeId, value: bool, delay: Time) {
-        self.queue.push(self.now + delay, Action::SetNode(node, value));
+        self.queue
+            .push(self.now + delay, Action::SetNode(node, value));
     }
 
     /// Schedules a notification to this primitive.
@@ -471,7 +472,13 @@ mod tests {
         }
         let mut sim = Sim::new();
         let a = sim.wire();
-        sim.add_prim(Box::new(SlowInv { input: a, output: a }), &[a]);
+        sim.add_prim(
+            Box::new(SlowInv {
+                input: a,
+                output: a,
+            }),
+            &[a],
+        );
         sim.init();
         let done = sim.run_until(|s| s.events_processed >= 5, 100_000_000);
         assert!(done);
