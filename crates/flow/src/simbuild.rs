@@ -80,8 +80,8 @@ pub struct SimStats {
     /// Host wall-clock seconds spent inside the event loop.
     pub wall_s: f64,
     /// Always 0: the event engine's one scheduler has no overflow heap.
-    /// Kept because the frozen benchmark harness
-    /// (`perfbench/src/simstep.rs`) reads it.
+    /// Kept because the benchmark harness (`perfbench/src/simstep.rs`),
+    /// which builds against this API as it is, reads it.
     pub far_heap_hits: u64,
     /// Processed events per host wall-clock second.
     pub events_per_s: f64,
@@ -196,7 +196,8 @@ pub fn simulate(
 
 /// [`simulate`] for callers that name a scheduler. The event engine has
 /// one scheduler, so `_scheduler` is ignored; the function stays because
-/// the frozen benchmark harness (`perfbench/src/simstep.rs`) calls it.
+/// the benchmark harness (`perfbench/src/simstep.rs`), which builds
+/// against this API as it is, calls it.
 ///
 /// # Errors
 ///

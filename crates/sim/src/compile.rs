@@ -493,14 +493,15 @@ impl RunState {
             let p = PrimId(pi);
             pstates.push(match part {
                 Part::Controller { .. } => {
-                    let code = c.tapes[tapes].initial_code;
-                    let state = (0..c.tapes[tapes].num_state)
-                        .map(|j| if code >> j & 1 == 1 { !0u64 } else { 0 })
-                        .collect();
+                    // Tapes are numbered in part order.
+                    let tape = tapes;
                     tapes += 1;
+                    let t = &c.tapes[tape];
                     PState::Ctrl {
-                        tape: tapes - 1,
-                        state,
+                        tape,
+                        state: (0..t.num_state)
+                            .map(|j| if t.initial_code >> j & 1 == 1 { !0u64 } else { 0 })
+                            .collect(),
                     }
                 }
                 Part::Variable { .. } => PState::Var {

@@ -43,9 +43,9 @@ enum Action {
 }
 
 /// The event engine's scheduler choice. The engine has one scheduler, so
-/// the type has one value; it stays only because the frozen benchmark
-/// harness (`perfbench/src/simstep.rs`) passes `SchedulerKind::Auto` to
-/// `simulate_with`, which accepts and ignores it.
+/// the type has one value; it stays only because the benchmark harness
+/// (`perfbench/src/simstep.rs`), which builds against this API as it is,
+/// passes `SchedulerKind::Auto` to `simulate_with`, which ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// The one scheduler.
