@@ -12,7 +12,7 @@
 //!   (`bmbe_obs::export::validate_json`, dependency-free);
 //! - every span closes exactly once, LIFO per lane, nothing dropped
 //!   (`bmbe_obs::export::validate`);
-//! - the span lanes cover all five per-shape flow phases and the simulator
+//! - the span lanes cover all six per-shape flow phases and the simulator
 //!   run loop.
 //!
 //! This is the smoke gate the tier-1 CI script runs.
@@ -28,7 +28,7 @@ use bmbe_sim::prims::Delays;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-/// The span names a complete trace must contain: the five per-shape flow
+/// The span names a complete trace must contain: the six per-shape flow
 /// phases plus the simulator run loop.
 const REQUIRED_SPANS: &[&str] = &[
     "shape.compile",
@@ -36,6 +36,7 @@ const REQUIRED_SPANS: &[&str] = &[
     "shape.synth",
     "shape.verify",
     "shape.map",
+    "shape.verify_mapped",
     "sim.run",
 ];
 

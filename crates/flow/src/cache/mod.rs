@@ -232,8 +232,9 @@ pub struct SynthArtifact {
 /// post-mapping verification.
 ///
 /// Each phase runs inside a `bmbe_obs` span (`shape.compile`,
-/// `shape.statemin`, `shape.synth`, `shape.verify`, `shape.map`), and the
-/// artifact's [`PhaseProfile`] is *generated from those spans* by a
+/// `shape.statemin`, `shape.synth`, `shape.verify`, `shape.map`,
+/// `shape.verify_mapped`; the profile folds the last into `verify`), and
+/// the artifact's [`PhaseProfile`] is *generated from those spans* by a
 /// [`bmbe_obs::with_span_observer`] subscriber — the profile and the
 /// exported trace are the same measurement, whether or not tracing is
 /// enabled.
@@ -285,7 +286,7 @@ pub fn synthesize_shape_with_fault(
                 "shape.compile" => p.compile += dur,
                 "shape.statemin" => p.statemin += dur,
                 "shape.synth" => p.synth += dur,
-                "shape.verify" => p.verify += dur,
+                "shape.verify" | "shape.verify_mapped" => p.verify += dur,
                 "shape.map" => p.map += dur,
                 _ => {}
             }
@@ -350,7 +351,7 @@ pub fn synthesize_shape_with_fault(
                 techmap(&subject, library, map_objective, map_style)
             };
             {
-                let _s = bmbe_obs::span!("shape.verify", "flow");
+                let _s = bmbe_obs::span!("shape.verify_mapped", "flow");
                 if let Some(v) = bmbe_gates::verify_mapped(&controller, &mapped).first() {
                     return Err(ShapeError::MappedHazard(v.to_string()));
                 }

@@ -5,7 +5,13 @@
 //! by cube, the state codes, the state-bit count and the exactness flag,
 //! so any change to a prime pick, a covering choice or a state code moves
 //! it. The same shape set checks the bitset state assignment against the
-//! column-folding greedy it replaced, at both separation levels.
+//! column-folding greedy it replaced, at both separation levels, pins the
+//! technology mapper's netlists under both subject builders, both map
+//! styles and both objectives, and checks `verify_mapped`'s lane analysis
+//! against the per-point loop on every shape and on broken variants.
+
+#[path = "../../gates/tests/support/per_point.rs"]
+mod per_point;
 
 use bmbe_bm::assign::{
     assign_with, dichotomies_with, AssignError, Dichotomy, Separation, StateAssignment,
@@ -16,8 +22,13 @@ use bmbe_bm::synth::{synthesize_full, Controller, MinimizeMode};
 use bmbe_core::{balsa_to_ch, compile_to_bm, ClusterOptions};
 use bmbe_designs::{all_designs, generate_corpus, CorpusSpec};
 use bmbe_flow::KeyedProgram;
-use bmbe_gates::{MapObjective, MapStyle};
-use bmbe_logic::hfmin::{MinimizeBackend, MinimizeOptions};
+use bmbe_gates::{
+    map, verify_mapped, CellKind, HazardViolation, Library, MapObjective, MapStyle, MappedNetlist,
+    SubjectGraph,
+};
+use bmbe_logic::hfmin::{FunctionSpec, MinimizeBackend, MinimizeOptions, SpecTransition};
+use bmbe_logic::Cover;
+use per_point::verify_mapped_per_point;
 use std::collections::HashSet;
 
 /// Recorded with the sorted-mask EXPAND, the per-variable ternary check
@@ -30,10 +41,21 @@ const PINNED: u64 = 0xc529_f0a4_e9db_e190;
 struct Fnv(u64);
 
 impl Fnv {
+    fn byte(&mut self, b: u8) {
+        self.0 ^= u64::from(b);
+        self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+    }
+
     fn word(&mut self, w: u64) {
         for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            self.byte(b);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for b in s.bytes() {
+            self.byte(b);
         }
     }
 }
@@ -109,6 +131,190 @@ fn synthesis_of_paper_designs_and_corpus_slice_is_pinned() {
         h.0,
         specs.len()
     );
+}
+
+/// Recorded with the all-nodes boundary scan in `map`, which the
+/// one-pass edge marking must reproduce exactly.
+const MAPPED_PINNED: u64 = 0x44e7_18ed_9135_bf5d;
+
+fn synthesized_shapes() -> Vec<Controller> {
+    shape_specs()
+        .iter()
+        .map(|spec| {
+            synthesize_full(spec, MinimizeMode::Speed, 1, &MinimizeOptions::default())
+                .expect("shapes synthesize")
+        })
+        .collect()
+}
+
+/// The subject graph of `ctrl`'s covers, private or shared products.
+fn subject_of(ctrl: &Controller, shared: bool) -> SubjectGraph {
+    let functions: Vec<(String, &Cover)> = (ctrl.outputs.iter().cloned())
+        .chain((0..ctrl.num_state_bits).map(|j| format!("y{j}")))
+        .zip(ctrl.output_covers.iter().chain(&ctrl.next_state_covers))
+        .collect();
+    if shared {
+        SubjectGraph::from_covers_shared(ctrl.num_vars(), &functions)
+    } else {
+        SubjectGraph::from_covers(ctrl.num_vars(), &functions)
+    }
+}
+
+fn absorb_mapped(h: &mut Fnv, m: &MappedNetlist) {
+    h.word(m.gates.len() as u64);
+    for g in &m.gates {
+        h.text(g.cell.name());
+        h.word(g.inputs.len() as u64);
+        for &i in &g.inputs {
+            h.word(i as u64);
+        }
+        h.word(g.output as u64);
+    }
+    h.word(m.area.to_bits());
+    let mut delays: Vec<(&String, &f64)> = m.output_delays.iter().collect();
+    delays.sort_by(|a, b| a.0.cmp(b.0));
+    for (root, delay) in delays {
+        h.text(root);
+        h.word(delay.to_bits());
+    }
+}
+
+#[test]
+fn mapping_of_paper_designs_and_corpus_slice_is_pinned() {
+    let library = Library::cmos035();
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut netlists, mut cells) = (0, 0);
+    for ctrl in &synthesized_shapes() {
+        for shared in [false, true] {
+            let subject = subject_of(ctrl, shared);
+            for style in [MapStyle::SplitModules, MapStyle::WholeController] {
+                for objective in [MapObjective::Delay, MapObjective::Area] {
+                    let m = map(&subject, &library, objective, style);
+                    netlists += 1;
+                    cells += m.num_cells();
+                    absorb_mapped(&mut h, &m);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        h.0, MAPPED_PINNED,
+        "mapping digest {:#018x} ({netlists} netlists, {cells} cells)",
+        h.0
+    );
+}
+
+/// `spec` with its transitions rewritten by `f`.
+fn rewritten(
+    spec: &FunctionSpec,
+    f: impl Fn(&[SpecTransition]) -> Vec<SpecTransition>,
+) -> FunctionSpec {
+    let mut out = FunctionSpec::new(spec.num_vars());
+    for t in f(spec.transitions()) {
+        out.add_transition(t);
+    }
+    out
+}
+
+fn flipped(t: &SpecTransition) -> SpecTransition {
+    SpecTransition {
+        from: !t.from,
+        to: !t.to,
+        ..*t
+    }
+}
+
+/// Broken variants of a clean controller: a dropped cube, every `from`/`to`
+/// of the last function flipped, and the last function's transitions
+/// reversed with every other one flipped, so they leave their lane slots
+/// and still report.
+fn mutants(ctrl: &Controller) -> Vec<Controller> {
+    let mut out = Vec::new();
+    let mut dropped = ctrl.clone();
+    if let Some(cover) = (dropped.output_covers.iter_mut())
+        .chain(&mut dropped.next_state_covers)
+        .max_by_key(|c| c.len())
+        .filter(|c| !c.is_empty())
+    {
+        *cover = Cover::from_cubes(cover.cubes()[1..].to_vec());
+        out.push(dropped);
+    }
+    if let Some(last) = ctrl.function_specs.len().checked_sub(1) {
+        let mut flip = ctrl.clone();
+        flip.function_specs[last] = rewritten(&ctrl.function_specs[last], |ts| {
+            ts.iter().map(flipped).collect()
+        });
+        out.push(flip);
+        let mut reversed = ctrl.clone();
+        reversed.function_specs[last] = rewritten(&ctrl.function_specs[last], |ts| {
+            (ts.iter().rev().enumerate())
+                .map(|(k, t)| if k % 2 == 0 { flipped(t) } else { *t })
+                .collect()
+        });
+        out.push(reversed);
+    }
+    out
+}
+
+#[test]
+fn lane_hazard_analysis_equals_the_per_point_loop_on_every_shape() {
+    let library = Library::cmos035();
+    let (mut kinds, mut off_slot) = ([0usize; 4], 0);
+    for ctrl in &synthesized_shapes() {
+        let configs = [
+            (false, MapStyle::SplitModules, MapObjective::Delay),
+            (true, MapStyle::WholeController, MapObjective::Area),
+        ];
+        for (shared, style, objective) in configs {
+            let netlist = map(&subject_of(ctrl, shared), &library, objective, style);
+            // A C-element swapped in for the first two-input gate.
+            let mut celem = netlist.clone();
+            if let Some(g) = celem.gates.iter_mut().find(|g| g.inputs.len() == 2) {
+                g.cell = CellKind::Celem2;
+            }
+            let mut cases = vec![(ctrl.clone(), &netlist), (ctrl.clone(), &celem)];
+            cases.extend(mutants(ctrl).into_iter().map(|m| (m, &netlist)));
+            for (c, m) in &cases {
+                let lanes = verify_mapped(c, m);
+                assert_eq!(lanes, verify_mapped_per_point(c, m), "{}", c.name);
+                for v in &lanes {
+                    kinds[match v {
+                        HazardViolation::NotEquivalent { .. } => 0,
+                        HazardViolation::Unevaluatable { .. } => 1,
+                        HazardViolation::StaticGlitch { .. } => 2,
+                        HazardViolation::WrongSettle { .. } => 3,
+                    }] += 1;
+                }
+                off_slot += off_slot_transitions(c);
+            }
+        }
+    }
+    assert!(kinds.iter().all(|&k| k > 0), "violation kinds {kinds:?}");
+    assert!(off_slot > 0, "no transition left its lane slot");
+}
+
+/// Transitions whose `(start, end)` differs from the first function's at
+/// the same index: the ones `verify_mapped` gives lanes of their own.
+fn off_slot_transitions(ctrl: &Controller) -> usize {
+    let slots = ctrl
+        .function_specs
+        .first()
+        .map_or(&[][..], |s| s.transitions());
+    (ctrl.function_specs.iter())
+        .flat_map(|s| s.transitions().iter().enumerate())
+        .filter(|(k, t)| slots.get(*k).map(|s| (s.start, s.end)) != Some((t.start, t.end)))
+        .count()
+}
+
+/// Synthesis gives every function of a controller the same `(start, end)`
+/// sequence, so `verify_mapped` evaluates each burst point once for all
+/// functions. Not a correctness condition (other transitions get lanes of
+/// their own), but the lane layout is sized for it.
+#[test]
+fn every_function_of_a_shape_lists_the_same_bursts() {
+    for ctrl in &synthesized_shapes() {
+        assert_eq!(off_slot_transitions(ctrl), 0, "{}", ctrl.name);
+    }
 }
 
 /// The column-folding greedy the bitset assignment replaced, kept as its

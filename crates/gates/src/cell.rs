@@ -185,6 +185,56 @@ impl CellKind {
         })
     }
 
+    /// Whether the output falls when an input rises: `Inv`, `Nand*` and
+    /// `Nor2`. Every other combinational cell rises with its inputs, so
+    /// each cell is unate in every pin.
+    pub(crate) fn inverts(&self) -> bool {
+        matches!(
+            self,
+            CellKind::Inv | CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 | CellKind::Nor2
+        )
+    }
+
+    /// Ternary (Kleene) evaluation of 64 lanes at once on dual-rail words:
+    /// each input carries 64 values of `{0, 1, X}` as two bit-planes, and
+    /// the result does too. Every cell is unate in each pin, so the output
+    /// can take exactly the values of [`CellKind::eval_lanes`] at the two
+    /// extreme completions (every `X` pin at 0, and every `X` pin at 1).
+    /// For AND that is `can0 = a0 | b0`, `can1 = a1 & b1`; OR is the dual;
+    /// NOT swaps the planes. With complementary planes (no `X` anywhere)
+    /// the `can1` plane is exactly `eval_lanes`.
+    ///
+    /// # Errors
+    ///
+    /// See [`CellError`]; the stateful C-element has no ternary value.
+    pub(crate) fn eval_dual_lanes(&self, inputs: &[DualRail]) -> Result<DualRail, CellError> {
+        if inputs.len() != self.num_inputs() {
+            return Err(CellError::WrongInputCount {
+                cell: *self,
+                expected: self.num_inputs(),
+                got: inputs.len(),
+            });
+        }
+        let (mut low, mut high) = ([0u64; 4], [0u64; 4]);
+        for (k, v) in inputs.iter().enumerate() {
+            low[k] = !v.can0;
+            high[k] = v.can1;
+        }
+        let low = self.eval_lanes(&low[..inputs.len()])?;
+        let high = self.eval_lanes(&high[..inputs.len()])?;
+        Ok(if self.inverts() {
+            DualRail {
+                can0: !high,
+                can1: low,
+            }
+        } else {
+            DualRail {
+                can0: !low,
+                can1: high,
+            }
+        })
+    }
+
     /// Like [`CellKind::eval_lanes`], but sequential: `prev` is the cell's
     /// previous output word, which resolves the C-element (per lane,
     /// `a·b + prev·(a + b)`: set when both inputs agree high, cleared when
@@ -214,6 +264,27 @@ impl CellKind {
 impl fmt::Display for CellKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name())
+    }
+}
+
+/// 64 ternary values, one per bit lane, held as two bit-planes: lane `L`
+/// can be 0 when bit `L` of `can0` is set and can be 1 when bit `L` of
+/// `can1` is set. So `0` is `(1, 0)`, `1` is `(0, 1)` and `X` is `(1, 1)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DualRail {
+    /// Lanes whose value can be 0.
+    pub(crate) can0: u64,
+    /// Lanes whose value can be 1.
+    pub(crate) can1: u64,
+}
+
+impl DualRail {
+    /// `X` on every lane.
+    pub(crate) const X: DualRail = DualRail { can0: !0, can1: !0 };
+
+    /// The binary lane word `w`: lane `L` is 1 exactly when bit `L` is set.
+    pub(crate) fn binary(w: u64) -> Self {
+        DualRail { can0: !w, can1: w }
     }
 }
 
@@ -314,6 +385,22 @@ mod tests {
         assert_eq!(CellKind::Ao21.num_inputs(), 3);
     }
 
+    /// Every cell with a combinational value.
+    const COMBINATIONAL: [CellKind; 12] = [
+        CellKind::Inv,
+        CellKind::Buf,
+        CellKind::Nand2,
+        CellKind::Nand3,
+        CellKind::Nand4,
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Nor2,
+        CellKind::Ao21,
+        CellKind::Ao22,
+        CellKind::Tie0,
+        CellKind::Tie1,
+    ];
+
     #[test]
     fn lanes_agree_with_scalar_eval_on_every_cell() {
         // Deterministic pseudo-random lane words (splitmix64).
@@ -324,21 +411,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         }
-        let cells = [
-            CellKind::Inv,
-            CellKind::Buf,
-            CellKind::Nand2,
-            CellKind::Nand3,
-            CellKind::Nand4,
-            CellKind::And2,
-            CellKind::Or2,
-            CellKind::Nor2,
-            CellKind::Ao21,
-            CellKind::Ao22,
-            CellKind::Tie0,
-            CellKind::Tie1,
-        ];
-        for (ci, cell) in cells.iter().enumerate() {
+        for (ci, cell) in COMBINATIONAL.iter().enumerate() {
             let n = cell.num_inputs();
             let words: Vec<u64> = (0..n).map(|i| mix((ci * 7 + i) as u64)).collect();
             let out = cell.eval_lanes(&words).unwrap();
@@ -351,6 +424,64 @@ mod tests {
                 );
             }
             assert_eq!(cell.eval_lanes_seq(&words, mix(99)).unwrap(), out);
+            // Complementary planes: the dual-rail value is the binary one.
+            let duals: Vec<DualRail> = words.iter().map(|&w| DualRail::binary(w)).collect();
+            assert_eq!(
+                cell.eval_dual_lanes(&duals).unwrap(),
+                DualRail::binary(out),
+                "{cell}"
+            );
+        }
+    }
+
+    #[test]
+    fn dual_lanes_are_kleene_on_every_ternary_input() {
+        // Lane `L` of chunk `c` holds ternary input combination
+        // `64 c + L`, pin `i` as base-3 digit `i` (0, 1, 2 = X). Each cell
+        // reads every pin once, so its Kleene value is the set of values
+        // over the binary completions of the X pins.
+        for cell in COMBINATIONAL {
+            let k = cell.num_inputs();
+            let combos = 3usize.pow(k as u32);
+            for chunk in (0..combos).step_by(64) {
+                let lanes = (combos - chunk).min(64);
+                let mut words = vec![DualRail { can0: 0, can1: 0 }; k];
+                for lane in 0..lanes {
+                    let mut c = chunk + lane;
+                    for w in &mut words {
+                        let t = c % 3;
+                        c /= 3;
+                        w.can0 |= u64::from(t != 1) << lane;
+                        w.can1 |= u64::from(t != 0) << lane;
+                    }
+                }
+                let out = cell.eval_dual_lanes(&words).unwrap();
+                for lane in 0..lanes {
+                    let (mut can0, mut can1) = (false, false);
+                    for bits in 0..1u32 << k {
+                        let completion: Option<Vec<bool>> = words
+                            .iter()
+                            .enumerate()
+                            .map(|(i, w)| {
+                                let b = bits >> i & 1 == 1;
+                                let plane = if b { w.can1 } else { w.can0 };
+                                (plane >> lane & 1 == 1).then_some(b)
+                            })
+                            .collect();
+                        match completion.map(|v| cell.eval(&v)) {
+                            Some(true) => can1 = true,
+                            Some(false) => can0 = true,
+                            None => {}
+                        }
+                    }
+                    assert_eq!(
+                        (out.can0 >> lane & 1 == 1, out.can1 >> lane & 1 == 1),
+                        (can0, can1),
+                        "{cell} combination {}",
+                        chunk + lane
+                    );
+                }
+            }
         }
     }
 
@@ -367,6 +498,10 @@ mod tests {
         );
         assert_eq!(
             CellKind::Celem2.eval_lanes(&[a, b]),
+            Err(CellError::Stateful(CellKind::Celem2))
+        );
+        assert_eq!(
+            CellKind::Celem2.eval_dual_lanes(&[DualRail::binary(a), DualRail::X]),
             Err(CellError::Stateful(CellKind::Celem2))
         );
         assert_eq!(

@@ -5,18 +5,32 @@
 //!
 //! 1. **Functional equivalence** of the mapped netlist against the
 //!    two-level covers — the algebraic transforms used by the mapper must
-//!    not change the function. Checked cube-algebraically: exact (ON, OFF)
-//!    covers are propagated through the mapped gates and compared to the
+//!    not change the function. Checked cube-algebraically: exact ON covers
+//!    are propagated through the mapped gates and compared to the
 //!    synthesized covers by two-way containment, with the seed's pointwise
-//!    sweep kept as oracle and fallback.
+//!    sweep kept as oracle and fallback. A backward pass first marks which
+//!    polarity (ON, OFF or both) each node's readers need — roots need ON,
+//!    inverting cells flip the demand — so a NAND-NAND netlist never
+//!    builds its roots' OFF covers, the product-of-sums blow-up no check
+//!    reads.
 //! 2. **Eichelberger ternary simulation** of every specified
 //!    multiple-input-change transition on the mapped gates: changing inputs
 //!    are driven to `X`; a static transition that reads `X` at any output
 //!    has a potential glitch, and every transition must settle at its
-//!    specified final value.
+//!    specified final value. The burst points run 64 to a netlist pass as
+//!    dual-rail lanes (a can-be-0 and a can-be-1 bit-plane per word).
+//!    Synthesis gives every function the same `(start, end)` sequence, so
+//!    the first function's transitions are the lane slots — slot `k`'s
+//!    mid-burst point on lane `k`, its settle point on lane `T + k` — and
+//!    every check reads one bit. A transition that differs from its slot
+//!    gets lanes of its own.
+//!
+//! [`try_eval_ternary`] is the per-point ternary evaluator the lanes are
+//! tested against; no production path calls it.
 
-use crate::cell::CellError;
+use crate::cell::{CellError, CellKind, DualRail};
 use crate::map::MappedNetlist;
+use crate::subject::SubjectNode;
 use bmbe_bm::synth::Controller;
 use bmbe_logic::{Cover, Cube, Tv};
 use std::collections::HashMap;
@@ -93,50 +107,26 @@ impl std::fmt::Display for HazardViolation {
     }
 }
 
-fn tv_and(a: Tv, b: Tv) -> Tv {
-    match (a, b) {
-        (Tv::Zero, _) | (_, Tv::Zero) => Tv::Zero,
-        (Tv::One, Tv::One) => Tv::One,
-        _ => Tv::X,
-    }
-}
-
-fn tv_or(a: Tv, b: Tv) -> Tv {
-    match (a, b) {
-        (Tv::One, _) | (_, Tv::One) => Tv::One,
-        (Tv::Zero, Tv::Zero) => Tv::Zero,
-        _ => Tv::X,
-    }
-}
-
-fn tv_not(a: Tv) -> Tv {
-    match a {
-        Tv::Zero => Tv::One,
-        Tv::One => Tv::Zero,
-        Tv::X => Tv::X,
-    }
-}
-
 /// Ternary evaluation of a mapped netlist; returns root values in root
 /// order.
 ///
 /// # Panics
 ///
-/// Panics where [`try_eval_ternary`] errors; [`verify_mapped`] uses the
-/// fallible form and reports instead.
+/// Panics where [`try_eval_ternary`] errors.
 pub fn eval_ternary(netlist: &MappedNetlist, inputs: &[Tv]) -> Vec<Tv> {
     try_eval_ternary(netlist, inputs).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Ternary evaluation with a typed error for cells the analysis cannot
-/// evaluate (the stateful C-element).
+/// Ternary evaluation of one point with a typed error for cells the
+/// analysis cannot evaluate (the stateful C-element). Every cell is unate
+/// in each pin, so its Kleene value is fixed by its scalar function at the
+/// two completions that set every `X` pin to 0 and to 1. This is the
+/// per-point oracle of the lane evaluator [`verify_mapped`] runs.
 ///
 /// # Errors
 ///
 /// The first unevaluatable gate, in topological order.
 pub fn try_eval_ternary(netlist: &MappedNetlist, inputs: &[Tv]) -> Result<Vec<Tv>, CellError> {
-    use crate::cell::CellKind;
-    use crate::subject::SubjectNode;
     // Dense value table indexed by subject-node id (gate outputs are
     // subject-node ids too); topological gate order guarantees every read
     // slot was written.
@@ -149,25 +139,14 @@ pub fn try_eval_ternary(netlist: &MappedNetlist, inputs: &[Tv]) -> Result<Vec<Tv
             _ => {}
         }
     }
+    let (mut low, mut high) = (Vec::with_capacity(4), Vec::with_capacity(4));
     for g in &netlist.gates {
-        let ins = &g.inputs;
-        let v = |k: usize| values[ins[k]];
-        let out = match g.cell {
-            CellKind::Inv => tv_not(v(0)),
-            CellKind::Buf => v(0),
-            CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 => {
-                tv_not(ins.iter().map(|&n| values[n]).fold(Tv::One, tv_and))
-            }
-            CellKind::And2 => tv_and(v(0), v(1)),
-            CellKind::Or2 => tv_or(v(0), v(1)),
-            CellKind::Nor2 => tv_not(tv_or(v(0), v(1))),
-            CellKind::Ao21 => tv_or(tv_and(v(0), v(1)), v(2)),
-            CellKind::Ao22 => tv_or(tv_and(v(0), v(1)), tv_and(v(2), v(3))),
-            CellKind::Tie0 => Tv::Zero,
-            CellKind::Tie1 => Tv::One,
-            CellKind::Celem2 => return Err(CellError::Stateful(CellKind::Celem2)),
-        };
-        values[g.output] = out;
+        low.clear();
+        low.extend(g.inputs.iter().map(|&i| values[i] == Tv::One));
+        high.clear();
+        high.extend(g.inputs.iter().map(|&i| values[i] != Tv::Zero));
+        let (a, b) = (g.cell.try_eval(&low)?, g.cell.try_eval(&high)?);
+        values[g.output] = if a == b { Tv::from_bool(a) } else { Tv::X };
     }
     Ok(netlist
         .subject
@@ -212,88 +191,96 @@ fn cover_or(a: &Cover, b: &Cover) -> Option<Cover> {
     trim(out)
 }
 
-/// Exact (ON, OFF) covers of every root of the mapped netlist, built by
+/// Demand bit: a reader needs the node's ON cover.
+const ON: u8 = 1;
+/// Demand bit: a reader needs the node's OFF cover.
+const OFF: u8 = 2;
+
+/// One polarity of a cell's monotone core (the cell without its output
+/// inversion) from its inputs' covers of the same polarity in `table`: ON
+/// covers combine AND as intersection and OR as union, OFF covers the
+/// other way round. `None` when a cover exceeds [`ALGEBRAIC_CUBE_CAP`].
+fn core_cover(cell: CellKind, ins: &[usize], table: &[Cover], on: bool, n: usize) -> Option<Cover> {
+    let universe = || Cover::from_cubes(vec![Cube::universe(n)]);
+    let and = |a: &Cover, b: &Cover| if on { cover_and(a, b) } else { cover_or(a, b) };
+    let or = |a: &Cover, b: &Cover| if on { cover_or(a, b) } else { cover_and(a, b) };
+    let and_all = |ids: &[usize]| {
+        let unit = if on { universe() } else { Cover::empty() };
+        ids.iter().try_fold(unit, |acc, &i| and(&acc, &table[i]))
+    };
+    match cell {
+        CellKind::Inv | CellKind::Buf => Some(table[ins[0]].clone()),
+        CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 | CellKind::And2 => and_all(ins),
+        CellKind::Or2 | CellKind::Nor2 => or(&table[ins[0]], &table[ins[1]]),
+        CellKind::Ao21 => or(&and_all(&ins[..2])?, &table[ins[2]]),
+        CellKind::Ao22 => or(&and_all(&ins[..2])?, &and_all(&ins[2..])?),
+        CellKind::Tie0 => Some(if on { Cover::empty() } else { universe() }),
+        CellKind::Tie1 => Some(if on { universe() } else { Cover::empty() }),
+        CellKind::Celem2 => None,
+    }
+}
+
+/// Exact ON covers of every root of the mapped netlist, built by
 /// propagating cube covers through the gates — each input starts with the
 /// complementary pair `(x_i, !x_i)`, and every supported cell preserves the
 /// pair exactly (AND intersects ON covers and unions OFF covers; OR is the
-/// dual; inversion swaps). Returns `None` when a cover exceeds
-/// [`ALGEBRAIC_CUBE_CAP`].
+/// dual; inversion swaps). Only the polarities some reader needs are
+/// built, in tables indexed by node id. Returns `None` when a built cover
+/// exceeds [`ALGEBRAIC_CUBE_CAP`] or a cell has no cube semantics.
 fn netlist_root_covers(netlist: &MappedNetlist, n: usize) -> Option<Vec<Cover>> {
-    use crate::cell::CellKind;
-    use crate::subject::SubjectNode;
-    let universe = || Cover::from_cubes(vec![Cube::universe(n)]);
-    let mut values: HashMap<usize, (Cover, Cover)> = HashMap::new();
-    for i in 0..netlist.subject.num_inputs {
-        let on = Cover::from_cubes(vec![Cube::universe(n).with_fixed(i, true)]);
-        let off = Cover::from_cubes(vec![Cube::universe(n).with_fixed(i, false)]);
-        values.insert(i, (on, off));
+    let subject = &netlist.subject;
+    // Backward pass: the polarities each node's readers need.
+    let mut need = vec![0u8; subject.nodes.len()];
+    for (_, r) in &subject.roots {
+        need[*r] |= ON;
     }
-    for (i, node) in netlist.subject.nodes.iter().enumerate() {
+    for g in netlist.gates.iter().rev() {
+        let d = need[g.output];
+        let d = if g.cell.inverts() {
+            (d & ON) << 1 | (d & OFF) >> 1
+        } else {
+            d
+        };
+        for &i in &g.inputs {
+            need[i] |= d;
+        }
+    }
+    // Forward pass over the marked (node, polarity) pairs only.
+    let universe = || Cover::from_cubes(vec![Cube::universe(n)]);
+    let mut on = vec![Cover::empty(); subject.nodes.len()];
+    let mut off = vec![Cover::empty(); subject.nodes.len()];
+    for i in 0..subject.num_inputs {
+        if need[i] & ON != 0 {
+            on[i] = Cover::from_cubes(vec![Cube::universe(n).with_fixed(i, true)]);
+        }
+        if need[i] & OFF != 0 {
+            off[i] = Cover::from_cubes(vec![Cube::universe(n).with_fixed(i, false)]);
+        }
+    }
+    for (i, node) in subject.nodes.iter().enumerate() {
         match node {
-            SubjectNode::Zero => {
-                values.insert(i, (Cover::empty(), universe()));
-            }
-            SubjectNode::One => {
-                values.insert(i, (universe(), Cover::empty()));
-            }
+            SubjectNode::Zero if need[i] & OFF != 0 => off[i] = universe(),
+            SubjectNode::One if need[i] & ON != 0 => on[i] = universe(),
             _ => {}
         }
     }
-    let and_all = |ins: &[&(Cover, Cover)]| -> Option<(Cover, Cover)> {
-        let mut on = universe();
-        let mut off = Cover::empty();
-        for (i_on, i_off) in ins {
-            on = cover_and(&on, i_on)?;
-            off = cover_or(&off, i_off)?;
-        }
-        Some((on, off))
-    };
     for g in &netlist.gates {
-        let ins: Vec<&(Cover, Cover)> = g.inputs.iter().map(|n| &values[n]).collect();
-        let out = match g.cell {
-            CellKind::Inv => (ins[0].1.clone(), ins[0].0.clone()),
-            CellKind::Buf => ins[0].clone(),
-            CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 => {
-                let (on, off) = and_all(&ins)?;
-                (off, on)
-            }
-            CellKind::And2 => and_all(&ins)?,
-            CellKind::Or2 => (
-                cover_or(&ins[0].0, &ins[1].0)?,
-                cover_and(&ins[0].1, &ins[1].1)?,
-            ),
-            CellKind::Nor2 => (
-                cover_and(&ins[0].1, &ins[1].1)?,
-                cover_or(&ins[0].0, &ins[1].0)?,
-            ),
-            CellKind::Ao21 => {
-                let (and_on, and_off) = and_all(&ins[..2])?;
-                (
-                    cover_or(&and_on, &ins[2].0)?,
-                    cover_and(&and_off, &ins[2].1)?,
-                )
-            }
-            CellKind::Ao22 => {
-                let (a_on, a_off) = and_all(&ins[..2])?;
-                let (b_on, b_off) = and_all(&ins[2..])?;
-                (cover_or(&a_on, &b_on)?, cover_and(&a_off, &b_off)?)
-            }
-            CellKind::Tie0 => (Cover::empty(), universe()),
-            CellKind::Tie1 => (universe(), Cover::empty()),
-            // No cube-cover semantics for the stateful C-element; bail to
-            // the pointwise fallback, which reports a typed violation.
-            CellKind::Celem2 => return None,
-        };
-        values.insert(g.output, out);
+        // No cube-cover semantics for the stateful C-element; bail to the
+        // pointwise fallback, which reports a typed violation.
+        if g.cell == CellKind::Celem2 {
+            return None;
+        }
+        let invert = g.cell.inverts();
+        if need[g.output] & ON != 0 {
+            let table = if invert { &off } else { &on };
+            on[g.output] = core_cover(g.cell, &g.inputs, table, !invert, n)?;
+        }
+        if need[g.output] & OFF != 0 {
+            let table = if invert { &on } else { &off };
+            off[g.output] = core_cover(g.cell, &g.inputs, table, invert, n)?;
+        }
     }
-    Some(
-        netlist
-            .subject
-            .roots
-            .iter()
-            .map(|(_, r)| values[r].0.clone())
-            .collect(),
-    )
+    Some(subject.roots.iter().map(|(_, r)| on[*r].clone()).collect())
 }
 
 /// Pointwise functional-equivalence oracle (the seed's original check):
@@ -310,14 +297,15 @@ pub fn verify_equivalence_pointwise(
     let points: Vec<u64> = if n <= 14 {
         (0..(1u64 << n)).collect()
     } else {
-        // Deterministic sample.
+        // Deterministic sample over all n variables (n may be 64).
+        let mask = u64::MAX >> (64 - n);
         let mut seed = 0x2545f4914f6cdd1du64;
         (0..1u64 << 12)
             .map(|_| {
                 seed ^= seed << 13;
                 seed ^= seed >> 7;
                 seed ^= seed << 17;
-                seed & ((1u64 << n) - 1)
+                seed & mask
             })
             .collect()
     };
@@ -398,12 +386,60 @@ fn named_covers(controller: &Controller) -> Vec<(String, &Cover)> {
         .collect()
 }
 
+/// Dual-rail root values of the netlist on every lane, 64 lanes per
+/// netlist pass. Lane `l` holds input point `lanes[l].0` with the inputs in
+/// `lanes[l].1` at `X`. The result is function-major: root `f`'s word for
+/// pass `p` is at `f * passes + p`.
+fn root_lanes(
+    netlist: &MappedNetlist,
+    n: usize,
+    lanes: &[(u64, u64)],
+) -> Result<Vec<DualRail>, CellError> {
+    let subject = &netlist.subject;
+    let passes = lanes.len().div_ceil(64);
+    let mut words = vec![DualRail::X; subject.roots.len() * passes];
+    let mut values = vec![DualRail::X; subject.nodes.len()];
+    let constants: Vec<(usize, DualRail)> = subject
+        .nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, node)| match node {
+            SubjectNode::Zero => Some((i, DualRail::binary(0))),
+            SubjectNode::One => Some((i, DualRail::binary(!0))),
+            _ => None,
+        })
+        .collect();
+    let mut ins = Vec::with_capacity(4);
+    for (p, pass) in lanes.chunks(64).enumerate() {
+        let inputs = &mut values[..n];
+        inputs.fill(DualRail { can0: 0, can1: 0 });
+        for (l, &(point, unknown)) in pass.iter().enumerate() {
+            let (can0, can1) = (!point | unknown, point | unknown);
+            for (i, v) in inputs.iter_mut().enumerate() {
+                v.can0 |= (can0 >> i & 1) << l;
+                v.can1 |= (can1 >> i & 1) << l;
+            }
+        }
+        for &(i, c) in &constants {
+            values[i] = c;
+        }
+        for g in &netlist.gates {
+            ins.clear();
+            ins.extend(g.inputs.iter().map(|&i| values[i]));
+            values[g.output] = g.cell.eval_dual_lanes(&ins)?;
+        }
+        for (f, (_, r)) in subject.roots.iter().enumerate() {
+            words[f * passes + p] = values[*r];
+        }
+    }
+    Ok(words)
+}
+
 /// Verifies a mapped controller: functional equivalence against the
 /// synthesized covers and Eichelberger ternary analysis of every specified
 /// transition. Returns all violations found (empty = clean).
 pub fn verify_mapped(controller: &Controller, netlist: &MappedNetlist) -> Vec<HazardViolation> {
     let mut out = Vec::new();
-    let n = controller.num_vars();
     let covers = named_covers(controller);
     // 1. Functional equivalence (cube-algebraic; exact for all n, unlike
     //    the sampled pointwise sweep it replaced beyond 14 variables).
@@ -411,64 +447,69 @@ pub fn verify_mapped(controller: &Controller, netlist: &MappedNetlist) -> Vec<Ha
         out.push(v);
         return out; // one witness suffices
     }
-    // 2. Ternary transition analysis. The per-function specs share their
-    //    (start, end) bursts, and one netlist evaluation yields every root,
-    //    so each unique burst is simulated once and each unique settle
-    //    point once — not once per function.
-    let mut mid_memo: HashMap<(u64, u64), Result<Vec<Tv>, CellError>> = HashMap::new();
-    let mut fin_memo: HashMap<u64, Result<Vec<Tv>, CellError>> = HashMap::new();
-    for (fi, spec) in controller.function_specs.iter().enumerate() {
-        let name = covers[fi].0.to_string();
-        for t in spec.transitions() {
-            let changing = t.start ^ t.end;
-            let mids = mid_memo.entry((t.start, changing)).or_insert_with(|| {
-                let mid: Vec<Tv> = (0..n)
-                    .map(|i| {
-                        if changing >> i & 1 == 1 {
-                            Tv::X
-                        } else {
-                            Tv::from_bool(t.start >> i & 1 == 1)
-                        }
-                    })
-                    .collect();
-                try_eval_ternary(netlist, &mid)
+    // 2. Ternary transition analysis. The first function's transitions are
+    //    the lane slots: mid-burst point of slot k on lane k (changing
+    //    inputs at X), settle point on lane T + k. Every other function
+    //    lists the same (start, end) sequence; a transition that does not
+    //    gets a lane pair of its own.
+    let specs = &controller.function_specs;
+    let slots = specs.first().map_or(&[][..], |s| s.transitions());
+    let t = slots.len();
+    let mut lanes: Vec<(u64, u64)> = slots
+        .iter()
+        .map(|s| (s.start, s.start ^ s.end))
+        .chain(slots.iter().map(|s| (s.end, 0)))
+        .collect();
+    // (mid, settle) lane pair of every transition, in spec order.
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut own: HashMap<(u64, u64), (usize, usize)> = HashMap::new();
+    for spec in specs {
+        for (k, tr) in spec.transitions().iter().enumerate() {
+            pairs.push(match slots.get(k) {
+                Some(s) if (s.start, s.end) == (tr.start, tr.end) => (k, t + k),
+                _ => *own.entry((tr.start, tr.end)).or_insert_with(|| {
+                    lanes.push((tr.start, tr.start ^ tr.end));
+                    lanes.push((tr.end, 0));
+                    (lanes.len() - 2, lanes.len() - 1)
+                }),
             });
-            let mids = match mids {
-                Ok(values) => values,
-                Err(e) => {
-                    out.push(HazardViolation::Unevaluatable {
-                        function: name,
-                        detail: e.to_string(),
-                    });
-                    return out; // the netlist itself is broken; stop here
-                }
-            };
-            if t.from == t.to && mids[fi] != Tv::from_bool(t.from) {
-                out.push(HazardViolation::StaticGlitch {
-                    function: name.clone(),
-                    start: t.start,
-                    end: t.end,
+        }
+    }
+    let words = match root_lanes(netlist, controller.num_vars(), &lanes) {
+        Ok(words) => words,
+        Err(e) => {
+            // The netlist itself is broken: report it against the first
+            // function with a transition, and stop.
+            if let Some(fi) = specs.iter().position(|s| !s.transitions().is_empty()) {
+                out.push(HazardViolation::Unevaluatable {
+                    function: covers[fi].0.clone(),
+                    detail: e.to_string(),
                 });
             }
-            let fins = fin_memo.entry(t.end).or_insert_with(|| {
-                let fin: Vec<Tv> = (0..n).map(|i| Tv::from_bool(t.end >> i & 1 == 1)).collect();
-                try_eval_ternary(netlist, &fin)
-            });
-            let fins = match fins {
-                Ok(values) => values,
-                Err(e) => {
-                    out.push(HazardViolation::Unevaluatable {
-                        function: name,
-                        detail: e.to_string(),
-                    });
-                    return out;
-                }
-            };
-            if fins[fi] != Tv::from_bool(t.to) {
+            return out;
+        }
+    };
+    let passes = lanes.len().div_ceil(64);
+    let mut pairs = pairs.into_iter();
+    for (fi, spec) in specs.iter().enumerate() {
+        // Whether function fi's value on `lane` can differ from `v`.
+        let can_differ = |lane: usize, v: bool| {
+            let w = words[fi * passes + lane / 64];
+            (if v { w.can0 } else { w.can1 }) >> (lane % 64) & 1 == 1
+        };
+        for (tr, (mid, settle)) in spec.transitions().iter().zip(&mut pairs) {
+            if tr.from == tr.to && can_differ(mid, tr.from) {
+                out.push(HazardViolation::StaticGlitch {
+                    function: covers[fi].0.clone(),
+                    start: tr.start,
+                    end: tr.end,
+                });
+            }
+            if can_differ(settle, tr.to) {
                 out.push(HazardViolation::WrongSettle {
-                    function: name.clone(),
-                    start: t.start,
-                    end: t.end,
+                    function: covers[fi].0.clone(),
+                    start: tr.start,
+                    end: tr.end,
                 });
             }
         }

@@ -3,8 +3,10 @@
 //! The subject graph is split into trees at multi-fanout nodes (and, in the
 //! paper's split-module mode, at module boundaries — the reason the paper's
 //! flow "prohibits the Design Compiler from finding an optimal
-//! implementation across the two levels of logic", §6). Each tree is
-//! covered by library patterns with minimum area or minimum delay.
+//! implementation across the two levels of logic", §6). One pass over the
+//! subject graph's edges marks every node read from another module, so
+//! finding the boundaries is linear in the graph. Each tree is covered by
+//! library patterns with minimum area or minimum delay.
 //!
 //! All patterns are compositions of NAND2/INV — DeMorgan-style regroupings
 //! only — so the mapping is *hazard-non-increasing* in the sense of
@@ -210,33 +212,30 @@ pub fn map(
     // Tree roots: multi-fanout nodes, function roots, and (in split mode)
     // any node whose consumer lives in a different module. A node is a
     // "net" (potential pattern leaf / tree boundary) if it is an input,
-    // constant, multi-fanout, or module boundary.
-    let is_boundary = |n: usize| -> bool {
-        match subject.nodes[n] {
-            SubjectNode::Input(_) | SubjectNode::Zero | SubjectNode::One => true,
-            _ => {
-                if subject.fanout[n] > 1 {
-                    return true;
-                }
-                if style == MapStyle::SplitModules {
-                    // Does any consumer live in another module?
-                    let my_module = subject.modules[n];
-                    for (i, node) in subject.nodes.iter().enumerate() {
-                        let feeds = match node {
-                            SubjectNode::Inv(a) => *a == n,
-                            SubjectNode::Nand2(a, b) => *a == n || *b == n,
-                            _ => false,
-                        };
-                        if feeds && subject.modules[i] != my_module {
-                            return true;
-                        }
-                    }
-                }
-                false
+    // constant, multi-fanout, or module boundary. One pass over the edges
+    // marks the nodes read across a module boundary.
+    let mut crosses = vec![false; subject.nodes.len()];
+    if style == MapStyle::SplitModules {
+        for (i, node) in subject.nodes.iter().enumerate() {
+            let operands: &[usize] = match node {
+                SubjectNode::Inv(a) => std::slice::from_ref(a),
+                SubjectNode::Nand2(a, b) => &[*a, *b],
+                _ => &[],
+            };
+            for &a in operands {
+                crosses[a] |= subject.modules[a] != subject.modules[i];
             }
         }
-    };
-    let boundary: Vec<bool> = (0..subject.nodes.len()).map(is_boundary).collect();
+    }
+    let boundary: Vec<bool> = subject
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(n, node)| match node {
+            SubjectNode::Input(_) | SubjectNode::Zero | SubjectNode::One => true,
+            _ => subject.fanout[n] > 1 || crosses[n],
+        })
+        .collect();
 
     // DP over nodes in topological (index) order: best (cost, arrival,
     // chosen pattern with leaf bindings) to realize each node as a gate

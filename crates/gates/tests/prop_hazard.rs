@@ -1,16 +1,25 @@
-//! Property tests of the cube-algebraic equivalence checker against the
-//! pointwise 2^n oracle: on randomly generated covers (mapped through the
-//! real technology mapper) the two checks must agree exactly — both clean
-//! when the netlist matches its covers, both failing when the claimed
-//! covers are perturbed, and any algebraic witness must be a genuine
-//! disagreement point.
+//! Property tests of the mapped-netlist checks against their oracles, on
+//! randomly generated covers mapped through the real technology mapper:
+//!
+//! - the cube-algebraic equivalence checker against the pointwise 2^n
+//!   sweep: both clean when the netlist matches its covers, both failing
+//!   when the claimed covers are perturbed, and any algebraic witness a
+//!   genuine disagreement point;
+//! - `verify_mapped`'s 64-lane ternary analysis against the per-point loop
+//!   in `support/per_point.rs`, on random bursts that mostly share one
+//!   `(start, end)` sequence across functions and sometimes do not.
+
+#[path = "support/per_point.rs"]
+mod per_point;
 
 use bmbe_bm::{Controller, StateAssignment};
 use bmbe_gates::{
-    map, verify_equivalence_algebraic, verify_equivalence_pointwise, Library, MapObjective,
-    MapStyle, SubjectGraph,
+    map, verify_equivalence_algebraic, verify_equivalence_pointwise, verify_mapped,
+    HazardViolation, Library, MapObjective, MapStyle, SubjectGraph,
 };
+use bmbe_logic::hfmin::{FunctionSpec, SpecTransition};
 use bmbe_logic::{Cover, Cube};
+use per_point::verify_mapped_per_point;
 use proptest::prelude::*;
 
 fn build_covers(n: usize, raw: &[Vec<(u64, u64)>]) -> Vec<Cover> {
@@ -111,5 +120,107 @@ proptest! {
                 "witness {:#x} must be a real disagreement for {}", point, function
             );
         }
+    }
+}
+
+/// Deterministic pseudo-random words (splitmix64).
+fn mix(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One spec per function over the shared bursts, as synthesis builds
+/// them, except that a function drops or replaces a burst now and then
+/// (so its later transitions leave their slots) and its `from`/`to`
+/// values are sometimes wrong (so violations occur).
+fn specs_over(n: usize, covers: &[Cover], bursts: &[(u64, u64)], seed: u64) -> Vec<FunctionSpec> {
+    let mask = (1u64 << n) - 1;
+    let mut rng = seed;
+    covers
+        .iter()
+        .enumerate()
+        .map(|(fi, cover)| {
+            let mut spec = FunctionSpec::new(n);
+            for &(start, change) in bursts {
+                let r = mix(&mut rng);
+                let (start, end) = match (fi > 0, r & 15) {
+                    (true, 0) => continue,
+                    (true, 1) => {
+                        let other = mix(&mut rng) & mask;
+                        (other, other ^ (r >> 8) & mask)
+                    }
+                    _ => (start & mask, (start ^ change) & mask),
+                };
+                spec.add_transition(SpecTransition {
+                    start,
+                    end,
+                    from: cover.eval(start) ^ (r >> 4 & 7 == 0),
+                    to: cover.eval(end) ^ (r >> 7 & 7 == 0),
+                });
+            }
+            spec
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn lane_analysis_equals_the_per_point_loop(
+        n in 3usize..9,
+        raw in arb_raw_covers(),
+        bursts in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..48),
+        seed in any::<u64>(),
+        area in any::<bool>(),
+        split in any::<bool>(),
+    ) {
+        let covers = build_covers(n, &raw);
+        let functions: Vec<(String, &Cover)> =
+            covers.iter().enumerate().map(|(i, c)| (format!("f{i}"), c)).collect();
+        let subject = SubjectGraph::from_covers(n, &functions);
+        let objective = if area { MapObjective::Area } else { MapObjective::Delay };
+        let style = if split { MapStyle::SplitModules } else { MapStyle::WholeController };
+        let netlist = map(&subject, &Library::cmos035(), objective, style);
+        let mut ctrl = controller_of(n, &covers);
+        ctrl.function_specs = specs_over(n, &covers, &bursts, seed);
+        prop_assert_eq!(verify_mapped(&ctrl, &netlist), verify_mapped_per_point(&ctrl, &netlist));
+    }
+}
+
+/// At n = 64 the pointwise sweep samples; its samples must span all 64
+/// variables. The netlist computes `x63`, the claimed cover is `x62`.
+#[test]
+fn pointwise_sample_spans_all_64_variables() {
+    let n = 64;
+    let computed: Cover = [Cube::universe(n).with_fixed(63, true)]
+        .into_iter()
+        .collect();
+    let claimed: Cover = [Cube::universe(n).with_fixed(62, true)]
+        .into_iter()
+        .collect();
+    let subject = SubjectGraph::from_covers(n, &[("f0".into(), &computed)]);
+    let netlist = map(
+        &subject,
+        &Library::cmos035(),
+        MapObjective::Area,
+        MapStyle::SplitModules,
+    );
+    let ctrl = controller_of(n, std::slice::from_ref(&claimed));
+    assert_eq!(
+        verify_equivalence_algebraic(&ctrl, &netlist),
+        Some(HazardViolation::NotEquivalent {
+            function: "f0".into(),
+            point: 0x8000_0000_0000_0000,
+        })
+    );
+    match verify_equivalence_pointwise(&ctrl, &netlist) {
+        Some(HazardViolation::NotEquivalent { function, point }) => {
+            assert_eq!(function, "f0");
+            assert_ne!(netlist.eval(point)[0], claimed.eval(point), "{point:#x}");
+        }
+        other => panic!("expected a pointwise witness, got {other:?}"),
     }
 }

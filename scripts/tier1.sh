@@ -9,8 +9,10 @@
 #   3. every bench binary builds in release (table/figure regeneration
 #      and the obs_report smoke binary);
 #   4. bmbe-obs, bmbe-core, bmbe-bm, bmbe-logic, bmbe-gates, bmbe-sim,
-#      bmbe-flow and bmbe-designs build clean under -D warnings
-#      (zero-warning policy: a leftover helper fails the gate);
+#      bmbe-flow, bmbe-designs, bmbe-bench (its library and every binary
+#      under crates/bench/src/bin) and the root bmbe package (its library
+#      and binary) build clean under -D warnings (zero-warning policy: a
+#      leftover helper fails the gate);
 #   5. obs_report --check: runs a traced Stack flow + sim + verification
 #      and validates the emitted Chrome trace / JSONL / span coverage;
 #   6. fault smoke: an injected fault (BMBE_FAULT=synth:0, then one
@@ -67,10 +69,17 @@ cargo test -q --release --workspace
 echo "== tier1: bench binaries =="
 cargo build --release -p bmbe-bench --bins
 
-echo "== tier1: deny-warnings (bmbe-obs, bmbe-core, bmbe-bm, bmbe-logic, bmbe-gates, bmbe-sim, bmbe-flow, bmbe-designs) =="
+echo "== tier1: deny-warnings (bmbe-obs, bmbe-core, bmbe-bm, bmbe-logic, bmbe-gates, bmbe-sim, bmbe-flow, bmbe-designs, bmbe-bench, bmbe) =="
 for crate in bmbe-obs bmbe-core bmbe-bm bmbe-logic bmbe-gates bmbe-sim bmbe-flow bmbe-designs; do
     cargo rustc -p "$crate" --release -- -D warnings
 done
+# Packages with several targets take the flag one target at a time.
+cargo rustc -p bmbe-bench --release --lib -- -D warnings
+for bin in crates/bench/src/bin/*.rs; do
+    cargo rustc -p bmbe-bench --release --bin "$(basename "$bin" .rs)" -- -D warnings
+done
+cargo rustc -p bmbe --release --lib -- -D warnings
+cargo rustc -p bmbe --release --bin bmbe -- -D warnings
 
 echo "== tier1: obs_report --check =="
 BMBE_TRACE_OUT="${TMPDIR:-/tmp}/bmbe_tier1_trace.json" \
