@@ -14,8 +14,10 @@
 //!   synthesis in the durability tests;
 //! - **strict on decode** — any truncation, unknown tag, or length
 //!   overrun is a typed [`CodecError`], never a panic or a partial value.
-//!   The disk layer treats every decode error as a corrupt entry and
-//!   evicts it.
+//!   So is a mapped gate the evaluators could not run: one whose input
+//!   count differs from its cell's pin count, or that names a node outside
+//!   its subject graph. The disk layer treats every decode error as a
+//!   corrupt entry and evicts it.
 //!
 //! Versioning lives in the entry *header* (see `disk.rs`), not here: a
 //! payload is only decoded after the header's format version and checksum
@@ -66,6 +68,13 @@ pub enum CodecError {
         /// Number of undecoded bytes.
         extra: usize,
     },
+    /// A mapped gate does not fit its netlist.
+    BadGate {
+        /// The gate's index in the netlist.
+        gate: usize,
+        /// What is wrong with it.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -79,6 +88,7 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the payload")
             }
+            CodecError::BadGate { gate, what } => write!(f, "mapped gate {gate}: {what}"),
         }
     }
 }
@@ -302,10 +312,11 @@ fn style_untag(tag: u8) -> Result<MapStyle, CodecError> {
     }
 }
 
+/// Cell tags. Tags 1 and 10–12 are retired and stay unused, so every tag
+/// an earlier build wrote keeps its meaning.
 fn cell_tag(v: CellKind) -> u8 {
     match v {
         CellKind::Inv => 0,
-        CellKind::Buf => 1,
         CellKind::Nand2 => 2,
         CellKind::Nand3 => 3,
         CellKind::Nand4 => 4,
@@ -314,16 +325,12 @@ fn cell_tag(v: CellKind) -> u8 {
         CellKind::Nor2 => 7,
         CellKind::Ao21 => 8,
         CellKind::Ao22 => 9,
-        CellKind::Tie0 => 10,
-        CellKind::Tie1 => 11,
-        CellKind::Celem2 => 12,
     }
 }
 
 fn cell_untag(tag: u8) -> Result<CellKind, CodecError> {
     Ok(match tag {
         0 => CellKind::Inv,
-        1 => CellKind::Buf,
         2 => CellKind::Nand2,
         3 => CellKind::Nand3,
         4 => CellKind::Nand4,
@@ -332,9 +339,6 @@ fn cell_untag(tag: u8) -> Result<CellKind, CodecError> {
         7 => CellKind::Nor2,
         8 => CellKind::Ao21,
         9 => CellKind::Ao22,
-        10 => CellKind::Tie0,
-        11 => CellKind::Tie1,
-        12 => CellKind::Celem2,
         tag => {
             return Err(CodecError::BadTag {
                 what: "CellKind",
@@ -637,10 +641,16 @@ fn put_mapped(w: &mut Writer, m: &MappedNetlist) {
 fn get_mapped(r: &mut Reader<'_>) -> Result<MappedNetlist, CodecError> {
     let n_gates = r.len("mapped gates")?;
     let mut gates = Vec::with_capacity(n_gates.min(4096));
-    for _ in 0..n_gates {
+    for gate in 0..n_gates {
         let cell = cell_untag(r.u8("cell tag")?)?;
         let n_inputs = r.len("gate inputs")?;
-        let mut inputs = Vec::with_capacity(n_inputs.min(16));
+        if n_inputs != cell.num_inputs() {
+            return Err(CodecError::BadGate {
+                gate,
+                what: "input count differs from the cell's pin count",
+            });
+        }
+        let mut inputs = Vec::with_capacity(n_inputs);
         for _ in 0..n_inputs {
             inputs.push(r.usize("gate input")?);
         }
@@ -660,6 +670,15 @@ fn get_mapped(r: &mut Reader<'_>) -> Result<MappedNetlist, CodecError> {
         output_delays.insert(name, delay);
     }
     let subject = get_subject(r)?;
+    let nodes = subject.nodes.len();
+    if let Some(gate) =
+        (gates.iter()).position(|g| g.output >= nodes || g.inputs.iter().any(|&i| i >= nodes))
+    {
+        return Err(CodecError::BadGate {
+            gate,
+            what: "node id outside the subject graph",
+        });
+    }
     Ok(MappedNetlist {
         gates,
         area,
@@ -831,6 +850,59 @@ mod codec_tests {
             Err(CodecError::BadTag { .. }) => {}
             other => panic!("expected BadTag, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn retired_and_unknown_cell_tags_are_rejected() {
+        for tag in [1, 10, 11, 12, 13, 0xff] {
+            assert_eq!(
+                cell_untag(tag),
+                Err(CodecError::BadTag {
+                    what: "CellKind",
+                    tag
+                })
+            );
+        }
+        // Every cell keeps the number earlier builds wrote for it.
+        let pinned = [
+            (CellKind::Inv, 0),
+            (CellKind::Nand2, 2),
+            (CellKind::Nand3, 3),
+            (CellKind::Nand4, 4),
+            (CellKind::And2, 5),
+            (CellKind::Or2, 6),
+            (CellKind::Nor2, 7),
+            (CellKind::Ao21, 8),
+            (CellKind::Ao22, 9),
+        ];
+        for (cell, tag) in pinned {
+            assert_eq!(cell_tag(cell), tag, "{cell}");
+            assert_eq!(cell_untag(tag), Ok(cell));
+        }
+    }
+
+    #[test]
+    fn gates_that_do_not_fit_their_netlist_do_not_decode() {
+        // Applies `edit` to the sample's first gate with two or more
+        // inputs; returns that gate's index and the decode error.
+        let decode_edited = |edit: &dyn Fn(&mut MappedNetlist, usize)| {
+            let (key, mut artifact) = sample();
+            let gate = (artifact.mapped.gates.iter())
+                .position(|g| g.inputs.len() >= 2)
+                .expect("a gate with two inputs");
+            edit(&mut artifact.mapped, gate);
+            (gate, decode_entry(&encode_entry(&key, &artifact)).err())
+        };
+        // A gate that lost an input.
+        let (gate, err) = decode_edited(&|m, g| {
+            m.gates[g].inputs.pop();
+        });
+        let what = "input count differs from the cell's pin count";
+        assert_eq!(err, Some(CodecError::BadGate { gate, what }));
+        // A gate that reads one node past the subject graph.
+        let (gate, err) = decode_edited(&|m, g| m.gates[g].inputs[0] = m.subject.nodes.len());
+        let what = "node id outside the subject graph";
+        assert_eq!(err, Some(CodecError::BadGate { gate, what }));
     }
 
     #[test]

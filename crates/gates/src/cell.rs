@@ -5,6 +5,12 @@
 //! values are not calibrated against the real library; they only need to be
 //! mutually consistent, since every experiment compares circuits mapped to
 //! the *same* library (see DESIGN.md, substitutions).
+//!
+//! The library holds exactly the nine cells the mapper's patterns emit.
+//! Each is combinational and unate in every pin, so every evaluator here
+//! returns a plain value. A gate's input count must match its cell's pin
+//! count; netlists from outside the mapper are checked for that where they
+//! enter (the disk-cache codec and the compiled simulator's tape builder).
 
 use std::fmt;
 
@@ -13,8 +19,6 @@ use std::fmt;
 pub enum CellKind {
     /// Inverter.
     Inv,
-    /// Buffer.
-    Buf,
     /// 2-input NAND.
     Nand2,
     /// 3-input NAND.
@@ -31,60 +35,14 @@ pub enum CellKind {
     Ao21,
     /// AND-OR `a·b + c·d`.
     Ao22,
-    /// Constant 0.
-    Tie0,
-    /// Constant 1.
-    Tie1,
-    /// Two-input Muller C-element (used by handshake datapath templates).
-    Celem2,
 }
-
-/// A cell cannot be evaluated combinationally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellError {
-    /// The cell holds state (the Muller C-element); its output is a
-    /// function of its history, so only the event simulator can evaluate
-    /// it.
-    Stateful(CellKind),
-    /// Wrong number of input values for the cell's pin count.
-    WrongInputCount {
-        /// The cell.
-        cell: CellKind,
-        /// Pins the cell has.
-        expected: usize,
-        /// Values supplied.
-        got: usize,
-    },
-}
-
-impl fmt::Display for CellError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CellError::Stateful(cell) => {
-                write!(f, "cell {cell} is stateful and has no combinational value")
-            }
-            CellError::WrongInputCount {
-                cell,
-                expected,
-                got,
-            } => write!(f, "cell {cell} has {expected} inputs, got {got}"),
-        }
-    }
-}
-
-impl std::error::Error for CellError {}
 
 impl CellKind {
     /// Number of input pins.
     pub fn num_inputs(&self) -> usize {
         match self {
-            CellKind::Tie0 | CellKind::Tie1 => 0,
-            CellKind::Inv | CellKind::Buf => 1,
-            CellKind::Nand2
-            | CellKind::And2
-            | CellKind::Or2
-            | CellKind::Nor2
-            | CellKind::Celem2 => 2,
+            CellKind::Inv => 1,
+            CellKind::Nand2 | CellKind::And2 | CellKind::Or2 | CellKind::Nor2 => 2,
             CellKind::Nand3 | CellKind::Ao21 => 3,
             CellKind::Nand4 | CellKind::Ao22 => 4,
         }
@@ -94,7 +52,6 @@ impl CellKind {
     pub fn name(&self) -> &'static str {
         match self {
             CellKind::Inv => "INV",
-            CellKind::Buf => "BUF",
             CellKind::Nand2 => "NAND2",
             CellKind::Nand3 => "NAND3",
             CellKind::Nand4 => "NAND4",
@@ -103,74 +60,34 @@ impl CellKind {
             CellKind::Nor2 => "NOR2",
             CellKind::Ao21 => "AO21",
             CellKind::Ao22 => "AO22",
-            CellKind::Tie0 => "TIE0",
-            CellKind::Tie1 => "TIE1",
-            CellKind::Celem2 => "C2",
         }
     }
 
-    /// Combinational evaluation (the C-element needs state and is evaluated
-    /// by the simulator instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`CellKind::try_eval`] errors; analysis code that must
-    /// not crash on an unexpected cell uses `try_eval` and reports.
+    /// Combinational evaluation. `inputs` holds one value per pin
+    /// ([`CellKind::num_inputs`]).
     pub fn eval(&self, inputs: &[bool]) -> bool {
-        self.try_eval(inputs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Combinational evaluation with a typed error for the stateful
-    /// C-element (whose output depends on history, not just `inputs`) and
-    /// for an input-count mismatch.
-    ///
-    /// # Errors
-    ///
-    /// See [`CellError`].
-    pub fn try_eval(&self, inputs: &[bool]) -> Result<bool, CellError> {
-        if inputs.len() != self.num_inputs() {
-            return Err(CellError::WrongInputCount {
-                cell: *self,
-                expected: self.num_inputs(),
-                got: inputs.len(),
-            });
-        }
-        Ok(match self {
+        debug_assert_eq!(inputs.len(), self.num_inputs(), "{self} pin count");
+        match self {
             CellKind::Inv => !inputs[0],
-            CellKind::Buf => inputs[0],
             CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 => !inputs.iter().all(|&b| b),
             CellKind::And2 => inputs[0] && inputs[1],
             CellKind::Or2 => inputs[0] || inputs[1],
             CellKind::Nor2 => !(inputs[0] || inputs[1]),
             CellKind::Ao21 => (inputs[0] && inputs[1]) || inputs[2],
             CellKind::Ao22 => (inputs[0] && inputs[1]) || (inputs[2] && inputs[3]),
-            CellKind::Tie0 => false,
-            CellKind::Tie1 => true,
-            CellKind::Celem2 => return Err(CellError::Stateful(*self)),
-        })
+        }
     }
 
     /// Bit-parallel combinational evaluation: each input word carries 64
     /// independent scenarios, one per bit lane, and the result word holds
     /// the cell's output for every lane at once. Lane `L` of the output
     /// equals `eval` applied to lane `L` of the inputs — the agreement the
-    /// lane-vs-scalar property test pins.
-    ///
-    /// # Errors
-    ///
-    /// See [`CellError`]; the stateful C-element needs
-    /// [`CellKind::eval_lanes_seq`].
-    pub fn eval_lanes(&self, inputs: &[u64]) -> Result<u64, CellError> {
-        if inputs.len() != self.num_inputs() {
-            return Err(CellError::WrongInputCount {
-                cell: *self,
-                expected: self.num_inputs(),
-                got: inputs.len(),
-            });
-        }
-        Ok(match self {
+    /// lane-vs-scalar property test pins. `inputs` holds one word per pin
+    /// ([`CellKind::num_inputs`]).
+    pub fn eval_lanes(&self, inputs: &[u64]) -> u64 {
+        debug_assert_eq!(inputs.len(), self.num_inputs(), "{self} pin count");
+        match self {
             CellKind::Inv => !inputs[0],
-            CellKind::Buf => inputs[0],
             CellKind::Nand2 => !(inputs[0] & inputs[1]),
             CellKind::Nand3 => !(inputs[0] & inputs[1] & inputs[2]),
             CellKind::Nand4 => !(inputs[0] & inputs[1] & inputs[2] & inputs[3]),
@@ -179,15 +96,12 @@ impl CellKind {
             CellKind::Nor2 => !(inputs[0] | inputs[1]),
             CellKind::Ao21 => (inputs[0] & inputs[1]) | inputs[2],
             CellKind::Ao22 => (inputs[0] & inputs[1]) | (inputs[2] & inputs[3]),
-            CellKind::Tie0 => 0,
-            CellKind::Tie1 => !0,
-            CellKind::Celem2 => return Err(CellError::Stateful(*self)),
-        })
+        }
     }
 
     /// Whether the output falls when an input rises: `Inv`, `Nand*` and
-    /// `Nor2`. Every other combinational cell rises with its inputs, so
-    /// each cell is unate in every pin.
+    /// `Nor2`. Every other cell rises with its inputs, so each cell is
+    /// unate in every pin.
     pub(crate) fn inverts(&self) -> bool {
         matches!(
             self,
@@ -202,27 +116,17 @@ impl CellKind {
     /// extreme completions (every `X` pin at 0, and every `X` pin at 1).
     /// For AND that is `can0 = a0 | b0`, `can1 = a1 & b1`; OR is the dual;
     /// NOT swaps the planes. With complementary planes (no `X` anywhere)
-    /// the `can1` plane is exactly `eval_lanes`.
-    ///
-    /// # Errors
-    ///
-    /// See [`CellError`]; the stateful C-element has no ternary value.
-    pub(crate) fn eval_dual_lanes(&self, inputs: &[DualRail]) -> Result<DualRail, CellError> {
-        if inputs.len() != self.num_inputs() {
-            return Err(CellError::WrongInputCount {
-                cell: *self,
-                expected: self.num_inputs(),
-                got: inputs.len(),
-            });
-        }
+    /// the `can1` plane is exactly `eval_lanes`. `inputs` holds one value
+    /// per pin ([`CellKind::num_inputs`]).
+    pub(crate) fn eval_dual_lanes(&self, inputs: &[DualRail]) -> DualRail {
         let (mut low, mut high) = ([0u64; 4], [0u64; 4]);
         for (k, v) in inputs.iter().enumerate() {
             low[k] = !v.can0;
             high[k] = v.can1;
         }
-        let low = self.eval_lanes(&low[..inputs.len()])?;
-        let high = self.eval_lanes(&high[..inputs.len()])?;
-        Ok(if self.inverts() {
+        let low = self.eval_lanes(&low[..inputs.len()]);
+        let high = self.eval_lanes(&high[..inputs.len()]);
+        if self.inverts() {
             DualRail {
                 can0: !high,
                 can1: low,
@@ -232,31 +136,6 @@ impl CellKind {
                 can0: !low,
                 can1: high,
             }
-        })
-    }
-
-    /// Like [`CellKind::eval_lanes`], but sequential: `prev` is the cell's
-    /// previous output word, which resolves the C-element (per lane,
-    /// `a·b + prev·(a + b)`: set when both inputs agree high, cleared when
-    /// both agree low, held otherwise). Combinational cells ignore `prev`.
-    ///
-    /// # Errors
-    ///
-    /// [`CellError::WrongInputCount`] only — every cell kind has a
-    /// sequential lane value.
-    pub fn eval_lanes_seq(&self, inputs: &[u64], prev: u64) -> Result<u64, CellError> {
-        match self {
-            CellKind::Celem2 => {
-                if inputs.len() != 2 {
-                    return Err(CellError::WrongInputCount {
-                        cell: *self,
-                        expected: 2,
-                        got: inputs.len(),
-                    });
-                }
-                Ok((inputs[0] & inputs[1]) | (prev & (inputs[0] | inputs[1])))
-            }
-            _ => self.eval_lanes(inputs),
         }
     }
 }
@@ -311,7 +190,6 @@ impl Library {
     pub fn area(&self, cell: CellKind) -> f64 {
         match cell {
             CellKind::Inv => 27.0,
-            CellKind::Buf => 36.0,
             CellKind::Nand2 => 36.0,
             CellKind::Nand3 => 55.0,
             CellKind::Nand4 => 73.0,
@@ -320,8 +198,6 @@ impl Library {
             CellKind::Nor2 => 36.0,
             CellKind::Ao21 => 55.0,
             CellKind::Ao22 => 64.0,
-            CellKind::Tie0 | CellKind::Tie1 => 18.0,
-            CellKind::Celem2 => 73.0,
         }
     }
 
@@ -329,7 +205,6 @@ impl Library {
     pub fn delay(&self, cell: CellKind) -> f64 {
         match cell {
             CellKind::Inv => 0.08,
-            CellKind::Buf => 0.12,
             CellKind::Nand2 => 0.12,
             CellKind::Nand3 => 0.16,
             CellKind::Nand4 => 0.21,
@@ -338,8 +213,6 @@ impl Library {
             CellKind::Nor2 => 0.15,
             CellKind::Ao21 => 0.20,
             CellKind::Ao22 => 0.23,
-            CellKind::Tie0 | CellKind::Tie1 => 0.0,
-            CellKind::Celem2 => 0.24,
         }
     }
 }
@@ -362,7 +235,7 @@ mod tests {
         assert!(CellKind::Ao21.eval(&[true, true, false]));
         assert!(!CellKind::Ao21.eval(&[true, false, false]));
         assert!(CellKind::Ao22.eval(&[false, true, true, true]));
-        assert!(CellKind::Tie1.eval(&[]));
+        assert!(CellKind::Nor2.eval(&[false, false]));
     }
 
     #[test]
@@ -381,14 +254,13 @@ mod tests {
     #[test]
     fn input_counts() {
         assert_eq!(CellKind::Nand4.num_inputs(), 4);
-        assert_eq!(CellKind::Tie0.num_inputs(), 0);
+        assert_eq!(CellKind::Inv.num_inputs(), 1);
         assert_eq!(CellKind::Ao21.num_inputs(), 3);
     }
 
-    /// Every cell with a combinational value.
-    const COMBINATIONAL: [CellKind; 12] = [
+    /// Every cell; each has a combinational value.
+    const COMBINATIONAL: [CellKind; 9] = [
         CellKind::Inv,
-        CellKind::Buf,
         CellKind::Nand2,
         CellKind::Nand3,
         CellKind::Nand4,
@@ -397,8 +269,6 @@ mod tests {
         CellKind::Nor2,
         CellKind::Ao21,
         CellKind::Ao22,
-        CellKind::Tie0,
-        CellKind::Tie1,
     ];
 
     #[test]
@@ -414,7 +284,7 @@ mod tests {
         for (ci, cell) in COMBINATIONAL.iter().enumerate() {
             let n = cell.num_inputs();
             let words: Vec<u64> = (0..n).map(|i| mix((ci * 7 + i) as u64)).collect();
-            let out = cell.eval_lanes(&words).unwrap();
+            let out = cell.eval_lanes(&words);
             for lane in 0..64 {
                 let scalar: Vec<bool> = words.iter().map(|w| w >> lane & 1 == 1).collect();
                 assert_eq!(
@@ -423,11 +293,10 @@ mod tests {
                     "{cell} lane {lane}"
                 );
             }
-            assert_eq!(cell.eval_lanes_seq(&words, mix(99)).unwrap(), out);
             // Complementary planes: the dual-rail value is the binary one.
             let duals: Vec<DualRail> = words.iter().map(|&w| DualRail::binary(w)).collect();
             assert_eq!(
-                cell.eval_dual_lanes(&duals).unwrap(),
+                cell.eval_dual_lanes(&duals),
                 DualRail::binary(out),
                 "{cell}"
             );
@@ -455,7 +324,7 @@ mod tests {
                         w.can1 |= u64::from(t != 0) << lane;
                     }
                 }
-                let out = cell.eval_dual_lanes(&words).unwrap();
+                let out = cell.eval_dual_lanes(&words);
                 for lane in 0..lanes {
                     let (mut can0, mut can1) = (false, false);
                     for bits in 0..1u32 << k {
@@ -483,51 +352,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn celem_lanes_follow_the_set_hold_clear_rule() {
-        let a = 0b1100u64;
-        let b = 0b1010u64;
-        let prev = 0b0110u64;
-        // lane0: a=0,b=0 -> clear; lane1: a=0,b=1,prev=1 -> hold 1;
-        // lane2: a=1,b=0,prev=1 -> hold 1; lane3: a=1,b=1 -> set.
-        assert_eq!(
-            CellKind::Celem2.eval_lanes_seq(&[a, b], prev).unwrap(),
-            0b1110
-        );
-        assert_eq!(
-            CellKind::Celem2.eval_lanes(&[a, b]),
-            Err(CellError::Stateful(CellKind::Celem2))
-        );
-        assert_eq!(
-            CellKind::Celem2.eval_dual_lanes(&[DualRail::binary(a), DualRail::X]),
-            Err(CellError::Stateful(CellKind::Celem2))
-        );
-        assert_eq!(
-            CellKind::Celem2.eval_lanes_seq(&[a], prev),
-            Err(CellError::WrongInputCount {
-                cell: CellKind::Celem2,
-                expected: 2,
-                got: 1
-            })
-        );
-    }
-
-    #[test]
-    fn try_eval_reports_instead_of_panicking() {
-        assert_eq!(
-            CellKind::Celem2.try_eval(&[true, true]),
-            Err(CellError::Stateful(CellKind::Celem2))
-        );
-        assert_eq!(
-            CellKind::And2.try_eval(&[true]),
-            Err(CellError::WrongInputCount {
-                cell: CellKind::And2,
-                expected: 2,
-                got: 1
-            })
-        );
-        assert_eq!(CellKind::And2.try_eval(&[true, false]), Ok(false));
     }
 }

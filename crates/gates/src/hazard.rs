@@ -25,10 +25,12 @@
 //!    every check reads one bit. A transition that differs from its slot
 //!    gets lanes of its own.
 //!
-//! [`try_eval_ternary`] is the per-point ternary evaluator the lanes are
-//! tested against; no production path calls it.
+//! Every library cell is combinational and unate, so both checks return a
+//! verdict for any netlist whose gates have their cells' pin counts.
+//! [`eval_ternary`] is the per-point ternary evaluator the lanes are tested
+//! against; no production path calls it.
 
-use crate::cell::{CellError, CellKind, DualRail};
+use crate::cell::{CellKind, DualRail};
 use crate::map::MappedNetlist;
 use crate::subject::SubjectNode;
 use bmbe_bm::synth::Controller;
@@ -44,15 +46,6 @@ pub enum HazardViolation {
         function: String,
         /// A witness input point.
         point: u64,
-    },
-    /// The netlist contains a cell the analysis cannot evaluate (say, a
-    /// stateful C-element leaked into a controller netlist); reported as a
-    /// violation rather than crashing the analysis.
-    Unevaluatable {
-        /// Function name (or `"*"` when no single function is implicated).
-        function: String,
-        /// The underlying cell error.
-        detail: String,
     },
     /// A static transition can glitch (output reads `X` mid-burst).
     StaticGlitch {
@@ -80,9 +73,6 @@ impl std::fmt::Display for HazardViolation {
             HazardViolation::NotEquivalent { function, point } => {
                 write!(f, "{function}: mapped netlist differs at {point:#x}")
             }
-            HazardViolation::Unevaluatable { function, detail } => {
-                write!(f, "{function}: netlist not analyzable: {detail}")
-            }
             HazardViolation::StaticGlitch {
                 function,
                 start,
@@ -107,26 +97,12 @@ impl std::fmt::Display for HazardViolation {
     }
 }
 
-/// Ternary evaluation of a mapped netlist; returns root values in root
-/// order.
-///
-/// # Panics
-///
-/// Panics where [`try_eval_ternary`] errors.
+/// Ternary evaluation of a mapped netlist at one point; returns root values
+/// in root order. Every cell is unate in each pin, so its Kleene value is
+/// fixed by its scalar function at the two completions that set every `X`
+/// pin to 0 and to 1. This is the per-point oracle of the lane evaluator
+/// [`verify_mapped`] runs.
 pub fn eval_ternary(netlist: &MappedNetlist, inputs: &[Tv]) -> Vec<Tv> {
-    try_eval_ternary(netlist, inputs).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Ternary evaluation of one point with a typed error for cells the
-/// analysis cannot evaluate (the stateful C-element). Every cell is unate
-/// in each pin, so its Kleene value is fixed by its scalar function at the
-/// two completions that set every `X` pin to 0 and to 1. This is the
-/// per-point oracle of the lane evaluator [`verify_mapped`] runs.
-///
-/// # Errors
-///
-/// The first unevaluatable gate, in topological order.
-pub fn try_eval_ternary(netlist: &MappedNetlist, inputs: &[Tv]) -> Result<Vec<Tv>, CellError> {
     // Dense value table indexed by subject-node id (gate outputs are
     // subject-node ids too); topological gate order guarantees every read
     // slot was written.
@@ -145,15 +121,15 @@ pub fn try_eval_ternary(netlist: &MappedNetlist, inputs: &[Tv]) -> Result<Vec<Tv
         low.extend(g.inputs.iter().map(|&i| values[i] == Tv::One));
         high.clear();
         high.extend(g.inputs.iter().map(|&i| values[i] != Tv::Zero));
-        let (a, b) = (g.cell.try_eval(&low)?, g.cell.try_eval(&high)?);
+        let (a, b) = (g.cell.eval(&low), g.cell.eval(&high));
         values[g.output] = if a == b { Tv::from_bool(a) } else { Tv::X };
     }
-    Ok(netlist
+    netlist
         .subject
         .roots
         .iter()
         .map(|(_, r)| values[*r])
-        .collect())
+        .collect()
 }
 
 /// Cube-count ceiling for the algebraic netlist covers; beyond it the
@@ -201,32 +177,32 @@ const OFF: u8 = 2;
 /// covers combine AND as intersection and OR as union, OFF covers the
 /// other way round. `None` when a cover exceeds [`ALGEBRAIC_CUBE_CAP`].
 fn core_cover(cell: CellKind, ins: &[usize], table: &[Cover], on: bool, n: usize) -> Option<Cover> {
-    let universe = || Cover::from_cubes(vec![Cube::universe(n)]);
     let and = |a: &Cover, b: &Cover| if on { cover_and(a, b) } else { cover_or(a, b) };
     let or = |a: &Cover, b: &Cover| if on { cover_or(a, b) } else { cover_and(a, b) };
     let and_all = |ids: &[usize]| {
-        let unit = if on { universe() } else { Cover::empty() };
+        let unit = if on {
+            Cover::from_cubes(vec![Cube::universe(n)])
+        } else {
+            Cover::empty()
+        };
         ids.iter().try_fold(unit, |acc, &i| and(&acc, &table[i]))
     };
     match cell {
-        CellKind::Inv | CellKind::Buf => Some(table[ins[0]].clone()),
+        CellKind::Inv => Some(table[ins[0]].clone()),
         CellKind::Nand2 | CellKind::Nand3 | CellKind::Nand4 | CellKind::And2 => and_all(ins),
         CellKind::Or2 | CellKind::Nor2 => or(&table[ins[0]], &table[ins[1]]),
         CellKind::Ao21 => or(&and_all(&ins[..2])?, &table[ins[2]]),
         CellKind::Ao22 => or(&and_all(&ins[..2])?, &and_all(&ins[2..])?),
-        CellKind::Tie0 => Some(if on { Cover::empty() } else { universe() }),
-        CellKind::Tie1 => Some(if on { universe() } else { Cover::empty() }),
-        CellKind::Celem2 => None,
     }
 }
 
 /// Exact ON covers of every root of the mapped netlist, built by
 /// propagating cube covers through the gates — each input starts with the
-/// complementary pair `(x_i, !x_i)`, and every supported cell preserves the
+/// complementary pair `(x_i, !x_i)`, and every cell preserves the
 /// pair exactly (AND intersects ON covers and unions OFF covers; OR is the
 /// dual; inversion swaps). Only the polarities some reader needs are
 /// built, in tables indexed by node id. Returns `None` when a built cover
-/// exceeds [`ALGEBRAIC_CUBE_CAP`] or a cell has no cube semantics.
+/// exceeds [`ALGEBRAIC_CUBE_CAP`].
 fn netlist_root_covers(netlist: &MappedNetlist, n: usize) -> Option<Vec<Cover>> {
     let subject = &netlist.subject;
     // Backward pass: the polarities each node's readers need.
@@ -265,11 +241,6 @@ fn netlist_root_covers(netlist: &MappedNetlist, n: usize) -> Option<Vec<Cover>> 
         }
     }
     for g in &netlist.gates {
-        // No cube-cover semantics for the stateful C-element; bail to the
-        // pointwise fallback, which reports a typed violation.
-        if g.cell == CellKind::Celem2 {
-            return None;
-        }
         let invert = g.cell.inverts();
         if need[g.output] & ON != 0 {
             let table = if invert { &off } else { &on };
@@ -310,15 +281,7 @@ pub fn verify_equivalence_pointwise(
             .collect()
     };
     for &p in &points {
-        let mapped = match netlist.try_eval(p) {
-            Ok(values) => values,
-            Err(e) => {
-                return Some(HazardViolation::Unevaluatable {
-                    function: "*".to_string(),
-                    detail: e.to_string(),
-                })
-            }
-        };
+        let mapped = netlist.eval(p);
         for (fi, (name, cover)) in covers.iter().enumerate() {
             if mapped[fi] != cover.eval(p) {
                 return Some(HazardViolation::NotEquivalent {
@@ -390,11 +353,7 @@ fn named_covers(controller: &Controller) -> Vec<(String, &Cover)> {
 /// netlist pass. Lane `l` holds input point `lanes[l].0` with the inputs in
 /// `lanes[l].1` at `X`. The result is function-major: root `f`'s word for
 /// pass `p` is at `f * passes + p`.
-fn root_lanes(
-    netlist: &MappedNetlist,
-    n: usize,
-    lanes: &[(u64, u64)],
-) -> Result<Vec<DualRail>, CellError> {
+fn root_lanes(netlist: &MappedNetlist, n: usize, lanes: &[(u64, u64)]) -> Vec<DualRail> {
     let subject = &netlist.subject;
     let passes = lanes.len().div_ceil(64);
     let mut words = vec![DualRail::X; subject.roots.len() * passes];
@@ -426,13 +385,13 @@ fn root_lanes(
         for g in &netlist.gates {
             ins.clear();
             ins.extend(g.inputs.iter().map(|&i| values[i]));
-            values[g.output] = g.cell.eval_dual_lanes(&ins)?;
+            values[g.output] = g.cell.eval_dual_lanes(&ins);
         }
         for (f, (_, r)) in subject.roots.iter().enumerate() {
             words[f * passes + p] = values[*r];
         }
     }
-    Ok(words)
+    words
 }
 
 /// Verifies a mapped controller: functional equivalence against the
@@ -475,20 +434,7 @@ pub fn verify_mapped(controller: &Controller, netlist: &MappedNetlist) -> Vec<Ha
             });
         }
     }
-    let words = match root_lanes(netlist, controller.num_vars(), &lanes) {
-        Ok(words) => words,
-        Err(e) => {
-            // The netlist itself is broken: report it against the first
-            // function with a transition, and stop.
-            if let Some(fi) = specs.iter().position(|s| !s.transitions().is_empty()) {
-                out.push(HazardViolation::Unevaluatable {
-                    function: covers[fi].0.clone(),
-                    detail: e.to_string(),
-                });
-            }
-            return out;
-        }
-    };
+    let words = root_lanes(netlist, controller.num_vars(), &lanes);
     let passes = lanes.len().div_ceil(64);
     let mut pairs = pairs.into_iter();
     for (fi, spec) in specs.iter().enumerate() {
@@ -600,45 +546,6 @@ mod tests {
             Some(HazardViolation::NotEquivalent { function, .. }) => assert_eq!(function, "y1"),
             other => panic!("expected a y1 equivalence witness, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn stateful_cell_reports_instead_of_crashing() {
-        use crate::cell::CellKind;
-        let ctrl = synthesize(&sequencer_spec(), MinimizeMode::Speed).unwrap();
-        let functions: Vec<(String, &Cover)> = ctrl
-            .outputs
-            .iter()
-            .cloned()
-            .chain((0..ctrl.num_state_bits).map(|j| format!("y{j}")))
-            .zip(
-                ctrl.output_covers
-                    .iter()
-                    .chain(ctrl.next_state_covers.iter()),
-            )
-            .collect();
-        let subject = SubjectGraph::from_covers(ctrl.num_vars(), &functions);
-        let mut m = map(
-            &subject,
-            &Library::cmos035(),
-            MapObjective::Delay,
-            MapStyle::SplitModules,
-        );
-        // Corrupt the netlist: turn a two-input gate into a C-element, as
-        // if a datapath cell leaked into the controller.
-        let g = m
-            .gates
-            .iter_mut()
-            .find(|g| g.inputs.len() == 2)
-            .expect("some two-input gate");
-        g.cell = CellKind::Celem2;
-        let violations = verify_mapped(&ctrl, &m);
-        assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v, HazardViolation::Unevaluatable { .. })),
-            "{violations:?}"
-        );
     }
 
     #[test]

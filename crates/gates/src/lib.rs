@@ -30,10 +30,10 @@ pub mod hazard;
 pub mod map;
 pub mod subject;
 
-pub use cell::{CellError, CellKind, Library};
+pub use cell::{CellKind, Library};
 pub use hazard::{
-    eval_ternary, try_eval_ternary, verify_equivalence_algebraic, verify_equivalence_pointwise,
-    verify_mapped, HazardViolation,
+    eval_ternary, verify_equivalence_algebraic, verify_equivalence_pointwise, verify_mapped,
+    HazardViolation,
 };
 pub use map::{map, MapObjective, MapStyle, MappedGate, MappedNetlist};
 pub use subject::{Module, SubjectGraph, SubjectNode};

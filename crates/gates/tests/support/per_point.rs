@@ -1,13 +1,11 @@
 //! The per-point form of `verify_mapped`'s ternary transition analysis,
 //! kept test-side as the oracle the 64-lane production analysis must equal
-//! in list, order and messages: one [`try_eval_ternary`] call per distinct
+//! in list, order and messages: one [`eval_ternary`] call per distinct
 //! mid-burst point and per distinct settle point, memoized across the
 //! functions that share them.
 
 use bmbe_bm::synth::Controller;
-use bmbe_gates::{
-    try_eval_ternary, verify_equivalence_algebraic, CellError, HazardViolation, MappedNetlist,
-};
+use bmbe_gates::{eval_ternary, verify_equivalence_algebraic, HazardViolation, MappedNetlist};
 use bmbe_logic::Tv;
 use std::collections::HashMap;
 
@@ -25,8 +23,8 @@ pub fn verify_mapped_per_point(
     let names: Vec<String> = (controller.outputs.iter().cloned())
         .chain((0..controller.num_state_bits).map(|j| format!("y{j}")))
         .collect();
-    let mut mid_memo: HashMap<(u64, u64), Result<Vec<Tv>, CellError>> = HashMap::new();
-    let mut fin_memo: HashMap<u64, Result<Vec<Tv>, CellError>> = HashMap::new();
+    let mut mid_memo: HashMap<(u64, u64), Vec<Tv>> = HashMap::new();
+    let mut fin_memo: HashMap<u64, Vec<Tv>> = HashMap::new();
     for (fi, spec) in controller.function_specs.iter().enumerate() {
         let function = &names[fi];
         for t in spec.transitions() {
@@ -41,18 +39,8 @@ pub fn verify_mapped_per_point(
                         }
                     })
                     .collect();
-                try_eval_ternary(netlist, &mid)
+                eval_ternary(netlist, &mid)
             });
-            let mids = match mids {
-                Ok(values) => values,
-                Err(e) => {
-                    out.push(HazardViolation::Unevaluatable {
-                        function: function.clone(),
-                        detail: e.to_string(),
-                    });
-                    return out;
-                }
-            };
             if t.from == t.to && mids[fi] != Tv::from_bool(t.from) {
                 out.push(HazardViolation::StaticGlitch {
                     function: function.clone(),
@@ -62,18 +50,8 @@ pub fn verify_mapped_per_point(
             }
             let fins = fin_memo.entry(t.end).or_insert_with(|| {
                 let fin: Vec<Tv> = (0..n).map(|i| Tv::from_bool(t.end >> i & 1 == 1)).collect();
-                try_eval_ternary(netlist, &fin)
+                eval_ternary(netlist, &fin)
             });
-            let fins = match fins {
-                Ok(values) => values,
-                Err(e) => {
-                    out.push(HazardViolation::Unevaluatable {
-                        function: function.clone(),
-                        detail: e.to_string(),
-                    });
-                    return out;
-                }
-            };
             if fins[fi] != Tv::from_bool(t.to) {
                 out.push(HazardViolation::WrongSettle {
                     function: function.clone(),

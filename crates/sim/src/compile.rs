@@ -236,9 +236,6 @@ impl ControllerTape {
         let mut driver = vec![usize::MAX; num_nodes];
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
         for (gi, g) in gates.iter().enumerate() {
-            if matches!(g.cell, CellKind::Celem2) {
-                return Err(bad("stateful cell C2 in a controller tape".to_string()));
-            }
             if g.inputs.len() != g.cell.num_inputs() {
                 return Err(bad(format!(
                     "gate {gi} ({}) has {} inputs, expected {}",
@@ -1128,11 +1125,8 @@ fn run_tape(t: &ControllerTape, scratch: &mut [u64]) {
         for i in 0..n {
             buf[i] = scratch[op.ins[i] as usize];
         }
-        // Validated at compile time: combinational cells, matching arity.
-        scratch[op.out as usize] = op
-            .cell
-            .eval_lanes(&buf[..n])
-            .expect("tape validated at compile");
+        // The tape builder checked each op's input count against its cell.
+        scratch[op.out as usize] = op.cell.eval_lanes(&buf[..n]);
     }
 }
 
@@ -1263,8 +1257,8 @@ mod tests {
     }
 
     /// A one-state-bit controller whose feedback settles in two
-    /// iterations: y0 = Buf(input), output = Buf(y0). The settle loop must
-    /// deliver the output of the *settled* state.
+    /// iterations: y0 = And2(input, input), output = And2(y0, y0). The
+    /// settle loop must deliver the output of the *settled* state.
     #[test]
     fn state_feedback_settles_to_fixpoint() {
         let (a_req, a_ack, o) = (NodeId(0), NodeId(1), NodeId(2));
@@ -1280,8 +1274,8 @@ mod tests {
             },
             Part::SyncResponder { req: o, ack: a_ack },
         ];
-        // Nodes: 0 = input wire, 1 = state bit y0, 2 = Buf(0) (next-state
-        // root), 3 = Buf(1) (output root).
+        // Nodes: 0 = input wire, 1 = state bit y0, 2 = And2(0, 0)
+        // (next-state root), 3 = And2(1, 1) (output root).
         let c = CompiledCircuit::new(circuit(3, parts), |_, ni, no| {
             ControllerTape::compile(
                 "fb",
@@ -1291,7 +1285,10 @@ mod tests {
                 0,
                 4,
                 &[],
-                &[gate(CellKind::Buf, &[0], 2), gate(CellKind::Buf, &[1], 3)],
+                &[
+                    gate(CellKind::And2, &[0, 0], 2),
+                    gate(CellKind::And2, &[1, 1], 3),
+                ],
                 &[3],
                 &[2],
             )
@@ -1326,21 +1323,24 @@ mod tests {
 
     #[test]
     fn malformed_tapes_are_rejected() {
-        // Stateful cell.
+        // Wrong pin count.
         let err = ControllerTape::compile(
-            "c2",
+            "pins",
             1,
             1,
             0,
             0,
             2,
             &[],
-            &[gate(CellKind::Celem2, &[0, 0], 1)],
+            &[gate(CellKind::And2, &[0], 1)],
             &[1],
             &[],
         )
         .unwrap_err();
-        assert!(err.to_string().contains("stateful"));
+        assert!(
+            err.to_string().contains("has 1 inputs, expected 2"),
+            "{err}"
+        );
         // Double-driven node.
         let err = ControllerTape::compile(
             "dd",
@@ -1350,7 +1350,10 @@ mod tests {
             0,
             2,
             &[],
-            &[gate(CellKind::Inv, &[0], 1), gate(CellKind::Buf, &[0], 1)],
+            &[
+                gate(CellKind::Inv, &[0], 1),
+                gate(CellKind::And2, &[0, 0], 1),
+            ],
             &[1],
             &[],
         )

@@ -8,10 +8,11 @@
 #      trace-tree oracles;
 #   3. every bench binary builds in release (table/figure regeneration
 #      and the obs_report smoke binary);
-#   4. bmbe-obs, bmbe-core, bmbe-bm, bmbe-logic, bmbe-gates, bmbe-sim,
-#      bmbe-flow, bmbe-designs, bmbe-bench (its library and every binary
-#      under crates/bench/src/bin) and the root bmbe package (its library
-#      and binary) build clean under -D warnings (zero-warning policy: a
+#   4. bmbe-obs, bmbe-par, bmbe-trace, bmbe-balsa, bmbe-core, bmbe-bm,
+#      bmbe-logic, bmbe-gates, bmbe-hsnet, bmbe-sim, bmbe-flow,
+#      bmbe-designs, bmbe-bench (its library and every binary under
+#      crates/bench/src/bin) and the root bmbe package (its library and
+#      binary) build clean under -D warnings (zero-warning policy: a
 #      leftover helper fails the gate);
 #   5. obs_report --check: runs a traced Stack flow + sim + verification
 #      and validates the emitted Chrome trace / JSONL / span coverage;
@@ -69,8 +70,9 @@ cargo test -q --release --workspace
 echo "== tier1: bench binaries =="
 cargo build --release -p bmbe-bench --bins
 
-echo "== tier1: deny-warnings (bmbe-obs, bmbe-core, bmbe-bm, bmbe-logic, bmbe-gates, bmbe-sim, bmbe-flow, bmbe-designs, bmbe-bench, bmbe) =="
-for crate in bmbe-obs bmbe-core bmbe-bm bmbe-logic bmbe-gates bmbe-sim bmbe-flow bmbe-designs; do
+echo "== tier1: deny-warnings (every workspace crate but the criterion/proptest stand-ins) =="
+for crate in bmbe-obs bmbe-par bmbe-trace bmbe-balsa bmbe-core bmbe-bm bmbe-logic bmbe-gates \
+    bmbe-hsnet bmbe-sim bmbe-flow bmbe-designs; do
     cargo rustc -p "$crate" --release -- -D warnings
 done
 # Packages with several targets take the flag one target at a time.
