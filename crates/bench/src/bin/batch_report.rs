@@ -112,6 +112,7 @@ fn run() -> Result<bool, String> {
     println!(
         "{{\"summary\": true, \"jobs\": {}, \"failed\": {}, \"distinct_shapes\": {}, \
          \"synthesized\": {}, \"shared_waits\": {}, \"cache_hits\": {}, \
+         \"merge_hits\": {}, \"merge_misses\": {}, \
          \"job_workers\": {}, \"inner_threads\": {}, \"disk_cache\": {}, \
          \"cache_stats\": {{\"hits\": {}, \"misses\": {}}}, \"wall_s\": {:.6}}}",
         summary.jobs.len(),
@@ -120,6 +121,8 @@ fn run() -> Result<bool, String> {
         summary.synthesized,
         summary.shared_waits,
         summary.cache_hits,
+        summary.merge_hits,
+        summary.merge_misses,
         summary.job_workers,
         summary.inner_threads,
         cache.disk().is_some(),

@@ -73,6 +73,7 @@ fn run() -> Result<bool, String> {
          \"fault_vs_clean\": {}}},\n  \
          \"all_pairs_exercised\": {},\n  \"findings\": [{}],\n  \
          \"cache_hits\": {},\n  \"synthesized\": {},\n  \"shared\": {},\n  \
+         \"merge_hits\": {},\n  \"merge_misses\": {},\n  \
          \"disk_cache\": {},\n  \"wall_s\": {:.6}\n}}\n",
         report.seed,
         report.designs,
@@ -85,6 +86,8 @@ fn run() -> Result<bool, String> {
         report.cache_hits,
         report.synthesized,
         report.shared,
+        report.merge_hits,
+        report.merge_misses,
         cache.disk().is_some(),
         report.wall_s
     );

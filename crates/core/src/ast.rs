@@ -7,6 +7,7 @@
 //! looping (`rep`, `break`) and interleaving operators (`enc-early`,
 //! `enc-middle`, `enc-late`, `seq`, `seq-ov`, `mutex`).
 
+use crate::parse::{print_ch, write_ch, ChannelNames};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -21,13 +22,20 @@ pub enum ChActivity {
     Neither,
 }
 
+impl ChActivity {
+    /// The activity's CH keyword.
+    pub fn keyword(&self) -> &'static str {
+        match self {
+            ChActivity::Active => "active",
+            ChActivity::Passive => "passive",
+            ChActivity::Neither => "neither",
+        }
+    }
+}
+
 impl fmt::Display for ChActivity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChActivity::Active => write!(f, "active"),
-            ChActivity::Passive => write!(f, "passive"),
-            ChActivity::Neither => write!(f, "neither"),
-        }
+        f.write_str(self.keyword())
     }
 }
 
@@ -437,6 +445,28 @@ pub fn alpha_rename(expr: &ChExpr) -> Option<(ChExpr, Vec<String>)> {
         .map(|(i, name)| (name.clone(), format!("k{i}")))
         .collect();
     Some((expr.rename_channels(&map), order))
+}
+
+/// The printed text of [`alpha_rename`]'s canonical form, written in one
+/// walk without building the renamed tree: byte-identical to
+/// `print_ch(&alpha_rename(expr).0)`, and to `print_ch(expr)` for verb
+/// programs, which cannot be renamed. Two programs share this text exactly
+/// when they are the same up to channel names, so it is the key both of the
+/// flow's controller cache and of clustering's
+/// [`crate::opt::acr::MergeMemo`].
+pub fn canonical_text(expr: &ChExpr) -> String {
+    // Room for most texts up front: growing the string step by step costs
+    // about a quarter of the walk.
+    let mut out = String::with_capacity(256);
+    let mut names = ChannelNames::Canonical {
+        met: Vec::new(),
+        verb: false,
+    };
+    write_ch(&mut out, expr, &mut names);
+    match names {
+        ChannelNames::Canonical { verb: true, .. } => print_ch(expr),
+        _ => out,
+    }
 }
 
 /// Table 1 of the paper: whether an operator applied to arguments of the

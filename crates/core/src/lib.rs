@@ -41,6 +41,6 @@ pub use ast::{check_bm_aware, legal, BmAwareError, ChActivity, ChExpr, Interleav
 pub use balsa_to_ch::{balsa_to_ch, TranslateError};
 pub use compile::{compile_to_bm, CompileError};
 pub use expand::{expand, ExpandError, Expansion, Io, Item, Trans};
-pub use opt::{activation_channel_removal, AcrFailure, ClusterOptions, CtrlNetlist};
+pub use opt::{activation_channel_removal, AcrFailure, ClusterOptions, CtrlNetlist, MergeMemo};
 pub use parse::{parse_ch, print_ch, ChParseError};
 pub use trace_gen::{trace_of, TraceGenError};

@@ -7,10 +7,18 @@
 //! inlined into the activating component in place of the active channel
 //! leaf. The merge is accepted only if the result is still Burst-Mode aware
 //! and compiles to a valid Burst-Mode specification.
+//!
+//! That last check compiles the merged program. A [`MergeMemo`] remembers
+//! the state count of every merged program that compiled, by its canonical
+//! text, so attempts that build the same program up to channel names
+//! compile it once.
 
-use crate::ast::{check_bm_aware, BmAwareError, ChActivity, ChExpr, InterleaveOp};
+use crate::ast::{canonical_text, check_bm_aware, BmAwareError, ChActivity, ChExpr, InterleaveOp};
 use crate::compile::{compile_to_bm, CompileError};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Reasons an Activation Channel Removal attempt fails. Failure is not an
 /// error condition for the clustering algorithms — the channel is simply
@@ -157,8 +165,73 @@ fn inline_at_channel(
     }
 }
 
+/// The BM state counts of merged programs that compiled, keyed by
+/// [`canonical_text`]. Two merged programs with the same canonical text are
+/// the same up to channel names, and `compile_to_bm` numbers signals in walk
+/// order, so they compile to the same number of states.
+///
+/// Only successful compiles are stored: a [`CompileError`] names the
+/// instance's wires, so a program that fails is compiled again on every
+/// attempt. The state limit is applied by each caller, so one memo serves
+/// any [`crate::opt::cluster::ClusterOptions`].
+///
+/// Thread-safe: the lock is held to look up or insert, never across a
+/// compile. Two threads that miss the same program at once both compile it
+/// and store the same count.
+#[derive(Debug, Default)]
+pub struct MergeMemo {
+    states: Mutex<HashMap<String, usize>>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+}
+
+impl MergeMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Lookups served without compiling.
+    pub fn hits(&self) -> usize {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that compiled, failed compiles included.
+    pub fn misses(&self) -> usize {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Locks the map, recovering from a poisoned lock: the map is only
+    /// read or inserted into under the lock, so a panic elsewhere cannot
+    /// leave a wrong count behind.
+    fn map(&self) -> MutexGuard<'_, HashMap<String, usize>> {
+        self.states.lock().unwrap_or_else(|poisoned| {
+            self.states.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// The BM state count of `merged`, compiled on a miss.
+    fn states(&self, merged: &ChExpr) -> Result<usize, CompileError> {
+        let key = canonical_text(merged);
+        let stored = self.map().get(&key).copied();
+        if let Some(states) = stored {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            bmbe_obs::trace_counter!("cluster.memo.hits", 1);
+            return Ok(states);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        bmbe_obs::trace_counter!("cluster.memo.misses", 1);
+        let states = compile_to_bm("merged", merged)?.num_states();
+        self.map().insert(key, states);
+        Ok(states)
+    }
+}
+
 /// Performs Activation Channel Removal over channel `channel`, merging
-/// `activated` into `activating`.
+/// `activated` into `activating`. This is the uncached form: it compiles
+/// the merged program through a fresh [`MergeMemo`], so it is the oracle of
+/// the memoized clustering.
 ///
 /// # Errors
 ///
@@ -168,6 +241,24 @@ pub fn activation_channel_removal(
     activated: &ChExpr,
     channel: &str,
     state_limit: Option<usize>,
+) -> Result<ChExpr, AcrFailure> {
+    activation_channel_removal_with(
+        activating,
+        activated,
+        channel,
+        state_limit,
+        &MergeMemo::new(),
+    )
+}
+
+/// [`activation_channel_removal`], asking `memo` for the merged program's
+/// state count.
+pub(crate) fn activation_channel_removal_with(
+    activating: &ChExpr,
+    activated: &ChExpr,
+    channel: &str,
+    state_limit: Option<usize>,
+    memo: &MergeMemo,
 ) -> Result<ChExpr, AcrFailure> {
     let body = hide_activation(activated, channel)?;
     let mut merged = activating.clone();
@@ -179,13 +270,10 @@ pub fn activation_channel_removal(
         return Err(AcrFailure::NotContiguous);
     }
     check_bm_aware(&merged).map_err(AcrFailure::NotBmAware)?;
-    let spec = compile_to_bm("merged", &merged).map_err(AcrFailure::NotSynthesizable)?;
+    let states = memo.states(&merged).map_err(AcrFailure::NotSynthesizable)?;
     if let Some(limit) = state_limit {
-        if spec.num_states() > limit {
-            return Err(AcrFailure::TooLarge {
-                states: spec.num_states(),
-                limit,
-            });
+        if states > limit {
+            return Err(AcrFailure::TooLarge { states, limit });
         }
     }
     Ok(merged)
@@ -274,6 +362,66 @@ mod tests {
         assert_eq!(spec.num_states(), 8, "{spec}");
         let chans = merged.channels();
         assert!(chans.contains_key("y") && chans.contains_key("z") && !chans.contains_key("m"));
+    }
+
+    #[test]
+    fn memo_serves_renamed_merges_and_applies_each_limit() {
+        let memo = MergeMemo::new();
+        let dw = decision_wait("a1", &names(&["i1", "i2"]), &names(&["o1", "o2"]));
+        let seq = sequencer("o2", &names(&["c1", "c2"]));
+        activation_channel_removal_with(&dw, &seq, "o2", None, &memo).unwrap();
+        assert_eq!((memo.hits(), memo.misses()), (0, 1));
+        // The same merge under other channel names is a hit.
+        let dw2 = decision_wait("b", &names(&["j1", "j2"]), &names(&["p1", "p2"]));
+        let seq2 = sequencer("p2", &names(&["d1", "d2"]));
+        let merged = activation_channel_removal_with(&dw2, &seq2, "p2", Some(40), &memo).unwrap();
+        assert_eq!(
+            merged,
+            activation_channel_removal(&dw2, &seq2, "p2", Some(40)).unwrap()
+        );
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
+        // The limit is applied on every call, with the uncached reason.
+        let err = activation_channel_removal_with(&dw, &seq, "o2", Some(5), &memo).unwrap_err();
+        assert_eq!(
+            err,
+            activation_channel_removal(&dw, &seq, "o2", Some(5)).unwrap_err()
+        );
+        assert_eq!(err.to_string(), "merged machine has 11 states (limit 5)");
+        assert_eq!((memo.hits(), memo.misses()), (2, 1));
+    }
+
+    #[test]
+    fn memo_stores_successful_compiles_only() {
+        // 41 channels after the merge: more signals than a BM spec holds.
+        let outer: Vec<String> = std::iter::once("m".to_string())
+            .chain((0..20).map(|i| format!("a{i}")))
+            .collect();
+        let inner: Vec<String> = (0..20).map(|i| format!("b{i}")).collect();
+        let (s1, s2) = (sequencer("p", &outer), sequencer("m", &inner));
+        let memo = MergeMemo::new();
+        for _ in 0..2 {
+            let err = activation_channel_removal_with(&s1, &s2, "m", None, &memo).unwrap_err();
+            assert!(matches!(err, AcrFailure::NotSynthesizable(_)), "{err}");
+        }
+        assert_eq!((memo.hits(), memo.misses()), (0, 2));
+    }
+
+    #[test]
+    fn memo_recovers_from_a_poisoned_lock() {
+        let memo = MergeMemo::new();
+        let poison = std::panic::AssertUnwindSafe(|| {
+            let _guard = memo.map();
+            panic!("simulated crash while holding the memo lock");
+        });
+        assert!(std::panic::catch_unwind(poison).is_err());
+        assert!(memo.states.is_poisoned());
+        let s1 = sequencer("p", &names(&["x", "m"]));
+        let s2 = sequencer("m", &names(&["y", "z"]));
+        for _ in 0..2 {
+            activation_channel_removal_with(&s1, &s2, "m", None, &memo).unwrap();
+        }
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
+        assert!(!memo.states.is_poisoned());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cluster into the same final controller.
 
 use crate::ast::{ChActivity, ChExpr, InterleaveOp};
-use crate::opt::acr::activation_channel_removal;
+use crate::opt::acr::{activation_channel_removal_with, MergeMemo};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -123,10 +123,20 @@ impl CtrlNetlist {
     /// Channels are tried in name order, each at most once. The set of
     /// internal channels is kept up to date merge by merge and always
     /// equals what [`CtrlNetlist::internal_channels`] would report.
+    ///
+    /// Runs over a fresh [`MergeMemo`]; see [`CtrlNetlist::t1_clustering_with`].
     pub fn t1_clustering(&mut self, opts: &ClusterOptions) -> ClusterReport {
+        self.t1_clustering_with(opts, &MergeMemo::new())
+    }
+
+    /// [`CtrlNetlist::t1_clustering`], taking each merged program's state
+    /// count from `memo` and compiling only the programs it has not seen.
+    /// Netlists that share a memo compile each merge shape once; the result
+    /// is the same as with a fresh memo.
+    pub fn t1_clustering_with(&mut self, opts: &ClusterOptions, memo: &MergeMemo) -> ClusterReport {
         let mut report = ClusterReport::default();
         let mut index = ChannelIndex::new(&self.components);
-        while self.t1_step(&mut index, opts, &mut report) {}
+        while self.t1_step(&mut index, opts, memo, &mut report) {}
         report
     }
 
@@ -136,6 +146,7 @@ impl CtrlNetlist {
         &mut self,
         index: &mut ChannelIndex,
         opts: &ClusterOptions,
+        memo: &MergeMemo,
         report: &mut ClusterReport,
     ) -> bool {
         let Some((chan, active_id, passive_id)) = index.next_untried() else {
@@ -145,7 +156,8 @@ impl CtrlNetlist {
         let name = index.names[chan].clone();
         let activating = &self.components[active].program;
         let activated = &self.components[passive].program;
-        match activation_channel_removal(activating, activated, &name, opts.state_limit) {
+        match activation_channel_removal_with(activating, activated, &name, opts.state_limit, memo)
+        {
             Ok(merged) => {
                 let merged_name = format!(
                     "{}+{}",
@@ -169,8 +181,16 @@ impl CtrlNetlist {
     /// `T2_clustering` (§4.4): split each call component into single-arm
     /// fragments, cluster with `T1`, and restore the call if its fragments
     /// did not all end up in the same final controller.
+    ///
+    /// Runs over a fresh [`MergeMemo`]; see [`CtrlNetlist::t2_clustering_with`].
     pub fn t2_clustering(&mut self, opts: &ClusterOptions) -> ClusterReport {
-        let mut report = self.t1_clustering(opts);
+        self.t2_clustering_with(opts, &MergeMemo::new())
+    }
+
+    /// [`CtrlNetlist::t2_clustering`] over `memo`, which the call
+    /// distribution trials share (see [`CtrlNetlist::t1_clustering_with`]).
+    pub fn t2_clustering_with(&mut self, opts: &ClusterOptions, memo: &MergeMemo) -> ClusterReport {
+        let mut report = self.t1_clustering_with(opts, memo);
         // Tentatively distribute each remaining call component.
         loop {
             let call_ix = self
@@ -187,7 +207,7 @@ impl CtrlNetlist {
             for (fi, frag) in fragments.fragments.iter().enumerate() {
                 trial.add(format!("{name}#frag{fi}"), frag.clone());
             }
-            let sub = trial.t1_clustering(opts);
+            let sub = trial.t1_clustering_with(opts, memo);
             // Success: no fragment component remains, and the shared active
             // channel lives in exactly one final controller.
             let fragments_left = trial
@@ -560,6 +580,7 @@ mod tests {
             .map(|d| &d.compiled.netlist)
             .chain(corpus.iter().map(|d| &d.compiled.netlist));
         let opts = ClusterOptions::default();
+        let memo = MergeMemo::new();
         let mut merges = 0;
         for netlist in netlists {
             let mut n = crate::balsa_to_ch(netlist).expect("designs translate");
@@ -567,7 +588,7 @@ mod tests {
             let mut report = ClusterReport::default();
             loop {
                 let before = report.eliminated_channels.len();
-                if !n.t1_step(&mut index, &opts, &mut report) {
+                if !n.t1_step(&mut index, &opts, &memo, &mut report) {
                     break;
                 }
                 if report.eliminated_channels.len() == before {

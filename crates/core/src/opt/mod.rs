@@ -4,7 +4,7 @@
 pub mod acr;
 pub mod cluster;
 
-pub use acr::{activation_channel_removal, hide_activation, AcrFailure};
+pub use acr::{activation_channel_removal, hide_activation, AcrFailure, MergeMemo};
 pub use cluster::{
     split_call, split_call_fragment, CallFragments, ClusterOptions, ClusterReport, CtrlComponent,
     CtrlNetlist, InternalChannel,

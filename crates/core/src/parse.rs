@@ -11,6 +11,7 @@
 
 use crate::ast::{ChActivity, ChExpr, InterleaveOp};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A CH parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -333,49 +334,133 @@ fn build(sexp: &Sexp) -> Result<ChExpr, ChParseError> {
 
 /// Pretty-prints a CH expression in the paper's s-expression syntax.
 pub fn print_ch(expr: &ChExpr) -> String {
+    let mut out = String::new();
+    write_ch(&mut out, expr, &mut ChannelNames::Verbatim);
+    out
+}
+
+/// How [`write_ch`] writes channel names.
+pub(crate) enum ChannelNames<'a> {
+    /// Every name as written.
+    Verbatim,
+    /// The `i`-th distinct channel in order of first occurrence as `k{i}`:
+    /// the printer meets channels in [`ChExpr::channel_order`]'s order, so
+    /// this is [`crate::ast::alpha_rename`]'s renaming. `met` holds the
+    /// channels met so far; `verb` records that a `verb` channel was met,
+    /// whose verbatim wire names rule the renaming out.
+    Canonical { met: Vec<&'a str>, verb: bool },
+}
+
+impl<'a> ChannelNames<'a> {
+    fn write(&mut self, out: &mut String, name: &'a str) {
+        match self {
+            ChannelNames::Verbatim => out.push_str(name),
+            ChannelNames::Canonical { met, .. } => {
+                let i = match met.iter().position(|&m| m == name) {
+                    Some(i) => i,
+                    None => {
+                        met.push(name);
+                        met.len() - 1
+                    }
+                };
+                out.push('k');
+                push_decimal(out, i);
+            }
+        }
+    }
+}
+
+/// Appends `n` in decimal, without the formatting machinery, which would
+/// cost more than the rest of a channel leaf.
+fn push_decimal(out: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// Appends `expr` in the paper's s-expression syntax to `out`, channel
+/// names per `names`. Verb signals are wire names and are always written
+/// verbatim.
+pub(crate) fn write_ch<'a>(out: &mut String, expr: &'a ChExpr, names: &mut ChannelNames<'a>) {
     match expr {
-        ChExpr::PToP { activity, name } => format!("(p-to-p {activity} {name})"),
-        ChExpr::MultAck { activity, name, n } => format!("(mult-ack {activity} {name} {n})"),
-        ChExpr::MultReq { activity, name, n } => format!("(mult-req {activity} {name} {n})"),
-        ChExpr::MuxAck { name, arms } => {
-            let arms: Vec<String> = arms
-                .iter()
-                .map(|(op, e)| format!("({} {})", op.keyword(), print_ch(e)))
-                .collect();
-            format!("(mux-ack {name} {})", arms.join(" "))
+        ChExpr::PToP { activity, name } => {
+            out.push_str("(p-to-p ");
+            out.push_str(activity.keyword());
+            out.push(' ');
+            names.write(out, name);
+            out.push(')');
         }
-        ChExpr::MuxReq { name, arms } => {
-            let arms: Vec<String> = arms
-                .iter()
-                .map(|(op, e)| format!("({} {})", op.keyword(), print_ch(e)))
-                .collect();
-            format!("(mux-req {name} {})", arms.join(" "))
+        ChExpr::MultAck { activity, name, n } | ChExpr::MultReq { activity, name, n } => {
+            out.push_str(match expr {
+                ChExpr::MultAck { .. } => "(mult-ack ",
+                _ => "(mult-req ",
+            });
+            out.push_str(activity.keyword());
+            out.push(' ');
+            names.write(out, name);
+            out.push(' ');
+            push_decimal(out, *n);
+            out.push(')');
         }
-        ChExpr::Void => "void".to_string(),
+        ChExpr::MuxAck { name, arms } | ChExpr::MuxReq { name, arms } => {
+            out.push_str(match expr {
+                ChExpr::MuxAck { .. } => "(mux-ack ",
+                _ => "(mux-req ",
+            });
+            names.write(out, name);
+            out.push(' ');
+            for (i, (op, e)) in arms.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                out.push('(');
+                out.push_str(op.keyword());
+                out.push(' ');
+                write_ch(out, e, names);
+                out.push(')');
+            }
+            out.push(')');
+        }
+        ChExpr::Void => out.push_str("void"),
         ChExpr::Verb { name, events } => {
-            let events: Vec<String> = events
-                .iter()
-                .map(|e| {
-                    let items: Vec<String> = e
-                        .iter()
-                        .map(|t| {
-                            format!(
-                                "({} {} {})",
-                                if t.out { "o" } else { "i" },
-                                t.signal,
-                                if t.rising { "+" } else { "-" }
-                            )
-                        })
-                        .collect();
-                    format!("({})", items.join(" "))
-                })
-                .collect();
-            format!("(verb {name} {})", events.join(" "))
+            if let ChannelNames::Canonical { verb, .. } = names {
+                *verb = true;
+            }
+            out.push_str("(verb ");
+            names.write(out, name);
+            for event in events {
+                out.push_str(" (");
+                for (i, t) in event.iter().enumerate() {
+                    if i > 0 {
+                        out.push(' ');
+                    }
+                    let _ = write!(
+                        out,
+                        "({} {} {})",
+                        if t.out { "o" } else { "i" },
+                        t.signal,
+                        if t.rising { "+" } else { "-" }
+                    );
+                }
+                out.push(')');
+            }
+            out.push(')');
         }
-        ChExpr::Break => "(break)".to_string(),
-        ChExpr::Rep(e) => format!("(rep {})", print_ch(e)),
+        ChExpr::Break => out.push_str("(break)"),
+        ChExpr::Rep(e) => {
+            out.push_str("(rep ");
+            write_ch(out, e, names);
+            out.push(')');
+        }
         ChExpr::Op { op, a, b } => {
-            format!("({} {} {})", op.keyword(), print_ch(a), print_ch(b))
+            out.push('(');
+            out.push_str(op.keyword());
+            out.push(' ');
+            write_ch(out, a, names);
+            out.push(' ');
+            write_ch(out, b, names);
+            out.push(')');
         }
     }
 }

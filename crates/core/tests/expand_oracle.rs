@@ -15,13 +15,17 @@ use bmbe_core::components::{
     transferrer, while_loop,
 };
 use bmbe_core::expand::{expand, expand_linear, Expansion, Io, Item};
-use bmbe_core::{activation_channel_removal, balsa_to_ch, ClusterOptions, CtrlNetlist};
+use bmbe_core::{balsa_to_ch, ClusterOptions};
 use bmbe_designs::{all_designs, generate_corpus, CorpusSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 mod support;
 use support::arb_component;
+
+#[path = "support/rescan.rs"]
+mod rescan;
+use rescan::t1_by_rescan;
 
 /// A transition as Table 2 writes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -386,37 +390,6 @@ fn every_operator_and_channel_kind_expands_as_table2() {
     for e in &exprs {
         assert_matches_reference(e);
     }
-}
-
-/// `T1` the way the paper states it: after every attempt, take the first
-/// untried channel of [`CtrlNetlist::internal_channels`]. Returns every
-/// merged program.
-fn t1_by_rescan(n: &mut CtrlNetlist, opts: &ClusterOptions) -> Vec<ChExpr> {
-    let mut tried: Vec<String> = Vec::new();
-    let mut merged = Vec::new();
-    while let Some(chan) = n
-        .internal_channels()
-        .into_iter()
-        .find(|c| !tried.contains(&c.name))
-    {
-        tried.push(chan.name.clone());
-        let activating = &n.components[chan.active].program;
-        let activated = &n.components[chan.passive].program;
-        if let Ok(m) =
-            activation_channel_removal(activating, activated, &chan.name, opts.state_limit)
-        {
-            let name = format!(
-                "{}+{}",
-                n.components[chan.active].name, n.components[chan.passive].name
-            );
-            let (hi, lo) = (chan.active.max(chan.passive), chan.active.min(chan.passive));
-            n.components.remove(hi);
-            n.components.remove(lo);
-            n.add(name, m.clone());
-            merged.push(m);
-        }
-    }
-    merged
 }
 
 #[test]

@@ -466,6 +466,12 @@ pub struct BatchSummary {
     pub shared_waits: usize,
     /// Cache hits across the fleet (memory or disk).
     pub cache_hits: usize,
+    /// Merge lookups of the fleet's clustering served by the cache's merge
+    /// memo.
+    pub merge_hits: usize,
+    /// Merge lookups of the fleet's clustering that compiled the merged
+    /// program.
+    pub merge_misses: usize,
     /// Job-level worker threads used.
     pub job_workers: usize,
     /// Worker threads inside each job's synthesis.
@@ -585,7 +591,9 @@ pub struct ShapeStats {
 ///
 /// This is the per-design half of [`run_job`], shared with the
 /// differential gauntlet, and — over a private registry — what
-/// [`crate::run_control_flow_with`] runs.
+/// [`crate::run_control_flow_with`] runs. Clustering goes through the merge
+/// memo of the registry's cache, so every design sharing the cache shares
+/// the memo.
 ///
 /// # Errors
 ///
@@ -629,7 +637,7 @@ pub(crate) fn run_flow(
 ) -> Result<(FlowResult, ShapeStats), FlowError> {
     let _flow_span = bmbe_obs::span!("flow.run", "flow");
     bmbe_obs::annotate_str!("job.design", design.netlist.name());
-    let part = Partition::of(design, options)?;
+    let part = Partition::of(design, options, registry.cache.merge_memo())?;
     let keyed: Vec<KeyedProgram> = {
         let _s = bmbe_obs::span!("flow.key", "flow");
         part.ctrl
@@ -725,6 +733,8 @@ pub fn run_batch(
     let span = bmbe_obs::span!("batch.run", "batch");
     let root_span = span.id();
     let registry = ShapeRegistry::new(cache, library);
+    let merges = cache.merge_memo();
+    let (hits_before, misses_before) = (merges.hits(), merges.misses());
     let threads = threads.max(1);
     let job_workers = threads.min(jobs.len()).max(1);
     let inner = (threads / job_workers).max(1);
@@ -769,6 +779,8 @@ pub fn run_batch(
         synthesized: registry.synthesized(),
         shared_waits: registry.shared_waits(),
         cache_hits: registry.cache_hits(),
+        merge_hits: merges.hits() - hits_before,
+        merge_misses: merges.misses() - misses_before,
         job_workers,
         inner_threads: inner,
         wall_s: start.elapsed().as_secs_f64(),

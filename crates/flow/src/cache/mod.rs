@@ -6,7 +6,7 @@
 //! worst-case exponential — depends only on the component's *structure*,
 //! not on its channel names. The cache therefore addresses artifacts by a
 //! canonical structural key: the printed form of the alpha-renamed CH
-//! program ([`bmbe_core::ast::alpha_rename`]) plus the synthesis-relevant
+//! program ([`bmbe_core::ast::canonical_text`]) plus the synthesis-relevant
 //! options ([`MinimizeMode`], [`MapObjective`], [`MapStyle`]). Each unique
 //! shape is compiled, state-minimized, synthesized, technology-mapped, and
 //! verified exactly once; every further instance re-materializes the cached
@@ -45,9 +45,9 @@ use crate::profile::PhaseProfile;
 use bmbe_bm::statemin::minimize_states;
 use bmbe_bm::synth::{synthesize_full, Controller, MinimizeMode, SynthError};
 use bmbe_logic::hfmin::{HfminError, MinimizeBackend, MinimizeOptions, PrimeGenFault};
-use bmbe_core::ast::{alpha_rename, ChExpr};
+use bmbe_core::ast::{alpha_rename, canonical_text, ChExpr};
 use bmbe_core::compile::{compile_to_bm, CompileError};
-use bmbe_core::parse::print_ch;
+use bmbe_core::opt::MergeMemo;
 use bmbe_gates::{map as techmap, Library, MapObjective, MapStyle, MappedNetlist, SubjectGraph};
 use bmbe_logic::Cover;
 use std::cell::RefCell;
@@ -129,7 +129,7 @@ impl KeyedProgram {
         };
         KeyedProgram {
             key: CacheKey {
-                canonical: print_ch(&canonical),
+                canonical: canonical_text(program),
                 minimize_mode,
                 minimize_backend,
                 map_objective,
@@ -429,10 +429,15 @@ struct Shelf {
 /// A thread-safe, content-addressed store of synthesized controller
 /// shapes, optionally backed by a persistent [`DiskCache`].
 /// Poison-tolerant: see the module docs and [`CacheStats`].
+///
+/// It also owns the [`MergeMemo`] that every flow clustering through this
+/// cache shares, so a fleet compiles each merge shape once. The memo lives
+/// in memory only; nothing of it is written to disk.
 #[derive(Debug, Default)]
 pub struct ControllerCache {
     entries: Mutex<Shelf>,
     disk: Option<DiskCache>,
+    merges: MergeMemo,
     hits: AtomicUsize,
     misses: AtomicUsize,
     poison_recoveries: AtomicUsize,
@@ -468,6 +473,12 @@ impl ControllerCache {
     /// The persistent layer, when configured.
     pub fn disk(&self) -> Option<&DiskCache> {
         self.disk.as_ref()
+    }
+
+    /// The clustering merge memo of every flow through this cache; its
+    /// `hits()` and `misses()` count the merge lookups of all of them.
+    pub fn merge_memo(&self) -> &MergeMemo {
+        &self.merges
     }
 
     /// Locks the entry map, recovering from a poisoned mutex instead of

@@ -8,14 +8,17 @@
 //! |------|-----------|--------|----------|
 //! | `compiled_vs_event` | bit-parallel compiled tapes | event engine | [`SimOutcome::same_behaviour`] |
 //! | `otf_vs_materialized` | on-the-fly ACR verification | materialized composition | verdict equality |
-//! | `serial_vs_parallel` | registry flow + 4-thread sim | per-instance [`reference_flow`] + 1-thread sim | digest equality |
+//! | `serial_vs_parallel` | registry flow + 4-thread sim | per-instance [`reference_flow`] + 1-thread sim | digest and clustering-report equality |
 //! | `fault_vs_clean` | [`run_control_flow`] with an injected `synth:0:err` | clean flow | typed failure + clean digest |
 //!
 //! Designs route through the batch [`ShapeRegistry`] over the shared
 //! [`ControllerCache`] (and the disk layer when `BMBE_CACHE_DIR` is set),
 //! so a gauntlet run exercises exactly the singleflight + persistent-cache
 //! path the fleet uses — with the realistic shape-hit distribution
-//! hundreds of distinct designs produce.
+//! hundreds of distinct designs produce. The registry flows cluster through
+//! the cache's shared merge memo while [`reference_flow`] clusters each
+//! design over a fresh one, so `serial_vs_parallel` re-checks every merge
+//! verdict the shared memo served.
 //!
 //! A divergence never aborts the run: it becomes a structured [`Finding`]
 //! carrying the design's family, canonical parameters, and generator seed,
@@ -30,7 +33,7 @@ use crate::csim::simulate_scenarios;
 use crate::fault::FaultPlan;
 use crate::table3::{check_outcome, to_flow_scenario};
 use bmbe_core::balsa_to_ch::balsa_to_ch;
-use bmbe_core::opt::verify_acr_compared;
+use bmbe_core::opt::{verify_acr_compared, ClusterReport};
 use bmbe_designs::corpus::{generate_corpus, CorpusSpec, GeneratedDesign};
 use bmbe_designs::{derive_seed, variants_of};
 use bmbe_gates::Library;
@@ -144,6 +147,10 @@ pub struct GauntletReport {
     pub synthesized: usize,
     /// Singleflight shares across the run.
     pub shared: usize,
+    /// Merge lookups of the run served by the cache's merge memo.
+    pub merge_hits: usize,
+    /// Merge lookups of the run that compiled the merged program.
+    pub merge_misses: usize,
     /// Wall-clock seconds.
     pub wall_s: f64,
 }
@@ -378,8 +385,12 @@ fn run_design(
 
 /// Returns a description of the first digest difference between two flow
 /// results, or `None` when they are bit-identical (the determinism
-/// equality the repo's 1-vs-4-thread tests pin).
+/// equality the repo's 1-vs-4-thread tests pin). The clustering reports
+/// are compared first and in full, reason strings included.
 fn digest_diff(a: &FlowResult, b: &FlowResult) -> Option<String> {
+    if let Some(diff) = cluster_report_diff(a.cluster_report.as_ref(), b.cluster_report.as_ref()) {
+        return Some(diff);
+    }
     if a.controllers.len() != b.controllers.len() {
         return Some(format!(
             "controller count {} vs {}",
@@ -412,6 +423,48 @@ fn digest_diff(a: &FlowResult, b: &FlowResult) -> Option<String> {
     None
 }
 
+/// Names the first entry in which two clustering reports differ.
+fn cluster_report_diff(a: Option<&ClusterReport>, b: Option<&ClusterReport>) -> Option<String> {
+    let (a, b) = match (a, b) {
+        (None, None) => return None,
+        (Some(a), Some(b)) => (a, b),
+        _ => return Some("cluster report present on one side only".into()),
+    };
+    first_difference(
+        "eliminated channel",
+        &a.eliminated_channels,
+        &b.eliminated_channels,
+    )
+    .or_else(|| first_difference("rejected channel", &a.rejected, &b.rejected))
+    .or_else(|| {
+        first_difference(
+            "distributed call",
+            &a.distributed_calls,
+            &b.distributed_calls,
+        )
+    })
+    .or_else(|| first_difference("restored call", &a.restored_calls, &b.restored_calls))
+}
+
+/// `"cluster report {what} {i}: {a[i]:?} vs {b[i]:?}"` for the first index
+/// at which the lists differ, a missing entry reading as `none`.
+fn first_difference<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    a: &[T],
+    b: &[T],
+) -> Option<String> {
+    let show = |x: Option<&T>| x.map_or_else(|| "none".to_string(), |x| format!("{x:?}"));
+    (0..a.len().max(b.len()))
+        .find(|&i| a.get(i) != b.get(i))
+        .map(|i| {
+            format!(
+                "cluster report {what} {i}: {} vs {}",
+                show(a.get(i)),
+                show(b.get(i))
+            )
+        })
+}
+
 /// Runs the gauntlet: generates the corpus slice, fans designs across the
 /// worker pool through one shared registry, and collects every divergence
 /// as a structured finding.
@@ -442,6 +495,8 @@ pub fn run_gauntlet(
         cfg.threads
     };
     let registry = ShapeRegistry::new(cache, library);
+    let merges = cache.merge_memo();
+    let (hits_before, misses_before) = (merges.hits(), merges.misses());
 
     let verdicts = bmbe_par::par_try_map(
         &corpus,
@@ -478,6 +533,8 @@ pub fn run_gauntlet(
         cache_hits,
         synthesized,
         shared,
+        merge_hits: merges.hits() - hits_before,
+        merge_misses: merges.misses() - misses_before,
         wall_s: start.elapsed().as_secs_f64(),
     })
 }
@@ -531,6 +588,51 @@ mod tests {
         // Everything else stayed clean: the perturbation is confined to
         // the injected design's compiled lane.
         assert_eq!(report.findings.len(), 1);
+    }
+
+    /// A flow result carrying only a clustering report.
+    fn clustered(report: ClusterReport) -> FlowResult {
+        FlowResult {
+            design: "d".into(),
+            components_before: 0,
+            controllers: Vec::new(),
+            cluster_report: Some(report),
+            control_area: 0.0,
+            cache_hits: 0,
+            cache_misses: 0,
+            threads_used: 1,
+            phases: Default::default(),
+        }
+    }
+
+    #[test]
+    fn a_differing_rejection_reason_is_a_finding() {
+        let report = |states: usize| ClusterReport {
+            eliminated_channels: vec!["a".into()],
+            rejected: vec![
+                (
+                    "b".into(),
+                    "channel position would serialize concurrent behaviour".into(),
+                ),
+                (
+                    "c".into(),
+                    format!("merged machine has {states} states (limit 40)"),
+                ),
+            ],
+            distributed_calls: vec!["call".into()],
+            restored_calls: Vec::new(),
+        };
+        assert!(digest_diff(&clustered(report(41)), &clustered(report(41))).is_none());
+        let diff = digest_diff(&clustered(report(41)), &clustered(report(42)))
+            .expect("a changed reason is a difference");
+        assert!(
+            diff.starts_with("cluster report rejected channel 1: "),
+            "{diff}"
+        );
+        assert!(
+            diff.contains("41 states") && diff.contains("42 states"),
+            "{diff}"
+        );
     }
 
     #[test]

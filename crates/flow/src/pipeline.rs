@@ -13,6 +13,7 @@ use bmbe_bm::synth::{Controller, MinimizeMode};
 use bmbe_logic::MinimizeBackend;
 use bmbe_core::balsa_to_ch::{balsa_to_ch, TranslateError};
 use bmbe_core::opt::cluster::{ClusterOptions, ClusterReport, CtrlNetlist};
+use bmbe_core::opt::MergeMemo;
 use bmbe_gates::{Library, MapObjective, MapStyle, MappedNetlist};
 use std::collections::HashMap;
 use std::fmt;
@@ -297,8 +298,13 @@ pub(crate) struct Partition {
 }
 
 impl Partition {
-    /// Translates and (per `options`) clusters the design's control part.
-    pub(crate) fn of(design: &CompiledDesign, options: &FlowOptions) -> Result<Self, FlowError> {
+    /// Translates and (per `options`) clusters the design's control part,
+    /// taking merge state counts from `merges`.
+    pub(crate) fn of(
+        design: &CompiledDesign,
+        options: &FlowOptions,
+        merges: &MergeMemo,
+    ) -> Result<Self, FlowError> {
         let mut ctrl = {
             let _s = bmbe_obs::span!("flow.translate", "flow");
             balsa_to_ch(&design.netlist)?
@@ -306,7 +312,7 @@ impl Partition {
         let components_before = ctrl.components.len();
         let cluster_report = options.optimize.then(|| {
             let _s = bmbe_obs::span!("flow.cluster", "flow");
-            ctrl.t2_clustering(&options.cluster)
+            ctrl.t2_clustering_with(&options.cluster, merges)
         });
         let templates = if options.use_templates {
             template_table(&design.netlist)
@@ -354,7 +360,7 @@ impl Partition {
 }
 
 /// Runs the control back-end on a compiled design with a private,
-/// run-local controller cache.
+/// run-local controller cache (and so a private merge memo).
 ///
 /// # Errors
 ///
@@ -371,7 +377,8 @@ pub fn run_control_flow(
 /// the given controller cache. Sharing one cache across runs lets the
 /// bench drivers synthesize each controller shape once across all four
 /// benchmark designs and both sides of an unoptimized/optimized
-/// comparison.
+/// comparison, and compile each clustering merge shape once through the
+/// cache's merge memo.
 ///
 /// This is one job through a private [`ShapeRegistry`] over `cache` — the
 /// same path the batch fleet takes (see [`crate::flow_through_registry`]),
@@ -397,9 +404,10 @@ pub fn run_control_flow_with(
 
 /// The per-instance reference flow, the oracle the production path is
 /// checked against: every component is synthesized from its own program
-/// under its own names, one after another, with no cache and no dedup.
-/// The whole [`FlowOptions::threads`] budget goes inside each shape, and a
-/// fault plan targets the `n`-th component.
+/// under its own names, one after another, with no cache and no dedup,
+/// after clustering over a fresh merge memo. The whole
+/// [`FlowOptions::threads`] budget goes inside each shape, and a fault plan
+/// targets the `n`-th component.
 ///
 /// # Errors
 ///
@@ -411,7 +419,7 @@ pub fn reference_flow(
 ) -> Result<FlowResult, FlowError> {
     let _flow_span = bmbe_obs::span!("flow.run", "flow");
     let threads = options.threads.unwrap_or_else(bmbe_par::default_threads);
-    let part = Partition::of(design, options)?;
+    let part = Partition::of(design, options, &MergeMemo::new())?;
     let mut controllers = Vec::with_capacity(part.ctrl.components.len());
     let mut phases = PhaseProfile::default();
     for (i, comp) in part.ctrl.components.iter().enumerate() {

@@ -4,9 +4,13 @@
 //! full `ClusterReport`, reason strings included, so any change to an
 //! Activation Channel Removal verdict, a merge order or a rejection
 //! message moves it.
+//!
+//! It also re-checks the merge memo: clustering whole design sets through
+//! one shared `MergeMemo` must give what each design gives alone.
 
+use bmbe_balsa::CompiledDesign;
 use bmbe_core::opt::cluster::ClusterReport;
-use bmbe_core::{balsa_to_ch, print_ch, ClusterOptions, CtrlNetlist};
+use bmbe_core::{balsa_to_ch, print_ch, ClusterOptions, CtrlNetlist, MergeMemo};
 use bmbe_designs::{all_designs, generate_corpus, CorpusSpec};
 
 /// Recorded with the rescanning `T1` and the list-based Table 2 expansion,
@@ -76,4 +80,68 @@ fn clustering_of_paper_designs_and_corpus_slice_is_pinned() {
         "clustering digest {:#018x} ({merged} merged, {rejected} rejected)",
         h.0
     );
+}
+
+/// The four paper designs plus 400 corpus designs of `seed`: the design set
+/// of a benchmark pass.
+fn benchmark_set(seed: u64) -> Vec<(String, CompiledDesign)> {
+    let paper = all_designs().expect("shipped designs build");
+    let corpus = generate_corpus(&CorpusSpec { seed, designs: 400 }).expect("corpus builds");
+    paper
+        .into_iter()
+        .map(|d| (d.name.to_string(), d.compiled))
+        .chain(corpus.into_iter().map(|d| (d.name, d.compiled)))
+        .collect()
+}
+
+/// The clustered netlist and report of one design, with its components as
+/// `(name, printed program)`.
+fn cluster(
+    design: &CompiledDesign,
+    run: impl FnOnce(&mut CtrlNetlist) -> ClusterReport,
+) -> (Vec<(String, String)>, ClusterReport) {
+    let mut ctrl = balsa_to_ch(&design.netlist).expect("designs translate");
+    let report = run(&mut ctrl);
+    let components = ctrl
+        .components
+        .iter()
+        .map(|c| (c.name.clone(), print_ch(&c.program)))
+        .collect();
+    (components, report)
+}
+
+#[test]
+fn a_shared_merge_memo_changes_no_clustering_result() {
+    let opts = ClusterOptions::default();
+    for seed in [11, 23] {
+        let memo = MergeMemo::new();
+        for (name, design) in &benchmark_set(seed) {
+            let alone = cluster(design, |c| c.t2_clustering(&opts));
+            let shared = cluster(design, |c| c.t2_clustering_with(&opts, &memo));
+            assert_eq!(shared, alone, "seed {seed}, design {name}");
+        }
+        let (hits, misses) = (memo.hits(), memo.misses());
+        assert!(
+            hits * 100 >= (hits + misses) * 65,
+            "seed {seed}: {hits} hits, {misses} misses"
+        );
+    }
+}
+
+#[test]
+fn a_second_pass_through_one_memo_compiles_nothing() {
+    let opts = ClusterOptions::default();
+    let paper = all_designs().expect("shipped designs build");
+    let memo = MergeMemo::new();
+    let pass = || {
+        for d in &paper {
+            cluster(&d.compiled, |c| c.t2_clustering_with(&opts, &memo));
+        }
+    };
+    pass();
+    let misses = memo.misses();
+    assert!(misses > 0, "the first pass compiles");
+    pass();
+    assert_eq!(memo.misses(), misses, "the second pass compiled a merge");
+    assert!(memo.hits() >= misses, "{} hits", memo.hits());
 }

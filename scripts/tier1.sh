@@ -52,9 +52,10 @@
 #      generated designs (parametric families + random mini-Balsa
 #      programs) must run clean through all four oracle pairs (compiled
 #      vs event, on-the-fly vs materialized verification, serial vs
-#      parallel, faulted vs clean), and an injected divergence must be
-#      caught and reported as a structured finding carrying its replay
-#      seed.
+#      parallel, faulted vs clean) with a nonzero "merge_hits" count, so
+#      serial vs parallel re-checked merge verdicts the shared merge memo
+#      served; and an injected divergence must be caught and reported as
+#      a structured finding carrying its replay seed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -290,7 +291,15 @@ if ! grep -q '"designs": 200' "$gauntlet_json" \
     cat "$gauntlet_json" >&2
     exit 1
 fi
-echo "tier1: 200-design gauntlet clean across all four oracle pairs"
+# The registry flows cluster through the cache's shared merge memo and the
+# reference flows over fresh ones: without a memo hit, serial vs parallel
+# compared no verdict the memo served.
+if grep -q '"merge_hits": 0,' "$gauntlet_json" || ! grep -q '"merge_hits": [0-9]' "$gauntlet_json"; then
+    echo "tier1: FAIL: gauntlet slice served no merge from the shared merge memo:" >&2
+    cat "$gauntlet_json" >&2
+    exit 1
+fi
+echo "tier1: 200-design gauntlet clean across all four oracle pairs, with shared merge-memo hits"
 # Injected-divergence smoke: a perturbed compiled outcome must be caught
 # by the real detection path and reported with its replay seed.
 if (cd "$gauntlet_dir" && cargo run --release \

@@ -189,13 +189,16 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "{{\"summary\": true, \"jobs\": {}, \"failed\": {}, \"distinct_shapes\": {}, \
-         \"synthesized\": {}, \"shared_waits\": {}, \"cache_hits\": {}}}",
+         \"synthesized\": {}, \"shared_waits\": {}, \"cache_hits\": {}, \
+         \"merge_hits\": {}, \"merge_misses\": {}}}",
         summary.jobs.len(),
         summary.failed(),
         summary.distinct_shapes,
         summary.synthesized,
         summary.shared_waits,
-        summary.cache_hits
+        summary.cache_hits,
+        summary.merge_hits,
+        summary.merge_misses
     );
     if summary.failed() > 0 {
         return Err(format!("{} of {} jobs failed", summary.failed(), summary.jobs.len()).into());
@@ -246,7 +249,8 @@ fn cmd_gauntlet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "{{\"summary\": true, \"seed\": {}, \"designs\": {}, \"findings\": {}, \
          \"compiled_vs_event\": {}, \"otf_vs_materialized\": {}, \
          \"serial_vs_parallel\": {}, \"fault_vs_clean\": {}, \
-         \"cache_hits\": {}, \"synthesized\": {}, \"shared\": {}, \"wall_s\": {:.3}}}",
+         \"cache_hits\": {}, \"synthesized\": {}, \"shared\": {}, \
+         \"merge_hits\": {}, \"merge_misses\": {}, \"wall_s\": {:.3}}}",
         report.seed,
         report.designs,
         report.findings.len(),
@@ -257,6 +261,8 @@ fn cmd_gauntlet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         report.cache_hits,
         report.synthesized,
         report.shared,
+        report.merge_hits,
+        report.merge_misses,
         report.wall_s
     );
     if !report.clean() {
