@@ -138,7 +138,7 @@ impl CompiledSim {
     ///
     /// The compiled backend is untimed: each outcome reports `time_ns` 0,
     /// `events` = the lane's applied wire changes, and batch-wide stats
-    /// (`lanes`, `waves`, shared `wall_s`).
+    /// (`lanes`, `waves`, `memo_hits`, `mixed_evals`, shared `wall_s`).
     ///
     /// # Errors
     ///
@@ -163,6 +163,16 @@ impl CompiledSim {
                          as an input"
                     )));
                 }
+            }
+            if let Some((port, _)) = circuit
+                .providers
+                .iter()
+                .find(|(name, _)| !s.input_values.contains_key(name))
+            {
+                return Err(SimBuildError::BatchShape(format!(
+                    "scenario does not script port {port}, but the circuit was compiled with it \
+                     as an input"
+                )));
             }
             lanes.push(bind(circuit, s)?);
         }
@@ -209,6 +219,8 @@ impl CompiledSim {
                     backend: SimBackend::Compiled,
                     lanes: n,
                     waves: r.waves,
+                    memo_hits: r.memo_hits,
+                    mixed_evals: r.mixed_evals,
                     peak_queue_depth: 0,
                     wall_s,
                     far_heap_hits: 0,
@@ -238,7 +250,9 @@ pub fn batch_input_ports(scenarios: &[Scenario]) -> BTreeSet<String> {
 /// [`SimBackend::Compiled`] compiles the design
 /// once, packs the scenarios into [`LANES`]-wide batches, and fans the
 /// batches out across `threads` workers; results are bit-identical at any
-/// thread count. [`SimBackend::Auto`] compiles when the set has more than
+/// thread count. A batch holding a scenario that scripts a port set other
+/// than the union of the set's is a [`SimBuildError::BatchShape`] on each
+/// of its scenarios. [`SimBackend::Auto`] compiles when the set has more than
 /// one scenario.
 ///
 /// Worker panics (including injected `sim_compile` faults of

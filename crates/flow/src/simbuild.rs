@@ -75,6 +75,14 @@ pub struct SimStats {
     /// Settle waves the compiled backend executed (0 on the event
     /// backend).
     pub waves: u64,
+    /// Controller evaluations the compiled backend served from its
+    /// transition memo, every live lane being at one (input point, state)
+    /// pair (0 on the event backend).
+    pub memo_hits: u64,
+    /// Controller evaluations whose live lanes were at different (input
+    /// point, state) pairs, so the compiled backend ran the tape (0 on the
+    /// event backend).
+    pub mixed_evals: u64,
     /// Largest number of simultaneously pending events.
     pub peak_queue_depth: usize,
     /// Host wall-clock seconds spent inside the event loop.
@@ -151,8 +159,9 @@ pub enum SimBuildError {
         /// What went wrong.
         detail: String,
     },
-    /// A scenario batch is malformed for the compiled backend (mismatched
-    /// input-port sets across lanes).
+    /// A scenario batch is malformed for the compiled backend: empty, wider
+    /// than a lane word, or a scenario scripting a port set other than the
+    /// one the circuit was compiled for.
     BatchShape(String),
 }
 
@@ -308,6 +317,8 @@ pub(crate) fn simulate_circuit(
             backend: SimBackend::Event,
             lanes: 1,
             waves: 0,
+            memo_hits: 0,
+            mixed_evals: 0,
             peak_queue_depth: sim.peak_queue_depth(),
             wall_s,
             far_heap_hits: 0,

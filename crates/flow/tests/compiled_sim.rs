@@ -3,15 +3,17 @@
 //! *behaviour* (completion, port traffic, memory contents) exactly — on
 //! all four paper designs, on a generated-corpus slice, on randomized
 //! scenario batches, on partial batches narrower than a lane word, and
-//! bit-identically at any worker thread count — and the one lowering both
-//! engines run must not depend on hash-map order.
+//! bit-identically at any worker thread count — each lane of a full batch
+//! must equal its own one-lane batch, a batch must script exactly the
+//! compiled port set, and the one lowering both engines run must not
+//! depend on hash-map order.
 
 use bmbe_designs::corpus::{generate_corpus, CorpusSpec};
 use bmbe_designs::{all_designs, derive_seed, scenario_variants, variants_of, Design};
 use bmbe_flow::{
-    batch_input_ports, check_outcome, lower, run_control_flow_with, simulate, simulate_scenarios,
-    to_flow_scenario, ControllerCache, FaultKind, FaultPhase, FaultPlan, FlowOptions, FlowResult,
-    Scenario, SimBackend, SimBuildError,
+    batch_input_ports, check_outcome, compile_sim, lower, run_control_flow_with, simulate,
+    simulate_scenarios, to_flow_scenario, CompiledSim, ControllerCache, FaultKind, FaultPhase,
+    FaultPlan, FlowOptions, FlowResult, Scenario, SimBackend, SimBuildError,
 };
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
@@ -102,9 +104,12 @@ fn bm_seed(design: &Design) -> u64 {
 /// Corpus traffic: the first 48 seed-11 corpus designs, 64 variants each.
 /// Every compiled lane must reproduce the event engine's behaviour, and
 /// the event engine's batch path (one lowering for all scenarios) must
-/// reproduce single-scenario runs exactly. The slice must cover every
-/// corpus family, a case/while select adapter, and a design scripting
-/// two or more data ports.
+/// reproduce single-scenario runs exactly. Each lane of the 64-lane
+/// batch, which mixes transition-memo hits and tape runs, must equal its
+/// own one-lane batch, which is always lane-uniform, events included. The
+/// slice must cover every corpus family, a case/while select adapter, a
+/// design scripting two or more data ports, memo hits and mixed-lane
+/// evaluations.
 #[test]
 fn compiled_matches_event_engine_on_corpus_slice() {
     let corpus = generate_corpus(&CorpusSpec {
@@ -117,6 +122,7 @@ fn compiled_matches_event_engine_on_corpus_slice() {
     let delays = Delays::default();
     let mut families = BTreeSet::new();
     let (mut adapters, mut multi_port) = (0, 0);
+    let (mut memo_hits, mut mixed_evals) = (0, 0);
     for d in &corpus {
         let flow = run_control_flow_with(&d.compiled, &FlowOptions::optimized(), &library, &cache)
             .unwrap_or_else(|e| panic!("{}: flow: {e}", d.name));
@@ -180,6 +186,24 @@ fn compiled_matches_event_engine_on_corpus_slice() {
                 );
             }
         }
+        let cs = compile_sim(&d.compiled, &flow, &ports, None)
+            .unwrap_or_else(|err| panic!("{}: compile: {err}", d.name));
+        for (lane, (c, s)) in compiled.iter().zip(&scenarios).enumerate() {
+            let solo = cs
+                .run_batch(std::slice::from_ref(s))
+                .unwrap_or_else(|err| panic!("{}: one-lane batch {lane}: {err}", d.name))
+                .remove(0);
+            assert_eq!(solo.stats.mixed_evals, 0, "{}: one lane is uniform", d.name);
+            assert!(
+                c.as_ref().is_ok_and(|c| c.same_result(&solo)),
+                "{}: lane {lane} differs from its one-lane batch",
+                d.name
+            );
+        }
+        if let Some(Ok(c)) = compiled.first() {
+            memo_hits += c.stats.memo_hits;
+            mixed_evals += c.stats.mixed_evals;
+        }
     }
     assert_eq!(
         families.into_iter().collect::<Vec<_>>(),
@@ -188,6 +212,56 @@ fn compiled_matches_event_engine_on_corpus_slice() {
     );
     assert!(adapters > 0, "no design in the slice has a select adapter");
     assert!(multi_port > 0, "no design in the slice scripts two data ports");
+    assert!(memo_hits > 0, "no controller evaluation was served from the memo");
+    assert!(mixed_evals > 0, "no controller evaluation mixed lanes");
+}
+
+/// The wagging register compiled for `ports`, with its base scenario.
+fn wagging_register(ports: &[&str]) -> (CompiledSim, Scenario) {
+    let designs = all_designs().expect("designs build");
+    let wag = designs
+        .iter()
+        .find(|d| d.name == "Wagging register")
+        .expect("the wagging register ships");
+    let flow = flows(std::slice::from_ref(wag)).remove(0);
+    let ports = ports.iter().map(|p| p.to_string()).collect();
+    let cs = compile_sim(&wag.compiled, &flow, &ports, None).expect("compiles");
+    let base = to_flow_scenario(&wag.scenario);
+    assert!(base.input_values.contains_key("i"), "the base scenario scripts port i");
+    (cs, base)
+}
+
+/// A scenario leaving out a port the circuit takes as an input would run
+/// with an empty script on a port the event engine would lower as an
+/// output, so `run_batch` rejects the batch.
+#[test]
+fn run_batch_rejects_a_scenario_missing_a_compiled_port() {
+    let (cs, base) = wagging_register(&["i"]);
+    let mut without_i = base.clone();
+    without_i.input_values.remove("i");
+    assert!(cs.run_batch(std::slice::from_ref(&base)).is_ok());
+    match cs.run_batch(&[base, without_i]) {
+        Err(SimBuildError::BatchShape(detail)) => {
+            assert!(detail.contains("does not script port i"), "{detail}");
+        }
+        other => panic!("expected a batch-shape error, got {other:?}"),
+    }
+}
+
+/// A scenario scripting a port the circuit was compiled to take as an
+/// output is rejected.
+#[test]
+fn run_batch_rejects_a_scenario_scripting_an_output_port() {
+    let (cs, base) = wagging_register(&[]);
+    let mut without_i = base.clone();
+    without_i.input_values.remove("i");
+    assert!(cs.run_batch(std::slice::from_ref(&without_i)).is_ok());
+    match cs.run_batch(&[without_i, base]) {
+        Err(SimBuildError::BatchShape(detail)) => {
+            assert!(detail.contains("scripts port i"), "{detail}");
+        }
+        other => panic!("expected a batch-shape error, got {other:?}"),
+    }
 }
 
 /// The lowering never iterates a hash map: a design whose port map is

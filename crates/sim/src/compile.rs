@@ -39,7 +39,7 @@ use std::fmt;
 
 use crate::circuit::{Circuit, DoneSpec, LaneSpec, Part};
 use crate::engine::{NodeId, PrimId, SlotId};
-use crate::prims::{eval_binop, eval_unop};
+use crate::prims::{eval_binop, eval_unop, TransitionMemo};
 
 /// Number of scenario lanes a batch evaluates at once (the bits of a
 /// `u64` lane word).
@@ -170,7 +170,7 @@ const NO_ACTIVE: u16 = u16::MAX;
 #[derive(Debug, Clone)]
 enum PState {
     None,
-    Ctrl { tape: usize, state: Vec<u64> },
+    Ctrl { tape: usize, state: Vec<u64>, memo: Option<TransitionMemo> },
     Var { value: Vec<u64> },
     Mux { active: Vec<u16> },
     Mem { words: Vec<u64>, raddr: Vec<u64> },
@@ -325,8 +325,15 @@ pub struct RunResult {
     /// Applied wire changes per lane (the compiled analogue of processed
     /// events).
     pub lane_events: Vec<u64>,
-    /// Total controller settle iterations across the run.
+    /// Controller settle iterations across the run: tape passes actually
+    /// run, none for an evaluation the memo served.
     pub settle_iters: u64,
+    /// Controller evaluations served from the transition memo: every live
+    /// lane was at one (input point, state) pair already evaluated.
+    pub memo_hits: u64,
+    /// Controller evaluations whose live lanes were at different (input
+    /// point, state) pairs, so the tape ran.
+    pub mixed_evals: u64,
     /// Values received per push consumer, per lane.
     pub consumer_received: HashMap<PrimId, Vec<Vec<u64>>>,
     /// Handshakes completed per sync responder, per lane.
@@ -439,6 +446,8 @@ impl CompiledCircuit {
         }
         bmbe_obs::trace_counter!("sim.compiled.waves", st.waves);
         bmbe_obs::trace_counter!("sim.compiled.settle_iters", st.settle_iters);
+        bmbe_obs::trace_counter!("sim.compiled.memo_hits", st.memo_hits);
+        bmbe_obs::trace_counter!("sim.compiled.mixed_evals", st.mixed_evals);
         st.harvest(self, n)
     }
 }
@@ -460,6 +469,8 @@ struct RunState {
     completed: u64,
     waves: u64,
     settle_iters: u64,
+    memo_hits: u64,
+    mixed_evals: u64,
     lane_events: Vec<u64>,
     /// The batch's lanes (the initial live mask).
     batch: u64,
@@ -489,7 +500,9 @@ impl RunState {
         for (pi, part) in parts.iter().enumerate() {
             let p = PrimId(pi);
             pstates.push(match part {
-                Part::Controller { .. } => {
+                Part::Controller {
+                    inputs, outputs, ..
+                } => {
                     // Tapes are numbered in part order.
                     let tape = tapes;
                     tapes += 1;
@@ -497,8 +510,15 @@ impl RunState {
                     PState::Ctrl {
                         tape,
                         state: (0..t.num_state)
-                            .map(|j| if t.initial_code >> j & 1 == 1 { !0u64 } else { 0 })
+                            .map(|j| {
+                                if t.initial_code >> j & 1 == 1 {
+                                    !0u64
+                                } else {
+                                    0
+                                }
+                            })
                             .collect(),
+                        memo: TransitionMemo::new(inputs.len(), t.num_state, outputs.len()),
                     }
                 }
                 Part::Variable { .. } => PState::Var {
@@ -568,6 +588,8 @@ impl RunState {
             completed: 0,
             waves: 0,
             settle_iters: 0,
+            memo_hits: 0,
+            mixed_evals: 0,
             lane_events: vec![0; LANES],
             batch: live,
             batch_events: 0,
@@ -592,6 +614,14 @@ impl RunState {
 
     fn sched_lane(&mut self, w: NodeId, bit: bool, lane: usize) {
         self.sched(w, if bit { !0 } else { 0 }, 1u64 << lane);
+    }
+
+    /// Schedules `w` to `val` in the lanes where it differs.
+    fn drive(&mut self, w: NodeId, val: u64) {
+        let diff = val ^ self.wire(w);
+        if diff != 0 {
+            self.sched(w, val, diff);
+        }
     }
 
     fn wire(&self, w: NodeId) -> u64 {
@@ -998,6 +1028,13 @@ impl RunState {
     }
 
     /// Lane-parallel mirror of `ControllerPrim::on_change` + `settle`.
+    ///
+    /// When every live lane is at one (input point, state) pair the
+    /// transition memo may already hold that pair's settled state and
+    /// outputs; a hit broadcasts them into the live lanes without running
+    /// the tape. Otherwise the tape runs on all lanes and the lowest live
+    /// lane's result is stored, so every memo entry comes from the mapped
+    /// gates.
     fn eval_controller(
         &mut self,
         tapes: &[ControllerTape],
@@ -1005,10 +1042,36 @@ impl RunState {
         outputs: &[NodeId],
         pst: &mut PState,
     ) {
-        let PState::Ctrl { tape, state } = pst else {
+        let PState::Ctrl { tape, state, memo } = pst else {
             unreachable!()
         };
         let t = &tapes[*tape];
+        let live = self.live;
+        // The wave loop evaluates only while some lane is live.
+        let lane = live.trailing_zeros();
+        let mut point = None;
+        if let Some(memo) = memo.as_ref() {
+            let x = lane_bits(inputs.iter().map(|&w| self.wire(w)), lane);
+            let y = lane_bits(state.iter().copied(), lane);
+            let uniform = inputs
+                .iter()
+                .map(|&w| self.wire(w))
+                .chain(state.iter().copied())
+                .all(|w| w & live == 0 || w & live == live);
+            if !uniform {
+                self.mixed_evals += 1;
+            } else if let Some((next, bits)) = memo.get(x, y) {
+                self.memo_hits += 1;
+                for (j, s) in state.iter_mut().enumerate() {
+                    *s = (*s & !live) | if next >> j & 1 == 1 { live } else { 0 };
+                }
+                for (o, &ow) in outputs.iter().enumerate() {
+                    self.drive(ow, if bits >> o & 1 == 1 { !0 } else { 0 });
+                }
+                return;
+            }
+            point = Some((x, y));
+        }
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch[..t.slots].fill(0);
         for &o in &t.ones {
@@ -1054,11 +1117,12 @@ impl RunState {
         static SETTLE_BUCKETS: [u64; 6] = [1, 2, 3, 4, 5, 8];
         bmbe_obs::histogram!("sim.settle_iters", &SETTLE_BUCKETS).observe(iters);
         for (o, &ow) in outputs.iter().enumerate() {
-            let computed = scratch[t.out_roots[o] as usize];
-            let diff = computed ^ self.wire(ow);
-            if diff != 0 {
-                self.sched(ow, computed, diff);
-            }
+            self.drive(ow, scratch[t.out_roots[o] as usize]);
+        }
+        if let (Some(memo), Some((x, y))) = (memo, point) {
+            let next = lane_bits(state.iter().copied(), lane);
+            let bits = lane_bits(t.out_roots.iter().map(|&r| scratch[r as usize]), lane);
+            memo.put(x, y, next, bits);
         }
         self.scratch = scratch;
     }
@@ -1110,12 +1174,21 @@ impl RunState {
             waves: self.waves,
             lane_events: self.lane_events[..n].to_vec(),
             settle_iters: self.settle_iters,
+            memo_hits: self.memo_hits,
+            mixed_evals: self.mixed_evals,
             consumer_received,
             sync_counts,
             driver_completions,
             memories,
         }
     }
+}
+
+/// Bit `lane` of each word, packed in order.
+fn lane_bits(words: impl Iterator<Item = u64>, lane: u32) -> u64 {
+    words
+        .enumerate()
+        .fold(0, |acc, (i, w)| acc | (w >> lane & 1) << i)
 }
 
 fn run_tape(t: &ControllerTape, scratch: &mut [u64]) {

@@ -112,6 +112,82 @@ pub fn eval_unop(op: UnOp, a: u64) -> u64 {
 // Synthesized controller
 // ---------------------------------------------------------------------------
 
+/// Memoized settled transitions of one controller: `(input point, state)`
+/// to `(settled state, packed output bits)`, in 256 open-addressed slots
+/// of `(key + 1, settled state, output bits)` (0 = empty) with key
+/// `x | state << inputs`, probed at most 8 times.
+///
+/// The settle loop is a pure function of that pair, so a hit is exact.
+/// Burst-mode controllers revisit a handful of points many times in a
+/// long run, and one probe replaces a whole evaluation. Both engines use
+/// it: [`ControllerPrim`] over its covers, the compiled engine over its
+/// lane-uniform tape evaluations.
+#[derive(Debug, Clone)]
+pub(crate) struct TransitionMemo {
+    /// Input wires: the state code sits above them in the key.
+    inputs: usize,
+    slots: Vec<(u64, u64, u64)>,
+}
+
+const MEMO_SLOTS: usize = 256;
+const MEMO_PROBES: usize = 8;
+
+impl TransitionMemo {
+    /// An empty memo for a controller with these numbers of input wires,
+    /// state bits and output wires, or `None` when a key (with its `+ 1`)
+    /// or the output bits would not fit a `u64`.
+    pub(crate) fn new(inputs: usize, state_bits: usize, outputs: usize) -> Option<TransitionMemo> {
+        (inputs + state_bits < 64 && outputs <= 64).then(|| TransitionMemo {
+            inputs,
+            slots: vec![(0, 0, 0); MEMO_SLOTS],
+        })
+    }
+
+    fn key(&self, x: u64, state: u64) -> u64 {
+        x | state << self.inputs
+    }
+
+    fn home(key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize
+    }
+
+    /// The slots a key may occupy, in probe order.
+    fn probe(key: u64) -> impl Iterator<Item = usize> {
+        let home = Self::home(key);
+        (home..home + MEMO_PROBES).map(|i| i & (MEMO_SLOTS - 1))
+    }
+
+    /// The settled state and output bits stored for input point `x` from
+    /// state `state`.
+    pub(crate) fn get(&self, x: u64, state: u64) -> Option<(u64, u64)> {
+        let key = self.key(x, state);
+        for i in Self::probe(key) {
+            let (k, s, b) = self.slots[i];
+            if k == key + 1 {
+                return Some((s, b));
+            }
+            if k == 0 {
+                return None;
+            }
+        }
+        None
+    }
+
+    /// Stores the settled state `next` and output bits `bits` of input
+    /// point `x` from state `state`.
+    pub(crate) fn put(&mut self, x: u64, state: u64, next: u64, bits: u64) {
+        let key = self.key(x, state);
+        for i in Self::probe(key) {
+            let slot = &mut self.slots[i];
+            if slot.0 == 0 {
+                *slot = (key + 1, next, bits);
+                return;
+            }
+        }
+        // Saturated neighborhood: this transition stays unmemoized.
+    }
+}
+
 /// A synthesized burst-mode controller with back-annotated delays.
 ///
 /// The state feedback is resolved *atomically* at each input event (the
@@ -132,17 +208,10 @@ pub struct ControllerPrim {
     pub state: u64,
     /// Per-output delay (ps), including the inter-component wire delay.
     pub output_delays: Vec<Time>,
-    /// Memoized settled transitions: slot = (key + 1, settled state,
-    /// packed output bits), key = inputs | state << |inputs|, 0 = empty.
-    /// Burst-mode controllers revisit a handful of (input, state) points
-    /// millions of times in a long run; one open-addressed probe replaces
-    /// the full cover evaluation. Empty when the packing preconditions
-    /// (key and output bits each fit a `u64`) do not hold.
-    memo: Vec<(u64, u64, u64)>,
+    /// Settled transitions already evaluated; `None` when the controller
+    /// is too wide to memoize.
+    memo: Option<TransitionMemo>,
 }
-
-const MEMO_SLOTS: usize = 256;
-const MEMO_PROBES: usize = 8;
 
 impl ControllerPrim {
     /// Builds a controller primitive in its initial state.
@@ -154,8 +223,7 @@ impl ControllerPrim {
         initial_state: u64,
         output_delays: Vec<Time>,
     ) -> Self {
-        let memoizable =
-            inputs.len() + next_state_covers.len() < 64 && output_covers.len() <= 64;
+        let memo = TransitionMemo::new(inputs.len(), next_state_covers.len(), output_covers.len());
         ControllerPrim {
             inputs,
             outputs,
@@ -163,11 +231,7 @@ impl ControllerPrim {
             next_state_covers,
             state: initial_state,
             output_delays,
-            memo: if memoizable {
-                vec![(0, 0, 0); MEMO_SLOTS]
-            } else {
-                Vec::new()
-            },
+            memo,
         }
     }
 
@@ -185,44 +249,6 @@ impl ControllerPrim {
             .iter()
             .enumerate()
             .fold(0u64, |acc, (j, c)| acc | (c.eval(p) as u64) << j)
-    }
-
-    fn memo_slot(key: u64) -> usize {
-        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize
-    }
-
-    fn memo_get(&self, key: u64) -> Option<(u64, u64)> {
-        if self.memo.is_empty() {
-            return None;
-        }
-        let mut i = Self::memo_slot(key);
-        for _ in 0..MEMO_PROBES {
-            let (k, s, b) = self.memo[i & (MEMO_SLOTS - 1)];
-            if k == key + 1 {
-                return Some((s, b));
-            }
-            if k == 0 {
-                return None;
-            }
-            i += 1;
-        }
-        None
-    }
-
-    fn memo_put(&mut self, key: u64, state: u64, bits: u64) {
-        if self.memo.is_empty() {
-            return;
-        }
-        let mut i = Self::memo_slot(key);
-        for _ in 0..MEMO_PROBES {
-            let slot = &mut self.memo[i & (MEMO_SLOTS - 1)];
-            if slot.0 == 0 {
-                *slot = (key + 1, state, bits);
-                return;
-            }
-            i += 1;
-        }
-        // Saturated neighborhood: this transition stays unmemoized.
     }
 
     /// Settles the feedback and evaluates the outputs at input point `x`
@@ -250,12 +276,13 @@ impl ControllerPrim {
 impl Primitive for ControllerPrim {
     fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
         let x = self.input_point(ctx);
-        let key = x | self.state << self.inputs.len();
-        let (state, bits) = match self.memo_get(key) {
+        let (state, bits) = match self.memo.as_ref().and_then(|m| m.get(x, self.state)) {
             Some(hit) => hit,
             None => {
                 let computed = self.settle(x);
-                self.memo_put(key, computed.0, computed.1);
+                if let Some(m) = &mut self.memo {
+                    m.put(x, self.state, computed.0, computed.1);
+                }
                 computed
             }
         };
@@ -1010,6 +1037,34 @@ mod tests {
         sim.run_until(|_| false, 100_000);
         let puller: &Puller = sim.prim(p).unwrap();
         assert_eq!(puller.got, Some(42));
+    }
+
+    /// Keys carry the state code above the input bits, the width rule
+    /// refuses keys or output words that would not fit a `u64`, and a key
+    /// whose 8-slot probe run is full stays unmemoized.
+    #[test]
+    fn transition_memo_keys_width_and_probe_limit() -> Result<(), &'static str> {
+        assert!(TransitionMemo::new(40, 24, 1).is_none());
+        assert!(TransitionMemo::new(2, 1, 65).is_none());
+        assert!(TransitionMemo::new(40, 23, 64).is_some());
+        let mut memo = TransitionMemo::new(20, 2, 3).ok_or("a 22-bit key fits")?;
+        memo.put(5, 1, 2, 0b101);
+        assert_eq!(memo.get(5, 1), Some((2, 0b101)));
+        assert_eq!(memo.get(5, 0), None);
+        assert_eq!(memo.get(5 | 1 << 19, 1), None);
+        let home = TransitionMemo::home(0);
+        let same_home: Vec<u64> = (0..1u64 << 20)
+            .filter(|&x| TransitionMemo::home(x) == home)
+            .take(MEMO_PROBES + 1)
+            .collect();
+        for &x in &same_home {
+            memo.put(x, 0, x, 1);
+        }
+        for &x in &same_home[..MEMO_PROBES] {
+            assert_eq!(memo.get(x, 0), Some((x, 1)));
+        }
+        assert_eq!(memo.get(same_home[MEMO_PROBES], 0), None);
+        Ok(())
     }
 
     #[test]

@@ -55,7 +55,12 @@
 #      parallel, faulted vs clean) with a nonzero "merge_hits" count, so
 #      serial vs parallel re-checked merge verdicts the shared merge memo
 #      served; and an injected divergence must be caught and reported as
-#      a structured finding carrying its replay seed.
+#      a structured finding carrying its replay seed;
+#  14. panic-site ceiling (ROADMAP item 4): the lines of library source
+#      holding `unwrap()`, `expect(` or `panic!(` must not exceed their
+#      committed ceilings, so the counts can only fall. The scope is
+#      crates/*/src without the bench crate and the criterion/proptest
+#      stand-ins, plus src/, inline test modules included.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -317,5 +322,18 @@ if ! grep -q '"oracle": "compiled_vs_event"' "$gauntlet_json" \
 fi
 echo "tier1: injected divergence caught and reported with its replay seed"
 rm -rf "$gauntlet_dir"
+
+echo "== tier1: panic-site ceiling =="
+# A change that removes sites lowers the ceiling here in the same change.
+for gate in 'unwrap() 330' 'expect( 82' 'panic!( 42'; do
+    set -- $gate
+    count="$(grep -rF --include='*.rs' "$1" crates/*/src src \
+        | grep -v '^crates/\(bench\|criterion\|proptest\)/' | wc -l)"
+    if [ "$count" -gt "$2" ]; then
+        echo "tier1: FAIL: $count library source lines hold '$1' (ceiling $2)" >&2
+        exit 1
+    fi
+    echo "tier1: $count library source lines hold '$1' (ceiling $2)"
+done
 
 echo "tier1: all gates passed"
