@@ -340,11 +340,13 @@ fn run() -> Result<bool, String> {
          before/after against the pre-change engine recorded in BENCH_sim_baseline.json \
          (measured at an earlier commit, run loop estimated by subtracting an \
          empty-scenario call). The backends section times the same 64-scenario variant \
-         batch end to end (lowering and compilation included) on one worker thread per \
-         backend; both events_per_sec figures divide the event engine's aggregate event \
-         count, so compiled_vs_event is a pure wall-time ratio on identical work. Both \
-         engines run one lowered circuit; per-lane behavioural parity between them is \
-         asserted before any timing (a divergence fails this report), not sampled.\",\n",
+         batch end to end (tape compilation included; the flow keeps the circuit it was \
+         lowered to for the batch's port set, so only the warm-up lowers) on one worker \
+         thread per backend; both events_per_sec figures divide the event engine's \
+         aggregate event count, so compiled_vs_event is a pure wall-time ratio on \
+         identical work. Both engines run one lowered circuit; per-lane behavioural \
+         parity between them is asserted before any timing (a divergence fails this \
+         report), not sampled.\",\n",
     );
     json.push_str("  \"designs\": [\n");
     for (i, r) in rows.iter().enumerate() {

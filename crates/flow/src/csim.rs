@@ -1,7 +1,7 @@
 //! The bit-parallel compiled simulation backend for complete designs.
 //!
-//! [`compile_sim`] lowers a design once through [`crate::lower`] — the
-//! same circuit the event engine runs — and compiles it into a
+//! [`compile_sim`] takes the design's circuit from the flow's lowering
+//! memo — the same circuit the event engine runs — and compiles it into a
 //! [`bmbe_sim::CompiledCircuit`]: controllers become levelized instruction
 //! tapes over their technology-mapped gates (one lane-parallel op per
 //! cell), and every part evaluates all 64 scenario lanes of a batch at
@@ -15,21 +15,23 @@
 //! [`simulate_scenarios`] is the batch entry point that picks a backend
 //! ([`SimBackend::Auto`] compiles when there is more than one scenario)
 //! and fans compiled chunks out across worker threads; because one wave's
-//! result cannot depend on evaluation order and the circuit is compiled
-//! once up front, compiled outcomes are bit-identical at any thread count.
+//! result cannot depend on evaluation order and each port set's circuit
+//! is compiled once up front, compiled outcomes are bit-identical at any
+//! thread count.
 //!
 //! The compiled backend is untimed. Differential tests assert
 //! [`SimOutcome::same_behaviour`] against the event engine, which remains
 //! the timing/hazard reference.
 
 use crate::fault::{FaultPhase, FaultPlan};
-use crate::lower::{bind, lower};
+use crate::lower::{bind, lowered};
 use crate::pipeline::{ControllerArtifact, FlowResult};
-use crate::simbuild::{simulate, simulate_circuit, Scenario, SimBuildError, SimOutcome, SimStats};
+use crate::simbuild::{simulate, Scenario, SimBuildError, SimOutcome, SimStats};
 use bmbe_balsa::CompiledDesign;
 use bmbe_gates::SubjectNode;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::{CompiledCircuit, ControllerTape, RunSpec, SimBackend, LANES};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -49,6 +51,9 @@ pub struct CompiledSim {
 /// scenario of every batch run on this circuit must script exactly these
 /// ports (enforced by [`CompiledSim::run_batch`]).
 ///
+/// `flow` must be the flow built from `design`: the circuit comes from
+/// `flow`'s lowering memo, shared with [`simulate`] over the same ports.
+///
 /// `fault` injects a deterministic [`FaultPhase::SimCompile`] failure at
 /// the targeted controller index (the flow's fan-out order), for the
 /// recovery-path tests.
@@ -64,7 +69,7 @@ pub fn compile_sim(
     fault: Option<&FaultPlan>,
 ) -> Result<CompiledSim, SimBuildError> {
     let _span = bmbe_obs::span!("sim.compile", "sim");
-    let circuit = lower(design, flow, |port| input_ports.contains(port));
+    let circuit = lowered(design, flow, |port| input_ports.contains(port));
     let circuit = CompiledCircuit::new(circuit, |i, inputs, outputs| {
         let art = &flow.controllers[i];
         if let Some(plan) = fault.filter(|plan| plan.targets_job(i)) {
@@ -133,6 +138,11 @@ fn tape(
 }
 
 impl CompiledSim {
+    /// The controller tapes, one per controller of the flow, in flow order.
+    pub fn tapes(&self) -> &[ControllerTape] {
+        self.circuit.tapes()
+    }
+
     /// Runs up to [`LANES`] scenarios as one bit-parallel batch and demuxes
     /// one [`SimOutcome`] per scenario, in order.
     ///
@@ -146,7 +156,10 @@ impl CompiledSim {
     /// [`LANES`], or a scenario scripts a port set different from the one
     /// the circuit was compiled for; [`SimBuildError::UnknownPort`] if a
     /// done condition names an unknown port.
-    pub fn run_batch(&self, scenarios: &[Scenario]) -> Result<Vec<SimOutcome>, SimBuildError> {
+    pub fn run_batch<S: Borrow<Scenario>>(
+        &self,
+        scenarios: &[S],
+    ) -> Result<Vec<SimOutcome>, SimBuildError> {
         if scenarios.is_empty() || scenarios.len() > LANES {
             return Err(SimBuildError::BatchShape(format!(
                 "batch of {} scenarios (need 1..={LANES})",
@@ -156,6 +169,7 @@ impl CompiledSim {
         let circuit = self.circuit.circuit();
         let mut lanes = Vec::with_capacity(scenarios.len());
         for s in scenarios {
+            let s = s.borrow();
             for port in s.input_values.keys() {
                 if !circuit.providers.iter().any(|(name, _)| name == port) {
                     return Err(SimBuildError::BatchShape(format!(
@@ -242,18 +256,18 @@ pub fn batch_input_ports(scenarios: &[Scenario]) -> BTreeSet<String> {
 }
 
 /// Simulates a scenario set on the chosen backend, returning one outcome
-/// per scenario, in order.
+/// per scenario, in order. `flow` must be the flow built from `design`:
+/// both backends take their circuits from `flow`'s lowering memo, one per
+/// scripted port set.
 ///
-/// [`SimBackend::Event`] lowers the design once and runs each scenario as
-/// an independent event simulation across `threads` workers (a scenario
-/// scripting a different port set than the rest is lowered on its own).
-/// [`SimBackend::Compiled`] compiles the design
-/// once, packs the scenarios into [`LANES`]-wide batches, and fans the
-/// batches out across `threads` workers; results are bit-identical at any
-/// thread count. A batch holding a scenario that scripts a port set other
-/// than the union of the set's is a [`SimBuildError::BatchShape`] on each
-/// of its scenarios. [`SimBackend::Auto`] compiles when the set has more than
-/// one scenario.
+/// [`SimBackend::Event`] runs each scenario as an independent event
+/// simulation ([`simulate`]) across `threads` workers.
+/// [`SimBackend::Compiled`] groups the scenarios by the ports they script,
+/// in first-appearance order, compiles one circuit per group, packs each
+/// group into [`LANES`]-wide batches, and fans a group's batches out
+/// across `threads` workers; results are bit-identical at any thread
+/// count. [`SimBackend::Auto`] compiles when the set has more than one
+/// scenario.
 ///
 /// Worker panics (including injected `sim_compile` faults of
 /// [`crate::FaultKind::Panic`]) are isolated per job and surface as
@@ -270,60 +284,77 @@ pub fn simulate_scenarios(
     if scenarios.is_empty() {
         return Vec::new();
     }
-    let all = |e: SimBuildError| scenarios.iter().map(|_| Err(e.clone())).collect();
-    let ports = batch_input_ports(scenarios);
     match backend.resolve(scenarios.len()) {
-        SimBackend::Event | SimBackend::Auto => {
-            let circuit = match bmbe_par::catch_job(|| {
-                let _build = bmbe_obs::span!("sim.build", "sim");
-                lower(design, flow, |port| ports.contains(port))
-            }) {
-                Ok(circuit) => circuit,
-                Err(payload) => return all(SimBuildError::Panic(payload)),
-            };
-            bmbe_par::par_try_map(
-                scenarios,
-                threads,
-                |i, _| format!("sim job {i} ({})", design.netlist.name()),
-                |_, s| {
-                    if s.input_values.len() == ports.len() {
-                        let build = bmbe_obs::span!("sim.build", "sim");
-                        simulate_circuit(&circuit, flow, s, delays, build)
-                    } else {
-                        simulate(design, flow, s, delays)
-                    }
-                },
-            )
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|job| Err(SimBuildError::Panic(job.payload))))
-            .collect()
-        }
+        SimBackend::Event | SimBackend::Auto => bmbe_par::par_try_map(
+            scenarios,
+            threads,
+            |i, _| format!("sim job {i} ({})", design.netlist.name()),
+            |_, s| simulate(design, flow, s, delays),
+        )
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|job| Err(SimBuildError::Panic(job.payload))))
+        .collect(),
         SimBackend::Compiled => {
-            let cs = match bmbe_par::catch_job(|| compile_sim(design, flow, &ports, fault)) {
-                Ok(Ok(cs)) => cs,
-                Ok(Err(e)) => return all(e),
-                Err(payload) => return all(SimBuildError::Panic(payload)),
+            let same_ports = |a: &Scenario, b: &Scenario| {
+                a.input_values.len() == b.input_values.len()
+                    && a.input_values
+                        .keys()
+                        .all(|k| b.input_values.contains_key(k))
             };
-            let chunks: Vec<&[Scenario]> = scenarios.chunks(LANES).collect();
-            let results = bmbe_par::par_try_map(
-                &chunks,
-                threads,
-                |i, chunk| format!("sim batch {i} ({} lanes)", chunk.len()),
-                |_, chunk| cs.run_batch(chunk),
-            );
-            let mut out = Vec::with_capacity(scenarios.len());
-            for (chunk, slot) in chunks.iter().zip(results) {
-                match slot {
-                    Ok(Ok(outcomes)) => out.extend(outcomes.into_iter().map(Ok)),
-                    Ok(Err(e)) => out.extend(chunk.iter().map(|_| Err(e.clone()))),
-                    Err(job) => out.extend(
-                        chunk
-                            .iter()
-                            .map(|_| Err(SimBuildError::Panic(job.payload.clone()))),
-                    ),
+            let mut groups: Vec<Vec<usize>> = Vec::new();
+            for (i, s) in scenarios.iter().enumerate() {
+                match groups.iter_mut().find(|g| same_ports(&scenarios[g[0]], s)) {
+                    Some(g) => g.push(i),
+                    None => groups.push(vec![i]),
                 }
             }
-            out
+            let mut out = Vec::with_capacity(scenarios.len());
+            for g in &groups {
+                let group: Vec<&Scenario> = g.iter().map(|&i| &scenarios[i]).collect();
+                let results = simulate_compiled(design, flow, &group, threads, fault);
+                out.extend(g.iter().copied().zip(results));
+            }
+            out.sort_unstable_by_key(|&(i, _)| i);
+            out.into_iter().map(|(_, r)| r).collect()
         }
     }
+}
+
+/// Compiles the circuit for the ports `scenarios` script (one non-empty
+/// group, all scripting the same ports) and runs them in [`LANES`]-wide
+/// batches across `threads` workers.
+fn simulate_compiled(
+    design: &CompiledDesign,
+    flow: &FlowResult,
+    scenarios: &[&Scenario],
+    threads: usize,
+    fault: Option<&FaultPlan>,
+) -> Vec<Result<SimOutcome, SimBuildError>> {
+    let all = |e: SimBuildError| scenarios.iter().map(|_| Err(e.clone())).collect();
+    let ports = scenarios[0].input_values.keys().cloned().collect();
+    let cs = match bmbe_par::catch_job(|| compile_sim(design, flow, &ports, fault)) {
+        Ok(Ok(cs)) => cs,
+        Ok(Err(e)) => return all(e),
+        Err(payload) => return all(SimBuildError::Panic(payload)),
+    };
+    let chunks: Vec<&[&Scenario]> = scenarios.chunks(LANES).collect();
+    let results = bmbe_par::par_try_map(
+        &chunks,
+        threads,
+        |i, chunk| format!("sim batch {i} ({} lanes)", chunk.len()),
+        |_, chunk| cs.run_batch(chunk),
+    );
+    let mut out = Vec::with_capacity(scenarios.len());
+    for (chunk, slot) in chunks.iter().zip(results) {
+        match slot {
+            Ok(Ok(outcomes)) => out.extend(outcomes.into_iter().map(Ok)),
+            Ok(Err(e)) => out.extend(chunk.iter().map(|_| Err(e.clone()))),
+            Err(job) => out.extend(
+                chunk
+                    .iter()
+                    .map(|_| Err(SimBuildError::Panic(job.payload.clone()))),
+            ),
+        }
+    }
+    out
 }

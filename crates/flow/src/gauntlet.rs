@@ -602,6 +602,7 @@ mod tests {
             cache_misses: 0,
             threads_used: 1,
             phases: Default::default(),
+            lowered: Default::default(),
         }
     }
 

@@ -7,6 +7,10 @@
 //! then the activation driver, then the ports sorted by name. The walk
 //! never iterates a hash map, so a design lowers to the same circuit in
 //! every process.
+//!
+//! Each [`FlowResult`] keeps the circuits it was lowered to in a
+//! [`LowerMemo`], one per input-port set, so the simulation entry points
+//! lower a design once however many scenarios they run over one port set.
 
 use crate::pipeline::FlowResult;
 use crate::simbuild::{Done, Scenario, SimBuildError};
@@ -15,6 +19,7 @@ use bmbe_hsnet::{Component, ComponentKind};
 use bmbe_sim::{Circuit, DataCh, DoneSpec, LaneSpec, MemSite, NodeId, Part, PrimId, SlotId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Display, Write as _};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Wires and channels interned by name. Controllers name their wires
 /// `{channel}_r`, `{channel}_a` and `{channel}_a{i}`, so a channel's wires
@@ -228,6 +233,59 @@ pub fn lower(
     }
 }
 
+/// The circuits a flow has been lowered to, one per input-port set.
+///
+/// A circuit serves a lookup when its providers are all ports the caller
+/// scripts and its consumers none of them. Every data port of a design is
+/// one or the other, so that is exactly "lowered for the same input
+/// ports"; sync ports and scripted ports the design lacks play no part in
+/// the lowering. The memo is valid only for the design its flow was built
+/// from, which [`lower`] assumes anyway: controllers name that design's
+/// channels.
+#[derive(Debug, Default)]
+pub(crate) struct LowerMemo {
+    circuits: Mutex<Vec<Arc<Circuit>>>,
+}
+
+impl LowerMemo {
+    /// Locks the list, recovering from a poisoned lock: a circuit is
+    /// pushed only once it is fully lowered, so a panic while lowering
+    /// leaves the list as it was.
+    fn circuits(&self) -> MutexGuard<'_, Vec<Arc<Circuit>>> {
+        self.circuits.lock().unwrap_or_else(|poisoned| {
+            self.circuits.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+}
+
+/// The circuit of `design` for the input ports `is_input` names, from
+/// `flow`'s memo, lowered and stored on the first request for that port
+/// set. The lock is held while lowering, so concurrent callers lower each
+/// port set once.
+///
+/// `flow` must be the flow built from `design`.
+pub(crate) fn lowered(
+    design: &CompiledDesign,
+    flow: &FlowResult,
+    is_input: impl Fn(&str) -> bool,
+) -> Arc<Circuit> {
+    debug_assert_eq!(flow.design, design.netlist.name());
+    let mut circuits = flow.lowered.circuits();
+    let serves = |c: &Circuit| {
+        c.providers.iter().all(|(port, _)| is_input(port))
+            && c.consumers.iter().all(|(port, _)| !is_input(port))
+    };
+    if let Some(c) = circuits.iter().find(|c| serves(c)) {
+        bmbe_obs::trace_counter!("sim.lower.hits", 1);
+        return Arc::clone(c);
+    }
+    bmbe_obs::trace_counter!("sim.lower.misses", 1);
+    let c = Arc::new(lower(design, flow, &is_input));
+    circuits.push(Arc::clone(&c));
+    c
+}
+
 /// Binds a scenario to a circuit's handles: its done condition, provider
 /// scripts (unscripted providers supply zeros), memory preloads and
 /// activation cycles. Scripts for ports the circuit has no provider for
@@ -264,4 +322,86 @@ pub(crate) fn bind<'a>(circuit: &Circuit, s: &'a Scenario) -> Result<LaneSpec<'a
             .collect(),
         done,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{
+        compile_sim, run_control_flow_with, simulate, simulate_scenarios, to_flow_scenario,
+        ControllerCache, FlowOptions, SimBackend,
+    };
+    use bmbe_designs::scenarios::{scenario_variants, wagging_register};
+    use bmbe_gates::Library;
+    use bmbe_sim::prims::Delays;
+    use std::collections::BTreeSet;
+
+    /// One Wagging-register flow simulated and compiled over two port sets
+    /// (and a scenario scripting a port the design lacks) keeps exactly two
+    /// circuits, each equal to a fresh lowering, and every run through the
+    /// memo equals the same call on a freshly built flow.
+    #[test]
+    fn one_lowering_per_port_set() -> Result<(), String> {
+        let wag = wagging_register().map_err(|e| e.to_string())?;
+        let (library, cache) = (Library::cmos035(), ControllerCache::new());
+        let fresh_flow = || {
+            run_control_flow_with(&wag.compiled, &FlowOptions::optimized(), &library, &cache)
+                .map_err(|e| e.to_string())
+        };
+        let flow = fresh_flow()?;
+        let delays = Delays::default();
+        let base = to_flow_scenario(&wag.scenario);
+        let mut without_i = base.clone();
+        without_i.input_values.remove("i");
+        let mut extra = base.clone();
+        extra.input_values.insert("no_such_port".into(), vec![1]);
+        // The port set without `i` comes first: a lookup matching on
+        // providers alone would then serve the base runs its circuit.
+        for (k, s) in [&without_i, &base, &base, &without_i, &base, &extra]
+            .into_iter()
+            .enumerate()
+        {
+            let run = |flow: &FlowResult| {
+                simulate(&wag.compiled, flow, s, &delays).map_err(|e| e.to_string())
+            };
+            assert!(
+                run(&flow)?.same_result(&run(&fresh_flow()?)?),
+                "simulate call {k}"
+            );
+        }
+        for (ports, s) in [(vec!["i"], &base), (vec![], &without_i)] {
+            let ports: BTreeSet<String> = ports.into_iter().map(String::from).collect();
+            let run = |flow: &FlowResult| {
+                compile_sim(&wag.compiled, flow, &ports, None)
+                    .and_then(|cs| cs.run_batch(std::slice::from_ref(s)))
+                    .map_err(|e| e.to_string())
+            };
+            let (memoized, fresh) = (run(&flow)?, run(&fresh_flow()?)?);
+            assert_eq!(memoized.len(), fresh.len());
+            assert!(
+                memoized.iter().zip(&fresh).all(|(a, b)| a.same_result(b)),
+                "compile_sim over {ports:?}"
+            );
+        }
+        let circuits = flow.lowered.circuits();
+        assert_eq!(circuits.len(), 2);
+        assert_eq!(*circuits[0], lower(&wag.compiled, &flow, |_| false));
+        assert_eq!(*circuits[1], lower(&wag.compiled, &flow, |p| p == "i"));
+        drop(circuits);
+
+        // Four workers lowering one port set at once lower it once.
+        let flow = fresh_flow()?;
+        let scenarios: Vec<_> = scenario_variants(&wag, 8, 3)
+            .iter()
+            .map(to_flow_scenario)
+            .collect();
+        for backend in [SimBackend::Event, SimBackend::Compiled] {
+            for r in simulate_scenarios(&wag.compiled, &flow, &scenarios, &delays, backend, 4, None)
+            {
+                r.map_err(|e| e.to_string())?;
+            }
+        }
+        assert_eq!(flow.lowered.circuits().len(), 1);
+        Ok(())
+    }
 }

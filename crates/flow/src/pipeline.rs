@@ -6,6 +6,7 @@ use crate::cache::{
     synthesize_shape_with_fault, CacheKey, ControllerCache, KeyedProgram, ShapeError, SynthArtifact,
 };
 use crate::fault::FaultPlan;
+use crate::lower::LowerMemo;
 use crate::profile::PhaseProfile;
 use crate::templates::{template_table, Template};
 use bmbe_balsa::CompiledDesign;
@@ -205,6 +206,8 @@ pub struct FlowResult {
     /// Aggregate per-phase wall-clock profile of the shapes this run
     /// synthesized (cache hits contribute nothing).
     pub phases: PhaseProfile,
+    /// The circuits the simulation entry points lowered this flow to.
+    pub(crate) lowered: LowerMemo,
 }
 
 impl FlowResult {
@@ -355,6 +358,7 @@ impl Partition {
             cache_misses,
             threads_used,
             phases,
+            lowered: LowerMemo::default(),
         }
     }
 }

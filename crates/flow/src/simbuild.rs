@@ -1,13 +1,13 @@
 //! Simulates a complete design on the event engine: the synthesized
 //! controllers plus behavioural datapath and a scripted environment,
-//! lowered once by [`crate::lower`] into the circuit the compiled engine
-//! runs too.
+//! lowered by [`crate::lower`] into the circuit the compiled engine runs
+//! too, once per flow and input-port set.
 
-use crate::lower::{bind, lower};
+use crate::lower::{bind, lowered};
 use crate::pipeline::{ControllerArtifact, FlowResult};
 use bmbe_balsa::CompiledDesign;
 use bmbe_sim::prims::{ControllerPrim, Delays, MemoryPrim, PushConsumerEnv, SyncResponderEnv};
-use bmbe_sim::{Circuit, NodeId, SchedulerKind, SimBackend, Time};
+use bmbe_sim::{NodeId, SchedulerKind, SimBackend, Time};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -189,6 +189,10 @@ impl std::error::Error for SimBuildError {}
 /// Simulates a design with its synthesized controllers on the event
 /// engine.
 ///
+/// `flow` must be the flow built from `design`: the circuit is lowered
+/// once per set of scripted input ports and kept in `flow`, so later runs
+/// over the same ports bind to it without lowering again.
+///
 /// # Errors
 ///
 /// See [`SimBuildError`].
@@ -199,69 +203,10 @@ pub fn simulate(
     delays: &Delays,
 ) -> Result<SimOutcome, SimBuildError> {
     let build = bmbe_obs::span!("sim.build", "sim");
-    let circuit = lower(design, flow, |port| scenario.input_values.contains_key(port));
-    simulate_circuit(&circuit, flow, scenario, delays, build)
-}
-
-/// [`simulate`] for callers that name a scheduler. The event engine has
-/// one scheduler, so `_scheduler` is ignored; the function stays because
-/// the benchmark harness (`perfbench/src/simstep.rs`), which builds
-/// against this API as it is, calls it.
-///
-/// # Errors
-///
-/// See [`SimBuildError`].
-pub fn simulate_with(
-    design: &CompiledDesign,
-    flow: &FlowResult,
-    scenario: &Scenario,
-    delays: &Delays,
-    _scheduler: SchedulerKind,
-) -> Result<SimOutcome, SimBuildError> {
-    simulate(design, flow, scenario, delays)
-}
-
-/// The event engine's timed primitive for a controller: its covers and
-/// initial code, with each output delayed by its mapped arrival time (or
-/// its template's delay) plus the wire delay.
-fn controller_prim(
-    art: &ControllerArtifact,
-    inputs: &[NodeId],
-    outputs: &[NodeId],
-    delays: &Delays,
-) -> ControllerPrim {
-    let output_delays: Vec<Time> = art
-        .controller
-        .outputs
-        .iter()
-        .map(|n| {
-            let ns = match art.template {
-                Some(t) => t.delay_ns,
-                None => art.mapped.output_delays.get(n).copied().unwrap_or(0.1),
-            };
-            (ns * 1000.0) as Time + delays.wire
-        })
-        .collect();
-    ControllerPrim::new(
-        inputs.to_vec(),
-        outputs.to_vec(),
-        art.controller.output_covers.clone(),
-        art.controller.next_state_covers.clone(),
-        art.controller.initial_code,
-        output_delays,
-    )
-}
-
-/// Runs one scenario on the event engine over a lowered circuit. `build`
-/// is the open `sim.build` span, closed once the simulation is set up.
-pub(crate) fn simulate_circuit(
-    circuit: &Circuit,
-    flow: &FlowResult,
-    scenario: &Scenario,
-    delays: &Delays,
-    build: bmbe_obs::SpanGuard,
-) -> Result<SimOutcome, SimBuildError> {
-    let lane = bind(circuit, scenario)?;
+    let circuit = lowered(design, flow, |port| {
+        scenario.input_values.contains_key(port)
+    });
+    let lane = bind(&circuit, scenario)?;
     let mut sim = circuit.event_sim(&lane, delays, |k, inputs, outputs| {
         controller_prim(&flow.controllers[k], inputs, outputs, delays)
     });
@@ -325,4 +270,54 @@ pub(crate) fn simulate_circuit(
             events_per_s,
         },
     })
+}
+
+/// [`simulate`] for callers that name a scheduler. The event engine has
+/// one scheduler, so `_scheduler` is ignored; the function stays because
+/// the benchmark harness (`perfbench/src/simstep.rs`), which builds
+/// against this API as it is, calls it. As for [`simulate`], `flow` must
+/// be the flow built from `design`.
+///
+/// # Errors
+///
+/// See [`SimBuildError`].
+pub fn simulate_with(
+    design: &CompiledDesign,
+    flow: &FlowResult,
+    scenario: &Scenario,
+    delays: &Delays,
+    _scheduler: SchedulerKind,
+) -> Result<SimOutcome, SimBuildError> {
+    simulate(design, flow, scenario, delays)
+}
+
+/// The event engine's timed primitive for a controller: its covers and
+/// initial code, with each output delayed by its mapped arrival time (or
+/// its template's delay) plus the wire delay.
+fn controller_prim(
+    art: &ControllerArtifact,
+    inputs: &[NodeId],
+    outputs: &[NodeId],
+    delays: &Delays,
+) -> ControllerPrim {
+    let output_delays: Vec<Time> = art
+        .controller
+        .outputs
+        .iter()
+        .map(|n| {
+            let ns = match art.template {
+                Some(t) => t.delay_ns,
+                None => art.mapped.output_delays.get(n).copied().unwrap_or(0.1),
+            };
+            (ns * 1000.0) as Time + delays.wire
+        })
+        .collect();
+    ControllerPrim::new(
+        inputs.to_vec(),
+        outputs.to_vec(),
+        art.controller.output_covers.clone(),
+        art.controller.next_state_covers.clone(),
+        art.controller.initial_code,
+        output_delays,
+    )
 }

@@ -5,8 +5,13 @@
 //! scenario batches, on partial batches narrower than a lane word, and
 //! bit-identically at any worker thread count — each lane of a full batch
 //! must equal its own one-lane batch, a batch must script exactly the
-//! compiled port set, and the one lowering both engines run must not
-//! depend on hash-map order.
+//! compiled port set, a scenario set mixing port sets must run one circuit
+//! per port set, and the one lowering both engines run must not depend on
+//! hash-map order. Every controller tape of the paper designs and the
+//! corpus slice must equal the tape built over the reference levelization.
+
+#[path = "../../hsnet/tests/support/levelize_ref.rs"]
+mod levelize_ref;
 
 use bmbe_designs::corpus::{generate_corpus, CorpusSpec};
 use bmbe_designs::{all_designs, derive_seed, scenario_variants, variants_of, Design};
@@ -15,9 +20,10 @@ use bmbe_flow::{
     simulate_scenarios, to_flow_scenario, CompiledSim, ControllerCache, FaultKind, FaultPhase,
     FaultPlan, FlowOptions, FlowResult, Scenario, SimBackend, SimBuildError,
 };
-use bmbe_gates::Library;
+use bmbe_gates::{Library, MappedGate};
 use bmbe_sim::prims::Delays;
-use bmbe_sim::{Part, LANES};
+use bmbe_sim::{ControllerTape, Part, TapeOp, LANES};
+use levelize_ref::reference_levelize;
 use std::collections::{BTreeSet, HashMap};
 
 fn flows(designs: &[Design]) -> Vec<FlowResult> {
@@ -37,6 +43,56 @@ fn variants(design: &Design, n: usize, seed: u64) -> Vec<Scenario> {
         .iter()
         .map(to_flow_scenario)
         .collect()
+}
+
+/// `tape` rebuilt over the reference levelization of its gates: the ops
+/// in ascending (level, node) order and the level count, every other field
+/// as it is.
+fn reference_tape(tape: &ControllerTape, gates: &[MappedGate]) -> ControllerTape {
+    let mut preds = vec![Vec::new(); tape.slots];
+    for g in gates {
+        preds[g.output] = g.inputs.clone();
+    }
+    let lev = reference_levelize(&preds).expect("mapped controllers are acyclic");
+    let mut ordered: Vec<&MappedGate> = gates.iter().collect();
+    ordered.sort_unstable_by_key(|g| (lev.level[g.output], g.output));
+    let ops = ordered
+        .into_iter()
+        .map(|g| {
+            let mut ins = [0u16; 4];
+            for (slot, &p) in ins.iter_mut().zip(&g.inputs) {
+                *slot = p as u16;
+            }
+            TapeOp {
+                cell: g.cell,
+                ins,
+                n: g.inputs.len() as u8,
+                out: g.output as u16,
+            }
+        })
+        .collect();
+    ControllerTape {
+        ops,
+        levels: lev.num_levels,
+        ..tape.clone()
+    }
+}
+
+/// Every controller tape of `cs` equals its reference rebuild.
+fn assert_reference_tapes(name: &str, flow: &FlowResult, cs: &CompiledSim) {
+    assert_eq!(
+        cs.tapes().len(),
+        flow.controllers.len(),
+        "{name}: one tape per controller"
+    );
+    for (tape, art) in cs.tapes().iter().zip(&flow.controllers) {
+        assert_eq!(
+            *tape,
+            reference_tape(tape, &art.mapped.gates),
+            "{name}: tape of {} differs from the reference levelization's",
+            art.name
+        );
+    }
 }
 
 /// Full-width batches on every paper design: each of the 64 lanes must
@@ -93,6 +149,14 @@ fn compiled_matches_event_oracle_on_all_designs() {
         let base = compiled[0].as_ref().unwrap();
         check_outcome(&design.scenario.check, base)
             .unwrap_or_else(|e| panic!("{}: base-lane check failed: {e}", design.name));
+        let cs = compile_sim(
+            &design.compiled,
+            &flow,
+            &batch_input_ports(&scenarios),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{}: compile: {e}", design.name));
+        assert_reference_tapes(design.name, &flow, &cs);
     }
 }
 
@@ -188,6 +252,7 @@ fn compiled_matches_event_engine_on_corpus_slice() {
         }
         let cs = compile_sim(&d.compiled, &flow, &ports, None)
             .unwrap_or_else(|err| panic!("{}: compile: {err}", d.name));
+        assert_reference_tapes(&d.name, &flow, &cs);
         for (lane, (c, s)) in compiled.iter().zip(&scenarios).enumerate() {
             let solo = cs
                 .run_batch(std::slice::from_ref(s))
@@ -216,19 +281,58 @@ fn compiled_matches_event_engine_on_corpus_slice() {
     assert!(mixed_evals > 0, "no controller evaluation mixed lanes");
 }
 
-/// The wagging register compiled for `ports`, with its base scenario.
-fn wagging_register(ports: &[&str]) -> (CompiledSim, Scenario) {
-    let designs = all_designs().expect("designs build");
-    let wag = designs
-        .iter()
+/// The wagging register with its flow and base scenario.
+fn wagging() -> (Design, FlowResult, Scenario) {
+    let wag = all_designs()
+        .expect("designs build")
+        .into_iter()
         .find(|d| d.name == "Wagging register")
         .expect("the wagging register ships");
-    let flow = flows(std::slice::from_ref(wag)).remove(0);
-    let ports = ports.iter().map(|p| p.to_string()).collect();
-    let cs = compile_sim(&wag.compiled, &flow, &ports, None).expect("compiles");
+    let flow = flows(std::slice::from_ref(&wag)).remove(0);
     let base = to_flow_scenario(&wag.scenario);
     assert!(base.input_values.contains_key("i"), "the base scenario scripts port i");
+    (wag, flow, base)
+}
+
+/// The wagging register compiled for `ports`, with its base scenario.
+fn wagging_register(ports: &[&str]) -> (CompiledSim, Scenario) {
+    let (wag, flow, base) = wagging();
+    let ports = ports.iter().map(|p| p.to_string()).collect();
+    let cs = compile_sim(&wag.compiled, &flow, &ports, None).expect("compiles");
     (cs, base)
+}
+
+/// A scenario set whose members script different port sets runs one
+/// compiled circuit per port set, so `Compiled` and `Auto` agree with the
+/// event engine, which lowers each port set on its own, in scenario order.
+#[test]
+fn mixed_port_sets_match_the_event_engine() {
+    let (wag, flow, base) = wagging();
+    let mut without_i = base.clone();
+    without_i.input_values.remove("i");
+    let scenarios = [base.clone(), without_i, base];
+    let delays = Delays::default();
+    let run =
+        |backend| simulate_scenarios(&wag.compiled, &flow, &scenarios, &delays, backend, 2, None);
+    let event = run(SimBackend::Event);
+    for backend in [SimBackend::Compiled, SimBackend::Auto] {
+        for (i, (c, e)) in run(backend).iter().zip(&event).enumerate() {
+            let c = c
+                .as_ref()
+                .unwrap_or_else(|err| panic!("{backend:?} scenario {i}: {err}"));
+            let e = e
+                .as_ref()
+                .unwrap_or_else(|err| panic!("event scenario {i}: {err}"));
+            assert!(e.completed, "event scenario {i} incomplete");
+            assert_eq!(c.stats.backend, SimBackend::Compiled);
+            assert!(
+                c.same_behaviour(e),
+                "{backend:?} scenario {i} diverged:\ncompiled: {:?}\nevent:    {:?}",
+                c.outputs,
+                e.outputs
+            );
+        }
+    }
 }
 
 /// A scenario leaving out a port the circuit takes as an input would run

@@ -1,21 +1,19 @@
-//! Deterministic DAG levelization and feedback-arc detection.
+//! Deterministic DAG levelization.
 //!
 //! The compiled simulation backend turns a mapped gate netlist into a
-//! straight-line instruction tape; that requires a topological order and,
-//! for asynchronous circuits, knowing which arcs close feedback loops (the
-//! state bits a settle-to-fixpoint outer loop iterates over). Both are
-//! generic graph questions, so they live here next to the netlist IR
-//! rather than in the simulator.
+//! straight-line instruction tape, which requires a topological order.
+//! That is a generic graph question, so it lives here next to the netlist
+//! IR rather than in the simulator.
 //!
-//! The algorithms are deterministic: ready nodes are processed in
-//! ascending index within each level, so the same graph always yields the
-//! same order — the property the compiled backend's bit-identical
-//! determinism tests rest on.
+//! The algorithm is deterministic: ready nodes are processed in ascending
+//! index within each level, so the same graph always yields the same
+//! order — the property the compiled backend's bit-identical determinism
+//! tests rest on.
 
 use std::fmt;
 
 /// A topological levelization of a DAG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levelization {
     /// Node indices in topological order (sources first; within a level,
     /// ascending index).
@@ -50,40 +48,56 @@ impl std::error::Error for CycleError {}
 ///
 /// [`CycleError`] naming the lowest-index node on a cycle if the graph is
 /// not acyclic.
-pub fn levelize(preds: &[Vec<usize>]) -> Result<Levelization, CycleError> {
+pub fn levelize(preds: &[&[usize]]) -> Result<Levelization, CycleError> {
     let n = preds.len();
     let mut indeg = vec![0usize; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Successors in one flat array: those of `p` are
+    // `succ[start[p]..start[p + 1]]`, in ascending order. `start[p]` first
+    // counts the arcs out of nodes `0..=p`; filling each range from its end
+    // while walking the arcs backwards leaves it at the range's start.
+    let mut start = vec![0usize; n + 1];
     for (v, ps) in preds.iter().enumerate() {
-        for &p in ps {
+        indeg[v] = ps.len();
+        for &p in *ps {
             assert!(p < n, "predecessor {p} out of range for {n} nodes");
-            indeg[v] += 1;
-            succs[p].push(v);
+            start[p] += 1;
+        }
+    }
+    for v in 1..=n {
+        start[v] += start[v - 1];
+    }
+    let mut succ = vec![0usize; start[n]];
+    for (v, ps) in preds.iter().enumerate().rev() {
+        for &p in ps.iter().rev() {
+            start[p] -= 1;
+            succ[start[p]] = v;
         }
     }
     let mut level = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
-    // Kahn's algorithm, one level at a time so ties resolve by index.
-    let mut frontier: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    // Kahn's algorithm, one level at a time so ties resolve by index. Each
+    // level is a run of `order`: `order[lo..hi]` is placed, its successors
+    // that become ready are appended as the next level.
+    let mut order: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    order.reserve(n - order.len());
     let mut num_levels = 0u32;
-    while !frontier.is_empty() {
-        frontier.sort_unstable();
-        let mut next = Vec::new();
-        for &v in &frontier {
-            order.push(v);
-            for &s in &succs[v] {
+    let mut lo = 0;
+    while lo < order.len() {
+        let hi = order.len();
+        order[lo..hi].sort_unstable();
+        for i in lo..hi {
+            let v = order[i];
+            for &s in &succ[start[v]..start[v + 1]] {
                 level[s] = level[s].max(level[v] + 1);
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    next.push(s);
+                    order.push(s);
                 }
             }
         }
-        num_levels = num_levels.max(frontier.iter().map(|&v| level[v] + 1).max().unwrap_or(0));
-        frontier = next;
+        num_levels += 1;
+        lo = hi;
     }
-    if order.len() != n {
-        let node = (0..n).find(|&v| indeg[v] > 0).expect("unplaced node");
+    if let Some(node) = indeg.iter().position(|&d| d > 0) {
         return Err(CycleError { node });
     }
     Ok(Levelization {
@@ -93,54 +107,6 @@ pub fn levelize(preds: &[Vec<usize>]) -> Result<Levelization, CycleError> {
     })
 }
 
-/// Finds a set of feedback arcs `(from, to)` whose removal leaves the
-/// graph acyclic: the back edges of a deterministic depth-first search
-/// (roots and children visited in ascending index). For an already-acyclic
-/// graph this is empty; for a controller netlist with its state feedback
-/// wired in, these are exactly the arcs the settle loop iterates over.
-pub fn feedback_arcs(preds: &[Vec<usize>]) -> Vec<(usize, usize)> {
-    let n = preds.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (v, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            succs[p].push(v);
-        }
-    }
-    for s in &mut succs {
-        s.sort_unstable();
-        s.dedup();
-    }
-    // 0 = unvisited, 1 = on stack, 2 = done.
-    let mut mark = vec![0u8; n];
-    let mut arcs = Vec::new();
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if mark[root] != 0 {
-            continue;
-        }
-        mark[root] = 1;
-        stack.push((root, 0));
-        while let Some(&mut (v, ref mut ix)) = stack.last_mut() {
-            if *ix < succs[v].len() {
-                let s = succs[v][*ix];
-                *ix += 1;
-                match mark[s] {
-                    0 => {
-                        mark[s] = 1;
-                        stack.push((s, 0));
-                    }
-                    1 => arcs.push((v, s)),
-                    _ => {}
-                }
-            } else {
-                mark[v] = 2;
-                stack.pop();
-            }
-        }
-    }
-    arcs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +114,7 @@ mod tests {
     #[test]
     fn levelizes_a_diamond() {
         // 0 -> 1, 0 -> 2, {1,2} -> 3
-        let preds = vec![vec![], vec![0], vec![0], vec![1, 2]];
+        let preds: [&[usize]; 4] = [&[], &[0], &[0], &[1, 2]];
         let l = levelize(&preds).unwrap();
         assert_eq!(l.order, vec![0, 1, 2, 3]);
         assert_eq!(l.level, vec![0, 1, 1, 2]);
@@ -158,11 +124,11 @@ mod tests {
     #[test]
     fn order_is_deterministic_and_respects_levels() {
         // Two independent chains interleaved in index space.
-        let preds = vec![vec![], vec![], vec![1], vec![0], vec![2, 3]];
+        let preds: [&[usize]; 5] = [&[], &[], &[1], &[0], &[2, 3]];
         let l = levelize(&preds).unwrap();
         assert_eq!(l.order, vec![0, 1, 2, 3, 4]);
         for (pos, &v) in l.order.iter().enumerate() {
-            for &p in &preds[v] {
+            for &p in preds[v] {
                 let ppos = l.order.iter().position(|&x| x == p).unwrap();
                 assert!(ppos < pos, "pred {p} after {v}");
             }
@@ -172,29 +138,10 @@ mod tests {
     #[test]
     fn detects_a_cycle() {
         // 1 -> 2 -> 3 -> 1, with 0 acyclic on the side.
-        let preds = vec![vec![], vec![3], vec![1], vec![2]];
+        let preds: [&[usize]; 4] = [&[], &[3], &[1], &[2]];
         let err = levelize(&preds).unwrap_err();
         assert_eq!(err.node, 1);
         assert!(err.to_string().contains("cycle"));
-    }
-
-    #[test]
-    fn feedback_arcs_break_cycles() {
-        let preds = vec![vec![], vec![3, 0], vec![1], vec![2]];
-        let arcs = feedback_arcs(&preds);
-        assert_eq!(arcs.len(), 1);
-        // Removing the reported arcs must leave an acyclic graph.
-        let mut cut = preds.clone();
-        for &(from, to) in &arcs {
-            cut[to].retain(|&p| p != from);
-        }
-        assert!(levelize(&cut).is_ok());
-    }
-
-    #[test]
-    fn acyclic_graph_has_no_feedback() {
-        let preds = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        assert!(feedback_arcs(&preds).is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod levelize;
 pub mod netlist;
 
 pub use kind::{Activity, BinOp, ComponentKind, PortSpec, UnOp};
-pub use levelize::{feedback_arcs, levelize, CycleError, Levelization};
+pub use levelize::{levelize, CycleError, Levelization};
 pub use netlist::{
     Channel, ChannelId, Component, ComponentId, Endpoint, Netlist, NetlistError, Partition,
 };

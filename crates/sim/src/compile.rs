@@ -36,6 +36,7 @@ use bmbe_gates::{CellKind, MappedGate};
 use bmbe_hsnet::levelize;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::circuit::{Circuit, DoneSpec, LaneSpec, Part};
 use crate::engine::{NodeId, PrimId, SlotId};
@@ -80,7 +81,7 @@ impl SimBackend {
 
 /// One instruction of a controller tape: opcode (the cell kind), up to
 /// four input slot indices, and the output slot.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeOp {
     /// The cell evaluated lane-parallel.
     pub cell: CellKind,
@@ -97,7 +98,7 @@ pub struct TapeOp {
 /// slots `inputs..inputs+num_state` load from the fed-back state word (the
 /// feedback arcs the settle loop iterates), constant-one slots are
 /// preset, and the ops write the rest in level order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControllerTape {
     /// Number of state bits (the feedback arcs).
     pub num_state: usize,
@@ -234,7 +235,7 @@ impl ControllerTape {
         // Validate gates and collect the dependency graph over subject
         // nodes (driven node <- its gate's inputs).
         let mut driver = vec![usize::MAX; num_nodes];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
+        let mut preds: Vec<&[usize]> = vec![&[]; num_nodes];
         for (gi, g) in gates.iter().enumerate() {
             if g.inputs.len() != g.cell.num_inputs() {
                 return Err(bad(format!(
@@ -254,7 +255,7 @@ impl ControllerTape {
                 return Err(bad(format!("node {} driven by two gates", g.output)));
             }
             driver[g.output] = gi;
-            preds[g.output] = g.inputs.clone();
+            preds[g.output] = &g.inputs;
         }
         for (&r, what) in out_roots
             .iter()
@@ -359,10 +360,11 @@ impl RunResult {
 
 /// A compiled circuit: a [`Circuit`] with its controller tapes and
 /// wire-to-watchers index, shared by any number of batched runs (compile
-/// once, run many batches).
+/// once, run many batches). The circuit itself is shared, so the event
+/// engine can run the same lowering.
 #[derive(Debug)]
 pub struct CompiledCircuit {
-    circuit: Circuit,
+    circuit: Arc<Circuit>,
     watchers: Vec<Vec<u32>>,
     tapes: Vec<ControllerTape>,
     max_tape_slots: usize,
@@ -377,7 +379,7 @@ impl CompiledCircuit {
     ///
     /// The first error `tape` returns.
     pub fn new<E>(
-        circuit: Circuit,
+        circuit: Arc<Circuit>,
         mut tape: impl FnMut(usize, usize, usize) -> Result<ControllerTape, E>,
     ) -> Result<CompiledCircuit, E> {
         let mut tapes = Vec::new();
@@ -1217,8 +1219,8 @@ mod tests {
     }
 
     /// A circuit of `wires` wires and these parts, the driver first.
-    fn circuit(wires: usize, parts: Vec<Part>) -> Circuit {
-        Circuit {
+    fn circuit(wires: usize, parts: Vec<Part>) -> Arc<Circuit> {
+        Arc::new(Circuit {
             wire_names: (0..wires).map(|i| format!("w{i}")).collect(),
             num_slots: 0,
             parts,
@@ -1227,7 +1229,7 @@ mod tests {
             consumers: Vec::new(),
             syncs: Vec::new(),
             memories: Vec::new(),
-        }
+        })
     }
 
     fn gate(cell: CellKind, inputs: &[usize], output: usize) -> MappedGate {
