@@ -4,9 +4,9 @@
 //! Two gate policies, chosen per metric:
 //!
 //! - **Exact** — structural counts (controllers, cache hits/misses, shape
-//!   counts, event counts, lane counts). These are deterministic functions
-//!   of the design set, so *any* drift is a real behavioural change and
-//!   fails the gate.
+//!   counts, event counts, lane counts, the states each §4.3 verification
+//!   path explores). These are deterministic functions of the design set,
+//!   so *any* drift is a real behavioural change and fails the gate.
 //! - **Ratio** — timing ratios (`speedup`, `auto_speedup_vs_exact`,
 //!   `compiled_vs_event`). Wall-clock ratios move with host load, so the
 //!   gate only fires on a collapse: the fresh value may not fall below
@@ -37,8 +37,8 @@ pub enum Policy {
 /// One gated metric: where to find it and how to judge it.
 #[derive(Debug, Clone, Copy)]
 pub struct Spec {
-    /// The top-level JSON array the per-design blocks live in
-    /// (`"designs"` or `"backends"`).
+    /// The top-level JSON array the blocks live in (`"designs"`,
+    /// `"backends"` or `"verification"`).
     pub section: &'static str,
     /// The field name inside each design block (matched as `"field":`, so
     /// `speedup` does not collide with `auto_speedup_vs_exact`).
@@ -63,14 +63,17 @@ pub const SIM_SPECS: &[Spec] = &[
     Spec { section: "backends", field: "lanes", policy: Policy::Exact },
     Spec { section: "backends", field: "events", policy: Policy::Exact },
     Spec { section: "backends", field: "compiled_vs_event", policy: Policy::Ratio },
+    Spec { section: "verification", field: "otf_states", policy: Policy::Exact },
+    Spec { section: "verification", field: "materialized_states", policy: Policy::Exact },
 ];
 
 /// One gate violation: the metric, both values, and why it failed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Breach {
-    /// The section the metric came from (`designs` / `backends`).
+    /// The section the metric came from (`designs` / `backends` /
+    /// `verification`).
     pub section: String,
-    /// The design the block belongs to.
+    /// The design (or verification obligation) the block belongs to.
     pub design: String,
     /// The metric field name.
     pub metric: String,
@@ -229,11 +232,15 @@ fn number_field(block: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Pulls the design name out of one block.
+/// Pulls the block's name out of one block: its `"design"`, or for a
+/// verification row its `"obligation"`.
 fn design_name(block: &str) -> Option<&str> {
-    let needle = "\"design\": \"";
-    let at = block.find(needle)? + needle.len();
-    block[at..].find('"').map(|end| &block[at..at + end])
+    ["\"design\": \"", "\"obligation\": \""]
+        .iter()
+        .find_map(|needle| {
+            let at = block.find(needle)? + needle.len();
+            block[at..].find('"').map(|end| &block[at..at + end])
+        })
 }
 
 /// Compares one fresh report against its baseline under `specs`. Iterates
@@ -414,5 +421,37 @@ mod tests {
         let outcome = compare(sim, &drifted, SIM_SPECS);
         assert_eq!(outcome.breaches.len(), 1);
         assert_eq!(outcome.breaches[0].section, "backends");
+    }
+
+    #[test]
+    fn verification_rows_gate_state_counts_exactly() {
+        let sim = r#"{
+  "designs": [
+    {"design": "A", "events": 60}
+  ],
+  "verification": [
+    {"obligation": "p+q", "otf_states": 123, "materialized_states": 168, "verdicts_agree": true},
+    {"obligation": "r+s", "otf_states": 66, "materialized_states": 92, "verdicts_agree": true}
+  ]
+}"#;
+        let outcome = compare(sim, sim, SIM_SPECS);
+        assert!(outcome.pass(), "breaches: {:?}", outcome.breaches);
+        // One designs-section count plus two counts per obligation.
+        assert_eq!(outcome.checked, 5);
+        let bumped = sim.replace("\"otf_states\": 66", "\"otf_states\": 67");
+        let outcome = compare(sim, &bumped, SIM_SPECS);
+        assert_eq!(outcome.breaches.len(), 1);
+        let b = &outcome.breaches[0];
+        assert_eq!(
+            (b.section.as_str(), b.design.as_str(), b.metric.as_str()),
+            ("verification", "r+s", "otf_states")
+        );
+        assert_eq!(
+            (b.baseline, b.current, b.policy),
+            (Some(66.0), Some(67.0), Policy::Exact)
+        );
+        // A lost obligation is a breach of both its counts.
+        let lost = sim.replace("\"obligation\": \"p+q\"", "\"obligation\": \"p+z\"");
+        assert_eq!(compare(sim, &lost, SIM_SPECS).breaches.len(), 2);
     }
 }

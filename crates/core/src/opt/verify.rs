@@ -269,13 +269,10 @@ fn verify_traces_otf(
         });
     }
     bmbe_obs::trace_counter!("verify.states", states as u64);
-    let (direction, outcome) = if fwd.ok {
-        (
-            MismatchDirection::OptimizedVsOriginal,
-            bwd.expect("fwd ok, so bwd ran"),
-        )
-    } else {
-        (MismatchDirection::OriginalVsOptimized, fwd)
+    // The backward search ran exactly when the forward one held.
+    let (direction, outcome) = match bwd {
+        Some(b) => (MismatchDirection::OptimizedVsOriginal, b),
+        None => (MismatchDirection::OriginalVsOptimized, fwd),
     };
     Ok((
         AcrVerdict::NotEquivalent {

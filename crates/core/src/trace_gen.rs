@@ -22,6 +22,12 @@ pub enum TraceGenError {
         /// The label id.
         label: usize,
     },
+    /// One wire is both received and driven by the program, so it has no
+    /// single direction as a symbol.
+    DirectionConflict {
+        /// The wire's name.
+        wire: String,
+    },
 }
 
 impl std::fmt::Display for TraceGenError {
@@ -29,6 +35,9 @@ impl std::fmt::Display for TraceGenError {
         match self {
             TraceGenError::Expand(e) => write!(f, "expansion failed: {e}"),
             TraceGenError::UndefinedLabel { label } => write!(f, "undefined label L{label}"),
+            TraceGenError::DirectionConflict { wire } => {
+                write!(f, "wire {wire} is both an input and an output")
+            }
         }
     }
 }
@@ -44,23 +53,27 @@ impl From<ExpandError> for TraceGenError {
 /// Builds the trace structure of a CH program. Input transitions become
 /// `Dir::Input` symbols (wire names), output transitions `Dir::Output`.
 ///
+/// The walk records symbols, states and edges first and lays the
+/// structure out at the end — symbols, then states, then edges — so its
+/// transition table is allocated row by row and never re-strided.
+///
 /// # Errors
 ///
 /// See [`TraceGenError`].
 pub fn trace_of(expr: &ChExpr) -> Result<TraceStructure, TraceGenError> {
     let linear = expand_linear(expr)?;
     let mut b = TraceBuilder {
-        ts: TraceStructure::new(),
         wires: &linear.wires,
         symbol_of: vec![None; linear.wires.len()],
+        symbols: Vec::new(),
+        states: 1,
+        edges: Vec::new(),
         labels: vec![LabelBinding::Unbound; linear.labels],
         pending_gotos: Vec::new(),
         tails: Tails::default(),
     };
-    let start = b.ts.initial();
-    b.walk(Stream::new(&linear.items), Some(start))?;
-    b.resolve()?;
-    Ok(b.ts)
+    b.walk(Stream::new(&linear.items), Some(0))?;
+    b.resolve()
 }
 
 #[derive(Clone, Copy)]
@@ -71,29 +84,44 @@ enum LabelBinding<'a> {
 }
 
 struct TraceBuilder<'a> {
-    ts: TraceStructure,
     wires: &'a [String],
     /// The symbol of each wire the walk has met.
     symbol_of: Vec<Option<usize>>,
+    /// `(wire, direction)` of each symbol, in first-met order (the symbol
+    /// order of the built structure).
+    symbols: Vec<(usize, Dir)>,
+    /// States created so far; state 0 is the initial state.
+    states: usize,
+    /// `(from, symbol, to)` transitions, in walk order (a later edge on
+    /// the same state and symbol replaces an earlier one).
+    edges: Vec<(usize, usize, usize)>,
     /// Indexed by label.
     labels: Vec<LabelBinding<'a>>,
-    /// `(from_state, symbol, label)` edges awaiting label resolution —
-    /// `symbol == usize::MAX` marks a pure aliasing request handled by
-    /// binding the label to `from_state` itself.
-    pending_gotos: Vec<(usize, usize, usize)>,
+    /// `(state, label)` aliasing requests awaiting label resolution: the
+    /// state continues at the label's state.
+    pending_gotos: Vec<(usize, usize)>,
     tails: Tails<'a>,
 }
 
 impl<'a> TraceBuilder<'a> {
-    fn symbol(&mut self, wire: usize, dir: Dir) -> usize {
+    fn symbol(&mut self, wire: usize, dir: Dir) -> Result<usize, TraceGenError> {
         match self.symbol_of[wire] {
-            Some(sym) if self.ts.symbols()[sym].1 == dir => sym,
-            _ => {
-                let sym = self.ts.add_symbol(self.wires[wire].clone(), dir);
+            Some(sym) if self.symbols[sym].1 == dir => Ok(sym),
+            Some(_) => Err(TraceGenError::DirectionConflict {
+                wire: self.wires[wire].clone(),
+            }),
+            None => {
+                let sym = self.symbols.len();
+                self.symbols.push((wire, dir));
                 self.symbol_of[wire] = Some(sym);
-                sym
+                Ok(sym)
             }
         }
+    }
+
+    fn add_state(&mut self) -> usize {
+        self.states += 1;
+        self.states - 1
     }
 
     fn walk(
@@ -109,12 +137,12 @@ impl<'a> TraceBuilder<'a> {
                     } else {
                         Dir::Output
                     };
-                    let sym = self.symbol(t.wire, dir);
+                    let sym = self.symbol(t.wire, dir)?;
                     if let Some(s) = cur {
                         // Peek: if the very next meaningful item is a goto at
                         // this point we still need a state; always create one.
-                        let next = self.ts.add_state();
-                        self.ts.add_transition(s, sym, next);
+                        let next = self.add_state();
+                        self.edges.push((s, sym, next));
                         cur = Some(next);
                     }
                 }
@@ -124,10 +152,9 @@ impl<'a> TraceBuilder<'a> {
                         self.labels[*l] = LabelBinding::Continuation(stream);
                     }
                     // Re-encountered label while live: alias the live state
-                    // with the label's via an identity note (pending with
-                    // MAX symbol) instead of re-walking.
+                    // with the label's instead of re-walking.
                     (LabelBinding::State(t), Some(s)) if s != t => {
-                        self.pending_gotos.push((s, usize::MAX, *l));
+                        self.pending_gotos.push((s, *l));
                     }
                     _ => {}
                 },
@@ -136,7 +163,7 @@ impl<'a> TraceBuilder<'a> {
                         // The state `s` *is* the label's state: since trace
                         // edges are per-transition, a goto simply continues
                         // at the label. Record for later merging.
-                        self.pending_gotos.push((s, usize::MAX, *l));
+                        self.pending_gotos.push((s, *l));
                     }
                 }
                 Item::Choice(arms) => {
@@ -159,45 +186,60 @@ impl<'a> TraceBuilder<'a> {
         }
     }
 
-    /// Resolves label continuations and merges goto sources with label
-    /// states by copying outgoing edges (trace automata tolerate the
-    /// duplication; conformance checking is insensitive to it).
-    fn resolve(&mut self) -> Result<(), TraceGenError> {
+    /// Resolves label continuations, lays the structure out, and merges
+    /// goto sources with label states by copying outgoing edges (trace
+    /// automata tolerate the duplication; conformance checking is
+    /// insensitive to it).
+    fn resolve(mut self) -> Result<TraceStructure, TraceGenError> {
         // First force every referenced label to have a state, in the order
         // of their first pending goto; gotos before the last one resolved
         // never need another look.
         let mut scan = 0;
         while let Some(offset) = self.pending_gotos[scan..]
             .iter()
-            .position(|&(_, _, l)| self.label_state(l).is_none())
+            .position(|&(_, l)| self.label_state(l).is_none())
         {
             scan += offset;
-            let l = self.pending_gotos[scan].2;
+            let l = self.pending_gotos[scan].1;
             let LabelBinding::Continuation(rest) = self.labels[l] else {
                 return Err(TraceGenError::UndefinedLabel { label: l });
             };
-            let s = self.ts.add_state();
+            let s = self.add_state();
             self.labels[l] = LabelBinding::State(s);
             self.walk(rest, Some(s))?;
+        }
+        let pairs: Vec<(usize, usize)> = self
+            .pending_gotos
+            .iter()
+            .map(|&(s, l)| {
+                self.label_state(l)
+                    .map(|t| (s, t))
+                    .ok_or(TraceGenError::UndefinedLabel { label: l })
+            })
+            .collect::<Result<_, _>>()?;
+        let mut ts = TraceStructure::new();
+        for &(wire, dir) in &self.symbols {
+            ts.add_symbol(self.wires[wire].clone(), dir);
+        }
+        for _ in 1..self.states {
+            ts.add_state();
+        }
+        for &(from, sym, to) in &self.edges {
+            ts.add_transition(from, sym, to);
         }
         // Merge each goto source with its label state: copy the label
         // state's outgoing edges onto the source, iterating to a fixpoint so
         // chains of gotos settle.
-        let pairs: Vec<(usize, usize)> = self
-            .pending_gotos
-            .iter()
-            .map(|&(s, _, l)| (s, self.label_state(l).expect("resolved above")))
-            .collect();
         loop {
-            let before = self.ts.num_transitions();
+            let before = ts.num_transitions();
             for &(s, t) in &pairs {
-                self.ts.copy_outgoing(t, s);
+                ts.copy_outgoing(t, s);
             }
-            if self.ts.num_transitions() == before {
+            if ts.num_transitions() == before {
                 break;
             }
         }
-        Ok(())
+        Ok(ts)
     }
 }
 
@@ -257,6 +299,25 @@ mod tests {
         assert_eq!(sym("p_a"), bmbe_trace::Dir::Output);
         assert_eq!(sym("x_r"), bmbe_trace::Dir::Output);
         assert_eq!(sym("x_a"), bmbe_trace::Dir::Input);
+    }
+
+    /// A wire both received and driven is a typed error, the one
+    /// `compile_to_bm` reports for the same program, not a panic.
+    #[test]
+    fn a_wire_with_both_directions_is_a_typed_error() -> Result<(), &'static str> {
+        let src = "(rep (seq (p-to-p passive a) (p-to-p active a)))";
+        let e = crate::parse::parse_ch(src).map_err(|_| "the program parses")?;
+        assert!(matches!(
+            crate::compile::compile_to_bm("conflict", &e),
+            Err(crate::compile::CompileError::DirectionConflict { signal }) if signal == "a_r"
+        ));
+        assert_eq!(
+            trace_of(&e).err(),
+            Some(TraceGenError::DirectionConflict {
+                wire: "a_r".to_string()
+            })
+        );
+        Ok(())
     }
 
     #[test]

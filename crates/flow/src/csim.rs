@@ -48,8 +48,10 @@ pub struct CompiledSim {
 /// Compiles a design (controllers, datapath, environment) into a
 /// [`CompiledSim`]. `input_ports` names the ports the scenarios script as
 /// inputs — the compiled circuit fixes port directions up front, so every
-/// scenario of every batch run on this circuit must script exactly these
-/// ports (enforced by [`CompiledSim::run_batch`]).
+/// scenario of every batch run on this circuit must script every port the
+/// circuit takes as an input and none it takes as an output (enforced by
+/// [`CompiledSim::run_batch`]); a script for any other port, such as one
+/// the design lacks, is ignored, as the event engine ignores it.
 ///
 /// `flow` must be the flow built from `design`: the circuit comes from
 /// `flow`'s lowering memo, shared with [`simulate`] over the same ports.
@@ -153,9 +155,12 @@ impl CompiledSim {
     /// # Errors
     ///
     /// [`SimBuildError::BatchShape`] if the batch is empty, exceeds
-    /// [`LANES`], or a scenario scripts a port set different from the one
-    /// the circuit was compiled for; [`SimBuildError::UnknownPort`] if a
-    /// done condition names an unknown port.
+    /// [`LANES`], or a scenario leaves out a port the circuit was compiled
+    /// to take as an input or scripts one it was compiled to take as an
+    /// output (a script for any other port, such as one the design lacks,
+    /// is ignored, as the event engine ignores it);
+    /// [`SimBuildError::UnknownPort`] if a done condition names an unknown
+    /// port.
     pub fn run_batch<S: Borrow<Scenario>>(
         &self,
         scenarios: &[S],
@@ -170,13 +175,15 @@ impl CompiledSim {
         let mut lanes = Vec::with_capacity(scenarios.len());
         for s in scenarios {
             let s = s.borrow();
-            for port in s.input_values.keys() {
-                if !circuit.providers.iter().any(|(name, _)| name == port) {
-                    return Err(SimBuildError::BatchShape(format!(
-                        "scenario scripts port {port}, but the circuit was compiled without it \
-                         as an input"
-                    )));
-                }
+            if let Some(port) = s
+                .input_values
+                .keys()
+                .find(|port| circuit.consumers.iter().any(|(name, _)| name == *port))
+            {
+                return Err(SimBuildError::BatchShape(format!(
+                    "scenario scripts port {port}, but the circuit was compiled with it as an \
+                     output"
+                )));
             }
             if let Some((port, _)) = circuit
                 .providers

@@ -160,8 +160,9 @@ pub enum SimBuildError {
         detail: String,
     },
     /// A scenario batch is malformed for the compiled backend: empty, wider
-    /// than a lane word, or a scenario scripting a port set other than the
-    /// one the circuit was compiled for.
+    /// than a lane word, or a scenario leaving out a port the circuit was
+    /// compiled to take as an input or scripting one it was compiled to
+    /// take as an output.
     BatchShape(String),
 }
 

@@ -4,10 +4,11 @@
 //! all four paper designs, on a generated-corpus slice, on randomized
 //! scenario batches, on partial batches narrower than a lane word, and
 //! bit-identically at any worker thread count — each lane of a full batch
-//! must equal its own one-lane batch, a batch must script exactly the
-//! compiled port set, a scenario set mixing port sets must run one circuit
-//! per port set, and the one lowering both engines run must not depend on
-//! hash-map order. Every controller tape of the paper designs and the
+//! must equal its own one-lane batch, a batch must script every port the
+//! circuit takes as an input and none it takes as an output, a script for
+//! a port the design lacks must be ignored on every backend, a scenario
+//! set mixing port sets must run one circuit per port set, and the one
+//! lowering both engines run must not depend on hash-map order. Every controller tape of the paper designs and the
 //! corpus slice must equal the tape built over the reference levelization.
 
 #[path = "../../hsnet/tests/support/levelize_ref.rs"]
@@ -332,6 +333,43 @@ fn mixed_port_sets_match_the_event_engine() {
                 e.outputs
             );
         }
+    }
+}
+
+/// A script for a port the design does not have is ignored on every
+/// backend, as the event engine's binding ignores it: a set pairing the
+/// base scenario with a copy that also scripts such a port completes both
+/// scenarios on all three backends, all with the same behaviour.
+#[test]
+fn a_script_for_a_port_the_design_lacks_is_ignored_on_every_backend() {
+    let (wag, flow, base) = wagging();
+    let mut extra = base.clone();
+    extra
+        .input_values
+        .insert("no_such_port".to_string(), vec![1, 2, 3]);
+    let scenarios = [base, extra];
+    let delays = Delays::default();
+    let mut outcomes = Vec::new();
+    for backend in [SimBackend::Event, SimBackend::Compiled, SimBackend::Auto] {
+        let run = simulate_scenarios(&wag.compiled, &flow, &scenarios, &delays, backend, 2, None);
+        assert_eq!(run.len(), 2, "{backend:?}");
+        for (i, o) in run.into_iter().enumerate() {
+            let o = o.unwrap_or_else(|err| panic!("{backend:?} scenario {i}: {err}"));
+            assert!(o.completed, "{backend:?} scenario {i} incomplete");
+            outcomes.push((backend, i, o));
+        }
+    }
+    for (a, b) in outcomes.iter().zip(outcomes.iter().skip(1)) {
+        assert!(
+            a.2.same_behaviour(&b.2),
+            "{:?} scenario {} vs {:?} scenario {}:\n{:?}\n{:?}",
+            a.0,
+            a.1,
+            b.0,
+            b.1,
+            a.2.outputs,
+            b.2.outputs
+        );
     }
 }
 

@@ -6,9 +6,23 @@
 //! implicit failure state: an input symbol with no defined transition leads
 //! to failure (the module "chokes"); an output symbol with no defined
 //! transition simply cannot be produced.
+//!
+//! Storage is integer-indexed throughout. A structure keeps one dense
+//! row-major transition table (a row of targets per state, one column per
+//! symbol, a sentinel where undefined). The on-the-fly searches map each
+//! side's symbols to composite indices once per search and intern product
+//! states as packed `u64` pairs; the lazy hidden composition keeps its
+//! subset states as sorted pair vectors with a dense
+//! (subset × visible symbol) memo. Those two tables hash with a
+//! multiply-rotate hasher over machine words; symbol names, which come
+//! from outside the program, keep the standard library's hasher.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Transition-table entry of an undefined transition.
+const NO_EDGE: u32 = u32::MAX;
 
 /// Direction of a symbol relative to the module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,13 +41,6 @@ impl Dir {
             Dir::Output => Dir::Input,
         }
     }
-}
-
-/// Result of taking a symbol from a state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    To(usize),
-    Failure,
 }
 
 /// Errors raised by trace-structure operations.
@@ -78,6 +85,63 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// A multiply-rotate hasher over machine words, for the integer keys the
+/// searches build themselves (packed state pairs, sorted subset members):
+/// one add and one multiply per word, and a final rotation that brings the
+/// well-mixed high bits down to the bucket index. It offers no defence
+/// against chosen collisions, so keys from outside the program keep the
+/// standard library's hasher.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = self.0.wrapping_add(w).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Builds [`WordHasher`]s.
+type WordHash = BuildHasherDefault<WordHasher>;
+
+/// Packs a product state pair into one search key.
+fn pack(a: usize, b: usize) -> u64 {
+    (a as u64) << 32 | b as u64
+}
+
+/// The pair [`pack`] packed.
+fn unpack(p: u64) -> (usize, usize) {
+    ((p >> 32) as usize, (p & 0xffff_ffff) as usize)
+}
+
 /// A receptive trace structure.
 ///
 /// # Examples
@@ -103,7 +167,13 @@ pub struct TraceStructure {
     by_name: HashMap<String, usize>,
     num_states: usize,
     initial: usize,
-    delta: HashMap<(usize, usize), usize>,
+    /// Row-major transition table: state `s`'s target on symbol `x` is
+    /// `delta[s * symbols.len() + x]`, [`NO_EDGE`] where undefined. Adding
+    /// a symbol once states exist re-strides every row, so builders add
+    /// their symbols first.
+    delta: Vec<u32>,
+    /// Defined entries of `delta`.
+    transitions: usize,
 }
 
 impl Default for TraceStructure {
@@ -120,7 +190,8 @@ impl TraceStructure {
             by_name: HashMap::new(),
             num_states: 1,
             initial: 0,
-            delta: HashMap::new(),
+            delta: Vec::new(),
+            transitions: 0,
         }
     }
 
@@ -141,11 +212,30 @@ impl TraceStructure {
         let i = self.symbols.len();
         self.by_name.insert(name.clone(), i);
         self.symbols.push((name, dir));
+        // Re-stride in place, last row first: each row of `i` entries
+        // moves to its new start and gains an undefined entry for the new
+        // symbol.
+        let width = i + 1;
+        self.delta.resize(self.num_states * width, NO_EDGE);
+        for s in (0..self.num_states).rev() {
+            self.delta.copy_within(s * i..s * i + i, s * width);
+            self.delta[s * width + i] = NO_EDGE;
+        }
         i
     }
 
     /// Adds a fresh state; returns its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` states, the transition table's limit.
     pub fn add_state(&mut self) -> usize {
+        assert!(
+            self.num_states < NO_EDGE as usize,
+            "trace structure state limit"
+        );
+        self.delta
+            .resize(self.delta.len() + self.symbols.len(), NO_EDGE);
         self.num_states += 1;
         self.num_states - 1
     }
@@ -156,10 +246,15 @@ impl TraceStructure {
         self.initial = s;
     }
 
-    /// Defines the transition `from --symbol--> to`.
+    /// Defines the transition `from --symbol--> to`, replacing any earlier
+    /// transition of `from` on `symbol`.
     pub fn add_transition(&mut self, from: usize, symbol: usize, to: usize) {
         assert!(from < self.num_states && to < self.num_states && symbol < self.symbols.len());
-        self.delta.insert((from, symbol), to);
+        let slot = &mut self.delta[from * self.symbols.len() + symbol];
+        if *slot == NO_EDGE {
+            self.transitions += 1;
+        }
+        *slot = to as u32;
     }
 
     /// The alphabet as `(name, direction)` pairs.
@@ -184,7 +279,17 @@ impl TraceStructure {
 
     /// Number of defined transitions.
     pub fn num_transitions(&self) -> usize {
-        self.delta.len()
+        self.transitions
+    }
+
+    /// The target of `state`'s transition on `symbol`, if defined (`None`
+    /// also for a state or symbol out of range).
+    pub fn transition(&self, state: usize, symbol: usize) -> Option<usize> {
+        if state < self.num_states && symbol < self.symbols.len() {
+            self.edge(state, symbol)
+        } else {
+            None
+        }
     }
 
     /// Copies every outgoing transition of `from_state` onto `onto`
@@ -192,22 +297,22 @@ impl TraceStructure {
     /// automata from linear expansions). Existing transitions of `onto`
     /// are kept.
     pub fn copy_outgoing(&mut self, from_state: usize, onto: usize) {
-        let copies: Vec<(usize, usize)> = self
-            .delta
-            .iter()
-            .filter(|((s, _), _)| *s == from_state)
-            .map(|((_, sym), t)| (*sym, *t))
-            .collect();
-        for (sym, t) in copies {
-            self.delta.entry((onto, sym)).or_insert(t);
+        assert!(from_state < self.num_states && onto < self.num_states);
+        let n = self.symbols.len();
+        for sym in 0..n {
+            let t = self.delta[from_state * n + sym];
+            let slot = &mut self.delta[onto * n + sym];
+            if t != NO_EDGE && *slot == NO_EDGE {
+                *slot = t;
+                self.transitions += 1;
+            }
         }
     }
 
-    fn step(&self, state: usize, symbol: usize) -> Step {
-        match self.delta.get(&(state, symbol)) {
-            Some(&s) => Step::To(s),
-            None => Step::Failure,
-        }
+    /// The transition table entry of `state` on `symbol`.
+    fn edge(&self, state: usize, symbol: usize) -> Option<usize> {
+        let t = self.delta[state * self.symbols.len() + symbol];
+        (t != NO_EDGE).then_some(t as usize)
     }
 
     /// Whether the symbol can occur at the state: inputs always can
@@ -215,7 +320,7 @@ impl TraceStructure {
     fn possible(&self, state: usize, symbol: usize) -> bool {
         match self.symbols[symbol].1 {
             Dir::Input => true,
-            Dir::Output => self.delta.contains_key(&(state, symbol)),
+            Dir::Output => self.edge(state, symbol).is_some(),
         }
     }
 
@@ -239,9 +344,9 @@ impl TraceStructure {
             if !self.possible(state, sym) {
                 return Ok(false);
             }
-            match self.step(state, sym) {
-                Step::To(s) => state = s,
-                Step::Failure => return Ok(false),
+            match self.edge(state, sym) {
+                Some(s) => state = s,
+                None => return Ok(false),
             }
         }
         Ok(true)
@@ -268,16 +373,12 @@ impl TraceStructure {
     /// Returns [`TraceError::OutputConflict`] when both modules drive the
     /// same symbol.
     pub fn compose(&self, other: &TraceStructure) -> Result<Composite, TraceError> {
-        let MergedAlphabet {
-            names,
-            dirs,
-            in_a,
-            in_b,
-        } = merge_alphabets(&self.symbols, &other.symbols)?;
+        let (lhs, rhs) = (ConcreteView::of(self), ConcreteView::of(other));
+        let syms = merge(&lhs, &rhs)?;
         // Explore the product.
         let mut result = TraceStructure::new();
-        for (n, d) in names.iter().zip(&dirs) {
-            result.add_symbol(n.clone(), *d);
+        for c in &syms {
+            result.add_symbol(c.name(&lhs, &rhs), c.dir);
         }
         let mut failure_reachable = false;
         let mut index: HashMap<(usize, usize), usize> = HashMap::new();
@@ -285,20 +386,14 @@ impl TraceStructure {
         let mut queue = vec![(self.initial, other.initial)];
         while let Some((sa, sb)) = queue.pop() {
             let from = index[&(sa, sb)];
-            for sym in 0..names.len() {
-                let a_sym = in_a[sym];
-                let b_sym = in_b[sym];
+            for (sym, c) in syms.iter().enumerate() {
                 // Can this symbol occur here?
-                let producible = match dirs[sym] {
+                let producible = match c.dir {
                     Dir::Input => true,
                     Dir::Output => {
                         // Some party must be able to output it.
-                        let a_out = a_sym.is_some_and(|s| {
-                            self.symbols[s].1 == Dir::Output && self.possible(sa, s)
-                        });
-                        let b_out = b_sym.is_some_and(|s| {
-                            other.symbols[s].1 == Dir::Output && other.possible(sb, s)
-                        });
+                        let a_out = c.a().is_some_and(|s| c.a_out && self.possible(sa, s));
+                        let b_out = c.b().is_some_and(|s| c.b_out && other.possible(sb, s));
                         a_out || b_out
                     }
                 };
@@ -306,20 +401,8 @@ impl TraceStructure {
                     continue;
                 }
                 // Both participants step; a choked receiver is a failure.
-                let na = match a_sym {
-                    Some(s) => match self.step(sa, s) {
-                        Step::To(t) => Some(t),
-                        Step::Failure => None,
-                    },
-                    None => Some(sa),
-                };
-                let nb = match b_sym {
-                    Some(s) => match other.step(sb, s) {
-                        Step::To(t) => Some(t),
-                        Step::Failure => None,
-                    },
-                    None => Some(sb),
-                };
+                let na = c.a().map_or(Some(sa), |s| self.edge(sa, s));
+                let nb = c.b().map_or(Some(sb), |s| other.edge(sb, s));
                 match (na, nb) {
                     (Some(na), Some(nb)) => {
                         let next = *index.entry((na, nb)).or_insert_with(|| {
@@ -337,7 +420,7 @@ impl TraceStructure {
                         // step can undo; record it in the flag (this is the
                         // exact condition the mirror-based conformance check
                         // needs, where every symbol is an output).
-                        if dirs[sym] == Dir::Output {
+                        if c.dir == Dir::Output {
                             failure_reachable = true;
                         }
                     }
@@ -380,7 +463,7 @@ impl TraceStructure {
             let mut stack: Vec<usize> = set.iter().copied().collect();
             while let Some(s) = stack.pop() {
                 for &h in &hide_set {
-                    if let Some(&t) = self.delta.get(&(s, h)) {
+                    if let Some(t) = self.edge(s, h) {
                         if set.insert(t) {
                             stack.push(t);
                         }
@@ -411,11 +494,11 @@ impl TraceStructure {
                 for &s in &set {
                     if self.possible(s, sym) {
                         any_possible = true;
-                        match self.step(s, sym) {
-                            Step::To(t) => {
+                        match self.edge(s, sym) {
+                            Some(t) => {
                                 next.insert(t);
                             }
-                            Step::Failure => fails = true,
+                            None => fails = true,
                         }
                     }
                 }
@@ -440,6 +523,26 @@ impl TraceStructure {
         Ok(out)
     }
 
+    /// Errs with [`TraceError::AlphabetMismatch`] unless `other` has the
+    /// same `(name, direction)` pairs. Names are unique on both sides, so
+    /// that is equal sizes plus every symbol of `other` found here with
+    /// its direction.
+    fn check_alphabet(&self, other: &TraceStructure) -> Result<(), TraceError> {
+        let same = self.symbols.len() == other.symbols.len()
+            && other.symbols.iter().all(|(name, dir)| {
+                self.symbol_index(name)
+                    .is_some_and(|i| self.symbols[i].1 == *dir)
+            });
+        if same {
+            Ok(())
+        } else {
+            Err(alphabet_mismatch(
+                self.symbols.clone(),
+                other.symbols.clone(),
+            ))
+        }
+    }
+
     /// Conformance check `self ≤ spec` (Dill): the implementation can
     /// replace the specification in every environment. Decided by composing
     /// `self` with `mirror(spec)` and searching for a reachable failure.
@@ -448,15 +551,7 @@ impl TraceStructure {
     ///
     /// Returns [`TraceError::AlphabetMismatch`] if alphabets differ.
     pub fn conforms_to(&self, spec: &TraceStructure) -> Result<bool, TraceError> {
-        let mut a: Vec<(String, Dir)> = self.symbols.clone();
-        let mut b: Vec<(String, Dir)> = spec.symbols.clone();
-        a.sort();
-        b.sort();
-        if a != b {
-            return Err(TraceError::AlphabetMismatch {
-                detail: format!("{a:?} vs {b:?}"),
-            });
-        }
+        self.check_alphabet(spec)?;
         let composite = self.compose(&spec.mirror())?;
         Ok(!composite.failure_reachable)
     }
@@ -484,19 +579,8 @@ impl TraceStructure {
     ///
     /// Returns [`TraceError::AlphabetMismatch`] if alphabets differ.
     pub fn conforms_to_otf(&self, spec: &TraceStructure) -> Result<OtfOutcome, TraceError> {
-        let mut a: Vec<(String, Dir)> = self.symbols.clone();
-        let mut b: Vec<(String, Dir)> = spec.symbols.clone();
-        a.sort();
-        b.sort();
-        if a != b {
-            return Err(TraceError::AlphabetMismatch {
-                detail: format!("{a:?} vs {b:?}"),
-            });
-        }
-        let mut lhs = ConcreteView {
-            t: self,
-            flip: false,
-        };
+        self.check_alphabet(spec)?;
+        let mut lhs = ConcreteView::of(self);
         let mut rhs = ConcreteView {
             t: spec,
             flip: true,
@@ -515,15 +599,19 @@ impl TraceStructure {
     /// Returns [`TraceError::OutputConflict`] when both modules drive the
     /// same symbol.
     pub fn failure_search(&self, other: &TraceStructure) -> Result<OtfOutcome, TraceError> {
-        let mut lhs = ConcreteView {
-            t: self,
-            flip: false,
-        };
-        let mut rhs = ConcreteView {
-            t: other,
-            flip: false,
-        };
+        let mut lhs = ConcreteView::of(self);
+        let mut rhs = ConcreteView::of(other);
         search_failure(&mut lhs, &mut rhs)
+    }
+}
+
+/// The [`TraceError::AlphabetMismatch`] of two alphabets, each listed
+/// sorted.
+fn alphabet_mismatch(mut a: Vec<(String, Dir)>, mut b: Vec<(String, Dir)>) -> TraceError {
+    a.sort();
+    b.sort();
+    TraceError::AlphabetMismatch {
+        detail: format!("{a:?} vs {b:?}"),
     }
 }
 
@@ -547,79 +635,117 @@ pub struct OtfOutcome {
     pub counterexample: Option<Vec<String>>,
 }
 
-/// The merged alphabet of a composition: composite name/direction tables
-/// plus each side's symbol index for every composite symbol.
-struct MergedAlphabet {
-    names: Vec<String>,
-    dirs: Vec<Dir>,
-    in_a: Vec<Option<usize>>,
-    in_b: Vec<Option<usize>>,
+/// Which side of a composition a composite symbol comes from, with its
+/// index there.
+#[derive(Debug, Clone, Copy)]
+enum Sides {
+    A(usize),
+    B(usize),
+    Both(usize, usize),
 }
 
-/// Merges two alphabets under Dill composition rules: shared symbols
-/// synchronize, an output met by an input stays an output of the composite,
-/// two outputs conflict.
-fn merge_alphabets(
-    a: &[(String, Dir)],
-    b: &[(String, Dir)],
-) -> Result<MergedAlphabet, TraceError> {
-    let mut names: Vec<String> = Vec::new();
-    let mut dirs: Vec<Dir> = Vec::new();
-    let mut in_a: Vec<Option<usize>> = Vec::new();
-    let mut in_b: Vec<Option<usize>> = Vec::new();
-    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    for (ai, (name, dir)) in a.iter().enumerate() {
-        let i = names.len();
-        seen.insert(name.clone(), i);
-        names.push(name.clone());
-        dirs.push(*dir);
-        in_a.push(Some(ai));
-        in_b.push(None);
-    }
-    for (bi, (name, dir)) in b.iter().enumerate() {
-        match seen.get(name) {
-            Some(&i) => {
-                in_b[i] = Some(bi);
-                match (dirs[i], dir) {
-                    (Dir::Output, Dir::Output) => {
-                        return Err(TraceError::OutputConflict {
-                            symbol: name.clone(),
-                        })
-                    }
-                    (Dir::Output, Dir::Input) | (Dir::Input, Dir::Output) => dirs[i] = Dir::Output,
-                    (Dir::Input, Dir::Input) => {}
-                }
-            }
-            None => {
-                let i = names.len();
-                seen.insert(name.clone(), i);
-                names.push(name.clone());
-                dirs.push(*dir);
-                in_a.push(None);
-                in_b.push(Some(bi));
-            }
+/// One symbol of a composite alphabet under Dill composition rules:
+/// shared symbols synchronize, an output met by an input stays an output
+/// of the composite.
+#[derive(Debug, Clone, Copy)]
+struct CompSym {
+    sides: Sides,
+    /// The composite direction: an output if either side drives it.
+    dir: Dir,
+    /// Whether side `a` drives it (has it as an effective output).
+    a_out: bool,
+    /// Whether side `b` drives it.
+    b_out: bool,
+}
+
+impl CompSym {
+    /// The symbol's index on side `a`, if `a` has it.
+    fn a(&self) -> Option<usize> {
+        match self.sides {
+            Sides::A(i) | Sides::Both(i, _) => Some(i),
+            Sides::B(_) => None,
         }
     }
-    Ok(MergedAlphabet {
-        names,
-        dirs,
-        in_a,
-        in_b,
-    })
+
+    /// The symbol's index on side `b`, if `b` has it.
+    fn b(&self) -> Option<usize> {
+        match self.sides {
+            Sides::B(j) | Sides::Both(_, j) => Some(j),
+            Sides::A(_) => None,
+        }
+    }
+
+    /// The symbol's name, from whichever side has it.
+    fn name<'s>(&self, a: &'s impl ProductSide, b: &'s impl ProductSide) -> &'s str {
+        match self.sides {
+            Sides::A(i) | Sides::Both(i, _) => a.name(i),
+            Sides::B(j) => b.name(j),
+        }
+    }
+}
+
+/// Merges two alphabets under Dill composition rules: `a`'s symbols in
+/// order, then `b`'s symbols `a` lacks, in order; two outputs conflict
+/// (the first conflict in `b`'s order is reported). Symbol names are
+/// matched through `a`'s name index, nothing is cloned.
+fn merge<A: ProductSide, B: ProductSide>(a: &A, b: &B) -> Result<Vec<CompSym>, TraceError> {
+    let mut syms: Vec<CompSym> = (0..a.symbol_count())
+        .map(|i| {
+            let dir = a.dir(i);
+            CompSym {
+                sides: Sides::A(i),
+                dir,
+                a_out: dir == Dir::Output,
+                b_out: false,
+            }
+        })
+        .collect();
+    for j in 0..b.symbol_count() {
+        let (name, dir) = (b.name(j), b.dir(j));
+        let b_out = dir == Dir::Output;
+        match a.index_of(name) {
+            Some(i) => {
+                let c = &mut syms[i];
+                if c.a_out && b_out {
+                    return Err(TraceError::OutputConflict {
+                        symbol: name.to_string(),
+                    });
+                }
+                c.sides = Sides::Both(i, j);
+                c.b_out = b_out;
+                if b_out {
+                    c.dir = Dir::Output;
+                }
+            }
+            None => syms.push(CompSym {
+                sides: Sides::B(j),
+                dir,
+                a_out: false,
+                b_out,
+            }),
+        }
+    }
+    Ok(syms)
 }
 
 /// One side of a lazily explored product: a concrete structure (possibly
 /// viewed through a mirror) or a lazily determinized hidden composition.
-/// States are side-local `usize` ids; `step` returns `None` on a choke.
+/// States are side-local ids below `u32::MAX`; `step` returns `None` on a
+/// choke.
 trait ProductSide {
-    /// The side's effective alphabet (mirroring already applied).
-    fn alphabet(&self) -> Vec<(String, Dir)>;
+    /// Number of symbols in the side's alphabet.
+    fn symbol_count(&self) -> usize;
+    /// A symbol's name.
+    fn name(&self, sym: usize) -> &str;
+    /// A symbol's effective direction (mirroring already applied).
+    fn dir(&self, sym: usize) -> Dir;
+    /// The index of the named symbol.
+    fn index_of(&self, name: &str) -> Option<usize>;
     /// The side's initial state (may intern lazily).
     fn initial(&mut self) -> usize;
-    /// Receptive possibility: effective inputs always may occur, effective
-    /// outputs only where the side defines a transition.
-    fn possible(&mut self, state: usize, sym: usize) -> bool;
-    /// Takes the symbol; `None` is a choke (no defined transition).
+    /// Takes the symbol; `None` is a choke (no defined transition). An
+    /// effective output can occur exactly where this is `Some`; inputs
+    /// always may (receptiveness).
     fn step(&mut self, state: usize, sym: usize) -> Option<usize>;
 }
 
@@ -630,7 +756,22 @@ struct ConcreteView<'a> {
     flip: bool,
 }
 
-impl ConcreteView<'_> {
+impl<'a> ConcreteView<'a> {
+    /// The structure as it is, unmirrored.
+    fn of(t: &'a TraceStructure) -> Self {
+        ConcreteView { t, flip: false }
+    }
+}
+
+impl ProductSide for ConcreteView<'_> {
+    fn symbol_count(&self) -> usize {
+        self.t.symbols.len()
+    }
+
+    fn name(&self, sym: usize) -> &str {
+        &self.t.symbols[sym].0
+    }
+
     fn dir(&self, sym: usize) -> Dir {
         let d = self.t.symbols[sym].1;
         if self.flip {
@@ -639,28 +780,17 @@ impl ConcreteView<'_> {
             d
         }
     }
-}
 
-impl ProductSide for ConcreteView<'_> {
-    fn alphabet(&self) -> Vec<(String, Dir)> {
-        (0..self.t.symbols.len())
-            .map(|i| (self.t.symbols[i].0.clone(), self.dir(i)))
-            .collect()
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.t.symbol_index(name)
     }
 
     fn initial(&mut self) -> usize {
         self.t.initial
     }
 
-    fn possible(&mut self, state: usize, sym: usize) -> bool {
-        match self.dir(sym) {
-            Dir::Input => true,
-            Dir::Output => self.t.delta.contains_key(&(state, sym)),
-        }
-    }
-
     fn step(&mut self, state: usize, sym: usize) -> Option<usize> {
-        self.t.delta.get(&(state, sym)).copied()
+        self.t.edge(state, sym)
     }
 }
 
@@ -669,60 +799,52 @@ impl ProductSide for ConcreteView<'_> {
 /// Mirrors [`TraceStructure::compose`]'s semantics exactly — same
 /// producible rule, same both-participants-step rule, a choke on a
 /// composite *output* is the failure — but breadth-first with hash-interned
-/// state pairs and parent pointers, stopping at the first failure and
-/// reconstructing a shortest witness trace. Composite transitions are never
-/// stored.
+/// packed state pairs and parent pointers, stopping at the first failure
+/// and reconstructing a shortest witness trace. Composite transitions are
+/// never stored.
 fn search_failure<A: ProductSide, B: ProductSide>(
     a: &mut A,
     b: &mut B,
 ) -> Result<OtfOutcome, TraceError> {
-    let alpha_a = a.alphabet();
-    let alpha_b = b.alphabet();
-    let MergedAlphabet {
-        names,
-        dirs,
-        in_a,
-        in_b,
-    } = merge_alphabets(&alpha_a, &alpha_b)?;
-    let start = (a.initial(), b.initial());
-    let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-    index.insert(start, 0);
-    let mut states: Vec<(usize, usize)> = vec![start];
+    let syms = merge(a, b)?;
+    let start = pack(a.initial(), b.initial());
+    let mut seen: HashSet<u64, WordHash> = HashSet::default();
+    seen.insert(start);
+    let mut states: Vec<u64> = vec![start];
     let mut parents: Vec<Option<(usize, usize)>> = vec![None];
     let mut head = 0;
     let mut peak_frontier = 1;
     while head < states.len() {
         peak_frontier = peak_frontier.max(states.len() - head);
-        let (sa, sb) = states[head];
-        for sym in 0..names.len() {
-            let a_sym = in_a[sym];
-            let b_sym = in_b[sym];
-            let producible = match dirs[sym] {
-                Dir::Input => true,
-                Dir::Output => {
-                    let a_out = a_sym
-                        .is_some_and(|s| alpha_a[s].1 == Dir::Output && a.possible(sa, s));
-                    let b_out = b_sym
-                        .is_some_and(|s| alpha_b[s].1 == Dir::Output && b.possible(sb, s));
-                    a_out || b_out
-                }
-            };
-            if !producible {
+        let (sa, sb) = unpack(states[head]);
+        for (sym, c) in syms.iter().enumerate() {
+            let (ia, ib) = (c.a(), c.b());
+            // Drivers step first: a composite output can occur only where
+            // a side that drives it defines it, and its receivers step only
+            // then. A hidden side interns a subset the first time it steps,
+            // so stepping the receivers of an output nobody can produce
+            // would change `subset_states()`.
+            let driven_a = ia.filter(|_| c.a_out).map(|s| a.step(sa, s));
+            let driven_b = ib.filter(|_| c.b_out).map(|s| b.step(sb, s));
+            if c.dir == Dir::Output && driven_a.flatten().is_none() && driven_b.flatten().is_none()
+            {
                 continue;
             }
-            let na = match a_sym {
-                Some(s) => a.step(sa, s),
-                None => Some(sa),
+            let na = match (driven_a, ia) {
+                (Some(r), _) => r,
+                (None, Some(s)) => a.step(sa, s),
+                (None, None) => Some(sa),
             };
-            let nb = match b_sym {
-                Some(s) => b.step(sb, s),
-                None => Some(sb),
+            let nb = match (driven_b, ib) {
+                (Some(r), _) => r,
+                (None, Some(s)) => b.step(sb, s),
+                (None, None) => Some(sb),
             };
             match (na, nb) {
                 (Some(na), Some(nb)) => {
-                    if let std::collections::hash_map::Entry::Vacant(e) = index.entry((na, nb)) {
-                        e.insert(states.len());
-                        states.push((na, nb));
+                    let next = pack(na, nb);
+                    if seen.insert(next) {
+                        states.push(next);
                         parents.push(Some((head, sym)));
                     }
                 }
@@ -730,11 +852,12 @@ fn search_failure<A: ProductSide, B: ProductSide>(
                     // An input choke stays an implicit receptive failure of
                     // the composite (no successor); a choke on a produced
                     // symbol is the reachable failure we are looking for.
-                    if dirs[sym] == Dir::Output {
-                        let mut trace = vec![names[sym].clone()];
+                    if c.dir == Dir::Output {
+                        let name = |s: usize| syms[s].name(&*a, &*b).to_string();
+                        let mut trace = vec![name(sym)];
                         let mut at = head;
                         while let Some((p, s)) = parents[at] {
-                            trace.push(names[s].clone());
+                            trace.push(name(s));
                             at = p;
                         }
                         trace.reverse();
@@ -758,34 +881,80 @@ fn search_failure<A: ProductSide, B: ProductSide>(
     })
 }
 
+/// Memo entry of a hidden-composition transition not yet resolved.
+const UNRESOLVED: u32 = NO_EDGE - 1;
+
+/// The composite transition from the packed member pair `p` on composite
+/// symbol `sym` (described by `c`): `None` where the materialized
+/// composite would leave it undefined (not producible, or a participant
+/// chokes). A choke on a produced symbol — the condition `compose` records
+/// in its `failure_reachable` flag — is noted in `failure` (input chokes
+/// stay implicit receptive failures).
+fn comp_step(
+    a: &TraceStructure,
+    b: &TraceStructure,
+    c: &CompSym,
+    sym: usize,
+    p: u64,
+    failure: &mut Option<usize>,
+) -> Option<u64> {
+    let (sa, sb) = unpack(p);
+    let na = c.a().map_or(Some(sa), |s| a.edge(sa, s));
+    let nb = c.b().map_or(Some(sb), |s| b.edge(sb, s));
+    match (na, nb) {
+        // Every participant stepped, so a driver did: producible.
+        (Some(na), Some(nb)) => Some(pack(na, nb)),
+        _ => {
+            let produced = (c.a_out && na.is_some()) || (c.b_out && nb.is_some());
+            if c.dir == Dir::Output && produced {
+                failure.get_or_insert(sym);
+            }
+            None
+        }
+    }
+}
+
 /// A lazily determinized hidden composition: the automaton
 /// `hide(compose(a, b), hidden)` explored on demand.
 ///
-/// States are ε-closed subsets of composite state pairs, hash-interned the
-/// first time a conformance search reaches them; transitions are memoized
-/// and shared across every search run against the same value. Nothing of
-/// the composite — neither its state table nor its transitions — is ever
-/// materialized, which is where the on-the-fly verification path saves its
-/// states over the `compose` + `hide` pipeline.
+/// States are ε-closed subsets of composite state pairs, kept as sorted
+/// vectors of packed pairs and hash-interned the first time a conformance
+/// search reaches them; transitions are memoized in a dense
+/// (subset × visible symbol) table shared across every search run against
+/// the same value. Nothing of the composite — neither its state table nor
+/// its transitions — is ever materialized, which is where the on-the-fly
+/// verification path saves its states over the `compose` + `hide`
+/// pipeline.
 pub struct HiddenComposition<'a> {
     a: &'a TraceStructure,
     b: &'a TraceStructure,
-    names: Vec<String>,
-    dirs: Vec<Dir>,
-    in_a: Vec<Option<usize>>,
-    in_b: Vec<Option<usize>>,
+    /// The composite alphabet, in `compose` order (`a`'s symbols keep
+    /// their indices).
+    syms: Vec<CompSym>,
+    /// The composite index of each of `b`'s symbols.
+    b_comp: Vec<usize>,
+    /// Hidden composite symbols, ascending.
     hidden: Vec<usize>,
-    /// Visible composite symbols, as `(composite index, name, dir)`.
-    visible: Vec<(usize, String, Dir)>,
-    subsets: Vec<BTreeSet<(usize, usize)>>,
-    subset_index: HashMap<BTreeSet<(usize, usize)>, usize>,
-    memo: HashMap<(usize, usize), Option<usize>>,
+    /// Visible composite symbols, ascending: the hidden automaton's
+    /// alphabet.
+    visible: Vec<usize>,
+    /// The visible index of each composite symbol, `None` when hidden.
+    visible_of: Vec<Option<usize>>,
+    /// Interned subsets, each sorted.
+    subsets: Vec<Box<[u64]>>,
+    subset_index: HashMap<Box<[u64]>, u32, WordHash>,
+    /// One row of `visible.len()` entries per subset: the target subset,
+    /// [`NO_EDGE`] where `hide` would drop the edge, [`UNRESOLVED`] until
+    /// first asked.
+    memo: Vec<u32>,
     initial: Option<usize>,
     /// First composite failure (a produced symbol choking a receiver)
-    /// encountered while stepping members — the lazy counterpart of
-    /// `compose`'s `failure_reachable` flag. Interior-mutable because it is
-    /// recorded from the `&self` stepping helpers.
-    comp_failure: std::cell::RefCell<Option<String>>,
+    /// stepped over during exploration, as a composite symbol — the lazy
+    /// counterpart of `compose`'s `failure_reachable` flag.
+    comp_failure: Option<usize>,
+    /// Scratch subset and closure stack, reused by every resolution.
+    next: Vec<u64>,
+    stack: Vec<u64>,
 }
 
 impl<'a> HiddenComposition<'a> {
@@ -803,46 +972,49 @@ impl<'a> HiddenComposition<'a> {
         b: &'a TraceStructure,
         hidden: &[&str],
     ) -> Result<Self, TraceError> {
-        let MergedAlphabet {
-            names,
-            dirs,
-            in_a,
-            in_b,
-        } = merge_alphabets(&a.symbols, &b.symbols)?;
+        let syms = merge(&ConcreteView::of(a), &ConcreteView::of(b))?;
+        let mut b_comp = vec![0; b.symbols.len()];
+        for (c, s) in syms.iter().enumerate() {
+            if let Some(j) = s.b() {
+                b_comp[j] = c;
+            }
+        }
+        let composite_index = |name: &str| {
+            a.symbol_index(name)
+                .or_else(|| b.symbol_index(name).map(|j| b_comp[j]))
+        };
         let mut hide_set = BTreeSet::new();
         for name in hidden {
-            let i = names.iter().position(|n| n == name).ok_or_else(|| {
-                TraceError::UnknownSymbol {
-                    symbol: (*name).to_string(),
-                }
+            let i = composite_index(name).ok_or_else(|| TraceError::UnknownSymbol {
+                symbol: (*name).to_string(),
             })?;
-            if dirs[i] != Dir::Output {
+            if syms[i].dir != Dir::Output {
                 return Err(TraceError::HideNonOutput {
                     symbol: (*name).to_string(),
                 });
             }
             hide_set.insert(i);
         }
-        let visible = names
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !hide_set.contains(i))
-            .map(|(i, n)| (i, n.clone(), dirs[i]))
-            .collect();
+        let visible: Vec<usize> = (0..syms.len()).filter(|i| !hide_set.contains(i)).collect();
+        let mut visible_of = vec![None; syms.len()];
+        for (v, &c) in visible.iter().enumerate() {
+            visible_of[c] = Some(v);
+        }
         Ok(HiddenComposition {
             a,
             b,
-            names,
-            dirs,
-            in_a,
-            in_b,
+            syms,
+            b_comp,
             hidden: hide_set.into_iter().collect(),
             visible,
+            visible_of,
             subsets: Vec::new(),
-            subset_index: HashMap::new(),
-            memo: HashMap::new(),
+            subset_index: HashMap::default(),
+            memo: Vec::new(),
             initial: None,
-            comp_failure: std::cell::RefCell::new(None),
+            comp_failure: None,
+            next: Vec::new(),
+            stack: Vec::new(),
         })
     }
 
@@ -858,14 +1030,14 @@ impl<'a> HiddenComposition<'a> {
     /// failed or one-sided search the answer is only partial; fall back to
     /// [`TraceStructure::failure_search`] for a definitive check.
     pub fn composition_failure(&self) -> Option<String> {
-        self.comp_failure.borrow().clone()
+        self.comp_failure.map(|c| self.comp_name(c).to_string())
     }
 
     /// The visible alphabet (the hidden automaton's symbols).
     pub fn symbols(&self) -> Vec<(String, Dir)> {
         self.visible
             .iter()
-            .map(|(_, n, d)| (n.clone(), *d))
+            .map(|&c| (self.comp_name(c).to_string(), self.syms[c].dir))
             .collect()
     }
 
@@ -903,10 +1075,7 @@ impl<'a> HiddenComposition<'a> {
     /// differs from the spec's.
     pub fn conformed_by(&mut self, spec: &TraceStructure) -> Result<OtfOutcome, TraceError> {
         self.check_alphabet(spec)?;
-        let mut lhs = ConcreteView {
-            t: spec,
-            flip: false,
-        };
+        let mut lhs = ConcreteView::of(spec);
         let mut rhs = HiddenSide {
             h: self,
             flip: true,
@@ -914,104 +1083,72 @@ impl<'a> HiddenComposition<'a> {
         search_failure(&mut lhs, &mut rhs)
     }
 
+    /// Errs with [`TraceError::AlphabetMismatch`] unless the visible
+    /// alphabet has the spec's `(name, direction)` pairs (names are unique
+    /// on both sides, as in [`TraceStructure::check_alphabet`]).
     fn check_alphabet(&self, spec: &TraceStructure) -> Result<(), TraceError> {
-        let mut a = self.symbols();
-        let mut b: Vec<(String, Dir)> = spec.symbols.clone();
-        a.sort();
-        b.sort();
-        if a != b {
-            return Err(TraceError::AlphabetMismatch {
-                detail: format!("{a:?} vs {b:?}"),
+        let same = self.visible.len() == spec.symbols.len()
+            && spec.symbols.iter().all(|(name, dir)| {
+                self.visible_index(name)
+                    .is_some_and(|v| self.syms[self.visible[v]].dir == *dir)
             });
-        }
-        Ok(())
-    }
-
-    /// Whether the composite symbol can occur at the member pair: the same
-    /// producible rule as [`TraceStructure::compose`], with "the transition
-    /// is defined" meaning both participants step.
-    fn comp_possible(&self, sa: usize, sb: usize, sym: usize) -> bool {
-        match self.dirs[sym] {
-            Dir::Input => true,
-            Dir::Output => self.comp_step(sa, sb, sym).is_some(),
+        if same {
+            Ok(())
+        } else {
+            Err(alphabet_mismatch(self.symbols(), spec.symbols.clone()))
         }
     }
 
-    /// The composite transition at a member pair, `None` where the
-    /// materialized composite would leave it undefined (not producible, or
-    /// a participant chokes).
-    fn comp_step(&self, sa: usize, sb: usize, sym: usize) -> Option<(usize, usize)> {
-        let a_sym = self.in_a[sym];
-        let b_sym = self.in_b[sym];
-        let producible = match self.dirs[sym] {
-            Dir::Input => true,
-            Dir::Output => {
-                let a_out = a_sym.is_some_and(|s| {
-                    self.a.symbols[s].1 == Dir::Output && self.a.possible(sa, s)
-                });
-                let b_out = b_sym.is_some_and(|s| {
-                    self.b.symbols[s].1 == Dir::Output && self.b.possible(sb, s)
-                });
-                a_out || b_out
-            }
-        };
-        if !producible {
-            return None;
-        }
-        let na = match a_sym {
-            Some(s) => match self.a.step(sa, s) {
-                Step::To(t) => Some(t),
-                Step::Failure => None,
-            },
-            None => Some(sa),
-        };
-        let nb = match b_sym {
-            Some(s) => match self.b.step(sb, s) {
-                Step::To(t) => Some(t),
-                Step::Failure => None,
-            },
-            None => Some(sb),
-        };
-        match (na, nb) {
-            (Some(na), Some(nb)) => Some((na, nb)),
-            _ => {
-                // The same condition `compose` records in its
-                // `failure_reachable` flag: a choke on a produced symbol
-                // (input chokes stay implicit receptive failures).
-                if self.dirs[sym] == Dir::Output {
-                    self.comp_failure
-                        .borrow_mut()
-                        .get_or_insert_with(|| self.names[sym].clone());
-                }
-                None
-            }
+    /// A composite symbol's name.
+    fn comp_name(&self, c: usize) -> &str {
+        match self.syms[c].sides {
+            Sides::A(i) | Sides::Both(i, _) => &self.a.symbols[i].0,
+            Sides::B(j) => &self.b.symbols[j].0,
         }
     }
 
-    /// ε-closure over the hidden (defined) composite transitions.
-    fn closure(&self, seed: BTreeSet<(usize, usize)>) -> BTreeSet<(usize, usize)> {
-        let mut set = seed;
-        let mut stack: Vec<(usize, usize)> = set.iter().copied().collect();
-        while let Some((sa, sb)) = stack.pop() {
-            for hi in 0..self.hidden.len() {
-                let h = self.hidden[hi];
-                if let Some(t) = self.comp_step(sa, sb, h) {
-                    if set.insert(t) {
+    /// The visible index of the named symbol.
+    fn visible_index(&self, name: &str) -> Option<usize> {
+        let c = self
+            .a
+            .symbol_index(name)
+            .or_else(|| self.b.symbol_index(name).map(|j| self.b_comp[j]))?;
+        self.visible_of[c]
+    }
+
+    /// ε-closure of the sorted, deduplicated `set` over the hidden
+    /// (defined) composite transitions, kept sorted as it grows.
+    fn close(&mut self, set: &mut Vec<u64>) {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.extend_from_slice(set);
+        while let Some(p) = stack.pop() {
+            for &h in &self.hidden {
+                let c = &self.syms[h];
+                if let Some(t) = comp_step(self.a, self.b, c, h, p, &mut self.comp_failure) {
+                    if let Err(at) = set.binary_search(&t) {
+                        set.insert(at, t);
                         stack.push(t);
                     }
                 }
             }
         }
-        set
+        self.stack = stack;
     }
 
-    fn intern(&mut self, set: BTreeSet<(usize, usize)>) -> usize {
-        if let Some(&i) = self.subset_index.get(&set) {
-            return i;
+    /// The id of the sorted subset `set`, interning it (and opening its
+    /// memo row) on first sight.
+    fn intern(&mut self, set: &[u64]) -> usize {
+        if let Some(&i) = self.subset_index.get(set) {
+            return i as usize;
         }
         let i = self.subsets.len();
-        self.subset_index.insert(set.clone(), i);
-        self.subsets.push(set);
+        assert!(i < UNRESOLVED as usize, "subset state limit");
+        let members: Box<[u64]> = set.into();
+        self.subset_index.insert(members.clone(), i as u32);
+        self.subsets.push(members);
+        self.memo
+            .resize(self.memo.len() + self.visible.len(), UNRESOLVED);
         i
     }
 
@@ -1019,8 +1156,9 @@ impl<'a> HiddenComposition<'a> {
         if let Some(i) = self.initial {
             return i;
         }
-        let start = self.closure(BTreeSet::from([(self.a.initial, self.b.initial)]));
-        let i = self.intern(start);
+        let mut start = vec![pack(self.a.initial, self.b.initial)];
+        self.close(&mut start);
+        let i = self.intern(&start);
         self.initial = Some(i);
         i
     }
@@ -1028,28 +1166,33 @@ impl<'a> HiddenComposition<'a> {
     /// The hidden automaton's transition on a visible symbol, memoized:
     /// `None` exactly where the materialized `hide` would drop the edge
     /// (no member admits the symbol, or every admitting member chokes).
+    /// Each member is stepped once.
     fn resolve(&mut self, state: usize, vis: usize) -> Option<usize> {
-        if let Some(&r) = self.memo.get(&(state, vis)) {
-            return r;
+        let slot = state * self.visible.len() + vis;
+        match self.memo[slot] {
+            UNRESOLVED => {}
+            NO_EDGE => return None,
+            t => return Some(t as usize),
         }
-        let sym = self.visible[vis].0;
-        let mut any_possible = false;
-        let mut next = BTreeSet::new();
-        for &(sa, sb) in &self.subsets[state] {
-            if self.comp_possible(sa, sb, sym) {
-                any_possible = true;
-                if let Some(t) = self.comp_step(sa, sb, sym) {
-                    next.insert(t);
-                }
+        let sym = self.visible[vis];
+        let c = &self.syms[sym];
+        let mut next = std::mem::take(&mut self.next);
+        next.clear();
+        for &p in self.subsets[state].iter() {
+            if let Some(t) = comp_step(self.a, self.b, c, sym, p, &mut self.comp_failure) {
+                next.push(t);
             }
         }
-        let r = if !any_possible || next.is_empty() {
+        let r = if next.is_empty() {
             None
         } else {
-            let closed = self.closure(next);
-            Some(self.intern(closed))
+            next.sort_unstable();
+            next.dedup();
+            self.close(&mut next);
+            Some(self.intern(&next))
         };
-        self.memo.insert((state, vis), r);
+        self.next = next;
+        self.memo[slot] = r.map_or(NO_EDGE, |t| t as u32);
         r
     }
 }
@@ -1062,25 +1205,29 @@ struct HiddenSide<'h, 'a> {
 }
 
 impl ProductSide for HiddenSide<'_, '_> {
-    fn alphabet(&self) -> Vec<(String, Dir)> {
-        self.h
-            .visible
-            .iter()
-            .map(|(_, n, d)| (n.clone(), if self.flip { d.flip() } else { *d }))
-            .collect()
+    fn symbol_count(&self) -> usize {
+        self.h.visible.len()
+    }
+
+    fn name(&self, sym: usize) -> &str {
+        self.h.comp_name(self.h.visible[sym])
+    }
+
+    fn dir(&self, sym: usize) -> Dir {
+        let d = self.h.syms[self.h.visible[sym]].dir;
+        if self.flip {
+            d.flip()
+        } else {
+            d
+        }
+    }
+
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.h.visible_index(name)
     }
 
     fn initial(&mut self) -> usize {
         self.h.initial_subset()
-    }
-
-    fn possible(&mut self, state: usize, sym: usize) -> bool {
-        let d = self.h.visible[sym].2;
-        let d = if self.flip { d.flip() } else { d };
-        match d {
-            Dir::Input => true,
-            Dir::Output => self.h.resolve(state, sym).is_some(),
-        }
     }
 
     fn step(&mut self, state: usize, sym: usize) -> Option<usize> {
@@ -1404,6 +1551,34 @@ mod tests {
         assert_eq!(bwd2.ok, wrong.conforms_to(&materialized).unwrap());
         assert!(!(fwd2.ok && bwd2.ok));
         assert!(fwd2.counterexample.is_some() || bwd2.counterexample.is_some());
+    }
+
+    /// A search steps a symbol's receiver only where a driver produces
+    /// it: the spec never offers `i`, so `i` is never resolved on the
+    /// hidden side, which would intern a second subset.
+    #[test]
+    fn receivers_step_only_where_a_driver_produces() -> Result<(), TraceError> {
+        let mut a = TraceStructure::new();
+        let i = a.add_symbol("i", Dir::Input);
+        let m = a.add_symbol("m", Dir::Output);
+        let a1 = a.add_state();
+        a.add_transition(0, i, a1);
+        a.add_transition(a1, m, 0);
+        let mut b = TraceStructure::new();
+        let m2 = b.add_symbol("m", Dir::Input);
+        let o = b.add_symbol("o", Dir::Output);
+        let b1 = b.add_state();
+        b.add_transition(0, m2, b1);
+        b.add_transition(b1, o, 0);
+        let mut spec = TraceStructure::new();
+        spec.add_symbol("i", Dir::Input);
+        spec.add_symbol("o", Dir::Output);
+        let mut hc = HiddenComposition::new(&a, &b, &["m"])?;
+        let fwd = hc.conforms_to(&spec)?;
+        assert!(fwd.ok);
+        assert_eq!(fwd.states_visited, 1);
+        assert_eq!(hc.subset_states(), 1);
+        Ok(())
     }
 
     #[test]

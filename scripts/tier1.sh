@@ -44,10 +44,11 @@
 #  12. perf-regression sentinel: bench_trend comparing the fresh
 #      BENCH_flow.json / BENCH_sim.json from step 6/8 against the
 #      committed baselines must pass, an injected structural
-#      regression (controllers count bumped on a copy) must fail it,
-#      and an empty baseline must produce the structured no-baseline
-#      verdict (nonzero exit, explicit reason) instead of a vacuous
-#      pass or a parse error;
+#      regression (controllers count bumped on a copy of
+#      BENCH_flow.json, then a verification row's otf_states bumped on
+#      a copy of BENCH_sim.json) must fail it, and an empty baseline
+#      must produce the structured no-baseline verdict (nonzero exit,
+#      explicit reason) instead of a vacuous pass or a parse error;
 #  13. differential gauntlet: a fixed-seed corpus slice of >= 200
 #      generated designs (parametric families + random mini-Balsa
 #      programs) must run clean through all four oracle pairs (compiled
@@ -260,7 +261,14 @@ if cargo run --release -p bmbe-bench --bin bench_trend -- \
     echo "tier1: FAIL: bench_trend passed an injected controllers regression" >&2
     exit 1
 fi
-echo "tier1: bench_trend passes the committed baselines and catches the injected regression"
+sed 's/"otf_states": 123/"otf_states": 124/' BENCH_sim.json >"$trace_dir/regressed_sim.json"
+if cargo run --release -p bmbe-bench --bin bench_trend -- \
+    --flow BENCH_flow.json --baseline-flow BENCH_flow.json \
+    --sim "$trace_dir/regressed_sim.json" --baseline-sim BENCH_sim.json >/dev/null; then
+    echo "tier1: FAIL: bench_trend passed an injected otf_states regression" >&2
+    exit 1
+fi
+echo "tier1: bench_trend passes the committed baselines and catches the injected regressions"
 # An empty baseline is a structured no-baseline verdict, not a vacuous
 # pass or a parse error.
 printf '{}' >"$trace_dir/empty.json"
@@ -325,7 +333,7 @@ rm -rf "$gauntlet_dir"
 
 echo "== tier1: panic-site ceiling =="
 # A change that removes sites lowers the ceiling here in the same change.
-for gate in 'unwrap() 330' 'expect( 81' 'panic!( 42'; do
+for gate in 'unwrap() 330' 'expect( 79' 'panic!( 42'; do
     set -- $gate
     count="$(grep -rF --include='*.rs' "$1" crates/*/src src \
         | grep -v '^crates/\(bench\|criterion\|proptest\)/' | wc -l)"
