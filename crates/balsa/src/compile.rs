@@ -34,6 +34,8 @@ pub enum BalsaError {
     },
     /// Case labels must be consecutive starting at 0.
     BadCaseLabels,
+    /// A memory declared with no words: no address can select a word.
+    EmptyMemory(String),
     /// Structural error while building the netlist.
     Netlist(NetlistError),
 }
@@ -51,6 +53,7 @@ impl fmt::Display for BalsaError {
             BalsaError::BadCaseLabels => {
                 write!(f, "case labels must be consecutive starting at 0")
             }
+            BalsaError::EmptyMemory(n) => write!(f, "memory {n} has no words"),
             BalsaError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
     }
@@ -221,6 +224,9 @@ pub fn compile_procedure(proc: &Procedure) -> Result<CompiledDesign, BalsaError>
                 );
             }
             Decl::Memory { name, words, width } => {
+                if *words == 0 {
+                    return Err(BalsaError::EmptyMemory(name.clone()));
+                }
                 let reads = counts.mem_reads.get(name).copied().unwrap_or(0).max(1);
                 let writes = counts.mem_writes.get(name).copied().unwrap_or(0).max(1);
                 let mut chans = Vec::new();
@@ -850,6 +856,22 @@ mod tests {
             other => panic!("{other:?}"),
         }
         d.netlist.validate().unwrap();
+    }
+
+    #[test]
+    fn zero_word_memory_rejected() -> Result<(), String> {
+        let prog = parse(
+            "procedure t (output o : 8 bits) is\n\
+             memory m : 0 words of 8 bits\n\
+             variable pc : 8 bits\n\
+             begin loop m[pc] := pc ; o <- m[pc] ; pc := pc + 1 end end",
+        )
+        .map_err(|e| e.to_string())?;
+        match compile_procedure(&prog.procedures[0]) {
+            Err(BalsaError::EmptyMemory(m)) => assert_eq!(m, "m"),
+            other => return Err(format!("{other:?}")),
+        }
+        Ok(())
     }
 
     #[test]

@@ -341,7 +341,9 @@ fn run() -> Result<bool, String> {
          (measured at an earlier commit, run loop estimated by subtracting an \
          empty-scenario call). The backends section times the same 64-scenario variant \
          batch end to end (tape compilation included; the flow keeps the circuit it was \
-         lowered to for the batch's port set, so only the warm-up lowers) on one worker \
+         lowered to for the batch's port set, and the event engine's program of that \
+         circuit with its shared transition memos, so only the warm-up lowers and builds) \
+         on one worker \
          thread per backend; both events_per_sec figures divide the event engine's \
          aggregate event count, so compiled_vs_event is a pure wall-time ratio on \
          identical work. Both engines run one lowered circuit; per-lane behavioural \

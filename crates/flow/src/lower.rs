@@ -11,12 +11,19 @@
 //! Each [`FlowResult`] keeps the circuits it was lowered to in a
 //! [`LowerMemo`], one per input-port set, so the simulation entry points
 //! lower a design once however many scenarios they run over one port set.
+//! Next to each circuit the memo keeps its [`EventProgram`], built on the
+//! first event run over that port set, so every later event run shares
+//! its watcher index, its controller logic and the logic's transition
+//! memos.
 
-use crate::pipeline::FlowResult;
+use crate::pipeline::{ControllerArtifact, FlowResult};
 use crate::simbuild::{Done, Scenario, SimBuildError};
 use bmbe_balsa::CompiledDesign;
 use bmbe_hsnet::{Component, ComponentKind};
-use bmbe_sim::{Circuit, DataCh, DoneSpec, LaneSpec, MemSite, NodeId, Part, PrimId, SlotId};
+use bmbe_sim::{
+    Circuit, ControllerLogic, DataCh, DoneSpec, EventProgram, LaneSpec, MemSite, NodeId, Part,
+    PrimId, SlotId, Time,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Display, Write as _};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -233,7 +240,8 @@ pub fn lower(
     }
 }
 
-/// The circuits a flow has been lowered to, one per input-port set.
+/// The circuits a flow has been lowered to, one per input-port set, each
+/// with its event program once an event run has asked for it.
 ///
 /// A circuit serves a lookup when its providers are all ports the caller
 /// scripts and its consumers none of them. Every data port of a design is
@@ -244,25 +252,60 @@ pub fn lower(
 /// channels.
 #[derive(Debug, Default)]
 pub(crate) struct LowerMemo {
-    circuits: Mutex<Vec<Arc<Circuit>>>,
+    entries: Mutex<Vec<Lowered>>,
+}
+
+/// One port set's circuit and, after its first event run, its program.
+#[derive(Debug)]
+pub(crate) struct Lowered {
+    pub(crate) circuit: Arc<Circuit>,
+    pub(crate) program: Option<Arc<EventProgram>>,
 }
 
 impl LowerMemo {
-    /// Locks the list, recovering from a poisoned lock: a circuit is
-    /// pushed only once it is fully lowered, so a panic while lowering
-    /// leaves the list as it was.
-    fn circuits(&self) -> MutexGuard<'_, Vec<Arc<Circuit>>> {
-        self.circuits.lock().unwrap_or_else(|poisoned| {
-            self.circuits.clear_poison();
+    /// Locks the list, recovering from a poisoned lock: an entry is pushed
+    /// only once its circuit is fully lowered, and a program is stored
+    /// only once fully built, so a panic while lowering or building leaves
+    /// the list as it was.
+    pub(crate) fn entries(&self) -> MutexGuard<'_, Vec<Lowered>> {
+        self.entries.lock().unwrap_or_else(|poisoned| {
+            self.entries.clear_poison();
             poisoned.into_inner()
         })
     }
 }
 
+/// The entry of `flow`'s memo for the input ports `is_input` names,
+/// lowered and stored on the first request for that port set, passed to
+/// `f` under the memo's lock, so concurrent callers lower each port set
+/// (and build its program) once.
+fn with_entry<R>(
+    design: &CompiledDesign,
+    flow: &FlowResult,
+    is_input: impl Fn(&str) -> bool,
+    f: impl FnOnce(&mut Lowered) -> R,
+) -> R {
+    debug_assert_eq!(flow.design, design.netlist.name());
+    let mut entries = flow.lowered.entries();
+    let serves = |c: &Circuit| {
+        c.providers.iter().all(|(port, _)| is_input(port))
+            && c.consumers.iter().all(|(port, _)| !is_input(port))
+    };
+    if let Some(e) = entries.iter_mut().find(|e| serves(&e.circuit)) {
+        bmbe_obs::trace_counter!("sim.lower.hits", 1);
+        return f(e);
+    }
+    bmbe_obs::trace_counter!("sim.lower.misses", 1);
+    entries.push(Lowered {
+        circuit: Arc::new(lower(design, flow, &is_input)),
+        program: None,
+    });
+    let last = entries.len() - 1;
+    f(&mut entries[last])
+}
+
 /// The circuit of `design` for the input ports `is_input` names, from
-/// `flow`'s memo, lowered and stored on the first request for that port
-/// set. The lock is held while lowering, so concurrent callers lower each
-/// port set once.
+/// `flow`'s memo.
 ///
 /// `flow` must be the flow built from `design`.
 pub(crate) fn lowered(
@@ -270,20 +313,57 @@ pub(crate) fn lowered(
     flow: &FlowResult,
     is_input: impl Fn(&str) -> bool,
 ) -> Arc<Circuit> {
-    debug_assert_eq!(flow.design, design.netlist.name());
-    let mut circuits = flow.lowered.circuits();
-    let serves = |c: &Circuit| {
-        c.providers.iter().all(|(port, _)| is_input(port))
-            && c.consumers.iter().all(|(port, _)| !is_input(port))
-    };
-    if let Some(c) = circuits.iter().find(|c| serves(c)) {
-        bmbe_obs::trace_counter!("sim.lower.hits", 1);
-        return Arc::clone(c);
-    }
-    bmbe_obs::trace_counter!("sim.lower.misses", 1);
-    let c = Arc::new(lower(design, flow, &is_input));
-    circuits.push(Arc::clone(&c));
-    c
+    with_entry(design, flow, is_input, |e| Arc::clone(&e.circuit))
+}
+
+/// The circuit of `design` for the input ports `is_input` names and its
+/// event program, from `flow`'s memo; the program is built on the first
+/// request for that port set.
+///
+/// `flow` must be the flow built from `design`.
+pub(crate) fn lowered_program(
+    design: &CompiledDesign,
+    flow: &FlowResult,
+    is_input: impl Fn(&str) -> bool,
+) -> (Arc<Circuit>, Arc<EventProgram>) {
+    with_entry(design, flow, is_input, |e| {
+        let circuit = &e.circuit;
+        let program = e.program.get_or_insert_with(|| {
+            Arc::new(EventProgram::new(circuit, |k, inputs, outputs| {
+                controller_logic(&flow.controllers[k], inputs, outputs)
+            }))
+        });
+        (Arc::clone(circuit), Arc::clone(program))
+    })
+}
+
+/// The event engine's logic for a controller: its covers and initial
+/// code, with each output's mapped arrival time (or its template's delay).
+fn controller_logic(
+    art: &ControllerArtifact,
+    inputs: &[NodeId],
+    outputs: &[NodeId],
+) -> ControllerLogic {
+    let output_delays: Vec<Time> = art
+        .controller
+        .outputs
+        .iter()
+        .map(|n| {
+            let ns = match art.template {
+                Some(t) => t.delay_ns,
+                None => art.mapped.output_delays.get(n).copied().unwrap_or(0.1),
+            };
+            (ns * 1000.0) as Time
+        })
+        .collect();
+    ControllerLogic::new(
+        inputs.to_vec(),
+        outputs.to_vec(),
+        art.controller.output_covers.clone(),
+        art.controller.next_state_covers.clone(),
+        art.controller.initial_code,
+        output_delays,
+    )
 }
 
 /// Binds a scenario to a circuit's handles: its done condition, provider
@@ -336,10 +416,31 @@ mod tests {
     use bmbe_sim::prims::Delays;
     use std::collections::BTreeSet;
 
+    /// The event programs stored in `flow`'s memo, in entry order.
+    fn programs(flow: &FlowResult) -> Vec<Option<Arc<EventProgram>>> {
+        flow.lowered
+            .entries()
+            .iter()
+            .map(|e| e.program.clone())
+            .collect()
+    }
+
+    /// Whether two lists of stored programs hold the same programs.
+    fn same_programs(a: &[Option<Arc<EventProgram>>], b: &[Option<Arc<EventProgram>>]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|pair| match pair {
+                (Some(p), Some(q)) => Arc::ptr_eq(p, q),
+                (None, None) => true,
+                _ => false,
+            })
+    }
+
     /// One Wagging-register flow simulated and compiled over two port sets
     /// (and a scenario scripting a port the design lacks) keeps exactly two
     /// circuits, each equal to a fresh lowering, and every run through the
-    /// memo equals the same call on a freshly built flow.
+    /// memo equals the same call on a freshly built flow. An entry gets its
+    /// event program on its first event run, never from `compile_sim`, and
+    /// keeps that one program.
     #[test]
     fn one_lowering_per_port_set() -> Result<(), String> {
         let wag = wagging_register().map_err(|e| e.to_string())?;
@@ -369,6 +470,8 @@ mod tests {
                 "simulate call {k}"
             );
         }
+        let after_event_runs = programs(&flow);
+        assert!(after_event_runs.len() == 2 && after_event_runs.iter().all(Option::is_some));
         for (ports, s) in [(vec!["i"], &base), (vec![], &without_i)] {
             let ports: BTreeSet<String> = ports.into_iter().map(String::from).collect();
             let run = |flow: &FlowResult| {
@@ -383,11 +486,30 @@ mod tests {
                 "compile_sim over {ports:?}"
             );
         }
-        let circuits = flow.lowered.circuits();
-        assert_eq!(circuits.len(), 2);
-        assert_eq!(*circuits[0], lower(&wag.compiled, &flow, |_| false));
-        assert_eq!(*circuits[1], lower(&wag.compiled, &flow, |p| p == "i"));
-        drop(circuits);
+        let entries = flow.lowered.entries();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(*entries[0].circuit, lower(&wag.compiled, &flow, |_| false));
+        assert_eq!(
+            *entries[1].circuit,
+            lower(&wag.compiled, &flow, |p| p == "i")
+        );
+        drop(entries);
+        assert!(same_programs(&programs(&flow), &after_event_runs));
+
+        // `compile_sim` alone builds no program; the first event run over
+        // the port set builds one, and later event runs keep it.
+        let flow = fresh_flow()?;
+        let with_i: BTreeSet<String> = ["i".to_string()].into();
+        compile_sim(&wag.compiled, &flow, &with_i, None).map_err(|e| e.to_string())?;
+        assert!(programs(&flow).iter().all(Option::is_none));
+        simulate(&wag.compiled, &flow, &base, &delays).map_err(|e| e.to_string())?;
+        let first = programs(&flow);
+        assert!(first.len() == 1 && first[0].is_some());
+        for s in [&base, &extra] {
+            simulate(&wag.compiled, &flow, s, &delays).map_err(|e| e.to_string())?;
+        }
+        compile_sim(&wag.compiled, &flow, &with_i, None).map_err(|e| e.to_string())?;
+        assert!(same_programs(&programs(&flow), &first));
 
         // Four workers lowering one port set at once lower it once.
         let flow = fresh_flow()?;
@@ -401,7 +523,8 @@ mod tests {
                 r.map_err(|e| e.to_string())?;
             }
         }
-        assert_eq!(flow.lowered.circuits().len(), 1);
+        assert_eq!(flow.lowered.entries().len(), 1);
+        assert!(programs(&flow)[0].is_some());
         Ok(())
     }
 }

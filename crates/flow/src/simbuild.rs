@@ -1,13 +1,14 @@
 //! Simulates a complete design on the event engine: the synthesized
 //! controllers plus behavioural datapath and a scripted environment,
 //! lowered by [`crate::lower`] into the circuit the compiled engine runs
-//! too, once per flow and input-port set.
+//! too, once per flow and input-port set, with the circuit's event
+//! program built once beside it.
 
-use crate::lower::{bind, lowered};
-use crate::pipeline::{ControllerArtifact, FlowResult};
+use crate::lower::{bind, lowered_program};
+use crate::pipeline::FlowResult;
 use bmbe_balsa::CompiledDesign;
 use bmbe_sim::prims::{ControllerPrim, Delays, MemoryPrim, PushConsumerEnv, SyncResponderEnv};
-use bmbe_sim::{NodeId, SchedulerKind, SimBackend, Time};
+use bmbe_sim::{PrimId, SchedulerKind, SimBackend, Time};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -75,9 +76,10 @@ pub struct SimStats {
     /// Settle waves the compiled backend executed (0 on the event
     /// backend).
     pub waves: u64,
-    /// Controller evaluations the compiled backend served from its
-    /// transition memo, every live lane being at one (input point, state)
-    /// pair (0 on the event backend).
+    /// Controller evaluations served from a transition memo: on the
+    /// compiled backend every live lane was at one (input point, state)
+    /// pair; on the event backend the run's controllers found the pair in
+    /// the memo their event program shares across runs.
     pub memo_hits: u64,
     /// Controller evaluations whose live lanes were at different (input
     /// point, state) pairs, so the compiled backend ran the tape (0 on the
@@ -190,9 +192,11 @@ impl std::error::Error for SimBuildError {}
 /// Simulates a design with its synthesized controllers on the event
 /// engine.
 ///
-/// `flow` must be the flow built from `design`: the circuit is lowered
-/// once per set of scripted input ports and kept in `flow`, so later runs
-/// over the same ports bind to it without lowering again.
+/// `flow` must be the flow built from `design`: the circuit and its event
+/// program are built once per set of scripted input ports and kept in
+/// `flow`, so later runs over the same ports bind to them without
+/// building again, and their controllers share each transition one run
+/// settled.
 ///
 /// # Errors
 ///
@@ -204,13 +208,11 @@ pub fn simulate(
     delays: &Delays,
 ) -> Result<SimOutcome, SimBuildError> {
     let build = bmbe_obs::span!("sim.build", "sim");
-    let circuit = lowered(design, flow, |port| {
+    let (circuit, program) = lowered_program(design, flow, |port| {
         scenario.input_values.contains_key(port)
     });
     let lane = bind(&circuit, scenario)?;
-    let mut sim = circuit.event_sim(&lane, delays, |k, inputs, outputs| {
-        controller_prim(&flow.controllers[k], inputs, outputs, delays)
-    });
+    let mut sim = circuit.event_sim(&program, &lane, delays);
     if std::env::var_os("BMBE_SIM_TRACE").is_some() {
         sim.trace_wires(circuit.wire_names.clone());
         // The wire-change log goes through `vlog!` at level 1; asking for a
@@ -229,7 +231,14 @@ pub fn simulate(
     } else {
         0.0
     };
+    let (mut memo_hits, mut settles) = (0, 0);
+    for c in (0..circuit.parts.len()).filter_map(|i| sim.prim::<ControllerPrim>(PrimId(i))) {
+        memo_hits += c.memo_hits;
+        settles += c.settles;
+    }
     bmbe_obs::trace_counter!("sim.events", sim.events_processed);
+    bmbe_obs::trace_counter!("sim.event.memo_hits", memo_hits);
+    bmbe_obs::trace_counter!("sim.event.settles", settles);
     bmbe_obs::gauge!("sim.events_per_s").set(events_per_s as i64);
     Ok(SimOutcome {
         completed,
@@ -263,7 +272,7 @@ pub fn simulate(
             backend: SimBackend::Event,
             lanes: 1,
             waves: 0,
-            memo_hits: 0,
+            memo_hits,
             mixed_evals: 0,
             peak_queue_depth: sim.peak_queue_depth(),
             wall_s,
@@ -290,35 +299,4 @@ pub fn simulate_with(
     _scheduler: SchedulerKind,
 ) -> Result<SimOutcome, SimBuildError> {
     simulate(design, flow, scenario, delays)
-}
-
-/// The event engine's timed primitive for a controller: its covers and
-/// initial code, with each output delayed by its mapped arrival time (or
-/// its template's delay) plus the wire delay.
-fn controller_prim(
-    art: &ControllerArtifact,
-    inputs: &[NodeId],
-    outputs: &[NodeId],
-    delays: &Delays,
-) -> ControllerPrim {
-    let output_delays: Vec<Time> = art
-        .controller
-        .outputs
-        .iter()
-        .map(|n| {
-            let ns = match art.template {
-                Some(t) => t.delay_ns,
-                None => art.mapped.output_delays.get(n).copied().unwrap_or(0.1),
-            };
-            (ns * 1000.0) as Time + delays.wire
-        })
-        .collect();
-    ControllerPrim::new(
-        inputs.to_vec(),
-        outputs.to_vec(),
-        art.controller.output_covers.clone(),
-        art.controller.next_state_covers.clone(),
-        art.controller.initial_code,
-        output_delays,
-    )
 }

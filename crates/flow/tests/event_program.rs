@@ -1,0 +1,228 @@
+//! The event engine's program path — one watcher index and one controller
+//! logic per lowered circuit, each controller's transition memo shared by
+//! every run of the program — against the per-run construction kept in
+//! `support/event_ref.rs`: the same outcome for every run, whatever
+//! history warmed the shared memos, at any worker count and under any
+//! delays.
+
+#[path = "support/event_ref.rs"]
+mod event_ref;
+
+use bmbe_balsa::CompiledDesign;
+use bmbe_designs::corpus::{generate_corpus, CorpusSpec};
+use bmbe_designs::scenarios::DesignScenario;
+use bmbe_designs::{all_designs, derive_seed, variants_of};
+use bmbe_flow::{
+    run_control_flow_with, simulate, simulate_scenarios, to_flow_scenario, ControllerCache,
+    FlowOptions, FlowResult, Scenario, SimBackend,
+};
+use bmbe_gates::Library;
+use bmbe_sim::prims::Delays;
+use event_ref::reference_run;
+
+/// A design with the seed of its scenario variants.
+struct Case {
+    name: String,
+    compiled: CompiledDesign,
+    scenario: DesignScenario,
+    seed: u64,
+}
+
+/// The four paper designs and the first `corpus` seed-11 corpus designs.
+fn cases(corpus: usize) -> Result<Vec<Case>, String> {
+    let mut out = Vec::new();
+    for d in all_designs().map_err(|e| e.to_string())? {
+        out.push(Case {
+            name: d.name.to_string(),
+            seed: derive_seed(11, d.name, "", 0),
+            compiled: d.compiled,
+            scenario: d.scenario,
+        });
+    }
+    let spec = CorpusSpec {
+        seed: 11,
+        designs: corpus,
+    };
+    for d in generate_corpus(&spec).map_err(|e| e.to_string())? {
+        out.push(Case {
+            seed: derive_seed(11, &d.name, &d.params, 0),
+            name: d.name,
+            compiled: d.compiled,
+            scenario: d.scenario,
+        });
+    }
+    Ok(out)
+}
+
+/// The base scenario of `case` and its first `n - 1` variants.
+fn scenarios(case: &Case, n: usize) -> Vec<Scenario> {
+    variants_of(&case.scenario, n, case.seed)
+        .iter()
+        .map(to_flow_scenario)
+        .collect()
+}
+
+fn flow(case: &Case, library: &Library, cache: &ControllerCache) -> Result<FlowResult, String> {
+    run_control_flow_with(&case.compiled, &FlowOptions::optimized(), library, cache)
+        .map_err(|e| format!("{}: flow: {e}", case.name))
+}
+
+/// `scenario` run on `flow`'s program path equals its per-run reference.
+fn check(case: &Case, flow: &FlowResult, scenario: &Scenario, what: &str) -> Result<(), String> {
+    let delays = Delays::default();
+    let program = simulate(&case.compiled, flow, scenario, &delays)
+        .map_err(|e| format!("{}: {what}: {e}", case.name))?;
+    let reference = reference_run(&case.compiled, flow, scenario, &delays)?;
+    if program.same_result(&reference) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{}: {what}: program {:?} {} {} {:?}, reference {:?} {} {} {:?}",
+            case.name,
+            program.completed,
+            program.time_ns,
+            program.events,
+            program.outputs,
+            reference.completed,
+            reference.time_ns,
+            reference.events,
+            reference.outputs
+        ))
+    }
+}
+
+/// The base scenario and 8 variants of the paper designs and of the first
+/// 48 seed-11 corpus designs, run on one flow per design forwards, then
+/// backwards, then interleaved with the same scenarios over a second port
+/// set (the first scripted port left out), so each shared memo is read
+/// after a different history. Every run equals the per-run construction,
+/// `time_ns` and `events` included.
+#[test]
+fn program_runs_match_the_per_run_construction() -> Result<(), String> {
+    let (library, cache) = (Library::cmos035(), ControllerCache::new());
+    let mut two_port_sets = 0;
+    for case in cases(48)? {
+        let flow = flow(&case, &library, &cache)?;
+        let forwards = scenarios(&case, 9);
+        for (i, s) in forwards.iter().enumerate() {
+            check(&case, &flow, s, &format!("forwards {i}"))?;
+        }
+        for (i, s) in forwards.iter().enumerate().rev() {
+            check(&case, &flow, s, &format!("backwards {i}"))?;
+        }
+        let Some(port) = forwards[0].input_values.keys().min().cloned() else {
+            continue;
+        };
+        two_port_sets += 1;
+        for (i, s) in forwards.iter().enumerate() {
+            let mut without = s.clone();
+            without.input_values.remove(&port);
+            check(
+                &case,
+                &flow,
+                &without,
+                &format!("interleaved {i} without {port}"),
+            )?;
+            check(&case, &flow, s, &format!("interleaved {i}"))?;
+        }
+    }
+    assert!(
+        two_port_sets >= 10,
+        "{two_port_sets} designs with two port sets"
+    );
+    Ok(())
+}
+
+/// One fresh flow per worker count: the event outcomes of
+/// `simulate_scenarios` at 1 and 4 workers, whose runs share each memo
+/// concurrently, are identical.
+#[test]
+fn event_outcomes_are_identical_at_one_and_four_workers() -> Result<(), String> {
+    let (library, cache) = (Library::cmos035(), ControllerCache::new());
+    let delays = Delays::default();
+    for case in cases(16)? {
+        let scenarios = scenarios(&case, 24);
+        let run = |threads| -> Result<Vec<_>, String> {
+            let flow = flow(&case, &library, &cache)?;
+            simulate_scenarios(
+                &case.compiled,
+                &flow,
+                &scenarios,
+                &delays,
+                SimBackend::Event,
+                threads,
+                None,
+            )
+            .into_iter()
+            .map(|r| r.map_err(|e| format!("{}: {e}", case.name)))
+            .collect()
+        };
+        let (one, four) = (run(1)?, run(4)?);
+        assert_eq!(one.len(), four.len());
+        for (i, (a, b)) in one.iter().zip(&four).enumerate() {
+            assert!(a.same_result(b), "{}: scenario {i}", case.name);
+        }
+    }
+    Ok(())
+}
+
+/// The program holds no delays: a flow run first under the default delays
+/// and then under other wire and datapath delays gives, for each, the
+/// outcome a fresh flow gives under the same delays.
+#[test]
+fn delays_belong_to_the_run_not_the_program() -> Result<(), String> {
+    let (library, cache) = (Library::cmos035(), ControllerCache::new());
+    let default = Delays::default();
+    let other = Delays {
+        wire: 310,
+        var_read: 170,
+        var_write: 290,
+        constant: 130,
+        arith: 1100,
+        compare: 1700,
+        logic: 450,
+        unary: 380,
+        memory: 2600,
+        mux: 210,
+        select: 340,
+        env: 90,
+    };
+    for case in cases(0)? {
+        let base = &scenarios(&case, 1)[0];
+        let shared = flow(&case, &library, &cache)?;
+        let mut times = Vec::new();
+        for delays in [&default, &other] {
+            let run = |flow: &FlowResult| {
+                simulate(&case.compiled, flow, base, delays).map_err(|e| e.to_string())
+            };
+            let (on_shared, fresh) = (run(&shared)?, run(&flow(&case, &library, &cache)?)?);
+            assert!(on_shared.same_result(&fresh), "{}", case.name);
+            times.push(on_shared.time_ns);
+        }
+        assert_ne!(times[0], times[1], "{}: the delays must matter", case.name);
+    }
+    Ok(())
+}
+
+/// A second identical run finds every transition the first settled in the
+/// shared memo, so it reports more memo hits than the first.
+#[test]
+fn a_repeated_run_is_served_by_the_shared_memo() -> Result<(), String> {
+    let (library, cache) = (Library::cmos035(), ControllerCache::new());
+    let delays = Delays::default();
+    for case in cases(0)? {
+        let flow = flow(&case, &library, &cache)?;
+        let base = &scenarios(&case, 1)[0];
+        let run = || simulate(&case.compiled, &flow, base, &delays).map_err(|e| e.to_string());
+        let (first, second) = (run()?, run()?);
+        assert!(first.same_result(&second), "{}", case.name);
+        assert!(
+            second.stats.memo_hits > first.stats.memo_hits,
+            "{}: memo hits {} then {}",
+            case.name,
+            first.stats.memo_hits,
+            second.stats.memo_hits
+        );
+    }
+    Ok(())
+}

@@ -4,20 +4,23 @@
 //! ids, one [`Part`] per primitive — a synthesized controller, a
 //! behavioural datapath component, or an environment process — and the
 //! environment handles a scenario binds to ([`LaneSpec`]). The event
-//! engine instantiates one timed primitive per part
-//! ([`Circuit::event_sim`]); the compiled engine evaluates the same parts
-//! lane-parallel ([`crate::CompiledCircuit`]). Part `i` is primitive
-//! `PrimId(i)` on both engines, so they share the wiring, the watch lists
-//! and the primitive order.
+//! engine builds an [`EventProgram`] of the circuit once — the watcher
+//! index and each controller's shared logic — and instantiates one timed
+//! primitive per part for each run ([`Circuit::event_sim`]); the compiled
+//! engine evaluates the same parts lane-parallel
+//! ([`crate::CompiledCircuit`]). Part `i` is primitive `PrimId(i)` on both
+//! engines, so they share the wiring, the watch lists and the primitive
+//! order.
 
-use crate::engine::{NodeId, PrimId, Sim};
+use crate::engine::{NodeId, PrimId, Sim, Watchers};
 use crate::prims::{
-    ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerPrim, DataCh, Delays,
-    FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv, PushConsumerEnv,
-    SelectAdapterPrim, SyncResponderEnv, UnFuncPrim, VariablePrim,
+    ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerLogic, ControllerPrim,
+    DataCh, Delays, FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv,
+    PushConsumerEnv, SelectAdapterPrim, SyncResponderEnv, UnFuncPrim, VariablePrim,
 };
 use crate::Primitive;
 use bmbe_hsnet::{BinOp, UnOp};
+use std::sync::Arc;
 
 /// One primitive of a circuit. The behavioural parts mirror the event
 /// primitives of [`crate::prims`] one for one.
@@ -265,25 +268,24 @@ impl Circuit {
         self.wire_names.len()
     }
 
-    /// Builds the event simulation of one bound lane: part `i` becomes
-    /// primitive `PrimId(i)`, watching [`Part::watch`]. `controller` builds
-    /// a controller part's timed primitive from its artifact index and
-    /// wires.
-    pub fn event_sim(
-        &self,
-        lane: &LaneSpec<'_>,
-        delays: &Delays,
-        mut controller: impl FnMut(usize, &[NodeId], &[NodeId]) -> ControllerPrim,
-    ) -> Sim {
-        let mut sim = Sim::with_size(self.num_wires(), self.num_slots);
-        let mut watch = Vec::new();
+    /// Builds the event simulation of one bound lane over `program`, the
+    /// circuit's event program: part `i` becomes primitive `PrimId(i)`,
+    /// watching [`Part::watch`] through the program's index. Only run
+    /// state is built here — wire values, slots, the queue, each
+    /// primitive's counters and scripts, and the `delays` scalars.
+    ///
+    /// `program` must be the program built from this circuit.
+    pub fn event_sim(&self, program: &EventProgram, lane: &LaneSpec<'_>, delays: &Delays) -> Sim {
+        let mut controllers = 0;
+        let mut prims = Vec::with_capacity(self.parts.len());
         for (i, part) in self.parts.iter().enumerate() {
             let prim: Box<dyn Primitive> = match part {
-                Part::Controller {
-                    artifact,
-                    inputs,
-                    outputs,
-                } => Box::new(controller(*artifact, inputs, outputs)),
+                Part::Controller { .. } => {
+                    // Logic is numbered in part order.
+                    let logic = Arc::clone(&program.controllers[controllers]);
+                    controllers += 1;
+                    Box::new(ControllerPrim::new(logic, delays.wire))
+                }
                 &Part::Constant { ch, value } => Box::new(ConstantPrim {
                     ch,
                     value,
@@ -364,10 +366,57 @@ impl Circuit {
                     delay: delays.env,
                 }),
             };
-            watch.clear();
-            part.watch(&mut watch);
-            sim.add_prim(prim, &watch);
+            prims.push(prim);
         }
-        sim
+        Sim::with_watchers(Arc::clone(&program.watchers), self.num_slots, prims)
+    }
+}
+
+/// What every event run of one [`Circuit`] shares, built once per
+/// circuit: the watcher lists of [`Part::watch`] as one flat index, and
+/// the [`ControllerLogic`] of each controller part — with the memo of
+/// settled transitions every run reads and extends.
+#[derive(Debug)]
+pub struct EventProgram {
+    watchers: Arc<Watchers>,
+    /// One logic per controller part, in part order.
+    controllers: Vec<Arc<ControllerLogic>>,
+}
+
+impl EventProgram {
+    /// The program of `circuit`. `controller` builds a controller part's
+    /// logic from its artifact index and wires.
+    pub fn new(
+        circuit: &Circuit,
+        mut controller: impl FnMut(usize, &[NodeId], &[NodeId]) -> ControllerLogic,
+    ) -> EventProgram {
+        let watched: Vec<Vec<NodeId>> = circuit
+            .parts
+            .iter()
+            .map(|part| {
+                let mut watch = Vec::new();
+                part.watch(&mut watch);
+                watch
+            })
+            .collect();
+        let controllers = circuit
+            .parts
+            .iter()
+            .filter_map(|part| match part {
+                Part::Controller {
+                    artifact,
+                    inputs,
+                    outputs,
+                } => Some(Arc::new(controller(*artifact, inputs, outputs))),
+                _ => None,
+            })
+            .collect();
+        EventProgram {
+            watchers: Arc::new(Watchers::new(
+                circuit.num_wires(),
+                watched.iter().map(Vec::as_slice),
+            )),
+            controllers,
+        }
     }
 }

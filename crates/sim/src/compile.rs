@@ -8,7 +8,7 @@
 //! [`bmbe_hsnet::levelize`]) into straight-line instruction tapes — one
 //! [`TapeOp`] per cell, evaluated with [`CellKind::eval_lanes`] — and the
 //! asynchronous state feedback is resolved by a settle-to-fixpoint loop
-//! per activation, mirroring the event engine's `ControllerPrim::settle`
+//! per activation, mirroring the event engine's `ControllerLogic::settle`
 //! exactly (lane-wise: a lane at its fixpoint is unchanged by further
 //! iterations, so mixed-convergence batches still match the scalar engine
 //! bit for bit).
@@ -1029,7 +1029,7 @@ impl RunState {
         self.pstates[op_ix] = pst;
     }
 
-    /// Lane-parallel mirror of `ControllerPrim::on_change` + `settle`.
+    /// Lane-parallel mirror of `ControllerPrim::on_change` + `ControllerLogic::settle`.
     ///
     /// When every live lane is at one (input point, state) pair the
     /// transition memo may already hold that pair's settled state and

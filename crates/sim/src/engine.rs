@@ -13,13 +13,15 @@
 //! were scheduled. Action slots are free-listed: a slot is recycled as
 //! soon as its event fires, so the action table stays as small as the
 //! peak number of in-flight events instead of growing with the lifetime
-//! event count. Watcher delivery is indexed — no per-event clone of the
-//! watcher list. Handshake circuits run at queue depths of a few events,
-//! where a heap operation costs a handful of comparisons.
+//! event count. Watcher delivery reads one flat index (`Watchers`) — no
+//! per-event clone of a watcher list — which runs of one circuit share.
+//! Handshake circuits run at queue depths of a few events, where a heap
+//! operation costs a handful of comparisons.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Simulation time in picoseconds.
 pub type Time = u64;
@@ -154,13 +156,80 @@ impl Ctx<'_> {
     }
 }
 
+/// The primitives watching each wire, as one CSR index: wire `w`'s
+/// watchers are `prims[start[w]..start[w + 1]]`, in registration order (a
+/// primitive that watches a wire twice is delivered twice).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Watchers {
+    start: Vec<u32>,
+    prims: Vec<PrimId>,
+}
+
+impl Default for Watchers {
+    fn default() -> Self {
+        Watchers::new(0, std::iter::empty())
+    }
+}
+
+impl Watchers {
+    /// The index of `wires` wires where primitive `PrimId(i)` watches the
+    /// `i`-th list of `watched`: one counting pass, one placing pass.
+    pub(crate) fn new<'a>(
+        wires: usize,
+        watched: impl Iterator<Item = &'a [NodeId]> + Clone,
+    ) -> Self {
+        let mut start = vec![0u32; wires + 1];
+        for &n in watched.clone().flatten() {
+            start[n.0 + 1] += 1;
+        }
+        for w in 0..wires {
+            start[w + 1] += start[w];
+        }
+        let mut next = start.clone();
+        let mut prims = vec![PrimId(0); start[wires] as usize];
+        for (i, list) in watched.enumerate() {
+            for &n in list {
+                prims[next[n.0] as usize] = PrimId(i);
+                next[n.0] += 1;
+            }
+        }
+        Watchers { start, prims }
+    }
+
+    fn wires(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Where `node`'s watchers sit in `prims`.
+    fn range(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.start[node.0] as usize..self.start[node.0 + 1] as usize
+    }
+
+    fn add_wire(&mut self) {
+        let end = self.prims.len() as u32;
+        self.start.push(end);
+    }
+
+    /// Appends `prim` to the lists of `watched`: the primitive registered
+    /// last is delivered last.
+    fn watch(&mut self, prim: PrimId, watched: &[NodeId]) {
+        for &n in watched {
+            let end = self.start[n.0 + 1];
+            self.prims.insert(end as usize, prim);
+            for s in &mut self.start[n.0 + 1..] {
+                *s += 1;
+            }
+        }
+    }
+}
+
 /// The simulator.
 #[derive(Default)]
 pub struct Sim {
     nodes: Vec<bool>,
     slots: Vec<u64>,
     prims: Vec<Option<Box<dyn Primitive>>>,
-    watchers: Vec<Vec<PrimId>>,
+    watchers: Arc<Watchers>,
     queue: Queue,
     now: Time,
     /// Count of processed events (for run-away detection).
@@ -178,10 +247,25 @@ impl Sim {
     /// Creates a simulator with `wires` wires (all 0) and `slots` data
     /// slots; ids are dense, `NodeId(0..wires)` and `SlotId(0..slots)`.
     pub fn with_size(wires: usize, slots: usize) -> Self {
+        Sim::with_watchers(
+            Arc::new(Watchers::new(wires, std::iter::empty())),
+            slots,
+            Vec::new(),
+        )
+    }
+
+    /// Creates a simulator over a shared watcher index, with its wires (all
+    /// 0), `slots` data slots and the primitives the index refers to.
+    pub(crate) fn with_watchers(
+        watchers: Arc<Watchers>,
+        slots: usize,
+        prims: Vec<Box<dyn Primitive>>,
+    ) -> Self {
         Sim {
-            nodes: vec![false; wires],
+            nodes: vec![false; watchers.wires()],
             slots: vec![0; slots],
-            watchers: vec![Vec::new(); wires],
+            prims: prims.into_iter().map(Some).collect(),
+            watchers,
             ..Self::default()
         }
     }
@@ -189,7 +273,7 @@ impl Sim {
     /// Adds a wire, initially 0.
     pub fn wire(&mut self) -> NodeId {
         self.nodes.push(false);
-        self.watchers.push(Vec::new());
+        Arc::make_mut(&mut self.watchers).add_wire();
         NodeId(self.nodes.len() - 1)
     }
 
@@ -221,9 +305,7 @@ impl Sim {
     pub fn add_prim(&mut self, prim: Box<dyn Primitive>, watched: &[NodeId]) -> PrimId {
         let id = PrimId(self.prims.len());
         self.prims.push(Some(prim));
-        for &n in watched {
-            self.watchers[n.0].push(id);
-        }
+        Arc::make_mut(&mut self.watchers).watch(id, watched);
         id
     }
 
@@ -295,8 +377,8 @@ impl Sim {
                     // Indexed delivery: the watcher lists are fixed once
                     // simulation starts (primitives cannot register new
                     // ones), so no defensive clone.
-                    for i in 0..self.watchers[node.0].len() {
-                        let w = self.watchers[node.0][i];
+                    for i in self.watchers.range(node) {
+                        let w = self.watchers.prims[i];
                         self.call(w, |p, ctx| p.on_change(ctx, node));
                     }
                 }
@@ -483,6 +565,43 @@ mod tests {
         let done = sim.run_until(|s| s.events_processed >= 5, 100_000_000);
         assert!(done);
         assert_eq!(sim.now(), 1_000_000 + 4 * 3_000_000);
+    }
+
+    /// The index built in one counting pass equals the one `add_prim`
+    /// grows primitive by primitive: each wire lists its watchers in
+    /// registration order, a wire watched twice by one primitive twice.
+    #[test]
+    fn batch_and_incremental_watcher_indexes_agree() {
+        let lists: [&[NodeId]; 5] = [
+            &[NodeId(2), NodeId(0)],
+            &[],
+            &[NodeId(0), NodeId(0), NodeId(3)],
+            &[NodeId(3)],
+            &[NodeId(1), NodeId(2), NodeId(0)],
+        ];
+        let batch = Watchers::new(5, lists.iter().copied());
+        // Wires 3 and 4 are added after the first two primitives.
+        let mut sim = Sim::with_size(3, 0);
+        for (i, list) in lists.into_iter().enumerate() {
+            if i == 2 {
+                sim.wire();
+                sim.wire();
+            }
+            let (input, output) = (NodeId(0), NodeId(1));
+            sim.add_prim(
+                Box::new(Inv {
+                    input,
+                    output,
+                    delay: 1,
+                }),
+                list,
+            );
+        }
+        assert_eq!(*sim.watchers, batch);
+        let of = |n: usize| batch.prims[batch.range(NodeId(n))].to_vec();
+        assert_eq!(of(0), [PrimId(0), PrimId(2), PrimId(2), PrimId(4)]);
+        assert_eq!(of(3), [PrimId(2), PrimId(3)]);
+        assert_eq!(of(4), []);
     }
 
     #[test]

@@ -9,21 +9,22 @@
 //!
 //! A design is lowered once into a [`circuit::Circuit`], which both
 //! engines consume: [`engine::Sim`] (timed, event-driven, with the
-//! primitive library of [`prims`]) and [`compile::CompiledCircuit`]
-//! (untimed, 64 scenario lanes at once).
+//! primitive library of [`prims`], over the circuit's
+//! [`circuit::EventProgram`]) and [`compile::CompiledCircuit`] (untimed,
+//! 64 scenario lanes at once).
 
 pub mod circuit;
 pub mod compile;
 pub mod engine;
 pub mod prims;
 
-pub use circuit::{Circuit, DoneSpec, LaneSpec, Part};
+pub use circuit::{Circuit, DoneSpec, EventProgram, LaneSpec, Part};
 pub use compile::{
     CompileError, CompiledCircuit, ControllerTape, RunResult, RunSpec, SimBackend, TapeOp, LANES,
 };
 pub use engine::{Ctx, NodeId, PrimId, Primitive, SchedulerKind, Sim, SlotId, Time};
 pub use prims::{
-    ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerPrim, DataCh, Delays,
-    FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv, PushConsumerEnv,
-    SelectAdapterPrim, SyncResponderEnv, UnFuncPrim, VariablePrim,
+    ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerLogic, ControllerPrim,
+    DataCh, Delays, FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv,
+    PushConsumerEnv, SelectAdapterPrim, SyncResponderEnv, UnFuncPrim, VariablePrim,
 };

@@ -11,6 +11,7 @@ use crate::engine::{Ctx, NodeId, Primitive, SlotId, Time};
 use bmbe_hsnet::{BinOp, UnOp};
 use bmbe_logic::Cover;
 use std::any::Any;
+use std::sync::{Arc, Mutex};
 
 /// Latency parameters (ps) of the behavioural datapath and environment.
 #[derive(Debug, Clone)]
@@ -120,8 +121,9 @@ pub fn eval_unop(op: UnOp, a: u64) -> u64 {
 /// The settle loop is a pure function of that pair, so a hit is exact.
 /// Burst-mode controllers revisit a handful of points many times in a
 /// long run, and one probe replaces a whole evaluation. Both engines use
-/// it: [`ControllerPrim`] over its covers, the compiled engine over its
-/// lane-uniform tape evaluations.
+/// it: [`ControllerLogic`] over its covers, shared by every event run of
+/// its program, and the compiled engine over its lane-uniform tape
+/// evaluations, one memo per batch.
 #[derive(Debug, Clone)]
 pub(crate) struct TransitionMemo {
     /// Input wires: the state code sits above them in the key.
@@ -188,59 +190,48 @@ impl TransitionMemo {
     }
 }
 
-/// A synthesized burst-mode controller with back-annotated delays.
+/// What every event run of one synthesized controller shares: its wires,
+/// covers, initial state code, mapped output delays, and the memo of the
+/// transitions any run has settled.
 ///
-/// The state feedback is resolved *atomically* at each input event (the
-/// Mealy semantics the burst-mode specification defines; the synthesized
-/// logic is separately proven hazard-free, so the racing state bits never
-/// produce different behaviour). Mapped per-output delays time the output
-/// edges; this mirrors back-annotated functional simulation.
-pub struct ControllerPrim {
-    /// Input wires, in function-variable order.
-    pub inputs: Vec<NodeId>,
-    /// Output wires, matching `output_covers`.
-    pub outputs: Vec<NodeId>,
-    /// One cover per output, over inputs ++ state bits.
-    pub output_covers: Vec<Cover>,
-    /// One cover per state bit.
-    pub next_state_covers: Vec<Cover>,
-    /// Current state code.
-    pub state: u64,
-    /// Per-output delay (ps), including the inter-component wire delay.
-    pub output_delays: Vec<Time>,
-    /// Settled transitions already evaluated; `None` when the controller
-    /// is too wide to memoize.
-    memo: Option<TransitionMemo>,
+/// The memo serves every run of the logic, on any thread: a settle is a
+/// pure function of `(input point, state)` and the covers, so an entry one
+/// run stored is exact for every other.
+#[derive(Debug)]
+pub struct ControllerLogic {
+    inputs: Vec<NodeId>,
+    outputs: Vec<NodeId>,
+    output_covers: Vec<Cover>,
+    next_state_covers: Vec<Cover>,
+    initial_code: u64,
+    output_delays: Vec<Time>,
+    /// `None` when the controller is too wide to memoize.
+    memo: Option<Mutex<TransitionMemo>>,
 }
 
-impl ControllerPrim {
-    /// Builds a controller primitive in its initial state.
+impl ControllerLogic {
+    /// The logic of a controller with these input wires (in
+    /// function-variable order), output wires, one cover per output and
+    /// per state bit over inputs ++ state bits, initial state code, and
+    /// per-output mapped delay (ps) without the inter-component wire delay.
     pub fn new(
         inputs: Vec<NodeId>,
         outputs: Vec<NodeId>,
         output_covers: Vec<Cover>,
         next_state_covers: Vec<Cover>,
-        initial_state: u64,
+        initial_code: u64,
         output_delays: Vec<Time>,
     ) -> Self {
         let memo = TransitionMemo::new(inputs.len(), next_state_covers.len(), output_covers.len());
-        ControllerPrim {
+        ControllerLogic {
             inputs,
             outputs,
             output_covers,
             next_state_covers,
-            state: initial_state,
+            initial_code,
             output_delays,
-            memo,
+            memo: memo.map(Mutex::new),
         }
-    }
-
-    fn input_point(&self, ctx: &Ctx<'_>) -> u64 {
-        let mut p = 0u64;
-        for (i, &n) in self.inputs.iter().enumerate() {
-            p |= (ctx.get(n) as u64) << i;
-        }
-        p
     }
 
     fn next_state(&self, x: u64, y: u64) -> u64 {
@@ -252,10 +243,9 @@ impl ControllerPrim {
     }
 
     /// Settles the feedback and evaluates the outputs at input point `x`
-    /// from the current state (one step suffices for an STT assignment; a
+    /// from state `state` (one step suffices for an STT assignment; a
     /// couple more guard against pathological inputs).
-    fn settle(&self, x: u64) -> (u64, u64) {
-        let mut state = self.state;
+    fn settle(&self, x: u64, mut state: u64) -> (u64, u64) {
         for _ in 0..4 {
             let y = self.next_state(x, state);
             if y == state {
@@ -273,24 +263,84 @@ impl ControllerPrim {
     }
 }
 
+/// A synthesized burst-mode controller with back-annotated delays: one
+/// run's state over its shared [`ControllerLogic`].
+///
+/// The state feedback is resolved *atomically* at each input event (the
+/// Mealy semantics the burst-mode specification defines; the synthesized
+/// logic is separately proven hazard-free, so the racing state bits never
+/// produce different behaviour). Mapped per-output delays plus the wire
+/// delay time the output edges; this mirrors back-annotated functional
+/// simulation.
+pub struct ControllerPrim {
+    logic: Arc<ControllerLogic>,
+    /// Current state code.
+    pub state: u64,
+    /// Inter-component wire delay added to every output (ps).
+    wire: Time,
+    /// Evaluations of this run the shared memo served.
+    pub memo_hits: u64,
+    /// Evaluations of this run that settled the covers.
+    pub settles: u64,
+}
+
+impl ControllerPrim {
+    /// A run of `logic` in its initial state, its outputs delayed by their
+    /// mapped delays plus `wire`.
+    pub fn new(logic: Arc<ControllerLogic>, wire: Time) -> Self {
+        ControllerPrim {
+            state: logic.initial_code,
+            logic,
+            wire,
+            memo_hits: 0,
+            settles: 0,
+        }
+    }
+
+    fn input_point(&self, ctx: &Ctx<'_>) -> u64 {
+        let mut p = 0u64;
+        for (i, &n) in self.logic.inputs.iter().enumerate() {
+            p |= (ctx.get(n) as u64) << i;
+        }
+        p
+    }
+
+    /// The settled state and output bits at input point `x`, from the
+    /// shared memo or by settling (and storing) them.
+    fn step(&mut self, x: u64) -> (u64, u64) {
+        let logic = &*self.logic;
+        let Some(memo) = &logic.memo else {
+            self.settles += 1;
+            return logic.settle(x, self.state);
+        };
+        // Look up, settle and store under one lock, so concurrent runs
+        // store each transition once. Every update leaves the memo valid,
+        // so a poisoned lock is recovered.
+        let mut memo = memo.lock().unwrap_or_else(|poisoned| {
+            memo.clear_poison();
+            poisoned.into_inner()
+        });
+        if let Some(hit) = memo.get(x, self.state) {
+            self.memo_hits += 1;
+            return hit;
+        }
+        self.settles += 1;
+        let (next, bits) = logic.settle(x, self.state);
+        memo.put(x, self.state, next, bits);
+        (next, bits)
+    }
+}
+
 impl Primitive for ControllerPrim {
     fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
         let x = self.input_point(ctx);
-        let (state, bits) = match self.memo.as_ref().and_then(|m| m.get(x, self.state)) {
-            Some(hit) => hit,
-            None => {
-                let computed = self.settle(x);
-                if let Some(m) = &mut self.memo {
-                    m.put(x, self.state, computed.0, computed.1);
-                }
-                computed
-            }
-        };
+        let (state, bits) = self.step(x);
         self.state = state;
-        for i in 0..self.outputs.len() {
+        let logic = &*self.logic;
+        for (i, &out) in logic.outputs.iter().enumerate() {
             let v = (bits >> i) & 1 != 0;
-            if v != ctx.get(self.outputs[i]) {
-                ctx.set_after(self.outputs[i], v, self.output_delays[i]);
+            if v != ctx.get(out) {
+                ctx.set_after(out, v, logic.output_delays[i] + self.wire);
             }
         }
     }
