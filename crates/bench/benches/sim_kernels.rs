@@ -35,23 +35,20 @@ impl bmbe_sim::Primitive for RingInv {
         let v = ctx.get(self.input);
         ctx.set_after(self.output, !v, self.delay);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Engine-only throughput: `rings` independent 2-inverter oscillators give
 /// a steady queue depth of `rings` with trivial primitives, isolating the
 /// scheduler + dispatch cost from controller/datapath evaluation.
 fn run_rings(rings: usize, events: u64) -> u64 {
-    let mut sim = bmbe_sim::Sim::new();
+    let mut sim = bmbe_sim::Sim::default();
     for r in 0..rings {
         let a = sim.wire();
         let b = sim.wire();
         // Co-prime-ish delays desynchronize the rings.
         let d = 97 + (r as u64 % 61) * 13;
-        sim.add_prim(Box::new(RingInv { input: a, output: b, delay: d }), &[a]);
-        sim.add_prim(Box::new(RingInv { input: b, output: a, delay: d + 6 }), &[b]);
+        sim.add_prim(RingInv { input: a, output: b, delay: d }, &[a]);
+        sim.add_prim(RingInv { input: b, output: a, delay: d + 6 }, &[b]);
     }
     sim.init();
     sim.run_until(|s| s.events_processed >= events, u64::MAX);

@@ -12,12 +12,11 @@
 //! leaves the upper lanes dead — the engine's live mask pads them out),
 //! runs the batch, and demuxes the per-lane results back into ordinary
 //! [`SimOutcome`]s so downstream consumers are untouched.
-//! [`simulate_scenarios`] is the batch entry point that picks a backend
-//! ([`SimBackend::Auto`] compiles when there is more than one scenario)
-//! and fans compiled chunks out across worker threads; because one wave's
-//! result cannot depend on evaluation order and each port set's circuit
-//! is compiled once up front, compiled outcomes are bit-identical at any
-//! thread count.
+//! [`simulate_scenarios`] is the batch entry point: it runs the backend
+//! its caller names and fans compiled chunks out across worker threads;
+//! because one wave's result cannot depend on evaluation order and each
+//! port set's circuit is compiled once up front, compiled outcomes are
+//! bit-identical at any thread count.
 //!
 //! The compiled backend is untimed. Differential tests assert
 //! [`SimOutcome::same_behaviour`] against the event engine, which remains
@@ -273,8 +272,7 @@ pub fn batch_input_ports(scenarios: &[Scenario]) -> BTreeSet<String> {
 /// in first-appearance order, compiles one circuit per group, packs each
 /// group into [`LANES`]-wide batches, and fans a group's batches out
 /// across `threads` workers; results are bit-identical at any thread
-/// count. [`SimBackend::Auto`] compiles when the set has more than one
-/// scenario.
+/// count.
 ///
 /// Worker panics (including injected `sim_compile` faults of
 /// [`crate::FaultKind::Panic`]) are isolated per job and surface as
@@ -291,8 +289,8 @@ pub fn simulate_scenarios(
     if scenarios.is_empty() {
         return Vec::new();
     }
-    match backend.resolve(scenarios.len()) {
-        SimBackend::Event | SimBackend::Auto => bmbe_par::par_try_map(
+    match backend {
+        SimBackend::Event => bmbe_par::par_try_map(
             scenarios,
             threads,
             |i, _| format!("sim job {i} ({})", design.netlist.name()),

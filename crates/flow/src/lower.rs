@@ -329,8 +329,8 @@ pub(crate) fn lowered_program(
     with_entry(design, flow, is_input, |e| {
         let circuit = &e.circuit;
         let program = e.program.get_or_insert_with(|| {
-            Arc::new(EventProgram::new(circuit, |k, inputs, outputs| {
-                controller_logic(&flow.controllers[k], inputs, outputs)
+            Arc::new(EventProgram::new(circuit, |k| {
+                controller_logic(&flow.controllers[k])
             }))
         });
         (Arc::clone(circuit), Arc::clone(program))
@@ -339,11 +339,7 @@ pub(crate) fn lowered_program(
 
 /// The event engine's logic for a controller: its covers and initial
 /// code, with each output's mapped arrival time (or its template's delay).
-fn controller_logic(
-    art: &ControllerArtifact,
-    inputs: &[NodeId],
-    outputs: &[NodeId],
-) -> ControllerLogic {
+fn controller_logic(art: &ControllerArtifact) -> ControllerLogic {
     let output_delays: Vec<Time> = art
         .controller
         .outputs
@@ -357,8 +353,7 @@ fn controller_logic(
         })
         .collect();
     ControllerLogic::new(
-        inputs.to_vec(),
-        outputs.to_vec(),
+        art.controller.inputs.len(),
         art.controller.output_covers.clone(),
         art.controller.next_state_covers.clone(),
         art.controller.initial_code,

@@ -7,7 +7,7 @@
 use crate::lower::{bind, lowered_program};
 use crate::pipeline::FlowResult;
 use bmbe_balsa::CompiledDesign;
-use bmbe_sim::prims::{ControllerPrim, Delays, MemoryPrim, PushConsumerEnv, SyncResponderEnv};
+use bmbe_sim::prims::Delays;
 use bmbe_sim::{PrimId, SchedulerKind, SimBackend, Time};
 use std::collections::HashMap;
 use std::fmt;
@@ -232,14 +232,17 @@ pub fn simulate(
         0.0
     };
     let (mut memo_hits, mut settles) = (0, 0);
-    for c in (0..circuit.parts.len()).filter_map(|i| sim.prim::<ControllerPrim>(PrimId(i))) {
-        memo_hits += c.memo_hits;
-        settles += c.settles;
+    for (hits, settled) in
+        (0..circuit.parts.len()).filter_map(|i| sim.prim(PrimId(i)).memo_counts())
+    {
+        memo_hits += hits;
+        settles += settled;
     }
     bmbe_obs::trace_counter!("sim.events", sim.events_processed);
     bmbe_obs::trace_counter!("sim.event.memo_hits", memo_hits);
     bmbe_obs::trace_counter!("sim.event.settles", settles);
     bmbe_obs::gauge!("sim.events_per_s").set(events_per_s as i64);
+    let values = |words: Option<&[u64]>| words.map(<[u64]>::to_vec).unwrap_or_default();
     Ok(SimOutcome {
         completed,
         time_ns: sim.now() as f64 / 1000.0,
@@ -247,26 +250,17 @@ pub fn simulate(
         outputs: circuit
             .consumers
             .iter()
-            .map(|(name, p)| {
-                let received = sim.prim::<PushConsumerEnv>(*p).map(|c| c.received.clone());
-                (name.clone(), received.unwrap_or_default())
-            })
+            .map(|(name, p)| (name.clone(), values(sim.prim(*p).received())))
             .collect(),
         sync_counts: circuit
             .syncs
             .iter()
-            .map(|(name, p)| {
-                let count = sim.prim::<SyncResponderEnv>(*p).map_or(0, |c| c.count);
-                (name.clone(), count)
-            })
+            .map(|(name, p)| (name.clone(), sim.prim(*p).syncs().unwrap_or(0) as usize))
             .collect(),
         memories: circuit
             .memories
             .iter()
-            .map(|(name, p)| {
-                let words = sim.prim::<MemoryPrim>(*p).map(|m| m.words.clone());
-                (name.clone(), words.unwrap_or_default())
-            })
+            .map(|(name, p)| (name.clone(), values(sim.prim(*p).words())))
             .collect(),
         stats: SimStats {
             backend: SimBackend::Event,

@@ -304,7 +304,7 @@ fn wagging_register(ports: &[&str]) -> (CompiledSim, Scenario) {
 }
 
 /// A scenario set whose members script different port sets runs one
-/// compiled circuit per port set, so `Compiled` and `Auto` agree with the
+/// compiled circuit per port set, so the compiled backend agrees with the
 /// event engine, which lowers each port set on its own, in scenario order.
 #[test]
 fn mixed_port_sets_match_the_event_engine() {
@@ -316,30 +316,28 @@ fn mixed_port_sets_match_the_event_engine() {
     let run =
         |backend| simulate_scenarios(&wag.compiled, &flow, &scenarios, &delays, backend, 2, None);
     let event = run(SimBackend::Event);
-    for backend in [SimBackend::Compiled, SimBackend::Auto] {
-        for (i, (c, e)) in run(backend).iter().zip(&event).enumerate() {
-            let c = c
-                .as_ref()
-                .unwrap_or_else(|err| panic!("{backend:?} scenario {i}: {err}"));
-            let e = e
-                .as_ref()
-                .unwrap_or_else(|err| panic!("event scenario {i}: {err}"));
-            assert!(e.completed, "event scenario {i} incomplete");
-            assert_eq!(c.stats.backend, SimBackend::Compiled);
-            assert!(
-                c.same_behaviour(e),
-                "{backend:?} scenario {i} diverged:\ncompiled: {:?}\nevent:    {:?}",
-                c.outputs,
-                e.outputs
-            );
-        }
+    for (i, (c, e)) in run(SimBackend::Compiled).iter().zip(&event).enumerate() {
+        let c = c
+            .as_ref()
+            .unwrap_or_else(|err| panic!("compiled scenario {i}: {err}"));
+        let e = e
+            .as_ref()
+            .unwrap_or_else(|err| panic!("event scenario {i}: {err}"));
+        assert!(e.completed, "event scenario {i} incomplete");
+        assert_eq!(c.stats.backend, SimBackend::Compiled);
+        assert!(
+            c.same_behaviour(e),
+            "compiled scenario {i} diverged:\ncompiled: {:?}\nevent:    {:?}",
+            c.outputs,
+            e.outputs
+        );
     }
 }
 
 /// A script for a port the design does not have is ignored on every
 /// backend, as the event engine's binding ignores it: a set pairing the
 /// base scenario with a copy that also scripts such a port completes both
-/// scenarios on all three backends, all with the same behaviour.
+/// scenarios on both backends, all with the same behaviour.
 #[test]
 fn a_script_for_a_port_the_design_lacks_is_ignored_on_every_backend() {
     let (wag, flow, base) = wagging();
@@ -350,7 +348,7 @@ fn a_script_for_a_port_the_design_lacks_is_ignored_on_every_backend() {
     let scenarios = [base, extra];
     let delays = Delays::default();
     let mut outcomes = Vec::new();
-    for backend in [SimBackend::Event, SimBackend::Compiled, SimBackend::Auto] {
+    for backend in [SimBackend::Event, SimBackend::Compiled] {
         let run = simulate_scenarios(&wag.compiled, &flow, &scenarios, &delays, backend, 2, None);
         assert_eq!(run.len(), 2, "{backend:?}");
         for (i, o) in run.into_iter().enumerate() {
@@ -561,45 +559,6 @@ fn compiled_results_are_bit_identical_across_thread_counts() {
         );
         assert_eq!(a.stats.waves, b.stats.waves, "scenario {i}: wave counts differ");
         assert_eq!(a.stats.lanes, b.stats.lanes);
-    }
-}
-
-/// `Auto` runs a single scenario on the event engine (timed) and a batch
-/// on the compiled engine.
-#[test]
-fn auto_backend_dispatches_by_batch_size() {
-    let designs = all_designs().expect("designs build");
-    let counter = &designs[0];
-    let flow = flows(std::slice::from_ref(counter)).remove(0);
-    let delays = Delays::default();
-    let one = variants(counter, 1, 1);
-    let r = simulate_scenarios(
-        &counter.compiled,
-        &flow,
-        &one,
-        &delays,
-        SimBackend::Auto,
-        1,
-        None,
-    );
-    let o = r[0].as_ref().expect("single scenario");
-    assert_eq!(o.stats.backend, SimBackend::Event);
-    assert!(o.time_ns > 0.0, "event runs are timed");
-    let three = variants(counter, 3, 1);
-    let r = simulate_scenarios(
-        &counter.compiled,
-        &flow,
-        &three,
-        &delays,
-        SimBackend::Auto,
-        1,
-        None,
-    );
-    for o in &r {
-        let o = o.as_ref().expect("batched scenario");
-        assert_eq!(o.stats.backend, SimBackend::Compiled);
-        assert_eq!(o.stats.lanes, 3);
-        assert!(o.completed);
     }
 }
 

@@ -18,6 +18,7 @@ use bmbe_flow::{
 };
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
+use bmbe_sim::Part;
 use event_ref::reference_run;
 
 /// A design with the seed of its scenario variants.
@@ -67,12 +68,61 @@ fn flow(case: &Case, library: &Library, cache: &ControllerCache) -> Result<FlowR
         .map_err(|e| format!("{}: flow: {e}", case.name))
 }
 
-/// `scenario` run on `flow`'s program path equals its per-run reference.
-fn check(case: &Case, flow: &FlowResult, scenario: &Scenario, what: &str) -> Result<(), String> {
+/// The names of the part kinds, in the order [`kind`] numbers them.
+const KINDS: [&str; 14] = [
+    "Controller",
+    "Constant",
+    "Variable",
+    "BinFunc",
+    "UnFunc",
+    "CallMux",
+    "PullMux",
+    "Memory",
+    "SelectAdapter",
+    "FetchData",
+    "ActivationDriver",
+    "SyncResponder",
+    "PullProvider",
+    "PushConsumer",
+];
+
+/// The index of `part`'s kind in [`KINDS`]; a new kind fails to compile
+/// here until the list names it.
+fn kind(part: &Part) -> usize {
+    match part {
+        Part::Controller { .. } => 0,
+        Part::Constant { .. } => 1,
+        Part::Variable { .. } => 2,
+        Part::BinFunc { .. } => 3,
+        Part::UnFunc { .. } => 4,
+        Part::CallMux { .. } => 5,
+        Part::PullMux { .. } => 6,
+        Part::Memory { .. } => 7,
+        Part::SelectAdapter { .. } => 8,
+        Part::FetchData { .. } => 9,
+        Part::ActivationDriver { .. } => 10,
+        Part::SyncResponder { .. } => 11,
+        Part::PullProvider { .. } => 12,
+        Part::PushConsumer { .. } => 13,
+    }
+}
+
+/// `scenario` run on `flow`'s program path equals its per-run reference;
+/// marks the part kinds of the circuit compared in `seen`.
+fn check(
+    case: &Case,
+    flow: &FlowResult,
+    scenario: &Scenario,
+    what: &str,
+    seen: &mut [bool; KINDS.len()],
+) -> Result<(), String> {
     let delays = Delays::default();
     let program = simulate(&case.compiled, flow, scenario, &delays)
         .map_err(|e| format!("{}: {what}: {e}", case.name))?;
-    let reference = reference_run(&case.compiled, flow, scenario, &delays)?;
+    let (circuit, reference) = reference_run(&case.compiled, flow, scenario, &delays)?;
+    for part in &circuit.parts {
+        seen[kind(part)] = true;
+    }
     if program.same_result(&reference) {
         Ok(())
     } else {
@@ -96,19 +146,21 @@ fn check(case: &Case, flow: &FlowResult, scenario: &Scenario, what: &str) -> Res
 /// backwards, then interleaved with the same scenarios over a second port
 /// set (the first scripted port left out), so each shared memo is read
 /// after a different history. Every run equals the per-run construction,
-/// `time_ns` and `events` included.
+/// `time_ns` and `events` included, and the circuits compared hold every
+/// kind of part.
 #[test]
 fn program_runs_match_the_per_run_construction() -> Result<(), String> {
     let (library, cache) = (Library::cmos035(), ControllerCache::new());
     let mut two_port_sets = 0;
+    let mut seen = [false; KINDS.len()];
     for case in cases(48)? {
         let flow = flow(&case, &library, &cache)?;
         let forwards = scenarios(&case, 9);
         for (i, s) in forwards.iter().enumerate() {
-            check(&case, &flow, s, &format!("forwards {i}"))?;
+            check(&case, &flow, s, &format!("forwards {i}"), &mut seen)?;
         }
         for (i, s) in forwards.iter().enumerate().rev() {
-            check(&case, &flow, s, &format!("backwards {i}"))?;
+            check(&case, &flow, s, &format!("backwards {i}"), &mut seen)?;
         }
         let Some(port) = forwards[0].input_values.keys().min().cloned() else {
             continue;
@@ -122,14 +174,21 @@ fn program_runs_match_the_per_run_construction() -> Result<(), String> {
                 &flow,
                 &without,
                 &format!("interleaved {i} without {port}"),
+                &mut seen,
             )?;
-            check(&case, &flow, s, &format!("interleaved {i}"))?;
+            check(&case, &flow, s, &format!("interleaved {i}"), &mut seen)?;
         }
     }
     assert!(
         two_port_sets >= 10,
         "{two_port_sets} designs with two port sets"
     );
+    let missing: Vec<&str> = KINDS
+        .iter()
+        .zip(seen)
+        .filter_map(|(name, seen)| (!seen).then_some(*name))
+        .collect();
+    assert!(missing.is_empty(), "no circuit compared holds {missing:?}");
     Ok(())
 }
 

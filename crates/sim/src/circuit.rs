@@ -3,27 +3,23 @@
 //! A design is lowered once into a [`Circuit`]: dense wire and data-slot
 //! ids, one [`Part`] per primitive — a synthesized controller, a
 //! behavioural datapath component, or an environment process — and the
-//! environment handles a scenario binds to ([`LaneSpec`]). The event
+//! environment handles a scenario binds to ([`LaneSpec`]). Both engines
+//! step the parts in place and keep only run state beside them. The event
 //! engine builds an [`EventProgram`] of the circuit once — the watcher
-//! index and each controller's shared logic — and instantiates one timed
-//! primitive per part for each run ([`Circuit::event_sim`]); the compiled
-//! engine evaluates the same parts lane-parallel
-//! ([`crate::CompiledCircuit`]). Part `i` is primitive `PrimId(i)` on both
-//! engines, so they share the wiring, the watch lists and the primitive
-//! order.
+//! index and each controller's shared logic — and gives each run one
+//! [`PartRun`] per part ([`Circuit::event_sim`]); the compiled engine
+//! evaluates the same parts lane-parallel ([`crate::CompiledCircuit`]).
+//! Part `i` is primitive `PrimId(i)` on both engines, so they share the
+//! wiring, the watch lists and the primitive order.
 
 use crate::engine::{NodeId, PrimId, Sim, Watchers};
-use crate::prims::{
-    ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerLogic, ControllerPrim,
-    DataCh, Delays, FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv,
-    PushConsumerEnv, SelectAdapterPrim, SyncResponderEnv, UnFuncPrim, VariablePrim,
-};
-use crate::Primitive;
+use crate::prims::{ControllerLogic, DataCh, Delays, MemSite, PartRun, State};
 use bmbe_hsnet::{BinOp, UnOp};
 use std::sync::Arc;
 
-/// One primitive of a circuit. The behavioural parts mirror the event
-/// primitives of [`crate::prims`] one for one.
+/// One primitive of a circuit: its kind, wires and data channels. The
+/// event engine steps it through [`PartRun`], the compiled engine lane by
+/// lane; neither copies it per run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Part {
     /// A synthesized controller: `artifact` indexes the flow's controller
@@ -36,21 +32,22 @@ pub enum Part {
         /// Output wires.
         outputs: Vec<NodeId>,
     },
-    /// A constant source (see [`ConstantPrim`]).
+    /// A constant source: a passive pull provider.
     Constant {
         /// Its channel.
         ch: DataCh,
         /// The constant.
         value: u64,
     },
-    /// A storage variable (see [`VariablePrim`]).
+    /// A storage variable: a passive write port and passive read ports.
     Variable {
         /// Write channel.
         write: DataCh,
         /// Read channels.
         reads: Vec<DataCh>,
     },
-    /// A binary function (see [`BinFuncPrim`]).
+    /// A binary function: a passive result provider that pulls both
+    /// operands.
     BinFunc {
         /// The operation.
         op: BinOp,
@@ -61,7 +58,7 @@ pub enum Part {
         /// Right operand channel.
         rhs: DataCh,
     },
-    /// A unary function (see [`UnFuncPrim`]).
+    /// A unary function, the identity bridge included.
     UnFunc {
         /// The operation.
         op: UnOp,
@@ -70,21 +67,22 @@ pub enum Part {
         /// Operand channel.
         operand: DataCh,
     },
-    /// A call-mux (see [`CallMuxPrim`]).
+    /// A call-mux: mutually exclusive pushes merged onto one output push.
     CallMux {
         /// Writer channels.
         ins: Vec<DataCh>,
         /// Merged output.
         out: DataCh,
     },
-    /// A pull-mux (see [`PullMuxPrim`]).
+    /// A pull-mux: mutually exclusive pull clients sharing one pulled
+    /// source.
     PullMux {
         /// Client channels.
         clients: Vec<DataCh>,
         /// Shared source.
         source: DataCh,
     },
-    /// A word-addressed memory (see [`MemoryPrim`]).
+    /// A word-addressed memory.
     Memory {
         /// Declared size in words.
         words: usize,
@@ -93,7 +91,9 @@ pub enum Part {
         /// Write sites.
         writes: Vec<MemSite>,
     },
-    /// A case/while select demultiplexer (see [`SelectAdapterPrim`]).
+    /// A case/while select demultiplexer: pulls the selector value and
+    /// steers the acknowledge onto one of the controller's select-ack
+    /// wires.
     SelectAdapter {
         /// The controller's select request.
         sel_req: NodeId,
@@ -102,33 +102,35 @@ pub enum Part {
         /// The selector value provider.
         provider: DataCh,
     },
-    /// A fetch's bundled-data copy (see [`FetchDataPrim`]).
+    /// A fetch's bundled-data copy: the pulled value goes to the push
+    /// channel's slot as soon as the pull acknowledges.
     FetchData {
         /// Pull channel.
         pull: DataCh,
         /// Push channel.
         push: DataCh,
     },
-    /// The activation driver (see [`ActivationDriverEnv`]).
+    /// The activation driver: repeated four-phase handshakes on the
+    /// design's top activation.
     ActivationDriver {
         /// Request it drives.
         req: NodeId,
         /// Acknowledge it watches.
         ack: NodeId,
     },
-    /// A sync-port responder (see [`SyncResponderEnv`]).
+    /// A sync-port responder: acknowledges every request.
     SyncResponder {
         /// Request it watches.
         req: NodeId,
         /// Acknowledge it drives.
         ack: NodeId,
     },
-    /// An input-port value provider (see [`PullProviderEnv`]).
+    /// An input-port value provider: supplies scripted values.
     PullProvider {
         /// Its channel.
         ch: DataCh,
     },
-    /// An output-port consumer (see [`PushConsumerEnv`]).
+    /// An output-port consumer: records the values it receives.
     PushConsumer {
         /// Its channel.
         ch: DataCh,
@@ -215,18 +217,13 @@ pub enum DoneSpec {
 
 impl DoneSpec {
     /// Whether an event simulation built by [`Circuit::event_sim`] has met
-    /// the condition.
-    pub fn met(&self, sim: &Sim) -> bool {
+    /// the condition. A condition naming a part of another kind is not
+    /// met.
+    pub fn met(&self, sim: &Sim<PartRun<'_>>) -> bool {
         match *self {
-            DoneSpec::Activations(p, n) => sim
-                .prim::<ActivationDriverEnv>(p)
-                .is_some_and(|d| d.completions as u64 >= n),
-            DoneSpec::Outputs(p, n) => sim
-                .prim::<PushConsumerEnv>(p)
-                .is_some_and(|c| c.received.len() >= n),
-            DoneSpec::Syncs(p, n) => sim
-                .prim::<SyncResponderEnv>(p)
-                .is_some_and(|c| c.count as u64 >= n),
+            DoneSpec::Activations(p, n) => sim.prim(p).activations().is_some_and(|c| c >= n),
+            DoneSpec::Outputs(p, n) => sim.prim(p).received().is_some_and(|r| r.len() >= n),
+            DoneSpec::Syncs(p, n) => sim.prim(p).syncs().is_some_and(|c| c >= n),
         }
     }
 }
@@ -244,9 +241,9 @@ pub struct LaneSpec<'a> {
     pub done: DoneSpec,
 }
 
-impl LaneSpec<'_> {
+impl<'a> LaneSpec<'a> {
     /// The script of pull provider `p` (empty when unscripted).
-    pub fn script(&self, p: PrimId) -> &[u64] {
+    pub fn script(&self, p: PrimId) -> &'a [u64] {
         self.provider_values
             .iter()
             .find(|(q, _)| *q == p)
@@ -254,7 +251,7 @@ impl LaneSpec<'_> {
     }
 
     /// The preload of memory `p` (empty when none).
-    pub fn preload(&self, p: PrimId) -> &[u64] {
+    pub fn preload(&self, p: PrimId) -> &'a [u64] {
         self.memory_init
             .iter()
             .find(|(q, _)| *q == p)
@@ -271,104 +268,89 @@ impl Circuit {
     /// Builds the event simulation of one bound lane over `program`, the
     /// circuit's event program: part `i` becomes primitive `PrimId(i)`,
     /// watching [`Part::watch`] through the program's index. Only run
-    /// state is built here — wire values, slots, the queue, each
-    /// primitive's counters and scripts, and the `delays` scalars.
+    /// state is built here — wire values, slots, the queue, and what each
+    /// part keeps: a variable's value, a mux's active input, a memory's
+    /// words and read addresses, a select's chosen branch, a controller's
+    /// state code and counters, and the environment's counts, script
+    /// positions and received values. Parts, scripts and delays are
+    /// borrowed.
     ///
     /// `program` must be the program built from this circuit.
-    pub fn event_sim(&self, program: &EventProgram, lane: &LaneSpec<'_>, delays: &Delays) -> Sim {
+    pub fn event_sim<'a>(
+        &'a self,
+        program: &'a EventProgram,
+        lane: &LaneSpec<'a>,
+        delays: &'a Delays,
+    ) -> Sim<PartRun<'a>> {
         let mut controllers = 0;
-        let mut prims = Vec::with_capacity(self.parts.len());
-        for (i, part) in self.parts.iter().enumerate() {
-            let prim: Box<dyn Primitive> = match part {
-                Part::Controller { .. } => {
-                    // Logic is numbered in part order.
-                    let logic = Arc::clone(&program.controllers[controllers]);
-                    controllers += 1;
-                    Box::new(ControllerPrim::new(logic, delays.wire))
-                }
-                &Part::Constant { ch, value } => Box::new(ConstantPrim {
-                    ch,
-                    value,
-                    delay: delays.constant,
-                }),
-                Part::Variable { write, reads } => Box::new(VariablePrim {
-                    value: 0,
-                    write: *write,
-                    reads: reads.clone(),
-                    wdelay: delays.var_write,
-                    rdelay: delays.var_read,
-                }),
-                &Part::BinFunc { op, out, lhs, rhs } => Box::new(BinFuncPrim {
-                    op,
-                    out,
-                    lhs,
-                    rhs,
-                    delay: delays.binop(op),
-                }),
-                &Part::UnFunc { op, out, operand } => Box::new(UnFuncPrim {
-                    op,
-                    out,
-                    operand,
-                    delay: if op == UnOp::Id { 1 } else { delays.unary },
-                }),
-                Part::CallMux { ins, out } => {
-                    Box::new(CallMuxPrim::new(ins.clone(), *out, delays.mux))
-                }
-                Part::PullMux { clients, source } => {
-                    Box::new(PullMuxPrim::new(clients.clone(), *source, delays.mux))
-                }
-                Part::Memory {
-                    words,
-                    reads,
-                    writes,
-                } => {
-                    let mut m =
-                        MemoryPrim::new(*words, reads.clone(), writes.clone(), delays.memory);
-                    for (w, v) in m.words.iter_mut().zip(lane.preload(PrimId(i))) {
-                        *w = *v;
+        let prims = self
+            .parts
+            .iter()
+            .enumerate()
+            .map(|(i, part)| {
+                let state = match part {
+                    Part::Controller { .. } => {
+                        // Logic is numbered in part order.
+                        let logic = &program.controllers[controllers];
+                        controllers += 1;
+                        State::Controller {
+                            logic,
+                            code: logic.initial_code,
+                            memo_hits: 0,
+                            settles: 0,
+                        }
                     }
-                    Box::new(m)
+                    Part::Variable { .. } => State::Variable(0),
+                    Part::CallMux { .. } | Part::PullMux { .. } | Part::SelectAdapter { .. } => {
+                        State::Active(None)
+                    }
+                    Part::Memory { words, reads, .. } => {
+                        let mut words = vec![0; *words];
+                        for (w, v) in words.iter_mut().zip(lane.preload(PrimId(i))) {
+                            *w = *v;
+                        }
+                        State::Memory {
+                            words,
+                            raddr: vec![0; reads.len()],
+                        }
+                    }
+                    Part::ActivationDriver { .. } => State::Driver {
+                        cycles: lane.activation_cycles,
+                        completions: 0,
+                    },
+                    Part::SyncResponder { .. } => State::Sync(0),
+                    Part::PullProvider { .. } => State::Provider {
+                        values: lane.script(PrimId(i)),
+                        ix: 0,
+                    },
+                    Part::PushConsumer { .. } => State::Consumer(Vec::new()),
+                    Part::Constant { .. }
+                    | Part::BinFunc { .. }
+                    | Part::UnFunc { .. }
+                    | Part::FetchData { .. } => State::None,
+                };
+                PartRun {
+                    part,
+                    delays,
+                    state,
                 }
-                Part::SelectAdapter {
-                    sel_req,
-                    sel_acks,
-                    provider,
-                } => Box::new(SelectAdapterPrim::new(
-                    *sel_req,
-                    sel_acks.clone(),
-                    *provider,
-                    delays.select,
-                )),
-                &Part::FetchData { pull, push } => Box::new(FetchDataPrim { pull, push }),
-                &Part::ActivationDriver { req, ack } => Box::new(ActivationDriverEnv {
-                    req,
-                    ack,
-                    cycles: lane.activation_cycles as usize,
-                    completions: 0,
-                    done_time: None,
-                    delay: delays.env,
-                }),
-                &Part::SyncResponder { req, ack } => Box::new(SyncResponderEnv {
-                    req,
-                    ack,
-                    delay: delays.env,
-                    count: 0,
-                }),
-                &Part::PullProvider { ch } => Box::new(PullProviderEnv {
-                    ch,
-                    values: lane.script(PrimId(i)).to_vec(),
-                    ix: 0,
-                    delay: delays.env,
-                }),
-                &Part::PushConsumer { ch } => Box::new(PushConsumerEnv {
-                    ch,
-                    received: Vec::new(),
-                    delay: delays.env,
-                }),
-            };
-            prims.push(prim);
-        }
+            })
+            .collect();
         Sim::with_watchers(Arc::clone(&program.watchers), self.num_slots, prims)
+    }
+
+    /// The parts watching each wire, as [`Part::watch`] lists them.
+    pub(crate) fn watchers(&self) -> Watchers {
+        let watched: Vec<Vec<NodeId>> = self
+            .parts
+            .iter()
+            .map(|part| {
+                let mut watch = Vec::new();
+                part.watch(&mut watch);
+                watch
+            })
+            .collect();
+        Watchers::new(self.num_wires(), watched.iter().map(Vec::as_slice))
     }
 }
 
@@ -380,42 +362,27 @@ impl Circuit {
 pub struct EventProgram {
     watchers: Arc<Watchers>,
     /// One logic per controller part, in part order.
-    controllers: Vec<Arc<ControllerLogic>>,
+    controllers: Vec<ControllerLogic>,
 }
 
 impl EventProgram {
     /// The program of `circuit`. `controller` builds a controller part's
-    /// logic from its artifact index and wires.
+    /// logic from its artifact index.
     pub fn new(
         circuit: &Circuit,
-        mut controller: impl FnMut(usize, &[NodeId], &[NodeId]) -> ControllerLogic,
+        controller: impl FnMut(usize) -> ControllerLogic,
     ) -> EventProgram {
-        let watched: Vec<Vec<NodeId>> = circuit
-            .parts
-            .iter()
-            .map(|part| {
-                let mut watch = Vec::new();
-                part.watch(&mut watch);
-                watch
-            })
-            .collect();
         let controllers = circuit
             .parts
             .iter()
             .filter_map(|part| match part {
-                Part::Controller {
-                    artifact,
-                    inputs,
-                    outputs,
-                } => Some(Arc::new(controller(*artifact, inputs, outputs))),
+                Part::Controller { artifact, .. } => Some(*artifact),
                 _ => None,
             })
+            .map(controller)
             .collect();
         EventProgram {
-            watchers: Arc::new(Watchers::new(
-                circuit.num_wires(),
-                watched.iter().map(Vec::as_slice),
-            )),
+            watchers: Arc::new(circuit.watchers()),
             controllers,
         }
     }

@@ -39,7 +39,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::circuit::{Circuit, DoneSpec, LaneSpec, Part};
-use crate::engine::{NodeId, PrimId, SlotId};
+use crate::engine::{NodeId, PrimId, SlotId, Watchers};
 use crate::prims::{eval_binop, eval_unop, TransitionMemo};
 
 /// Number of scenario lanes a batch evaluates at once (the bits of a
@@ -47,34 +47,20 @@ use crate::prims::{eval_binop, eval_unop, TransitionMemo};
 pub const LANES: usize = 64;
 
 /// Which simulation backend runs a scenario set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimBackend {
     /// The event-driven engine — the timing and hazard reference.
     Event,
     /// The bit-parallel compiled engine: 64 scenarios per lane word.
     Compiled,
-    /// Compiled for batches of more than one scenario, the event engine
-    /// for a single scenario (where timing matters and lanes would idle).
-    #[default]
-    Auto,
 }
 
 impl SimBackend {
-    /// Resolves [`SimBackend::Auto`] against the batch size.
-    pub fn resolve(self, scenarios: usize) -> SimBackend {
-        match self {
-            SimBackend::Auto if scenarios > 1 => SimBackend::Compiled,
-            SimBackend::Auto => SimBackend::Event,
-            other => other,
-        }
-    }
-
     /// The backend's report name.
     pub fn name(self) -> &'static str {
         match self {
             SimBackend::Event => "event",
             SimBackend::Compiled => "compiled",
-            SimBackend::Auto => "auto",
         }
     }
 }
@@ -171,15 +157,38 @@ const NO_ACTIVE: u16 = u16::MAX;
 #[derive(Debug, Clone)]
 enum PState {
     None,
-    Ctrl { tape: usize, state: Vec<u64>, memo: Option<TransitionMemo> },
-    Var { value: Vec<u64> },
-    Mux { active: Vec<u16> },
-    Mem { words: Vec<u64>, raddr: Vec<u64> },
-    Sel { chosen: Vec<u16> },
-    Driver { cycles: Vec<u64>, completions: Vec<u64> },
-    Sync { count: Vec<u64> },
-    Provider { values: Vec<Vec<u64>>, ix: Vec<usize> },
-    Consumer { received: Vec<Vec<u64>> },
+    Ctrl {
+        tape: usize,
+        state: Vec<u64>,
+        memo: Option<TransitionMemo>,
+    },
+    Var {
+        value: Vec<u64>,
+    },
+    Mux {
+        active: Vec<u16>,
+    },
+    Mem {
+        words: Vec<u64>,
+        raddr: Vec<u64>,
+    },
+    Sel {
+        chosen: Vec<u16>,
+    },
+    Driver {
+        cycles: Vec<u64>,
+        completions: Vec<u64>,
+    },
+    Sync {
+        count: Vec<u64>,
+    },
+    Provider {
+        values: Vec<Vec<u64>>,
+        ix: Vec<usize>,
+    },
+    Consumer {
+        received: Vec<Vec<u64>>,
+    },
 }
 
 impl ControllerTape {
@@ -212,7 +221,9 @@ impl ControllerTape {
             detail,
         };
         if num_nodes > u16::MAX as usize {
-            return Err(bad(format!("{num_nodes} subject nodes exceed the tape limit")));
+            return Err(bad(format!(
+                "{num_nodes} subject nodes exceed the tape limit"
+            )));
         }
         let num_fn_inputs = inputs + num_state;
         if num_fn_inputs > num_nodes {
@@ -271,7 +282,9 @@ impl ControllerTape {
             node: e.node,
         })?;
         // Tape order: ascending (level, node) over driven nodes.
-        let mut driven: Vec<usize> = (0..num_nodes).filter(|&v| driver[v] != usize::MAX).collect();
+        let mut driven: Vec<usize> = (0..num_nodes)
+            .filter(|&v| driver[v] != usize::MAX)
+            .collect();
         driven.sort_unstable_by_key(|&v| (lev.level[v], v));
         let ops: Vec<TapeOp> = driven
             .iter()
@@ -365,7 +378,7 @@ impl RunResult {
 #[derive(Debug)]
 pub struct CompiledCircuit {
     circuit: Arc<Circuit>,
-    watchers: Vec<Vec<u32>>,
+    watchers: Watchers,
     tapes: Vec<ControllerTape>,
     max_tape_slots: usize,
 }
@@ -383,9 +396,7 @@ impl CompiledCircuit {
         mut tape: impl FnMut(usize, usize, usize) -> Result<ControllerTape, E>,
     ) -> Result<CompiledCircuit, E> {
         let mut tapes = Vec::new();
-        let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); circuit.num_wires()];
-        let mut watch = Vec::new();
-        for (i, part) in circuit.parts.iter().enumerate() {
+        for part in &circuit.parts {
             if let Part::Controller {
                 artifact,
                 inputs,
@@ -394,15 +405,8 @@ impl CompiledCircuit {
             {
                 tapes.push(tape(*artifact, inputs.len(), outputs.len())?);
             }
-            watch.clear();
-            part.watch(&mut watch);
-            for w in &watch {
-                let list = &mut watchers[w.0];
-                if list.last() != Some(&(i as u32)) {
-                    list.push(i as u32);
-                }
-            }
         }
+        let watchers = circuit.watchers();
         let max_tape_slots = tapes.iter().map(|t| t.slots).max().unwrap_or(0);
         Ok(CompiledCircuit {
             circuit,
@@ -679,10 +683,11 @@ impl RunState {
             } else {
                 for_lanes(diff, |l| self.lane_events[l] += 1);
             }
-            for &op in &c.watchers[w] {
-                if !self.trig[op as usize] {
-                    self.trig[op as usize] = true;
-                    self.trig_list.push(op);
+            // A part listed twice for a wire is marked once.
+            for &p in c.watchers.of(NodeId(w)) {
+                if !self.trig[p.0] {
+                    self.trig[p.0] = true;
+                    self.trig_list.push(p.0 as u32);
                 }
             }
         }
@@ -774,7 +779,9 @@ impl RunState {
                 };
                 let m = self.chg(write.req);
                 let v = self.wire(write.req);
-                for_lanes(m & v, |l| value[l] = self.slots[Self::slot_ix(write.slot, l)]);
+                for_lanes(m & v, |l| {
+                    value[l] = self.slots[Self::slot_ix(write.slot, l)]
+                });
                 self.sched(write.ack, !0, m & v);
                 self.sched(write.ack, 0, m & !v);
                 for r in reads {
@@ -890,11 +897,7 @@ impl RunState {
                 reads,
                 writes,
             } => {
-                let PState::Mem {
-                    words: mem,
-                    raddr,
-                } = &mut pst
-                else {
+                let PState::Mem { words: mem, raddr } = &mut pst else {
                     unreachable!()
                 };
                 let words = (*words).max(1);
@@ -1029,7 +1032,8 @@ impl RunState {
         self.pstates[op_ix] = pst;
     }
 
-    /// Lane-parallel mirror of `ControllerPrim::on_change` + `ControllerLogic::settle`.
+    /// Lane-parallel mirror of the event engine's controller step
+    /// (`PartRun` over `ControllerLogic::settle`).
     ///
     /// When every live lane is at one (input point, state) pair the
     /// transition memo may already hold that pair's settled state and
@@ -1434,14 +1438,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("two gates"));
-    }
-
-    #[test]
-    fn backend_auto_resolves_by_batch_size() {
-        assert_eq!(SimBackend::Auto.resolve(1), SimBackend::Event);
-        assert_eq!(SimBackend::Auto.resolve(2), SimBackend::Compiled);
-        assert_eq!(SimBackend::Compiled.resolve(1), SimBackend::Compiled);
-        assert_eq!(SimBackend::Event.resolve(64), SimBackend::Event);
-        assert_eq!(SimBackend::Event.name(), "event");
     }
 }

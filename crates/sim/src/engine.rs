@@ -1,10 +1,11 @@
 //! The discrete-event simulation engine.
 //!
 //! Wires carry Boolean values; data moves in per-channel value slots
-//! (bundled-data abstraction). Primitives — synthesized controllers,
-//! behavioural datapath components, and environment processes — react to
-//! wire changes and schedule further changes after their delays. Time is in
-//! picoseconds.
+//! (bundled-data abstraction). Primitives react to wire changes and
+//! schedule further changes after their delays. In production the
+//! primitives are the parts of a lowered circuit, each stepped in place
+//! ([`crate::PartRun`]); the engine is generic over its primitive type, so
+//! unit tests and benchmarks plug in their own. Time is in picoseconds.
 //!
 //! # Scheduling
 //!
@@ -18,7 +19,6 @@
 //! Handshake circuits run at queue depths of a few events, where a heap
 //! operation costs a handful of comparisons.
 
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -38,11 +38,8 @@ pub struct SlotId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrimId(pub usize);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
-    SetNode(NodeId, bool),
-    Notify(PrimId, u64),
-}
+/// A scheduled wire change: the wire and its new value.
+type Action = (NodeId, bool);
 
 /// The event engine's scheduler choice. The engine has one scheduler, so
 /// the type has one value; it stays only because the benchmark harness
@@ -60,18 +57,12 @@ pub enum SchedulerKind {
 type Event = (Time, u64, u32);
 
 /// A behavioural element of the simulation.
-pub trait Primitive: Any {
+pub trait Primitive {
     /// Called once before simulation starts.
     fn init(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// Called when a watched wire changes value.
     fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId);
-
-    /// Called when a self-scheduled notification fires.
-    fn on_notify(&mut self, _ctx: &mut Ctx<'_>, _tag: u64) {}
-
-    /// Downcast support for post-simulation inspection.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// The pending events and the action slots they index.
@@ -118,15 +109,9 @@ pub struct Ctx<'a> {
     slots: &'a mut [u64],
     queue: &'a mut Queue,
     now: Time,
-    self_id: PrimId,
 }
 
 impl Ctx<'_> {
-    /// The current simulation time (ps).
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
     /// Reads a wire.
     pub fn get(&self, node: NodeId) -> bool {
         self.nodes[node.0]
@@ -145,14 +130,7 @@ impl Ctx<'_> {
 
     /// Schedules a wire change `delay` picoseconds from now.
     pub fn set_after(&mut self, node: NodeId, value: bool, delay: Time) {
-        self.queue
-            .push(self.now + delay, Action::SetNode(node, value));
-    }
-
-    /// Schedules a notification to this primitive.
-    pub fn notify_after(&mut self, tag: u64, delay: Time) {
-        self.queue
-            .push(self.now + delay, Action::Notify(self.self_id, tag));
+        self.queue.push(self.now + delay, (node, value));
     }
 }
 
@@ -163,12 +141,6 @@ impl Ctx<'_> {
 pub(crate) struct Watchers {
     start: Vec<u32>,
     prims: Vec<PrimId>,
-}
-
-impl Default for Watchers {
-    fn default() -> Self {
-        Watchers::new(0, std::iter::empty())
-    }
 }
 
 impl Watchers {
@@ -200,9 +172,9 @@ impl Watchers {
         self.start.len() - 1
     }
 
-    /// Where `node`'s watchers sit in `prims`.
-    fn range(&self, node: NodeId) -> std::ops::Range<usize> {
-        self.start[node.0] as usize..self.start[node.0 + 1] as usize
+    /// The primitives watching `node`, in registration order.
+    pub(crate) fn of(&self, node: NodeId) -> &[PrimId] {
+        &self.prims[self.start[node.0] as usize..self.start[node.0 + 1] as usize]
     }
 
     fn add_wire(&mut self) {
@@ -223,12 +195,11 @@ impl Watchers {
     }
 }
 
-/// The simulator.
-#[derive(Default)]
-pub struct Sim {
+/// The simulator, over primitives of type `P`.
+pub struct Sim<P> {
     nodes: Vec<bool>,
     slots: Vec<u64>,
-    prims: Vec<Option<Box<dyn Primitive>>>,
+    prims: Vec<P>,
     watchers: Arc<Watchers>,
     queue: Queue,
     now: Time,
@@ -238,12 +209,14 @@ pub struct Sim {
     trace: Option<Vec<String>>,
 }
 
-impl Sim {
-    /// Creates an empty simulator.
-    pub fn new() -> Self {
-        Self::default()
+impl<P: Primitive> Default for Sim<P> {
+    /// An empty simulator.
+    fn default() -> Self {
+        Sim::with_size(0, 0)
     }
+}
 
+impl<P: Primitive> Sim<P> {
     /// Creates a simulator with `wires` wires (all 0) and `slots` data
     /// slots; ids are dense, `NodeId(0..wires)` and `SlotId(0..slots)`.
     pub fn with_size(wires: usize, slots: usize) -> Self {
@@ -256,17 +229,16 @@ impl Sim {
 
     /// Creates a simulator over a shared watcher index, with its wires (all
     /// 0), `slots` data slots and the primitives the index refers to.
-    pub(crate) fn with_watchers(
-        watchers: Arc<Watchers>,
-        slots: usize,
-        prims: Vec<Box<dyn Primitive>>,
-    ) -> Self {
+    pub(crate) fn with_watchers(watchers: Arc<Watchers>, slots: usize, prims: Vec<P>) -> Self {
         Sim {
             nodes: vec![false; watchers.wires()],
             slots: vec![0; slots],
-            prims: prims.into_iter().map(Some).collect(),
+            prims,
             watchers,
-            ..Self::default()
+            queue: Queue::default(),
+            now: 0,
+            events_processed: 0,
+            trace: None,
         }
     }
 
@@ -290,30 +262,22 @@ impl Sim {
         self.nodes[node.0]
     }
 
-    /// Allocates a data slot.
-    pub fn slot(&mut self) -> SlotId {
-        self.slots.push(0);
-        SlotId(self.slots.len() - 1)
-    }
-
     /// Reads a data slot.
     pub fn slot_value(&self, slot: SlotId) -> u64 {
         self.slots[slot.0]
     }
 
     /// Registers a primitive watching the given wires.
-    pub fn add_prim(&mut self, prim: Box<dyn Primitive>, watched: &[NodeId]) -> PrimId {
+    pub fn add_prim(&mut self, prim: P, watched: &[NodeId]) -> PrimId {
         let id = PrimId(self.prims.len());
-        self.prims.push(Some(prim));
+        self.prims.push(prim);
         Arc::make_mut(&mut self.watchers).watch(id, watched);
         id
     }
 
     /// Inspects a primitive after (or during) simulation.
-    pub fn prim<T: 'static>(&self, id: PrimId) -> Option<&T> {
-        self.prims[id.0]
-            .as_ref()
-            .and_then(|p| p.as_any().downcast_ref::<T>())
+    pub fn prim(&self, id: PrimId) -> &P {
+        &self.prims[id.0]
     }
 
     /// The current time (ps).
@@ -332,59 +296,50 @@ impl Sim {
         self.queue.actions.len()
     }
 
-    fn call<F: FnOnce(&mut dyn Primitive, &mut Ctx<'_>)>(&mut self, id: PrimId, f: F) {
-        let mut prim = self.prims[id.0].take().expect("no reentrant prim calls");
+    /// Initializes every primitive (call once before running).
+    pub fn init(&mut self) {
         let mut ctx = Ctx {
             nodes: &self.nodes,
             slots: &mut self.slots,
             queue: &mut self.queue,
             now: self.now,
-            self_id: id,
         };
-        f(prim.as_mut(), &mut ctx);
-        self.prims[id.0] = Some(prim);
-    }
-
-    /// Initializes every primitive (call once before running).
-    pub fn init(&mut self) {
-        for i in 0..self.prims.len() {
-            self.call(PrimId(i), |p, ctx| p.init(ctx));
+        for prim in &mut self.prims {
+            prim.init(&mut ctx);
         }
     }
 
     /// Runs until the condition holds, the queue drains, or `max_time` (ps)
     /// passes. Returns `true` if the condition was met.
-    pub fn run_until<F: FnMut(&Sim) -> bool>(&mut self, mut done: F, max_time: Time) -> bool {
+    pub fn run_until<F: FnMut(&Sim<P>) -> bool>(&mut self, mut done: F, max_time: Time) -> bool {
         if done(self) {
             return true;
         }
-        while let Some((t, action)) = self.queue.pop() {
+        while let Some((t, (node, value))) = self.queue.pop() {
             self.now = t;
             if t > max_time {
                 return false;
             }
             self.events_processed += 1;
-            match action {
-                Action::SetNode(node, value) => {
-                    if self.nodes[node.0] == value {
-                        continue;
-                    }
-                    self.nodes[node.0] = value;
-                    if let Some(names) = &self.trace {
-                        bmbe_obs::vlog!(1, "[{:>8}ps] {} <- {}", t, names[node.0], value as u8);
-                        bmbe_obs::event!("sim.wire_change", node.0 as i64);
-                    }
-                    // Indexed delivery: the watcher lists are fixed once
-                    // simulation starts (primitives cannot register new
-                    // ones), so no defensive clone.
-                    for i in self.watchers.range(node) {
-                        let w = self.watchers.prims[i];
-                        self.call(w, |p, ctx| p.on_change(ctx, node));
-                    }
-                }
-                Action::Notify(prim, tag) => {
-                    self.call(prim, |p, ctx| p.on_notify(ctx, tag));
-                }
+            if self.nodes[node.0] == value {
+                continue;
+            }
+            self.nodes[node.0] = value;
+            if let Some(names) = &self.trace {
+                bmbe_obs::vlog!(1, "[{:>8}ps] {} <- {}", t, names[node.0], value as u8);
+                bmbe_obs::event!("sim.wire_change", node.0 as i64);
+            }
+            // Indexed delivery: the watcher lists are fixed once simulation
+            // starts (primitives cannot register new ones), so no
+            // defensive clone.
+            let mut ctx = Ctx {
+                nodes: &self.nodes,
+                slots: &mut self.slots,
+                queue: &mut self.queue,
+                now: t,
+            };
+            for &w in self.watchers.of(node) {
+                self.prims[w.0].on_change(&mut ctx, node);
             }
             if done(self) {
                 return true;
@@ -414,31 +369,28 @@ mod tests {
             let v = ctx.get(self.input);
             ctx.set_after(self.output, !v, self.delay);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     #[test]
     fn inverter_chain_propagates_with_delay() {
-        let mut sim = Sim::new();
+        let mut sim = Sim::default();
         let a = sim.wire();
         let b = sim.wire();
         let c = sim.wire();
         sim.add_prim(
-            Box::new(Inv {
+            Inv {
                 input: a,
                 output: b,
                 delay: 100,
-            }),
+            },
             &[a],
         );
         sim.add_prim(
-            Box::new(Inv {
+            Inv {
                 input: b,
                 output: c,
                 delay: 100,
-            }),
+            },
             &[b],
         );
         sim.init();
@@ -448,14 +400,14 @@ mod tests {
 
     #[test]
     fn ring_oscillator_keeps_running_until_limit() {
-        let mut sim = Sim::new();
+        let mut sim = Sim::default();
         let a = sim.wire();
         sim.add_prim(
-            Box::new(Inv {
+            Inv {
                 input: a,
                 output: a,
                 delay: 50,
-            }),
+            },
             &[a],
         );
         sim.init();
@@ -469,14 +421,14 @@ mod tests {
         // A ring oscillator processes one event per 50 ps with exactly one
         // event in flight; after hundreds of thousands of events the slot
         // table must still be O(peak depth), not O(events).
-        let mut sim = Sim::new();
+        let mut sim = Sim::default();
         let a = sim.wire();
         sim.add_prim(
-            Box::new(Inv {
+            Inv {
                 input: a,
                 output: a,
                 delay: 50,
-            }),
+            },
             &[a],
         );
         sim.init();
@@ -495,39 +447,35 @@ mod tests {
     fn same_time_events_fire_in_scheduling_order() {
         // Three writes to one wire at the same instant, scheduled in the
         // order 1, 0, 1: the last one scheduled wins, and each applied
-        // change is delivered.
-        struct Writer {
-            out: NodeId,
-        }
-        impl Primitive for Writer {
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_after(self.out, true, 100);
-                ctx.set_after(self.out, false, 100);
-                ctx.set_after(self.out, true, 100);
-            }
-            fn on_change(&mut self, _ctx: &mut Ctx<'_>, _node: NodeId) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        struct Log {
+        // change is delivered. The writer watches nothing; the log
+        // records what it sees.
+        struct Probe {
+            writes: Option<NodeId>,
             seen: Vec<bool>,
         }
-        impl Primitive for Log {
+        impl Primitive for Probe {
+            fn init(&mut self, ctx: &mut Ctx<'_>) {
+                if let Some(out) = self.writes {
+                    ctx.set_after(out, true, 100);
+                    ctx.set_after(out, false, 100);
+                    ctx.set_after(out, true, 100);
+                }
+            }
             fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
                 self.seen.push(ctx.get(node));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
             }
         }
         let mut sim = Sim::with_size(1, 0);
         let w = NodeId(0);
-        sim.add_prim(Box::new(Writer { out: w }), &[]);
-        let log = sim.add_prim(Box::new(Log { seen: Vec::new() }), &[w]);
+        let probe = |writes| Probe {
+            writes,
+            seen: Vec::new(),
+        };
+        sim.add_prim(probe(Some(w)), &[]);
+        let log = sim.add_prim(probe(None), &[w]);
         sim.init();
         sim.run_until(|_| false, 1_000);
-        assert_eq!(sim.prim::<Log>(log).unwrap().seen, [true, false, true]);
+        assert_eq!(sim.prim(log).seen, [true, false, true]);
         assert_eq!(sim.events_processed, 3);
         assert_eq!(sim.peak_queue_depth(), 3);
     }
@@ -548,17 +496,14 @@ mod tests {
                 let v = ctx.get(self.input);
                 ctx.set_after(self.output, !v, 3_000_000);
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
         }
-        let mut sim = Sim::new();
+        let mut sim = Sim::default();
         let a = sim.wire();
         sim.add_prim(
-            Box::new(SlowInv {
+            SlowInv {
                 input: a,
                 output: a,
-            }),
+            },
             &[a],
         );
         sim.init();
@@ -589,26 +534,27 @@ mod tests {
             }
             let (input, output) = (NodeId(0), NodeId(1));
             sim.add_prim(
-                Box::new(Inv {
+                Inv {
                     input,
                     output,
                     delay: 1,
-                }),
+                },
                 list,
             );
         }
         assert_eq!(*sim.watchers, batch);
-        let of = |n: usize| batch.prims[batch.range(NodeId(n))].to_vec();
-        assert_eq!(of(0), [PrimId(0), PrimId(2), PrimId(2), PrimId(4)]);
-        assert_eq!(of(3), [PrimId(2), PrimId(3)]);
-        assert_eq!(of(4), []);
+        assert_eq!(
+            batch.of(NodeId(0)),
+            [PrimId(0), PrimId(2), PrimId(2), PrimId(4)]
+        );
+        assert_eq!(batch.of(NodeId(3)), [PrimId(2), PrimId(3)]);
+        assert_eq!(batch.of(NodeId(4)), []);
     }
 
     #[test]
     fn sized_sim_has_dense_ids() {
-        let mut sim = Sim::with_size(2, 1);
+        let mut sim = Sim::<Inv>::with_size(2, 1);
         assert_eq!(sim.wire(), NodeId(2));
-        assert_eq!(sim.slot(), SlotId(1));
         assert_eq!(sim.slot_value(SlotId(0)), 0);
         assert!(!sim.value(NodeId(1)));
     }

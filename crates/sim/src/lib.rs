@@ -8,10 +8,11 @@
 //! the role the paper's `pearl` + Verilog-XL combination plays.
 //!
 //! A design is lowered once into a [`circuit::Circuit`], which both
-//! engines consume: [`engine::Sim`] (timed, event-driven, with the
-//! primitive library of [`prims`], over the circuit's
-//! [`circuit::EventProgram`]) and [`compile::CompiledCircuit`] (untimed,
-//! 64 scenario lanes at once).
+//! engines consume with one shape: the shared circuit, per-run state, and
+//! one `match` over [`circuit::Part`] each. [`engine::Sim`] is timed and
+//! event-driven: each run steps one [`prims::PartRun`] per part over the
+//! circuit's [`circuit::EventProgram`]. [`compile::CompiledCircuit`] is
+//! untimed and runs 64 scenario lanes at once.
 
 pub mod circuit;
 pub mod compile;
@@ -23,8 +24,4 @@ pub use compile::{
     CompileError, CompiledCircuit, ControllerTape, RunResult, RunSpec, SimBackend, TapeOp, LANES,
 };
 pub use engine::{Ctx, NodeId, PrimId, Primitive, SchedulerKind, Sim, SlotId, Time};
-pub use prims::{
-    ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerLogic, ControllerPrim,
-    DataCh, Delays, FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv,
-    PushConsumerEnv, SelectAdapterPrim, SyncResponderEnv, UnFuncPrim, VariablePrim,
-};
+pub use prims::{ControllerLogic, DataCh, Delays, MemSite, PartRun};

@@ -1,5 +1,7 @@
-//! Simulation primitives: synthesized burst-mode controllers, behavioural
-//! datapath handshake components, and environment processes.
+//! Simulation primitives: the delays, channels and operators of the
+//! behavioural parts, the shared logic of a synthesized controller, and
+//! [`PartRun`], the event engine's one primitive: a circuit part stepped
+//! in place.
 //!
 //! Controllers evaluate their hazard-free two-level covers functionally and
 //! apply the per-output delays back-annotated from technology mapping — the
@@ -7,11 +9,11 @@
 //! Datapath components follow four-phase bundled-data protocols with fixed
 //! latencies (see [`Delays`]).
 
+use crate::circuit::Part;
 use crate::engine::{Ctx, NodeId, Primitive, SlotId, Time};
 use bmbe_hsnet::{BinOp, UnOp};
 use bmbe_logic::Cover;
-use std::any::Any;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Latency parameters (ps) of the behavioural datapath and environment.
 #[derive(Debug, Clone)]
@@ -81,6 +83,15 @@ pub struct DataCh {
     pub ack: NodeId,
     /// Data slot.
     pub slot: SlotId,
+}
+
+/// One read or write site of a memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemSite {
+    /// Data channel (pull provider for reads, push consumer for writes).
+    pub data: DataCh,
+    /// Address channel (the memory actively pulls it).
+    pub addr: DataCh,
 }
 
 /// Evaluates a binary op on 64-bit values.
@@ -190,42 +201,40 @@ impl TransitionMemo {
     }
 }
 
-/// What every event run of one synthesized controller shares: its wires,
+/// What every event run of one synthesized controller shares: its
 /// covers, initial state code, mapped output delays, and the memo of the
-/// transitions any run has settled.
+/// transitions any run has settled. Its wires are its part's.
 ///
 /// The memo serves every run of the logic, on any thread: a settle is a
 /// pure function of `(input point, state)` and the covers, so an entry one
 /// run stored is exact for every other.
 #[derive(Debug)]
 pub struct ControllerLogic {
-    inputs: Vec<NodeId>,
-    outputs: Vec<NodeId>,
+    /// Input wires: the state bits sit above them in a cover's point.
+    inputs: usize,
     output_covers: Vec<Cover>,
     next_state_covers: Vec<Cover>,
-    initial_code: u64,
+    pub(crate) initial_code: u64,
     output_delays: Vec<Time>,
     /// `None` when the controller is too wide to memoize.
     memo: Option<Mutex<TransitionMemo>>,
 }
 
 impl ControllerLogic {
-    /// The logic of a controller with these input wires (in
-    /// function-variable order), output wires, one cover per output and
-    /// per state bit over inputs ++ state bits, initial state code, and
-    /// per-output mapped delay (ps) without the inter-component wire delay.
+    /// The logic of a controller with `inputs` input wires: one cover per
+    /// output and per state bit over inputs ++ state bits, the initial
+    /// state code, and each output's mapped delay (ps) without the
+    /// inter-component wire delay.
     pub fn new(
-        inputs: Vec<NodeId>,
-        outputs: Vec<NodeId>,
+        inputs: usize,
         output_covers: Vec<Cover>,
         next_state_covers: Vec<Cover>,
         initial_code: u64,
         output_delays: Vec<Time>,
     ) -> Self {
-        let memo = TransitionMemo::new(inputs.len(), next_state_covers.len(), output_covers.len());
+        let memo = TransitionMemo::new(inputs, next_state_covers.len(), output_covers.len());
         ControllerLogic {
             inputs,
-            outputs,
             output_covers,
             next_state_covers,
             initial_code,
@@ -235,7 +244,7 @@ impl ControllerLogic {
     }
 
     fn next_state(&self, x: u64, y: u64) -> u64 {
-        let p = x | y << self.inputs.len();
+        let p = x | y << self.inputs;
         self.next_state_covers
             .iter()
             .enumerate()
@@ -253,7 +262,7 @@ impl ControllerLogic {
             }
             state = y;
         }
-        let p = x | state << self.inputs.len();
+        let p = x | state << self.inputs;
         let bits = self
             .output_covers
             .iter()
@@ -261,57 +270,14 @@ impl ControllerLogic {
             .fold(0u64, |acc, (i, c)| acc | (c.eval(p) as u64) << i);
         (state, bits)
     }
-}
 
-/// A synthesized burst-mode controller with back-annotated delays: one
-/// run's state over its shared [`ControllerLogic`].
-///
-/// The state feedback is resolved *atomically* at each input event (the
-/// Mealy semantics the burst-mode specification defines; the synthesized
-/// logic is separately proven hazard-free, so the racing state bits never
-/// produce different behaviour). Mapped per-output delays plus the wire
-/// delay time the output edges; this mirrors back-annotated functional
-/// simulation.
-pub struct ControllerPrim {
-    logic: Arc<ControllerLogic>,
-    /// Current state code.
-    pub state: u64,
-    /// Inter-component wire delay added to every output (ps).
-    wire: Time,
-    /// Evaluations of this run the shared memo served.
-    pub memo_hits: u64,
-    /// Evaluations of this run that settled the covers.
-    pub settles: u64,
-}
-
-impl ControllerPrim {
-    /// A run of `logic` in its initial state, its outputs delayed by their
-    /// mapped delays plus `wire`.
-    pub fn new(logic: Arc<ControllerLogic>, wire: Time) -> Self {
-        ControllerPrim {
-            state: logic.initial_code,
-            logic,
-            wire,
-            memo_hits: 0,
-            settles: 0,
-        }
-    }
-
-    fn input_point(&self, ctx: &Ctx<'_>) -> u64 {
-        let mut p = 0u64;
-        for (i, &n) in self.logic.inputs.iter().enumerate() {
-            p |= (ctx.get(n) as u64) << i;
-        }
-        p
-    }
-
-    /// The settled state and output bits at input point `x`, from the
-    /// shared memo or by settling (and storing) them.
-    fn step(&mut self, x: u64) -> (u64, u64) {
-        let logic = &*self.logic;
-        let Some(memo) = &logic.memo else {
-            self.settles += 1;
-            return logic.settle(x, self.state);
+    /// The settled state and output bits at input point `x` from state
+    /// `state`, from the shared memo or by settling (and storing) them,
+    /// and whether the memo served them.
+    fn step(&self, x: u64, state: u64) -> (u64, u64, bool) {
+        let Some(memo) = &self.memo else {
+            let (next, bits) = self.settle(x, state);
+            return (next, bits, false);
         };
         // Look up, settle and store under one lock, so concurrent runs
         // store each transition once. Every update leaves the memo valid,
@@ -320,773 +286,505 @@ impl ControllerPrim {
             memo.clear_poison();
             poisoned.into_inner()
         });
-        if let Some(hit) = memo.get(x, self.state) {
-            self.memo_hits += 1;
-            return hit;
+        if let Some((next, bits)) = memo.get(x, state) {
+            return (next, bits, true);
         }
-        self.settles += 1;
-        let (next, bits) = logic.settle(x, self.state);
-        memo.put(x, self.state, next, bits);
-        (next, bits)
+        let (next, bits) = self.settle(x, state);
+        memo.put(x, state, next, bits);
+        (next, bits, false)
     }
 }
 
-impl Primitive for ControllerPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
-        let x = self.input_point(ctx);
-        let (state, bits) = self.step(x);
-        self.state = state;
-        let logic = &*self.logic;
-        for (i, &out) in logic.outputs.iter().enumerate() {
-            let v = (bits >> i) & 1 != 0;
-            if v != ctx.get(out) {
-                ctx.set_after(out, v, logic.output_delays[i] + self.wire);
-            }
+/// One part of a circuit in one event run: the shared [`Part`], the run's
+/// [`Delays`], and what the run keeps of the part. Built by
+/// [`crate::Circuit::event_sim`]; the engine steps it in place.
+///
+/// A controller resolves its state feedback *atomically* at each input
+/// event (the Mealy semantics the burst-mode specification defines; the
+/// synthesized logic is separately proven hazard-free, so the racing state
+/// bits never produce different behaviour), and its mapped per-output
+/// delays plus the wire delay time the output edges, as in back-annotated
+/// functional simulation.
+pub struct PartRun<'a> {
+    pub(crate) part: &'a Part,
+    pub(crate) delays: &'a Delays,
+    pub(crate) state: State<'a>,
+}
+
+/// What one event run keeps of a part.
+pub(crate) enum State<'a> {
+    /// Nothing: constants, functions and fetches.
+    None,
+    /// A controller's shared logic, its state code, and the evaluations
+    /// of this run the shared memo served and the ones that settled.
+    Controller {
+        logic: &'a ControllerLogic,
+        code: u64,
+        memo_hits: u64,
+        settles: u64,
+    },
+    /// A variable's value.
+    Variable(u64),
+    /// The input a call-mux or pull-mux serves, or the branch a select
+    /// adapter chose.
+    Active(Option<usize>),
+    /// A memory's words and the address each read site pulled.
+    Memory { words: Vec<u64>, raddr: Vec<u64> },
+    /// The activation driver's cycles to perform and cycles completed.
+    Driver { cycles: u64, completions: u64 },
+    /// A sync responder's completed handshakes.
+    Sync(u64),
+    /// A pull provider's script (cycled when exhausted) and next index.
+    Provider { values: &'a [u64], ix: usize },
+    /// Everything a push consumer received.
+    Consumer(Vec<u64>),
+}
+
+impl PartRun<'_> {
+    /// An activation driver's completed handshakes.
+    pub(crate) fn activations(&self) -> Option<u64> {
+        match self.state {
+            State::Driver { completions, .. } => Some(completions),
+            _ => None,
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Datapath primitives
-// ---------------------------------------------------------------------------
-
-/// Constant source: a passive pull provider.
-pub struct ConstantPrim {
-    /// Its channel.
-    pub ch: DataCh,
-    /// The constant.
-    pub value: u64,
-    /// Response delay.
-    pub delay: Time,
-}
-
-impl Primitive for ConstantPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
-        let req = ctx.get(self.ch.req);
-        if req {
-            ctx.write_slot(self.ch.slot, self.value);
-            ctx.set_after(self.ch.ack, true, self.delay);
-        } else {
-            ctx.set_after(self.ch.ack, false, self.delay / 2 + 1);
+    /// A sync responder's completed handshakes.
+    pub fn syncs(&self) -> Option<u64> {
+        match self.state {
+            State::Sync(count) => Some(count),
+            _ => None,
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Storage variable: passive write port, passive read ports.
-pub struct VariablePrim {
-    /// Current value.
-    pub value: u64,
-    /// Write channel.
-    pub write: DataCh,
-    /// Read channels.
-    pub reads: Vec<DataCh>,
-    /// Write latch delay.
-    pub wdelay: Time,
-    /// Read access delay.
-    pub rdelay: Time,
-}
-
-impl Primitive for VariablePrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        if node == self.write.req {
-            if ctx.get(self.write.req) {
-                self.value = ctx.read_slot(self.write.slot);
-                ctx.set_after(self.write.ack, true, self.wdelay);
-            } else {
-                ctx.set_after(self.write.ack, false, self.wdelay / 2 + 1);
-            }
-            return;
-        }
-        for r in &self.reads {
-            if node == r.req {
-                if ctx.get(r.req) {
-                    ctx.write_slot(r.slot, self.value);
-                    ctx.set_after(r.ack, true, self.rdelay);
-                } else {
-                    ctx.set_after(r.ack, false, self.rdelay / 2 + 1);
-                }
-                return;
-            }
+    /// The values a push consumer received.
+    pub fn received(&self) -> Option<&[u64]> {
+        match &self.state {
+            State::Consumer(received) => Some(received),
+            _ => None,
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Binary function: passive result provider that pulls both operands.
-pub struct BinFuncPrim {
-    /// The operation.
-    pub op: BinOp,
-    /// Result channel.
-    pub out: DataCh,
-    /// Left operand channel.
-    pub lhs: DataCh,
-    /// Right operand channel.
-    pub rhs: DataCh,
-    /// Compute delay.
-    pub delay: Time,
-}
-
-impl Primitive for BinFuncPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        let out_req = ctx.get(self.out.req);
-        if node == self.out.req {
-            if out_req {
-                ctx.set_after(self.lhs.req, true, 1);
-                ctx.set_after(self.rhs.req, true, 1);
-            }
-        }
-        if (node == self.lhs.ack || node == self.rhs.ack)
-            && ctx.get(self.lhs.ack)
-            && ctx.get(self.rhs.ack)
-            && out_req
-        {
-            let v = eval_binop(
-                self.op,
-                ctx.read_slot(self.lhs.slot),
-                ctx.read_slot(self.rhs.slot),
-            );
-            ctx.write_slot(self.out.slot, v);
-            ctx.set_after(self.out.ack, true, self.delay);
-            ctx.set_after(self.lhs.req, false, 1);
-            ctx.set_after(self.rhs.req, false, 1);
-        }
-        // Return-to-zero of the result once everything is quiet.
-        if !out_req && !ctx.get(self.lhs.ack) && !ctx.get(self.rhs.ack) && ctx.get(self.out.ack) {
-            ctx.set_after(self.out.ack, false, 1);
+    /// A memory's words.
+    pub fn words(&self) -> Option<&[u64]> {
+        match &self.state {
+            State::Memory { words, .. } => Some(words),
+            _ => None,
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Unary function (including the identity bridge).
-pub struct UnFuncPrim {
-    /// The operation.
-    pub op: UnOp,
-    /// Result channel.
-    pub out: DataCh,
-    /// Operand channel.
-    pub operand: DataCh,
-    /// Compute delay.
-    pub delay: Time,
-}
-
-impl Primitive for UnFuncPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        let out_req = ctx.get(self.out.req);
-        if node == self.out.req && out_req {
-            ctx.set_after(self.operand.req, true, 1);
-        }
-        if node == self.operand.ack && ctx.get(self.operand.ack) && out_req {
-            let v = eval_unop(self.op, ctx.read_slot(self.operand.slot));
-            ctx.write_slot(self.out.slot, v);
-            ctx.set_after(self.out.ack, true, self.delay);
-            ctx.set_after(self.operand.req, false, 1);
-        }
-        if !out_req && !ctx.get(self.operand.ack) && ctx.get(self.out.ack) {
-            ctx.set_after(self.out.ack, false, 1);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Call-mux: mutually exclusive pushes merged onto one output push.
-pub struct CallMuxPrim {
-    /// The writer channels.
-    pub ins: Vec<DataCh>,
-    /// The merged output.
-    pub out: DataCh,
-    /// Steering delay.
-    pub delay: Time,
-    active: Option<usize>,
-}
-
-impl CallMuxPrim {
-    /// Creates the primitive.
-    pub fn new(ins: Vec<DataCh>, out: DataCh, delay: Time) -> Self {
-        CallMuxPrim {
-            ins,
-            out,
-            delay,
-            active: None,
+    /// A controller's evaluations the shared memo served, and the ones
+    /// that settled its covers.
+    pub fn memo_counts(&self) -> Option<(u64, u64)> {
+        match self.state {
+            State::Controller {
+                memo_hits, settles, ..
+            } => Some((memo_hits, settles)),
+            _ => None,
         }
     }
 }
 
-impl Primitive for CallMuxPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        for (i, ch) in self.ins.iter().enumerate() {
-            if node == ch.req {
-                if ctx.get(ch.req) {
-                    self.active = Some(i);
-                    let v = ctx.read_slot(ch.slot);
-                    ctx.write_slot(self.out.slot, v);
-                    ctx.set_after(self.out.req, true, self.delay);
-                } else {
-                    ctx.set_after(self.out.req, false, self.delay / 2 + 1);
-                }
-                return;
-            }
-        }
-        if node == self.out.ack {
-            if let Some(i) = self.active {
-                let v = ctx.get(self.out.ack);
-                ctx.set_after(self.ins[i].ack, v, 1);
-                if !v {
-                    self.active = None;
-                }
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Pull-mux: mutually exclusive pull clients sharing one pulled source.
-pub struct PullMuxPrim {
-    /// The client channels.
-    pub clients: Vec<DataCh>,
-    /// The shared source.
-    pub source: DataCh,
-    /// Steering delay.
-    pub delay: Time,
-    active: Option<usize>,
-}
-
-impl PullMuxPrim {
-    /// Creates the primitive.
-    pub fn new(clients: Vec<DataCh>, source: DataCh, delay: Time) -> Self {
-        PullMuxPrim {
-            clients,
-            source,
-            delay,
-            active: None,
-        }
-    }
-}
-
-impl Primitive for PullMuxPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        for (i, ch) in self.clients.iter().enumerate() {
-            if node == ch.req {
-                if ctx.get(ch.req) {
-                    self.active = Some(i);
-                    ctx.set_after(self.source.req, true, self.delay / 2 + 1);
-                } else {
-                    ctx.set_after(self.source.req, false, self.delay / 2 + 1);
-                }
-                return;
-            }
-        }
-        if node == self.source.ack {
-            if let Some(i) = self.active {
-                let v = ctx.get(self.source.ack);
-                if v {
-                    let data = ctx.read_slot(self.source.slot);
-                    ctx.write_slot(self.clients[i].slot, data);
-                }
-                ctx.set_after(self.clients[i].ack, v, self.delay / 2 + 1);
-                if !v {
-                    self.active = None;
-                }
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// One read or write site of a memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemSite {
-    /// Data channel (pull provider for reads, push consumer for writes).
-    pub data: DataCh,
-    /// Address channel (the memory actively pulls it).
-    pub addr: DataCh,
-}
-
-/// Word-addressed memory.
-pub struct MemoryPrim {
-    /// The words.
-    pub words: Vec<u64>,
-    /// Read sites.
-    pub reads: Vec<MemSite>,
-    /// Write sites.
-    pub writes: Vec<MemSite>,
-    /// Access delay.
-    pub delay: Time,
-    raddr: Vec<u64>,
-}
-
-impl MemoryPrim {
-    /// Creates a memory with all words zero.
-    pub fn new(words: usize, reads: Vec<MemSite>, writes: Vec<MemSite>, delay: Time) -> Self {
-        let n = reads.len();
-        MemoryPrim {
-            words: vec![0; words],
-            reads,
-            writes,
-            delay,
-            raddr: vec![0; n],
-        }
-    }
-}
-
-impl Primitive for MemoryPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        for i in 0..self.reads.len() {
-            let site = self.reads[i];
-            if node == site.data.req {
-                if ctx.get(site.data.req) {
-                    ctx.set_after(site.addr.req, true, 1);
-                } else {
-                    ctx.set_after(site.data.ack, false, 1);
-                }
-                return;
-            }
-            if node == site.addr.ack {
-                if ctx.get(site.addr.ack) {
-                    self.raddr[i] = ctx.read_slot(site.addr.slot);
-                    ctx.set_after(site.addr.req, false, 1);
-                } else if ctx.get(site.data.req) {
-                    let a = (self.raddr[i] as usize) % self.words.len();
-                    let v = self.words[a];
-                    ctx.write_slot(site.data.slot, v);
-                    ctx.set_after(site.data.ack, true, self.delay);
-                }
-                return;
-            }
-        }
-        for j in 0..self.writes.len() {
-            let site = self.writes[j];
-            if node == site.data.req {
-                if ctx.get(site.data.req) {
-                    ctx.set_after(site.addr.req, true, 1);
-                } else {
-                    ctx.set_after(site.data.ack, false, 1);
-                }
-                return;
-            }
-            if node == site.addr.ack {
-                if ctx.get(site.addr.ack) {
-                    let a = (ctx.read_slot(site.addr.slot) as usize) % self.words.len();
-                    let v = ctx.read_slot(site.data.slot);
-                    self.words[a] = v;
-                    ctx.set_after(site.addr.req, false, 1);
-                } else if ctx.get(site.data.req) {
-                    ctx.set_after(site.data.ack, true, self.delay);
-                }
-                return;
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Select demultiplexer for case/while components: pulls the selector value
-/// and steers the acknowledge onto one of the controller's select-ack wires.
-pub struct SelectAdapterPrim {
-    /// The controller's select request (watched).
-    pub sel_req: NodeId,
-    /// The controller's per-branch acknowledge wires (driven).
-    pub sel_acks: Vec<NodeId>,
-    /// The selector value provider channel.
-    pub provider: DataCh,
-    /// Steering delay.
-    pub delay: Time,
-    chosen: Option<usize>,
-}
-
-impl SelectAdapterPrim {
-    /// Creates the adapter.
-    pub fn new(sel_req: NodeId, sel_acks: Vec<NodeId>, provider: DataCh, delay: Time) -> Self {
-        SelectAdapterPrim {
-            sel_req,
-            sel_acks,
-            provider,
-            delay,
-            chosen: None,
-        }
-    }
-}
-
-impl Primitive for SelectAdapterPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        if node == self.sel_req {
-            if ctx.get(self.sel_req) {
-                ctx.set_after(self.provider.req, true, 1);
-            } else if let Some(c) = self.chosen.take() {
-                ctx.set_after(self.sel_acks[c], false, self.delay / 2 + 1);
-            }
-        }
-        if node == self.provider.ack && ctx.get(self.provider.ack) && ctx.get(self.sel_req) {
-            let v = ctx.read_slot(self.provider.slot) as usize;
-            let c = v.min(self.sel_acks.len() - 1);
-            self.chosen = Some(c);
-            ctx.set_after(self.sel_acks[c], true, self.delay);
-            ctx.set_after(self.provider.req, false, 1);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Bundled-data forwarding inside a fetch component: copies the pulled
-/// value to the push channel's slot as soon as the pull acknowledges.
-pub struct FetchDataPrim {
-    /// The pull channel (its ack is watched).
-    pub pull: DataCh,
-    /// The push channel (its slot is written).
-    pub push: DataCh,
-}
-
-impl Primitive for FetchDataPrim {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        if node == self.pull.ack && ctx.get(self.pull.ack) {
-            let v = ctx.read_slot(self.pull.slot);
-            ctx.write_slot(self.push.slot, v);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Environment processes
-// ---------------------------------------------------------------------------
-
-/// Drives the design's top activation with repeated four-phase handshakes
-/// and records completion.
-pub struct ActivationDriverEnv {
-    /// The request we drive.
-    pub req: NodeId,
-    /// The acknowledge we watch.
-    pub ack: NodeId,
-    /// Number of activation cycles to perform.
-    pub cycles: usize,
-    /// Completed cycles.
-    pub completions: usize,
-    /// Time of the final completion (ps).
-    pub done_time: Option<Time>,
-    /// Environment reaction delay.
-    pub delay: Time,
-}
-
-impl Primitive for ActivationDriverEnv {
+impl Primitive for PartRun<'_> {
     fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cycles > 0 {
-            ctx.set_after(self.req, true, self.delay);
-        }
-    }
-
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
-        if ctx.get(self.ack) {
-            ctx.set_after(self.req, false, self.delay);
-        } else {
-            self.completions += 1;
-            if self.completions < self.cycles {
-                ctx.set_after(self.req, true, self.delay);
-            } else {
-                self.done_time = Some(ctx.now());
+        // Only the activation driver acts unprompted.
+        if let (&Part::ActivationDriver { req, .. }, State::Driver { cycles, .. }) =
+            (self.part, &self.state)
+        {
+            if *cycles > 0 {
+                ctx.set_after(req, true, self.delays.env);
             }
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Passive responder on a sync port: acknowledges every request.
-pub struct SyncResponderEnv {
-    /// The request we watch.
-    pub req: NodeId,
-    /// The acknowledge we drive.
-    pub ack: NodeId,
-    /// Response delay.
-    pub delay: Time,
-    /// Completed handshakes.
-    pub count: usize,
-}
-
-impl Primitive for SyncResponderEnv {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
-        let v = ctx.get(self.req);
-        if !v {
-            self.count += 1;
+    fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
+        let d = self.delays;
+        match (self.part, &mut self.state) {
+            (
+                Part::Controller {
+                    inputs, outputs, ..
+                },
+                State::Controller {
+                    logic,
+                    code,
+                    memo_hits,
+                    settles,
+                },
+            ) => {
+                let mut x = 0u64;
+                for (i, &n) in inputs.iter().enumerate() {
+                    x |= (ctx.get(n) as u64) << i;
+                }
+                let (next, bits, hit) = logic.step(x, *code);
+                if hit {
+                    *memo_hits += 1;
+                } else {
+                    *settles += 1;
+                }
+                *code = next;
+                for (i, &out) in outputs.iter().enumerate() {
+                    let v = (bits >> i) & 1 != 0;
+                    if v != ctx.get(out) {
+                        ctx.set_after(out, v, logic.output_delays[i] + d.wire);
+                    }
+                }
+            }
+            (&Part::Constant { ch, value }, _) => {
+                let req = ctx.get(ch.req);
+                if req {
+                    ctx.write_slot(ch.slot, value);
+                    ctx.set_after(ch.ack, true, d.constant);
+                } else {
+                    ctx.set_after(ch.ack, false, d.constant / 2 + 1);
+                }
+            }
+            (Part::Variable { write, reads }, State::Variable(value)) => {
+                if node == write.req {
+                    if ctx.get(write.req) {
+                        *value = ctx.read_slot(write.slot);
+                        ctx.set_after(write.ack, true, d.var_write);
+                    } else {
+                        ctx.set_after(write.ack, false, d.var_write / 2 + 1);
+                    }
+                    return;
+                }
+                for r in reads {
+                    if node == r.req {
+                        if ctx.get(r.req) {
+                            ctx.write_slot(r.slot, *value);
+                            ctx.set_after(r.ack, true, d.var_read);
+                        } else {
+                            ctx.set_after(r.ack, false, d.var_read / 2 + 1);
+                        }
+                        return;
+                    }
+                }
+            }
+            (&Part::BinFunc { op, out, lhs, rhs }, _) => {
+                let out_req = ctx.get(out.req);
+                if node == out.req {
+                    if out_req {
+                        ctx.set_after(lhs.req, true, 1);
+                        ctx.set_after(rhs.req, true, 1);
+                    }
+                }
+                if (node == lhs.ack || node == rhs.ack)
+                    && ctx.get(lhs.ack)
+                    && ctx.get(rhs.ack)
+                    && out_req
+                {
+                    let v = eval_binop(op, ctx.read_slot(lhs.slot), ctx.read_slot(rhs.slot));
+                    ctx.write_slot(out.slot, v);
+                    ctx.set_after(out.ack, true, d.binop(op));
+                    ctx.set_after(lhs.req, false, 1);
+                    ctx.set_after(rhs.req, false, 1);
+                }
+                // Return-to-zero of the result once everything is quiet.
+                if !out_req && !ctx.get(lhs.ack) && !ctx.get(rhs.ack) && ctx.get(out.ack) {
+                    ctx.set_after(out.ack, false, 1);
+                }
+            }
+            // The identity bridge answers in 1 ps.
+            (&Part::UnFunc { op, out, operand }, _) => {
+                let out_req = ctx.get(out.req);
+                if node == out.req && out_req {
+                    ctx.set_after(operand.req, true, 1);
+                }
+                if node == operand.ack && ctx.get(operand.ack) && out_req {
+                    let v = eval_unop(op, ctx.read_slot(operand.slot));
+                    ctx.write_slot(out.slot, v);
+                    let delay = if op == UnOp::Id { 1 } else { d.unary };
+                    ctx.set_after(out.ack, true, delay);
+                    ctx.set_after(operand.req, false, 1);
+                }
+                if !out_req && !ctx.get(operand.ack) && ctx.get(out.ack) {
+                    ctx.set_after(out.ack, false, 1);
+                }
+            }
+            (Part::CallMux { ins, out }, State::Active(active)) => {
+                for (i, ch) in ins.iter().enumerate() {
+                    if node == ch.req {
+                        if ctx.get(ch.req) {
+                            *active = Some(i);
+                            let v = ctx.read_slot(ch.slot);
+                            ctx.write_slot(out.slot, v);
+                            ctx.set_after(out.req, true, d.mux);
+                        } else {
+                            ctx.set_after(out.req, false, d.mux / 2 + 1);
+                        }
+                        return;
+                    }
+                }
+                if node == out.ack {
+                    if let Some(i) = *active {
+                        let v = ctx.get(out.ack);
+                        ctx.set_after(ins[i].ack, v, 1);
+                        if !v {
+                            *active = None;
+                        }
+                    }
+                }
+            }
+            (Part::PullMux { clients, source }, State::Active(active)) => {
+                for (i, ch) in clients.iter().enumerate() {
+                    if node == ch.req {
+                        if ctx.get(ch.req) {
+                            *active = Some(i);
+                            ctx.set_after(source.req, true, d.mux / 2 + 1);
+                        } else {
+                            ctx.set_after(source.req, false, d.mux / 2 + 1);
+                        }
+                        return;
+                    }
+                }
+                if node == source.ack {
+                    if let Some(i) = *active {
+                        let v = ctx.get(source.ack);
+                        if v {
+                            let data = ctx.read_slot(source.slot);
+                            ctx.write_slot(clients[i].slot, data);
+                        }
+                        ctx.set_after(clients[i].ack, v, d.mux / 2 + 1);
+                        if !v {
+                            *active = None;
+                        }
+                    }
+                }
+            }
+            (Part::Memory { reads, writes, .. }, State::Memory { words, raddr }) => {
+                for (i, site) in reads.iter().enumerate() {
+                    if node == site.data.req {
+                        if ctx.get(site.data.req) {
+                            ctx.set_after(site.addr.req, true, 1);
+                        } else {
+                            ctx.set_after(site.data.ack, false, 1);
+                        }
+                        return;
+                    }
+                    if node == site.addr.ack {
+                        if ctx.get(site.addr.ack) {
+                            raddr[i] = ctx.read_slot(site.addr.slot);
+                            ctx.set_after(site.addr.req, false, 1);
+                        } else if ctx.get(site.data.req) {
+                            let a = (raddr[i] as usize) % words.len();
+                            let v = words[a];
+                            ctx.write_slot(site.data.slot, v);
+                            ctx.set_after(site.data.ack, true, d.memory);
+                        }
+                        return;
+                    }
+                }
+                for site in writes {
+                    if node == site.data.req {
+                        if ctx.get(site.data.req) {
+                            ctx.set_after(site.addr.req, true, 1);
+                        } else {
+                            ctx.set_after(site.data.ack, false, 1);
+                        }
+                        return;
+                    }
+                    if node == site.addr.ack {
+                        if ctx.get(site.addr.ack) {
+                            let a = (ctx.read_slot(site.addr.slot) as usize) % words.len();
+                            let v = ctx.read_slot(site.data.slot);
+                            words[a] = v;
+                            ctx.set_after(site.addr.req, false, 1);
+                        } else if ctx.get(site.data.req) {
+                            ctx.set_after(site.data.ack, true, d.memory);
+                        }
+                        return;
+                    }
+                }
+            }
+            (
+                Part::SelectAdapter {
+                    sel_req,
+                    sel_acks,
+                    provider,
+                },
+                State::Active(chosen),
+            ) => {
+                if node == *sel_req {
+                    if ctx.get(*sel_req) {
+                        ctx.set_after(provider.req, true, 1);
+                    } else if let Some(c) = chosen.take() {
+                        ctx.set_after(sel_acks[c], false, d.select / 2 + 1);
+                    }
+                }
+                if node == provider.ack && ctx.get(provider.ack) && ctx.get(*sel_req) {
+                    let v = ctx.read_slot(provider.slot) as usize;
+                    let c = v.min(sel_acks.len() - 1);
+                    *chosen = Some(c);
+                    ctx.set_after(sel_acks[c], true, d.select);
+                    ctx.set_after(provider.req, false, 1);
+                }
+            }
+            (&Part::FetchData { pull, push }, _) if node == pull.ack && ctx.get(pull.ack) => {
+                let v = ctx.read_slot(pull.slot);
+                ctx.write_slot(push.slot, v);
+            }
+            (
+                &Part::ActivationDriver { req, ack },
+                State::Driver {
+                    cycles,
+                    completions,
+                },
+            ) => {
+                if ctx.get(ack) {
+                    ctx.set_after(req, false, d.env);
+                } else {
+                    *completions += 1;
+                    if *completions < *cycles {
+                        ctx.set_after(req, true, d.env);
+                    }
+                }
+            }
+            (&Part::SyncResponder { req, ack }, State::Sync(count)) => {
+                let v = ctx.get(req);
+                if !v {
+                    *count += 1;
+                }
+                ctx.set_after(ack, v, d.env);
+            }
+            (&Part::PullProvider { ch }, State::Provider { values, ix }) => {
+                if ctx.get(ch.req) {
+                    let v = if values.is_empty() {
+                        0
+                    } else {
+                        values[*ix % values.len()]
+                    };
+                    *ix += 1;
+                    ctx.write_slot(ch.slot, v);
+                    ctx.set_after(ch.ack, true, d.env);
+                } else {
+                    ctx.set_after(ch.ack, false, d.env / 2 + 1);
+                }
+            }
+            (&Part::PushConsumer { ch }, State::Consumer(received)) => {
+                if ctx.get(ch.req) {
+                    received.push(ctx.read_slot(ch.slot));
+                    ctx.set_after(ch.ack, true, d.env);
+                } else {
+                    ctx.set_after(ch.ack, false, d.env / 2 + 1);
+                }
+            }
+            // A fetch whose pull did not just acknowledge does nothing;
+            // `Circuit::event_sim` starts every other part in its own
+            // kind of state, so no other pair occurs.
+            _ => {}
         }
-        ctx.set_after(self.ack, v, self.delay);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Passive pull provider on an input port: supplies scripted values.
-pub struct PullProviderEnv {
-    /// The channel (we own the passive side).
-    pub ch: DataCh,
-    /// Values to supply, cycled when exhausted.
-    pub values: Vec<u64>,
-    /// Next index.
-    pub ix: usize,
-    /// Response delay.
-    pub delay: Time,
-}
-
-impl Primitive for PullProviderEnv {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
-        if ctx.get(self.ch.req) {
-            let v = if self.values.is_empty() {
-                0
-            } else {
-                self.values[self.ix % self.values.len()]
-            };
-            self.ix += 1;
-            ctx.write_slot(self.ch.slot, v);
-            ctx.set_after(self.ch.ack, true, self.delay);
-        } else {
-            ctx.set_after(self.ch.ack, false, self.delay / 2 + 1);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Passive push consumer on an output port: records received values.
-pub struct PushConsumerEnv {
-    /// The channel (we own the passive side).
-    pub ch: DataCh,
-    /// Everything received.
-    pub received: Vec<u64>,
-    /// Response delay.
-    pub delay: Time,
-}
-
-impl Primitive for PushConsumerEnv {
-    fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
-        if ctx.get(self.ch.req) {
-            self.received.push(ctx.read_slot(self.ch.slot));
-            ctx.set_after(self.ch.ack, true, self.delay);
-        } else {
-            ctx.set_after(self.ch.ack, false, self.delay / 2 + 1);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Sim;
+    use crate::circuit::{Circuit, DoneSpec, EventProgram, LaneSpec};
+    use crate::engine::PrimId;
 
-    fn ch(sim: &mut Sim) -> DataCh {
+    fn ch(req: usize, ack: usize, slot: usize) -> DataCh {
         DataCh {
-            req: sim.wire(),
-            ack: sim.wire(),
-            slot: sim.slot(),
+            req: NodeId(req),
+            ack: NodeId(ack),
+            slot: SlotId(slot),
         }
     }
 
-    #[test]
-    fn constant_answers_pulls() {
-        let mut sim = Sim::new();
-        let c = ch(&mut sim);
-        sim.add_prim(
-            Box::new(ConstantPrim {
-                ch: c,
-                value: 42,
-                delay: 100,
-            }),
-            &[c.req],
-        );
+    /// Runs `parts` and an activation driver on `act`'s wires through
+    /// [`Circuit::event_sim`] until the driver completes one handshake;
+    /// the data slots it ends with.
+    fn run(
+        wires: usize,
+        slots: usize,
+        mut parts: Vec<Part>,
+        act: DataCh,
+    ) -> Result<Vec<u64>, &'static str> {
+        let driver = PrimId(parts.len());
+        parts.push(Part::ActivationDriver {
+            req: act.req,
+            ack: act.ack,
+        });
+        let circuit = Circuit {
+            wire_names: (0..wires).map(|w| format!("w{w}")).collect(),
+            num_slots: slots,
+            parts,
+            driver,
+            providers: Vec::new(),
+            consumers: Vec::new(),
+            syncs: Vec::new(),
+            memories: Vec::new(),
+        };
+        let no_logic = |_| ControllerLogic::new(0, Vec::new(), Vec::new(), 0, Vec::new());
+        let program = EventProgram::new(&circuit, no_logic);
+        let lane = LaneSpec {
+            activation_cycles: 1,
+            provider_values: Vec::new(),
+            memory_init: Vec::new(),
+            done: DoneSpec::Activations(driver, 1),
+        };
+        let delays = Delays::default();
+        let mut sim = circuit.event_sim(&program, &lane, &delays);
         sim.init();
-        // Drive a pull by scheduling req+ manually through a driver prim.
-        struct Once {
-            req: NodeId,
-            ack: NodeId,
-            got: Option<u64>,
-            slot: SlotId,
+        if !sim.run_until(|s| lane.done.met(s), 1_000_000) {
+            return Err("the activation did not complete");
         }
-        impl Primitive for Once {
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_after(self.req, true, 10);
-            }
-            fn on_change(&mut self, ctx: &mut Ctx<'_>, _node: NodeId) {
-                if ctx.get(self.ack) {
-                    self.got = Some(ctx.read_slot(self.slot));
-                    ctx.set_after(self.req, false, 10);
-                }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let driver = sim.add_prim(
-            Box::new(Once {
-                req: c.req,
-                ack: c.ack,
-                got: None,
-                slot: c.slot,
-            }),
-            &[c.ack],
-        );
-        sim.init();
-        sim.run_until(|_| false, 10_000);
-        let d: &Once = sim.prim(driver).unwrap();
-        assert_eq!(d.got, Some(42));
+        Ok((0..slots).map(|s| sim.slot_value(SlotId(s))).collect())
     }
 
+    /// The driver pulls a constant, which answers with its value.
     #[test]
-    fn variable_stores_and_reads() {
-        let mut sim = Sim::new();
-        let w = ch(&mut sim);
-        let r = ch(&mut sim);
-        sim.add_prim(
-            Box::new(VariablePrim {
-                value: 0,
-                write: w,
-                reads: vec![r],
-                wdelay: 50,
-                rdelay: 50,
-            }),
-            &[w.req, r.req],
+    fn constant_answers_pulls() -> Result<(), &'static str> {
+        let c = ch(0, 1, 0);
+        assert_eq!(
+            run(2, 1, vec![Part::Constant { ch: c, value: 42 }], c)?,
+            [42]
         );
-        struct Script {
-            w: DataCh,
-            r: DataCh,
-            phase: usize,
-            got: Option<u64>,
-        }
-        impl Primitive for Script {
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.write_slot(self.w.slot, 7);
-                ctx.set_after(self.w.req, true, 10);
-            }
-            fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-                match self.phase {
-                    0 if node == self.w.ack && ctx.get(self.w.ack) => {
-                        self.phase = 1;
-                        ctx.set_after(self.w.req, false, 10);
-                    }
-                    1 if node == self.w.ack && !ctx.get(self.w.ack) => {
-                        self.phase = 2;
-                        ctx.set_after(self.r.req, true, 10);
-                    }
-                    2 if node == self.r.ack && ctx.get(self.r.ack) => {
-                        self.got = Some(ctx.read_slot(self.r.slot));
-                        ctx.set_after(self.r.req, false, 10);
-                    }
-                    _ => {}
-                }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let script = sim.add_prim(
-            Box::new(Script {
-                w,
-                r,
-                phase: 0,
-                got: None,
-            }),
-            &[w.ack, r.ack],
-        );
-        sim.init();
-        sim.run_until(|_| false, 100_000);
-        let s: &Script = sim.prim(script).unwrap();
-        assert_eq!(s.got, Some(7));
+        Ok(())
     }
 
+    /// The driver writes 7 into a variable: a constant watching the write
+    /// request, registered first, sets the data. The write's acknowledge
+    /// requests an identity function, which pulls the variable's read
+    /// port.
     #[test]
-    fn binfunc_computes_sum_of_constants() {
-        let mut sim = Sim::new();
-        let out = ch(&mut sim);
-        let l = ch(&mut sim);
-        let r = ch(&mut sim);
-        sim.add_prim(
-            Box::new(ConstantPrim {
-                ch: l,
-                value: 30,
-                delay: 50,
-            }),
-            &[l.req],
-        );
-        sim.add_prim(
-            Box::new(ConstantPrim {
-                ch: r,
-                value: 12,
-                delay: 70,
-            }),
-            &[r.req],
-        );
-        sim.add_prim(
-            Box::new(BinFuncPrim {
+    fn variable_stores_and_reads() -> Result<(), &'static str> {
+        // Wires: write 0/1, the constant's ack 2, read 3/4, identity ack 5.
+        let (write, read) = (ch(0, 1, 0), ch(3, 4, 1));
+        let parts = vec![
+            Part::Constant {
+                ch: ch(0, 2, 0),
+                value: 7,
+            },
+            Part::Variable {
+                write,
+                reads: vec![read],
+            },
+            Part::UnFunc {
+                op: UnOp::Id,
+                out: ch(1, 5, 2),
+                operand: read,
+            },
+        ];
+        assert_eq!(run(6, 3, parts, write)?, [7, 7, 7]);
+        Ok(())
+    }
+
+    /// The driver pulls the sum of two constants.
+    #[test]
+    fn binfunc_computes_sum_of_constants() -> Result<(), &'static str> {
+        let (out, lhs, rhs) = (ch(0, 1, 0), ch(2, 3, 1), ch(4, 5, 2));
+        let parts = vec![
+            Part::Constant { ch: lhs, value: 30 },
+            Part::Constant { ch: rhs, value: 12 },
+            Part::BinFunc {
                 op: BinOp::Add,
                 out,
-                lhs: l,
-                rhs: r,
-                delay: 200,
-            }),
-            &[out.req, l.ack, r.ack],
-        );
-        struct Puller {
-            ch: DataCh,
-            got: Option<u64>,
-        }
-        impl Primitive for Puller {
-            fn init(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_after(self.ch.req, true, 10);
-            }
-            fn on_change(&mut self, ctx: &mut Ctx<'_>, _n: NodeId) {
-                if ctx.get(self.ch.ack) {
-                    self.got = Some(ctx.read_slot(self.ch.slot));
-                    ctx.set_after(self.ch.req, false, 10);
-                }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let p = sim.add_prim(Box::new(Puller { ch: out, got: None }), &[out.ack]);
-        sim.init();
-        sim.run_until(|_| false, 100_000);
-        let puller: &Puller = sim.prim(p).unwrap();
-        assert_eq!(puller.got, Some(42));
+                lhs,
+                rhs,
+            },
+        ];
+        assert_eq!(run(6, 3, parts, out)?, [42, 30, 12]);
+        Ok(())
     }
 
     /// Keys carry the state code above the input bits, the width rule
