@@ -19,10 +19,11 @@
 //!
 //! Exits non-zero when any job fails (after reporting every job).
 
-use bmbe_bench::report::{escape, export_trace_if_enabled, flag, run_main};
+use bmbe_bench::report::{export_trace_if_enabled, flag, run_main};
 use bmbe_designs::all_designs;
 use bmbe_flow::{run_batch, BatchJob, ControllerCache, FlowOptions};
 use bmbe_gates::Library;
+use bmbe_obs::export::escape;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 

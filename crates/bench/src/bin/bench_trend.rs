@@ -25,8 +25,9 @@
 //! Human-readable narration goes to stderr (`BMBE_VERBOSE=1`); stdout is
 //! pure JSON.
 
-use bmbe_bench::report::{escape, flag_str, run_main};
+use bmbe_bench::report::{flag_str, run_main};
 use bmbe_bench::trend::{compare, Outcome, Spec, FLOW_SPECS, SIM_SPECS};
+use bmbe_obs::export::escape;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 

@@ -15,9 +15,10 @@
 //! deliberately perturbs design `I`'s compiled-backend outcome — the smoke
 //! test that proves the detection and reporting path end to end.
 
-use bmbe_bench::report::{emit_report, escape, export_trace_if_enabled, flag, run_main};
+use bmbe_bench::report::{emit_report, export_trace_if_enabled, flag, run_main};
 use bmbe_flow::{run_gauntlet, ControllerCache, GauntletConfig};
 use bmbe_gates::Library;
+use bmbe_obs::export::escape;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 

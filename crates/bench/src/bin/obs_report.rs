@@ -17,13 +17,13 @@
 //!
 //! This is the smoke gate the tier-1 CI script runs.
 
-use bmbe_bench::report::{escape, run_main, write_trace_files};
+use bmbe_bench::report::{run_main, write_trace_files};
 use bmbe_core::components::{decision_wait, sequencer};
 use bmbe_core::opt::verify_acr_compared;
 use bmbe_designs::all_designs;
 use bmbe_flow::{run_control_flow, simulate, to_flow_scenario, FlowOptions};
 use bmbe_gates::Library;
-use bmbe_obs::export::{validate, validate_json};
+use bmbe_obs::export::{escape, validate, validate_json};
 use bmbe_sim::prims::Delays;
 use std::fmt::Write as _;
 use std::process::ExitCode;

@@ -18,9 +18,9 @@
 //! Human-readable narration goes to stderr (`BMBE_VERBOSE=1`); stdout is
 //! pure JSON.
 
-use bmbe_bench::report::{escape, run_main};
+use bmbe_bench::report::run_main;
 use bmbe_obs::analyze::parse_merged;
-use bmbe_obs::export::validate_json;
+use bmbe_obs::export::{escape, validate_json};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 

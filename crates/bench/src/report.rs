@@ -12,25 +12,6 @@
 
 use std::process::ExitCode;
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parses `--flag VALUE` as a number, with a default. Shared by every bin
 /// that takes numeric knobs (`--replicas`, `--threads`, ...).
 ///
@@ -129,14 +110,6 @@ pub fn export_trace_if_enabled() -> Result<Option<(String, String)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_covers_json_metacharacters() {
-        assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape("x\ny\tz\r"), "x\\ny\\tz\\r");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(escape("plain"), "plain");
-    }
 
     #[test]
     fn flag_parses_and_defaults() {

@@ -18,7 +18,7 @@
 //! Absolute seconds are not gated at all: comparing wall seconds across
 //! machines is noise, and the ratios already normalize them away.
 
-use crate::report::escape;
+use bmbe_obs::export::escape;
 use std::fmt;
 
 /// A gated ratio metric may not fall below this fraction of its baseline

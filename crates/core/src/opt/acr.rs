@@ -230,8 +230,8 @@ impl MergeMemo {
 
 /// Performs Activation Channel Removal over channel `channel`, merging
 /// `activated` into `activating`. This is the uncached form: it compiles
-/// the merged program through a fresh [`MergeMemo`], so it is the oracle of
-/// the memoized clustering.
+/// the merged program directly, so it is the oracle of the memoized
+/// clustering.
 ///
 /// # Errors
 ///
@@ -242,13 +242,9 @@ pub fn activation_channel_removal(
     channel: &str,
     state_limit: Option<usize>,
 ) -> Result<ChExpr, AcrFailure> {
-    activation_channel_removal_with(
-        activating,
-        activated,
-        channel,
-        state_limit,
-        &MergeMemo::new(),
-    )
+    merge(activating, activated, channel, state_limit, |merged| {
+        Ok(compile_to_bm("merged", merged)?.num_states())
+    })
 }
 
 /// [`activation_channel_removal`], asking `memo` for the merged program's
@@ -260,6 +256,19 @@ pub(crate) fn activation_channel_removal_with(
     state_limit: Option<usize>,
     memo: &MergeMemo,
 ) -> Result<ChExpr, AcrFailure> {
+    merge(activating, activated, channel, state_limit, |merged| {
+        memo.states(merged)
+    })
+}
+
+/// The merge, counting the merged program's BM states with `states`.
+fn merge(
+    activating: &ChExpr,
+    activated: &ChExpr,
+    channel: &str,
+    state_limit: Option<usize>,
+    states: impl FnOnce(&ChExpr) -> Result<usize, CompileError>,
+) -> Result<ChExpr, AcrFailure> {
     let body = hide_activation(activated, channel)?;
     let mut merged = activating.clone();
     let (count, contiguous) = inline_at_channel(&mut merged, channel, &body, true);
@@ -270,7 +279,7 @@ pub(crate) fn activation_channel_removal_with(
         return Err(AcrFailure::NotContiguous);
     }
     check_bm_aware(&merged).map_err(AcrFailure::NotBmAware)?;
-    let states = memo.states(&merged).map_err(AcrFailure::NotSynthesizable)?;
+    let states = states(&merged).map_err(AcrFailure::NotSynthesizable)?;
     if let Some(limit) = state_limit {
         if states > limit {
             return Err(AcrFailure::TooLarge { states, limit });

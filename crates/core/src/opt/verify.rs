@@ -16,7 +16,7 @@
 //! [`verify_acr_compared`]'s state accounting run against.
 
 use crate::ast::{legal, ChActivity, ChExpr, InterleaveOp};
-use crate::opt::acr::{activation_channel_removal, AcrFailure};
+use crate::opt::acr::activation_channel_removal;
 use crate::trace_gen::{trace_of, TraceGenError};
 use bmbe_trace::{HiddenComposition, TraceError, TraceStructure};
 use std::fmt;
@@ -158,13 +158,8 @@ fn merge_or_reject(
     activated: &ChExpr,
     channel: &str,
 ) -> Result<ChExpr, AcrVerdict> {
-    match activation_channel_removal(activating, activated, channel, None) {
-        Ok(m) => Ok(m),
-        Err(e @ (AcrFailure::NotBmAware(_) | AcrFailure::NotSynthesizable(_))) => {
-            Err(AcrVerdict::MergeRejected(e.to_string()))
-        }
-        Err(e) => Err(AcrVerdict::MergeRejected(e.to_string())),
-    }
+    activation_channel_removal(activating, activated, channel, None)
+        .map_err(|e| AcrVerdict::MergeRejected(e.to_string()))
 }
 
 /// Verifies one Activation Channel Removal instance per §4.3:
@@ -248,10 +243,7 @@ fn verify_traces_otf(
         // reachable composite state; any produced-symbol choke it stepped
         // over is exactly `compose`'s failure_reachable flag.
         if hc.composition_failure().is_some() {
-            let witness = ta
-                .failure_search(tb)?
-                .counterexample
-                .unwrap_or_default();
+            let witness = ta.failure_search(tb)?.counterexample.unwrap_or_default();
             return Err(VerifyError::CompositionFails { witness });
         }
         bmbe_obs::trace_counter!("verify.states", states as u64);
@@ -569,9 +561,7 @@ mod tests {
         assert!(verdict.is_mismatch(), "otf verdict: {verdict}");
         assert!(verdict.same_outcome(&oracle));
         match verdict {
-            AcrVerdict::NotEquivalent {
-                counterexample, ..
-            } => {
+            AcrVerdict::NotEquivalent { counterexample, .. } => {
                 assert!(
                     !counterexample.is_empty(),
                     "on-the-fly mismatch must carry a witness"

@@ -14,10 +14,9 @@
 //!   synthesis in the durability tests;
 //! - **strict on decode** — any truncation, unknown tag, or length
 //!   overrun is a typed [`CodecError`], never a panic or a partial value.
-//!   So is a mapped gate the evaluators could not run: one whose input
-//!   count differs from its cell's pin count, or that names a node outside
-//!   its subject graph. The disk layer treats every decode error as a
-//!   corrupt entry and evicts it.
+//!   So is a mapped netlist whose gates break the order the mapper emits
+//!   and every evaluator relies on ([`check_gate_order`]). The disk layer
+//!   treats every decode error as a corrupt entry and evicts it.
 //!
 //! Versioning lives in the entry *header* (see `disk.rs`), not here: a
 //! payload is only decoded after the header's format version and checksum
@@ -28,7 +27,8 @@ use crate::profile::PhaseProfile;
 use bmbe_bm::assign::StateAssignment;
 use bmbe_bm::synth::{Controller, MinimizeMode};
 use bmbe_gates::{
-    CellKind, MapObjective, MapStyle, MappedGate, MappedNetlist, Module, SubjectGraph, SubjectNode,
+    check_gate_order, CellKind, GateOrderError, MapObjective, MapStyle, MappedGate, MappedNetlist,
+    Module, SubjectGraph, SubjectNode,
 };
 use bmbe_logic::hfmin::{FunctionSpec, MinimizeBackend, MinimizeStats, SpecTransition};
 use bmbe_logic::{Cover, Cube};
@@ -68,13 +68,8 @@ pub enum CodecError {
         /// Number of undecoded bytes.
         extra: usize,
     },
-    /// A mapped gate does not fit its netlist.
-    BadGate {
-        /// The gate's index in the netlist.
-        gate: usize,
-        /// What is wrong with it.
-        what: &'static str,
-    },
+    /// The mapped netlist breaks the mapper's gate order.
+    BadGate(GateOrderError),
 }
 
 impl fmt::Display for CodecError {
@@ -88,7 +83,7 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the payload")
             }
-            CodecError::BadGate { gate, what } => write!(f, "mapped gate {gate}: {what}"),
+            CodecError::BadGate(e) => write!(f, "mapped netlist: {e}"),
         }
     }
 }
@@ -641,16 +636,10 @@ fn put_mapped(w: &mut Writer, m: &MappedNetlist) {
 fn get_mapped(r: &mut Reader<'_>) -> Result<MappedNetlist, CodecError> {
     let n_gates = r.len("mapped gates")?;
     let mut gates = Vec::with_capacity(n_gates.min(4096));
-    for gate in 0..n_gates {
+    for _ in 0..n_gates {
         let cell = cell_untag(r.u8("cell tag")?)?;
         let n_inputs = r.len("gate inputs")?;
-        if n_inputs != cell.num_inputs() {
-            return Err(CodecError::BadGate {
-                gate,
-                what: "input count differs from the cell's pin count",
-            });
-        }
-        let mut inputs = Vec::with_capacity(n_inputs);
+        let mut inputs = Vec::with_capacity(n_inputs.min(4));
         for _ in 0..n_inputs {
             inputs.push(r.usize("gate input")?);
         }
@@ -669,22 +658,14 @@ fn get_mapped(r: &mut Reader<'_>) -> Result<MappedNetlist, CodecError> {
         let delay = r.f64("delay value")?;
         output_delays.insert(name, delay);
     }
-    let subject = get_subject(r)?;
-    let nodes = subject.nodes.len();
-    if let Some(gate) =
-        (gates.iter()).position(|g| g.output >= nodes || g.inputs.iter().any(|&i| i >= nodes))
-    {
-        return Err(CodecError::BadGate {
-            gate,
-            what: "node id outside the subject graph",
-        });
-    }
-    Ok(MappedNetlist {
+    let mapped = MappedNetlist {
         gates,
         area,
         output_delays,
-        subject,
-    })
+        subject: get_subject(r)?,
+    };
+    check_gate_order(&mapped).map_err(CodecError::BadGate)?;
+    Ok(mapped)
 }
 
 fn put_profile(w: &mut Writer, p: &PhaseProfile) {
@@ -882,27 +863,53 @@ mod codec_tests {
     }
 
     #[test]
-    fn gates_that_do_not_fit_their_netlist_do_not_decode() {
-        // Applies `edit` to the sample's first gate with two or more
-        // inputs; returns that gate's index and the decode error.
+    fn gates_out_of_the_mappers_order_do_not_decode() {
+        // Applies `edit` to the sample's netlist and the index of its
+        // second gate with two or more inputs; returns that index and the
+        // decode error.
         let decode_edited = |edit: &dyn Fn(&mut MappedNetlist, usize)| {
             let (key, mut artifact) = sample();
-            let gate = (artifact.mapped.gates.iter())
-                .position(|g| g.inputs.len() >= 2)
-                .expect("a gate with two inputs");
+            let gate = (artifact.mapped.gates.iter().enumerate())
+                .filter(|(_, g)| g.inputs.len() >= 2)
+                .nth(1)
+                .map(|(i, _)| i)
+                .expect("two gates with two inputs");
             edit(&mut artifact.mapped, gate);
             (gate, decode_entry(&encode_entry(&key, &artifact)).err())
         };
+        let bad = |gate, what| Some(CodecError::BadGate(GateOrderError::Gate { gate, what }));
         // A gate that lost an input.
         let (gate, err) = decode_edited(&|m, g| {
             m.gates[g].inputs.pop();
         });
-        let what = "input count differs from the cell's pin count";
-        assert_eq!(err, Some(CodecError::BadGate { gate, what }));
-        // A gate that reads one node past the subject graph.
-        let (gate, err) = decode_edited(&|m, g| m.gates[g].inputs[0] = m.subject.nodes.len());
-        let what = "node id outside the subject graph";
-        assert_eq!(err, Some(CodecError::BadGate { gate, what }));
+        assert_eq!(
+            err,
+            bad(gate, "input count differs from the cell's pin count")
+        );
+        // A gate that drives one node past the subject graph.
+        let (gate, err) = decode_edited(&|m, g| m.gates[g].output = m.subject.nodes.len());
+        assert_eq!(err, bad(gate, "output outside the subject graph"));
+        // The edits below keep every node id inside the graph and break
+        // only the order. A gate whose output does not exceed the
+        // previous gate's.
+        let (gate, err) = decode_edited(&|m, g| m.gates.swap(g - 1, g));
+        assert_eq!(err, bad(gate, "output does not exceed the previous gate's"));
+        // A gate reading a node at or above its own output.
+        let (gate, err) = decode_edited(&|m, g| m.gates[g].inputs[1] = m.gates[g].output);
+        assert_eq!(err, bad(gate, "pin not below the gate's output"));
+        // A gate driving an input node, then one driving a constant.
+        let (gate, err) = decode_edited(&|m, g| m.gates[g].output = 0);
+        assert_eq!(err, bad(gate, "output is an input or constant node"));
+        let (gate, err) = decode_edited(&|m, g| {
+            m.subject.nodes[m.gates[g].output] = SubjectNode::One;
+        });
+        assert_eq!(err, bad(gate, "output is an input or constant node"));
+        // A function root outside the subject graph.
+        let (_, err) = decode_edited(&|m, _| m.subject.roots[0].1 = m.subject.nodes.len());
+        assert_eq!(
+            err,
+            Some(CodecError::BadGate(GateOrderError::Root { root: 0 }))
+        );
     }
 
     #[test]

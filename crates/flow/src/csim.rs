@@ -2,10 +2,10 @@
 //!
 //! [`compile_sim`] takes the design's circuit from the flow's lowering
 //! memo — the same circuit the event engine runs — and compiles it into a
-//! [`bmbe_sim::CompiledCircuit`]: controllers become levelized instruction
-//! tapes over their technology-mapped gates (one lane-parallel op per
-//! cell), and every part evaluates all 64 scenario lanes of a batch at
-//! once.
+//! [`bmbe_sim::CompiledCircuit`]: controllers become instruction tapes
+//! over their technology-mapped gates (one lane-parallel op per cell, in
+//! the mapper's gate order), and every part evaluates all 64 scenario
+//! lanes of a batch at once.
 //!
 //! The lane-packing layer is [`CompiledSim::run_batch`]: it takes up to
 //! [`LANES`] scenarios, binds each to a lane (a partial batch simply
@@ -27,7 +27,6 @@ use crate::lower::{bind, lowered};
 use crate::pipeline::{ControllerArtifact, FlowResult};
 use crate::simbuild::{simulate, Scenario, SimBuildError, SimOutcome, SimStats};
 use bmbe_balsa::CompiledDesign;
-use bmbe_gates::SubjectNode;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::{CompiledCircuit, ControllerTape, RunSpec, SimBackend, LANES};
 use std::borrow::Borrow;
@@ -61,8 +60,8 @@ pub struct CompiledSim {
 ///
 /// # Errors
 ///
-/// [`SimBuildError::Compile`] when a controller netlist cannot be
-/// levelized into a tape (or a fault is injected there).
+/// [`SimBuildError::Compile`] when a controller netlist does not compile
+/// into a tape (or a fault is injected there).
 pub fn compile_sim(
     design: &CompiledDesign,
     flow: &FlowResult,
@@ -85,8 +84,8 @@ pub fn compile_sim(
     Ok(CompiledSim { circuit })
 }
 
-/// A controller's levelized tape, built from its technology-mapped gates
-/// (the subject-graph nodes are the tape's scratch slots).
+/// A controller's tape, built from its technology-mapped gates (the
+/// subject-graph nodes are the tape's scratch slots).
 fn tape(
     art: &ControllerArtifact,
     inputs: usize,
@@ -116,22 +115,12 @@ fn tape(
                 .ok_or_else(|| bad(format!("no function root for state bit y{j}")))
         })
         .collect::<Result<_, _>>()?;
-    let ones: Vec<usize> = subject
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n, SubjectNode::One))
-        .map(|(ix, _)| ix)
-        .collect();
     ControllerTape::compile(
         &art.name,
         inputs,
         outputs,
-        ctrl.num_state_bits,
         ctrl.initial_code,
-        subject.nodes.len(),
-        &ones,
-        &art.mapped.gates,
+        &art.mapped,
         &out_roots,
         &state_roots,
     )

@@ -8,11 +8,9 @@
 //! circuit takes as an input and none it takes as an output, a script for
 //! a port the design lacks must be ignored on every backend, a scenario
 //! set mixing port sets must run one circuit per port set, and the one
-//! lowering both engines run must not depend on hash-map order. Every controller tape of the paper designs and the
-//! corpus slice must equal the tape built over the reference levelization.
-
-#[path = "../../hsnet/tests/support/levelize_ref.rs"]
-mod levelize_ref;
+//! lowering both engines run must not depend on hash-map order. Every
+//! controller tape of the paper designs and the corpus slice must hold
+//! exactly one op per mapped gate, in the netlist's stored order.
 
 use bmbe_designs::corpus::{generate_corpus, CorpusSpec};
 use bmbe_designs::{all_designs, derive_seed, scenario_variants, variants_of, Design};
@@ -21,10 +19,9 @@ use bmbe_flow::{
     simulate_scenarios, to_flow_scenario, CompiledSim, ControllerCache, FaultKind, FaultPhase,
     FaultPlan, FlowOptions, FlowResult, Scenario, SimBackend, SimBuildError,
 };
-use bmbe_gates::{Library, MappedGate};
+use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
-use bmbe_sim::{ControllerTape, Part, TapeOp, LANES};
-use levelize_ref::reference_levelize;
+use bmbe_sim::{Part, LANES};
 use std::collections::{BTreeSet, HashMap};
 
 fn flows(designs: &[Design]) -> Vec<FlowResult> {
@@ -46,53 +43,28 @@ fn variants(design: &Design, n: usize, seed: u64) -> Vec<Scenario> {
         .collect()
 }
 
-/// `tape` rebuilt over the reference levelization of its gates: the ops
-/// in ascending (level, node) order and the level count, every other field
-/// as it is.
-fn reference_tape(tape: &ControllerTape, gates: &[MappedGate]) -> ControllerTape {
-    let mut preds = vec![Vec::new(); tape.slots];
-    for g in gates {
-        preds[g.output] = g.inputs.clone();
-    }
-    let lev = reference_levelize(&preds).expect("mapped controllers are acyclic");
-    let mut ordered: Vec<&MappedGate> = gates.iter().collect();
-    ordered.sort_unstable_by_key(|g| (lev.level[g.output], g.output));
-    let ops = ordered
-        .into_iter()
-        .map(|g| {
-            let mut ins = [0u16; 4];
-            for (slot, &p) in ins.iter_mut().zip(&g.inputs) {
-                *slot = p as u16;
-            }
-            TapeOp {
-                cell: g.cell,
-                ins,
-                n: g.inputs.len() as u8,
-                out: g.output as u16,
-            }
-        })
-        .collect();
-    ControllerTape {
-        ops,
-        levels: lev.num_levels,
-        ..tape.clone()
-    }
-}
-
-/// Every controller tape of `cs` equals its reference rebuild.
-fn assert_reference_tapes(name: &str, flow: &FlowResult, cs: &CompiledSim) {
+/// Every controller tape of `cs` holds one op per mapped gate of its
+/// controller, in the netlist's stored order.
+fn assert_gate_order_tapes(name: &str, flow: &FlowResult, cs: &CompiledSim) {
     assert_eq!(
         cs.tapes().len(),
         flow.controllers.len(),
         "{name}: one tape per controller"
     );
     for (tape, art) in cs.tapes().iter().zip(&flow.controllers) {
-        assert_eq!(
-            *tape,
-            reference_tape(tape, &art.mapped.gates),
-            "{name}: tape of {} differs from the reference levelization's",
-            art.name
-        );
+        let gates = &art.mapped.gates;
+        assert_eq!(tape.ops.len(), gates.len(), "{name}: {}", art.name);
+        for (i, (op, g)) in tape.ops.iter().zip(gates).enumerate() {
+            let pins: Vec<usize> = op.ins[..op.n as usize]
+                .iter()
+                .map(|&p| p as usize)
+                .collect();
+            assert!(
+                op.cell == g.cell && op.out as usize == g.output && pins == g.inputs,
+                "{name}: op {i} of {} is {op:?}, its gate {g:?}",
+                art.name
+            );
+        }
     }
 }
 
@@ -157,7 +129,7 @@ fn compiled_matches_event_oracle_on_all_designs() {
             None,
         )
         .unwrap_or_else(|e| panic!("{}: compile: {e}", design.name));
-        assert_reference_tapes(design.name, &flow, &cs);
+        assert_gate_order_tapes(design.name, &flow, &cs);
     }
 }
 
@@ -253,7 +225,7 @@ fn compiled_matches_event_engine_on_corpus_slice() {
         }
         let cs = compile_sim(&d.compiled, &flow, &ports, None)
             .unwrap_or_else(|err| panic!("{}: compile: {err}", d.name));
-        assert_reference_tapes(&d.name, &flow, &cs);
+        assert_gate_order_tapes(&d.name, &flow, &cs);
         for (lane, (c, s)) in compiled.iter().zip(&scenarios).enumerate() {
             let solo = cs
                 .run_batch(std::slice::from_ref(s))

@@ -9,8 +9,9 @@
 //! The library holds exactly the nine cells the mapper's patterns emit.
 //! Each is combinational and unate in every pin, so every evaluator here
 //! returns a plain value. A gate's input count must match its cell's pin
-//! count; netlists from outside the mapper are checked for that where they
-//! enter (the disk-cache codec and the compiled simulator's tape builder).
+//! count; [`crate::check_gate_order`] checks that, with the rest of the
+//! mapper's gate order, for netlists that do not come straight from the
+//! mapper.
 
 use std::fmt;
 

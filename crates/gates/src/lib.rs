@@ -35,5 +35,7 @@ pub use hazard::{
     eval_ternary, verify_equivalence_algebraic, verify_equivalence_pointwise, verify_mapped,
     HazardViolation,
 };
-pub use map::{map, MapObjective, MapStyle, MappedGate, MappedNetlist};
+pub use map::{
+    check_gate_order, map, GateOrderError, MapObjective, MapStyle, MappedGate, MappedNetlist,
+};
 pub use subject::{Module, SubjectGraph, SubjectNode};

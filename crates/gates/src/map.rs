@@ -52,7 +52,8 @@ pub struct MappedGate {
 /// A technology-mapped controller netlist.
 #[derive(Debug, Clone)]
 pub struct MappedNetlist {
-    /// The gates, in topological order.
+    /// The gates, in ascending output node, every pin below its gate's
+    /// output ([`check_gate_order`]).
     pub gates: Vec<MappedGate>,
     /// Total area (µm²).
     pub area: f64,
@@ -315,7 +316,8 @@ pub fn map(
         // emitted. We must also walk interior single-fanout nodes' leaves —
         // already included in b.leaves by construction.
     }
-    // Topological: emit in increasing node order (indices are topological).
+    // Emit in increasing node order (subject indices are topological): the
+    // order `check_gate_order` checks.
     order.sort_unstable();
     for n in order {
         let b = best[n].as_ref().expect("coverable");
@@ -340,6 +342,79 @@ pub fn map(
         area,
         output_delays,
         subject: subject.clone(),
+    }
+}
+
+/// How a gate list breaks the order [`map`] emits (see
+/// [`check_gate_order`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateOrderError {
+    /// A gate breaks the order.
+    Gate {
+        /// The gate's index in the netlist.
+        gate: usize,
+        /// What is wrong with it.
+        what: &'static str,
+    },
+    /// A function root names a node outside the subject graph.
+    Root {
+        /// The root's index in the subject graph's root list.
+        root: usize,
+    },
+}
+
+impl fmt::Display for GateOrderError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GateOrderError::Gate { gate, what } => write!(f, "gate {gate}: {what}"),
+            GateOrderError::Root { root } => {
+                write!(f, "function root {root} lies outside the subject graph")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GateOrderError {}
+
+/// Checks the order [`map`] emits and every evaluator of a mapped netlist
+/// relies on: each gate has its cell's pin count; gate outputs are gate
+/// nodes of the subject graph (not inputs or constants) and strictly
+/// ascend; each pin lies below its gate's output; each function root lies
+/// inside the graph. One pass over the gates in stored order therefore
+/// writes every node once, before any gate reads it.
+///
+/// Netlists that do not come straight from [`map`] are checked here where
+/// they enter: the disk-cache codec and the compiled simulator's tape
+/// builder.
+///
+/// # Errors
+///
+/// The first gate, then the first root, that breaks the order.
+pub fn check_gate_order(m: &MappedNetlist) -> Result<(), GateOrderError> {
+    let nodes = &m.subject.nodes;
+    // Every output must reach this: one past the previous gate's output.
+    let mut floor = 0;
+    for (gate, g) in m.gates.iter().enumerate() {
+        let bad = |what| Err(GateOrderError::Gate { gate, what });
+        if g.inputs.len() != g.cell.num_inputs() {
+            return bad("input count differs from the cell's pin count");
+        }
+        match nodes.get(g.output) {
+            None => return bad("output outside the subject graph"),
+            Some(SubjectNode::Inv(_) | SubjectNode::Nand2(..)) => {}
+            Some(_) => return bad("output is an input or constant node"),
+        }
+        if g.output < floor {
+            return bad("output does not exceed the previous gate's");
+        }
+        if g.inputs.iter().any(|&pin| pin >= g.output) {
+            return bad("pin not below the gate's output");
+        }
+        floor = g.output + 1;
+    }
+    match m.subject.roots.iter().position(|&(_, r)| r >= nodes.len()) {
+        Some(root) => Err(GateOrderError::Root { root }),
+        None => Ok(()),
     }
 }
 
@@ -411,6 +486,7 @@ mod tests {
                 let f = cover(&["10-", "-11", "1-1"]);
                 let g = SubjectGraph::from_covers(3, &[("f".into(), &f)]);
                 let m = map(&g, &Library::cmos035(), obj, style);
+                assert_eq!(check_gate_order(&m), Ok(()));
                 for point in 0..8u64 {
                     assert_eq!(
                         m.eval(point)[0],

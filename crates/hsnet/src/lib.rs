@@ -28,11 +28,9 @@
 //! ```
 
 pub mod kind;
-pub mod levelize;
 pub mod netlist;
 
 pub use kind::{Activity, BinOp, ComponentKind, PortSpec, UnOp};
-pub use levelize::{levelize, CycleError, Levelization};
 pub use netlist::{
     Channel, ChannelId, Component, ComponentId, Endpoint, Netlist, NetlistError, Partition,
 };

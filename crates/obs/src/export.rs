@@ -76,7 +76,10 @@ impl Trace {
     }
 }
 
-fn escape(s: &str, out: &mut String) {
+/// Escapes `s` for a JSON string literal: quotes, backslashes and every
+/// control character.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -90,6 +93,7 @@ fn escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out
 }
 
 /// Renders the trace in Chrome trace-event format (JSON object form). Spans
@@ -108,8 +112,7 @@ pub fn export_chrome(trace: &Trace) -> String {
         out.push_str(&line);
     };
     for (lane, name) in &trace.lanes {
-        let mut escaped = String::new();
-        escape(name, &mut escaped);
+        let escaped = escape(name);
         push(
             format!(
                 "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {lane}, \"name\": \"thread_name\", \
@@ -150,8 +153,7 @@ pub fn export_chrome(trace: &Trace) -> String {
                 s.lane, s.rec.span, s.rec.value
             ),
             RecordKind::AnnotateStr => {
-                let mut escaped = String::new();
-                escape(trace.string(s.rec.value), &mut escaped);
+                let escaped = escape(trace.string(s.rec.value));
                 format!(
                     "{{\"ph\": \"i\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \
                      \"name\": \"{name}\", \"cat\": \"{cat}\", \"s\": \"t\", \
@@ -194,8 +196,7 @@ pub fn export_jsonl(trace: &Trace) -> String {
             RecordKind::AnnotateStr => "annot",
         };
         if s.rec.kind == RecordKind::AnnotateStr {
-            let mut escaped = String::new();
-            escape(trace.string(s.rec.value), &mut escaped);
+            let escaped = escape(trace.string(s.rec.value));
             let _ = writeln!(
                 out,
                 "{{\"kind\": \"annot\", \"name\": \"{}\", \"t_ns\": {}, \"lane\": {}, \
@@ -485,6 +486,19 @@ pub fn validate_json(text: &str) -> Result<(), (usize, String)> {
 mod tests {
     use super::*;
     use crate::ring::Record;
+
+    #[test]
+    fn escape_covers_json_metacharacters() {
+        assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(escape("x\ny\tz\r"), "x\\ny\\tz\\r");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("plain"), "plain");
+        let every_control: String = (0..0x20u8).map(char::from).collect();
+        assert_eq!(
+            validate_json(&format!("\"{}\"", escape(&every_control))),
+            Ok(())
+        );
+    }
 
     fn sample(kind: RecordKind, callsite: u32, span: u64, parent: u64, t_ns: u64) -> Sample {
         Sample {

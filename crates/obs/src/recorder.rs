@@ -26,6 +26,7 @@
 //! in one process get `.2`, `.3`, … suffixes so earlier forensics are
 //! never clobbered.
 
+use crate::export::escape;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -217,29 +218,12 @@ fn dump_seq() -> u64 {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-fn escape(s: &str, out: &mut String) {
-    use std::fmt::Write as _;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders a dump document: the failure context (design, component,
 /// cache_key, phase, …) plus every recent event across all threads.
 pub fn render(reason: &str, context: &[(&str, String)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"flight\": true, \"reason\": \"");
-    escape(reason, &mut out);
+    out.push_str(&escape(reason));
     let _ = write!(
         out,
         "\", \"run\": \"{}\", \"t_ns\": {}, \"context\": {{",
@@ -251,7 +235,7 @@ pub fn render(reason: &str, context: &[(&str, String)]) -> String {
             out.push_str(", ");
         }
         let _ = write!(out, "\"{key}\": \"");
-        escape(value, &mut out);
+        out.push_str(&escape(value));
         out.push('"');
     }
     out.push_str("}, \"events\": [");
@@ -264,11 +248,11 @@ pub fn render(reason: &str, context: &[(&str, String)]) -> String {
             "\n  {{\"t_ns\": {}, \"thread\": \"",
             ev.t_ns
         );
-        escape(&ev.thread, &mut out);
+        out.push_str(&escape(&ev.thread));
         out.push_str("\", \"tag\": \"");
-        escape(ev.tag, &mut out);
+        out.push_str(&escape(ev.tag));
         out.push_str("\", \"detail\": \"");
-        escape(&ev.detail, &mut out);
+        out.push_str(&escape(&ev.detail));
         out.push_str("\"}");
     }
     out.push_str("\n]}\n");

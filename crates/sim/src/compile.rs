@@ -4,14 +4,16 @@
 //! **64 independent scenarios at once**: every wire holds a `u64` *lane
 //! word* whose bit `L` is the wire's value in scenario lane `L`. It runs
 //! the same [`Circuit`] the event engine instantiates, part for part.
-//! Mapped controller netlists are levelized (via
-//! [`bmbe_hsnet::levelize`]) into straight-line instruction tapes — one
-//! [`TapeOp`] per cell, evaluated with [`CellKind::eval_lanes`] — and the
-//! asynchronous state feedback is resolved by a settle-to-fixpoint loop
-//! per activation, mirroring the event engine's `ControllerLogic::settle`
-//! exactly (lane-wise: a lane at its fixpoint is unchanged by further
-//! iterations, so mixed-convergence batches still match the scalar engine
-//! bit for bit).
+//! Each mapped controller netlist becomes a straight-line instruction tape
+//! — one [`TapeOp`] per cell, in the netlist's stored gate order, evaluated
+//! with [`CellKind::eval_lanes`]. That order is the mapper's, which
+//! [`check_gate_order`] checks: gate outputs ascend and every pin lies
+//! below its gate's output, so one pass writes each node before any op
+//! reads it. The asynchronous state feedback is resolved by a
+//! settle-to-fixpoint loop per activation, mirroring the event engine's
+//! `ControllerLogic::settle` exactly (lane-wise: a lane at its fixpoint is
+//! unchanged by further iterations, so mixed-convergence batches still
+//! match the scalar engine bit for bit).
 //!
 //! The run itself is a *wave* loop with unit-delay (Jacobi) semantics:
 //! all wire writes scheduled in wave `k` apply simultaneously at the start
@@ -32,8 +34,7 @@
 //! pending writes are cancelled — the analogue of the event engine
 //! stopping at the done event and leaving the queue unprocessed.
 
-use bmbe_gates::{CellKind, MappedGate};
-use bmbe_hsnet::levelize;
+use bmbe_gates::{check_gate_order, CellKind, MappedNetlist, SubjectNode};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -79,11 +80,11 @@ pub struct TapeOp {
     pub out: u16,
 }
 
-/// A levelized controller instruction tape. Scratch slots are the subject
-/// nodes: slots `0..inputs` load from the controller part's input wires,
-/// slots `inputs..inputs+num_state` load from the fed-back state word (the
-/// feedback arcs the settle loop iterates), constant-one slots are
-/// preset, and the ops write the rest in level order.
+/// A controller instruction tape. Scratch slots are the subject nodes:
+/// slots `0..inputs` load from the controller part's input wires, slots
+/// `inputs..inputs+num_state` load from the fed-back state word (the
+/// feedback arcs the settle loop iterates), constant-one slots are preset,
+/// and the ops write the rest in the mapped netlist's gate order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControllerTape {
     /// Number of state bits (the feedback arcs).
@@ -92,7 +93,7 @@ pub struct ControllerTape {
     pub slots: usize,
     /// Slots preset to all-ones (constant-one subject nodes).
     pub ones: Vec<u16>,
-    /// The instructions, in levelized topological order.
+    /// The instructions, one per mapped gate, in the netlist's order.
     pub ops: Vec<TapeOp>,
     /// Scratch slot of each output function root, matching the part's
     /// output wires.
@@ -103,20 +104,11 @@ pub struct ControllerTape {
     pub state_roots: Vec<u16>,
     /// Initial state code (broadcast to every lane).
     pub initial_code: u64,
-    /// Logic depth (levelization levels).
-    pub levels: u32,
 }
 
 /// Errors compiling a netlist into a tape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
-    /// The gate netlist has a combinational cycle (levelization failed).
-    Cycle {
-        /// The controller.
-        controller: String,
-        /// The lowest-index subject node on a cycle.
-        node: usize,
-    },
     /// The netlist is malformed for tape compilation.
     BadTape {
         /// The controller.
@@ -124,28 +116,12 @@ pub enum CompileError {
         /// What is wrong.
         detail: String,
     },
-    /// A deliberately injected fault (see the flow crate's `sim_compile`
-    /// fault phase).
-    Injected {
-        /// The controller.
-        controller: String,
-    },
 }
 
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::Cycle { controller, node } => write!(
-                f,
-                "controller {controller}: combinational cycle through subject node {node}"
-            ),
-            CompileError::BadTape { controller, detail } => {
-                write!(f, "controller {controller}: {detail}")
-            }
-            CompileError::Injected { controller } => {
-                write!(f, "controller {controller}: injected sim_compile fault")
-            }
-        }
+        let CompileError::BadTape { controller, detail } = self;
+        write!(f, "controller {controller}: {detail}")
     }
 }
 
@@ -155,7 +131,7 @@ const NO_ACTIVE: u16 = u16::MAX;
 
 /// Per-primitive mutable run state (lane-indexed vectors).
 #[derive(Debug, Clone)]
-enum PState {
+enum PState<'a> {
     None,
     Ctrl {
         tape: usize,
@@ -183,7 +159,7 @@ enum PState {
         count: Vec<u64>,
     },
     Provider {
-        values: Vec<Vec<u64>>,
+        values: Vec<&'a [u64]>,
         ix: Vec<usize>,
     },
     Consumer {
@@ -192,27 +168,24 @@ enum PState {
 }
 
 impl ControllerTape {
-    /// Compiles a mapped controller netlist into a levelized tape.
+    /// Compiles a mapped controller netlist into a tape: one op per gate,
+    /// in the netlist's stored order.
     ///
-    /// `gates` come with subject-node ids; `ones` are constant-one subject
-    /// nodes; `out_roots`/`state_roots` are the subject nodes of the output
-    /// and next-state function roots. Subject inputs must be laid out as
-    /// the event engine's function variables: the `inputs` wires first,
-    /// then `num_state` fed-back state bits.
+    /// `out_roots`/`state_roots` are the subject nodes of the output and
+    /// next-state function roots, one per output wire and per state bit.
+    /// Subject inputs must be laid out as the event engine's function
+    /// variables: the `inputs` wires first, then the state bits.
     ///
     /// # Errors
     ///
-    /// [`CompileError`] on a combinational cycle or malformed netlist.
-    #[allow(clippy::too_many_arguments)]
+    /// [`CompileError`] on a netlist that breaks the mapper's gate order
+    /// ([`check_gate_order`]) or does not fit the controller part.
     pub fn compile(
         name: &str,
         inputs: usize,
         outputs: usize,
-        num_state: usize,
         initial_code: u64,
-        num_nodes: usize,
-        ones: &[usize],
-        gates: &[MappedGate],
+        mapped: &MappedNetlist,
         out_roots: &[usize],
         state_roots: &[usize],
     ) -> Result<ControllerTape, CompileError> {
@@ -220,15 +193,21 @@ impl ControllerTape {
             controller: name.to_string(),
             detail,
         };
-        if num_nodes > u16::MAX as usize {
+        check_gate_order(mapped).map_err(|e| bad(e.to_string()))?;
+        let nodes = &mapped.subject.nodes;
+        if nodes.len() > u16::MAX as usize {
             return Err(bad(format!(
-                "{num_nodes} subject nodes exceed the tape limit"
+                "{} subject nodes exceed the tape limit",
+                nodes.len()
             )));
         }
-        let num_fn_inputs = inputs + num_state;
-        if num_fn_inputs > num_nodes {
+        // Wires and state bits load into the slots below the first gate
+        // output; gate outputs ascend, so no op overwrites them.
+        let num_state = state_roots.len();
+        let lowest = mapped.gates.first().map_or(nodes.len(), |g| g.output);
+        if inputs + num_state > lowest {
             return Err(bad(format!(
-                "{inputs} wires + {num_state} state bits exceed {num_nodes} subject nodes"
+                "{inputs} wires + {num_state} state bits do not fit below subject node {lowest}"
             )));
         }
         if out_roots.len() != outputs {
@@ -237,80 +216,39 @@ impl ControllerTape {
                 out_roots.len()
             )));
         }
-        if state_roots.len() != num_state {
-            return Err(bad(format!(
-                "{} state roots for {num_state} state bits",
-                state_roots.len()
-            )));
-        }
-        // Validate gates and collect the dependency graph over subject
-        // nodes (driven node <- its gate's inputs).
-        let mut driver = vec![usize::MAX; num_nodes];
-        let mut preds: Vec<&[usize]> = vec![&[]; num_nodes];
-        for (gi, g) in gates.iter().enumerate() {
-            if g.inputs.len() != g.cell.num_inputs() {
-                return Err(bad(format!(
-                    "gate {gi} ({}) has {} inputs, expected {}",
-                    g.cell,
-                    g.inputs.len(),
-                    g.cell.num_inputs()
-                )));
-            }
-            if g.output >= num_nodes || g.inputs.iter().any(|&i| i >= num_nodes) {
-                return Err(bad(format!("gate {gi} references a node out of range")));
-            }
-            if g.output < num_fn_inputs {
-                return Err(bad(format!("gate {gi} drives input node {}", g.output)));
-            }
-            if driver[g.output] != usize::MAX {
-                return Err(bad(format!("node {} driven by two gates", g.output)));
-            }
-            driver[g.output] = gi;
-            preds[g.output] = &g.inputs;
-        }
-        for (&r, what) in out_roots
+        if let Some(r) = out_roots
             .iter()
-            .zip(std::iter::repeat("output"))
-            .chain(state_roots.iter().zip(std::iter::repeat("state")))
+            .chain(state_roots)
+            .find(|&&r| r >= nodes.len())
         {
-            if r >= num_nodes {
-                return Err(bad(format!("{what} root {r} out of range")));
-            }
+            return Err(bad(format!("function root {r} out of range")));
         }
-        let lev = levelize::levelize(&preds).map_err(|e| CompileError::Cycle {
-            controller: name.to_string(),
-            node: e.node,
-        })?;
-        // Tape order: ascending (level, node) over driven nodes.
-        let mut driven: Vec<usize> = (0..num_nodes)
-            .filter(|&v| driver[v] != usize::MAX)
-            .collect();
-        driven.sort_unstable_by_key(|&v| (lev.level[v], v));
-        let ops: Vec<TapeOp> = driven
-            .iter()
-            .map(|&v| {
-                let g = &gates[driver[v]];
+        let as_slots = |v: &[usize]| v.iter().map(|&n| n as u16).collect::<Vec<_>>();
+        let ops = (mapped.gates.iter())
+            .map(|g| {
                 let mut ins = [0u16; 4];
-                for (i, &p) in g.inputs.iter().enumerate() {
-                    ins[i] = p as u16;
+                for (slot, &pin) in ins.iter_mut().zip(&g.inputs) {
+                    *slot = pin as u16;
                 }
                 TapeOp {
                     cell: g.cell,
                     ins,
                     n: g.inputs.len() as u8,
-                    out: v as u16,
+                    out: g.output as u16,
                 }
             })
             .collect();
         Ok(ControllerTape {
             num_state,
-            slots: num_nodes,
-            ones: ones.iter().map(|&o| o as u16).collect(),
+            slots: nodes.len(),
+            ones: (0..nodes.len())
+                .filter(|&v| nodes[v] == SubjectNode::One)
+                .map(|v| v as u16)
+                .collect(),
             ops,
-            out_roots: out_roots.iter().map(|&r| r as u16).collect(),
-            state_roots: state_roots.iter().map(|&r| r as u16).collect(),
+            out_roots: as_slots(out_roots),
+            state_roots: as_slots(state_roots),
             initial_code,
-            levels: lev.num_levels,
         })
     }
 }
@@ -421,8 +359,7 @@ impl CompiledCircuit {
         &self.circuit
     }
 
-    /// The controller tapes, in part order (for reporting: op counts,
-    /// levels).
+    /// The controller tapes, in part order (for reporting: op counts).
     pub fn tapes(&self) -> &[ControllerTape] {
         &self.tapes
     }
@@ -430,10 +367,12 @@ impl CompiledCircuit {
     /// Runs a batch of up to [`LANES`] scenarios to quiescence, completion
     /// of every lane, or the wave budget.
     ///
+    /// A lane whose done condition names a part of another kind never
+    /// completes, as on the event engine ([`DoneSpec::met`]).
+    ///
     /// # Panics
     ///
-    /// Panics if `spec.lanes` is empty or exceeds [`LANES`], or if a
-    /// [`LaneSpec`]'s done condition names a primitive of the wrong kind.
+    /// Panics if `spec.lanes` is empty or exceeds [`LANES`].
     pub fn run(&self, spec: &RunSpec<'_>) -> RunResult {
         let n = spec.lanes.len();
         assert!(n >= 1 && n <= LANES, "lane count {n} out of range");
@@ -458,8 +397,9 @@ impl CompiledCircuit {
     }
 }
 
-/// Mutable state of one batched run.
-struct RunState {
+/// Mutable state of one batched run; pull providers borrow their lanes'
+/// scripts from the run's [`LaneSpec`]s.
+struct RunState<'a> {
     wires: Vec<u64>,
     changed: Vec<u64>,
     chg_dirty: Vec<usize>,
@@ -467,7 +407,7 @@ struct RunState {
     pend_mask: Vec<u64>,
     pend_dirty: Vec<usize>,
     slots: Vec<u64>, // slot-major: slots[slot * LANES + lane]
-    pstates: Vec<PState>,
+    pstates: Vec<PState<'a>>,
     scratch: Vec<u64>,
     trig: Vec<bool>,
     trig_list: Vec<u32>,
@@ -496,8 +436,8 @@ fn for_lanes(mut m: u64, mut f: impl FnMut(usize)) {
     }
 }
 
-impl RunState {
-    fn new(c: &CompiledCircuit, spec: &RunSpec<'_>) -> RunState {
+impl<'a> RunState<'a> {
+    fn new(c: &CompiledCircuit, spec: &RunSpec<'a>) -> RunState<'a> {
         let n = spec.lanes.len();
         let live = if n == LANES { !0u64 } else { (1u64 << n) - 1 };
         let parts = &c.circuit.parts;
@@ -563,9 +503,9 @@ impl RunState {
                     count: vec![0; LANES],
                 },
                 Part::PullProvider { .. } => {
-                    let mut values: Vec<Vec<u64>> = vec![Vec::new(); LANES];
+                    let mut values: Vec<&[u64]> = vec![&[]; LANES];
                     for (lane, ls) in spec.lanes.iter().enumerate() {
-                        values[lane] = ls.script(p).to_vec();
+                        values[lane] = ls.script(p);
                     }
                     PState::Provider {
                         values,
@@ -718,7 +658,8 @@ impl RunState {
 
     /// End-of-wave done update: newly completed lanes leave the live mask
     /// and their pending writes are cancelled (the event engine stops at
-    /// the done event; nothing scheduled after it runs).
+    /// the done event; nothing scheduled after it runs). A condition naming
+    /// a part of another kind is not met.
     fn check_done(&mut self, spec: &RunSpec<'_>) {
         // Done conditions read the driver, consumer and responder counters
         // only; while none of those parts ran, no lane can newly complete.
@@ -732,18 +673,12 @@ impl RunState {
                 continue;
             }
             let done = match ls.done {
-                DoneSpec::Activations(p, count) => match &self.pstates[p.0] {
-                    PState::Driver { completions, .. } => completions[lane] >= count,
-                    _ => panic!("done condition targets a non-driver primitive"),
-                },
-                DoneSpec::Outputs(p, count) => match &self.pstates[p.0] {
-                    PState::Consumer { received } => received[lane].len() >= count,
-                    _ => panic!("done condition targets a non-consumer primitive"),
-                },
-                DoneSpec::Syncs(p, count) => match &self.pstates[p.0] {
-                    PState::Sync { count: n } => n[lane] >= count,
-                    _ => panic!("done condition targets a non-responder primitive"),
-                },
+                DoneSpec::Activations(p, count) => matches!(&self.pstates[p.0],
+                    PState::Driver { completions, .. } if completions[lane] >= count),
+                DoneSpec::Outputs(p, count) => matches!(&self.pstates[p.0],
+                    PState::Consumer { received } if received[lane].len() >= count),
+                DoneSpec::Syncs(p, count) => matches!(&self.pstates[p.0],
+                    PState::Sync { count: n } if n[lane] >= count),
             };
             if done {
                 newly |= bit;
@@ -1046,7 +981,7 @@ impl RunState {
         tapes: &[ControllerTape],
         inputs: &[NodeId],
         outputs: &[NodeId],
-        pst: &mut PState,
+        pst: &mut PState<'_>,
     ) {
         let PState::Ctrl { tape, state, memo } = pst else {
             unreachable!()
@@ -1212,6 +1147,7 @@ fn run_tape(t: &ControllerTape, scratch: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmbe_gates::{MappedGate, Module, SubjectGraph};
 
     fn lane_spec(cycles: u64, done: DoneSpec) -> LaneSpec<'static> {
         LaneSpec {
@@ -1241,6 +1177,31 @@ mod tests {
             cell,
             inputs: inputs.to_vec(),
             output,
+        }
+    }
+
+    /// A mapped netlist of these gates over `inputs` input nodes and
+    /// `nodes - inputs` gate nodes (their kinds only mark them as gate
+    /// outputs; the tape evaluates the cells).
+    fn netlist(inputs: usize, nodes: usize, gates: Vec<MappedGate>) -> MappedNetlist {
+        let kinds = (0..nodes).map(|v| {
+            if v < inputs {
+                SubjectNode::Input(v)
+            } else {
+                SubjectNode::Inv(0)
+            }
+        });
+        MappedNetlist {
+            gates,
+            area: 0.0,
+            output_delays: HashMap::new(),
+            subject: SubjectGraph {
+                nodes: kinds.collect(),
+                modules: vec![Module::Level1; nodes],
+                roots: Vec::new(),
+                num_inputs: inputs,
+                fanout: vec![0; nodes],
+            },
         }
     }
 
@@ -1304,22 +1265,17 @@ mod tests {
         ];
         // Tape: node 0 = input (a_req), node 1 = Inv(0), node 2 = Inv(1).
         // Output root = node 2 (== input), driving c_req.
+        let m = netlist(
+            1,
+            3,
+            vec![gate(CellKind::Inv, &[0], 1), gate(CellKind::Inv, &[1], 2)],
+        );
         let c = CompiledCircuit::new(circuit(3, parts), |_, ni, no| {
-            ControllerTape::compile(
-                "buf",
-                ni,
-                no,
-                0,
-                0,
-                3,
-                &[],
-                &[gate(CellKind::Inv, &[0], 1), gate(CellKind::Inv, &[1], 2)],
-                &[2],
-                &[],
-            )
+            ControllerTape::compile("buf", ni, no, 0, &m, &[2], &[])
         })
         .unwrap();
-        assert_eq!(c.tapes()[0].levels, 3);
+        let outs: Vec<u16> = c.tapes()[0].ops.iter().map(|op| op.out).collect();
+        assert_eq!(outs, [1, 2], "one op per gate, in the netlist's order");
         let resp = PrimId(2);
         let lanes: Vec<LaneSpec> = (0..10)
             .map(|_| lane_spec(2, DoneSpec::Syncs(resp, 2)))
@@ -1355,22 +1311,16 @@ mod tests {
         ];
         // Nodes: 0 = input wire, 1 = state bit y0, 2 = And2(0, 0)
         // (next-state root), 3 = And2(1, 1) (output root).
+        let m = netlist(
+            2,
+            4,
+            vec![
+                gate(CellKind::And2, &[0, 0], 2),
+                gate(CellKind::And2, &[1, 1], 3),
+            ],
+        );
         let c = CompiledCircuit::new(circuit(3, parts), |_, ni, no| {
-            ControllerTape::compile(
-                "fb",
-                ni,
-                no,
-                1,
-                0,
-                4,
-                &[],
-                &[
-                    gate(CellKind::And2, &[0, 0], 2),
-                    gate(CellKind::And2, &[1, 1], 3),
-                ],
-                &[3],
-                &[2],
-            )
+            ControllerTape::compile("fb", ni, no, 0, &m, &[3], &[2])
         })
         .unwrap();
         let lanes = vec![lane_spec(1, DoneSpec::Activations(PrimId(0), 1))];
@@ -1382,61 +1332,75 @@ mod tests {
         assert_eq!(r.sync_counts[&PrimId(2)][0], 1);
     }
 
+    /// A done condition naming a part of another kind is never met, as on
+    /// the event engine: the lane runs to its wave budget.
     #[test]
-    fn cyclic_tape_is_rejected() {
-        let err = ControllerTape::compile(
-            "cyc",
-            1,
-            1,
-            0,
-            0,
-            3,
-            &[],
-            &[gate(CellKind::Inv, &[2], 1), gate(CellKind::Inv, &[1], 2)],
-            &[1],
-            &[],
-        )
-        .unwrap_err();
-        assert!(matches!(err, CompileError::Cycle { node: 1, .. }), "{err}");
+    fn wrong_kind_done_condition_is_never_met() -> Result<(), CompileError> {
+        let (req, ack) = (NodeId(0), NodeId(1));
+        let parts = vec![
+            Part::ActivationDriver { req, ack },
+            Part::SyncResponder { req, ack },
+        ];
+        let c = CompiledCircuit::new(circuit(2, parts), no_tapes)?;
+        // Part 1 is a sync responder, not a push consumer.
+        let lanes = vec![lane_spec(u64::MAX, DoneSpec::Outputs(PrimId(1), 1))];
+        let r = c.run(&RunSpec {
+            lanes,
+            max_waves: 40,
+        });
+        assert_eq!((r.completed, r.waves), (0, 40));
+        assert!(r.sync_counts[&PrimId(1)][0] > 0, "the lane ran");
+        Ok(())
     }
 
+    /// Netlists that break the mapper's gate order do not compile.
     #[test]
     fn malformed_tapes_are_rejected() {
-        // Wrong pin count.
-        let err = ControllerTape::compile(
-            "pins",
+        let compile = |inputs, gates| {
+            let m = netlist(inputs, 3, gates);
+            let err = ControllerTape::compile("bad", 1, 1, 0, &m, &[2], &[]);
+            err.map_err(|e| e.to_string())
+        };
+        let rejects = |inputs, gates, why: &str| {
+            let err = compile(inputs, gates);
+            assert!(
+                err.as_ref().is_err_and(|e| e.contains(why)),
+                "{why}: {err:?}"
+            );
+        };
+        // A cycle: gate 0 reads the output of gate 1.
+        rejects(
             1,
-            1,
-            0,
-            0,
-            2,
-            &[],
-            &[gate(CellKind::And2, &[0], 1)],
-            &[1],
-            &[],
-        )
-        .unwrap_err();
-        assert!(
-            err.to_string().contains("has 1 inputs, expected 2"),
-            "{err}"
+            vec![gate(CellKind::Inv, &[2], 1), gate(CellKind::Inv, &[1], 2)],
+            "gate 0: pin not below the gate's output",
         );
-        // Double-driven node.
-        let err = ControllerTape::compile(
-            "dd",
+        rejects(
             1,
+            vec![gate(CellKind::And2, &[0], 1)],
+            "gate 0: input count differs from the cell's pin count",
+        );
+        // A node driven twice.
+        rejects(
             1,
-            0,
-            0,
-            2,
-            &[],
-            &[
+            vec![
                 gate(CellKind::Inv, &[0], 1),
                 gate(CellKind::And2, &[0, 0], 1),
             ],
-            &[1],
-            &[],
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("two gates"));
+            "gate 1: output does not exceed the previous gate's",
+        );
+        // The input wire's slot.
+        rejects(
+            2,
+            vec![gate(CellKind::Inv, &[0], 1)],
+            "gate 0: output is an input or constant node",
+        );
+        // One wire and a state bit, but the first gate writes node 1.
+        let m = netlist(1, 3, vec![gate(CellKind::Inv, &[0], 1)]);
+        let err = ControllerTape::compile("bad", 1, 1, 0, &m, &[2], &[1]);
+        assert!(
+            err.as_ref()
+                .is_err_and(|e| e.to_string().contains("do not fit")),
+            "{err:?}"
+        );
     }
 }

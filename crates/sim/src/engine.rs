@@ -11,11 +11,9 @@
 //!
 //! Events wait in one binary heap ordered by `(time, seq)`; `seq` is
 //! globally monotonic, so same-timestamp events fire in the order they
-//! were scheduled. Action slots are free-listed: a slot is recycled as
-//! soon as its event fires, so the action table stays as small as the
-//! peak number of in-flight events instead of growing with the lifetime
-//! event count. Watcher delivery reads one flat index (`Watchers`) — no
-//! per-event clone of a watcher list — which runs of one circuit share.
+//! were scheduled. Each heap entry carries the wire and value it sets.
+//! Watcher delivery reads one flat index (`Watchers`) — no per-event
+//! clone of a watcher list — which runs of one circuit share.
 //! Handshake circuits run at queue depths of a few events, where a heap
 //! operation costs a handful of comparisons.
 
@@ -38,9 +36,6 @@ pub struct SlotId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrimId(pub usize);
 
-/// A scheduled wire change: the wire and its new value.
-type Action = (NodeId, bool);
-
 /// The event engine's scheduler choice. The engine has one scheduler, so
 /// the type has one value; it stays only because the benchmark harness
 /// (`perfbench/src/simstep.rs`), which builds against this API as it is,
@@ -52,9 +47,10 @@ pub enum SchedulerKind {
     Auto,
 }
 
-/// A scheduled event: `(time, seq, action slot)`. Ordered by `(time, seq)`;
-/// `seq` is globally monotonic, so ties in time resolve FIFO.
-type Event = (Time, u64, u32);
+/// A scheduled event: `(time, seq, wire, value)`. Ordered by `(time, seq)`;
+/// `seq` is globally monotonic, so ties in time resolve FIFO and the wire
+/// and value never decide the order.
+type Event = (Time, u64, u32, bool);
 
 /// A behavioural element of the simulation.
 pub trait Primitive {
@@ -65,41 +61,27 @@ pub trait Primitive {
     fn on_change(&mut self, ctx: &mut Ctx<'_>, node: NodeId);
 }
 
-/// The pending events and the action slots they index.
+/// The pending events.
 #[derive(Default)]
 struct Queue {
     heap: BinaryHeap<Reverse<Event>>,
     peak: usize,
-    actions: Vec<Action>,
-    free: Vec<u32>,
     seq: u64,
 }
 
 impl Queue {
-    /// Schedules `action` at `time`, claiming an action slot from the free
-    /// list or extending the table.
-    fn push(&mut self, time: Time, action: Action) {
+    /// Schedules wire `node` to take `value` at `time`.
+    fn push(&mut self, time: Time, node: NodeId, value: bool) {
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.actions[i as usize] = action;
-                i
-            }
-            None => {
-                self.actions.push(action);
-                (self.actions.len() - 1) as u32
-            }
-        };
-        self.heap.push(Reverse((time, self.seq, slot)));
+        self.heap
+            .push(Reverse((time, self.seq, node.0 as u32, value)));
         self.peak = self.peak.max(self.heap.len());
     }
 
-    /// Pops the pending event with the least `(time, seq)`, releasing its
-    /// action slot.
-    fn pop(&mut self) -> Option<(Time, Action)> {
-        let Reverse((time, _, slot)) = self.heap.pop()?;
-        self.free.push(slot);
-        Some((time, self.actions[slot as usize]))
+    /// Pops the pending event with the least `(time, seq)`.
+    fn pop(&mut self) -> Option<(Time, NodeId, bool)> {
+        let Reverse((time, _, node, value)) = self.heap.pop()?;
+        Some((time, NodeId(node as usize), value))
     }
 }
 
@@ -130,7 +112,7 @@ impl Ctx<'_> {
 
     /// Schedules a wire change `delay` picoseconds from now.
     pub fn set_after(&mut self, node: NodeId, value: bool, delay: Time) {
-        self.queue.push(self.now + delay, (node, value));
+        self.queue.push(self.now + delay, node, value);
     }
 }
 
@@ -290,12 +272,6 @@ impl<P: Primitive> Sim<P> {
         self.queue.peak
     }
 
-    /// Size of the action-slot table: slots are free-listed, so this is
-    /// bounded by the peak queue depth, not the lifetime event count.
-    pub fn action_slots(&self) -> usize {
-        self.queue.actions.len()
-    }
-
     /// Initializes every primitive (call once before running).
     pub fn init(&mut self) {
         let mut ctx = Ctx {
@@ -315,7 +291,7 @@ impl<P: Primitive> Sim<P> {
         if done(self) {
             return true;
         }
-        while let Some((t, (node, value))) = self.queue.pop() {
+        while let Some((t, node, value)) = self.queue.pop() {
             self.now = t;
             if t > max_time {
                 return false;
@@ -417,10 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn action_slots_are_recycled() {
+    fn ring_oscillator_keeps_one_event_in_flight() {
         // A ring oscillator processes one event per 50 ps with exactly one
-        // event in flight; after hundreds of thousands of events the slot
-        // table must still be O(peak depth), not O(events).
+        // event in flight, however long it runs.
         let mut sim = Sim::default();
         let a = sim.wire();
         sim.add_prim(
@@ -433,14 +408,8 @@ mod tests {
         );
         sim.init();
         sim.run_until(|_| false, 10_000_000);
-        assert!(sim.events_processed > 100_000);
-        assert!(
-            sim.action_slots() <= sim.peak_queue_depth() + 1,
-            "slots {} vs peak depth {}",
-            sim.action_slots(),
-            sim.peak_queue_depth()
-        );
-        assert!(sim.action_slots() < 16);
+        assert_eq!(sim.events_processed, 200_000);
+        assert_eq!(sim.peak_queue_depth(), 1);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use bmbe::designs::all_designs;
 use bmbe::flow::{run_control_flow, run_design, FlowOptions};
 use bmbe::gates::Library;
 use bmbe::sim::prims::Delays;
+use bmbe_obs::export::escape;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -161,7 +162,6 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let cache = ControllerCache::from_env();
     let threads = bmbe::par::default_threads();
     let summary = run_batch(&jobs, &Library::cmos035(), &cache, threads);
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     for outcome in &summary.jobs {
         match outcome {
             Ok(r) => println!(
@@ -227,7 +227,6 @@ fn cmd_gauntlet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let cache = ControllerCache::from_env();
     let report = run_gauntlet(&cfg, &Library::cmos035(), &cache)?;
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     for f in &report.findings {
         println!(
             "{{\"finding\": true, \"oracle\": \"{}\", \"design\": \"{}\", \
