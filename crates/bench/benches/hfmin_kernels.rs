@@ -56,9 +56,6 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function(format!("primes_reference_expansion/{name}"), |b| {
         b.iter(|| black_box(spec).dhf_primes_reference().expect("primes"))
     });
-    g.bench_function(format!("primes_partitioned_4t/{name}"), |b| {
-        b.iter(|| black_box(spec).dhf_primes_par(4).expect("primes"))
-    });
     g.bench_function(format!("minimize_primes_plus_covering/{name}"), |b| {
         b.iter(|| black_box(spec).minimize().expect("minimizes"))
     });

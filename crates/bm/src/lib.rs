@@ -38,8 +38,5 @@ pub mod text;
 pub use assign::{assign, AssignError, Dichotomy, StateAssignment};
 pub use spec::{Arc, BmError, BmSpec, Edge, EntryVectors, Signal, SignalDir};
 pub use statemin::{minimize_states, StateMinResult};
-pub use synth::{
-    intra_budget, synthesize, synthesize_full, synthesize_parallel, Controller, MinimizeMode,
-    SynthError,
-};
+pub use synth::{synthesize, synthesize_full, Controller, MinimizeMode, SynthError};
 pub use text::{from_bms, to_bms, to_dot, BmsParseError};

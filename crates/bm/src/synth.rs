@@ -17,7 +17,6 @@ use crate::assign::{assign_with, AssignError, Separation, StateAssignment};
 use crate::spec::{BmError, BmSpec};
 use bmbe_logic::cover::{Cover, Tv};
 use bmbe_logic::hfmin::{FunctionSpec, HfminError, MinimizeOptions, MinimizeStats};
-use bmbe_par::par_map;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -128,7 +127,8 @@ pub struct Controller {
     pub exact: bool,
     /// Aggregate wall-clock breakdown of the per-function minimizations
     /// (prime generation vs covering), summed across functions; feeds the
-    /// flow's per-phase profiler.
+    /// flow's per-phase profiler. A controller decoded from the flow's
+    /// disk cache carries `MinimizeStats::default()`.
     pub minimize_stats: MinimizeStats,
     /// The per-function transition specifications (kept for verification).
     pub function_specs: Vec<FunctionSpec>,
@@ -223,32 +223,15 @@ impl Controller {
 /// unsatisfiable, or a function has no hazard-free cover (see
 /// [`SynthError`]).
 pub fn synthesize(spec: &BmSpec, mode: MinimizeMode) -> Result<Controller, SynthError> {
-    synthesize_parallel(spec, mode, 1)
+    synthesize_full(spec, mode, 1, &MinimizeOptions::default())
 }
 
-/// [`synthesize`] with the per-function minimizations fanned out across up
-/// to `threads` workers. The result is bit-identical to the serial path
-/// (`threads == 1`): jobs are independent, results are collected in
-/// function order, and the first failing function (by index) decides the
-/// error.
-///
-/// # Errors
-///
-/// See [`synthesize`].
-pub fn synthesize_parallel(
-    spec: &BmSpec,
-    mode: MinimizeMode,
-    threads: usize,
-) -> Result<Controller, SynthError> {
-    synthesize_full(spec, mode, threads, &MinimizeOptions::default())
-}
-
-/// [`synthesize_parallel`] with explicit [`MinimizeOptions`]: backend
-/// selection and fault injection are taken from `opts` verbatim, while
-/// `opts.threads` is *overridden* per function by [`intra_budget`] — the
-/// total `threads` budget is split between fanning functions out and
-/// fanning the prime-generation worklist of each function across workers,
-/// so the two levels never oversubscribe the pool.
+/// [`synthesize`] with explicit [`MinimizeOptions`]: backend selection and
+/// fault injection are taken from `opts`. The functions are minimized one
+/// after another on the calling thread, in function order, so the first
+/// failing function names the error. `_threads` is ignored; it stays
+/// because the benchmark harness (`perfbench/src/replay.rs`), which builds
+/// against this API as it is, passes it.
 ///
 /// # Errors
 ///
@@ -258,18 +241,18 @@ pub fn synthesize_parallel(
 pub fn synthesize_full(
     spec: &BmSpec,
     mode: MinimizeMode,
-    threads: usize,
+    _threads: usize,
     opts: &MinimizeOptions,
 ) -> Result<Controller, SynthError> {
     // Try the minimal race-free assignment first; if hazard-free
     // minimization turns out infeasible (the CHASM interaction between
     // encoding and hazard constraints), fall back to the fully separated
     // assignment, which guarantees feasibility.
-    match synthesize_with_opts(spec, mode, Separation::Conflicts, threads, opts) {
+    match synthesize_with_opts(spec, mode, Separation::Conflicts, opts) {
         Err(SynthError::Hfmin {
             error: HfminError::NoHazardFreeCover { .. },
             ..
-        }) => synthesize_with_opts(spec, mode, Separation::AllArcs, threads, opts),
+        }) => synthesize_with_opts(spec, mode, Separation::AllArcs, opts),
         other => other,
     }
 }
@@ -285,39 +268,11 @@ pub fn synthesize_with(
     mode: MinimizeMode,
     separation: Separation,
 ) -> Result<Controller, SynthError> {
-    synthesize_with_threads(spec, mode, separation, 1)
+    synthesize_with_opts(spec, mode, separation, &MinimizeOptions::default())
 }
 
-/// [`synthesize_with`], fanning per-function minimizations across up to
-/// `threads` workers (see [`synthesize_parallel`] for the determinism
-/// contract).
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn synthesize_with_threads(
-    spec: &BmSpec,
-    mode: MinimizeMode,
-    separation: Separation,
-    threads: usize,
-) -> Result<Controller, SynthError> {
-    synthesize_with_opts(spec, mode, separation, threads, &MinimizeOptions::default())
-}
-
-/// Splits a worker budget between the two parallelism levels of one
-/// controller: `fan` functions minimized concurrently, each allowed
-/// `intra` workers for its partitioned prime-generation worklist.
-/// `fan * intra <= threads.max(1)` always holds, so composing the levels
-/// never oversubscribes the pool; a controller with a single function
-/// gets the whole budget *inside* that function.
-pub fn intra_budget(threads: usize, num_funcs: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let fan = threads.min(num_funcs.max(1));
-    (fan, (threads / fan).max(1))
-}
-
-/// [`synthesize_with_threads`] with explicit [`MinimizeOptions`] (see
-/// [`synthesize_full`] for how `opts.threads` is overridden).
+/// [`synthesize_with`] with explicit [`MinimizeOptions`] (see
+/// [`synthesize_full`]).
 ///
 /// # Errors
 ///
@@ -326,7 +281,6 @@ pub fn synthesize_with_opts(
     spec: &BmSpec,
     mode: MinimizeMode,
     separation: Separation,
-    threads: usize,
     opts: &MinimizeOptions,
 ) -> Result<Controller, SynthError> {
     let entry = spec.validate()?;
@@ -397,42 +351,25 @@ pub fn synthesize_with_opts(
         }
     }
 
-    // Minimize each function, fanning the independent per-output jobs
-    // across workers. Results come back in function order and the first
-    // failing index wins, so the outcome is bit-identical to a serial loop.
-    let function_name = |fi: usize| {
-        if fi < output_signals.len() {
-            spec.signals()[output_signals[fi]].name.clone()
-        } else {
-            format!("y{}", fi - output_signals.len())
-        }
-    };
-    let (fan, intra) = intra_budget(threads, num_funcs);
-    let job_opts = MinimizeOptions {
-        threads: intra,
-        ..*opts
-    };
-    // Workers parent their spans on the dispatching span, so the trace's
-    // span tree is independent of the worker-thread count.
-    let fanout_parent = bmbe_obs::current_span();
-    let results: Vec<Result<bmbe_logic::hfmin::HfminResult, SynthError>> =
-        par_map(&specs, fan, |fi, fspec| {
-            let _g = bmbe_obs::span_with_parent!("hfmin.job", "hfmin", fanout_parent);
-            let name = function_name(fi);
-            let result = fspec
-                .minimize_opts(&job_opts)
-                .map_err(|error| SynthError::Hfmin {
-                    function: name.clone(),
-                    error,
-                })?;
-            check_cover(&name, fspec, &result.cover)?;
-            Ok(result)
-        });
+    // Minimize each function in function order; the first failing one
+    // names the error.
     let mut covers: Vec<Cover> = Vec::with_capacity(num_funcs);
     let mut exact = true;
     let mut minimize_stats = MinimizeStats::default();
-    for result in results {
-        let result = result?;
+    for (fi, fspec) in specs.iter().enumerate() {
+        let _g = bmbe_obs::span!("hfmin.job", "hfmin");
+        let name = if fi < output_signals.len() {
+            spec.signals()[output_signals[fi]].name.clone()
+        } else {
+            format!("y{}", fi - output_signals.len())
+        };
+        let result = fspec
+            .minimize_opts(opts)
+            .map_err(|error| SynthError::Hfmin {
+                function: name.clone(),
+                error,
+            })?;
+        check_cover(&name, fspec, &result.cover)?;
         exact &= result.exact;
         minimize_stats.accumulate(&result.stats);
         covers.push(result.cover);
@@ -613,26 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_budget_never_oversubscribes() {
-        for threads in 0..=9 {
-            for num_funcs in 0..=9 {
-                let (fan, intra) = intra_budget(threads, num_funcs);
-                assert!(fan >= 1 && intra >= 1);
-                assert!(
-                    fan * intra <= threads.max(1),
-                    "threads={threads} funcs={num_funcs}: fan={fan} intra={intra}"
-                );
-            }
-        }
-        // One huge function gets the whole budget inside the function; many
-        // functions get the budget as fan-out.
-        assert_eq!(intra_budget(4, 1), (1, 4));
-        assert_eq!(intra_budget(4, 6), (4, 1));
-        assert_eq!(intra_budget(4, 2), (2, 2));
-        assert_eq!(intra_budget(1, 8), (1, 1));
-    }
-
-    #[test]
     fn backends_agree_on_small_controllers() {
         use bmbe_logic::hfmin::MinimizeBackend;
         for spec in [sequencer(), call_module()] {
@@ -657,7 +574,10 @@ mod tests {
             )
             .unwrap();
             cofactor.verify_ternary().unwrap();
-            assert!(!cofactor.exact, "cofactor covers are never provably minimum");
+            assert!(
+                !cofactor.exact,
+                "cofactor covers are never provably minimum"
+            );
             assert!(
                 cofactor.num_products() >= exact.num_products(),
                 "{}: cofactor beat the exact minimum",

@@ -18,13 +18,15 @@
 //!   (successes *and* failures — a failed flight is not retried, which is
 //!   what keeps synthesis exactly-once).
 //!
-//! One job's synthesized shapes fan out longest first under its thread
-//! budget (`fanout_budget`), so single-design runs and fleet jobs share
-//! one scheduling policy.
+//! Parallelism has two levels, both here: jobs fan out across the
+//! `bmbe-par` worker pool, and one job's long-pole shapes fan out longest
+//! first under the job's thread budget (`shape_workers`), so single-design
+//! runs and fleet jobs share one scheduling policy. Each shape synthesizes
+//! on the worker that claimed it; the synthesis libraries below are
+//! single-threaded.
 //!
-//! Jobs fan out across the `bmbe-par` worker pool with per-job panic
-//! isolation: a panicking job becomes a [`JobFailure`] with phase `panic`
-//! while its siblings complete. Observability: the
+//! A panicking job becomes a [`JobFailure`] with phase `panic` while its
+//! siblings complete. Observability: the
 //! `batch.shapes.{synthesized,shared,hits}` and
 //! `batch.jobs.{completed,failed}` counters, the
 //! `batch.singleflight_wait_us` histogram (how long waiters blocked on
@@ -109,26 +111,17 @@ pub enum Resolution {
 /// `perf_report`; see BENCH_flow.json).
 const PAR_COST_CUTOFF: usize = 160;
 
-/// Splits one job's thread budget between the fan-out over the shapes it
-/// claimed and the parallelism *inside* each shape (per-function jobs and
-/// the partitioned prime-generation worklist), returning `(workers,
-/// inner)` with `workers * inner <= threads.max(1)` — the two levels
-/// compose instead of double-subscribing the pool.
-///
-/// The outer width is set by the number of shapes above the small-work
-/// cutoff, not by the total shape count: small shapes finish in noise, so
-/// counting them would starve the long poles of inner workers. With fewer
-/// than two long poles the outer loop stays serial and the whole budget
-/// moves inside — which is where a single huge cluster controller spends
-/// it best.
-fn fanout_budget(threads: usize, costs: impl Iterator<Item = usize>) -> (usize, usize) {
-    let threads = threads.max(1);
+/// Worker count for the shapes one job claimed: one worker per shape at
+/// or above the small-work cutoff, capped at `threads`. Small shapes
+/// finish in noise, so they do not count; with fewer than two long poles
+/// every shape runs inline on the calling thread.
+fn shape_workers(threads: usize, costs: impl Iterator<Item = usize>) -> usize {
     let big = costs.filter(|&c| c >= PAR_COST_CUTOFF).count();
     if big < 2 {
-        return (1, threads);
+        1
+    } else {
+        big.min(threads.max(1))
     }
-    let workers = threads.min(big);
-    (workers, (threads / workers).max(1))
 }
 
 /// A shape's resolution, or the owning flight's shared error.
@@ -212,7 +205,7 @@ impl<'a> ShapeRegistry<'a> {
 
     /// Resolves one keyed shape: cache peek, then claim-or-wait on the
     /// in-flight slot. The owner synthesizes the canonical program
-    /// (panic-isolated) with `inner` worker threads and stores the result
+    /// (panic-isolated) on the calling thread and stores the result
     /// write-through; waiters block until the flight lands and reuse its
     /// result. `options` supplies the fault plan; the synthesis options
     /// come from the key itself.
@@ -222,16 +215,17 @@ impl<'a> ShapeRegistry<'a> {
     /// The owning flight's error, shared by every waiter on the same
     /// digest. Failed flights stay failed (the slot is not retried) so a
     /// poisoned shape is synthesized at most once per fleet.
-    pub fn resolve(&self, keyed: &KeyedProgram, options: &FlowOptions, inner: usize) -> Resolved {
+    pub fn resolve(&self, keyed: &KeyedProgram, options: &FlowOptions) -> Resolved {
         // One shape in, one resolution out.
-        self.resolve_all(&[keyed], options, inner).remove(0)
+        self.resolve_all(&[keyed], options, 1).remove(0)
     }
 
     /// Resolves one job's distinct shapes, in order. The shapes this job
-    /// claims fan out longest first under `threads` (see
-    /// [`fanout_budget`]); their claim indices — which a fault plan
-    /// targets — follow that dispatch order and are fixed before the
-    /// fan-out, so they do not depend on the thread count. Waits on other
+    /// claims fan out longest first over at most `threads` workers (see
+    /// [`shape_workers`]), each synthesizing on the worker that took it;
+    /// their claim indices — which a fault plan targets — follow that
+    /// dispatch order and are fixed before the fan-out, so they do not
+    /// depend on the thread count. Waits on other
     /// jobs' flights start only after every claimed flight has landed:
     /// a job never blocks while holding an unfinished claim, which is what
     /// keeps a fleet of jobs deadlock-free.
@@ -253,13 +247,12 @@ impl<'a> ShapeRegistry<'a> {
         // Longest job first, so the long-pole shape never starts last.
         owned.sort_by_key(|(k, _)| Reverse(k.key.canonical.len()));
         let first = self.claims.fetch_add(owned.len(), Ordering::Relaxed);
-        let (workers, inner) =
-            fanout_budget(threads, owned.iter().map(|(k, _)| k.key.canonical.len()));
+        let workers = shape_workers(threads, owned.iter().map(|(k, _)| k.key.canonical.len()));
         // Claim spans nest under the dispatching span on whichever worker
         // runs them, so the span tree does not depend on the thread count.
         let parent = bmbe_obs::current_span();
         bmbe_par::par_map(&owned, workers, |j, (keyed, slot)| {
-            self.fly(keyed, slot, first + j, options, inner, parent)
+            self.fly(keyed, slot, first + j, options, parent)
         });
         shapes
             .iter()
@@ -290,16 +283,15 @@ impl<'a> ShapeRegistry<'a> {
     }
 
     /// Runs the claimed flight with fleet-wide claim index `claim`:
-    /// synthesizes the canonical program (panic-isolated) with `inner`
-    /// threads, stores the artifact write-through, and lands the outcome
-    /// in `slot` for its waiters.
+    /// synthesizes the canonical program (panic-isolated) on this thread,
+    /// stores the artifact write-through, and lands the outcome in `slot`
+    /// for its waiters.
     fn fly(
         &self,
         keyed: &KeyedProgram,
         slot: &Slot,
         claim: usize,
         options: &FlowOptions,
-        inner: usize,
         parent: u64,
     ) {
         let digest = keyed.key.digest();
@@ -325,7 +317,6 @@ impl<'a> ShapeRegistry<'a> {
                 key.map_objective,
                 key.map_style,
                 self.library,
-                inner,
                 fault,
             )
         })
@@ -474,7 +465,7 @@ pub struct BatchSummary {
     pub merge_misses: usize,
     /// Job-level worker threads used.
     pub job_workers: usize,
-    /// Worker threads inside each job's synthesis.
+    /// Thread budget of each job: its shape fan-out and simulation stage.
     pub inner_threads: usize,
     /// Batch wall-clock seconds.
     pub wall_s: f64,
@@ -585,9 +576,8 @@ pub struct ShapeStats {
 
 /// Runs one design's production flow — translate, cluster, key, resolve
 /// each distinct shape through the registry, instantiate — and returns the
-/// [`FlowResult`] plus how its shapes resolved. `threads` is the design's
-/// thread budget, split between the fan-out over the shapes it claims and
-/// the work inside each shape.
+/// [`FlowResult`] plus how its shapes resolved. `threads` caps the workers
+/// the design's claimed long-pole shapes fan out over.
 ///
 /// This is the per-design half of [`run_job`], shared with the
 /// differential gauntlet, and — over a private registry — what
@@ -718,10 +708,10 @@ pub(crate) fn run_flow(
 ///
 /// The thread budget splits between job-level workers
 /// (`threads.min(jobs)`) and a per-job budget that fans the job's claimed
-/// shapes out (see `fanout_budget`). Waiters on a shared flight block
-/// their job worker, which is deadlock-free because a job finishes every
-/// flight it claimed before it waits on another job's, and a flight never
-/// waits on anything. Job order is preserved in the summary; a failing (or
+/// long-pole shapes out (see `shape_workers`) and runs its simulation
+/// stage. Waiters on a shared flight block their job worker, which is
+/// deadlock-free because a job finishes every flight it claimed before it
+/// waits on another job's, and a flight never waits on anything. Job order is preserved in the summary; a failing (or
 /// panicking) job never takes its siblings down.
 pub fn run_batch(
     jobs: &[BatchJob],
@@ -789,70 +779,41 @@ pub fn run_batch(
 
 #[cfg(test)]
 mod budget_tests {
-    use super::{fanout_budget, PAR_COST_CUTOFF};
+    use super::{shape_workers, PAR_COST_CUTOFF};
 
     const BIG: usize = PAR_COST_CUTOFF;
     const SMALL: usize = PAR_COST_CUTOFF - 1;
 
+    fn costs(big: usize, small: usize) -> impl Iterator<Item = usize> {
+        std::iter::repeat_n(BIG, big).chain(std::iter::repeat_n(SMALL, small))
+    }
+
     #[test]
-    fn composed_levels_never_oversubscribe() {
+    fn long_poles_fan_out_up_to_the_thread_budget() {
         for threads in 0..=9 {
-            for big in 0..=6 {
-                for small in 0..=6 {
-                    let costs = std::iter::repeat(BIG)
-                        .take(big)
-                        .chain(std::iter::repeat(SMALL).take(small));
-                    let (workers, inner) = fanout_budget(threads, costs);
-                    assert!(workers >= 1 && inner >= 1);
-                    assert!(
-                        workers * inner <= threads.max(1),
-                        "threads={threads} big={big} small={small}: \
-                         workers={workers} inner={inner}"
-                    );
-                }
+            for big in 2..=12 {
+                let workers = shape_workers(threads, costs(big, 5));
+                assert_eq!(
+                    workers,
+                    big.min(threads.max(1)),
+                    "threads={threads} big={big}"
+                );
             }
         }
+        // Small shapes never widen the fan-out.
+        assert_eq!(shape_workers(8, costs(2, 10)), 2);
+        assert_eq!(shape_workers(4, costs(12, 0)), 4);
     }
 
     #[test]
-    fn single_long_pole_gets_the_whole_budget_inside() {
-        // One big shape among many small ones: the outer loop stays serial
-        // and every worker moves inside the long pole — small shapes must
-        // not be counted as fan-out jobs (the regression this pins).
-        let costs = || std::iter::once(BIG).chain(std::iter::repeat(SMALL).take(20));
-        assert_eq!(fanout_budget(8, costs()), (1, 8));
-        assert_eq!(fanout_budget(1, costs()), (1, 1));
-    }
-
-    #[test]
-    fn two_shape_design_without_dedup_stays_inline() {
-        // The clustered Stack benchmark: one tiny loop controller and one
-        // 500+-char cluster controller, no dedup between them. Exactly one
-        // shape clears the cutoff, so the outer loop must stay inline
-        // (workers == 1) at every thread count — fanning two jobs out for
-        // one long pole and one trivial shape only buys scheduling
-        // overhead (the BENCH_flow.json Stack regression this pins).
-        let stack_like = || [62usize, 537].into_iter();
-        for threads in [1, 2, 4, 8] {
-            let (workers, inner) = fanout_budget(threads, stack_like());
-            assert_eq!(workers, 1, "threads={threads}");
-            assert_eq!(inner, threads);
+    fn fewer_than_two_long_poles_stay_inline() {
+        for threads in [0, 1, 2, 4, 8] {
+            assert_eq!(shape_workers(threads, costs(0, 0)), 1);
+            assert_eq!(shape_workers(threads, costs(0, 20)), 1);
+            assert_eq!(shape_workers(threads, costs(1, 20)), 1);
+            // The clustered Stack benchmark: one tiny loop controller and
+            // one 500+-char cluster controller, no dedup between them.
+            assert_eq!(shape_workers(threads, [62usize, 537].into_iter()), 1);
         }
-    }
-
-    #[test]
-    fn long_poles_split_the_budget_with_the_remainder_inside() {
-        // Two long poles, eight workers: fan the poles out and give each
-        // four inner workers, rather than eight outer workers with small
-        // shapes diluting the inner budget to one.
-        let costs = || {
-            std::iter::repeat(BIG)
-                .take(2)
-                .chain(std::iter::repeat(SMALL).take(10))
-        };
-        assert_eq!(fanout_budget(8, costs()), (2, 4));
-        // More poles than workers: outer width caps at the thread budget.
-        let many = || std::iter::repeat(BIG).take(12);
-        assert_eq!(fanout_budget(4, many()), (4, 1));
     }
 }

@@ -2,16 +2,19 @@
 //!
 //! [`super::disk::DiskCache`] stores one [`SynthArtifact`] per file; this
 //! module defines the *payload* encoding — a compact, versioned,
-//! deterministic binary form of the cache key and the full artifact
+//! deterministic binary form of the cache key and the artifact's results
 //! (controller covers, state assignment, function specs, mapped netlist,
-//! subject graph, and the phase profile). The encoding is:
+//! subject graph). The encoding is:
 //!
 //! - **self-contained** — no external schema; every variable-length field
 //!   carries its length, every enum a one-byte tag;
 //! - **deterministic** — encoding the same artifact twice yields identical
 //!   bytes (hash maps are serialized in sorted key order, floats as IEEE
-//!   bit patterns), so a disk hit can be byte-compared against a fresh
-//!   synthesis in the durability tests;
+//!   bit patterns), and no wall-clock is stored: the artifact's
+//!   [`PhaseProfile`] and its controller's [`MinimizeStats`] are left
+//!   out and decode as their defaults. Two syntheses of one shape thus
+//!   encode to the same bytes, so a disk hit can be byte-compared against
+//!   a fresh synthesis in the durability tests;
 //! - **strict on decode** — any truncation, unknown tag, or length
 //!   overrun is a typed [`CodecError`], never a panic or a partial value.
 //!   So is a mapped netlist whose gates break the order the mapper emits
@@ -33,7 +36,6 @@ use bmbe_gates::{
 use bmbe_logic::hfmin::{FunctionSpec, MinimizeBackend, MinimizeStats, SpecTransition};
 use bmbe_logic::{Cover, Cube};
 use std::fmt;
-use std::time::Duration;
 
 /// A payload decode failure. Each variant names what the reader was
 /// looking at when the bytes ran out or stopped making sense — enough to
@@ -143,10 +145,6 @@ impl Writer {
         self.u8(u8::from(v));
     }
 
-    fn duration(&mut self, v: Duration) {
-        self.u64(v.as_nanos() as u64);
-    }
-
     fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
@@ -208,10 +206,6 @@ impl<'a> Reader<'a> {
 
     fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
         Ok(self.u8(what)? != 0)
-    }
-
-    fn duration(&mut self, what: &'static str) -> Result<Duration, CodecError> {
-        Ok(Duration::from_nanos(self.u64(what)?))
     }
 
     fn str(&mut self, what: &'static str) -> Result<String, CodecError> {
@@ -408,26 +402,6 @@ fn get_function_spec(r: &mut Reader<'_>) -> Result<FunctionSpec, CodecError> {
     Ok(spec)
 }
 
-fn put_stats(w: &mut Writer, s: &MinimizeStats) {
-    w.duration(s.prime_gen);
-    w.duration(s.covering);
-    w.usize(s.exact_funcs);
-    w.usize(s.cofactor_funcs);
-    w.usize(s.cofactor_depth);
-    w.usize(s.worklist_merges);
-}
-
-fn get_stats(r: &mut Reader<'_>) -> Result<MinimizeStats, CodecError> {
-    Ok(MinimizeStats {
-        prime_gen: r.duration("stats prime_gen")?,
-        covering: r.duration("stats covering")?,
-        exact_funcs: r.usize("stats exact_funcs")?,
-        cofactor_funcs: r.usize("stats cofactor_funcs")?,
-        cofactor_depth: r.usize("stats cofactor_depth")?,
-        worklist_merges: r.usize("stats worklist_merges")?,
-    })
-}
-
 fn put_controller(w: &mut Writer, c: &Controller) {
     w.str(&c.name);
     w.usize(c.inputs.len());
@@ -456,7 +430,6 @@ fn put_controller(w: &mut Writer, c: &Controller) {
     w.u64(c.initial_outputs);
     w.u64(c.initial_code);
     w.bool(c.exact);
-    put_stats(w, &c.minimize_stats);
     w.usize(c.function_specs.len());
     for spec in &c.function_specs {
         put_function_spec(w, spec);
@@ -480,7 +453,6 @@ fn get_controller(r: &mut Reader<'_>) -> Result<Controller, CodecError> {
     let initial_outputs = r.u64("initial outputs")?;
     let initial_code = r.u64("initial code")?;
     let exact = r.bool("exact flag")?;
-    let minimize_stats = get_stats(r)?;
     let n_specs = r.len("function specs")?;
     let mut function_specs = Vec::with_capacity(n_specs.min(1024));
     for _ in 0..n_specs {
@@ -498,7 +470,7 @@ fn get_controller(r: &mut Reader<'_>) -> Result<Controller, CodecError> {
         initial_outputs,
         initial_code,
         exact,
-        minimize_stats,
+        minimize_stats: MinimizeStats::default(),
         function_specs,
     })
 }
@@ -668,30 +640,6 @@ fn get_mapped(r: &mut Reader<'_>) -> Result<MappedNetlist, CodecError> {
     Ok(mapped)
 }
 
-fn put_profile(w: &mut Writer, p: &PhaseProfile) {
-    w.duration(p.compile);
-    w.duration(p.statemin);
-    w.duration(p.synth);
-    w.duration(p.prime_gen);
-    w.duration(p.covering);
-    w.duration(p.verify);
-    w.duration(p.map);
-    w.usize(p.shapes);
-}
-
-fn get_profile(r: &mut Reader<'_>) -> Result<PhaseProfile, CodecError> {
-    Ok(PhaseProfile {
-        compile: r.duration("profile compile")?,
-        statemin: r.duration("profile statemin")?,
-        synth: r.duration("profile synth")?,
-        prime_gen: r.duration("profile prime_gen")?,
-        covering: r.duration("profile covering")?,
-        verify: r.duration("profile verify")?,
-        map: r.duration("profile map")?,
-        shapes: r.usize("profile shapes")?,
-    })
-}
-
 fn put_key(w: &mut Writer, key: &CacheKey) {
     w.str(&key.canonical);
     w.u8(mode_tag(key.minimize_mode));
@@ -711,18 +659,20 @@ fn get_key(r: &mut Reader<'_>) -> Result<CacheKey, CodecError> {
 }
 
 /// Encodes a cache entry payload: the full content address followed by the
-/// artifact. Deterministic — identical inputs produce identical bytes.
+/// artifact, without its wall-clock profile and minimizer stats.
+/// Deterministic — identical inputs produce identical bytes.
 pub fn encode_entry(key: &CacheKey, artifact: &SynthArtifact) -> Vec<u8> {
     let mut w = Writer::new();
     put_key(&mut w, key);
     w.usize(artifact.bm_states);
     put_controller(&mut w, &artifact.controller);
     put_mapped(&mut w, &artifact.mapped);
-    put_profile(&mut w, &artifact.profile);
     w.into_bytes()
 }
 
-/// Decodes a cache entry payload produced by [`encode_entry`].
+/// Decodes a cache entry payload produced by [`encode_entry`]. The
+/// artifact carries `PhaseProfile::default()` and its controller
+/// `MinimizeStats::default()`.
 ///
 /// # Errors
 ///
@@ -734,7 +684,6 @@ pub fn decode_entry(bytes: &[u8]) -> Result<(CacheKey, SynthArtifact), CodecErro
     let bm_states = r.usize("artifact bm_states")?;
     let controller = get_controller(&mut r)?;
     let mapped = get_mapped(&mut r)?;
-    let profile = get_profile(&mut r)?;
     r.finish()?;
     Ok((
         key,
@@ -742,7 +691,7 @@ pub fn decode_entry(bytes: &[u8]) -> Result<(CacheKey, SynthArtifact), CodecErro
             bm_states,
             controller,
             mapped,
-            profile,
+            profile: PhaseProfile::default(),
         },
     ))
 }
@@ -753,6 +702,7 @@ mod codec_tests {
     use crate::cache::{synthesize_shape_with_fault, KeyedProgram};
     use bmbe_core::components::sequencer;
     use bmbe_gates::Library;
+    use std::time::Duration;
 
     fn sample() -> (CacheKey, SynthArtifact) {
         let program = sequencer("p", &["a".to_string(), "b".to_string(), "c".to_string()]);
@@ -771,7 +721,6 @@ mod codec_tests {
             MapObjective::Delay,
             MapStyle::SplitModules,
             &Library::cmos035(),
-            1,
             None,
         )
         .expect("shape synthesizes");
@@ -803,6 +752,24 @@ mod codec_tests {
     fn encoding_is_deterministic() {
         let (key, artifact) = sample();
         assert_eq!(encode_entry(&key, &artifact), encode_entry(&key, &artifact));
+    }
+
+    #[test]
+    fn two_syntheses_of_one_shape_encode_identically() -> Result<(), CodecError> {
+        // Each synthesis measures its own wall-clock, which the payload
+        // must not carry.
+        let (key, first) = sample();
+        let (_, second) = sample();
+        let bytes = encode_entry(&key, &first);
+        assert_eq!(bytes, encode_entry(&key, &second));
+        // What the payload leaves out decodes as the defaults.
+        assert!(first.controller.minimize_stats.exact_funcs > 0);
+        let (_, decoded) = decode_entry(&bytes)?;
+        assert_eq!(decoded.profile.shapes, 0);
+        assert_eq!(decoded.profile.total(), Duration::ZERO);
+        assert_eq!(decoded.controller.minimize_stats.exact_funcs, 0);
+        assert_eq!(decoded.controller.minimize_stats.prime_gen, Duration::ZERO);
+        Ok(())
     }
 
     #[test]

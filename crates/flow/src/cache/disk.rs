@@ -61,10 +61,11 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"BMBECACH";
 
 /// Current on-disk format version. Bump on any header or payload layout
-/// change; entries with any other version are evicted on load (v1 entries
-/// from older builds self-heal by re-synthesis). v2 added producer
-/// provenance (`run_id`, `produced_ns`) to the header.
-pub const FORMAT_VERSION: u32 = 2;
+/// change; entries with any other version are evicted on load (v1 and v2
+/// entries from older builds self-heal by re-synthesis). v2 added producer
+/// provenance (`run_id`, `produced_ns`) to the header; v3 dropped the
+/// wall-clock profile and the minimizer stats from the payload.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Environment variable naming the cache directory the report binaries
 /// (and [`super::ControllerCache::from_env`]) open.

@@ -222,14 +222,17 @@ pub struct SynthArtifact {
     pub controller: Controller,
     /// The technology-mapped netlist (canonical root names).
     pub mapped: MappedNetlist,
-    /// Wall-clock breakdown of the chain that produced this artifact.
+    /// Wall-clock breakdown of the chain that produced this artifact. The
+    /// disk cache persists no wall-clock, so an artifact decoded from disk
+    /// carries `PhaseProfile::default()` here and
+    /// `MinimizeStats::default()` in its controller; only shapes a flow
+    /// synthesized add to its [`crate::FlowResult::phases`].
     pub profile: PhaseProfile,
 }
 
-/// Runs the full per-shape chain: CH-to-BMS compile, state minimization,
-/// hazard-free synthesis (its per-function minimizations fanned across up
-/// to `threads` workers), ternary verification, technology mapping, and
-/// post-mapping verification.
+/// Runs the full per-shape chain on the calling thread: CH-to-BMS compile,
+/// state minimization, hazard-free synthesis, ternary verification,
+/// technology mapping, and post-mapping verification.
 ///
 /// Each phase runs inside a `bmbe_obs` span (`shape.compile`,
 /// `shape.statemin`, `shape.synth`, `shape.verify`, `shape.map`,
@@ -256,7 +259,6 @@ pub fn synthesize_shape_with_fault(
     map_objective: MapObjective,
     map_style: MapStyle,
     library: &Library,
-    threads: usize,
     fault: Option<&FaultPlan>,
 ) -> Result<SynthArtifact, ShapeError> {
     let trip = |phase: FaultPhase| -> Result<(), ShapeError> {
@@ -266,8 +268,8 @@ pub fn synthesize_shape_with_fault(
         }
     };
     // A prime_gen-phase plan fires *inside* the logic crate's minimizer
-    // (so it exercises the backend and partitioner code paths), carried
-    // there via MinimizeOptions rather than tripped here.
+    // (so it exercises the backends' own error paths), carried there via
+    // MinimizeOptions rather than tripped here.
     let prime_fault = fault.and_then(|plan| {
         (plan.phase == FaultPhase::PrimeGen).then(|| match plan.kind {
             FaultKind::Panic => PrimeGenFault::Panic,
@@ -309,10 +311,10 @@ pub fn synthesize_shape_with_fault(
                 trip(FaultPhase::Synth)?;
                 let opts = MinimizeOptions {
                     backend: minimize_backend,
-                    threads: 1, // overridden per function by intra_budget
                     fault: prime_fault,
+                    ..MinimizeOptions::default()
                 };
-                synthesize_full(&spec, minimize_mode, threads, &opts).map_err(|e| match e {
+                synthesize_full(&spec, minimize_mode, 1, &opts).map_err(|e| match e {
                     SynthError::Hfmin {
                         error: HfminError::Injected,
                         ..
@@ -365,7 +367,7 @@ pub fn synthesize_shape_with_fault(
         .into_inner();
     profile.prime_gen = controller.minimize_stats.prime_gen;
     profile.covering = controller.minimize_stats.covering;
-    profile.debug_check_subphases(threads);
+    profile.debug_check_subphases();
     Ok(SynthArtifact {
         bm_states,
         controller,
@@ -634,7 +636,6 @@ mod cache_tests {
             MapObjective::Delay,
             MapStyle::SplitModules,
             &Library::cmos035(),
-            1,
             None,
         )
         .expect("shape synthesizes");

@@ -41,14 +41,14 @@ pub struct FlowOptions {
     /// area/latency (stock Balsa's baseline, §6) instead of the figures of
     /// their individually synthesized controllers.
     pub use_templates: bool,
-    /// Worker threads of one flow, split between the fan-out over its
-    /// pending shapes and the parallelism inside each shape (see
-    /// [`ShapeRegistry`]). `None` uses [`bmbe_par::default_threads`] (the
+    /// Most worker threads one flow fans its long-pole shapes out over
+    /// (see [`ShapeRegistry`]); each shape synthesizes on the worker that
+    /// took it. `None` uses [`bmbe_par::default_threads`] (the
     /// `BMBE_THREADS` environment variable, or every available core);
     /// `Some(1)` runs everything on the calling thread. Results are
     /// identical (same order, same artifacts, same first error) regardless
     /// of the thread count. Batch jobs take their budget from
-    /// [`crate::run_batch`] instead.
+    /// [`crate::run_batch`] instead, and [`reference_flow`] ignores it.
     pub threads: Option<usize>,
     /// Deterministic fault injection: force a panic or a typed error at a
     /// chosen phase of a chosen synthesis job (see [`FaultPlan`]). `None`
@@ -200,8 +200,9 @@ pub struct FlowResult {
     /// Unique controller shapes synthesized by this run (every component
     /// for [`reference_flow`]).
     pub cache_misses: usize,
-    /// The flow's thread budget (the resolved value of
-    /// [`FlowOptions::threads`]).
+    /// The flow's thread budget: the resolved value of
+    /// [`FlowOptions::threads`], or 1 for [`reference_flow`], which runs
+    /// serially.
     pub threads_used: usize,
     /// Aggregate per-phase wall-clock profile of the shapes this run
     /// synthesized (cache hits contribute nothing).
@@ -408,10 +409,10 @@ pub fn run_control_flow_with(
 
 /// The per-instance reference flow, the oracle the production path is
 /// checked against: every component is synthesized from its own program
-/// under its own names, one after another, with no cache and no dedup,
-/// after clustering over a fresh merge memo. The whole
-/// [`FlowOptions::threads`] budget goes inside each shape, and a fault plan
-/// targets the `n`-th component.
+/// under its own names, one after another on the calling thread, with no
+/// cache and no dedup, after clustering over a fresh merge memo.
+/// [`FlowOptions::threads`] is ignored, and a fault plan targets the
+/// `n`-th component.
 ///
 /// # Errors
 ///
@@ -422,7 +423,6 @@ pub fn reference_flow(
     library: &Library,
 ) -> Result<FlowResult, FlowError> {
     let _flow_span = bmbe_obs::span!("flow.run", "flow");
-    let threads = options.threads.unwrap_or_else(bmbe_par::default_threads);
     let part = Partition::of(design, options, &MergeMemo::new())?;
     let mut controllers = Vec::with_capacity(part.ctrl.components.len());
     let mut phases = PhaseProfile::default();
@@ -437,7 +437,6 @@ pub fn reference_flow(
                 options.map_objective,
                 options.map_style,
                 library,
-                threads,
                 fault,
             )
         })
@@ -464,5 +463,5 @@ pub fn reference_flow(
         });
     }
     let misses = controllers.len();
-    Ok(part.finish(design, controllers, misses, threads, phases))
+    Ok(part.finish(design, controllers, misses, 1, phases))
 }

@@ -55,19 +55,15 @@ impl PhaseProfile {
     }
 
     /// Debug-build sanity check: `prime_gen` and `covering` are measured
-    /// *inside* the synthesis phase, so their sum cannot exceed `synth` —
-    /// except that they are CPU-time sums over the inner worker fan-out
-    /// while `synth` is wall time, so the bound scales with the worker
-    /// budget `threads` (plus a small slack for timer granularity).
-    pub fn debug_check_subphases(&self, threads: usize) {
+    /// *inside* the synthesis phase, on the same thread, so their sum
+    /// cannot exceed `synth` (plus a small slack for timer granularity).
+    pub fn debug_check_subphases(&self) {
         debug_assert!(
-            self.prime_gen + self.covering
-                <= self.synth * threads.max(1) as u32 + Duration::from_millis(5),
-            "sub-phases exceed synth: prime_gen {:?} + covering {:?} > synth {:?} x {} threads",
+            self.prime_gen + self.covering <= self.synth + Duration::from_millis(5),
+            "sub-phases exceed synth: prime_gen {:?} + covering {:?} > synth {:?}",
             self.prime_gen,
             self.covering,
             self.synth,
-            threads.max(1),
         );
     }
 }

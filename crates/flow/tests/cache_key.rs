@@ -116,7 +116,7 @@ fn renamed_instances_hit_and_options_miss() {
     let resolve = |program, mode, style| {
         let keyed = KeyedProgram::new(program, mode, backend, objective, style);
         let (artifact, resolution) = registry
-            .resolve(&keyed, &FlowOptions::optimized(), 1)
+            .resolve(&keyed, &FlowOptions::optimized())
             .expect("sequencer synthesizes");
         (artifact, resolution, keyed)
     };

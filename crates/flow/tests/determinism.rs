@@ -140,20 +140,18 @@ fn cached_parallel_flow_is_bit_identical_to_reference() {
 }
 
 #[test]
-fn per_output_parallel_minimization_is_bit_identical_to_serial() {
+fn every_backend_registry_flow_is_bit_identical_to_reference() {
     let library = Library::cmos035();
     let designs = all_designs().expect("shipped designs build");
-    // Every backend must be deterministic across worker counts: the exact
-    // path exercises the partitioned canonical-ascent worklist (per-worker
-    // dedup sets merged in chunk order), the cube-cofactor path exercises
-    // the order-preserving per-seed EXPAND fan-out, and Auto mixes both.
+    // Each backend's covers must not depend on how many workers the
+    // registry fans the shapes out over: every shape synthesizes on the
+    // worker that claimed it, exactly as the serial reference does.
     for backend in [
         MinimizeBackend::Auto,
         MinimizeBackend::ExactPrimes,
         MinimizeBackend::CubeCofactor,
     ] {
         for design in &designs {
-            // Serial, uncached: one function minimized at a time.
             let serial = FlowOptions {
                 threads: Some(1),
                 minimize_backend: backend,
@@ -161,22 +159,31 @@ fn per_output_parallel_minimization_is_bit_identical_to_serial() {
             };
             let reference = reference_flow(&design.compiled, &serial, &library)
                 .unwrap_or_else(|e| panic!("{}/{backend:?} serial: {e}", design.name));
-            // Same uncached path, but with the minimizations inside each
-            // controller fanned across workers. Every cover must come back
-            // cube-for-cube identical regardless of the worker count.
+            assert_eq!(
+                reference.threads_used, 1,
+                "{}: reference runs serially",
+                design.name
+            );
             for threads in [1usize, 4] {
-                let mut options = serial.clone();
-                options.threads = Some(threads);
-                let candidate = reference_flow(&design.compiled, &options, &library)
-                    .unwrap_or_else(|e| panic!("{}/{backend:?} {threads}t: {e}", design.name));
+                let options = FlowOptions {
+                    threads: Some(threads),
+                    ..serial.clone()
+                };
+                let candidate = run_control_flow_with(
+                    &design.compiled,
+                    &options,
+                    &library,
+                    &ControllerCache::new(),
+                )
+                .unwrap_or_else(|e| panic!("{}/{backend:?} {threads}t: {e}", design.name));
                 assert_eq!(
                     candidate.threads_used, threads,
-                    "{}: reported worker count",
+                    "{}: reported thread budget",
                     design.name
                 );
                 assert_identical(
                     design.name,
-                    &format!("{backend:?}-uncached-{threads}t"),
+                    &format!("{backend:?}-registry-{threads}t"),
                     &reference,
                     &candidate,
                 );

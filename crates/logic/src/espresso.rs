@@ -19,7 +19,8 @@
 //!   of `D_q`) — and the remaining *unate* leaf is completed greedily:
 //!   first absorbing other required cubes whose gain masks fit, then a
 //!   single-variable maximality pass over the full feasibility predicate,
-//!   which guarantees the leaf is a true DHF prime.
+//!   which guarantees the leaf is a true DHF prime. Seeds are expanded one
+//!   after another, in required-cube order, on the calling thread.
 //! * **IRREDUNDANT** — the per-seed picks then go through the same
 //!   unate-covering solver as the exact path, which drops every product
 //!   the remaining ones already cover.
@@ -231,10 +232,9 @@ impl SeedExpansion {
     }
 }
 
-/// Runs the full cube-cofactor minimization: per-seed EXPAND (fanned
-/// across `opts.threads` workers — seeds are independent, and the
-/// order-preserving map keeps the result bit-identical to a serial run),
-/// then the IRREDUNDANT covering pass over the picks.
+/// Runs the full cube-cofactor minimization: per-seed EXPAND, in
+/// required-cube order over one reused [`SeedExpansion`], then the
+/// IRREDUNDANT covering pass over the picks.
 ///
 /// # Errors
 ///
@@ -259,24 +259,12 @@ pub(crate) fn minimize_cofactor(
             return Err(HfminError::NoHazardFreeCover { required: *r });
         }
     }
-    // Contiguous seed chunks, one expansion buffer set per chunk; the
-    // order-preserving map keeps the picks in seed order.
-    let threads = opts.threads.max(1);
-    let chunks: Vec<&[Cube]> = required.chunks(required.len().div_ceil(threads)).collect();
-    let picks: Vec<(Cube, usize, usize)> = bmbe_par::par_map(&chunks, threads, |_, seeds| {
-        let mut exp = SeedExpansion::default();
-        seeds
-            .iter()
-            .map(|r| exp.expand_seed(spec, *r, required, &off, &privileged))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let mut exp = SeedExpansion::default();
     let mut implicants: Vec<Cube> = Vec::new();
     let mut cofactor_depth = 0usize;
     let mut leaves_total = 0usize;
-    for (pick, depth, leaves) in picks {
+    for r in required {
+        let (pick, depth, leaves) = exp.expand_seed(spec, *r, required, &off, &privileged);
         cofactor_depth = cofactor_depth.max(depth);
         leaves_total += leaves;
         if !implicants.contains(&pick) {

@@ -14,6 +14,11 @@
 //!   cube of a dynamic transition) — a product touching a 1→0 cube must
 //!   contain its start point, and one touching a 0→1 cube must contain its
 //!   end point.
+//!
+//! Every entry point runs on the calling thread. A burst-mode controller
+//! kept within the paper's §4.4 size restrictions minimizes in about a
+//! millisecond, so the flow spreads whole controller shapes over its
+//! workers instead of splitting one function's work.
 
 use crate::cover::Cover;
 use crate::covering::CoveringProblem;
@@ -32,12 +37,6 @@ pub const EXACT_PRIME_VARS: usize = 14;
 /// espresso-style cube-cofactor backend. Matches the widest specs the
 /// property suite cross-checks against the exactness oracle.
 pub const AUTO_EXACT_VARS: usize = 10;
-
-/// Minimum worklist-level width before [`FunctionSpec::expand_canonical`]
-/// fans a level across the `bmbe-par` pool; narrower levels are expanded
-/// inline (the chunking overhead would dominate). Low enough that the
-/// determinism suite exercises real parallel merges on test-sized specs.
-pub(crate) const PAR_FRONTIER_MIN: usize = 16;
 
 /// Which engine [`FunctionSpec::minimize_opts`] uses to build the cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -74,9 +73,9 @@ pub enum PrimeGenFault {
 pub struct MinimizeOptions {
     /// Engine selection.
     pub backend: MinimizeBackend,
-    /// Worker budget for the partitioned canonical-ascent worklist (the
-    /// exact path); `1` keeps prime generation on the calling thread. The
-    /// result is bit-identical whatever the value.
+    /// Ignored: minimization runs on the calling thread. The field stays
+    /// because the benchmark harness (`perfbench/src/replay.rs`), which
+    /// builds against this API as it is, spells it out.
     pub threads: usize,
     /// Deterministic fault injection into prime generation (tests only).
     pub fault: Option<PrimeGenFault>,
@@ -227,9 +226,6 @@ pub struct MinimizeStats {
     pub cofactor_funcs: usize,
     /// Deepest cube-cofactor recursion observed (0 on the exact path).
     pub cofactor_depth: usize,
-    /// Duplicate cubes dropped at the partitioned worklist's deterministic
-    /// merge barriers (0 when prime generation ran serially).
-    pub worklist_merges: usize,
 }
 
 impl MinimizeStats {
@@ -241,7 +237,6 @@ impl MinimizeStats {
         self.exact_funcs += other.exact_funcs;
         self.cofactor_funcs += other.cofactor_funcs;
         self.cofactor_depth = self.cofactor_depth.max(other.cofactor_depth);
-        self.worklist_merges += other.worklist_merges;
     }
 }
 
@@ -250,7 +245,8 @@ impl MinimizeStats {
 pub struct HfminResult {
     /// The selected hazard-free cover.
     pub cover: Cover,
-    /// Whether the covering step was solved exactly.
+    /// Whether the cover is provably minimum: the full DHF-prime set was
+    /// enumerated and the covering step was solved exactly.
     pub exact: bool,
     /// Number of DHF-prime implicants generated.
     pub num_primes: usize,
@@ -388,56 +384,6 @@ impl SeedMasks {
     /// The cube obtained by freeing `s` from the seed.
     pub(crate) fn cube_of(&self, n: usize, s: u64) -> Cube {
         Cube::from_masks(n, self.freeable & !s, self.value)
-    }
-}
-
-/// One worklist chunk's discoveries, deduplicated against the chunk's own
-/// set only.
-#[derive(Default)]
-struct AscentChunk {
-    seen: MaskSet<u64>,
-    /// Successors worth exploring, in canonical order.
-    explore: Vec<u64>,
-    /// Sets that are primes (no feasible growth at all, canonical or not).
-    found: Vec<u64>,
-}
-
-impl AscentChunk {
-    fn expand(&mut self, m: &SeedMasks, chunk: &[u64]) {
-        self.seen.clear();
-        self.explore.clear();
-        self.found.clear();
-        let ordered = m.freeable & !m.exempt;
-        for &s in chunk {
-            // Ordered variables may only ascend past the highest one freed
-            // so far (a property of the *set* S, not of the path to it).
-            let freed_ordered = s & ordered;
-            let ascend = if freed_ordered == 0 {
-                ordered
-            } else {
-                ordered & !(u64::MAX >> freed_ordered.leading_zeros())
-            };
-            let expandable = m.exempt | ascend;
-            let mut grew = false;
-            let mut rest = m.freeable & !s;
-            while rest != 0 {
-                let i = rest.trailing_zeros();
-                rest &= rest - 1;
-                let s2 = s | 1u64 << i;
-                if m.ok(s2) {
-                    // Primality considers every variable; the canonical
-                    // order only restricts which successors are *explored*.
-                    grew = true;
-                    if expandable >> i & 1 == 1 && self.seen.insert(s2) {
-                        self.explore.push(s2);
-                    }
-                }
-            }
-            if !grew {
-                self.found.push(s);
-            }
-        }
-        bmbe_obs::trace_counter!("hfmin.worklist.chunk_cubes", self.explore.len() as u64);
     }
 }
 
@@ -627,50 +573,29 @@ impl FunctionSpec {
     /// greedy expansion orders is used per required cube — still hazard-free
     /// by construction, possibly not minimum (this is the synthesis run-time
     /// pressure the paper's §4.4 size restrictions exist to contain).
-    pub fn dhf_primes(&self) -> Result<Vec<Cube>, HfminError> {
-        self.dhf_primes_par(1).map(|(primes, _)| primes)
-    }
-
-    /// [`FunctionSpec::dhf_primes`] with the canonical-ascent worklist
-    /// partitioned across up to `threads` workers (see
-    /// [`FunctionSpec::expand_canonical`]): each worklist level is split
-    /// into contiguous chunks, workers expand their chunks with private
-    /// dedup sets, and the per-chunk discoveries are merged back into the
-    /// shared visited/prime sets in chunk order at a serial barrier — so
-    /// the returned prime set is bit-identical whatever the thread count.
-    /// Also returns the number of duplicate cubes the merge barriers
-    /// dropped (0 on a serial run).
     ///
     /// # Errors
     ///
     /// Returns [`HfminError::NoHazardFreeCover`] when some required cube is
     /// not a DHF implicant.
-    pub fn dhf_primes_par(&self, threads: usize) -> Result<(Vec<Cube>, usize), HfminError> {
+    pub fn dhf_primes(&self) -> Result<Vec<Cube>, HfminError> {
         let off = self.off_set_ordered();
         let privileged = self.privileged_cubes();
         let required = self.required_cubes();
         let mut primes: MaskSet<Cube> = MaskSet::default();
         let exact = self.n <= EXACT_PRIME_VARS;
         let mut visited: MaskSet<Cube> = MaskSet::default();
-        let mut merges = 0usize;
         for r in &required {
             if !self.is_dhf_implicant(r, &off, &privileged) {
                 return Err(HfminError::NoHazardFreeCover { required: *r });
             }
             if exact {
-                merges += self.expand_canonical(
-                    *r,
-                    &off,
-                    &privileged,
-                    &mut visited,
-                    &mut primes,
-                    threads,
-                );
+                self.expand_canonical(*r, &off, &privileged, &mut visited, &mut primes);
             } else {
                 self.expand_heuristic(*r, &off, &privileged, &mut primes);
             }
         }
-        Ok((Self::maximal_sorted(primes), merges))
+        Ok(Self::maximal_sorted(primes))
     }
 
     /// Reference implementation of [`FunctionSpec::dhf_primes`]: the seed's
@@ -764,16 +689,9 @@ impl FunctionSpec {
     ///   stay unordered because their freeing order can decide whether an
     ///   intermediate cube is hazard-free at all.
     ///
-    /// The worklist is processed level-synchronously (a breadth-first
-    /// sweep over the sets `S` by size): when a level is wide enough and
-    /// `threads > 1`, it is split into contiguous chunks fanned across the
-    /// `bmbe-par` pool, each worker deduplicating its own discoveries in a
-    /// private set; the chunks' results are then merged into the shared
-    /// `visited`/`primes` sets serially, **in chunk order**, at a barrier.
-    /// The set of reachable cubes is traversal-order independent (the
-    /// visited set only prevents re-expansion), so the primes produced are
-    /// bit-identical whatever the thread count or chunk split. Returns the
-    /// number of duplicate cubes dropped at merge barriers.
+    /// The visited set, shared across seeds, only stops re-expansion, so
+    /// the cubes expanded and the primes found do not depend on the order
+    /// the worklist is drained in.
     ///
     /// [`expand_to_primes`]: FunctionSpec::expand_to_primes
     fn expand_canonical(
@@ -783,54 +701,46 @@ impl FunctionSpec {
         privileged: &[PrivilegedCube],
         visited: &mut MaskSet<Cube>,
         primes: &mut MaskSet<Cube>,
-        threads: usize,
-    ) -> usize {
+    ) {
         if !visited.insert(seed) {
-            return 0; // region already explored from an earlier seed
+            return; // region already explored from an earlier seed
         }
-        let mut masks = SeedMasks::default();
-        masks.compile(seed, off, privileged);
-        let masks = &masks;
-        let mut merged_dups = 0usize;
-        let mut frontier: Vec<u64> = vec![0];
-        let mut next: Vec<u64> = Vec::new();
-        let mut chunk = AscentChunk::default();
-        while !frontier.is_empty() {
-            next.clear();
-            // Serial merge barrier, in chunk order: the shared visited set
-            // is the only cross-chunk state, and it is only appended to
-            // here, deterministically.
-            let mut merge = |c: &AscentChunk| {
-                for &s2 in &c.explore {
-                    if visited.insert(masks.cube_of(self.n, s2)) {
-                        next.push(s2);
-                    } else {
-                        merged_dups += 1;
+        let mut m = SeedMasks::default();
+        m.compile(seed, off, privileged);
+        let ordered = m.freeable & !m.exempt;
+        let mut worklist: Vec<u64> = vec![0];
+        let mut explored = 0u64;
+        while let Some(s) = worklist.pop() {
+            explored += 1;
+            // Ordered variables may only ascend past the highest one freed
+            // so far (a property of the *set* S, not of the path to it).
+            let freed_ordered = s & ordered;
+            let ascend = if freed_ordered == 0 {
+                ordered
+            } else {
+                ordered & !(u64::MAX >> freed_ordered.leading_zeros())
+            };
+            let expandable = m.exempt | ascend;
+            let mut grew = false;
+            let mut rest = m.freeable & !s;
+            while rest != 0 {
+                let i = rest.trailing_zeros();
+                rest &= rest - 1;
+                let s2 = s | 1u64 << i;
+                if m.ok(s2) {
+                    // Primality considers every variable; the canonical
+                    // order only restricts which successors are *explored*.
+                    grew = true;
+                    if expandable >> i & 1 == 1 && visited.insert(m.cube_of(self.n, s2)) {
+                        worklist.push(s2);
                     }
                 }
-                for &s in &c.found {
-                    primes.insert(masks.cube_of(self.n, s));
-                }
-            };
-            if threads > 1 && frontier.len() >= PAR_FRONTIER_MIN {
-                let size = frontier.len().div_ceil(threads);
-                let chunks: Vec<&[u64]> = frontier.chunks(size).collect();
-                let results = bmbe_par::par_map(&chunks, threads, |_, c| {
-                    let mut out = AscentChunk::default();
-                    out.expand(masks, c);
-                    out
-                });
-                results.iter().for_each(&mut merge);
-            } else {
-                chunk.expand(masks, &frontier);
-                merge(&chunk);
             }
-            std::mem::swap(&mut frontier, &mut next);
+            if !grew {
+                primes.insert(m.cube_of(self.n, s));
+            }
         }
-        if merged_dups > 0 {
-            bmbe_obs::trace_counter!("hfmin.worklist.merged", merged_dups as u64);
-        }
-        merged_dups
+        bmbe_obs::trace_counter!("hfmin.worklist.explored", explored);
     }
 
     fn expand_to_primes(
@@ -861,7 +771,7 @@ impl FunctionSpec {
     }
 
     /// Runs the complete hazard-free minimization with the default knobs
-    /// ([`MinimizeBackend::Auto`], serial prime generation, no faults).
+    /// ([`MinimizeBackend::Auto`], no faults).
     ///
     /// # Errors
     ///
@@ -872,8 +782,7 @@ impl FunctionSpec {
     }
 
     /// [`FunctionSpec::minimize`] with explicit [`MinimizeOptions`]: backend
-    /// selection, a worker budget for the partitioned prime-generation
-    /// worklist, and deterministic fault injection.
+    /// selection and deterministic fault injection.
     ///
     /// # Errors
     ///
@@ -902,7 +811,7 @@ impl FunctionSpec {
         trip_prime_gen_fault(opts.fault)?;
         let _span = bmbe_obs::span!("hfmin.prime_gen", "hfmin");
         let t_primes = Instant::now();
-        let (primes, worklist_merges) = self.dhf_primes_par(opts.threads.max(1))?;
+        let primes = self.dhf_primes()?;
         let prime_gen = t_primes.elapsed();
         drop(_span);
         let _span = bmbe_obs::span!("hfmin.covering", "hfmin");
@@ -925,13 +834,14 @@ impl FunctionSpec {
         check_required_covered(&required, &cover, &primes)?;
         Ok(HfminResult {
             cover,
-            exact: solution.exact,
+            // Above EXACT_PRIME_VARS the columns are greedy expansions, not
+            // the full prime set, so an exact covering proves nothing.
+            exact: solution.exact && self.n <= EXACT_PRIME_VARS,
             num_primes: primes.len(),
             stats: MinimizeStats {
                 prime_gen,
                 covering,
                 exact_funcs: 1,
-                worklist_merges,
                 ..MinimizeStats::default()
             },
         })
@@ -997,7 +907,12 @@ mod tests {
     /// The classic hazard example: f = x0 x1' + x1 x2 with a 1->1 transition
     /// across x1 requires the consensus term.
     fn consensus_spec() -> FunctionSpec {
-        let mut spec = FunctionSpec::new(3);
+        consensus_spec_over(3)
+    }
+
+    /// [`consensus_spec`] over `n` variables, every one above `x2` held at 0.
+    fn consensus_spec_over(n: usize) -> FunctionSpec {
+        let mut spec = FunctionSpec::new(n);
         // The textbook f = x0 x1' + x1 x2 with its full ON/OFF sets.
         spec.add_static(0b001, 0b101, true); // x0 x1' (x2 free)
         spec.add_static(0b110, 0b111, true); // x1 x2 (x0 free)
@@ -1028,6 +943,26 @@ mod tests {
             result.cover.eval_ternary(&[Tv::One, Tv::X, Tv::One]),
             Tv::One
         );
+    }
+
+    #[test]
+    fn exactness_needs_the_full_prime_set() -> Result<(), HfminError> {
+        let opts = MinimizeOptions {
+            backend: MinimizeBackend::ExactPrimes,
+            ..MinimizeOptions::default()
+        };
+        for (n, enumerated) in [
+            (EXACT_PRIME_VARS, true),
+            (EXACT_PRIME_VARS + 1, false),
+            (20, false),
+        ] {
+            let spec = consensus_spec_over(n);
+            let result = spec.minimize_opts(&opts)?;
+            assert_eq!(spec.verify_cover(&result.cover), Ok(()), "n={n}");
+            assert_eq!(result.stats.exact_funcs, 1, "n={n}");
+            assert_eq!(result.exact, enumerated, "n={n}");
+        }
+        Ok(())
     }
 
     #[test]

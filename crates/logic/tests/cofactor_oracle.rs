@@ -6,7 +6,7 @@
 //! maximality sweeps. Production covers must equal the reference cube for
 //! cube on random burst-mode walks wider than the n ≤ 10 properties of
 //! `prop_logic.rs`. The exact canonical ascent is checked against the
-//! brute-force recursion at n = 10 and 12, serial and partitioned.
+//! brute-force recursion at n = 10 and 12.
 
 use bmbe_logic::cover::Cover;
 use bmbe_logic::covering::CoveringProblem;
@@ -228,36 +228,27 @@ fn minimize_reference(spec: &FunctionSpec) -> Result<RefResult, HfminError> {
     })
 }
 
-/// Production cube-cofactor covers (serial and fanned) must equal the
-/// reference. Returns the reference's most leaves per seed (0 when both
-/// reject the spec).
+/// Production cube-cofactor covers must equal the reference. Returns the
+/// reference's most leaves per seed (0 when both reject the spec).
 fn check_against_reference(spec: &FunctionSpec) -> Result<usize, TestCaseError> {
     let reference = minimize_reference(spec);
-    for threads in [1, 3] {
-        let production = spec.minimize_opts(&MinimizeOptions {
-            backend: MinimizeBackend::CubeCofactor,
-            threads,
-            fault: None,
-        });
-        match (&reference, production) {
-            (Ok(r), Ok(p)) => {
-                prop_assert!(
-                    p.cover == r.cover,
-                    "threads={threads}: {} != reference {}",
-                    p.cover,
-                    r.cover
-                );
-                prop_assert_eq!(p.num_primes, r.implicants);
-                prop_assert_eq!(p.stats.cofactor_depth, r.depth);
-            }
-            (Err(r), Err(p)) => prop_assert_eq!(r, &p),
-            (r, p) => prop_assert!(
-                false,
-                "feasibility differs: reference={:?} production={:?}",
-                r,
-                p
-            ),
+    let production = spec.minimize_opts(&MinimizeOptions {
+        backend: MinimizeBackend::CubeCofactor,
+        ..MinimizeOptions::default()
+    });
+    match (&reference, production) {
+        (Ok(r), Ok(p)) => {
+            prop_assert!(p.cover == r.cover, "{} != reference {}", p.cover, r.cover);
+            prop_assert_eq!(p.num_primes, r.implicants);
+            prop_assert_eq!(p.stats.cofactor_depth, r.depth);
         }
+        (Err(r), Err(p)) => prop_assert_eq!(r, &p),
+        (r, p) => prop_assert!(
+            false,
+            "feasibility differs: reference={:?} production={:?}",
+            r,
+            p
+        ),
     }
     Ok(reference.map_or(0, |r| r.max_leaves))
 }
@@ -324,25 +315,7 @@ fn check_primes_against_reference(spec: &FunctionSpec) -> Result<(), TestCaseErr
     if spec.check_consistency().is_err() {
         return Ok(());
     }
-    match (spec.dhf_primes_par(1), spec.dhf_primes_par(4)) {
-        (Ok((serial, _)), Ok((fanned, _))) => {
-            prop_assert_eq!(&serial, &fanned);
-            let reference = spec
-                .dhf_primes_reference()
-                .expect("reference agrees on feasibility");
-            prop_assert_eq!(serial, reference);
-        }
-        (Err(serial), Err(fanned)) => {
-            prop_assert_eq!(&serial, &fanned);
-            prop_assert_eq!(Err(serial), spec.dhf_primes_reference());
-        }
-        (serial, fanned) => prop_assert!(
-            false,
-            "worker count changes feasibility: 1t={:?} 4t={:?}",
-            serial.is_ok(),
-            fanned.is_ok()
-        ),
-    }
+    prop_assert_eq!(spec.dhf_primes(), spec.dhf_primes_reference());
     Ok(())
 }
 

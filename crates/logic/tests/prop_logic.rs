@@ -268,28 +268,14 @@ proptest! {
     }
 
     #[test]
-    fn partitioned_worklist_is_bit_identical(spec in arb_spec_n(10)) {
-        // The level-synchronous partitioned canonical ascent must return
-        // the same primes in the same order whatever the worker count,
-        // and both must agree with the brute-force reference expansion.
+    fn canonical_ascent_equals_the_reference(spec in arb_spec_n(10)) {
+        // The canonical-ascent worklist must return the same primes in the
+        // same order as the brute-force reference expansion, and agree
+        // with it on feasibility.
         if spec.check_consistency().is_err() {
             return Ok(());
         }
-        match (spec.dhf_primes_par(1), spec.dhf_primes_par(4)) {
-            (Ok((serial, _)), Ok((fanned, _))) => {
-                prop_assert_eq!(&serial, &fanned);
-                let reference = spec.dhf_primes_reference()
-                    .expect("reference agrees on feasibility");
-                prop_assert_eq!(serial, reference);
-            }
-            (Err(_), Err(_)) => {}
-            (serial, fanned) => prop_assert!(
-                false,
-                "worker count changes feasibility: 1t={:?} 4t={:?}",
-                serial.is_ok(),
-                fanned.is_ok()
-            ),
-        }
+        prop_assert_eq!(spec.dhf_primes(), spec.dhf_primes_reference());
     }
 }
 
@@ -304,17 +290,13 @@ proptest! {
     }
 }
 
-/// A deterministic wide spec whose canonical-ascent frontier exceeds
-/// `PAR_FRONTIER_MIN` (16) and whose privileged implications exempt
-/// enough variables from the canonical order that different chunks
-/// rediscover the same cubes: the partitioned path must actually engage,
-/// drop those cross-chunk duplicates at the merge barrier, and still
-/// return bit-identical primes.
+/// A fixed 10-variable burst-mode walk whose privileged implications
+/// exempt several variables from the canonical order, so the ascent
+/// reaches many cubes along more than one path: its primes must equal the
+/// reference expansion's.
 #[test]
-fn partitioned_worklist_engages_and_merges_on_a_wide_frontier() {
+fn canonical_ascent_matches_the_reference_on_a_wide_walk() {
     let n = 10;
-    // A burst-mode walk (found by deterministic search) whose 4-way
-    // partitioned expansion reports a nonzero duplicate-drop count.
     let walk: [(u64, bool); 7] = [
         (601, false),
         (793, false),
@@ -338,17 +320,13 @@ fn partitioned_worklist_engages_and_merges_on_a_wide_frontier() {
         cur = target;
         val = to_val;
     }
-    spec.check_consistency().expect("hand-built spec is consistent");
-    let (serial, _) = spec.dhf_primes_par(1).expect("serial primes");
-    let (fanned, merges) = spec.dhf_primes_par(4).expect("fanned primes");
-    assert_eq!(serial, fanned, "worker count changed the prime set");
+    spec.check_consistency()
+        .expect("hand-built spec is consistent");
+    let primes = spec.dhf_primes().expect("primes");
+    assert!(primes.len() > 1, "the walk must have several primes");
     assert_eq!(
-        serial,
+        primes,
         spec.dhf_primes_reference().expect("reference primes"),
-        "partitioned ascent disagrees with the reference expansion"
-    );
-    assert!(
-        merges > 0,
-        "no merge barrier ever dropped a duplicate: the partitioned path never engaged"
+        "canonical ascent disagrees with the reference expansion"
     );
 }

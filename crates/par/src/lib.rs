@@ -344,28 +344,46 @@ mod tests {
                 .filter_map(|(i, r)| r.is_err().then_some(i))
                 .collect()
         };
-        let serial = par_try_map(&items, 1, |_, _| String::new(), |_, &x| {
-            if x == 5 || x == 20 {
-                panic!("bad");
-            }
-            x
-        });
-        let fanned = par_try_map(&items, 4, |_, _| String::new(), |_, &x| {
-            if x == 5 || x == 20 {
-                panic!("bad");
-            }
-            x
-        });
+        let serial = par_try_map(
+            &items,
+            1,
+            |_, _| String::new(),
+            |_, &x| {
+                if x == 5 || x == 20 {
+                    panic!("bad");
+                }
+                x
+            },
+        );
+        let fanned = par_try_map(
+            &items,
+            4,
+            |_, _| String::new(),
+            |_, &x| {
+                if x == 5 || x == 20 {
+                    panic!("bad");
+                }
+                x
+            },
+        );
         assert_eq!(failing(&serial), failing(&fanned));
         assert_eq!(failing(&serial), vec![5, 20]);
     }
 
     #[test]
     fn try_map_non_string_payload_is_reported() {
-        let out = par_try_map(&[0u8], 1, |_, _| String::new(), |_, _| {
-            std::panic::panic_any(42i32);
-        });
-        assert_eq!(out[0].as_ref().unwrap_err().payload, "non-string panic payload");
+        let out = par_try_map(
+            &[0u8],
+            1,
+            |_, _| String::new(),
+            |_, _| {
+                std::panic::panic_any(42i32);
+            },
+        );
+        assert_eq!(
+            out[0].as_ref().unwrap_err().payload,
+            "non-string panic payload"
+        );
     }
 
     #[test]

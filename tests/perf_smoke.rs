@@ -68,7 +68,7 @@ fn warm_cache_full_flow_stays_within_wall_clock_bound() {
 
 /// The cached cold flow on a 2-shape design with no dedup (the clustered
 /// Stack) must stay within noise of the serial per-instance reference
-/// flow: its misses run inline (see the shape registry's `fanout_budget` —
+/// flow: its misses run inline (see the shape registry's `shape_workers` —
 /// one long pole means no fan-out), so the only extra work is keying,
 /// registry bookkeeping and instantiation, which is microseconds
 /// against a multi-millisecond flow. The generous margin absorbs loaded-CI
