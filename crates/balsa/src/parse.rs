@@ -6,9 +6,10 @@
 //! program   := procedure+
 //! procedure := "procedure" IDENT "(" ports? ")" "is" decl* "begin" cmd "end"
 //! ports     := port (";" port)*
-//! port      := ("input"|"output"|"sync") IDENT (":" INT "bits")?
-//! decl      := "variable" IDENT ":" INT "bits"
-//!            | "memory" IDENT ":" INT "words" "of" INT "bits"
+//! port      := ("input"|"output") IDENT ":" width | "sync" IDENT
+//! width     := INT "bits"                    (1 to 64 bits)
+//! decl      := "variable" IDENT ":" width
+//!            | "memory" IDENT ":" INT "words" "of" width
 //!            | "shared" IDENT "is" "begin" cmd "end"
 //! cmd       := par ( ";" par )*
 //! par       := atom ( "||" atom )*
@@ -316,6 +317,21 @@ impl Parser {
         }
     }
 
+    /// A width, `N bits`. The simulators hold every value in a `u64`, so
+    /// `N` must lie in 1..=64.
+    fn width(&mut self) -> Result<u32, ParseError> {
+        let line = self.line();
+        let bits = self.number()?;
+        self.expect_kw("bits")?;
+        match u32::try_from(bits) {
+            Ok(w @ 1..=64) => Ok(w),
+            _ => Err(ParseError {
+                message: format!("a width of {bits} bits is outside 1..=64"),
+                line,
+            }),
+        }
+    }
+
     fn procedure(&mut self) -> Result<Procedure, ParseError> {
         self.expect_kw("procedure")?;
         let name = self.ident()?;
@@ -335,12 +351,15 @@ impl Parser {
                 return self.err("expected port direction (input/output/sync)");
             };
             let pname = self.ident()?;
-            let width = if self.eat_sym(":") {
-                let w = self.number()? as u32;
-                self.expect_kw("bits")?;
-                w
-            } else {
-                0
+            // A sync port carries no data; a data port with width 0 would
+            // lower to a sync responder and ignore its scripts.
+            let width = match (dir, self.eat_sym(":")) {
+                (PortDir::Sync, false) => 0,
+                (PortDir::Sync, true) => {
+                    return self.err(format!("sync port {pname} carries no data"))
+                }
+                (_, true) => self.width()?,
+                (_, false) => return self.err(format!("data port {pname} needs a width")),
             };
             ports.push(Port {
                 name: pname,
@@ -354,8 +373,7 @@ impl Parser {
             if self.eat_kw("variable") {
                 let vname = self.ident()?;
                 self.expect_sym(":")?;
-                let width = self.number()? as u32;
-                self.expect_kw("bits")?;
+                let width = self.width()?;
                 decls.push(Decl::Variable { name: vname, width });
             } else if self.eat_kw("memory") {
                 let mname = self.ident()?;
@@ -363,8 +381,7 @@ impl Parser {
                 let words = self.number()? as usize;
                 self.expect_kw("words")?;
                 self.expect_kw("of")?;
-                let width = self.number()? as u32;
-                self.expect_kw("bits")?;
+                let width = self.width()?;
                 decls.push(Decl::Memory {
                     name: mname,
                     words,
@@ -703,6 +720,40 @@ mod tests {
     fn error_reports_line() {
         let err = parse("procedure t (sync g) is\nbegin\n???\nend").unwrap_err();
         assert_eq!(err.line, 3);
+    }
+
+    /// Every explicit width outside 1..=64 fails with its line, on a port,
+    /// a variable and a memory; a data port needs a width and a sync port
+    /// takes none.
+    #[test]
+    fn widths_outside_one_to_sixty_four_bits_are_rejected() -> Result<(), ParseError> {
+        for bits in ["0", "65", "4294967297"] {
+            let sources = [
+                format!("procedure t (sync g;\ninput i : {bits} bits) is begin sync g end"),
+                format!("procedure t (sync g) is\nvariable x : {bits} bits begin sync g end"),
+                format!(
+                    "procedure t (sync g) is\nmemory m : 4 words of {bits} bits begin sync g end"
+                ),
+            ];
+            for src in sources {
+                let err = parse(&src).map(|_| ()).err();
+                assert!(
+                    err.as_ref()
+                        .is_some_and(|e| e.line == 2 && e.message.contains("outside 1..=64")),
+                    "{src}: {err:?}"
+                );
+            }
+        }
+        for src in [
+            "procedure t (sync g; input i) is begin sync g end",
+            "procedure t (sync g : 8 bits) is begin sync g end",
+        ] {
+            assert!(parse(src).is_err(), "{src}");
+        }
+        let p = parse("procedure t (sync g; input i : 64 bits) is begin sync g end")?;
+        let widths: Vec<u32> = p.procedures[0].ports.iter().map(|p| p.width).collect();
+        assert_eq!(widths, [0, 64]);
+        Ok(())
     }
 
     #[test]

@@ -340,11 +340,12 @@ fn run() -> Result<bool, String> {
          before/after against the pre-change engine recorded in BENCH_sim_baseline.json \
          (measured at an earlier commit, run loop estimated by subtracting an \
          empty-scenario call). The backends section times the same 64-scenario variant \
-         batch end to end (tape compilation included; the flow keeps the circuit it was \
-         lowered to for the batch's port set, and the event engine's program of that \
-         circuit with its shared transition memos, so only the warm-up lowers and builds) \
-         on one worker \
-         thread per backend; both events_per_sec figures divide the event engine's \
+         batch end to end on one worker thread per backend. The flow keeps the circuit it \
+         was lowered to for the batch's port set, with the compiled circuit (its tapes and \
+         their shared transition memos) and the event engine's program (its shared \
+         transition memos), so only the warm-up lowers, builds tapes and builds the \
+         program, and every timed run reads warm memos; both events_per_sec figures \
+         divide the event engine's \
          aggregate event count, so compiled_vs_event is a pure wall-time ratio on \
          identical work. Both engines run one lowered circuit; per-lane behavioural \
          parity between them is asserted before any timing (a divergence fails this \

@@ -558,7 +558,12 @@ fn get_subject(r: &mut Reader<'_>) -> Result<SubjectGraph, CodecError> {
         modules.push(match r.u8("module tag")? {
             0 => Module::Level1,
             1 => Module::Level2,
-            tag => return Err(CodecError::BadTag { what: "Module", tag }),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "Module",
+                    tag,
+                })
+            }
         });
     }
     let n_roots = r.len("subject roots")?;
@@ -745,7 +750,10 @@ mod codec_tests {
             artifact.mapped.area.to_bits(),
             artifact2.mapped.area.to_bits()
         );
-        assert_eq!(artifact.mapped.output_delays, artifact2.mapped.output_delays);
+        assert_eq!(
+            artifact.mapped.output_delays,
+            artifact2.mapped.output_delays
+        );
     }
 
     #[test]

@@ -128,10 +128,7 @@ impl DiskCache {
     /// # Errors
     ///
     /// Fails only if the directory cannot be created.
-    pub fn with_fault(
-        dir: impl Into<PathBuf>,
-        fault: Option<FaultPlan>,
-    ) -> io::Result<DiskCache> {
+    pub fn with_fault(dir: impl Into<PathBuf>, fault: Option<FaultPlan>) -> io::Result<DiskCache> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let cache = DiskCache {
@@ -181,9 +178,9 @@ impl DiskCache {
         if let Some(plan) = &self.fault {
             if plan.targets_job(index) {
                 match plan.kind {
-                    FaultKind::Panic => panic!(
-                        "injected fault: panic at phase cache_io of op {index}"
-                    ),
+                    FaultKind::Panic => {
+                        panic!("injected fault: panic at phase cache_io of op {index}")
+                    }
                     FaultKind::Error => {
                         return Err(io::Error::other(format!(
                             "injected fault at cache_io op {index}"
@@ -208,7 +205,11 @@ impl DiskCache {
             }
             Err(e) => {
                 bmbe_obs::trace_counter!("cache.disk.read_errors", 1);
-                bmbe_obs::vlog!(1, "bmbe-flow: disk cache read failed ({}): {e}", path.display());
+                bmbe_obs::vlog!(
+                    1,
+                    "bmbe-flow: disk cache read failed ({}): {e}",
+                    path.display()
+                );
                 return Err(DiskMiss::ReadError);
             }
         };

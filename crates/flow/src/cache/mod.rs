@@ -44,16 +44,16 @@ use crate::fault::{FaultKind, FaultPhase, FaultPlan};
 use crate::profile::PhaseProfile;
 use bmbe_bm::statemin::minimize_states;
 use bmbe_bm::synth::{synthesize_full, Controller, MinimizeMode, SynthError};
-use bmbe_logic::hfmin::{HfminError, MinimizeBackend, MinimizeOptions, PrimeGenFault};
 use bmbe_core::ast::{alpha_rename, canonical_text, ChExpr};
 use bmbe_core::compile::{compile_to_bm, CompileError};
 use bmbe_core::opt::MergeMemo;
 use bmbe_gates::{map as techmap, Library, MapObjective, MapStyle, MappedNetlist, SubjectGraph};
+use bmbe_logic::hfmin::{HfminError, MinimizeBackend, MinimizeOptions, PrimeGenFault};
 use bmbe_logic::Cover;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 

@@ -1,11 +1,12 @@
 //! The bit-parallel compiled simulation backend for complete designs.
 //!
-//! [`compile_sim`] takes the design's circuit from the flow's lowering
-//! memo — the same circuit the event engine runs — and compiles it into a
-//! [`bmbe_sim::CompiledCircuit`]: controllers become instruction tapes
-//! over their technology-mapped gates (one lane-parallel op per cell, in
-//! the mapper's gate order), and every part evaluates all 64 scenario
-//! lanes of a batch at once.
+//! [`compile_sim`] takes the design's compiled circuit from the flow's
+//! lowering memo: a [`bmbe_sim::CompiledCircuit`] over the same circuit
+//! the event engine runs, compiled on the first call for its port set.
+//! Controllers become instruction tapes over their technology-mapped
+//! gates (one lane-parallel op per cell, in the mapper's gate order), and
+//! every part evaluates all 64 scenario lanes of a batch at once. Every
+//! later call and every batch share the tapes and their transition memos.
 //!
 //! The lane-packing layer is [`CompiledSim::run_batch`]: it takes up to
 //! [`LANES`] scenarios, binds each to a lane (a partial batch simply
@@ -15,7 +16,8 @@
 //! [`simulate_scenarios`] is the batch entry point: it runs the backend
 //! its caller names and fans compiled chunks out across worker threads;
 //! because one wave's result cannot depend on evaluation order and each
-//! port set's circuit is compiled once up front, compiled outcomes are
+//! port set's circuit is compiled once per flow (and a memo entry is
+//! exact for every lane that reads it), compiled outcomes are
 //! bit-identical at any thread count.
 //!
 //! The compiled backend is untimed. Differential tests assert
@@ -23,14 +25,15 @@
 //! the timing/hazard reference.
 
 use crate::fault::{FaultPhase, FaultPlan};
-use crate::lower::{bind, lowered};
-use crate::pipeline::{ControllerArtifact, FlowResult};
+use crate::lower::{bind, lowered_compiled};
+use crate::pipeline::FlowResult;
 use crate::simbuild::{simulate, Scenario, SimBuildError, SimOutcome, SimStats};
 use bmbe_balsa::CompiledDesign;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::{CompiledCircuit, ControllerTape, RunSpec, SimBackend, LANES};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Safety net against a non-quiescing (oscillating) circuit; real designs
@@ -38,9 +41,10 @@ use std::time::Instant;
 const MAX_WAVES: u64 = 1_000_000;
 
 /// A design compiled for bit-parallel simulation; the circuit's handles
-/// bind scenarios to lanes and demux the results.
+/// bind scenarios to lanes and demux the results. The compiled circuit is
+/// the one the flow's lowering memo keeps for the port set.
 pub struct CompiledSim {
-    circuit: CompiledCircuit,
+    pub(crate) circuit: Arc<CompiledCircuit>,
 }
 
 /// Compiles a design (controllers, datapath, environment) into a
@@ -51,12 +55,17 @@ pub struct CompiledSim {
 /// [`CompiledSim::run_batch`]); a script for any other port, such as one
 /// the design lacks, is ignored, as the event engine ignores it.
 ///
-/// `flow` must be the flow built from `design`: the circuit comes from
-/// `flow`'s lowering memo, shared with [`simulate`] over the same ports.
+/// `flow` must be the flow built from `design`: the compiled circuit
+/// comes from `flow`'s lowering memo, over the circuit [`simulate`] runs
+/// for the same ports. The first call for a port set builds its tapes;
+/// every later call returns the same circuit, and every batch run on it
+/// shares each controller's transition memo.
 ///
 /// `fault` injects a deterministic [`FaultPhase::SimCompile`] failure at
 /// the targeted controller index (the flow's fan-out order), for the
-/// recovery-path tests.
+/// recovery-path tests. It trips before the memo is consulted, so it
+/// fails the call alike whether or not the tapes are built, and leaves
+/// the memo as it was.
 ///
 /// # Errors
 ///
@@ -69,62 +78,18 @@ pub fn compile_sim(
     fault: Option<&FaultPlan>,
 ) -> Result<CompiledSim, SimBuildError> {
     let _span = bmbe_obs::span!("sim.compile", "sim");
-    let circuit = lowered(design, flow, |port| input_ports.contains(port));
-    let circuit = CompiledCircuit::new(circuit, |i, inputs, outputs| {
-        let art = &flow.controllers[i];
-        if let Some(plan) = fault.filter(|plan| plan.targets_job(i)) {
+    if let Some(plan) = fault {
+        let targeted = (flow.controllers.iter().enumerate()).find(|&(i, _)| plan.targets_job(i));
+        if let Some((i, art)) = targeted {
             plan.trip(FaultPhase::SimCompile)
                 .map_err(|_| SimBuildError::Compile {
                     controller: art.name.clone(),
                     detail: format!("injected fault at sim_compile of job {i}"),
                 })?;
         }
-        tape(art, inputs, outputs)
-    })?;
+    }
+    let circuit = lowered_compiled(design, flow, |port| input_ports.contains(port))?;
     Ok(CompiledSim { circuit })
-}
-
-/// A controller's tape, built from its technology-mapped gates (the
-/// subject-graph nodes are the tape's scratch slots).
-fn tape(
-    art: &ControllerArtifact,
-    inputs: usize,
-    outputs: usize,
-) -> Result<ControllerTape, SimBuildError> {
-    let ctrl = &art.controller;
-    let subject = &art.mapped.subject;
-    let bad = |detail: String| SimBuildError::Compile {
-        controller: art.name.clone(),
-        detail,
-    };
-    let root_of = |name: &str| {
-        subject
-            .roots
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, r)| r)
-    };
-    let out_roots: Vec<usize> = ctrl
-        .outputs
-        .iter()
-        .map(|n| root_of(n).ok_or_else(|| bad(format!("no function root for output {n}"))))
-        .collect::<Result<_, _>>()?;
-    let state_roots: Vec<usize> = (0..ctrl.num_state_bits)
-        .map(|j| {
-            root_of(&format!("y{j}"))
-                .ok_or_else(|| bad(format!("no function root for state bit y{j}")))
-        })
-        .collect::<Result<_, _>>()?;
-    ControllerTape::compile(
-        &art.name,
-        inputs,
-        outputs,
-        ctrl.initial_code,
-        &art.mapped,
-        &out_roots,
-        &state_roots,
-    )
-    .map_err(|e| bad(e.to_string()))
 }
 
 impl CompiledSim {
@@ -258,9 +223,10 @@ pub fn batch_input_ports(scenarios: &[Scenario]) -> BTreeSet<String> {
 /// [`SimBackend::Event`] runs each scenario as an independent event
 /// simulation ([`simulate`]) across `threads` workers.
 /// [`SimBackend::Compiled`] groups the scenarios by the ports they script,
-/// in first-appearance order, compiles one circuit per group, packs each
-/// group into [`LANES`]-wide batches, and fans a group's batches out
-/// across `threads` workers; results are bit-identical at any thread
+/// in first-appearance order, takes each group's compiled circuit from
+/// `flow`'s memo, packs each group into [`LANES`]-wide batches, and fans a
+/// group's batches out across `threads` workers, which share the
+/// circuit's transition memos; results are bit-identical at any thread
 /// count.
 ///
 /// Worker panics (including injected `sim_compile` faults of
@@ -314,9 +280,9 @@ pub fn simulate_scenarios(
     }
 }
 
-/// Compiles the circuit for the ports `scenarios` script (one non-empty
-/// group, all scripting the same ports) and runs them in [`LANES`]-wide
-/// batches across `threads` workers.
+/// Takes the compiled circuit for the ports `scenarios` script (one
+/// non-empty group, all scripting the same ports) and runs them in
+/// [`LANES`]-wide batches across `threads` workers.
 fn simulate_compiled(
     design: &CompiledDesign,
     flow: &FlowResult,

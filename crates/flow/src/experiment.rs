@@ -177,13 +177,11 @@ pub fn compare_with(
     .into_iter()
     .zip(["unoptimized", "optimized"])
     .map(|(slot, side)| {
-        slot.unwrap_or_else(|job| {
-            Err(SimBuildError::Panic(job.payload))
-        })
-        .map_err(|e| match e {
-            SimBuildError::Panic(payload) => ExperimentError::Panic { side, payload },
-            other => ExperimentError::Sim(other),
-        })
+        slot.unwrap_or_else(|job| Err(SimBuildError::Panic(job.payload)))
+            .map_err(|e| match e {
+                SimBuildError::Panic(payload) => ExperimentError::Panic { side, payload },
+                other => ExperimentError::Sim(other),
+            })
     });
     let unopt_run = runs.next().expect("one result per job")?;
     let opt_run = runs.next().expect("one result per job")?;

@@ -31,8 +31,9 @@ pub enum FaultPhase {
     Verify,
     /// Technology mapping.
     Map,
-    /// Controller-tape compilation for the bit-parallel simulation backend
-    /// (per-controller, in fan-out index order; see `crate::csim`).
+    /// `compile_sim`, the bit-parallel simulation backend's entry point:
+    /// `nth` is a controller's fan-out index, and the fault fires whether
+    /// or not that port set's tapes are already built (see `crate::csim`).
     SimCompile,
     /// Disk-cache I/O (`crate::cache::disk::DiskCache`). Unlike the other
     /// phases, `nth` counts *disk operations* on one cache handle (reads
@@ -136,10 +137,7 @@ impl FaultPlan {
             spec: spec.to_string(),
         };
         let mut parts = spec.trim().split(':');
-        let phase = parts
-            .next()
-            .and_then(FaultPhase::parse)
-            .ok_or_else(err)?;
+        let phase = parts.next().and_then(FaultPhase::parse).ok_or_else(err)?;
         let nth = parts
             .next()
             .and_then(|n| n.parse::<usize>().ok())
@@ -262,7 +260,15 @@ mod tests {
                 kind: FaultKind::Error
             }
         );
-        for bad in ["", "synth", "synth:", "synth:x", "bogus:1", "synth:1:boom", "synth:1:err:x"] {
+        for bad in [
+            "",
+            "synth",
+            "synth:",
+            "synth:x",
+            "bogus:1",
+            "synth:1:boom",
+            "synth:1:err:x",
+        ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must be rejected");
         }
     }

@@ -27,10 +27,10 @@
 
 use crate::batch::{flow_through_registry, ShapeRegistry};
 use crate::cache::ControllerCache;
-use crate::pipeline::{reference_flow, run_control_flow, FlowOptions, FlowResult};
-use crate::simbuild::{simulate, SimOutcome};
 use crate::csim::simulate_scenarios;
 use crate::fault::FaultPlan;
+use crate::pipeline::{reference_flow, run_control_flow, FlowOptions, FlowResult};
+use crate::simbuild::{simulate, SimOutcome};
 use crate::table3::{check_outcome, to_flow_scenario};
 use bmbe_core::balsa_to_ch::balsa_to_ch;
 use bmbe_core::opt::{verify_acr_compared, ClusterReport};
@@ -222,7 +222,10 @@ fn run_design(
     let scenario = to_flow_scenario(&d.scenario);
 
     let event = simulate(&d.compiled, &flow, &scenario, &delays)
-        .map_err(|e| v.findings.push(finding(d, "check", format!("event run failed: {e}"))))
+        .map_err(|e| {
+            v.findings
+                .push(finding(d, "check", format!("event run failed: {e}")))
+        })
         .ok();
     if let Some(event) = &event {
         // The family's modelled expectation, where one exists.
@@ -268,7 +271,9 @@ fn run_design(
                     ));
                 }
             }
-            Some(Err(e)) => v.findings.push(finding(d, "compiled_vs_event", e.to_string())),
+            Some(Err(e)) => v
+                .findings
+                .push(finding(d, "compiled_vs_event", e.to_string())),
             None => v.findings.push(finding(
                 d,
                 "compiled_vs_event",
@@ -281,7 +286,11 @@ fn run_design(
     // design's first few internal-channel obligations.
     match balsa_to_ch(&d.compiled.netlist) {
         Ok(ctrl) => {
-            for ch in ctrl.internal_channels().into_iter().take(cfg.verify_channels) {
+            for ch in ctrl
+                .internal_channels()
+                .into_iter()
+                .take(cfg.verify_channels)
+            {
                 v.checks.otf_vs_materialized += 1;
                 match verify_acr_compared(
                     &ctrl.components[ch.active].program,
@@ -322,10 +331,22 @@ fn run_design(
             .map(to_flow_scenario)
             .collect();
         let one = simulate_scenarios(
-            &d.compiled, &flow, &variants, &delays, SimBackend::Compiled, 1, None,
+            &d.compiled,
+            &flow,
+            &variants,
+            &delays,
+            SimBackend::Compiled,
+            1,
+            None,
         );
         let four = simulate_scenarios(
-            &d.compiled, &flow, &variants, &delays, SimBackend::Compiled, 4, None,
+            &d.compiled,
+            &flow,
+            &variants,
+            &delays,
+            SimBackend::Compiled,
+            4,
+            None,
         );
         for (lane, (a, b)) in one.iter().zip(&four).enumerate() {
             v.checks.serial_vs_parallel += 1;
@@ -640,7 +661,11 @@ mod tests {
     fn only_filter_replays_one_design() {
         let library = Library::cmos035();
         let cache = ControllerCache::new();
-        let corpus = generate_corpus(&CorpusSpec { seed: 5, designs: 6 }).unwrap();
+        let corpus = generate_corpus(&CorpusSpec {
+            seed: 5,
+            designs: 6,
+        })
+        .unwrap();
         let mut cfg = small(6);
         cfg.only = Some(corpus[2].name.clone());
         let report = run_gauntlet(&cfg, &library, &cache).unwrap();

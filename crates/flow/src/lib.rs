@@ -31,23 +31,22 @@ pub use batch::{
     flow_through_registry, run_batch, BatchJob, BatchSummary, JobFailure, JobReport, Resolution,
     ShapeRegistry, ShapeStats,
 };
-pub use gauntlet::{run_gauntlet, Finding, GauntletConfig, GauntletReport, OracleCounts};
+pub use bmbe_logic::MinimizeBackend;
+pub use bmbe_sim::SimBackend;
 pub use cache::{
     CacheKey, CacheStats, ControllerCache, DiskCache, DiskMiss, KeyedProgram, Provenance,
-    ShapeError,
-    SynthArtifact, CACHE_DIR_ENV,
+    ShapeError, SynthArtifact, CACHE_DIR_ENV,
 };
 pub use csim::{batch_input_ports, compile_sim, simulate_scenarios, CompiledSim};
-pub use bmbe_sim::SimBackend;
 pub use experiment::{compare, compare_with, Comparison};
-pub use bmbe_logic::MinimizeBackend;
 pub use fault::{FaultKind, FaultParseError, FaultPhase, FaultPlan};
+pub use gauntlet::{run_gauntlet, Finding, GauntletConfig, GauntletReport, OracleCounts};
+pub use lower::lower;
 pub use pipeline::{
     reference_flow, run_control_flow, run_control_flow_with, ControllerArtifact, FlowError,
     FlowOptions, FlowResult,
 };
 pub use profile::PhaseProfile;
-pub use lower::lower;
 pub use simbuild::{simulate, simulate_with, Done, Scenario, SimBuildError, SimOutcome, SimStats};
 pub use table3::{
     check_outcome, run_design, run_design_with, run_designs_with, to_flow_scenario, BenchError,

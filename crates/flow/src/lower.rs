@@ -11,18 +11,20 @@
 //! Each [`FlowResult`] keeps the circuits it was lowered to in a
 //! [`LowerMemo`], one per input-port set, so the simulation entry points
 //! lower a design once however many scenarios they run over one port set.
-//! Next to each circuit the memo keeps its [`EventProgram`], built on the
-//! first event run over that port set, so every later event run shares
-//! its watcher index, its controller logic and the logic's transition
-//! memos.
+//! Next to each circuit the memo keeps one program per engine, each built
+//! on the first request for that port set: the [`EventProgram`] of the
+//! first event run, so every later event run shares its watcher index,
+//! its controller logic and the logic's transition memos, and the
+//! [`CompiledCircuit`] of the first `compile_sim`, so every later compiled
+//! batch shares its controller tapes and their transition memos.
 
 use crate::pipeline::{ControllerArtifact, FlowResult};
 use crate::simbuild::{Done, Scenario, SimBuildError};
 use bmbe_balsa::CompiledDesign;
 use bmbe_hsnet::{Component, ComponentKind};
 use bmbe_sim::{
-    Circuit, ControllerLogic, DataCh, DoneSpec, EventProgram, LaneSpec, MemSite, NodeId, Part,
-    PrimId, SlotId, Time,
+    Circuit, CompiledCircuit, ControllerLogic, ControllerTape, DataCh, DoneSpec, EventProgram,
+    LaneSpec, MemSite, NodeId, Part, PrimId, SlotId, Time,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Display, Write as _};
@@ -241,7 +243,8 @@ pub fn lower(
 }
 
 /// The circuits a flow has been lowered to, one per input-port set, each
-/// with its event program once an event run has asked for it.
+/// with its event program once an event run has asked for it and its
+/// compiled circuit once `compile_sim` has.
 ///
 /// A circuit serves a lookup when its providers are all ports the caller
 /// scripts and its consumers none of them. Every data port of a design is
@@ -255,18 +258,20 @@ pub(crate) struct LowerMemo {
     entries: Mutex<Vec<Lowered>>,
 }
 
-/// One port set's circuit and, after its first event run, its program.
+/// One port set's circuit and, after the first run of each engine, that
+/// engine's program of it.
 #[derive(Debug)]
 pub(crate) struct Lowered {
     pub(crate) circuit: Arc<Circuit>,
     pub(crate) program: Option<Arc<EventProgram>>,
+    pub(crate) compiled: Option<Arc<CompiledCircuit>>,
 }
 
 impl LowerMemo {
     /// Locks the list, recovering from a poisoned lock: an entry is pushed
-    /// only once its circuit is fully lowered, and a program is stored
-    /// only once fully built, so a panic while lowering or building leaves
-    /// the list as it was.
+    /// only once its circuit is fully lowered, and a program or compiled
+    /// circuit is stored only once fully built, so a panic while lowering
+    /// or building leaves the list as it was.
     pub(crate) fn entries(&self) -> MutexGuard<'_, Vec<Lowered>> {
         self.entries.lock().unwrap_or_else(|poisoned| {
             self.entries.clear_poison();
@@ -278,7 +283,7 @@ impl LowerMemo {
 /// The entry of `flow`'s memo for the input ports `is_input` names,
 /// lowered and stored on the first request for that port set, passed to
 /// `f` under the memo's lock, so concurrent callers lower each port set
-/// (and build its program) once.
+/// (and build each of its programs) once.
 fn with_entry<R>(
     design: &CompiledDesign,
     flow: &FlowResult,
@@ -299,21 +304,38 @@ fn with_entry<R>(
     entries.push(Lowered {
         circuit: Arc::new(lower(design, flow, &is_input)),
         program: None,
+        compiled: None,
     });
     let last = entries.len() - 1;
     f(&mut entries[last])
 }
 
-/// The circuit of `design` for the input ports `is_input` names, from
-/// `flow`'s memo.
+/// The circuit of `design` for the input ports `is_input` names compiled
+/// for the bit-parallel engine, from `flow`'s memo; its tapes are built on
+/// the first request for that port set. A build error is returned and
+/// nothing is stored, so the next request builds again.
 ///
 /// `flow` must be the flow built from `design`.
-pub(crate) fn lowered(
+///
+/// # Errors
+///
+/// [`SimBuildError::Compile`] when a controller netlist does not compile
+/// into a tape.
+pub(crate) fn lowered_compiled(
     design: &CompiledDesign,
     flow: &FlowResult,
     is_input: impl Fn(&str) -> bool,
-) -> Arc<Circuit> {
-    with_entry(design, flow, is_input, |e| Arc::clone(&e.circuit))
+) -> Result<Arc<CompiledCircuit>, SimBuildError> {
+    with_entry(design, flow, is_input, |e| {
+        if let Some(compiled) = &e.compiled {
+            return Ok(Arc::clone(compiled));
+        }
+        let compiled = CompiledCircuit::new(Arc::clone(&e.circuit), |k, inputs, outputs| {
+            bmbe_obs::trace_counter!("sim.compile.tapes", 1);
+            controller_tape(&flow.controllers[k], inputs, outputs)
+        })?;
+        Ok(Arc::clone(e.compiled.insert(Arc::new(compiled))))
+    })
 }
 
 /// The circuit of `design` for the input ports `is_input` names and its
@@ -361,6 +383,50 @@ fn controller_logic(art: &ControllerArtifact) -> ControllerLogic {
     )
 }
 
+/// The compiled engine's tape for a controller, built from its
+/// technology-mapped gates (the subject-graph nodes are the tape's scratch
+/// slots).
+fn controller_tape(
+    art: &ControllerArtifact,
+    inputs: usize,
+    outputs: usize,
+) -> Result<ControllerTape, SimBuildError> {
+    let ctrl = &art.controller;
+    let subject = &art.mapped.subject;
+    let bad = |detail: String| SimBuildError::Compile {
+        controller: art.name.clone(),
+        detail,
+    };
+    let root_of = |name: &str| {
+        subject
+            .roots
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, r)| r)
+    };
+    let out_roots: Vec<usize> = ctrl
+        .outputs
+        .iter()
+        .map(|n| root_of(n).ok_or_else(|| bad(format!("no function root for output {n}"))))
+        .collect::<Result<_, _>>()?;
+    let state_roots: Vec<usize> = (0..ctrl.num_state_bits)
+        .map(|j| {
+            root_of(&format!("y{j}"))
+                .ok_or_else(|| bad(format!("no function root for state bit y{j}")))
+        })
+        .collect::<Result<_, _>>()?;
+    ControllerTape::compile(
+        &art.name,
+        inputs,
+        outputs,
+        ctrl.initial_code,
+        &art.mapped,
+        &out_roots,
+        &state_roots,
+    )
+    .map_err(|e| bad(e.to_string()))
+}
+
 /// Binds a scenario to a circuit's handles: its done condition, provider
 /// scripts (unscripted providers supply zeros), memory preloads and
 /// activation cycles. Scripts for ports the circuit has no provider for
@@ -404,12 +470,13 @@ mod tests {
     use super::*;
     use crate::{
         compile_sim, run_control_flow_with, simulate, simulate_scenarios, to_flow_scenario,
-        ControllerCache, FlowOptions, SimBackend,
+        ControllerCache, FaultKind, FaultPhase, FaultPlan, FlowOptions, SimBackend,
     };
     use bmbe_designs::scenarios::{scenario_variants, wagging_register};
     use bmbe_gates::Library;
     use bmbe_sim::prims::Delays;
     use std::collections::BTreeSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// The event programs stored in `flow`'s memo, in entry order.
     fn programs(flow: &FlowResult) -> Vec<Option<Arc<EventProgram>>> {
@@ -420,8 +487,17 @@ mod tests {
             .collect()
     }
 
+    /// The compiled circuits stored in `flow`'s memo, in entry order.
+    fn compiled(flow: &FlowResult) -> Vec<Option<Arc<CompiledCircuit>>> {
+        flow.lowered
+            .entries()
+            .iter()
+            .map(|e| e.compiled.clone())
+            .collect()
+    }
+
     /// Whether two lists of stored programs hold the same programs.
-    fn same_programs(a: &[Option<Arc<EventProgram>>], b: &[Option<Arc<EventProgram>>]) -> bool {
+    fn same_programs<T>(a: &[Option<Arc<T>>], b: &[Option<Arc<T>>]) -> bool {
         a.len() == b.len()
             && a.iter().zip(b).all(|pair| match pair {
                 (Some(p), Some(q)) => Arc::ptr_eq(p, q),
@@ -435,7 +511,9 @@ mod tests {
     /// circuits, each equal to a fresh lowering, and every run through the
     /// memo equals the same call on a freshly built flow. An entry gets its
     /// event program on its first event run, never from `compile_sim`, and
-    /// keeps that one program.
+    /// keeps that one program; it gets its compiled circuit on its first
+    /// `compile_sim`, and every later call over its port set returns that
+    /// one circuit.
     #[test]
     fn one_lowering_per_port_set() -> Result<(), String> {
         let wag = wagging_register().map_err(|e| e.to_string())?;
@@ -467,11 +545,15 @@ mod tests {
         }
         let after_event_runs = programs(&flow);
         assert!(after_event_runs.len() == 2 && after_event_runs.iter().all(Option::is_some));
+        let mut circuits = Vec::new();
         for (ports, s) in [(vec!["i"], &base), (vec![], &without_i)] {
             let ports: BTreeSet<String> = ports.into_iter().map(String::from).collect();
+            let compile = |flow: &FlowResult| {
+                compile_sim(&wag.compiled, flow, &ports, None).map_err(|e| e.to_string())
+            };
             let run = |flow: &FlowResult| {
-                compile_sim(&wag.compiled, flow, &ports, None)
-                    .and_then(|cs| cs.run_batch(std::slice::from_ref(s)))
+                compile(flow)?
+                    .run_batch(std::slice::from_ref(s))
                     .map_err(|e| e.to_string())
             };
             let (memoized, fresh) = (run(&flow)?, run(&fresh_flow()?)?);
@@ -480,7 +562,19 @@ mod tests {
                 memoized.iter().zip(&fresh).all(|(a, b)| a.same_result(b)),
                 "compile_sim over {ports:?}"
             );
+            let (first, second) = (compile(&flow)?.circuit, compile(&flow)?.circuit);
+            assert!(Arc::ptr_eq(&first, &second), "compile_sim over {ports:?}");
+            circuits.push(first);
         }
+        assert!(!Arc::ptr_eq(&circuits[0], &circuits[1]));
+        let stored = compiled(&flow);
+        assert!(
+            same_programs(
+                &stored,
+                &[Some(circuits[1].clone()), Some(circuits[0].clone())]
+            ),
+            "each port set's entry keeps the circuit compile_sim returned"
+        );
         let entries = flow.lowered.entries();
         assert_eq!(entries.len(), 2);
         assert_eq!(*entries[0].circuit, lower(&wag.compiled, &flow, |_| false));
@@ -492,11 +586,17 @@ mod tests {
         assert!(same_programs(&programs(&flow), &after_event_runs));
 
         // `compile_sim` alone builds no program; the first event run over
-        // the port set builds one, and later event runs keep it.
+        // the port set builds one, and later event runs keep it. An event
+        // run builds no compiled circuit.
         let flow = fresh_flow()?;
         let with_i: BTreeSet<String> = ["i".to_string()].into();
         compile_sim(&wag.compiled, &flow, &with_i, None).map_err(|e| e.to_string())?;
         assert!(programs(&flow).iter().all(Option::is_none));
+        let first_compiled = compiled(&flow);
+        assert!(first_compiled.len() == 1 && first_compiled[0].is_some());
+        let flow_events_only = fresh_flow()?;
+        simulate(&wag.compiled, &flow_events_only, &base, &delays).map_err(|e| e.to_string())?;
+        assert!(compiled(&flow_events_only).iter().all(Option::is_none));
         simulate(&wag.compiled, &flow, &base, &delays).map_err(|e| e.to_string())?;
         let first = programs(&flow);
         assert!(first.len() == 1 && first[0].is_some());
@@ -505,6 +605,7 @@ mod tests {
         }
         compile_sim(&wag.compiled, &flow, &with_i, None).map_err(|e| e.to_string())?;
         assert!(same_programs(&programs(&flow), &first));
+        assert!(same_programs(&compiled(&flow), &first_compiled));
 
         // Four workers lowering one port set at once lower it once.
         let flow = fresh_flow()?;
@@ -520,6 +621,64 @@ mod tests {
         }
         assert_eq!(flow.lowered.entries().len(), 1);
         assert!(programs(&flow)[0].is_some());
+        assert!(compiled(&flow)[0].is_some());
+        Ok(())
+    }
+
+    /// A `sim_compile` fault trips at its controller with the same error
+    /// whether or not the port set's compiled circuit is memoized, a
+    /// faulted call stores nothing, and the next clean call is served: it
+    /// builds the circuit if no call has, and otherwise returns the stored
+    /// one. A panicking fault leaves the memo's lock usable.
+    #[test]
+    fn a_sim_compile_fault_trips_alike_before_and_after_the_memo_is_built() -> Result<(), String> {
+        let wag = wagging_register().map_err(|e| e.to_string())?;
+        let (library, cache) = (Library::cmos035(), ControllerCache::new());
+        let fresh_flow = || {
+            run_control_flow_with(&wag.compiled, &FlowOptions::optimized(), &library, &cache)
+                .map_err(|e| e.to_string())
+        };
+        let ports: BTreeSet<String> = ["i".to_string()].into();
+        let compile = |flow: &FlowResult, fault: Option<&FaultPlan>| {
+            compile_sim(&wag.compiled, flow, &ports, fault)
+        };
+        let jobs = fresh_flow()?.controllers.len();
+        assert!(jobs > 1, "the fault must target more than the first job");
+        for nth in [0, jobs - 1] {
+            let flow = fresh_flow()?;
+            let plan = FaultPlan {
+                phase: FaultPhase::SimCompile,
+                nth,
+                kind: FaultKind::Error,
+            };
+            let cold = compile(&flow, Some(&plan)).err();
+            let expected = SimBuildError::Compile {
+                controller: flow.controllers[nth].name.clone(),
+                detail: format!("injected fault at sim_compile of job {nth}"),
+            };
+            assert_eq!(cold.as_ref(), Some(&expected), "job {nth}, memo cold");
+            assert!(compiled(&flow).iter().all(Option::is_none), "job {nth}");
+            let served = compile(&flow, None).map_err(|e| e.to_string())?.circuit;
+            assert_eq!(
+                compile(&flow, Some(&plan)).err(),
+                cold,
+                "job {nth}, memo warm"
+            );
+            let again = compile(&flow, None).map_err(|e| e.to_string())?.circuit;
+            assert!(Arc::ptr_eq(&served, &again), "job {nth}");
+        }
+        let panicking = FaultPlan {
+            phase: FaultPhase::SimCompile,
+            nth: 0,
+            kind: FaultKind::Panic,
+        };
+        let flow = fresh_flow()?;
+        let faulted = || catch_unwind(AssertUnwindSafe(|| compile(&flow, Some(&panicking))));
+        assert!(faulted().is_err(), "memo cold");
+        let served = compile(&flow, None).map_err(|e| e.to_string())?.circuit;
+        assert!(faulted().is_err(), "memo warm");
+        let again = compile(&flow, None).map_err(|e| e.to_string())?.circuit;
+        assert!(Arc::ptr_eq(&served, &again));
         Ok(())
     }
 }

@@ -11,11 +11,11 @@ use crate::profile::PhaseProfile;
 use crate::templates::{template_table, Template};
 use bmbe_balsa::CompiledDesign;
 use bmbe_bm::synth::{Controller, MinimizeMode};
-use bmbe_logic::MinimizeBackend;
 use bmbe_core::balsa_to_ch::{balsa_to_ch, TranslateError};
 use bmbe_core::opt::cluster::{ClusterOptions, ClusterReport, CtrlNetlist};
 use bmbe_core::opt::MergeMemo;
 use bmbe_gates::{Library, MapObjective, MapStyle, MappedNetlist};
+use bmbe_logic::MinimizeBackend;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -207,7 +207,8 @@ pub struct FlowResult {
     /// Aggregate per-phase wall-clock profile of the shapes this run
     /// synthesized (cache hits contribute nothing).
     pub phases: PhaseProfile,
-    /// The circuits the simulation entry points lowered this flow to.
+    /// The circuits the simulation entry points lowered this flow to, with
+    /// each engine's program of them.
     pub(crate) lowered: LowerMemo,
 }
 

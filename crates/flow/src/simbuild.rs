@@ -76,10 +76,12 @@ pub struct SimStats {
     /// Settle waves the compiled backend executed (0 on the event
     /// backend).
     pub waves: u64,
-    /// Controller evaluations served from a transition memo: on the
-    /// compiled backend every live lane was at one (input point, state)
-    /// pair; on the event backend the run's controllers found the pair in
-    /// the memo their event program shares across runs.
+    /// Controller evaluations served from a transition memo shared across
+    /// runs: on the compiled backend every live lane was at one (input
+    /// point, state) pair that this batch or an earlier batch of the
+    /// flow's compiled circuit stored; on the event backend the run's
+    /// controllers found the pair in the memo their event program shares
+    /// across runs.
     pub memo_hits: u64,
     /// Controller evaluations whose live lanes were at different (input
     /// point, state) pairs, so the compiled backend ran the tape (0 on the
@@ -178,7 +180,10 @@ impl fmt::Display for SimBuildError {
                 write!(f, "simulation job panicked: {payload}")
             }
             SimBuildError::Compile { controller, detail } => {
-                write!(f, "compiling controller {controller} for simulation: {detail}")
+                write!(
+                    f,
+                    "compiling controller {controller} for simulation: {detail}"
+                )
             }
             SimBuildError::BatchShape(detail) => {
                 write!(f, "malformed scenario batch: {detail}")

@@ -16,7 +16,9 @@ use std::sync::Mutex;
 static BATCH_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    BATCH_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    BATCH_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Replicated jobs over every benchmark design: one fleet, each distinct
@@ -105,7 +107,12 @@ fn batch_results_match_the_pipeline() {
         let report = summary.jobs[0]
             .as_ref()
             .unwrap_or_else(|e| panic!("{} batch: {e}", design.name));
-        assert_eq!(report.controllers, flow.controllers.len(), "{}", design.name);
+        assert_eq!(
+            report.controllers,
+            flow.controllers.len(),
+            "{}",
+            design.name
+        );
         assert_eq!(report.products, flow.total_products(), "{}", design.name);
         assert_eq!(report.control_area, flow.control_area, "{}", design.name);
         assert_eq!(report.components_before, flow.components_before);
@@ -188,12 +195,22 @@ fn shared_failures_are_not_retried() {
         j
     };
     let failed_before = bmbe_obs::counter!("batch.shapes.failed").get();
-    let summary = run_batch(&[job("first"), job("second")], &library, &ControllerCache::new(), 1);
+    let summary = run_batch(
+        &[job("first"), job("second")],
+        &library,
+        &ControllerCache::new(),
+        1,
+    );
     assert_eq!(summary.failed(), 2);
     let first = summary.jobs[0].as_ref().expect_err("owner fails");
-    let second = summary.jobs[1].as_ref().expect_err("waiter shares the failure");
+    let second = summary.jobs[1]
+        .as_ref()
+        .expect_err("waiter shares the failure");
     assert_eq!(first.cache_key, second.cache_key, "same digest fails both");
-    assert_eq!(first.error, second.error, "waiter reports the owner's error");
+    assert_eq!(
+        first.error, second.error,
+        "waiter reports the owner's error"
+    );
     // The failing shape was attempted exactly once and never landed; the
     // owner still flew the other shape it claimed, exactly once.
     assert_eq!(

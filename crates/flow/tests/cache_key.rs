@@ -45,8 +45,14 @@ fn structurally_different_programs_get_different_keys() {
     let seq3 = sequencer("a", &names(&["x", "y", "z"]));
     let call2 = call(&names(&["x", "y"]), "a");
     let k2 = KeyedProgram::new(&seq2, mode, backend, objective, style).key;
-    assert_ne!(k2, KeyedProgram::new(&seq3, mode, backend, objective, style).key);
-    assert_ne!(k2, KeyedProgram::new(&call2, mode, backend, objective, style).key);
+    assert_ne!(
+        k2,
+        KeyedProgram::new(&seq3, mode, backend, objective, style).key
+    );
+    assert_ne!(
+        k2,
+        KeyedProgram::new(&call2, mode, backend, objective, style).key
+    );
 }
 
 #[test]

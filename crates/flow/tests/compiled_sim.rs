@@ -97,13 +97,17 @@ fn compiled_matches_event_oracle_on_all_designs() {
         );
         assert_eq!(compiled.len(), 64);
         for (lane, (c, o)) in compiled.iter().zip(&oracle).enumerate() {
-            let c = c.as_ref().unwrap_or_else(|e| {
-                panic!("{}: compiled lane {lane} failed: {e}", design.name)
-            });
-            let o = o.as_ref().unwrap_or_else(|e| {
-                panic!("{}: oracle lane {lane} failed: {e}", design.name)
-            });
-            assert!(o.completed, "{}: oracle lane {lane} incomplete", design.name);
+            let c = c
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{}: compiled lane {lane} failed: {e}", design.name));
+            let o = o
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{}: oracle lane {lane} failed: {e}", design.name));
+            assert!(
+                o.completed,
+                "{}: oracle lane {lane} incomplete",
+                design.name
+            );
             assert!(
                 c.same_behaviour(o),
                 "{}: lane {lane} diverged from the oracle:\ncompiled: {:?} {:?} {:?}\noracle:   {:?} {:?} {:?}",
@@ -171,7 +175,11 @@ fn compiled_matches_event_engine_on_corpus_slice() {
         let ports = batch_input_ports(&scenarios);
         let circuit = lower(&d.compiled, &flow, |p| ports.contains(p));
         families.insert(d.family);
-        if circuit.parts.iter().any(|p| matches!(p, Part::SelectAdapter { .. })) {
+        if circuit
+            .parts
+            .iter()
+            .any(|p| matches!(p, Part::SelectAdapter { .. }))
+        {
             adapters += 1;
         }
         if circuit.providers.len() >= 2 {
@@ -249,8 +257,14 @@ fn compiled_matches_event_engine_on_corpus_slice() {
         "the slice must cover every corpus family"
     );
     assert!(adapters > 0, "no design in the slice has a select adapter");
-    assert!(multi_port > 0, "no design in the slice scripts two data ports");
-    assert!(memo_hits > 0, "no controller evaluation was served from the memo");
+    assert!(
+        multi_port > 0,
+        "no design in the slice scripts two data ports"
+    );
+    assert!(
+        memo_hits > 0,
+        "no controller evaluation was served from the memo"
+    );
     assert!(mixed_evals > 0, "no controller evaluation mixed lanes");
 }
 
@@ -263,7 +277,10 @@ fn wagging() -> (Design, FlowResult, Scenario) {
         .expect("the wagging register ships");
     let flow = flows(std::slice::from_ref(&wag)).remove(0);
     let base = to_flow_scenario(&wag.scenario);
-    assert!(base.input_values.contains_key("i"), "the base scenario scripts port i");
+    assert!(
+        base.input_values.contains_key("i"),
+        "the base scenario scripts port i"
+    );
     (wag, flow, base)
 }
 
@@ -383,12 +400,18 @@ fn run_batch_rejects_a_scenario_scripting_an_output_port() {
 fn lowering_ignores_port_map_order() {
     let designs = all_designs().expect("designs build");
     let stack = designs.iter().find(|d| d.name == "Stack").unwrap();
-    assert!(stack.compiled.port_channels.len() >= 3, "Stack has several ports");
+    assert!(
+        stack.compiled.port_channels.len() >= 3,
+        "Stack has several ports"
+    );
     let flow = flows(std::slice::from_ref(stack)).remove(0);
     let scenario = to_flow_scenario(&stack.scenario);
     let is_input = |p: &str| scenario.input_values.contains_key(p);
     let reference = lower(&stack.compiled, &flow, is_input);
-    assert!(reference.providers.len() >= 2, "Stack scripts two data ports");
+    assert!(
+        reference.providers.len() >= 2,
+        "Stack scripts two data ports"
+    );
     let mut orders = BTreeSet::new();
     for _ in 0..16 {
         let mut rebuilt = stack.compiled.clone();
@@ -401,7 +424,10 @@ fn lowering_ignores_port_map_order() {
         orders.insert(rebuilt.port_channels.keys().cloned().collect::<Vec<_>>());
         assert_eq!(lower(&rebuilt, &flow, is_input), reference);
     }
-    assert!(orders.len() > 1, "the rebuilt port maps never changed order");
+    assert!(
+        orders.len() > 1,
+        "the rebuilt port maps never changed order"
+    );
 }
 
 /// A partial batch (fewer scenarios than lanes) must behave exactly like
@@ -481,7 +507,10 @@ fn partial_batch_stats_count_live_lanes_only() {
             o.events, solo.events,
             "lane {lane}: batched event count differs from its singleton run"
         );
-        assert_eq!(o.stats.lanes, 5, "lane {lane}: stats.lanes must be the live count");
+        assert_eq!(
+            o.stats.lanes, 5,
+            "lane {lane}: stats.lanes must be the live count"
+        );
         live_sum += o.events;
     }
     // events/s is the live-lane sum over the batch wall: every outcome of
@@ -498,20 +527,24 @@ fn partial_batch_stats_count_live_lanes_only() {
     }
 }
 
-/// Compiled results are bit-identical whatever the worker-thread count:
-/// the circuit is compiled once and wave evaluation is order-independent.
+/// Compiled results are bit-identical whatever the worker-thread count
+/// and whatever the shared transition memos hold: each thread count runs
+/// on a fresh flow, whose memos start cold, and then again on that flow,
+/// whose memos its first run warmed. The circuit is compiled once per
+/// flow, wave evaluation is order-independent, and a memo entry is exact
+/// for every lane that reads it.
 #[test]
 fn compiled_results_are_bit_identical_across_thread_counts() {
     let designs = all_designs().expect("designs build");
     let stack = designs.iter().find(|d| d.name == "Stack").unwrap();
-    let flow = flows(std::slice::from_ref(stack)).remove(0);
     let delays = Delays::default();
     // 130 scenarios = two full batches and a 2-lane remainder.
     let scenarios = variants(stack, 130, 99);
-    let runs: Vec<_> = [1usize, 4]
-        .iter()
-        .map(|&threads| {
-            simulate_scenarios(
+    let mut runs = Vec::new();
+    for threads in [1usize, 4] {
+        let flow = flows(std::slice::from_ref(stack)).remove(0);
+        for memo in ["cold", "warm"] {
+            let run = simulate_scenarios(
                 &stack.compiled,
                 &flow,
                 &scenarios,
@@ -519,18 +552,26 @@ fn compiled_results_are_bit_identical_across_thread_counts() {
                 SimBackend::Compiled,
                 threads,
                 None,
-            )
-        })
-        .collect();
-    for (i, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
-        let a = a.as_ref().expect("1-thread lane");
-        let b = b.as_ref().expect("4-thread lane");
-        assert!(
-            a.same_result(b),
-            "scenario {i}: 1-thread and 4-thread compiled runs differ"
-        );
-        assert_eq!(a.stats.waves, b.stats.waves, "scenario {i}: wave counts differ");
-        assert_eq!(a.stats.lanes, b.stats.lanes);
+            );
+            runs.push((format!("{threads}-thread {memo}"), run));
+        }
+    }
+    let (first, reference) = &runs[0];
+    for (what, run) in &runs[1..] {
+        assert_eq!(run.len(), reference.len(), "{what}");
+        for (i, (a, b)) in reference.iter().zip(run).enumerate() {
+            let a = a.as_ref().expect("reference lane");
+            let b = b.as_ref().expect("compared lane");
+            assert!(
+                a.same_result(b),
+                "scenario {i}: {first} and {what} runs differ"
+            );
+            assert_eq!(
+                a.stats.waves, b.stats.waves,
+                "scenario {i}: wave counts differ"
+            );
+            assert_eq!(a.stats.lanes, b.stats.lanes);
+        }
     }
 }
 
@@ -563,7 +604,10 @@ fn sim_compile_fault_surfaces_as_typed_error() {
         match slot {
             Err(SimBuildError::Compile { controller, detail }) => {
                 assert_eq!(*controller, flow.controllers[0].name);
-                assert!(detail.contains("injected fault at sim_compile of job 0"), "{detail}");
+                assert!(
+                    detail.contains("injected fault at sim_compile of job 0"),
+                    "{detail}"
+                );
             }
             other => panic!("expected a typed compile error, got {other:?}"),
         }
@@ -586,7 +630,10 @@ fn sim_compile_fault_surfaces_as_typed_error() {
     for slot in &r {
         match slot {
             Err(SimBuildError::Panic(payload)) => {
-                assert!(payload.contains("injected fault: panic at phase sim_compile"), "{payload}");
+                assert!(
+                    payload.contains("injected fault: panic at phase sim_compile"),
+                    "{payload}"
+                );
             }
             other => panic!("expected a caught panic, got {other:?}"),
         }

@@ -23,10 +23,8 @@ struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!(
-            "bmbe-disk-cache-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bmbe-disk-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         Scratch(dir)
     }
@@ -126,8 +124,13 @@ fn corrupt_truncated_and_wrong_version_entries_are_evicted_not_served() {
     let counter = &designs[0];
     let dir = &scratch.0;
     let cache = ControllerCache::with_disk(DiskCache::open(dir).expect("create cache dir"));
-    run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &cache)
-        .expect("cold flow");
+    run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &cache,
+    )
+    .expect("cold flow");
     let disk = DiskCache::open(dir).expect("reopen");
     let key = design_keys(counter).remove(0);
     let path = dir.join(format!("{:016x}", key.digest()));
@@ -173,8 +176,13 @@ fn corrupt_truncated_and_wrong_version_entries_are_evicted_not_served() {
     // An evicted entry is just a miss: the flow re-synthesizes and
     // backfills the slot with a pristine copy.
     let fresh = ControllerCache::with_disk(DiskCache::open(dir).expect("reopen"));
-    let redo = run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &fresh)
-        .expect("flow after eviction");
+    let redo = run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &fresh,
+    )
+    .expect("flow after eviction");
     assert!(redo.cache_misses > 0, "evicted shape must re-synthesize");
     // The backfilled entry loads cleanly and re-encodes to the original's
     // payload: the payload carries no wall-clock of either synthesis.
@@ -198,8 +206,13 @@ fn concurrent_writers_never_expose_a_torn_entry() {
     let dir = &scratch.0;
     // Synthesize once to get a real artifact to hammer with.
     let cache = ControllerCache::with_disk(DiskCache::open(dir).expect("create cache dir"));
-    run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &cache)
-        .expect("cold flow");
+    run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &cache,
+    )
+    .expect("cold flow");
     let key = design_keys(counter).remove(0);
     let artifact = cache.peek(&key).expect("artifact cached");
     let expected = encode_entry(&key, &artifact);
@@ -237,6 +250,9 @@ fn concurrent_writers_never_expose_a_torn_entry() {
         stop.store(true, Ordering::Relaxed);
     });
     // The survivor is complete.
-    let survivor = DiskCache::open(dir).expect("reopen").load(&key).expect("entry");
+    let survivor = DiskCache::open(dir)
+        .expect("reopen")
+        .load(&key)
+        .expect("entry");
     assert_eq!(encode_entry(&key, &survivor), expected);
 }

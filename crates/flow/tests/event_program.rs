@@ -5,68 +5,17 @@
 //! history warmed the shared memos, at any worker count and under any
 //! delays.
 
+#[path = "support/cases.rs"]
+mod cases;
 #[path = "support/event_ref.rs"]
 mod event_ref;
 
-use bmbe_balsa::CompiledDesign;
-use bmbe_designs::corpus::{generate_corpus, CorpusSpec};
-use bmbe_designs::scenarios::DesignScenario;
-use bmbe_designs::{all_designs, derive_seed, variants_of};
-use bmbe_flow::{
-    run_control_flow_with, simulate, simulate_scenarios, to_flow_scenario, ControllerCache,
-    FlowOptions, FlowResult, Scenario, SimBackend,
-};
+use bmbe_flow::{simulate, simulate_scenarios, ControllerCache, FlowResult, Scenario, SimBackend};
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::Part;
+use cases::{cases, flow, scenarios, Case};
 use event_ref::reference_run;
-
-/// A design with the seed of its scenario variants.
-struct Case {
-    name: String,
-    compiled: CompiledDesign,
-    scenario: DesignScenario,
-    seed: u64,
-}
-
-/// The four paper designs and the first `corpus` seed-11 corpus designs.
-fn cases(corpus: usize) -> Result<Vec<Case>, String> {
-    let mut out = Vec::new();
-    for d in all_designs().map_err(|e| e.to_string())? {
-        out.push(Case {
-            name: d.name.to_string(),
-            seed: derive_seed(11, d.name, "", 0),
-            compiled: d.compiled,
-            scenario: d.scenario,
-        });
-    }
-    let spec = CorpusSpec {
-        seed: 11,
-        designs: corpus,
-    };
-    for d in generate_corpus(&spec).map_err(|e| e.to_string())? {
-        out.push(Case {
-            seed: derive_seed(11, &d.name, &d.params, 0),
-            name: d.name,
-            compiled: d.compiled,
-            scenario: d.scenario,
-        });
-    }
-    Ok(out)
-}
-
-/// The base scenario of `case` and its first `n - 1` variants.
-fn scenarios(case: &Case, n: usize) -> Vec<Scenario> {
-    variants_of(&case.scenario, n, case.seed)
-        .iter()
-        .map(to_flow_scenario)
-        .collect()
-}
-
-fn flow(case: &Case, library: &Library, cache: &ControllerCache) -> Result<FlowResult, String> {
-    run_control_flow_with(&case.compiled, &FlowOptions::optimized(), library, cache)
-        .map_err(|e| format!("{}: flow: {e}", case.name))
-}
 
 /// The names of the part kinds, in the order [`kind`] numbers them.
 const KINDS: [&str; 14] = [

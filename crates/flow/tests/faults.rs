@@ -267,10 +267,8 @@ struct ScratchDir(std::path::PathBuf);
 
 impl ScratchDir {
     fn new(tag: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!(
-            "bmbe-fault-cache-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bmbe-fault-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ScratchDir(dir)
     }
@@ -305,21 +303,36 @@ fn faulted_cache_write_degrades_to_a_miss_and_the_flow_succeeds() {
     let cache = bmbe_flow::ControllerCache::with_disk(
         DiskCache::with_fault(&scratch.0, Some(plan)).expect("create cache dir"),
     );
-    let flow = run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &cache)
-        .expect("a disk-write fault must not fail the flow");
+    let flow = run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &cache,
+    )
+    .expect("a disk-write fault must not fail the flow");
     assert_eq!(flow.cache_misses, 2);
     // Only the unfaulted store landed.
     let disk = DiskCache::open(&scratch.0).expect("reopen");
     assert_eq!(disk.len(), 1, "the faulted write must not leave an entry");
     // The in-memory layer still holds both shapes: a warm rerun is all hits.
-    let warm = run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &cache)
-        .expect("warm flow");
+    let warm = run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &cache,
+    )
+    .expect("warm flow");
     assert_eq!(warm.cache_misses, 0);
     // A pristine cache over the same directory re-synthesizes only the
     // missing shape and backfills it.
     let fresh = bmbe_flow::ControllerCache::with_disk(DiskCache::open(&scratch.0).expect("reopen"));
-    let redo = run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &fresh)
-        .expect("flow after degraded write");
+    let redo = run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &fresh,
+    )
+    .expect("flow after degraded write");
     assert_eq!(redo.cache_misses, 1, "only the unpersisted shape re-runs");
     assert_eq!(DiskCache::open(&scratch.0).expect("reopen").len(), 2);
 }
@@ -337,8 +350,13 @@ fn faulted_cache_read_is_a_miss_and_the_flow_succeeds() {
     let seed_cache = bmbe_flow::ControllerCache::with_disk(
         DiskCache::open(&scratch.0).expect("create cache dir"),
     );
-    run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &seed_cache)
-        .expect("cold flow");
+    run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &seed_cache,
+    )
+    .expect("cold flow");
     let entries = DiskCache::open(&scratch.0).expect("reopen").len();
     assert!(entries > 0);
     // Fault the first read of a fresh cache: that shape re-synthesizes.
@@ -350,8 +368,13 @@ fn faulted_cache_read_is_a_miss_and_the_flow_succeeds() {
     let cache = bmbe_flow::ControllerCache::with_disk(
         DiskCache::with_fault(&scratch.0, Some(plan)).expect("reopen"),
     );
-    let flow = run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &cache)
-        .expect("a disk-read fault must not fail the flow");
+    let flow = run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &cache,
+    )
+    .expect("a disk-read fault must not fail the flow");
     assert_eq!(flow.cache_misses, 1, "the unreadable shape re-synthesizes");
     // The entry was left in place, not evicted.
     assert_eq!(DiskCache::open(&scratch.0).expect("reopen").len(), entries);

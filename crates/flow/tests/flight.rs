@@ -6,8 +6,7 @@
 
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_batch, run_control_flow_with, BatchJob, ControllerCache, DiskCache, FaultPlan,
-    FlowOptions,
+    run_batch, run_control_flow_with, BatchJob, ControllerCache, DiskCache, FaultPlan, FlowOptions,
 };
 use bmbe_gates::Library;
 use bmbe_obs::export::validate_json;
@@ -18,7 +17,9 @@ use std::sync::Mutex;
 static FLIGHT_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    FLIGHT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    FLIGHT_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A scratch directory, removed on drop.
@@ -26,10 +27,7 @@ struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!(
-            "bmbe-flight-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("bmbe-flight-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         Scratch(dir)
@@ -65,7 +63,10 @@ fn faulted_batch_job_dumps_failing_identity() {
 
     let library = Library::cmos035();
     let designs = all_designs().expect("shipped designs build");
-    let stack = designs.iter().find(|d| d.name == "Stack").expect("Stack shipped");
+    let stack = designs
+        .iter()
+        .find(|d| d.name == "Stack")
+        .expect("Stack shipped");
     let mut options = FlowOptions::optimized();
     options.fault = Some(FaultPlan::parse("synth:0:err").expect("valid plan"));
     let jobs = [BatchJob {
@@ -115,8 +116,13 @@ fn evicting_a_corrupt_disk_entry_dumps() {
     let counter = &designs[0];
     let cache =
         ControllerCache::with_disk(DiskCache::open(&cache_dir.0).expect("create cache dir"));
-    run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &cache)
-        .expect("cold flow populates the disk cache");
+    run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &cache,
+    )
+    .expect("cold flow populates the disk cache");
 
     // Flip the last byte of one stored entry: checksum mismatch on the
     // next load, which must evict AND dump.
@@ -131,12 +137,20 @@ fn evicting_a_corrupt_disk_entry_dumps() {
     std::fs::write(&entry, &bytes).expect("rewrite entry");
 
     bmbe_obs::recorder::set_flight_out(Some(
-        dump_dir.0.join("flight.json").to_string_lossy().into_owned(),
+        dump_dir
+            .0
+            .join("flight.json")
+            .to_string_lossy()
+            .into_owned(),
     ));
-    let warm =
-        ControllerCache::with_disk(DiskCache::open(&cache_dir.0).expect("reopen cache dir"));
-    run_control_flow_with(&counter.compiled, &FlowOptions::optimized(), &library, &warm)
-        .expect("warm flow self-heals past the corrupt entry");
+    let warm = ControllerCache::with_disk(DiskCache::open(&cache_dir.0).expect("reopen cache dir"));
+    run_control_flow_with(
+        &counter.compiled,
+        &FlowOptions::optimized(),
+        &library,
+        &warm,
+    )
+    .expect("warm flow self-heals past the corrupt entry");
     bmbe_obs::recorder::set_flight_out(None);
 
     let dumps = dumps_in(&dump_dir.0);

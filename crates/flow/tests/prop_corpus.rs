@@ -98,7 +98,11 @@ proptest! {
 /// (a fixed, replayable complement to the randomized cases above).
 #[test]
 fn corpus_slice_synthesizes_deterministically() {
-    let corpus = generate_corpus(&CorpusSpec { seed: 17, designs: 10 }).expect("corpus");
+    let corpus = generate_corpus(&CorpusSpec {
+        seed: 17,
+        designs: 10,
+    })
+    .expect("corpus");
     for design in &corpus {
         roundtrip(design);
     }

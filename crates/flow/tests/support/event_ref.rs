@@ -740,7 +740,9 @@ fn primitive(
             operand,
             delay: if op == UnOp::Id { 1 } else { delays.unary },
         }),
-        Part::CallMux { ins, out } => RefPrim::CallMux(CallMuxPrim::new(ins.clone(), *out, delays.mux)),
+        Part::CallMux { ins, out } => {
+            RefPrim::CallMux(CallMuxPrim::new(ins.clone(), *out, delays.mux))
+        }
         Part::PullMux { clients, source } => {
             RefPrim::PullMux(PullMuxPrim::new(clients.clone(), *source, delays.mux))
         }

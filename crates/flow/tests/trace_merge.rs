@@ -20,7 +20,9 @@ use std::time::Instant;
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    TRACE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    TRACE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A scratch disk-cache directory, removed on drop.
@@ -28,10 +30,8 @@ struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!(
-            "bmbe-trace-merge-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bmbe-trace-merge-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         Scratch(dir)
     }
@@ -61,7 +61,12 @@ fn fleet_jobs(replicas: u64) -> Vec<BatchJob> {
 
 /// Runs one traced fleet under `run_id` and returns its JSONL stream plus
 /// the wall nanoseconds measured around `run_batch`.
-fn traced_fleet(run_id: u64, jobs: &[BatchJob], cache: &ControllerCache, threads: usize) -> (String, u64) {
+fn traced_fleet(
+    run_id: u64,
+    jobs: &[BatchJob],
+    cache: &ControllerCache,
+    threads: usize,
+) -> (String, u64) {
     let library = Library::cmos035();
     bmbe_obs::set_run_id(run_id);
     // Drain residue from earlier tests so the stream holds only this
@@ -74,7 +79,10 @@ fn traced_fleet(run_id: u64, jobs: &[BatchJob], cache: &ControllerCache, threads
     bmbe_obs::set_enabled(false);
     let trace = bmbe_obs::flush();
     assert_eq!(summary.failed(), 0, "fleet must succeed");
-    assert_eq!(trace.run, run_id, "trace is stamped with the fleet's run ID");
+    assert_eq!(
+        trace.run, run_id,
+        "trace is stamped with the fleet's run ID"
+    );
     (export_jsonl(&trace), wall_ns)
 }
 
@@ -104,12 +112,19 @@ fn merged_cold_warm_fleet_has_deterministic_critical_path_matching_wall() {
     assert!(!path.segments.is_empty(), "critical path is non-empty");
     let root = &path.segments[0];
     assert_eq!(root.name, "batch.run", "fleet root is the batch.run span");
-    assert_eq!(path.total_ns, root.dur_ns, "self times telescope to the root");
+    assert_eq!(
+        path.total_ns, root.dur_ns,
+        "self times telescope to the root"
+    );
 
     // The path total equals the *owning* fleet's measured wall within 5%:
     // the root span opens and closes inside run_batch, so the only slack
     // is the measurement harness itself.
-    let wall_ns = if root.run == COLD_RUN { cold_wall_ns } else { warm_wall_ns };
+    let wall_ns = if root.run == COLD_RUN {
+        cold_wall_ns
+    } else {
+        warm_wall_ns
+    };
     let diff = path.total_ns.abs_diff(wall_ns);
     assert!(
         diff * 20 <= wall_ns,
@@ -122,8 +137,15 @@ fn merged_cold_warm_fleet_has_deterministic_critical_path_matching_wall() {
     let path_ba = ba.critical_path();
     assert_eq!(path.total_ns, path_ba.total_ns);
     assert_eq!(
-        path.segments.iter().map(|s| (&s.name, s.run, s.dur_ns)).collect::<Vec<_>>(),
-        path_ba.segments.iter().map(|s| (&s.name, s.run, s.dur_ns)).collect::<Vec<_>>()
+        path.segments
+            .iter()
+            .map(|s| (&s.name, s.run, s.dur_ns))
+            .collect::<Vec<_>>(),
+        path_ba
+            .segments
+            .iter()
+            .map(|s| (&s.name, s.run, s.dur_ns))
+            .collect::<Vec<_>>()
     );
 
     // Every segment self time is attributed somewhere on the path.
@@ -174,7 +196,11 @@ fn wait_attribution_reconciles_with_the_singleflight_histogram() {
         // Every attributed wait names the claiming owner's run and its
         // hotspot phase.
         for row in &rows {
-            assert!(row.owner_run.is_some(), "wait {:016x} has an owner", row.digest);
+            assert!(
+                row.owner_run.is_some(),
+                "wait {:016x} has an owner",
+                row.digest
+            );
             assert!(row.owner_hotspot.is_some(), "owner did real work");
         }
     }

@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use crate::circuit::{Circuit, DoneSpec, LaneSpec, Part};
 use crate::engine::{NodeId, PrimId, SlotId, Watchers};
-use crate::prims::{eval_binop, eval_unop, TransitionMemo};
+use crate::prims::{eval_binop, eval_unop, SharedMemo};
 
 /// Number of scenario lanes a batch evaluates at once (the bits of a
 /// `u64` lane word).
@@ -136,7 +136,6 @@ enum PState<'a> {
     Ctrl {
         tape: usize,
         state: Vec<u64>,
-        memo: Option<TransitionMemo>,
     },
     Var {
         value: Vec<u64>,
@@ -280,8 +279,9 @@ pub struct RunResult {
     /// Controller settle iterations across the run: tape passes actually
     /// run, none for an evaluation the memo served.
     pub settle_iters: u64,
-    /// Controller evaluations served from the transition memo: every live
-    /// lane was at one (input point, state) pair already evaluated.
+    /// Controller evaluations served from the circuit's shared transition
+    /// memo: every live lane was at one (input point, state) pair that this
+    /// batch or an earlier batch of the circuit evaluated.
     pub memo_hits: u64,
     /// Controller evaluations whose live lanes were at different (input
     /// point, state) pairs, so the tape ran.
@@ -309,15 +309,23 @@ impl RunResult {
     }
 }
 
-/// A compiled circuit: a [`Circuit`] with its controller tapes and
-/// wire-to-watchers index, shared by any number of batched runs (compile
-/// once, run many batches). The circuit itself is shared, so the event
-/// engine can run the same lowering.
+/// A compiled circuit: a [`Circuit`] with its controller tapes, one
+/// transition memo per tape and its wire-to-watchers index, shared by any
+/// number of batched runs on any thread (compile once, run many batches).
+/// The circuit itself is shared, so the event engine can run the same
+/// lowering.
+///
+/// Every batch reads and extends the same memos: a memo entry is the
+/// settled state and outputs the tape computed for one (input point,
+/// state) pair, a pure function of that pair, so an entry one batch
+/// stored is exact for every other.
 #[derive(Debug)]
 pub struct CompiledCircuit {
     circuit: Arc<Circuit>,
     watchers: Watchers,
     tapes: Vec<ControllerTape>,
+    /// One per tape; `None` for a controller too wide to memoize.
+    memos: Vec<Option<SharedMemo>>,
     max_tape_slots: usize,
 }
 
@@ -333,7 +341,7 @@ impl CompiledCircuit {
         circuit: Arc<Circuit>,
         mut tape: impl FnMut(usize, usize, usize) -> Result<ControllerTape, E>,
     ) -> Result<CompiledCircuit, E> {
-        let mut tapes = Vec::new();
+        let (mut tapes, mut memos) = (Vec::new(), Vec::new());
         for part in &circuit.parts {
             if let Part::Controller {
                 artifact,
@@ -341,7 +349,9 @@ impl CompiledCircuit {
                 outputs,
             } = part
             {
-                tapes.push(tape(*artifact, inputs.len(), outputs.len())?);
+                let t = tape(*artifact, inputs.len(), outputs.len())?;
+                memos.push(SharedMemo::new(inputs.len(), t.num_state, outputs.len()));
+                tapes.push(t);
             }
         }
         let watchers = circuit.watchers();
@@ -350,6 +360,7 @@ impl CompiledCircuit {
             circuit,
             watchers,
             tapes,
+            memos,
             max_tape_slots,
         })
     }
@@ -446,9 +457,7 @@ impl<'a> RunState<'a> {
         for (pi, part) in parts.iter().enumerate() {
             let p = PrimId(pi);
             pstates.push(match part {
-                Part::Controller {
-                    inputs, outputs, ..
-                } => {
+                Part::Controller { .. } => {
                     // Tapes are numbered in part order.
                     let tape = tapes;
                     tapes += 1;
@@ -464,7 +473,6 @@ impl<'a> RunState<'a> {
                                 }
                             })
                             .collect(),
-                        memo: TransitionMemo::new(inputs.len(), t.num_state, outputs.len()),
                     }
                 }
                 Part::Variable { .. } => PState::Var {
@@ -700,7 +708,7 @@ impl<'a> RunState<'a> {
         match &c.circuit.parts[op_ix] {
             Part::Controller {
                 inputs, outputs, ..
-            } => self.eval_controller(&c.tapes, inputs, outputs, &mut pst),
+            } => self.eval_controller(c, inputs, outputs, &mut pst),
             Part::Constant { ch, value } => {
                 let m = self.chg(ch.req);
                 let up = m & self.wire(ch.req);
@@ -971,27 +979,27 @@ impl<'a> RunState<'a> {
     /// (`PartRun` over `ControllerLogic::settle`).
     ///
     /// When every live lane is at one (input point, state) pair the
-    /// transition memo may already hold that pair's settled state and
-    /// outputs; a hit broadcasts them into the live lanes without running
-    /// the tape. Otherwise the tape runs on all lanes and the lowest live
-    /// lane's result is stored, so every memo entry comes from the mapped
-    /// gates.
+    /// circuit's shared transition memo may already hold that pair's
+    /// settled state and outputs, from this batch or an earlier one; a hit
+    /// broadcasts them into the live lanes without running the tape.
+    /// Otherwise the tape runs on all lanes and the lowest live lane's
+    /// result is stored, so every memo entry comes from the mapped gates.
     fn eval_controller(
         &mut self,
-        tapes: &[ControllerTape],
+        c: &CompiledCircuit,
         inputs: &[NodeId],
         outputs: &[NodeId],
         pst: &mut PState<'_>,
     ) {
-        let PState::Ctrl { tape, state, memo } = pst else {
+        let PState::Ctrl { tape, state } = pst else {
             unreachable!()
         };
-        let t = &tapes[*tape];
+        let (t, memo) = (&c.tapes[*tape], c.memos[*tape].as_ref());
         let live = self.live;
         // The wave loop evaluates only while some lane is live.
         let lane = live.trailing_zeros();
         let mut point = None;
-        if let Some(memo) = memo.as_ref() {
+        if let Some(memo) = memo {
             let x = lane_bits(inputs.iter().map(|&w| self.wire(w)), lane);
             let y = lane_bits(state.iter().copied(), lane);
             let uniform = inputs
@@ -999,9 +1007,13 @@ impl<'a> RunState<'a> {
                 .map(|&w| self.wire(w))
                 .chain(state.iter().copied())
                 .all(|w| w & live == 0 || w & live == live);
-            if !uniform {
+            let hit = if uniform {
+                memo.lock().get(x, y)
+            } else {
                 self.mixed_evals += 1;
-            } else if let Some((next, bits)) = memo.get(x, y) {
+                None
+            };
+            if let Some((next, bits)) = hit {
                 self.memo_hits += 1;
                 for (j, s) in state.iter_mut().enumerate() {
                     *s = (*s & !live) | if next >> j & 1 == 1 { live } else { 0 };
@@ -1063,7 +1075,7 @@ impl<'a> RunState<'a> {
         if let (Some(memo), Some((x, y))) = (memo, point) {
             let next = lane_bits(state.iter().copied(), lane);
             let bits = lane_bits(t.out_roots.iter().map(|&r| scratch[r as usize]), lane);
-            memo.put(x, y, next, bits);
+            memo.lock().put(x, y, next, bits);
         }
         self.scratch = scratch;
     }

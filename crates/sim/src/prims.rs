@@ -13,7 +13,7 @@ use crate::circuit::Part;
 use crate::engine::{Ctx, NodeId, Primitive, SlotId, Time};
 use bmbe_hsnet::{BinOp, UnOp};
 use bmbe_logic::Cover;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Latency parameters (ps) of the behavioural datapath and environment.
 #[derive(Debug, Clone)]
@@ -132,10 +132,10 @@ pub fn eval_unop(op: UnOp, a: u64) -> u64 {
 /// The settle loop is a pure function of that pair, so a hit is exact.
 /// Burst-mode controllers revisit a handful of points many times in a
 /// long run, and one probe replaces a whole evaluation. Both engines use
-/// it: [`ControllerLogic`] over its covers, shared by every event run of
-/// its program, and the compiled engine over its lane-uniform tape
-/// evaluations, one memo per batch.
-#[derive(Debug, Clone)]
+/// it through a [`SharedMemo`]: [`ControllerLogic`] over its covers,
+/// shared by every event run of its program, and a compiled circuit over
+/// its lane-uniform tape evaluations, shared by every batch it runs.
+#[derive(Debug)]
 pub(crate) struct TransitionMemo {
     /// Input wires: the state code sits above them in the key.
     inputs: usize,
@@ -187,17 +187,43 @@ impl TransitionMemo {
     }
 
     /// Stores the settled state `next` and output bits `bits` of input
-    /// point `x` from state `state`.
+    /// point `x` from state `state`, unless the memo holds that pair
+    /// already.
     pub(crate) fn put(&mut self, x: u64, state: u64, next: u64, bits: u64) {
         let key = self.key(x, state);
         for i in Self::probe(key) {
             let slot = &mut self.slots[i];
+            if slot.0 == key + 1 {
+                return;
+            }
             if slot.0 == 0 {
                 *slot = (key + 1, next, bits);
                 return;
             }
         }
         // Saturated neighborhood: this transition stays unmemoized.
+    }
+}
+
+/// A controller's [`TransitionMemo`] behind a lock, so every run that
+/// evaluates the controller, on any thread, reads and extends one memo.
+#[derive(Debug)]
+pub(crate) struct SharedMemo(Mutex<TransitionMemo>);
+
+impl SharedMemo {
+    /// An empty shared memo, or `None` when the controller is too wide to
+    /// memoize (see [`TransitionMemo::new`]).
+    pub(crate) fn new(inputs: usize, state_bits: usize, outputs: usize) -> Option<SharedMemo> {
+        TransitionMemo::new(inputs, state_bits, outputs).map(|memo| SharedMemo(Mutex::new(memo)))
+    }
+
+    /// Locks the memo, recovering from a poisoned lock: every update
+    /// leaves the memo valid.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, TransitionMemo> {
+        self.0.lock().unwrap_or_else(|poisoned| {
+            self.0.clear_poison();
+            poisoned.into_inner()
+        })
     }
 }
 
@@ -217,7 +243,7 @@ pub struct ControllerLogic {
     pub(crate) initial_code: u64,
     output_delays: Vec<Time>,
     /// `None` when the controller is too wide to memoize.
-    memo: Option<Mutex<TransitionMemo>>,
+    memo: Option<SharedMemo>,
 }
 
 impl ControllerLogic {
@@ -232,14 +258,14 @@ impl ControllerLogic {
         initial_code: u64,
         output_delays: Vec<Time>,
     ) -> Self {
-        let memo = TransitionMemo::new(inputs, next_state_covers.len(), output_covers.len());
+        let memo = SharedMemo::new(inputs, next_state_covers.len(), output_covers.len());
         ControllerLogic {
             inputs,
             output_covers,
             next_state_covers,
             initial_code,
             output_delays,
-            memo: memo.map(Mutex::new),
+            memo,
         }
     }
 
@@ -280,12 +306,8 @@ impl ControllerLogic {
             return (next, bits, false);
         };
         // Look up, settle and store under one lock, so concurrent runs
-        // store each transition once. Every update leaves the memo valid,
-        // so a poisoned lock is recovered.
-        let mut memo = memo.lock().unwrap_or_else(|poisoned| {
-            memo.clear_poison();
-            poisoned.into_inner()
-        });
+        // settle each transition once.
+        let mut memo = memo.lock();
         if let Some((next, bits)) = memo.get(x, state) {
             return (next, bits, true);
         }
@@ -788,8 +810,9 @@ mod tests {
     }
 
     /// Keys carry the state code above the input bits, the width rule
-    /// refuses keys or output words that would not fit a `u64`, and a key
-    /// whose 8-slot probe run is full stays unmemoized.
+    /// refuses keys or output words that would not fit a `u64`, a pair
+    /// stored again keeps its one slot, and a key whose 8-slot probe run
+    /// is full stays unmemoized.
     #[test]
     fn transition_memo_keys_width_and_probe_limit() -> Result<(), &'static str> {
         assert!(TransitionMemo::new(40, 24, 1).is_none());
@@ -807,6 +830,8 @@ mod tests {
             .collect();
         for &x in &same_home {
             memo.put(x, 0, x, 1);
+            // A pair already stored keeps its entry and takes no slot.
+            memo.put(same_home[0], 0, 7, 7);
         }
         for &x in &same_home[..MEMO_PROBES] {
             assert_eq!(memo.get(x, 0), Some((x, 1)));

@@ -14,8 +14,8 @@
 #      crates/bench/src/bin) and the root bmbe package (its library and
 #      binary) build clean under -D warnings (zero-warning policy: a
 #      leftover helper fails the gate), and bmbe-sim, bmbe-gates,
-#      bmbe-hsnet, bmbe-core, bmbe-logic, bmbe-bm and bmbe-par are
-#      rustfmt-clean (`cargo fmt -p <crate> --check`);
+#      bmbe-hsnet, bmbe-core, bmbe-logic, bmbe-bm, bmbe-par and
+#      bmbe-flow are rustfmt-clean (`cargo fmt -p <crate> --check`);
 #   5. obs_report --check: runs a traced Stack flow + sim + verification
 #      and validates the emitted Chrome trace / JSONL / span coverage;
 #   6. fault smoke: an injected fault (BMBE_FAULT=synth:0, then one
@@ -93,7 +93,7 @@ done
 cargo rustc -p bmbe --release --lib -- -D warnings
 cargo rustc -p bmbe --release --bin bmbe -- -D warnings
 cargo fmt -p bmbe-sim -p bmbe-gates -p bmbe-hsnet -p bmbe-core -p bmbe-logic -p bmbe-bm \
-    -p bmbe-par --check
+    -p bmbe-par -p bmbe-flow --check
 
 echo "== tier1: obs_report --check =="
 BMBE_TRACE_OUT="${TMPDIR:-/tmp}/bmbe_tier1_trace.json" \
