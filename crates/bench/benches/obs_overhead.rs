@@ -1,10 +1,10 @@
 //! Pins the cost of a *disabled* trace callsite — the zero-overhead claim
-//! `bmbe-obs` makes: with `BMBE_TRACE` unset, a `span!` is one relaxed
-//! atomic load plus one thread-local flag read, an `event!` is one atomic
-//! load. The loops below hit a callsite a million times per iteration so
-//! the per-callsite number is readable straight off the printed median
-//! (median / 1e6). `tests/obs_overhead.rs` turns the same measurement into
-//! the <2% budget assertion against a real flow run.
+//! `bmbe-obs` makes: with `BMBE_TRACE` unset, a `span!` and an `event!`
+//! are each one relaxed atomic load. The loops below hit a callsite a
+//! million times per iteration so the per-callsite number is readable
+//! straight off the printed median (median / 1e6). `tests/obs_overhead.rs`
+//! turns the same measurement into the <2% budget assertion against a real
+//! flow run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

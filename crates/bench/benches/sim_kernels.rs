@@ -47,8 +47,22 @@ fn run_rings(rings: usize, events: u64) -> u64 {
         let b = sim.wire();
         // Co-prime-ish delays desynchronize the rings.
         let d = 97 + (r as u64 % 61) * 13;
-        sim.add_prim(RingInv { input: a, output: b, delay: d }, &[a]);
-        sim.add_prim(RingInv { input: b, output: a, delay: d + 6 }, &[b]);
+        sim.add_prim(
+            RingInv {
+                input: a,
+                output: b,
+                delay: d,
+            },
+            &[a],
+        );
+        sim.add_prim(
+            RingInv {
+                input: b,
+                output: a,
+                delay: d + 6,
+            },
+            &[b],
+        );
     }
     sim.init();
     sim.run_until(|s| s.events_processed >= events, u64::MAX);
@@ -74,8 +88,8 @@ fn micro_core() -> (Design, FlowResult, Scenario) {
         .into_iter()
         .find(|d| d.name.contains("Microprocessor"))
         .expect("Microprocessor core design");
-    let flow = run_control_flow(&micro.compiled, &FlowOptions::optimized(), &library)
-        .expect("flow");
+    let flow =
+        run_control_flow(&micro.compiled, &FlowOptions::optimized(), &library).expect("flow");
     let scenario = to_flow_scenario(&micro.scenario);
     (micro, flow, scenario)
 }
@@ -87,8 +101,13 @@ fn bench_simulation(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function(format!("simulate/{}", micro.name), |b| {
         b.iter(|| {
-            let run = simulate(black_box(&micro.compiled), black_box(&flow), &scenario, &delays)
-                .expect("simulates");
+            let run = simulate(
+                black_box(&micro.compiled),
+                black_box(&flow),
+                &scenario,
+                &delays,
+            )
+            .expect("simulates");
             assert!(run.completed);
             run
         })
@@ -160,8 +179,8 @@ fn bench_verification(c: &mut Criterion) {
     });
     g.bench_function("verify_materialized/decision_wait+sequencer", |b| {
         b.iter(|| {
-            let verdict = verify_acr_materialized(black_box(&dw), black_box(&seq), "o2")
-                .expect("verifies");
+            let verdict =
+                verify_acr_materialized(black_box(&dw), black_box(&seq), "o2").expect("verifies");
             assert!(verdict.is_equivalent());
             verdict
         })

@@ -110,8 +110,7 @@ fn run() -> Result<(), String> {
         let mut spec_space = on.clone();
         spec_space.extend(fspec.off_set().cubes().iter().copied());
         let dc = complement_cover(3, &spec_space);
-        let qm_cover =
-            qm::minimize(3, &on, &dc).ok_or("consensus_f: qm infeasible".to_string())?;
+        let qm_cover = qm::minimize(3, &on, &dc).ok_or("consensus_f: qm infeasible".to_string())?;
         let probe = [Tv::One, Tv::X, Tv::One];
         let hf_glitch = (hf.cover.eval_ternary(&probe) == Tv::X) as usize;
         let qm_glitch = (qm_cover.eval_ternary(&probe) == Tv::X) as usize;

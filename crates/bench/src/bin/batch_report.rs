@@ -21,10 +21,8 @@
 
 use bmbe_bench::report::{export_trace_if_enabled, flag, run_main};
 use bmbe_designs::all_designs;
-use bmbe_flow::{run_batch, BatchJob, ControllerCache, FlowOptions};
+use bmbe_flow::{job_json, run_batch, BatchJob, ControllerCache, FlowOptions};
 use bmbe_gates::Library;
-use bmbe_obs::export::escape;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -65,49 +63,10 @@ fn run() -> Result<bool, String> {
 
     let summary = run_batch(&jobs, &library, &cache, threads);
     for outcome in &summary.jobs {
-        let mut line = String::new();
-        match outcome {
-            Ok(r) => {
-                write!(
-                    line,
-                    "{{\"job\": \"{}\", \"design\": \"{}\", \"ok\": true, \
-                     \"controllers\": {}, \"products\": {}, \"control_area\": {:.1}, \
-                     \"distinct_shapes\": {}, \"cache_hits\": {}, \"synthesized\": {}, \
-                     \"shared\": {}, \"sim_lanes\": {}, \"sim_completed\": {}, \
-                     \"wall_s\": {:.6}}}",
-                    escape(&r.label),
-                    escape(&r.design),
-                    r.controllers,
-                    r.products,
-                    r.control_area,
-                    r.distinct_shapes,
-                    r.cache_hits,
-                    r.synthesized,
-                    r.shared,
-                    r.sim_lanes,
-                    r.sim_completed,
-                    r.wall_s
-                )
-                .unwrap();
-            }
-            Err(f) => {
-                write!(
-                    line,
-                    "{{\"job\": \"{}\", \"design\": \"{}\", \"ok\": false, \
-                     \"phase\": \"{}\", \"component\": \"{}\", \"cache_key\": \"{}\", \
-                     \"error\": \"{}\"}}",
-                    escape(&f.label),
-                    escape(&f.design),
-                    escape(f.phase),
-                    escape(&f.component),
-                    escape(&f.cache_key),
-                    escape(&f.error)
-                )
-                .unwrap();
-                eprintln!("batch_report: {f}");
-            }
+        if let Err(f) = outcome {
+            eprintln!("batch_report: {f}");
         }
-        println!("{line}");
+        println!("{}", job_json(outcome));
     }
     let stats = cache.stats();
     println!(

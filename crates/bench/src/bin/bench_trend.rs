@@ -136,13 +136,21 @@ fn run() -> Result<bool, String> {
     let _ = writeln!(json, "  \"no_baseline\": [");
     for (i, reason) in outcome.no_baseline.iter().enumerate() {
         let _ = write!(json, "    \"{}\"", escape(reason));
-        json.push_str(if i + 1 < outcome.no_baseline.len() { ",\n" } else { "\n" });
+        json.push_str(if i + 1 < outcome.no_baseline.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"breaches\": [");
     for (i, breach) in outcome.breaches.iter().enumerate() {
         let _ = write!(json, "    {}", breach.to_json());
-        json.push_str(if i + 1 < outcome.breaches.len() { ",\n" } else { "\n" });
+        json.push_str(if i + 1 < outcome.breaches.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");

@@ -18,8 +18,6 @@
 use bmbe_bench::report::{emit_report, export_trace_if_enabled, flag, run_main};
 use bmbe_flow::{run_gauntlet, ControllerCache, GauntletConfig};
 use bmbe_gates::Library;
-use bmbe_obs::export::escape;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -44,29 +42,11 @@ fn run() -> Result<bool, String> {
     bmbe_obs::vlog!(1, "gauntlet: seed {} designs {} ...", cfg.seed, cfg.designs);
     let report = run_gauntlet(&cfg, &library, &cache).map_err(|e| format!("corpus: {e}"))?;
 
-    let mut findings = String::new();
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            findings.push_str(", ");
-        }
-        write!(
-            findings,
-            "{{\"oracle\": \"{}\", \"design\": \"{}\", \"family\": \"{}\", \
-             \"params\": \"{}\", \"seed\": {}, \
-             \"replay\": \"bmbe gauntlet --seed {} --designs {} --only {}\", \
-             \"detail\": \"{}\"}}",
-            escape(f.oracle),
-            escape(&f.design),
-            escape(&f.family),
-            escape(&f.params),
-            f.seed,
-            report.seed,
-            report.designs,
-            escape(&f.design),
-            escape(&f.detail)
-        )
-        .unwrap();
-    }
+    let findings: Vec<String> = report
+        .findings
+        .iter()
+        .map(|f| report.finding_json(f))
+        .collect();
     let json = format!(
         "{{\n  \"bench\": \"gauntlet\",\n  \"seed\": {},\n  \"designs\": {},\n  \
          \"checks\": {{\"compiled_vs_event\": {}, \
@@ -83,7 +63,7 @@ fn run() -> Result<bool, String> {
         report.checks.serial_vs_parallel,
         report.checks.fault_vs_clean,
         report.checks.all_exercised(),
-        findings,
+        findings.join(", "),
         report.cache_hits,
         report.synthesized,
         report.shared,

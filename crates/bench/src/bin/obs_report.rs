@@ -98,7 +98,9 @@ fn run() -> Result<bool, String> {
         let chrome = std::fs::read_to_string(&out_path)
             .map_err(|e| fail(format!("read back {out_path}: {e}")))?;
         if let Err((at, e)) = validate_json(&chrome) {
-            return Err(fail(format!("{out_path} is not valid JSON at byte {at}: {e}")));
+            return Err(fail(format!(
+                "{out_path} is not valid JSON at byte {at}: {e}"
+            )));
         }
         let jsonl = std::fs::read_to_string(&jsonl_path)
             .map_err(|e| fail(format!("read back {jsonl_path}: {e}")))?;
@@ -109,7 +111,9 @@ fn run() -> Result<bool, String> {
         }
         for name in REQUIRED_SPANS {
             if !trace.has_callsite(name) {
-                return Err(fail(format!("required span {name:?} missing from the trace")));
+                return Err(fail(format!(
+                    "required span {name:?} missing from the trace"
+                )));
             }
         }
         if !outcome.completed {
@@ -130,14 +134,14 @@ fn run() -> Result<bool, String> {
     let _ = writeln!(summary, "  \"checked\": {check},");
     let _ = write!(summary, "  \"spans_covered\": [");
     for (i, name) in covered.iter().enumerate() {
-        let _ = write!(
-            summary,
-            "{}\"{name}\"",
-            if i > 0 { ", " } else { "" }
-        );
+        let _ = write!(summary, "{}\"{name}\"", if i > 0 { ", " } else { "" });
     }
     let _ = writeln!(summary, "],");
-    let _ = writeln!(summary, "  \"metrics\": {}", bmbe_obs::metrics::snapshot_json());
+    let _ = writeln!(
+        summary,
+        "  \"metrics\": {}",
+        bmbe_obs::metrics::snapshot_json()
+    );
     summary.push_str("}\n");
     // Stdout is the machine-readable channel: the summary JSON and nothing
     // else.

@@ -5,6 +5,12 @@
 //! covering / verify / map) and, when a previous `BENCH_flow.json` exists,
 //! before/after numbers against it.
 //!
+//! The phase times are span wall times: the untimed runs (the cold run
+//! that counts cache hits and misses, and the per-backend runs) are traced,
+//! and their spans are read back through `bmbe_obs::analyze`. The timed
+//! runs are traced only when `BMBE_TRACE=1` traces the whole process; no
+//! trace file is written either way.
+//!
 //! Run with `--release`; the debug build is an order of magnitude slower.
 //!
 //! Stdout carries the pure JSON report (the same text written to
@@ -12,12 +18,15 @@
 //! `bmbe_obs::vlog!` at verbosity ≥ 1 (`BMBE_VERBOSE=1`).
 
 use bmbe_bench::report::{emit_report, run_main};
+use bmbe_bench::trend::design_field;
 use bmbe_designs::all_designs;
 use bmbe_flow::{
     reference_flow, run_control_flow, run_control_flow_with, ControllerCache, FlowOptions,
-    MinimizeBackend, PhaseProfile,
+    FlowResult, MinimizeBackend,
 };
 use bmbe_gates::Library;
+use bmbe_obs::analyze::parse_merged;
+use bmbe_obs::export::export_jsonl;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -58,7 +67,8 @@ struct Row {
     warm_s: f64,
     hits: usize,
     misses: usize,
-    phases: PhaseProfile,
+    /// Span-read phase times of the cold run that counts hits and misses.
+    spans: Phases,
     /// Median cold prime-generation seconds under the default (`Auto`)
     /// minimizer backend and under the exact prime-enumerating backend:
     /// the per-backend before/after the perf-smoke gate checks.
@@ -74,15 +84,52 @@ impl Row {
     }
 }
 
-/// Pulls `"field": <number>` out of `text` after position `from`.
-fn field_after(text: &str, from: usize, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Span wall seconds of one traced run, summed per report column.
+struct Phases {
+    compile: f64,
+    statemin: f64,
+    synth: f64,
+    prime_gen: f64,
+    covering: f64,
+    verify: f64,
+    map: f64,
+    /// Shape syntheses: the number of `shape.synth` spans.
+    shapes: u64,
+}
+
+/// Runs `flow` with tracing on and reads its phase times back from the
+/// spans it recorded (records left from earlier work are drained first,
+/// and tracing returns to its previous state after).
+fn traced(
+    flow: impl FnOnce() -> Result<FlowResult, String>,
+) -> Result<(FlowResult, Phases), String> {
+    let was_enabled = bmbe_obs::enabled();
+    drop(bmbe_obs::flush());
+    bmbe_obs::set_enabled(true);
+    let result = flow();
+    bmbe_obs::set_enabled(was_enabled);
+    let trace = parse_merged(&export_jsonl(&bmbe_obs::flush()))?;
+    let rows = trace.phase_rows();
+    let secs = |names: &[&str]| {
+        rows.iter()
+            .filter(|r| names.contains(&r.name.as_str()))
+            .map(|r| r.wall_ns as f64 * 1e-9)
+            .sum()
+    };
+    let phases = Phases {
+        compile: secs(&["shape.compile"]),
+        statemin: secs(&["shape.statemin"]),
+        synth: secs(&["shape.synth"]),
+        prime_gen: secs(&["hfmin.prime_gen", "hfmin.expand"]),
+        covering: secs(&["hfmin.covering", "hfmin.irredundant"]),
+        verify: secs(&["shape.verify", "shape.verify_mapped"]),
+        map: secs(&["shape.map"]),
+        shapes: rows
+            .iter()
+            .find(|r| r.name == "shape.synth")
+            .map_or(0, |r| r.count),
+    };
+    Ok((result?, phases))
 }
 
 /// Reads the previous report's per-design reference/cached seconds so the new
@@ -92,12 +139,9 @@ fn previous_numbers(design: &str) -> (Option<f64>, Option<f64>) {
     let Ok(text) = std::fs::read_to_string("BENCH_flow.json") else {
         return (None, None);
     };
-    let Some(at) = text.find(&format!("\"design\": \"{design}\"")) else {
-        return (None, None);
-    };
     (
-        field_after(&text, at, "reference_s"),
-        field_after(&text, at, "cached_parallel_s"),
+        design_field(&text, "designs", design, "reference_s"),
+        design_field(&text, "designs", design, "cached_parallel_s"),
     )
 }
 
@@ -157,8 +201,10 @@ fn run() -> Result<bool, String> {
             },
         ]);
         let (reference_s, cached_s, warm_s) = (timings[0], timings[1], timings[2]);
-        let result = run_control_flow(&design.compiled, &FlowOptions::optimized(), &library)
-            .map_err(|e| format!("{}: {e}", design.name))?;
+        let (result, spans) = traced(|| {
+            run_control_flow(&design.compiled, &FlowOptions::optimized(), &library)
+                .map_err(|e| format!("{}: {e}", design.name))
+        })?;
         threads_used = result.threads_used;
         // Per-backend prime generation, cold cache, median of 3: the Auto
         // default (which routes wide functions to the cube-cofactor
@@ -168,9 +214,11 @@ fn run() -> Result<bool, String> {
                 .map(|_| {
                     let mut options = FlowOptions::optimized();
                     options.minimize_backend = backend;
-                    run_control_flow(&design.compiled, &options, &library)
-                        .map(|r| r.phases.prime_gen.as_secs_f64())
-                        .map_err(|e| format!("{}/{backend:?}: {e}", design.name))
+                    traced(|| {
+                        run_control_flow(&design.compiled, &options, &library)
+                            .map_err(|e| format!("{}/{backend:?}: {e}", design.name))
+                    })
+                    .map(|(_, p)| p.prime_gen)
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
             Ok(median(samples))
@@ -185,7 +233,7 @@ fn run() -> Result<bool, String> {
             warm_s,
             hits: result.cache_hits,
             misses: result.cache_misses,
-            phases: result.phases,
+            spans,
             prime_gen_auto_s,
             prime_gen_exact_s,
             prev_reference_s,
@@ -238,18 +286,18 @@ fn run() -> Result<bool, String> {
         "shapes"
     );
     for r in &rows {
-        let p = &r.phases;
+        let p = &r.spans;
         bmbe_obs::vlog!(
             1,
             "{:<22} {:>8.4} {:>9.4} {:>8.4} {:>8.4} {:>9.4} {:>8.4} {:>7.4} {:>7}",
             r.design,
-            p.compile.as_secs_f64(),
-            p.statemin.as_secs_f64(),
-            p.synth.as_secs_f64(),
-            p.prime_gen.as_secs_f64(),
-            p.covering.as_secs_f64(),
-            p.verify.as_secs_f64(),
-            p.map.as_secs_f64(),
+            p.compile,
+            p.statemin,
+            p.synth,
+            p.prime_gen,
+            p.covering,
+            p.verify,
+            p.map,
             p.shapes
         );
     }
@@ -319,20 +367,13 @@ fn run() -> Result<bool, String> {
             r.prime_gen_exact_s,
             r.prime_gen_exact_s / r.prime_gen_auto_s.max(f64::EPSILON)
         );
-        let p = &r.phases;
+        let p = &r.spans;
         let _ = write!(
             json,
             ", \"phases\": {{\"compile_s\": {:.6}, \"statemin_s\": {:.6}, \"synth_s\": {:.6}, \
              \"prime_gen_s\": {:.6}, \"covering_s\": {:.6}, \"verify_s\": {:.6}, \
              \"map_s\": {:.6}, \"shapes\": {}}}}}",
-            p.compile.as_secs_f64(),
-            p.statemin.as_secs_f64(),
-            p.synth.as_secs_f64(),
-            p.prime_gen.as_secs_f64(),
-            p.covering.as_secs_f64(),
-            p.verify.as_secs_f64(),
-            p.map.as_secs_f64(),
-            p.shapes
+            p.compile, p.statemin, p.synth, p.prime_gen, p.covering, p.verify, p.map, p.shapes
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

@@ -12,6 +12,7 @@
 //! `bmbe_obs::vlog!` at verbosity ≥ 1 (`BMBE_VERBOSE=1`).
 
 use bmbe_bench::report::{emit_report, run_main};
+use bmbe_bench::trend::design_field;
 use bmbe_core::components::{decision_wait, sequencer};
 use bmbe_core::opt::verify_acr_compared;
 use bmbe_designs::{all_designs, scenario_variants};
@@ -53,24 +54,12 @@ impl Row {
     }
 }
 
-/// Pulls `"field": <number>` out of `text` after position `from`.
-fn field_after(text: &str, from: usize, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Reads the pre-change engine's throughput for one design from
 /// `BENCH_sim_baseline.json`. Tolerant by construction: a missing file,
 /// design, or field simply yields `None`.
 fn baseline_events_per_sec(design: &str) -> Option<f64> {
     let text = std::fs::read_to_string("BENCH_sim_baseline.json").ok()?;
-    let at = text.find(&format!("\"design\": \"{design}\""))?;
-    field_after(&text, at, "run_loop_events_per_sec")
+    design_field(&text, "designs", design, "run_loop_events_per_sec")
 }
 
 /// Runs one scenario `SAMPLES` times on the event engine and keeps the
@@ -160,7 +149,15 @@ fn measure_backends(
         .collect();
     let run_batch = |backend: SimBackend| -> Result<(Vec<SimOutcome>, f64), String> {
         let start = std::time::Instant::now();
-        let runs = simulate_scenarios(&design.compiled, flow, &scenarios, delays, backend, 1, fault);
+        let runs = simulate_scenarios(
+            &design.compiled,
+            flow,
+            &scenarios,
+            delays,
+            backend,
+            1,
+            fault,
+        );
         let wall_s = start.elapsed().as_secs_f64();
         let runs: Vec<SimOutcome> = runs
             .into_iter()
@@ -183,7 +180,10 @@ fn measure_backends(
             ));
         }
     }
-    let mut walls = [Vec::with_capacity(BATCH_SAMPLES), Vec::with_capacity(BATCH_SAMPLES)];
+    let mut walls = [
+        Vec::with_capacity(BATCH_SAMPLES),
+        Vec::with_capacity(BATCH_SAMPLES),
+    ];
     for _ in 0..BATCH_SAMPLES {
         for (i, backend) in [SimBackend::Compiled, SimBackend::Event]
             .into_iter()
@@ -222,7 +222,10 @@ fn verify_rows() -> Result<Vec<VerifyRow>, String> {
     let s1 = sequencer("p", &["x".to_string(), "m".to_string()]);
     let s2 = sequencer("m", &["y".to_string(), "z".to_string()]);
     [
-        ("decision_wait+sequencer", verify_acr_compared(&dw, &seq, "o2")),
+        (
+            "decision_wait+sequencer",
+            verify_acr_compared(&dw, &seq, "o2"),
+        ),
         ("chained_sequencers", verify_acr_compared(&s1, &s2, "m")),
     ]
     .into_iter()
@@ -320,7 +323,10 @@ fn run() -> Result<bool, String> {
             r.speedup()
         );
     }
-    bmbe_obs::vlog!(1, "\nverification (states explored, on-the-fly vs materialized):");
+    bmbe_obs::vlog!(
+        1,
+        "\nverification (states explored, on-the-fly vs materialized):"
+    );
     for v in &verify {
         bmbe_obs::vlog!(
             1,

@@ -46,18 +46,14 @@ fn run() -> Result<bool, String> {
     // spans to its own run, so file order only affects presentation.
     let mut merged = String::new();
     for file in &files {
-        let text =
-            std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
+        let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
         if check {
             for (n, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
                 if let Err((at, e)) = validate_json(line) {
-                    return Err(format!(
-                        "--check: {file} line {}: byte {at}: {e}",
-                        n + 1
-                    ));
+                    return Err(format!("--check: {file} line {}: byte {at}: {e}", n + 1));
                 }
             }
         }
@@ -88,7 +84,12 @@ fn run() -> Result<bool, String> {
     let mut json = String::from("{\n  \"report\": \"trace\",\n");
     let _ = write!(json, "  \"files\": [");
     for (i, file) in files.iter().enumerate() {
-        let _ = write!(json, "{}\"{}\"", if i > 0 { ", " } else { "" }, escape(file));
+        let _ = write!(
+            json,
+            "{}\"{}\"",
+            if i > 0 { ", " } else { "" },
+            escape(file)
+        );
     }
     let _ = writeln!(json, "],");
     let _ = write!(json, "  \"runs\": [");
@@ -114,7 +115,11 @@ fn run() -> Result<bool, String> {
             seg.dur_ns,
             seg.self_ns
         );
-        json.push_str(if i + 1 < path.segments.len() { ",\n" } else { "\n" });
+        json.push_str(if i + 1 < path.segments.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     let _ = writeln!(json, "  ]}},");
 

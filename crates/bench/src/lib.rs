@@ -8,7 +8,8 @@
 //! algorithms. Paper reference values live in [`paper`]; the shared
 //! report-binary epilogue (pure-JSON stdout, `BENCH_*.json` emission,
 //! trace export) lives in [`report`]; the perf-regression gates the
-//! `bench_trend` sentinel applies live in [`trend`].
+//! `bench_trend` sentinel applies, and the reader of one design's number
+//! from a committed report, live in [`trend`].
 
 pub mod paper;
 pub mod report;

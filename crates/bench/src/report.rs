@@ -119,7 +119,10 @@ mod tests {
         assert!(flag(&["--replicas".to_string()], "--replicas", 3).is_err());
         assert!(flag(&["--replicas".into(), "x".into()], "--replicas", 3).is_err());
         let sargs: Vec<String> = ["--out", "p.json"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(flag_str(&sargs, "--out").unwrap().as_deref(), Some("p.json"));
+        assert_eq!(
+            flag_str(&sargs, "--out").unwrap().as_deref(),
+            Some("p.json")
+        );
         assert_eq!(flag_str(&sargs, "--in").unwrap(), None);
     }
 }

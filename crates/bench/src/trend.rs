@@ -17,6 +17,10 @@
 //!
 //! Absolute seconds are not gated at all: comparing wall seconds across
 //! machines is noise, and the ratios already normalize them away.
+//!
+//! [`design_field`] is the one reader of a number from a committed report
+//! that the report bins share (`perf_report`'s before/after numbers,
+//! `sim_report`'s baseline throughput).
 
 use bmbe_obs::export::escape;
 use std::fmt;
@@ -47,24 +51,44 @@ pub struct Spec {
     pub policy: Policy,
 }
 
+impl Spec {
+    /// A structural count of `section`'s blocks, gated exactly.
+    pub const fn exact(section: &'static str, field: &'static str) -> Spec {
+        Spec {
+            section,
+            field,
+            policy: Policy::Exact,
+        }
+    }
+
+    /// A timing ratio of `section`'s blocks, gated at [`RATIO_FLOOR`].
+    pub const fn ratio(section: &'static str, field: &'static str) -> Spec {
+        Spec {
+            section,
+            field,
+            policy: Policy::Ratio,
+        }
+    }
+}
+
 /// The gated metrics of `BENCH_flow.json`.
 pub const FLOW_SPECS: &[Spec] = &[
-    Spec { section: "designs", field: "controllers", policy: Policy::Exact },
-    Spec { section: "designs", field: "cache_hits", policy: Policy::Exact },
-    Spec { section: "designs", field: "cache_misses", policy: Policy::Exact },
-    Spec { section: "designs", field: "shapes", policy: Policy::Exact },
-    Spec { section: "designs", field: "speedup", policy: Policy::Ratio },
-    Spec { section: "designs", field: "auto_speedup_vs_exact", policy: Policy::Ratio },
+    Spec::exact("designs", "controllers"),
+    Spec::exact("designs", "cache_hits"),
+    Spec::exact("designs", "cache_misses"),
+    Spec::exact("designs", "shapes"),
+    Spec::ratio("designs", "speedup"),
+    Spec::ratio("designs", "auto_speedup_vs_exact"),
 ];
 
 /// The gated metrics of `BENCH_sim.json`.
 pub const SIM_SPECS: &[Spec] = &[
-    Spec { section: "designs", field: "events", policy: Policy::Exact },
-    Spec { section: "backends", field: "lanes", policy: Policy::Exact },
-    Spec { section: "backends", field: "events", policy: Policy::Exact },
-    Spec { section: "backends", field: "compiled_vs_event", policy: Policy::Ratio },
-    Spec { section: "verification", field: "otf_states", policy: Policy::Exact },
-    Spec { section: "verification", field: "materialized_states", policy: Policy::Exact },
+    Spec::exact("designs", "events"),
+    Spec::exact("backends", "lanes"),
+    Spec::exact("backends", "events"),
+    Spec::ratio("backends", "compiled_vs_event"),
+    Spec::exact("verification", "otf_states"),
+    Spec::exact("verification", "materialized_states"),
 ];
 
 /// One gate violation: the metric, both values, and why it failed.
@@ -243,6 +267,17 @@ fn design_name(block: &str) -> Option<&str> {
         })
 }
 
+/// Reads `"field": <number>` from the block of `design` in the report's
+/// `section` array, and from nowhere else: a row that lacks the field reads
+/// `None`, never a later row's value. A missing section or design is `None`
+/// too.
+pub fn design_field(report: &str, section: &str, design: &str, field: &str) -> Option<f64> {
+    let block = blocks(section_text(report, section)?)
+        .into_iter()
+        .find(|b| design_name(b) == Some(design))?;
+    number_field(block, field)
+}
+
 /// Compares one fresh report against its baseline under `specs`. Iterates
 /// the *baseline's* designs: a design or gated field the fresh report
 /// lost is itself a breach (the benchmark surface shrank), while designs
@@ -255,7 +290,9 @@ pub fn compare(baseline: &str, current: &str, specs: &[Spec]) -> Outcome {
         s
     };
     for section in sections {
-        let base_blocks = section_text(baseline, section).map(blocks).unwrap_or_default();
+        let base_blocks = section_text(baseline, section)
+            .map(blocks)
+            .unwrap_or_default();
         let cur_text = section_text(current, section);
         let cur_blocks = cur_text.map(blocks).unwrap_or_default();
         for base_block in base_blocks {
@@ -346,7 +383,10 @@ mod tests {
         let noisy = FLOW.replace("\"speedup\": 1.5", "\"speedup\": 0.9");
         assert!(compare(FLOW, &noisy, FLOW_SPECS).pass());
         // 20.0 -> 1.0 is a 95% collapse: breaches.
-        let collapsed = FLOW.replace("\"auto_speedup_vs_exact\": 20.0", "\"auto_speedup_vs_exact\": 1.0");
+        let collapsed = FLOW.replace(
+            "\"auto_speedup_vs_exact\": 20.0",
+            "\"auto_speedup_vs_exact\": 1.0",
+        );
         let outcome = compare(FLOW, &collapsed, FLOW_SPECS);
         assert_eq!(outcome.breaches.len(), 1);
         assert_eq!(outcome.breaches[0].metric, "auto_speedup_vs_exact");
@@ -362,7 +402,10 @@ mod tests {
         let outcome = compare(FLOW, &lost_design, FLOW_SPECS);
         // All six of B's gated metrics go missing.
         assert_eq!(outcome.breaches.len(), 6);
-        assert!(outcome.breaches.iter().all(|b| b.design == "B" && b.current.is_none()));
+        assert!(outcome
+            .breaches
+            .iter()
+            .all(|b| b.design == "B" && b.current.is_none()));
 
         let lost_field = FLOW.replace("\"cache_hits\": 7, ", "");
         let outcome = compare(FLOW, &lost_field, FLOW_SPECS);
@@ -402,6 +445,35 @@ mod tests {
         let block = r#"{"design": "A", "backends": {"auto_speedup_vs_exact": 2.0}}"#;
         assert_eq!(number_field(block, "speedup"), None);
         assert_eq!(number_field(block, "auto_speedup_vs_exact"), Some(2.0));
+    }
+
+    #[test]
+    fn design_field_reads_only_the_named_row() {
+        let report = r#"{"designs": [
+    {"design": "Stack", "cached_parallel_s": 0.004},
+    {"design": "Microprocessor core", "reference_s": 0.015, "cached_parallel_s": 0.012}
+]}"#;
+        // Stack lacks the field; the next row's value must not leak in.
+        assert_eq!(
+            design_field(report, "designs", "Stack", "reference_s"),
+            None
+        );
+        assert_eq!(
+            design_field(report, "designs", "Stack", "cached_parallel_s"),
+            Some(0.004)
+        );
+        assert_eq!(
+            design_field(report, "designs", "Microprocessor core", "reference_s"),
+            Some(0.015)
+        );
+        assert_eq!(
+            design_field(report, "designs", "Absent", "reference_s"),
+            None
+        );
+        assert_eq!(
+            design_field(report, "backends", "Stack", "reference_s"),
+            None
+        );
     }
 
     #[test]

@@ -125,10 +125,10 @@ pub struct Controller {
     pub initial_code: u64,
     /// Whether every covering step was exact.
     pub exact: bool,
-    /// Aggregate wall-clock breakdown of the per-function minimizations
-    /// (prime generation vs covering), summed across functions; feeds the
-    /// flow's per-phase profiler. A controller decoded from the flow's
-    /// disk cache carries `MinimizeStats::default()`.
+    /// Aggregate engine counts and wall-clock breakdown of the
+    /// per-function minimizations (prime generation vs covering), summed
+    /// across functions. A controller decoded from the flow's disk cache
+    /// carries `MinimizeStats::default()`.
     pub minimize_stats: MinimizeStats,
     /// The per-function transition specifications (kept for verification).
     pub function_specs: Vec<FunctionSpec>,

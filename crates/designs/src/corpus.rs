@@ -101,7 +101,10 @@ pub fn pipeline(n: usize, w: u32, seed: u64) -> Result<GeneratedDesign, DesignEr
     let n = n.max(1);
     let name = format!("pipe_n{n}_w{w}");
     let mut src = format!("-- generated: {n}-stage {w}-bit pipeline\n");
-    let _ = writeln!(src, "procedure {name} (input i : {w} bits; output o : {w} bits) is");
+    let _ = writeln!(
+        src,
+        "procedure {name} (input i : {w} bits; output o : {w} bits) is"
+    );
     for k in 0..n {
         let _ = writeln!(src, "  variable s{k} : {w} bits");
     }
@@ -259,7 +262,10 @@ pub fn wagging_chain(k: usize, w: u32, seed: u64) -> Result<GeneratedDesign, Des
     let places = 2 * k;
     let name = format!("wag_k{k}_w{w}");
     let mut src = format!("-- generated: {places}-place wagging chain, {w}-bit words\n");
-    let _ = writeln!(src, "procedure {name} (input i : {w} bits; output o : {w} bits) is");
+    let _ = writeln!(
+        src,
+        "procedure {name} (input i : {w} bits; output o : {w} bits) is"
+    );
     for p in 0..places {
         let _ = writeln!(src, "  variable r{p} : {w} bits");
     }
@@ -407,9 +413,7 @@ impl Gen {
                 let a = self.cmd(depth - 1);
                 let b = self.cmd(depth - 1);
                 let c = self.cmd(depth - 1);
-                format!(
-                    "case {e} of\n      0 then {a}\n    | 1 then {b}\n    else {c}\n    end"
-                )
+                format!("case {e} of\n      0 then {a}\n    | 1 then {b}\n    else {c}\n    end")
             }
             _ => {
                 // Parallel composition over disjoint resources only: a
@@ -458,7 +462,10 @@ pub fn random_design(seed: u64) -> Result<GeneratedDesign, DesignError> {
         atoms_left: 10,
     };
 
-    let mut ports: Vec<String> = inputs.iter().map(|i| format!("input {i} : {w} bits")).collect();
+    let mut ports: Vec<String> = inputs
+        .iter()
+        .map(|i| format!("input {i} : {w} bits"))
+        .collect();
     ports.push(format!("output oz : {w} bits"));
     if extra_out {
         ports.push(format!("output oy : {w} bits"));
@@ -597,15 +604,30 @@ mod tests {
             random_design(7).unwrap(),
         ] {
             assert!(!d.source.is_empty());
-            d.compiled.netlist.validate().unwrap_or_else(|e| panic!("{}: {e}", d.name));
+            d.compiled
+                .netlist
+                .validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", d.name));
         }
     }
 
     #[test]
     fn corpus_is_deterministic_and_prefix_stable() {
-        let a = generate_corpus(&CorpusSpec { seed: 7, designs: 20 }).unwrap();
-        let b = generate_corpus(&CorpusSpec { seed: 7, designs: 20 }).unwrap();
-        let long = generate_corpus(&CorpusSpec { seed: 7, designs: 30 }).unwrap();
+        let a = generate_corpus(&CorpusSpec {
+            seed: 7,
+            designs: 20,
+        })
+        .unwrap();
+        let b = generate_corpus(&CorpusSpec {
+            seed: 7,
+            designs: 20,
+        })
+        .unwrap();
+        let long = generate_corpus(&CorpusSpec {
+            seed: 7,
+            designs: 30,
+        })
+        .unwrap();
         assert_eq!(a.len(), 20);
         for ((x, y), z) in a.iter().zip(&b).zip(&long) {
             assert_eq!(x.name, y.name);
@@ -620,7 +642,11 @@ mod tests {
 
     #[test]
     fn corpus_names_are_unique() {
-        let c = generate_corpus(&CorpusSpec { seed: 3, designs: 60 }).unwrap();
+        let c = generate_corpus(&CorpusSpec {
+            seed: 3,
+            designs: 60,
+        })
+        .unwrap();
         let mut names: Vec<&str> = c.iter().map(|d| d.name.as_str()).collect();
         names.sort_unstable();
         let before = names.len();

@@ -38,12 +38,12 @@ use crate::cache::{
 use crate::csim::simulate_scenarios;
 use crate::fault::FaultPhase;
 use crate::pipeline::{instantiate, FlowError, FlowOptions, FlowResult, Partition};
-use crate::profile::PhaseProfile;
 use crate::table3::{check_outcome, to_flow_scenario};
 use bmbe_balsa::CompiledDesign;
 use bmbe_designs::scenarios::DesignScenario;
 use bmbe_designs::variants_of;
 use bmbe_gates::Library;
+use bmbe_obs::export::escape;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::SimBackend;
 use std::cmp::Reverse;
@@ -426,6 +426,44 @@ impl std::fmt::Display for JobFailure {
 
 impl std::error::Error for JobFailure {}
 
+/// One job's outcome as the one-line JSON object that `bmbe batch` and
+/// `batch_report` print: every [`JobReport`] field but
+/// `components_before`, or every [`JobFailure`] field.
+pub fn job_json(outcome: &Result<JobReport, JobFailure>) -> String {
+    match outcome {
+        Ok(r) => format!(
+            "{{\"job\": \"{}\", \"design\": \"{}\", \"ok\": true, \
+             \"controllers\": {}, \"products\": {}, \"control_area\": {:.1}, \
+             \"distinct_shapes\": {}, \"cache_hits\": {}, \"synthesized\": {}, \
+             \"shared\": {}, \"sim_lanes\": {}, \"sim_completed\": {}, \
+             \"wall_s\": {:.6}}}",
+            escape(&r.label),
+            escape(&r.design),
+            r.controllers,
+            r.products,
+            r.control_area,
+            r.distinct_shapes,
+            r.cache_hits,
+            r.synthesized,
+            r.shared,
+            r.sim_lanes,
+            r.sim_completed,
+            r.wall_s
+        ),
+        Err(f) => format!(
+            "{{\"job\": \"{}\", \"design\": \"{}\", \"ok\": false, \
+             \"phase\": \"{}\", \"component\": \"{}\", \"cache_key\": \"{}\", \
+             \"error\": \"{}\"}}",
+            escape(&f.label),
+            escape(&f.design),
+            escape(f.phase),
+            escape(&f.component),
+            escape(&f.cache_key),
+            escape(&f.error)
+        ),
+    }
+}
+
 /// Drains the flight recorder for a failed job: the dump carries the
 /// failure's design/component/cache_key/phase so forensics correlate with
 /// the structured error, and goes to a file (or stderr), never stdout.
@@ -662,16 +700,10 @@ pub(crate) fn run_flow(
         distinct: distinct.len(),
         ..ShapeStats::default()
     };
-    let mut phases = PhaseProfile::default();
-    for (artifact, resolution) in resolved.iter().flatten() {
+    for (_, resolution) in resolved.iter().flatten() {
         match resolution {
             Resolution::Hit => stats.hits += 1,
-            Resolution::Synthesized => {
-                // Owners alone account the synthesis time: cache hits and
-                // shared flights contribute nothing.
-                phases.accumulate(&artifact.profile);
-                stats.synthesized += 1;
-            }
+            Resolution::Synthesized => stats.synthesized += 1,
             Resolution::Shared => stats.shared += 1,
         }
     }
@@ -697,7 +729,7 @@ pub(crate) fn run_flow(
             }
         }
     }
-    let flow = part.finish(design, controllers, stats.synthesized, threads, phases);
+    let flow = part.finish(design, controllers, stats.synthesized, threads);
     registry.cache.record(flow.cache_hits, flow.cache_misses);
     Ok((flow, stats))
 }

@@ -10,11 +10,12 @@
 //!   carries its length, every enum a one-byte tag;
 //! - **deterministic** — encoding the same artifact twice yields identical
 //!   bytes (hash maps are serialized in sorted key order, floats as IEEE
-//!   bit patterns), and no wall-clock is stored: the artifact's
-//!   [`PhaseProfile`] and its controller's [`MinimizeStats`] are left
-//!   out and decode as their defaults. Two syntheses of one shape thus
-//!   encode to the same bytes, so a disk hit can be byte-compared against
-//!   a fresh synthesis in the durability tests;
+//!   bit patterns), and no wall-clock is stored: the controller's
+//!   [`MinimizeStats`] are left out and decode as their defaults, and the
+//!   artifact's field-less [`PhaseProfile`] holds nothing to store. Two
+//!   syntheses of one shape thus encode to the same bytes, so a disk hit
+//!   can be byte-compared against a fresh synthesis in the durability
+//!   tests;
 //! - **strict on decode** — any truncation, unknown tag, or length
 //!   overrun is a typed [`CodecError`], never a panic or a partial value.
 //!   So is a mapped netlist whose gates break the order the mapper emits
@@ -664,7 +665,7 @@ fn get_key(r: &mut Reader<'_>) -> Result<CacheKey, CodecError> {
 }
 
 /// Encodes a cache entry payload: the full content address followed by the
-/// artifact, without its wall-clock profile and minimizer stats.
+/// artifact, without its controller's minimizer stats.
 /// Deterministic — identical inputs produce identical bytes.
 pub fn encode_entry(key: &CacheKey, artifact: &SynthArtifact) -> Vec<u8> {
     let mut w = Writer::new();
@@ -676,8 +677,7 @@ pub fn encode_entry(key: &CacheKey, artifact: &SynthArtifact) -> Vec<u8> {
 }
 
 /// Decodes a cache entry payload produced by [`encode_entry`]. The
-/// artifact carries `PhaseProfile::default()` and its controller
-/// `MinimizeStats::default()`.
+/// artifact's controller carries `MinimizeStats::default()`.
 ///
 /// # Errors
 ///
@@ -696,7 +696,7 @@ pub fn decode_entry(bytes: &[u8]) -> Result<(CacheKey, SynthArtifact), CodecErro
             bm_states,
             controller,
             mapped,
-            profile: PhaseProfile::default(),
+            profile: PhaseProfile,
         },
     ))
 }
@@ -773,8 +773,6 @@ mod codec_tests {
         // What the payload leaves out decodes as the defaults.
         assert!(first.controller.minimize_stats.exact_funcs > 0);
         let (_, decoded) = decode_entry(&bytes)?;
-        assert_eq!(decoded.profile.shapes, 0);
-        assert_eq!(decoded.profile.total(), Duration::ZERO);
         assert_eq!(decoded.controller.minimize_stats.exact_funcs, 0);
         assert_eq!(decoded.controller.minimize_stats.prime_gen, Duration::ZERO);
         Ok(())

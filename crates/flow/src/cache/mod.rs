@@ -50,10 +50,8 @@ use bmbe_core::opt::MergeMemo;
 use bmbe_gates::{map as techmap, Library, MapObjective, MapStyle, MappedNetlist, SubjectGraph};
 use bmbe_logic::hfmin::{HfminError, MinimizeBackend, MinimizeOptions, PrimeGenFault};
 use bmbe_logic::Cover;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -222,11 +220,10 @@ pub struct SynthArtifact {
     pub controller: Controller,
     /// The technology-mapped netlist (canonical root names).
     pub mapped: MappedNetlist,
-    /// Wall-clock breakdown of the chain that produced this artifact. The
-    /// disk cache persists no wall-clock, so an artifact decoded from disk
-    /// carries `PhaseProfile::default()` here and
-    /// `MinimizeStats::default()` in its controller; only shapes a flow
-    /// synthesized add to its [`crate::FlowResult::phases`].
+    /// Always the field-less [`PhaseProfile`], which measures nothing:
+    /// phase times come from the `shape.*` spans. The field stays only
+    /// because the benchmark harness (`perfbench/src/replay.rs`), which
+    /// builds against this API as it is, spells it out.
     pub profile: PhaseProfile,
 }
 
@@ -236,11 +233,9 @@ pub struct SynthArtifact {
 ///
 /// Each phase runs inside a `bmbe_obs` span (`shape.compile`,
 /// `shape.statemin`, `shape.synth`, `shape.verify`, `shape.map`,
-/// `shape.verify_mapped`; the profile folds the last into `verify`), and
-/// the artifact's [`PhaseProfile`] is *generated from those spans* by a
-/// [`bmbe_obs::with_span_observer`] subscriber — the profile and the
-/// exported trace are the same measurement, whether or not tracing is
-/// enabled.
+/// `shape.verify_mapped`). Those spans are the only measurement of the
+/// phases: a traced run yields their wall times through
+/// `bmbe_obs::analyze`, and an untraced run measures nothing.
 ///
 /// An armed [`FaultPlan`] fires at the start of its targeted phase — a
 /// panic or a typed [`ShapeError::Injected`] — so the flow's recovery
@@ -276,103 +271,73 @@ pub fn synthesize_shape_with_fault(
             FaultKind::Error => PrimeGenFault::Error,
         })
     });
-    let profile = Rc::new(RefCell::new(PhaseProfile {
-        shapes: 1,
-        ..PhaseProfile::default()
-    }));
-    let sink = profile.clone();
-    let result = bmbe_obs::with_span_observer(
-        move |name, _cat, dur| {
-            let mut p = sink.borrow_mut();
-            match name {
-                "shape.compile" => p.compile += dur,
-                "shape.statemin" => p.statemin += dur,
-                "shape.synth" => p.synth += dur,
-                "shape.verify" | "shape.verify_mapped" => p.verify += dur,
-                "shape.map" => p.map += dur,
-                _ => {}
-            }
-        },
-        || {
-            let spec = {
-                let _s = bmbe_obs::span!("shape.compile", "flow");
-                trip(FaultPhase::Compile)?;
-                compile_to_bm(spec_name, program).map_err(ShapeError::Compile)?
-            };
-            let spec = {
-                let _s = bmbe_obs::span!("shape.statemin", "flow");
-                trip(FaultPhase::Statemin)?;
-                minimize_states(&spec)
-                    .map(|r| r.spec)
-                    .map_err(|e| ShapeError::Compile(CompileError::Bm(e)))?
-            };
-            let controller = {
-                let _s = bmbe_obs::span!("shape.synth", "flow");
-                trip(FaultPhase::Synth)?;
-                let opts = MinimizeOptions {
-                    backend: minimize_backend,
-                    fault: prime_fault,
-                    ..MinimizeOptions::default()
-                };
-                synthesize_full(&spec, minimize_mode, 1, &opts).map_err(|e| match e {
-                    SynthError::Hfmin {
-                        error: HfminError::Injected,
-                        ..
-                    } => ShapeError::Injected(FaultPhase::PrimeGen),
-                    other => ShapeError::Synth(other),
-                })?
-            };
-            {
-                let _s = bmbe_obs::span!("shape.verify", "flow");
-                trip(FaultPhase::Verify)?;
-                controller.verify_ternary().map_err(ShapeError::Hazard)?;
-            }
-            let mapped = {
-                let _s = bmbe_obs::span!("shape.map", "flow");
-                trip(FaultPhase::Map)?;
-                let functions: Vec<(String, &Cover)> = controller
-                    .outputs
+    let spec = {
+        let _s = bmbe_obs::span!("shape.compile", "flow");
+        trip(FaultPhase::Compile)?;
+        compile_to_bm(spec_name, program).map_err(ShapeError::Compile)?
+    };
+    let spec = {
+        let _s = bmbe_obs::span!("shape.statemin", "flow");
+        trip(FaultPhase::Statemin)?;
+        minimize_states(&spec)
+            .map(|r| r.spec)
+            .map_err(|e| ShapeError::Compile(CompileError::Bm(e)))?
+    };
+    let controller = {
+        let _s = bmbe_obs::span!("shape.synth", "flow");
+        trip(FaultPhase::Synth)?;
+        let opts = MinimizeOptions {
+            backend: minimize_backend,
+            fault: prime_fault,
+            ..MinimizeOptions::default()
+        };
+        synthesize_full(&spec, minimize_mode, 1, &opts).map_err(|e| match e {
+            SynthError::Hfmin {
+                error: HfminError::Injected,
+                ..
+            } => ShapeError::Injected(FaultPhase::PrimeGen),
+            other => ShapeError::Synth(other),
+        })?
+    };
+    {
+        let _s = bmbe_obs::span!("shape.verify", "flow");
+        trip(FaultPhase::Verify)?;
+        controller.verify_ternary().map_err(ShapeError::Hazard)?;
+    }
+    let mapped = {
+        let _s = bmbe_obs::span!("shape.map", "flow");
+        trip(FaultPhase::Map)?;
+        let functions: Vec<(String, &Cover)> = controller
+            .outputs
+            .iter()
+            .cloned()
+            .chain((0..controller.num_state_bits).map(|j| format!("y{j}")))
+            .zip(
+                controller
+                    .output_covers
                     .iter()
-                    .cloned()
-                    .chain((0..controller.num_state_bits).map(|j| format!("y{j}")))
-                    .zip(
-                        controller
-                            .output_covers
-                            .iter()
-                            .chain(controller.next_state_covers.iter()),
-                    )
-                    .collect();
-                let subject = match minimize_mode {
-                    MinimizeMode::Speed => {
-                        SubjectGraph::from_covers(controller.num_vars(), &functions)
-                    }
-                    MinimizeMode::Area => {
-                        SubjectGraph::from_covers_shared(controller.num_vars(), &functions)
-                    }
-                };
-                techmap(&subject, library, map_objective, map_style)
-            };
-            {
-                let _s = bmbe_obs::span!("shape.verify_mapped", "flow");
-                if let Some(v) = bmbe_gates::verify_mapped(&controller, &mapped).first() {
-                    return Err(ShapeError::MappedHazard(v.to_string()));
-                }
+                    .chain(controller.next_state_covers.iter()),
+            )
+            .collect();
+        let subject = match minimize_mode {
+            MinimizeMode::Speed => SubjectGraph::from_covers(controller.num_vars(), &functions),
+            MinimizeMode::Area => {
+                SubjectGraph::from_covers_shared(controller.num_vars(), &functions)
             }
-            Ok((spec.num_states(), controller, mapped))
-        },
-    );
-    let (bm_states, controller, mapped) = result?;
-    let mut profile = Rc::try_unwrap(profile)
-        .expect("span observer released at scope exit")
-        .into_inner();
-    profile.prime_gen = controller.minimize_stats.prime_gen;
-    profile.covering = controller.minimize_stats.covering;
-    profile.debug_check_subphases();
+        };
+        techmap(&subject, library, map_objective, map_style)
+    };
+    {
+        let _s = bmbe_obs::span!("shape.verify_mapped", "flow");
+        if let Some(v) = bmbe_gates::verify_mapped(&controller, &mapped).first() {
+            return Err(ShapeError::MappedHazard(v.to_string()));
+        }
+    }
     Ok(SynthArtifact {
-        bm_states,
+        bm_states: spec.num_states(),
         controller,
         mapped,
-        profile,
+        profile: PhaseProfile,
     })
 }
 

@@ -37,6 +37,7 @@ use bmbe_core::opt::{verify_acr_compared, ClusterReport};
 use bmbe_designs::corpus::{generate_corpus, CorpusSpec, GeneratedDesign};
 use bmbe_designs::{derive_seed, variants_of};
 use bmbe_gates::Library;
+use bmbe_obs::export::escape;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::SimBackend;
 use std::time::Instant;
@@ -159,6 +160,28 @@ impl GauntletReport {
     /// A clean run: every oracle pair exercised, zero findings.
     pub fn clean(&self) -> bool {
         self.findings.is_empty() && self.checks.all_exercised()
+    }
+
+    /// One finding of this run as the JSON object that `bmbe gauntlet`
+    /// prints per line and `gauntlet_report` lists under `findings`: the
+    /// finding's fields plus the `replay` one-liner that re-runs only its
+    /// design.
+    pub fn finding_json(&self, f: &Finding) -> String {
+        format!(
+            "{{\"oracle\": \"{}\", \"design\": \"{}\", \"family\": \"{}\", \
+             \"params\": \"{}\", \"seed\": {}, \
+             \"replay\": \"bmbe gauntlet --seed {} --designs {} --only {}\", \
+             \"detail\": \"{}\"}}",
+            escape(f.oracle),
+            escape(&f.design),
+            escape(&f.family),
+            escape(&f.params),
+            f.seed,
+            self.seed,
+            self.designs,
+            escape(&f.design),
+            escape(&f.detail)
+        )
     }
 }
 
@@ -622,7 +645,6 @@ mod tests {
             cache_hits: 0,
             cache_misses: 0,
             threads_used: 1,
-            phases: Default::default(),
             lowered: Default::default(),
         }
     }

@@ -28,8 +28,8 @@ pub mod templates;
 
 pub use area::{component_area, datapath_area};
 pub use batch::{
-    flow_through_registry, run_batch, BatchJob, BatchSummary, JobFailure, JobReport, Resolution,
-    ShapeRegistry, ShapeStats,
+    flow_through_registry, job_json, run_batch, BatchJob, BatchSummary, JobFailure, JobReport,
+    Resolution, ShapeRegistry, ShapeStats,
 };
 pub use bmbe_logic::MinimizeBackend;
 pub use bmbe_sim::SimBackend;

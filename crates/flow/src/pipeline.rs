@@ -7,7 +7,6 @@ use crate::cache::{
 };
 use crate::fault::FaultPlan;
 use crate::lower::LowerMemo;
-use crate::profile::PhaseProfile;
 use crate::templates::{template_table, Template};
 use bmbe_balsa::CompiledDesign;
 use bmbe_bm::synth::{Controller, MinimizeMode};
@@ -204,9 +203,6 @@ pub struct FlowResult {
     /// [`FlowOptions::threads`], or 1 for [`reference_flow`], which runs
     /// serially.
     pub threads_used: usize,
-    /// Aggregate per-phase wall-clock profile of the shapes this run
-    /// synthesized (cache hits contribute nothing).
-    pub phases: PhaseProfile,
     /// The circuits the simulation entry points lowered this flow to, with
     /// each engine's program of them.
     pub(crate) lowered: LowerMemo,
@@ -345,7 +341,6 @@ impl Partition {
         controllers: Vec<ControllerArtifact>,
         cache_misses: usize,
         threads_used: usize,
-        phases: PhaseProfile,
     ) -> FlowResult {
         // One source of truth for area accounting: the artifact's own
         // figure (template annotation when present, mapped area otherwise).
@@ -359,7 +354,6 @@ impl Partition {
             control_area,
             cache_misses,
             threads_used,
-            phases,
             lowered: LowerMemo::default(),
         }
     }
@@ -426,7 +420,6 @@ pub fn reference_flow(
     let _flow_span = bmbe_obs::span!("flow.run", "flow");
     let part = Partition::of(design, options, &MergeMemo::new())?;
     let mut controllers = Vec::with_capacity(part.ctrl.components.len());
-    let mut phases = PhaseProfile::default();
     for (i, comp) in part.ctrl.components.iter().enumerate() {
         let fault = options.fault.as_ref().filter(|f| f.targets_job(i));
         let shape = bmbe_par::catch_job(|| {
@@ -453,7 +446,6 @@ pub fn reference_flow(
             .key;
             FlowError::job(design.netlist.name(), &comp.name, &key, Arc::new(e))
         })?;
-        phases.accumulate(&shape.profile);
         controllers.push(ControllerArtifact {
             name: comp.name.clone(),
             bm_states: shape.bm_states,
@@ -464,5 +456,5 @@ pub fn reference_flow(
         });
     }
     let misses = controllers.len();
-    Ok(part.finish(design, controllers, misses, 1, phases))
+    Ok(part.finish(design, controllers, misses, 1))
 }

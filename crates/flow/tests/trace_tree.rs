@@ -11,14 +11,42 @@
 //! shapes always run inline; the Microprocessor core has two, so at 4
 //! threads its claimed shapes fan out across workers.
 //!
+//! The same traced runs pin what `perf_report` relies on when it reads
+//! its synthesis phases from spans: a cold flow records one `shape.synth`,
+//! `shape.compile` and `batch.claim` span per synthesized shape, and a warm
+//! rerun through the same cache records no `shape.*` span at all.
+//!
 //! One `#[test]` on purpose: tracing state (the enabled flag, the rings)
 //! is process-global, and a sibling test recording concurrently would
 //! interleave its spans into this test's flush.
 
 use bmbe_designs::all_designs;
-use bmbe_flow::{run_control_flow, FlowOptions};
+use bmbe_flow::{run_control_flow_with, ControllerCache, FlowOptions, FlowResult};
 use bmbe_gates::Library;
-use bmbe_obs::export::{canonical_span_forest, validate};
+use bmbe_obs::analyze::parse_merged;
+use bmbe_obs::export::{canonical_span_forest, export_jsonl, validate, Trace};
+use bmbe_obs::RecordKind;
+
+/// Runs `flow` with tracing on and returns its result with the records it
+/// left (anything an earlier call left behind is drained first).
+fn traced(flow: impl FnOnce() -> FlowResult) -> (FlowResult, Trace) {
+    drop(bmbe_obs::flush());
+    bmbe_obs::set_enabled(true);
+    let result = flow();
+    bmbe_obs::set_enabled(false);
+    (result, bmbe_obs::flush())
+}
+
+/// Span counts by name, read the way `perf_report` reads its phases:
+/// through the JSONL export and the analyzer's phase rows.
+fn span_count(trace: &Trace, name: &str) -> usize {
+    let merged = parse_merged(&export_jsonl(trace)).expect("exported trace parses");
+    merged
+        .phase_rows()
+        .iter()
+        .find(|row| row.name == name)
+        .map_or(0, |row| row.count as usize)
+}
 
 fn traced_forest(name: &str, threads: usize) -> String {
     let library = Library::cmos035();
@@ -27,27 +55,44 @@ fn traced_forest(name: &str, threads: usize) -> String {
         .iter()
         .find(|d| d.name == name)
         .unwrap_or_else(|| panic!("{name} benchmark design"));
-    // Drain anything a previous call left behind so the forest holds only
-    // this run.
-    drop(bmbe_obs::flush());
-    bmbe_obs::set_enabled(true);
-    let result = run_control_flow(
-        &design.compiled,
-        &FlowOptions {
-            threads: Some(threads),
-            ..FlowOptions::optimized()
-        },
-        &library,
-    )
-    .expect("traced flow");
-    bmbe_obs::set_enabled(false);
+    let options = FlowOptions {
+        threads: Some(threads),
+        ..FlowOptions::optimized()
+    };
+    let cache = ControllerCache::new();
+    let flow = || {
+        run_control_flow_with(&design.compiled, &options, &library, &cache).expect("traced flow")
+    };
+    let (result, trace) = traced(flow);
     assert!(!result.controllers.is_empty());
-    let trace = bmbe_obs::flush();
     validate(&trace).unwrap_or_else(|e| panic!("{name}: {threads}-thread trace invalid: {e}"));
+    // `perf_report` reads its phase times and shape count from these
+    // spans: each synthesized shape is claimed, compiled and synthesized
+    // exactly once.
+    assert!(result.cache_misses > 0);
+    for span in ["shape.synth", "shape.compile", "batch.claim"] {
+        assert_eq!(
+            span_count(&trace, span),
+            result.cache_misses,
+            "{name}: {threads}-thread cold flow's {span} spans"
+        );
+    }
     let forest = canonical_span_forest(&trace);
     assert!(
         forest.contains("batch.claim(") && forest.contains("shape.compile"),
         "{name}: {threads}-thread forest misses the per-shape chain: {forest}"
+    );
+    // A warm rerun through the same cache synthesizes nothing, so it
+    // records no per-shape span.
+    let (warm, warm_trace) = traced(flow);
+    assert_eq!(warm.cache_misses, 0, "{name}: warm rerun re-synthesized");
+    assert!(
+        !warm_trace
+            .events
+            .iter()
+            .any(|s| s.rec.kind == RecordKind::Open
+                && warm_trace.name(s.rec.callsite).starts_with("shape.")),
+        "{name}: {threads}-thread warm rerun recorded a shape.* span"
     );
     forest
 }

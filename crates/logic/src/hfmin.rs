@@ -210,15 +210,18 @@ impl fmt::Display for HfminError {
 
 impl std::error::Error for HfminError {}
 
-/// Wall-clock breakdown of one minimization run, used by the flow's
-/// per-phase profiler.
+/// Engine counts and wall-clock breakdown of one minimization run. The
+/// flow's phase times come from the `hfmin.*` spans, not from here.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinimizeStats {
     /// Time spent generating DHF implicants (all primes on the exact path;
-    /// the cube-cofactor EXPAND pass on the espresso-style path).
+    /// the cube-cofactor EXPAND pass on the espresso-style path). Kept
+    /// because the benchmark harness (`perfbench/src/replay.rs`), which
+    /// builds against this API as it is, reads it.
     pub prime_gen: Duration,
     /// Time spent selecting products (the unate-covering solver on the
-    /// exact path; the IRREDUNDANT pass on the espresso-style path).
+    /// exact path; the IRREDUNDANT pass on the espresso-style path). Kept
+    /// for the benchmark harness, as `prime_gen` is.
     pub covering: Duration,
     /// Functions minimized through the exact prime-enumerating engine.
     pub exact_funcs: usize,

@@ -205,7 +205,8 @@ pub fn parse_merged(text: &str) -> Result<MergedTrace, String> {
         let name = str_field(line, "name")
             .ok_or_else(|| format!("line {lineno}: missing \"name\" field"))?;
         let t_ns = num_field(line, "t_ns")
-            .ok_or_else(|| format!("line {lineno}: missing \"t_ns\" field"))? as u64;
+            .ok_or_else(|| format!("line {lineno}: missing \"t_ns\" field"))?
+            as u64;
         let span = num_field(line, "span").unwrap_or(0) as u64;
         match kind.as_str() {
             "open" => {
@@ -262,11 +263,7 @@ impl MergedTrace {
     pub fn phase_rows(&self) -> Vec<PhaseRow> {
         let mut by_name: HashMap<&str, PhaseRow> = HashMap::new();
         for node in &self.nodes {
-            let kids: u64 = node
-                .children
-                .iter()
-                .map(|&c| self.nodes[c].dur_ns())
-                .sum();
+            let kids: u64 = node.children.iter().map(|&c| self.nodes[c].dur_ns()).sum();
             let row = by_name.entry(&node.name).or_insert_with(|| PhaseRow {
                 name: node.name.clone(),
                 count: 0,
@@ -415,14 +412,21 @@ mod tests {
 
     #[test]
     fn merged_streams_reconstruct_per_run_forests() {
-        let merged = format!("{}{}", toy_stream("00000000000000aa", 0), toy_stream("bb", 1000));
+        let merged = format!(
+            "{}{}",
+            toy_stream("00000000000000aa", 0),
+            toy_stream("bb", 1000)
+        );
         let t = parse_merged(&merged).expect("parse");
         assert_eq!(t.runs, vec![0xaa, 0xbb]);
         assert_eq!(t.roots.len(), 2);
         // Span ids collide across runs but the forests stay separate.
         assert_eq!(t.nodes.len(), 8);
         let root0 = &t.nodes[t.roots[0]];
-        assert_eq!((root0.run, root0.name.as_str(), root0.dur_ns()), (0xaa, "root", 100));
+        assert_eq!(
+            (root0.run, root0.name.as_str(), root0.dur_ns()),
+            (0xaa, "root", 100)
+        );
         // Annotation landed on the right (run, span).
         let slow = t
             .nodes
@@ -473,9 +477,8 @@ mod tests {
 
     #[test]
     fn wait_attribution_groups_by_digest_and_finds_owner_hotspot() {
-        let mut s = String::from(
-            "{\"kind\": \"meta\", \"run\": \"0c\", \"lanes\": 2, \"dropped\": 0}\n",
-        );
+        let mut s =
+            String::from("{\"kind\": \"meta\", \"run\": \"0c\", \"lanes\": 2, \"dropped\": 0}\n");
         let ev = |kind: &str, name: &str, t: u64, span: u64, parent: u64| {
             format!(
                 "{{\"kind\": \"{kind}\", \"name\": \"{name}\", \"t_ns\": {t}, \"lane\": 0, \

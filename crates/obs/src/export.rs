@@ -63,7 +63,9 @@ impl Trace {
 
     /// Whether any record came from the named callsite.
     pub fn has_callsite(&self, name: &str) -> bool {
-        self.events.iter().any(|s| self.name(s.rec.callsite) == name)
+        self.events
+            .iter()
+            .any(|s| self.name(s.rec.callsite) == name)
     }
 
     /// Resolves a dynamic string id (the `value` of an `AnnotateStr`
@@ -239,7 +241,10 @@ pub fn validate(trace: &Trace) -> Result<(), String> {
     let mut closed: HashMap<u64, u32> = HashMap::new();
     for s in &trace.events {
         if s.rec.callsite == 0 || s.rec.callsite as usize > trace.callsites.len() {
-            return Err(format!("record with unknown callsite id {}", s.rec.callsite));
+            return Err(format!(
+                "record with unknown callsite id {}",
+                s.rec.callsite
+            ));
         }
         match s.rec.kind {
             RecordKind::Open => stacks.entry(s.lane).or_default().push(s.rec.span),
@@ -310,7 +315,11 @@ pub fn canonical_span_forest(trace: &Trace) -> String {
         }
     }
     fn render(nodes: &[Node], ix: usize) -> String {
-        let mut kids: Vec<String> = nodes[ix].children.iter().map(|&c| render(nodes, c)).collect();
+        let mut kids: Vec<String> = nodes[ix]
+            .children
+            .iter()
+            .map(|&c| render(nodes, c))
+            .collect();
         kids.sort();
         if kids.is_empty() {
             nodes[ix].name.to_string()

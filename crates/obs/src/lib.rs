@@ -14,19 +14,14 @@
 //! exporters in [`export`] (JSONL and Chrome trace-event format).
 //!
 //! When tracing is disabled (the default), a callsite costs one relaxed
-//! atomic load plus one thread-local flag read — no timestamps, no
-//! allocation, no ring traffic. `bmbe-bench`'s `obs_overhead` bench pins
-//! this. Enable with [`set_enabled`] or `BMBE_TRACE=1` +
-//! [`init_from_env`]; `BMBE_TRACE_OUT` overrides the default `trace.json`
-//! output path.
+//! atomic load — no thread-local access, no timestamps, no allocation, no
+//! ring traffic. `bmbe-bench`'s `obs_overhead` bench pins this. Enable
+//! with [`set_enabled`] or `BMBE_TRACE=1` + [`init_from_env`];
+//! `BMBE_TRACE_OUT` overrides the default `trace.json` output path.
 //!
-//! ## Span observers
-//!
-//! [`with_span_observer`] installs a thread-scoped closure that receives
-//! `(name, category, duration)` for every span closed on the current thread
-//! while the scope is active — the hook `bmbe-flow` uses to *generate* its
-//! `PhaseProfile` from the same spans the trace sees, whether or not
-//! tracing is enabled.
+//! The spans are the only timing system: a report that needs per-phase
+//! wall times (`perf_report`'s synthesis phases, `trace_report`) traces
+//! the run and reads them back through [`analyze`].
 //!
 //! ## Metrics
 //!
@@ -51,10 +46,10 @@ pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, RegistryError};
 pub use ring::{Record, RecordKind, Sample};
 
 use ring::ThreadBuffer;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Global switches
@@ -167,7 +162,11 @@ pub fn run_id() -> u64 {
         .filter(|&id| id != 0)
         .unwrap_or_else(|| {
             let mix = splitmix64((std::process::id() as u64) ^ splitmix64(wall_ns()));
-            if mix == 0 { 1 } else { mix }
+            if mix == 0 {
+                1
+            } else {
+                mix
+            }
         });
     match RUN_ID.compare_exchange(0, seeded, Ordering::Relaxed, Ordering::Relaxed) {
         Ok(_) => seeded,
@@ -271,18 +270,12 @@ pub fn callsite_table() -> Vec<(&'static str, &'static str)> {
 }
 
 // ---------------------------------------------------------------------------
-// Thread state: ring handle, span stack, observers
+// Thread state: ring handle and span stack
 // ---------------------------------------------------------------------------
-
-type ObserverFn = Box<dyn FnMut(&'static str, &'static str, Duration)>;
 
 thread_local! {
     static BUFFER: RefCell<Option<Arc<ThreadBuffer>>> = const { RefCell::new(None) };
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    /// Depth of installed span observers; non-zero makes spans take
-    /// timestamps even when tracing is off (read is a plain TLS load).
-    static OBSERVER_DEPTH: Cell<u32> = const { Cell::new(0) };
-    static OBSERVERS: RefCell<Vec<ObserverFn>> = const { RefCell::new(Vec::new()) };
 }
 
 fn with_buffer(f: impl FnOnce(&ThreadBuffer)) {
@@ -306,34 +299,6 @@ pub fn current_span() -> u64 {
     SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
-/// Installs `on_close` as a span observer for the duration of `f` on the
-/// current thread: every span closed inside `f` reports
-/// `(name, category, duration)` to it, innermost observer first. Works with
-/// tracing enabled or disabled.
-pub fn with_span_observer<R>(
-    on_close: impl FnMut(&'static str, &'static str, Duration) + 'static,
-    f: impl FnOnce() -> R,
-) -> R {
-    struct DepthGuard;
-    impl Drop for DepthGuard {
-        fn drop(&mut self) {
-            OBSERVERS.with(|o| {
-                o.borrow_mut().pop();
-            });
-            OBSERVER_DEPTH.with(|d| d.set(d.get() - 1));
-        }
-    }
-    OBSERVERS.with(|o| o.borrow_mut().push(Box::new(on_close)));
-    OBSERVER_DEPTH.with(|d| d.set(d.get() + 1));
-    let _guard = DepthGuard;
-    f()
-}
-
-#[inline(always)]
-fn observed() -> bool {
-    OBSERVER_DEPTH.with(|d| d.get()) != 0
-}
-
 // ---------------------------------------------------------------------------
 // Spans and events
 // ---------------------------------------------------------------------------
@@ -348,16 +313,13 @@ pub struct SpanGuard {
 struct LiveSpan {
     cs: &'static Callsite,
     id: u64,
-    start: Instant,
-    /// Whether records go to the ring (tracing was enabled at open).
-    traced: bool,
 }
 
 /// Opens a span at `cs`, parented on the innermost open span of this
 /// thread.
 #[inline]
 pub fn enter(cs: &'static Callsite) -> SpanGuard {
-    if !enabled() && !observed() {
+    if !enabled() {
         return SpanGuard { live: None };
     }
     enter_slow(cs, current_span())
@@ -367,35 +329,26 @@ pub fn enter(cs: &'static Callsite) -> SpanGuard {
 /// cross-thread variant for fan-out workers.
 #[inline]
 pub fn enter_with_parent(cs: &'static Callsite, parent: u64) -> SpanGuard {
-    if !enabled() && !observed() {
+    if !enabled() {
         return SpanGuard { live: None };
     }
     enter_slow(cs, parent)
 }
 
 fn enter_slow(cs: &'static Callsite, parent: u64) -> SpanGuard {
-    let traced = enabled();
     let id = next_span_id();
-    let start = Instant::now();
-    if traced {
-        let rec = Record {
-            kind: RecordKind::Open,
-            callsite: cs.id(),
-            span: id,
-            parent,
-            t_ns: now_ns(),
-            value: 0,
-        };
-        with_buffer(|b| b.push(rec));
-    }
+    let rec = Record {
+        kind: RecordKind::Open,
+        callsite: cs.id(),
+        span: id,
+        parent,
+        t_ns: now_ns(),
+        value: 0,
+    };
+    with_buffer(|b| b.push(rec));
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
     SpanGuard {
-        live: Some(LiveSpan {
-            cs,
-            id,
-            start,
-            traced,
-        }),
+        live: Some(LiveSpan { cs, id }),
     }
 }
 
@@ -409,7 +362,6 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(live) = self.live.take() else { return };
-        let dur = live.start.elapsed();
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             // Scoped guards close LIFO; a mismatch means a guard was held
@@ -420,7 +372,7 @@ impl Drop for SpanGuard {
                 }
             }
         });
-        if live.traced && enabled() {
+        if enabled() {
             let rec = Record {
                 kind: RecordKind::Close,
                 callsite: live.cs.id(),
@@ -430,13 +382,6 @@ impl Drop for SpanGuard {
                 value: 0,
             };
             with_buffer(|b| b.push(rec));
-        }
-        if observed() {
-            OBSERVERS.with(|obs| {
-                for f in obs.borrow_mut().iter_mut().rev() {
-                    f(live.cs.name, live.cs.cat, dur);
-                }
-            });
         }
     }
 }
@@ -736,31 +681,6 @@ mod tests {
         assert_eq!(mine[1].rec.parent, mine[0].rec.span, "inner parents outer");
         assert_eq!(mine[2].rec.span, mine[1].rec.span, "inner closes first");
         export::validate(&trace).expect("balanced trace");
-    }
-
-    #[test]
-    fn observer_sees_closes_with_durations() {
-        let _l = global_lock();
-        set_enabled(false);
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let seen: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = seen.clone();
-        with_span_observer(
-            move |name, _cat, dur| {
-                assert!(dur <= Duration::from_secs(1));
-                sink.borrow_mut().push(name);
-            },
-            || {
-                let _a = span!("test.obs.a");
-                let _b = span!("test.obs.b");
-            },
-        );
-        // Guards drop in reverse declaration order: b closes before a.
-        assert_eq!(*seen.borrow(), vec!["test.obs.b", "test.obs.a"]);
-        // Outside the scope, spans are inert again.
-        let g = span!("test.obs.after");
-        assert_eq!(g.id(), 0);
     }
 
     #[test]

@@ -424,7 +424,9 @@ mod tests {
         let c = Counter::register("test.collision");
         c.add(2);
         // Same name as a gauge: typed error from try_register…
-        let err = Gauge::try_register("test.collision").map(|_| ()).unwrap_err();
+        let err = Gauge::try_register("test.collision")
+            .map(|_| ())
+            .unwrap_err();
         assert_eq!(
             err,
             RegistryError {

@@ -122,7 +122,10 @@ fn with_ring(f: impl FnOnce(&ThreadRing)) {
         let mut slot = slot.borrow_mut();
         let ring = slot.get_or_insert_with(|| {
             let ring = Arc::new(ThreadRing {
-                name: std::thread::current().name().unwrap_or("worker").to_string(),
+                name: std::thread::current()
+                    .name()
+                    .unwrap_or("worker")
+                    .to_string(),
                 events: Mutex::new(VecDeque::new()),
             });
             let mut reg = lock_registry();
@@ -208,7 +211,10 @@ pub fn flight_out_path() -> Option<String> {
         }
     }
     if crate::enabled() || std::env::var("BMBE_FAULT").is_ok_and(|v| !v.is_empty()) {
-        return Some(crate::sibling_out_path(&crate::trace_out_path(), "flight.json"));
+        return Some(crate::sibling_out_path(
+            &crate::trace_out_path(),
+            "flight.json",
+        ));
     }
     None
 }
@@ -243,11 +249,7 @@ pub fn render(reason: &str, context: &[(&str, String)]) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(
-            out,
-            "\n  {{\"t_ns\": {}, \"thread\": \"",
-            ev.t_ns
-        );
+        let _ = write!(out, "\n  {{\"t_ns\": {}, \"thread\": \"", ev.t_ns);
         out.push_str(&escape(&ev.thread));
         out.push_str("\", \"tag\": \"");
         out.push_str(&escape(ev.tag));
@@ -305,7 +307,8 @@ mod tests {
             .collect();
         assert!(mine.len() <= RING_EVENTS);
         assert!(
-            mine.iter().any(|e| e.detail == format!("event {}", RING_EVENTS + 15)),
+            mine.iter()
+                .any(|e| e.detail == format!("event {}", RING_EVENTS + 15)),
             "newest event survives"
         );
         let doc = render(
@@ -315,8 +318,7 @@ mod tests {
                 ("phase", "synth".to_string()),
             ],
         );
-        crate::export::validate_json(&doc)
-            .unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
+        crate::export::validate_json(&doc).unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
         assert!(doc.contains("\"reason\": \"unit-test\""));
         assert!(doc.contains("\\\"quoted\\\""));
     }
@@ -349,8 +351,7 @@ mod tests {
         let written = dump("test-failure", &[("component", "seq_3".to_string())])
             .expect("dump with an override sink");
         let doc = std::fs::read_to_string(&written).unwrap();
-        crate::export::validate_json(&doc)
-            .unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
+        crate::export::validate_json(&doc).unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
         assert!(doc.contains("\"component\": \"seq_3\""));
         assert!(doc.contains("before the failure"));
         set_flight_out(None);

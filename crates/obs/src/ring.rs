@@ -207,8 +207,7 @@ pub fn drain_all() -> Drained {
     }
     // A buffer is dead once only the registry holds it *and* it is empty
     // (we just drained it); its drop count was folded in above.
-    reg.buffers
-        .retain(|buf| Arc::strong_count(buf) > 1);
+    reg.buffers.retain(|buf| Arc::strong_count(buf) > 1);
     out
 }
 

@@ -104,9 +104,7 @@ proptest! {
 }
 
 /// A random trace structure over a caller-chosen alphabet.
-fn arb_ts_over(
-    symbols: Vec<(&'static str, Dir)>,
-) -> impl Strategy<Value = TraceStructure> {
+fn arb_ts_over(symbols: Vec<(&'static str, Dir)>) -> impl Strategy<Value = TraceStructure> {
     let k = symbols.len();
     (
         1usize..5,

@@ -30,7 +30,6 @@ use bmbe::designs::all_designs;
 use bmbe::flow::{run_control_flow, run_design, FlowOptions};
 use bmbe::gates::Library;
 use bmbe::sim::prims::Delays;
-use bmbe_obs::export::escape;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -139,7 +138,7 @@ fn cmd_flow(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use bmbe::flow::{run_batch, BatchJob, ControllerCache};
+    use bmbe::flow::{job_json, run_batch, BatchJob, ControllerCache};
     let optimize = !args.iter().any(|a| a == "--no-opt");
     let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if paths.is_empty() {
@@ -163,29 +162,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let threads = bmbe::par::default_threads();
     let summary = run_batch(&jobs, &Library::cmos035(), &cache, threads);
     for outcome in &summary.jobs {
-        match outcome {
-            Ok(r) => println!(
-                "{{\"job\": \"{}\", \"design\": \"{}\", \"ok\": true, \
-                 \"controllers\": {}, \"products\": {}, \"control_area\": {:.1}, \
-                 \"cache_hits\": {}, \"synthesized\": {}, \"shared\": {}}}",
-                escape(&r.label),
-                escape(&r.design),
-                r.controllers,
-                r.products,
-                r.control_area,
-                r.cache_hits,
-                r.synthesized,
-                r.shared
-            ),
-            Err(f) => println!(
-                "{{\"job\": \"{}\", \"design\": \"{}\", \"ok\": false, \
-                 \"phase\": \"{}\", \"error\": \"{}\"}}",
-                escape(&f.label),
-                escape(&f.design),
-                escape(f.phase),
-                escape(&f.error)
-            ),
-        }
+        println!("{}", job_json(outcome));
     }
     println!(
         "{{\"summary\": true, \"jobs\": {}, \"failed\": {}, \"distinct_shapes\": {}, \
@@ -228,21 +205,7 @@ fn cmd_gauntlet(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let cache = ControllerCache::from_env();
     let report = run_gauntlet(&cfg, &Library::cmos035(), &cache)?;
     for f in &report.findings {
-        println!(
-            "{{\"finding\": true, \"oracle\": \"{}\", \"design\": \"{}\", \
-             \"family\": \"{}\", \"params\": \"{}\", \"seed\": {}, \
-             \"replay\": \"bmbe gauntlet --seed {} --designs {} --only {}\", \
-             \"detail\": \"{}\"}}",
-            escape(f.oracle),
-            escape(&f.design),
-            escape(&f.family),
-            escape(&f.params),
-            f.seed,
-            report.seed,
-            report.designs,
-            escape(&f.design),
-            escape(&f.detail)
-        );
+        println!("{}", report.finding_json(f));
     }
     println!(
         "{{\"summary\": true, \"seed\": {}, \"designs\": {}, \"findings\": {}, \

@@ -25,8 +25,8 @@ fn disabled_tracing_costs_under_two_percent_of_a_flow_run() {
         .find(|d| d.name == "Stack")
         .expect("Stack benchmark design");
 
-    // Per-callsite cost of the disabled fast path (one relaxed atomic load
-    // plus a thread-local flag read), amortized over a tight loop.
+    // Per-callsite cost of the disabled fast path (one relaxed atomic
+    // load), amortized over a tight loop.
     bmbe_obs::set_enabled(false);
     const CALLS: u32 = 1_000_000;
     let start = Instant::now();
@@ -41,8 +41,7 @@ fn disabled_tracing_costs_under_two_percent_of_a_flow_run() {
     // records, so the budget below is conservative.
     drop(bmbe_obs::flush());
     bmbe_obs::set_enabled(true);
-    run_control_flow(&design.compiled, &FlowOptions::optimized(), &library)
-        .expect("traced flow");
+    run_control_flow(&design.compiled, &FlowOptions::optimized(), &library).expect("traced flow");
     bmbe_obs::set_enabled(false);
     let hits = bmbe_obs::flush().events.len() as u32;
     assert!(hits > 0, "traced flow must record spans");

@@ -6,9 +6,7 @@
 //! in ordinary `cargo test` runs.
 
 use bmbe_designs::all_designs;
-use bmbe_flow::{
-    reference_flow, run_control_flow_with, ControllerCache, FlowOptions, PhaseProfile,
-};
+use bmbe_flow::{reference_flow, run_control_flow_with, ControllerCache, FlowOptions};
 use bmbe_gates::Library;
 use std::time::{Duration, Instant};
 
@@ -36,7 +34,6 @@ fn warm_cache_full_flow_stays_within_wall_clock_bound() {
         .unwrap_or_else(|e| panic!("{} cold: {e}", design.name));
     }
     let start = Instant::now();
-    let mut phases = PhaseProfile::default();
     for design in &designs {
         let result = run_control_flow_with(
             &design.compiled,
@@ -50,19 +47,11 @@ fn warm_cache_full_flow_stays_within_wall_clock_bound() {
             "{}: warm run must not re-synthesize",
             design.name
         );
-        phases.accumulate(&result.phases);
     }
     let elapsed = start.elapsed();
     assert!(
         elapsed < bound,
-        "warm-cache flow over all designs took {elapsed:?} (bound {bound:?}); \
-         phase totals: {phases:?}"
-    );
-    // Warm runs serve every shape from the cache, so no synthesis phase
-    // time may be re-spent.
-    assert_eq!(
-        phases.shapes, 0,
-        "warm runs must not re-run the per-shape chain"
+        "warm-cache flow over all designs took {elapsed:?} (bound {bound:?})"
     );
 }
 
@@ -93,8 +82,13 @@ fn stack_cached_cold_flow_is_not_slower_than_serial() {
         reference_flow(&stack.compiled, &cached_options, &library).expect("serial flow");
         serial_samples.push(start.elapsed());
         let start = Instant::now();
-        run_control_flow_with(&stack.compiled, &cached_options, &library, &ControllerCache::new())
-            .expect("cached flow");
+        run_control_flow_with(
+            &stack.compiled,
+            &cached_options,
+            &library,
+            &ControllerCache::new(),
+        )
+        .expect("cached flow");
         cached_samples.push(start.elapsed());
     }
     serial_samples.sort();
