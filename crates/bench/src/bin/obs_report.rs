@@ -2,8 +2,9 @@
 //! back-end (flow synthesis, simulation, one trace-verification obligation)
 //! with tracing enabled, writes the Chrome trace (`BMBE_TRACE_OUT`,
 //! default `trace.json`) plus a JSONL event log next to it, and prints a
-//! machine-readable summary — trace shape plus the metrics registry — to
-//! stdout. Human-readable progress goes to stderr (`BMBE_VERBOSE=1`).
+//! machine-readable summary — trace shape plus every count's total, read
+//! back from the JSONL through `bmbe_obs::analyze` — to stdout.
+//! Human-readable progress goes to stderr (`BMBE_VERBOSE=1`).
 //!
 //! `--check` additionally validates everything a trace consumer relies on
 //! and exits non-zero on the first violation:
@@ -13,7 +14,10 @@
 //! - every span closes exactly once, LIFO per lane, nothing dropped
 //!   (`bmbe_obs::export::validate`);
 //! - the span lanes cover all six per-shape flow phases and the simulator
-//!   run loop.
+//!   run loop;
+//! - the flow's cache misses and synthesized shapes, the simulator's events
+//!   and the verifier's states each total above zero, and the
+//!   `cache.misses` total equals the flow's own `cache_misses`.
 //!
 //! This is the smoke gate the tier-1 CI script runs.
 
@@ -23,6 +27,7 @@ use bmbe_core::opt::verify_acr_compared;
 use bmbe_designs::all_designs;
 use bmbe_flow::{run_control_flow, simulate, to_flow_scenario, FlowOptions};
 use bmbe_gates::Library;
+use bmbe_obs::analyze::parse_merged;
 use bmbe_obs::export::{escape, validate, validate_json};
 use bmbe_sim::prims::Delays;
 use std::fmt::Write as _;
@@ -38,6 +43,15 @@ const REQUIRED_SPANS: &[&str] = &[
     "shape.map",
     "shape.verify_mapped",
     "sim.run",
+];
+
+/// The counts a complete trace must total above zero: one per layer the
+/// report runs (cache, fleet driver, simulator, verifier).
+const REQUIRED_COUNTERS: &[&str] = &[
+    "cache.misses",
+    "batch.shapes.synthesized",
+    "sim.events",
+    "verify.states",
 ];
 
 fn main() -> ExitCode {
@@ -81,6 +95,13 @@ fn run() -> Result<bool, String> {
     let trace = bmbe_obs::flush();
 
     let (out_path, jsonl_path) = write_trace_files(&trace)?;
+    // Counts and checks read the files as written, not the in-memory
+    // trace: that covers the full export-to-disk path consumers read.
+    let jsonl =
+        std::fs::read_to_string(&jsonl_path).map_err(|e| format!("read back {jsonl_path}: {e}"))?;
+    let counters = parse_merged(&jsonl)
+        .and_then(|t| t.counter_totals())
+        .map_err(|e| format!("{jsonl_path}: {e}"))?;
 
     let mut covered: Vec<&str> = REQUIRED_SPANS
         .iter()
@@ -93,8 +114,6 @@ fn run() -> Result<bool, String> {
         if let Err(e) = validate(&trace) {
             return Err(fail(format!("trace validation: {e}")));
         }
-        // Validate the files as written, not the in-memory strings: the
-        // check covers the full export-to-disk path consumers read.
         let chrome = std::fs::read_to_string(&out_path)
             .map_err(|e| fail(format!("read back {out_path}: {e}")))?;
         if let Err((at, e)) = validate_json(&chrome) {
@@ -102,8 +121,6 @@ fn run() -> Result<bool, String> {
                 "{out_path} is not valid JSON at byte {at}: {e}"
             )));
         }
-        let jsonl = std::fs::read_to_string(&jsonl_path)
-            .map_err(|e| fail(format!("read back {jsonl_path}: {e}")))?;
         for (n, line) in jsonl.lines().enumerate() {
             if let Err((at, e)) = validate_json(line) {
                 return Err(fail(format!("{jsonl_path} line {}: byte {at}: {e}", n + 1)));
@@ -115,6 +132,20 @@ fn run() -> Result<bool, String> {
                     "required span {name:?} missing from the trace"
                 )));
             }
+        }
+        for name in REQUIRED_COUNTERS {
+            if counters.get(*name).copied().unwrap_or(0) <= 0 {
+                return Err(fail(format!(
+                    "required count {name:?} missing or not positive"
+                )));
+            }
+        }
+        let misses = counters.get("cache.misses").copied().unwrap_or(0);
+        if misses != flow.cache_misses as i64 {
+            return Err(fail(format!(
+                "cache.misses totals {misses}, the flow counted {}",
+                flow.cache_misses
+            )));
         }
         if !outcome.completed {
             return Err(fail("simulation scenario did not complete".to_string()));
@@ -137,12 +168,12 @@ fn run() -> Result<bool, String> {
         let _ = write!(summary, "{}\"{name}\"", if i > 0 { ", " } else { "" });
     }
     let _ = writeln!(summary, "],");
-    let _ = writeln!(
-        summary,
-        "  \"metrics\": {}",
-        bmbe_obs::metrics::snapshot_json()
-    );
-    summary.push_str("}\n");
+    let _ = write!(summary, "  \"counters\": {{");
+    for (i, (name, total)) in counters.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        let _ = write!(summary, "{sep}\"{}\": {total}", escape(name));
+    }
+    summary.push_str("}\n}\n");
     // Stdout is the machine-readable channel: the summary JSON and nothing
     // else.
     print!("{summary}");

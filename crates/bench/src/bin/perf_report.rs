@@ -2,14 +2,15 @@
 //! the serial per-instance reference flow against the cached + parallel
 //! production flow on every benchmark design and writes `BENCH_flow.json`,
 //! including a per-phase profile (compile / statemin / synth / primes /
-//! covering / verify / map) and, when a previous `BENCH_flow.json` exists,
+//! covering / verify / map), the exact work counts of the minimizer
+//! ([`COUNTERS`]) and, when a previous `BENCH_flow.json` exists,
 //! before/after numbers against it.
 //!
 //! The phase times are span wall times: the untimed runs (the cold run
 //! that counts cache hits and misses, and the per-backend runs) are traced,
-//! and their spans are read back through `bmbe_obs::analyze`. The timed
-//! runs are traced only when `BMBE_TRACE=1` traces the whole process; no
-//! trace file is written either way.
+//! and their spans are read back through `bmbe_obs::analyze`, as are the
+//! cold run's counts. The timed runs are traced only when `BMBE_TRACE=1`
+//! traces the whole process; no trace file is written either way.
 //!
 //! Run with `--release`; the debug build is an order of magnitude slower.
 //!
@@ -25,14 +26,22 @@ use bmbe_flow::{
     FlowResult, MinimizeBackend,
 };
 use bmbe_gates::Library;
-use bmbe_obs::analyze::parse_merged;
-use bmbe_obs::export::export_jsonl;
+use bmbe_obs::analyze::{traced, MergedTrace};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
 const SAMPLES: usize = 9;
+
+/// The minimizer's work counts, totalled from each design's traced cold
+/// run: deterministic functions of the design, so `bench_trend` gates them
+/// exactly.
+const COUNTERS: &[&str] = &[
+    "hfmin.worklist.explored",
+    "hfmin.cofactor.seeds",
+    "hfmin.cofactor.leaves",
+];
 
 /// Median of a sample vector.
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -69,6 +78,8 @@ struct Row {
     misses: usize,
     /// Span-read phase times of the cold run that counts hits and misses.
     spans: Phases,
+    /// That run's totals of [`COUNTERS`], in order.
+    counts: Vec<i64>,
     /// Median cold prime-generation seconds under the default (`Auto`)
     /// minimizer backend and under the exact prime-enumerating backend:
     /// the per-backend before/after the perf-smoke gate checks.
@@ -97,39 +108,39 @@ struct Phases {
     shapes: u64,
 }
 
-/// Runs `flow` with tracing on and reads its phase times back from the
-/// spans it recorded (records left from earlier work are drained first,
-/// and tracing returns to its previous state after).
-fn traced(
+/// Runs `flow` traced (see `bmbe_obs::analyze::traced`) and returns its
+/// result with the spans and counts it recorded.
+fn traced_flow(
     flow: impl FnOnce() -> Result<FlowResult, String>,
-) -> Result<(FlowResult, Phases), String> {
-    let was_enabled = bmbe_obs::enabled();
-    drop(bmbe_obs::flush());
-    bmbe_obs::set_enabled(true);
-    let result = flow();
-    bmbe_obs::set_enabled(was_enabled);
-    let trace = parse_merged(&export_jsonl(&bmbe_obs::flush()))?;
-    let rows = trace.phase_rows();
-    let secs = |names: &[&str]| {
-        rows.iter()
-            .filter(|r| names.contains(&r.name.as_str()))
-            .map(|r| r.wall_ns as f64 * 1e-9)
-            .sum()
-    };
-    let phases = Phases {
-        compile: secs(&["shape.compile"]),
-        statemin: secs(&["shape.statemin"]),
-        synth: secs(&["shape.synth"]),
-        prime_gen: secs(&["hfmin.prime_gen", "hfmin.expand"]),
-        covering: secs(&["hfmin.covering", "hfmin.irredundant"]),
-        verify: secs(&["shape.verify", "shape.verify_mapped"]),
-        map: secs(&["shape.map"]),
-        shapes: rows
-            .iter()
-            .find(|r| r.name == "shape.synth")
-            .map_or(0, |r| r.count),
-    };
-    Ok((result?, phases))
+) -> Result<(FlowResult, MergedTrace), String> {
+    let (result, trace) = traced(flow)?;
+    Ok((result?, trace))
+}
+
+impl Phases {
+    /// Sums the span wall seconds of one traced run per report column.
+    fn of(trace: &MergedTrace) -> Phases {
+        let rows = trace.phase_rows();
+        let secs = |names: &[&str]| {
+            rows.iter()
+                .filter(|r| names.contains(&r.name.as_str()))
+                .map(|r| r.wall_ns as f64 * 1e-9)
+                .sum()
+        };
+        Phases {
+            compile: secs(&["shape.compile"]),
+            statemin: secs(&["shape.statemin"]),
+            synth: secs(&["shape.synth"]),
+            prime_gen: secs(&["hfmin.prime_gen", "hfmin.expand"]),
+            covering: secs(&["hfmin.covering", "hfmin.irredundant"]),
+            verify: secs(&["shape.verify", "shape.verify_mapped"]),
+            map: secs(&["shape.map"]),
+            shapes: rows
+                .iter()
+                .find(|r| r.name == "shape.synth")
+                .map_or(0, |r| r.count),
+        }
+    }
 }
 
 /// Reads the previous report's per-design reference/cached seconds so the new
@@ -201,10 +212,17 @@ fn run() -> Result<bool, String> {
             },
         ]);
         let (reference_s, cached_s, warm_s) = (timings[0], timings[1], timings[2]);
-        let (result, spans) = traced(|| {
+        let (result, trace) = traced_flow(|| {
             run_control_flow(&design.compiled, &FlowOptions::optimized(), &library)
                 .map_err(|e| format!("{}: {e}", design.name))
         })?;
+        let totals = trace
+            .counter_totals()
+            .map_err(|e| format!("{}: {e}", design.name))?;
+        let counts = COUNTERS
+            .iter()
+            .map(|name| totals.get(*name).copied().unwrap_or(0))
+            .collect();
         threads_used = result.threads_used;
         // Per-backend prime generation, cold cache, median of 3: the Auto
         // default (which routes wide functions to the cube-cofactor
@@ -214,11 +232,11 @@ fn run() -> Result<bool, String> {
                 .map(|_| {
                     let mut options = FlowOptions::optimized();
                     options.minimize_backend = backend;
-                    traced(|| {
+                    traced_flow(|| {
                         run_control_flow(&design.compiled, &options, &library)
                             .map_err(|e| format!("{}/{backend:?}: {e}", design.name))
                     })
-                    .map(|(_, p)| p.prime_gen)
+                    .map(|(_, trace)| Phases::of(&trace).prime_gen)
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
             Ok(median(samples))
@@ -233,7 +251,8 @@ fn run() -> Result<bool, String> {
             warm_s,
             hits: result.cache_hits,
             misses: result.cache_misses,
-            spans,
+            spans: Phases::of(&trace),
+            counts,
             prime_gen_auto_s,
             prime_gen_exact_s,
             prev_reference_s,
@@ -372,9 +391,14 @@ fn run() -> Result<bool, String> {
             json,
             ", \"phases\": {{\"compile_s\": {:.6}, \"statemin_s\": {:.6}, \"synth_s\": {:.6}, \
              \"prime_gen_s\": {:.6}, \"covering_s\": {:.6}, \"verify_s\": {:.6}, \
-             \"map_s\": {:.6}, \"shapes\": {}}}}}",
+             \"map_s\": {:.6}, \"shapes\": {}}}, \"counters\": {{",
             p.compile, p.statemin, p.synth, p.prime_gen, p.covering, p.verify, p.map, p.shapes
         );
+        for (k, (name, count)) in COUNTERS.iter().zip(&r.counts).enumerate() {
+            let sep = if k > 0 { ", " } else { "" };
+            let _ = write!(json, "{sep}\"{name}\": {count}");
+        }
+        json.push_str("}}");
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");

@@ -4,9 +4,10 @@
 //! Two gate policies, chosen per metric:
 //!
 //! - **Exact** — structural counts (controllers, cache hits/misses, shape
-//!   counts, event counts, lane counts, the states each §4.3 verification
-//!   path explores). These are deterministic functions of the design set,
-//!   so *any* drift is a real behavioural change and fails the gate.
+//!   counts, the minimizer's traced work counts, event counts, lane
+//!   counts, the states each §4.3 verification path explores). These are
+//!   deterministic functions of the design set, so *any* drift is a real
+//!   behavioural change and fails the gate.
 //! - **Ratio** — timing ratios (`speedup`, `auto_speedup_vs_exact`,
 //!   `compiled_vs_event`). Wall-clock ratios move with host load, so the
 //!   gate only fires on a collapse: the fresh value may not fall below
@@ -77,6 +78,9 @@ pub const FLOW_SPECS: &[Spec] = &[
     Spec::exact("designs", "cache_hits"),
     Spec::exact("designs", "cache_misses"),
     Spec::exact("designs", "shapes"),
+    Spec::exact("designs", "hfmin.worklist.explored"),
+    Spec::exact("designs", "hfmin.cofactor.seeds"),
+    Spec::exact("designs", "hfmin.cofactor.leaves"),
     Spec::ratio("designs", "speedup"),
     Spec::ratio("designs", "auto_speedup_vs_exact"),
 ];
@@ -353,8 +357,8 @@ mod tests {
   "bench": "flow_e2e",
   "note": "brackets in prose [do] not confuse the scanner",
   "designs": [
-    {"design": "A", "controllers": 3, "cache_hits": 1, "cache_misses": 2, "speedup": 1.5, "backends": {"auto_speedup_vs_exact": 2.0}, "phases": {"shapes": 2}},
-    {"design": "B", "controllers": 12, "cache_hits": 7, "cache_misses": 5, "speedup": 1.2, "backends": {"auto_speedup_vs_exact": 20.0}, "phases": {"shapes": 5}}
+    {"design": "A", "controllers": 3, "cache_hits": 1, "cache_misses": 2, "speedup": 1.5, "backends": {"auto_speedup_vs_exact": 2.0}, "phases": {"shapes": 2}, "counters": {"hfmin.worklist.explored": 0, "hfmin.cofactor.seeds": 40, "hfmin.cofactor.leaves": 41}},
+    {"design": "B", "controllers": 12, "cache_hits": 7, "cache_misses": 5, "speedup": 1.2, "backends": {"auto_speedup_vs_exact": 20.0}, "phases": {"shapes": 5}, "counters": {"hfmin.worklist.explored": 48, "hfmin.cofactor.seeds": 539, "hfmin.cofactor.leaves": 540}}
   ]
 }"#;
 
@@ -362,8 +366,8 @@ mod tests {
     fn identical_reports_pass() {
         let outcome = compare(FLOW, FLOW, FLOW_SPECS);
         assert!(outcome.pass(), "breaches: {:?}", outcome.breaches);
-        // 2 designs x 6 specs, all present.
-        assert_eq!(outcome.checked, 12);
+        // 2 designs x 9 specs, all present.
+        assert_eq!(outcome.checked, 18);
     }
 
     #[test]
@@ -375,6 +379,18 @@ mod tests {
         assert_eq!((b.design.as_str(), b.metric.as_str()), ("B", "controllers"));
         assert_eq!((b.baseline, b.current), (Some(12.0), Some(15.0)));
         assert_eq!(b.policy, Policy::Exact);
+        // A work count one higher is a breach too.
+        let drifted = FLOW.replace(
+            "\"hfmin.worklist.explored\": 48",
+            "\"hfmin.worklist.explored\": 49",
+        );
+        let outcome = compare(FLOW, &drifted, FLOW_SPECS);
+        assert_eq!(outcome.breaches.len(), 1);
+        let b = &outcome.breaches[0];
+        assert_eq!(
+            (b.design.as_str(), b.metric.as_str()),
+            ("B", "hfmin.worklist.explored")
+        );
     }
 
     #[test]
@@ -400,8 +416,8 @@ mod tests {
     fn lost_design_and_lost_field_breach() {
         let lost_design = FLOW.replace("\"design\": \"B\"", "\"design\": \"Z\"");
         let outcome = compare(FLOW, &lost_design, FLOW_SPECS);
-        // All six of B's gated metrics go missing.
-        assert_eq!(outcome.breaches.len(), 6);
+        // All nine of B's gated metrics go missing.
+        assert_eq!(outcome.breaches.len(), 9);
         assert!(outcome
             .breaches
             .iter()

@@ -196,23 +196,20 @@ pub fn verify_acr(
 /// (subset states counted once — they are shared between directions).
 ///
 /// Instrumented: the whole obligation runs under a `verify.otf` span, each
-/// conformance direction under its own child span, and the searches feed
-/// the `verify.states` counter, the `verify.frontier` histogram (per-search
-/// breadth-first high-water mark), and — on a mismatch — a
-/// `verify.cex_depth` event carrying the counterexample length.
+/// conformance direction under its own child span (annotated
+/// `verify.frontier`, the search's breadth-first high-water mark), the
+/// searches feed the `verify.states` counter, and — on a mismatch — a
+/// `verify.cex_depth` event carries the counterexample length.
 fn verify_traces_otf(
     ta: &TraceStructure,
     tb: &TraceStructure,
     tm: &TraceStructure,
     channel: &str,
 ) -> Result<(AcrVerdict, usize), VerifyError> {
-    /// Frontier sizes bucketed in powers of four (searches range from a
-    /// handful of states to the full composite product).
-    static FRONTIER_BUCKETS: [u64; 7] = [4, 16, 64, 256, 1024, 4096, 16384];
     let _obligation = bmbe_obs::span!("verify.otf", "verify");
+    // Called inside the search's span, which the frontier annotates.
     let note_search = |outcome: &bmbe_trace::OtfOutcome| {
-        bmbe_obs::histogram!("verify.frontier", &FRONTIER_BUCKETS)
-            .observe(outcome.peak_frontier as u64);
+        bmbe_obs::annotate_num!("verify.frontier", outcome.peak_frontier);
         if let Some(cex) = &outcome.counterexample {
             bmbe_obs::event!("verify.cex_depth", cex.len() as i64);
         }
@@ -222,9 +219,10 @@ fn verify_traces_otf(
     let mut hc = HiddenComposition::new(ta, tb, &[req.as_str(), ack.as_str()])?;
     let fwd = {
         let _g = bmbe_obs::span!("verify.fwd", "verify");
-        hc.conforms_to(tm)?
+        let f = hc.conforms_to(tm)?;
+        note_search(&f);
+        f
     };
-    note_search(&fwd);
     let bwd = if fwd.ok {
         let _g = bmbe_obs::span!("verify.bwd", "verify");
         let b = hc.conformed_by(tm)?;

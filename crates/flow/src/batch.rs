@@ -27,10 +27,11 @@
 //!
 //! A panicking job becomes a [`JobFailure`] with phase `panic` while its
 //! siblings complete. Observability: the
-//! `batch.shapes.{synthesized,shared,hits}` and
-//! `batch.jobs.{completed,failed}` counters, the
-//! `batch.singleflight_wait_us` histogram (how long waiters blocked on
-//! in-flight shapes), and the `batch.jobs.pending` queue-depth gauge.
+//! `batch.shapes.{synthesized,shared,hits,failed}` and
+//! `batch.jobs.{completed,failed,pending}` counters (`pending` adds the
+//! job count up front and takes one off per finished job), and the
+//! `wait.us` annotation of each `batch.wait` span (how long a waiter
+//! blocked on an in-flight shape).
 
 use crate::cache::{
     synthesize_shape_with_fault, CacheKey, ControllerCache, KeyedProgram, ShapeError, SynthArtifact,
@@ -51,11 +52,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Histogram bounds for singleflight waits, in microseconds: sub-100µs
-/// waits are scheduling noise, millisecond waits are real shape synthesis,
-/// and the top buckets catch a fleet stacked behind one long pole.
-static WAIT_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 /// One design job in a batch: a compiled design plus its flow options and
 /// an optional simulation stage.
@@ -343,17 +339,13 @@ impl<'a> ShapeRegistry<'a> {
 
     /// Blocks on another job's flight of `key` and reuses its outcome.
     fn wait(&self, key: &CacheKey, slot: &Slot) -> Flight {
-        // The wait span records the *same* microsecond value that goes
-        // into the `batch.singleflight_wait_us` histogram, so the
-        // analyzer's per-shape attribution sums to the histogram total
-        // exactly.
+        // The analyzer's per-shape wait attribution sums the `wait.us`
+        // annotations of these spans.
         let _wait_span = bmbe_obs::span!("batch.wait", "batch");
         bmbe_obs::annotate_num!("shape.digest", key.digest() as i64);
         let start = Instant::now();
         let flight = slot.wait().clone();
-        let waited = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        bmbe_obs::histogram!("batch.singleflight_wait_us", &WAIT_BUCKETS).observe(waited);
-        bmbe_obs::annotate_num!("wait.us", waited as i64);
+        bmbe_obs::annotate_num!("wait.us", start.elapsed().as_micros().min(i64::MAX as u128));
         self.shared.fetch_add(1, Ordering::Relaxed);
         bmbe_obs::trace_counter!("batch.shapes.shared", 1);
         flight
@@ -760,14 +752,14 @@ pub fn run_batch(
     let threads = threads.max(1);
     let job_workers = threads.min(jobs.len()).max(1);
     let inner = (threads / job_workers).max(1);
-    bmbe_obs::trace_gauge!("batch.jobs.pending", jobs.len() as i64);
+    bmbe_obs::trace_counter!("batch.jobs.pending", jobs.len());
     let results: Vec<Result<JobReport, JobFailure>> = bmbe_par::par_try_map(
         jobs,
         job_workers,
         |i, job| format!("batch job {i} ({})", job.label),
         |_, job| {
             let outcome = run_job(job, &registry, inner, root_span);
-            bmbe_obs::trace_gauge!("batch.jobs.pending", add: -1);
+            bmbe_obs::trace_counter!("batch.jobs.pending", -1);
             outcome
         },
     )

@@ -136,10 +136,10 @@ impl DiskCache {
             fault: fault.filter(|plan| plan.phase == FaultPhase::CacheIo),
             ops: AtomicUsize::new(0),
         };
-        // Recompute the size gauge from what is already on disk, not just
-        // after writes — a warm process that never stores anything must
-        // still report the true cache size.
-        bmbe_obs::trace_gauge!("cache.disk.dir_bytes", cache.dir_bytes() as i64);
+        // Report the size already on disk, not just after writes: a traced
+        // warm process that never stores anything still shows the true
+        // cache size.
+        bmbe_obs::event!("cache.disk.dir_bytes", cache.dir_bytes());
         Ok(cache)
     }
 
@@ -316,7 +316,7 @@ impl DiskCache {
             bmbe_obs::trace_counter!("cache.disk.write_errors", 1);
         } else {
             bmbe_obs::trace_counter!("cache.disk.bytes_written", bytes.len() as u64);
-            bmbe_obs::trace_gauge!("cache.disk.dir_bytes", self.dir_bytes() as i64);
+            bmbe_obs::event!("cache.disk.dir_bytes", self.dir_bytes());
         }
         result.map(|()| bytes.len() as u64)
     }

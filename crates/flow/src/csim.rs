@@ -160,15 +160,14 @@ impl CompiledSim {
         let wall_s = start.elapsed().as_secs_f64();
         // Live lanes only: in a partial batch the dead padding is masked
         // out of every write (and asserted event-free at harvest), so the
-        // gauge and the per-outcome stats report the work of the `n`
-        // scenarios actually run, not of 64 lanes.
+        // per-outcome stats report the work of the `n` scenarios actually
+        // run, not of 64 lanes.
         let total_events = r.live_events();
         let events_per_s = if wall_s > 0.0 {
             total_events as f64 / wall_s
         } else {
             0.0
         };
-        bmbe_obs::gauge!("sim.compiled.events_per_s").set(events_per_s as i64);
         let outcomes = (0..n)
             .map(|lane| SimOutcome {
                 completed: r.completed >> lane & 1 == 1,

@@ -567,8 +567,6 @@ pub fn run_gauntlet(
         }
     }
 
-    bmbe_obs::counter!("gauntlet.designs").add(corpus.len() as u64);
-    bmbe_obs::counter!("gauntlet.findings").add(findings.len() as u64);
     Ok(GauntletReport {
         seed: cfg.seed,
         designs: corpus.len(),

@@ -246,7 +246,6 @@ pub fn simulate(
     bmbe_obs::trace_counter!("sim.events", sim.events_processed);
     bmbe_obs::trace_counter!("sim.event.memo_hits", memo_hits);
     bmbe_obs::trace_counter!("sim.event.settles", settles);
-    bmbe_obs::gauge!("sim.events_per_s").set(events_per_s as i64);
     let values = |words: Option<&[u64]>| words.map(<[u64]>::to_vec).unwrap_or_default();
     Ok(SimOutcome {
         completed,

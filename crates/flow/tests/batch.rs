@@ -1,5 +1,5 @@
 //! Batch-driver integration tests: fleet-wide exactly-once synthesis
-//! (asserted through both the summary accounting and the obs counters),
+//! (asserted through both the summary accounting and the traced counts),
 //! pipeline equivalence, per-job failure isolation, and failed-flight
 //! sharing.
 
@@ -9,10 +9,11 @@ use bmbe_flow::{
     ControllerCache, FaultPlan, FlowOptions, ShapeRegistry,
 };
 use bmbe_gates::Library;
+use bmbe_obs::analyze::traced;
 use std::sync::Mutex;
 
-/// Obs counters are process-global; tests that assert counter deltas (or
-/// drive batches whose counters another test might read) serialize here.
+/// Tracing is process-global; tests that count a traced batch (or drive
+/// batches whose records another test's trace might catch) serialize here.
 static BATCH_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -23,8 +24,8 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Replicated jobs over every benchmark design: one fleet, each distinct
 /// shape digest synthesized exactly once no matter the replica count or
-/// thread budget — pinned by the registry summary *and* by the
-/// `batch.shapes.synthesized` obs counter.
+/// thread budget — pinned by the registry summary *and* by the traced
+/// `batch.shapes.synthesized` count.
 #[test]
 fn fleet_synthesizes_each_shape_exactly_once() {
     let _serial = lock();
@@ -43,9 +44,10 @@ fn fleet_synthesizes_each_shape_exactly_once() {
         })
         .collect();
     for threads in [1, 4] {
-        let before = bmbe_obs::counter!("batch.shapes.synthesized").get();
         let cache = ControllerCache::new();
-        let summary = run_batch(&jobs, &library, &cache, threads);
+        let (summary, trace) =
+            traced(|| run_batch(&jobs, &library, &cache, threads)).expect("trace parses");
+        let counts = trace.counter_totals().expect("lossless trace");
         assert_eq!(summary.failed(), 0, "threads={threads}");
         // Exactly once: with an empty starting cache and no failures, the
         // fleet synthesizes each distinct digest once, never more.
@@ -54,9 +56,9 @@ fn fleet_synthesizes_each_shape_exactly_once() {
             "threads={threads}"
         );
         assert_eq!(
-            bmbe_obs::counter!("batch.shapes.synthesized").get() - before,
-            summary.synthesized as u64,
-            "threads={threads}: obs counter disagrees with the registry"
+            counts.get("batch.shapes.synthesized").copied(),
+            Some(summary.synthesized as i64),
+            "threads={threads}: traced count disagrees with the registry"
         );
         // Per-job accounting sums to the fleet totals.
         let (mut synth, mut hits, mut shared) = (0, 0, 0);
@@ -194,13 +196,19 @@ fn shared_failures_are_not_retried() {
         j.options.fault = Some(fault.clone());
         j
     };
-    let failed_before = bmbe_obs::counter!("batch.shapes.failed").get();
-    let summary = run_batch(
-        &[job("first"), job("second")],
-        &library,
-        &ControllerCache::new(),
-        1,
-    );
+    // Tracing also gives the flight recorder a sink in the working
+    // directory; send the two failures' dumps to stderr instead.
+    bmbe_obs::recorder::set_flight_out(Some("-".to_string()));
+    let (summary, trace) = traced(|| {
+        run_batch(
+            &[job("first"), job("second")],
+            &library,
+            &ControllerCache::new(),
+            1,
+        )
+    })
+    .expect("trace parses");
+    bmbe_obs::recorder::set_flight_out(None);
     assert_eq!(summary.failed(), 2);
     let first = summary.jobs[0].as_ref().expect_err("owner fails");
     let second = summary.jobs[1]
@@ -213,9 +221,10 @@ fn shared_failures_are_not_retried() {
     );
     // The failing shape was attempted exactly once and never landed; the
     // owner still flew the other shape it claimed, exactly once.
+    let counts = trace.counter_totals().expect("lossless trace");
     assert_eq!(
-        bmbe_obs::counter!("batch.shapes.failed").get() - failed_before,
-        1,
+        counts.get("batch.shapes.failed").copied(),
+        Some(1),
         "the failed flight is not retried"
     );
     assert_eq!(summary.synthesized, summary.distinct_shapes - 1);

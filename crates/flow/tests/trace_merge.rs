@@ -3,11 +3,11 @@
 //! streams whose concatenation analyzes as ONE logical trace — the
 //! critical path is rooted at a `batch.run` span whose total matches the
 //! measured fleet wall, merge order does not matter, and the per-shape
-//! singleflight wait attribution reconciles exactly against the
-//! `batch.singleflight_wait_us` histogram.
+//! singleflight wait attribution reconciles exactly against the batch
+//! summary's shared waits.
 
 use bmbe_designs::all_designs;
-use bmbe_flow::{run_batch, BatchJob, ControllerCache, DiskCache};
+use bmbe_flow::{run_batch, BatchJob, BatchSummary, ControllerCache, DiskCache};
 use bmbe_gates::Library;
 use bmbe_obs::analyze::parse_merged;
 use bmbe_obs::export::export_jsonl;
@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Obs state (the enable flag, rings, run ID, metrics) is process-global;
-/// every test here owns all of it for its duration.
+/// Obs state (the enable flag, rings, run ID) is process-global; every
+/// test here owns all of it for its duration.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -59,14 +59,14 @@ fn fleet_jobs(replicas: u64) -> Vec<BatchJob> {
         .collect()
 }
 
-/// Runs one traced fleet under `run_id` and returns its JSONL stream plus
-/// the wall nanoseconds measured around `run_batch`.
+/// Runs one traced fleet under `run_id` and returns its JSONL stream, the
+/// wall nanoseconds measured around `run_batch`, and its summary.
 fn traced_fleet(
     run_id: u64,
     jobs: &[BatchJob],
     cache: &ControllerCache,
     threads: usize,
-) -> (String, u64) {
+) -> (String, u64, BatchSummary) {
     let library = Library::cmos035();
     bmbe_obs::set_run_id(run_id);
     // Drain residue from earlier tests so the stream holds only this
@@ -83,7 +83,7 @@ fn traced_fleet(
         trace.run, run_id,
         "trace is stamped with the fleet's run ID"
     );
-    (export_jsonl(&trace), wall_ns)
+    (export_jsonl(&trace), wall_ns, summary)
 }
 
 #[test]
@@ -96,12 +96,12 @@ fn merged_cold_warm_fleet_has_deterministic_critical_path_matching_wall() {
     const WARM_RUN: u64 = 0x3a43_3a43_3a43_3a43;
     let cold_cache =
         ControllerCache::with_disk(DiskCache::open(&scratch.0).expect("create cache dir"));
-    let (cold_jsonl, cold_wall_ns) = traced_fleet(COLD_RUN, &jobs, &cold_cache, 2);
+    let (cold_jsonl, cold_wall_ns, _) = traced_fleet(COLD_RUN, &jobs, &cold_cache, 2);
     // A fresh in-memory cache over the now-populated disk directory: the
     // warm fleet resolves shapes from disk, a genuinely separate run.
     let warm_cache =
         ControllerCache::with_disk(DiskCache::open(&scratch.0).expect("reopen cache dir"));
-    let (warm_jsonl, warm_wall_ns) = traced_fleet(WARM_RUN, &jobs, &warm_cache, 2);
+    let (warm_jsonl, warm_wall_ns, _) = traced_fleet(WARM_RUN, &jobs, &warm_cache, 2);
 
     // Merge = concatenation, in either order.
     let ab = parse_merged(&format!("{cold_jsonl}{warm_jsonl}")).expect("merged trace parses");
@@ -156,39 +156,31 @@ fn merged_cold_warm_fleet_has_deterministic_critical_path_matching_wall() {
 }
 
 #[test]
-fn wait_attribution_reconciles_with_the_singleflight_histogram() {
+fn wait_attribution_reconciles_with_the_batch_summary() {
     let _serial = lock();
     let jobs = fleet_jobs(3);
     for threads in [1, 4] {
-        let histogram = bmbe_obs::histogram!(
-            "batch.singleflight_wait_us",
-            &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000]
-        );
-        let sum_before = histogram.sum();
-        let count_before = histogram.count();
         // Fresh in-memory cache, no disk: every distinct shape is claimed
         // by exactly one job, later replicas wait on the flight.
         let cache = ControllerCache::new();
-        let (jsonl, _) = traced_fleet(0x1000 + threads as u64, &jobs, &cache, threads);
-        let sum_delta = histogram.sum() - sum_before;
-        let count_delta = histogram.count() - count_before;
-
+        let (jsonl, _, summary) = traced_fleet(0x1000 + threads as u64, &jobs, &cache, threads);
         let trace = parse_merged(&jsonl).expect("fleet trace parses");
         let rows = trace.wait_attribution();
         let trace_waits: u64 = rows.iter().map(|r| r.waits).sum();
-        let trace_wait_us: u64 = rows.iter().map(|r| r.wait_us).sum();
 
-        // The waiter measures its wait once and feeds the same number to
-        // the histogram and the span annotation, so the reconciliation is
-        // exact — at 1 thread both sides are zero (no concurrent
-        // claimant to wait on), at 4 they carry the same total.
+        // Each shared resolution blocks once under an annotated
+        // `batch.wait` span and counts once in the summary and in the
+        // `batch.shapes.shared` count, so the three agree exactly — at 1
+        // thread all are zero (no concurrent claimant to wait on).
         assert_eq!(
-            trace_wait_us, sum_delta,
-            "threads={threads}: trace attribution disagrees with histogram sum"
+            trace_waits, summary.shared_waits as u64,
+            "threads={threads}: trace attribution disagrees with the summary's shared waits"
         );
+        let counts = trace.counter_totals().expect("lossless trace");
         assert_eq!(
-            trace_waits, count_delta,
-            "threads={threads}: trace wait count disagrees with histogram count"
+            counts.get("batch.shapes.shared").copied().unwrap_or(0),
+            summary.shared_waits as i64,
+            "threads={threads}: batch.shapes.shared disagrees with the summary"
         );
         if threads == 1 {
             assert_eq!(trace_waits, 0, "a serial fleet never waits");

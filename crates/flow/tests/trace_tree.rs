@@ -14,7 +14,9 @@
 //! The same traced runs pin what `perf_report` relies on when it reads
 //! its synthesis phases from spans: a cold flow records one `shape.synth`,
 //! `shape.compile` and `batch.claim` span per synthesized shape, and a warm
-//! rerun through the same cache records no `shape.*` span at all.
+//! rerun through the same cache records no `shape.*` span at all. Its
+//! counts reconcile with their owner: the `cache.hits` and `cache.misses`
+//! totals equal the flow result's.
 //!
 //! One `#[test]` on purpose: tracing state (the enabled flag, the rings)
 //! is process-global, and a sibling test recording concurrently would
@@ -23,7 +25,7 @@
 use bmbe_designs::all_designs;
 use bmbe_flow::{run_control_flow_with, ControllerCache, FlowOptions, FlowResult};
 use bmbe_gates::Library;
-use bmbe_obs::analyze::parse_merged;
+use bmbe_obs::analyze::{parse_merged, MergedTrace};
 use bmbe_obs::export::{canonical_span_forest, export_jsonl, validate, Trace};
 use bmbe_obs::RecordKind;
 
@@ -39,8 +41,7 @@ fn traced(flow: impl FnOnce() -> FlowResult) -> (FlowResult, Trace) {
 
 /// Span counts by name, read the way `perf_report` reads its phases:
 /// through the JSONL export and the analyzer's phase rows.
-fn span_count(trace: &Trace, name: &str) -> usize {
-    let merged = parse_merged(&export_jsonl(trace)).expect("exported trace parses");
+fn span_count(merged: &MergedTrace, name: &str) -> usize {
     merged
         .phase_rows()
         .iter()
@@ -70,11 +71,23 @@ fn traced_forest(name: &str, threads: usize) -> String {
     // spans: each synthesized shape is claimed, compiled and synthesized
     // exactly once.
     assert!(result.cache_misses > 0);
+    let merged = parse_merged(&export_jsonl(&trace)).expect("exported trace parses");
     for span in ["shape.synth", "shape.compile", "batch.claim"] {
         assert_eq!(
-            span_count(&trace, span),
+            span_count(&merged, span),
             result.cache_misses,
             "{name}: {threads}-thread cold flow's {span} spans"
+        );
+    }
+    let counts = merged.counter_totals().expect("lossless trace");
+    for (name, owner) in [
+        ("cache.hits", result.cache_hits),
+        ("cache.misses", result.cache_misses),
+    ] {
+        assert_eq!(
+            counts.get(name).copied().unwrap_or(0),
+            owner as i64,
+            "{name}: {threads}-thread cold flow's {name} total vs its FlowResult"
         );
     }
     let forest = canonical_span_forest(&trace);

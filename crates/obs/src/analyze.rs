@@ -1,6 +1,6 @@
 //! Fleet trace analysis: merged-JSONL parsing, span-tree reconstruction,
-//! per-phase self-time vs wall-time, critical-path extraction, and
-//! singleflight wait attribution.
+//! per-phase self-time vs wall-time, critical-path extraction,
+//! singleflight wait attribution, and counter totals.
 //!
 //! The input is the self-describing JSONL stream of
 //! [`crate::export::export_jsonl`]: each process's stream starts with a
@@ -9,10 +9,12 @@
 //! one run, so every span here is keyed by `(run, span)` — correlation
 //! relies on distinct per-process run ids (see [`crate::run_id`]).
 //!
-//! The analyzer is consumed by the `trace_report` bench bin and by the
-//! fleet tests; it has no dependencies beyond this crate.
+//! The analyzer is consumed by the `trace_report` bench bin, by the fleet
+//! tests, and by every report or test that reads a count: counts are trace
+//! records, and [`MergedTrace::counter_totals`] is their one reader. It has
+//! no dependencies beyond this crate.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One reconstructed span.
 #[derive(Debug)]
@@ -70,6 +72,10 @@ pub struct MergedTrace {
     pub roots: Vec<usize>,
     /// Total event lines parsed (excluding `meta` lines).
     pub lines: usize,
+    /// `(run, records dropped)` from each stream's `meta` line, in order.
+    dropped: Vec<(u64, u64)>,
+    /// Counter deltas summed per name, across every stream.
+    counters: BTreeMap<String, i64>,
 }
 
 /// One segment of the fleet critical path.
@@ -121,8 +127,8 @@ pub struct WaitRow {
     pub digest: u64,
     /// Number of waiting resolutions.
     pub waits: u64,
-    /// Total microseconds the fleet spent blocked on this shape — the
-    /// exact values observed into `batch.singleflight_wait_us`.
+    /// Total microseconds the fleet spent blocked on this shape: the
+    /// waiters' `wait.us` annotations.
     pub wait_us: u64,
     /// Run that owned (synthesized) the shape, when its claim span is in
     /// the merged trace.
@@ -199,6 +205,8 @@ pub fn parse_merged(text: &str) -> Result<MergedTrace, String> {
             if !out.runs.contains(&run) {
                 out.runs.push(run);
             }
+            out.dropped
+                .push((run, num_field(line, "dropped").unwrap_or(0) as u64));
             continue;
         }
         out.lines += 1;
@@ -249,15 +257,56 @@ pub fn parse_merged(text: &str) -> Result<MergedTrace, String> {
                     }
                 }
             }
-            // Instants and metric samples don't shape the span forest.
-            "instant" | "counter" => {}
+            "counter" => {
+                let total = out.counters.entry(name).or_insert(0);
+                *total = num_field(line, "value")
+                    .and_then(|delta| total.checked_add(delta))
+                    .ok_or_else(|| {
+                        format!("line {lineno}: counter value missing or overflowing")
+                    })?;
+            }
+            // Instants don't shape the span forest.
+            "instant" => {}
             other => return Err(format!("line {lineno}: unknown record kind {other:?}")),
         }
     }
     Ok(out)
 }
 
+/// Runs `work` with tracing on and returns its result with the trace of
+/// the records it left. Records left from earlier work are drained first,
+/// and tracing returns to its previous state after.
+///
+/// # Errors
+///
+/// The exported stream failed to parse.
+pub fn traced<T>(work: impl FnOnce() -> T) -> Result<(T, MergedTrace), String> {
+    let was_enabled = crate::enabled();
+    drop(crate::flush());
+    crate::set_enabled(true);
+    let out = work();
+    crate::set_enabled(was_enabled);
+    let trace = parse_merged(&crate::export::export_jsonl(&crate::flush()))?;
+    Ok((out, trace))
+}
+
 impl MergedTrace {
+    /// Every count the merged streams recorded: the `trace_counter!` deltas
+    /// summed per name.
+    ///
+    /// # Errors
+    ///
+    /// Names the run of a stream that dropped records to a full ring,
+    /// whose counts would otherwise read low.
+    pub fn counter_totals(&self) -> Result<BTreeMap<String, i64>, String> {
+        match self.dropped.iter().find(|&&(_, n)| n > 0) {
+            Some((run, n)) => Err(format!(
+                "run {run:016x} dropped {n} trace records, so its counts are incomplete"
+            )),
+            None => Ok(self.counters.clone()),
+        }
+    }
+
     /// Aggregates wall time and self time per span name, sorted by self
     /// time descending.
     pub fn phase_rows(&self) -> Vec<PhaseRow> {
@@ -514,8 +563,51 @@ mod tests {
         assert_eq!(rows[0].owner_hotspot.as_deref(), Some("hfmin.prime_gen"));
     }
 
+    fn counter_line(name: &str, t: u64, delta: i64) -> String {
+        format!(
+            "{{\"kind\": \"counter\", \"name\": \"{name}\", \"t_ns\": {t}, \"lane\": 0, \
+             \"span\": 0, \"parent\": 0, \"value\": {delta}}}\n"
+        )
+    }
+
+    #[test]
+    fn counter_totals_sum_signed_deltas_across_streams() -> Result<(), String> {
+        let mut merged = toy_stream("0d", 0);
+        merged.push_str(&counter_line("jobs.pending", 7, 3));
+        merged.push_str(&counter_line("jobs.pending", 8, -1));
+        merged.push_str(&toy_stream("0e", 100));
+        merged.push_str(&counter_line("jobs.pending", 107, -2));
+        merged.push_str(&counter_line("cache.hits", 108, 5));
+        let totals = parse_merged(&merged)?.counter_totals()?;
+        let totals: Vec<(&str, i64)> = totals.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        assert_eq!(totals, vec![("cache.hits", 5), ("jobs.pending", 0)]);
+        Ok(())
+    }
+
+    #[test]
+    fn a_lossy_stream_has_no_counter_totals() -> Result<(), String> {
+        let lossy = toy_stream("0f", 0).replace("\"dropped\": 0", "\"dropped\": 1");
+        let merged = format!(
+            "{}{}{}",
+            toy_stream("0e", 0),
+            counter_line("cache.hits", 1, 2),
+            lossy
+        );
+        let t = parse_merged(&merged)?;
+        assert_eq!(t.dropped, vec![(0x0e, 0), (0x0f, 1)]);
+        let err = t
+            .counter_totals()
+            .err()
+            .ok_or("a lossy stream has no totals")?;
+        assert!(err.contains("000000000000000f"), "{err}");
+        // The lossy stream's spans still analyze.
+        assert_eq!(t.roots.len(), 2);
+        Ok(())
+    }
+
     #[test]
     fn parse_rejects_malformed_lines() {
+        assert!(parse_merged(&counter_line("x", 0, i64::MAX).repeat(2)).is_err());
         assert!(parse_merged("{\"nope\": 1}\n").is_err());
         assert!(parse_merged("{\"kind\": \"meta\"}\n").is_err());
         assert!(parse_merged("{\"kind\": \"wat\", \"name\": \"x\", \"t_ns\": 0}\n").is_err());

@@ -100,10 +100,12 @@ pub fn escape(s: &str) -> String {
 
 /// Renders the trace in Chrome trace-event format (JSON object form). Spans
 /// become `B`/`E` duration events on their real lane (`tid`), instants
-/// become `i` events, and metric samples become `C` counter events — the
+/// become `i` events, and counter deltas become `C` events carrying the
+/// name's running total, so each count reads as a counter track — the
 /// parallel fan-out shows up as one lane per worker thread. Open
 /// `chrome://tracing` or Perfetto and load the file.
 pub fn export_chrome(trace: &Trace) -> String {
+    let mut totals: HashMap<&str, i64> = HashMap::new();
     let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
     let mut first = true;
     let mut push = |line: String, out: &mut String| {
@@ -144,11 +146,15 @@ pub fn export_chrome(trace: &Trace) -> String {
                  \"cat\": \"{cat}\", \"s\": \"t\", \"args\": {{\"value\": {}}}}}",
                 s.lane, s.rec.value
             ),
-            RecordKind::Counter => format!(
-                "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \"name\": \"{name}\", \
-                 \"args\": {{\"value\": {}}}}}",
-                s.lane, s.rec.value
-            ),
+            RecordKind::Counter => {
+                let total = totals.entry(name).or_insert(0);
+                *total += s.rec.value;
+                format!(
+                    "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \
+                     \"name\": \"{name}\", \"args\": {{\"value\": {total}}}}}",
+                    s.lane
+                )
+            }
             RecordKind::AnnotateNum => format!(
                 "{{\"ph\": \"i\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \"name\": \"{name}\", \
                  \"cat\": \"{cat}\", \"s\": \"t\", \"args\": {{\"span\": {}, \"value\": {}}}}}",
@@ -577,6 +583,35 @@ mod tests {
         for line in export_jsonl(&trace).lines() {
             validate_json(line).unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
         }
+    }
+
+    #[test]
+    fn chrome_counter_tracks_end_at_the_counter_totals() -> Result<(), String> {
+        let mut trace = toy_trace();
+        trace
+            .callsites
+            .extend([("jobs.pending", "counter"), ("cache.hits", "counter")]);
+        for (callsite, t_ns, delta) in [(4, 6, 3), (5, 7, 2), (4, 8, -1), (5, 9, 4), (4, 10, -2)] {
+            let mut s = sample(RecordKind::Counter, callsite, 0, 0, t_ns);
+            s.rec.value = delta;
+            trace.events.push(s);
+        }
+        let chrome = export_chrome(&trace);
+        assert_eq!(validate_json(&chrome), Ok(()));
+        let field = |line: &str, key: &str, end: char| {
+            let at = line.find(key)? + key.len();
+            line[at..].split(end).next().map(str::to_string)
+        };
+        let mut last = std::collections::BTreeMap::new();
+        for line in chrome.lines().filter(|l| l.contains("\"ph\": \"C\"")) {
+            let total = field(line, "\"value\": ", '}').and_then(|v| v.parse::<i64>().ok());
+            let name = field(line, "\"name\": \"", '"').ok_or("C event without a name")?;
+            last.insert(name, total.ok_or("C event without a total")?);
+        }
+        let totals = crate::analyze::parse_merged(&export_jsonl(&trace))?.counter_totals()?;
+        assert_eq!(last, totals);
+        assert_eq!((totals["jobs.pending"], totals["cache.hits"]), (0, 6));
+        Ok(())
     }
 
     #[test]

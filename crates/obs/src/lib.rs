@@ -2,8 +2,8 @@
 //! # bmbe-obs
 //!
 //! Structured observability for the bmbe back-end: span-based tracing,
-//! a metrics registry, and exporters — with no external dependencies (the
-//! workspace builds offline).
+//! counts as trace records, and exporters — with no external dependencies
+//! (the workspace builds offline).
 //!
 //! ## Tracing
 //!
@@ -15,20 +15,23 @@
 //!
 //! When tracing is disabled (the default), a callsite costs one relaxed
 //! atomic load — no thread-local access, no timestamps, no allocation, no
-//! ring traffic. `bmbe-bench`'s `obs_overhead` bench pins this. Enable
-//! with [`set_enabled`] or `BMBE_TRACE=1` + [`init_from_env`];
-//! `BMBE_TRACE_OUT` overrides the default `trace.json` output path.
+//! ring traffic, and no evaluation of the callsite's value expression.
+//! `bmbe-bench`'s `obs_overhead` bench pins this. Enable with
+//! [`set_enabled`] or `BMBE_TRACE=1` + [`init_from_env`]; `BMBE_TRACE_OUT`
+//! overrides the default `trace.json` output path.
 //!
 //! The spans are the only timing system: a report that needs per-phase
 //! wall times (`perf_report`'s synthesis phases, `trace_report`) traces
 //! the run and reads them back through [`analyze`].
 //!
-//! ## Metrics
+//! ## Counts
 //!
-//! [`counter!`], [`gauge!`], and [`histogram!`] return typed handles into a
-//! global registry ([`metrics`]); `metrics::snapshot()` reads everything
-//! for a report. Counter updates additionally land in the trace (as Chrome
-//! counter samples) while tracing is enabled.
+//! A count is a trace record: [`trace_counter!`] writes a signed delta
+//! while tracing is on, and
+//! [`analyze::MergedTrace::counter_totals`] adds the deltas up per name.
+//! A report that needs a count traces the run, as it does for a phase
+//! time; the Chrome export shows each name's running total as a counter
+//! track.
 //!
 //! ## Verbosity
 //!
@@ -38,11 +41,9 @@
 
 pub mod analyze;
 pub mod export;
-pub mod metrics;
 pub mod recorder;
 pub mod ring;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, RegistryError};
 pub use ring::{Record, RecordKind, Sample};
 
 use ring::ThreadBuffer;
@@ -404,11 +405,10 @@ pub fn instant(cs: &'static Callsite, value: i64) {
     with_buffer(|b| b.push(rec));
 }
 
-/// Records a metric sample into the trace (the running total of a counter,
-/// or a gauge value) so it shows up as a Chrome counter lane. No-op when
-/// tracing is disabled.
+/// Records a signed counter delta (no-op when tracing is disabled). Use
+/// via [`trace_counter!`].
 #[inline]
-pub fn sample(cs: &'static Callsite, value: i64) {
+pub fn count(cs: &'static Callsite, delta: i64) {
     if !enabled() {
         return;
     }
@@ -418,7 +418,7 @@ pub fn sample(cs: &'static Callsite, value: i64) {
         span: 0,
         parent: 0,
         t_ns: now_ns(),
-        value,
+        value: delta,
     };
     with_buffer(|b| b.push(rec));
 }
@@ -512,93 +512,59 @@ macro_rules! span_with_parent {
 }
 
 /// Records an instantaneous event: `event!("name")` or
-/// `event!("name", value)` with an `i64` payload.
+/// `event!("name", value)` with an `i64` payload, evaluated only while
+/// tracing is on.
 #[macro_export]
 macro_rules! event {
     ($name:expr) => {
         $crate::event!($name, 0)
     };
     ($name:expr, $value:expr) => {{
-        static CS: $crate::Callsite = $crate::Callsite::new($name, "");
-        $crate::instant(&CS, $value as i64)
+        if $crate::enabled() {
+            static CS: $crate::Callsite = $crate::Callsite::new($name, "");
+            $crate::instant(&CS, $value as i64)
+        }
     }};
 }
 
 /// Attaches a numeric annotation to the innermost open span:
 /// `annotate_num!("shape.digest", digest)`. The name is the attribute key;
-/// the value travels with the span through export and the analyzer.
+/// the value, evaluated only while tracing is on, travels with the span
+/// through export and the analyzer.
 #[macro_export]
 macro_rules! annotate_num {
     ($name:expr, $value:expr) => {{
-        static CS: $crate::Callsite = $crate::Callsite::new($name, "annot");
-        $crate::annotate_num(&CS, $value as i64)
+        if $crate::enabled() {
+            static CS: $crate::Callsite = $crate::Callsite::new($name, "annot");
+            $crate::annotate_num(&CS, $value as i64)
+        }
     }};
 }
 
 /// Attaches a string annotation to the innermost open span:
-/// `annotate_str!("job.design", design_name)`.
+/// `annotate_str!("job.design", design_name)`, evaluated only while
+/// tracing is on.
 #[macro_export]
 macro_rules! annotate_str {
     ($name:expr, $value:expr) => {{
-        static CS: $crate::Callsite = $crate::Callsite::new($name, "annot");
-        $crate::annotate_str(&CS, $value)
+        if $crate::enabled() {
+            static CS: $crate::Callsite = $crate::Callsite::new($name, "annot");
+            $crate::annotate_str(&CS, $value)
+        }
     }};
 }
 
-/// Returns the [`Counter`] handle for a static metric name, registering on
-/// first use. `counter!("cache.hits")`.
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {{
-        static H: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
-        *H.get_or_init(|| $crate::Counter::register($name))
-    }};
-}
-
-/// Returns the [`Gauge`] handle for a static metric name.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static H: ::std::sync::OnceLock<$crate::Gauge> = ::std::sync::OnceLock::new();
-        *H.get_or_init(|| $crate::Gauge::register($name))
-    }};
-}
-
-/// Returns the [`Histogram`] handle for a static metric name and static
-/// bucket bounds: `histogram!("sim.occupancy", &[1, 2, 4, 8])`.
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr, $bounds:expr) => {{
-        static H: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
-        *H.get_or_init(|| $crate::Histogram::register($name, $bounds))
-    }};
-}
-
-/// Counter update that also lands in the trace as a Chrome counter sample
-/// while tracing is enabled: `trace_counter!("cache.hits", 3)`.
+/// Adds a signed delta to the count `name`: `trace_counter!("cache.hits",
+/// 3)`. The count is a trace record, written only while tracing is on; the
+/// delta expression is not evaluated otherwise, so a disabled site costs
+/// the one atomic load of a disabled [`span!`].
 #[macro_export]
 macro_rules! trace_counter {
-    ($name:expr, $n:expr) => {{
-        static CS: $crate::Callsite = $crate::Callsite::new($name, "metric");
-        let total = $crate::counter!($name).add($n as u64);
-        $crate::sample(&CS, total as i64);
-    }};
-}
-
-/// Gauge update that also lands in the trace as a Chrome counter sample
-/// while tracing is enabled: `trace_gauge!("flow.pending", 7)` sets the
-/// gauge, `trace_gauge!("flow.pending", add: -1)` adjusts it.
-#[macro_export]
-macro_rules! trace_gauge {
-    ($name:expr, add: $d:expr) => {{
-        static CS: $crate::Callsite = $crate::Callsite::new($name, "metric");
-        let v = $crate::gauge!($name).add($d as i64);
-        $crate::sample(&CS, v);
-    }};
-    ($name:expr, $v:expr) => {{
-        static CS: $crate::Callsite = $crate::Callsite::new($name, "metric");
-        $crate::gauge!($name).set($v as i64);
-        $crate::sample(&CS, $v as i64);
+    ($name:expr, $delta:expr) => {{
+        if $crate::enabled() {
+            static CS: $crate::Callsite = $crate::Callsite::new($name, "counter");
+            $crate::count(&CS, $delta as i64);
+        }
     }};
 }
 
@@ -681,6 +647,36 @@ mod tests {
         assert_eq!(mine[1].rec.parent, mine[0].rec.span, "inner parents outer");
         assert_eq!(mine[2].rec.span, mine[1].rec.span, "inner closes first");
         export::validate(&trace).expect("balanced trace");
+    }
+
+    #[test]
+    fn counters_record_signed_deltas_only_while_tracing() {
+        let _l = global_lock();
+        set_enabled(false);
+        let mut evaluated = false;
+        trace_counter!("test.count", {
+            evaluated = true;
+            5
+        });
+        assert!(
+            !evaluated,
+            "a disabled counter leaves its delta unevaluated"
+        );
+        set_enabled(true);
+        trace_counter!("test.count", 5);
+        trace_counter!("test.count", -2);
+        set_enabled(false);
+        let trace = flush();
+        let deltas: Vec<(RecordKind, i64)> = trace
+            .events
+            .iter()
+            .filter(|s| trace.name(s.rec.callsite) == "test.count")
+            .map(|s| (s.rec.kind, s.rec.value))
+            .collect();
+        assert_eq!(
+            deltas,
+            vec![(RecordKind::Counter, 5), (RecordKind::Counter, -2)]
+        );
     }
 
     #[test]

@@ -268,7 +268,6 @@ pub fn render(reason: &str, context: &[(&str, String)]) -> String {
 pub fn dump(reason: &str, context: &[(&str, String)]) -> Option<String> {
     let path = flight_out_path()?;
     let doc = render(reason, context);
-    crate::counter!("flight.dumps").incr();
     if path == "-" || path == "/dev/stdout" {
         eprint!("{doc}");
         return None;

@@ -22,7 +22,8 @@ pub enum RecordKind {
     Close,
     /// An instantaneous event (`value` is the callsite's payload).
     Instant,
-    /// A metric sample (`value` is the running total / current value).
+    /// A counter delta (`value` is the signed amount added to the count
+    /// the callsite names).
     Counter,
     /// A numeric annotation attached to a span (`span` is the annotated
     /// span id, `value` the number; the callsite names the attribute).
@@ -47,7 +48,7 @@ pub struct Record {
     pub parent: u64,
     /// Nanoseconds since the process trace epoch.
     pub t_ns: u64,
-    /// Numeric payload (event value, metric running total).
+    /// Numeric payload (event value, counter delta).
     pub value: i64,
 }
 

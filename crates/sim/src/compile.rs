@@ -387,9 +387,8 @@ impl CompiledCircuit {
     pub fn run(&self, spec: &RunSpec<'_>) -> RunResult {
         let n = spec.lanes.len();
         assert!(n >= 1 && n <= LANES, "lane count {n} out of range");
-        static LANE_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 24, 32, 64];
-        bmbe_obs::histogram!("sim.lanes_occupancy", &LANE_BUCKETS).observe(n as u64);
         let _run_span = bmbe_obs::span!("sim.settle", "sim");
+        bmbe_obs::annotate_num!("sim.lanes_occupancy", n);
         let mut st = RunState::new(self, spec);
         st.init(self, spec);
         st.check_done(spec);
@@ -1067,8 +1066,6 @@ impl<'a> RunState<'a> {
             iters += 1;
         }
         self.settle_iters += iters;
-        static SETTLE_BUCKETS: [u64; 6] = [1, 2, 3, 4, 5, 8];
-        bmbe_obs::histogram!("sim.settle_iters", &SETTLE_BUCKETS).observe(iters);
         for (o, &ow) in outputs.iter().enumerate() {
             self.drive(ow, scratch[t.out_roots[o] as usize]);
         }
@@ -1085,8 +1082,8 @@ impl<'a> RunState<'a> {
         // words with dead lanes, but every scheduled write is masked with
         // `live` before it lands, so the padding can never accrue events.
         // Everything harvested below is truncated to the `n` live lanes —
-        // consumers of `lane_events` (the events/s gauge, `SimStats`)
-        // therefore count live lanes only, never the padding.
+        // consumers of `lane_events` (`SimStats`, its events/s) therefore
+        // count live lanes only, never the padding.
         debug_assert!(
             self.lane_events[n..].iter().all(|&e| e == 0),
             "dead padded lanes accrued events: {:?}",

@@ -30,10 +30,11 @@
 #      batched 64-scenario Microprocessor-core run must beat the event
 #      engine's aggregate events/s by at least 5x (per-lane parity with
 #      the event engine is asserted inside sim_report itself);
-#   9. batch + persistent cache: three batch_report fleets, each over a
+#   9. batch + persistent cache: five batch_report fleets, each over a
 #      fresh temporary BMBE_CACHE_DIR, must each emit pure-JSON stdout
-#      and synthesize each distinct shape exactly once; three more
-#      *processes* over the first cache directory must each synthesize
+#      and synthesize each distinct shape exactly once; five more
+#      *processes* over the first cache directory, each run right after
+#      one cold process (cold k, then warm k), must each synthesize
 #      nothing, and the median of their Microprocessor-core wall times
 #      must be at least 3x below the median of the cold processes';
 #  10. cache_io fault smoke: with BMBE_FAULT=cache_io:0:err the disk
@@ -47,8 +48,9 @@
 #      BENCH_flow.json / BENCH_sim.json from step 6/8 against the
 #      committed baselines must pass, an injected structural
 #      regression (controllers count bumped on a copy of
-#      BENCH_flow.json, then a verification row's otf_states bumped on
-#      a copy of BENCH_sim.json) must fail it, and an empty baseline
+#      BENCH_flow.json, then a minimizer work count bumped by one on
+#      another copy, then a verification row's otf_states bumped on a
+#      copy of BENCH_sim.json) must fail it, and an empty baseline
 #      must produce the structured no-baseline verdict (nonzero exit,
 #      explicit reason) instead of a vacuous pass or a parse error;
 #  13. differential gauntlet: a fixed-seed corpus slice of >= 200
@@ -174,18 +176,17 @@ echo "tier1: Microprocessor batched compiled backend ${ratio}x the event engine"
 
 echo "== tier1: batch driver + persistent disk cache =="
 # Scratch cache directories: the gate must never read or pollute a real
-# BMBE_CACHE_DIR the developer has configured. Three cold processes each
-# fill a fresh cache; three warm processes then read the first one.
+# BMBE_CACHE_DIR the developer has configured. Each cold process fills a
+# fresh cache; the warm process after it reads the first one. Interleaving
+# the pairs spreads a host-speed swing over both sides of the gate.
 batch_dir="$(mktemp -d)"
-for k in 1 2 3; do
+for k in 1 2 3 4 5; do
     BMBE_CACHE_DIR="$batch_dir/cache$k" cargo run --release -p bmbe-bench --bin batch_report -- \
         --replicas 1 --sim-batch 0 >"$batch_dir/cold$k.jsonl"
-done
-for k in 1 2 3; do
     BMBE_CACHE_DIR="$batch_dir/cache1" cargo run --release -p bmbe-bench --bin batch_report -- \
         --replicas 1 --sim-batch 0 >"$batch_dir/warm$k.jsonl"
 done
-for run in cold1 cold2 cold3 warm1 warm2 warm3; do
+for run in cold1 cold2 cold3 cold4 cold5 warm1 warm2 warm3 warm4 warm5; do
     out="$batch_dir/$run.jsonl"
     # Pure-JSON stdout: every line is one JSON object.
     if grep -qv '^{' "$out"; then
@@ -215,21 +216,21 @@ for run in cold1 cold2 cold3 warm1 warm2 warm3; do
 done
 # The warm processes' Microprocessor job must be at least 3x faster than
 # the cold ones' (disk decode vs full synthesis; measured ~8x here).
-# Medians of three processes each, because one sample of a job that takes
+# Medians of five processes each, because one sample of a job that takes
 # a few milliseconds moves by a host hiccup.
 micro_median() {
-    for k in 1 2 3; do
+    for k in 1 2 3 4 5; do
         grep '"job": "Microprocessor core#0"' "$batch_dir/$1$k.jsonl" \
             | sed 's/.*"wall_s": \([0-9.]*\).*/\1/'
-    done | sort -g | sed -n 2p
+    done | sort -g | sed -n 3p
 }
 cold_s="$(micro_median cold)"
 warm_s="$(micro_median warm)"
 if ! awk -v c="$cold_s" -v w="$warm_s" 'BEGIN { exit !(w > 0 && c / w >= 3) }'; then
-    echo "tier1: FAIL: Microprocessor warm disk-cache run ${warm_s}s vs cold ${cold_s}s (medians of 3, < 3x)" >&2
+    echo "tier1: FAIL: Microprocessor warm disk-cache run ${warm_s}s vs cold ${cold_s}s (medians of 5, < 3x)" >&2
     exit 1
 fi
-echo "tier1: Microprocessor cold ${cold_s}s vs warm-disk ${warm_s}s (cross-process medians of 3)"
+echo "tier1: Microprocessor cold ${cold_s}s vs warm-disk ${warm_s}s (cross-process medians of 5)"
 
 echo "== tier1: cache_io fault smoke =="
 # A faulted disk layer degrades to cache misses; the fleet must succeed.
@@ -283,6 +284,17 @@ if cargo run --release -p bmbe-bench --bin bench_trend -- \
     --flow "$trace_dir/regressed.json" --baseline-flow BENCH_flow.json \
     --sim BENCH_sim.json --baseline-sim BENCH_sim.json >/dev/null; then
     echo "tier1: FAIL: bench_trend passed an injected controllers regression" >&2
+    exit 1
+fi
+# One more unit of minimizer work (the first row's traced count) is a
+# regression too.
+explored="$(grep -o '"hfmin.worklist.explored": [0-9]*' BENCH_flow.json | head -n 1 | sed 's/.*: //')"
+sed "s/\"hfmin.worklist.explored\": $explored\([,}]\)/\"hfmin.worklist.explored\": $((explored + 1))\1/" \
+    BENCH_flow.json >"$trace_dir/regressed_counter.json"
+if cargo run --release -p bmbe-bench --bin bench_trend -- \
+    --flow "$trace_dir/regressed_counter.json" --baseline-flow BENCH_flow.json \
+    --sim BENCH_sim.json --baseline-sim BENCH_sim.json >/dev/null; then
+    echo "tier1: FAIL: bench_trend passed an injected hfmin.worklist.explored regression" >&2
     exit 1
 fi
 sed 's/"otf_states": 123/"otf_states": 124/' BENCH_sim.json >"$trace_dir/regressed_sim.json"
@@ -357,7 +369,7 @@ rm -rf "$gauntlet_dir"
 
 echo "== tier1: panic-site ceiling =="
 # A change that removes sites lowers the ceiling here in the same change.
-for gate in 'unwrap() 322' 'expect( 77' 'panic!( 39'; do
+for gate in 'unwrap() 321' 'expect( 77' 'panic!( 38'; do
     set -- $gate
     count="$(grep -rF --include='*.rs' "$1" crates/*/src src \
         | grep -v '^crates/\(bench\|criterion\|proptest\)/' | wc -l)"

@@ -1,6 +1,7 @@
 //! Zero-overhead smoke test for disabled tracing: the per-callsite cost of
-//! a *disabled* `span!` times the number of callsite hits a real flow run
-//! makes must stay under 2% of that flow run's wall time.
+//! a *disabled* `span!` or `trace_counter!`, whichever is costlier, times
+//! the number of callsite hits a real flow run makes must stay under 2% of
+//! that flow run's wall time.
 //!
 //! Deliberately not a wall-clock A/B of two flow runs — at the measured
 //! nanoseconds-per-callsite, run-to-run scheduler noise dwarfs the
@@ -26,7 +27,7 @@ fn disabled_tracing_costs_under_two_percent_of_a_flow_run() {
         .expect("Stack benchmark design");
 
     // Per-callsite cost of the disabled fast path (one relaxed atomic
-    // load), amortized over a tight loop.
+    // load), amortized over a tight loop, for a span and for a count.
     bmbe_obs::set_enabled(false);
     const CALLS: u32 = 1_000_000;
     let start = Instant::now();
@@ -34,7 +35,14 @@ fn disabled_tracing_costs_under_two_percent_of_a_flow_run() {
         let _g = bmbe_obs::span!("test.overhead_probe");
         black_box(i);
     }
-    let per_callsite = start.elapsed() / CALLS;
+    let per_span = start.elapsed() / CALLS;
+    let start = Instant::now();
+    for i in 0..CALLS {
+        bmbe_obs::trace_counter!("test.overhead_count", 1);
+        black_box(i);
+    }
+    let per_count = start.elapsed() / CALLS;
+    let per_callsite = per_span.max(per_count);
 
     // Callsite hits of one real (cold-cache) flow run, counted by tracing
     // it. Record count over-counts hits: every span contributes two
@@ -64,7 +72,8 @@ fn disabled_tracing_costs_under_two_percent_of_a_flow_run() {
     let cost = per_callsite * hits;
     assert!(
         cost < budget,
-        "disabled-tracing cost {cost:?} ({hits} callsite hits x {per_callsite:?}) exceeds 2% \
-         of the flow's {wall:?} wall time ({budget:?})"
+        "disabled-tracing cost {cost:?} ({hits} callsite hits x {per_callsite:?}, the costlier \
+         of span {per_span:?} and count {per_count:?}) exceeds 2% of the flow's {wall:?} wall \
+         time ({budget:?})"
     );
 }
