@@ -15,7 +15,9 @@ use std::hint::black_box;
 /// The Microprocessor core's hardest controller and function, picked by
 /// actually timing one prime-generation pass per function: structural
 /// proxies (variable or product counts) miss the worst case, which is
-/// decided by how the OFF-set obstructs expansion.
+/// decided by how the OFF-set obstructs expansion. Enumeration refuses a
+/// function wider than `EXACT_PRIME_VARS` at once, so the pick is the
+/// hardest function it accepts.
 fn hardest_controller() -> (ControllerArtifact, usize) {
     let library = Library::cmos035();
     let designs = all_designs().expect("shipped designs build");
@@ -70,7 +72,7 @@ fn bench_kernels(c: &mut Criterion) {
         backend: MinimizeBackend::CubeCofactor,
         ..MinimizeOptions::default()
     };
-    g.bench_function(format!("minimize_cofactor_backend/{name}"), |b| {
+    g.bench_function(format!("minimize_cube_cofactor_backend/{name}"), |b| {
         b.iter(|| black_box(spec).minimize_opts(&cofactor).expect("minimizes"))
     });
     g.bench_function(format!("equivalence_algebraic/{name}"), |b| {

@@ -34,13 +34,16 @@ use std::time::Instant;
 
 const SAMPLES: usize = 9;
 
-/// The minimizer's work counts, totalled from each design's traced cold
-/// run: deterministic functions of the design, so `bench_trend` gates them
-/// exactly.
+/// The minimizer's work counts and engine decisions (functions whose
+/// primes were enumerated, and functions that took the cube-cofactor
+/// picks), totalled from each design's traced cold run: deterministic
+/// functions of the design, so `bench_trend` gates them exactly.
 const COUNTERS: &[&str] = &[
     "hfmin.worklist.explored",
     "hfmin.cofactor.seeds",
     "hfmin.cofactor.leaves",
+    "hfmin.engine.exact",
+    "hfmin.engine.cofactor",
 ];
 
 /// Median of a sample vector.
@@ -131,8 +134,8 @@ impl Phases {
             compile: secs(&["shape.compile"]),
             statemin: secs(&["shape.statemin"]),
             synth: secs(&["shape.synth"]),
-            prime_gen: secs(&["hfmin.prime_gen", "hfmin.expand"]),
-            covering: secs(&["hfmin.covering", "hfmin.irredundant"]),
+            prime_gen: secs(&["hfmin.prime_gen"]),
+            covering: secs(&["hfmin.covering"]),
             verify: secs(&["shape.verify", "shape.verify_mapped"]),
             map: secs(&["shape.map"]),
             shapes: rows

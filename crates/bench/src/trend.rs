@@ -4,7 +4,8 @@
 //! Two gate policies, chosen per metric:
 //!
 //! - **Exact** — structural counts (controllers, cache hits/misses, shape
-//!   counts, the minimizer's traced work counts, event counts, lane
+//!   counts, the minimizer's traced work counts and engine choices,
+//!   event counts, lane
 //!   counts, the states each §4.3 verification path explores). These are
 //!   deterministic functions of the design set, so *any* drift is a real
 //!   behavioural change and fails the gate.
@@ -81,6 +82,8 @@ pub const FLOW_SPECS: &[Spec] = &[
     Spec::exact("designs", "hfmin.worklist.explored"),
     Spec::exact("designs", "hfmin.cofactor.seeds"),
     Spec::exact("designs", "hfmin.cofactor.leaves"),
+    Spec::exact("designs", "hfmin.engine.exact"),
+    Spec::exact("designs", "hfmin.engine.cofactor"),
     Spec::ratio("designs", "speedup"),
     Spec::ratio("designs", "auto_speedup_vs_exact"),
 ];
@@ -357,8 +360,8 @@ mod tests {
   "bench": "flow_e2e",
   "note": "brackets in prose [do] not confuse the scanner",
   "designs": [
-    {"design": "A", "controllers": 3, "cache_hits": 1, "cache_misses": 2, "speedup": 1.5, "backends": {"auto_speedup_vs_exact": 2.0}, "phases": {"shapes": 2}, "counters": {"hfmin.worklist.explored": 0, "hfmin.cofactor.seeds": 40, "hfmin.cofactor.leaves": 41}},
-    {"design": "B", "controllers": 12, "cache_hits": 7, "cache_misses": 5, "speedup": 1.2, "backends": {"auto_speedup_vs_exact": 20.0}, "phases": {"shapes": 5}, "counters": {"hfmin.worklist.explored": 48, "hfmin.cofactor.seeds": 539, "hfmin.cofactor.leaves": 540}}
+    {"design": "A", "controllers": 3, "cache_hits": 1, "cache_misses": 2, "speedup": 1.5, "backends": {"auto_speedup_vs_exact": 2.0}, "phases": {"shapes": 2}, "counters": {"hfmin.worklist.explored": 0, "hfmin.cofactor.seeds": 40, "hfmin.cofactor.leaves": 41, "hfmin.engine.exact": 0, "hfmin.engine.cofactor": 2}},
+    {"design": "B", "controllers": 12, "cache_hits": 7, "cache_misses": 5, "speedup": 1.2, "backends": {"auto_speedup_vs_exact": 20.0}, "phases": {"shapes": 5}, "counters": {"hfmin.worklist.explored": 48, "hfmin.cofactor.seeds": 539, "hfmin.cofactor.leaves": 540, "hfmin.engine.exact": 3, "hfmin.engine.cofactor": 28}}
   ]
 }"#;
 
@@ -366,8 +369,8 @@ mod tests {
     fn identical_reports_pass() {
         let outcome = compare(FLOW, FLOW, FLOW_SPECS);
         assert!(outcome.pass(), "breaches: {:?}", outcome.breaches);
-        // 2 designs x 9 specs, all present.
-        assert_eq!(outcome.checked, 18);
+        // 2 designs x 11 specs, all present.
+        assert_eq!(outcome.checked, 22);
     }
 
     #[test]
@@ -416,8 +419,8 @@ mod tests {
     fn lost_design_and_lost_field_breach() {
         let lost_design = FLOW.replace("\"design\": \"B\"", "\"design\": \"Z\"");
         let outcome = compare(FLOW, &lost_design, FLOW_SPECS);
-        // All nine of B's gated metrics go missing.
-        assert_eq!(outcome.breaches.len(), 9);
+        // All eleven of B's gated metrics go missing.
+        assert_eq!(outcome.breaches.len(), 11);
         assert!(outcome
             .breaches
             .iter()

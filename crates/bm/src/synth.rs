@@ -257,27 +257,9 @@ pub fn synthesize_full(
     }
 }
 
-/// Synthesizes with an explicit state-separation level (see
-/// [`Separation`]); [`synthesize`] escalates automatically.
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn synthesize_with(
-    spec: &BmSpec,
-    mode: MinimizeMode,
-    separation: Separation,
-) -> Result<Controller, SynthError> {
-    synthesize_with_opts(spec, mode, separation, &MinimizeOptions::default())
-}
-
-/// [`synthesize_with`] with explicit [`MinimizeOptions`] (see
-/// [`synthesize_full`]).
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn synthesize_with_opts(
+/// One synthesis attempt at an explicit state-separation level (see
+/// [`Separation`]); [`synthesize_full`] escalates between the levels.
+fn synthesize_with_opts(
     spec: &BmSpec,
     mode: MinimizeMode,
     separation: Separation,

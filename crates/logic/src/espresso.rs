@@ -1,57 +1,41 @@
-//! Espresso-style cube-cofactor minimization for DHF covers.
+//! Espresso-style cube-cofactor EXPAND for DHF covers.
 //!
-//! The exact engine in [`crate::hfmin`] enumerates *every* DHF-prime
-//! implicant before solving a covering problem — the right oracle, but its
-//! worklist is exponential in the variable count and dominates the flow's
-//! `prime_gen` phase on large cluster functions. This module is the
-//! incremental alternative, structured like espresso's EXPAND/IRREDUNDANT
-//! loop but adapted to the hazard-free constraint system of Nowick and
-//! Dill:
+//! The exact EXPAND in [`crate::hfmin`] enumerates *every* DHF-prime
+//! implicant — the right oracle, but its worklist is exponential in the
+//! variable count. This module is the incremental alternative, the EXPAND
+//! half of espresso's EXPAND/IRREDUNDANT loop adapted to the hazard-free
+//! constraint system of Nowick and Dill: each required cube is grown to
+//! *one* good DHF prime by a recursive cube-cofactor search. The per-seed
+//! constraint compilation is shared with the canonical-ascent worklist: an
+//! OFF cube blocks the set `S` of freed variables iff its disagreement
+//! mask is contained in `S`, and an active privileged cube contributes the
+//! implication `D_q ⊆ S → A_q ⊆ S`. Those implications are exactly the
+//! *binate* part of the search space, so the recursion branches on them —
+//! commit to the consequence (`S ∪ A_q`) or veto the trigger (block a
+//! variable of `D_q`) — and the remaining *unate* leaf is completed
+//! greedily: first absorbing other required cubes whose gain masks fit,
+//! then a single-variable maximality pass over the full feasibility
+//! predicate, which guarantees the leaf is a true DHF prime. Seeds are
+//! expanded one after another, in required-cube order, on the calling
+//! thread.
 //!
-//! * **EXPAND** — each required cube is grown to *one* good DHF prime by a
-//!   recursive cube-cofactor search. The per-seed constraint compilation is
-//!   shared with the canonical-ascent worklist: an OFF cube blocks the set
-//!   `S` of freed variables iff its disagreement mask is contained in `S`,
-//!   and an active privileged cube contributes the implication
-//!   `D_q ⊆ S → A_q ⊆ S`. Those implications are exactly the *binate*
-//!   part of the search space, so the recursion branches on them — commit
-//!   to the consequence (`S ∪ A_q`) or veto the trigger (block a variable
-//!   of `D_q`) — and the remaining *unate* leaf is completed greedily:
-//!   first absorbing other required cubes whose gain masks fit, then a
-//!   single-variable maximality pass over the full feasibility predicate,
-//!   which guarantees the leaf is a true DHF prime. Seeds are expanded one
-//!   after another, in required-cube order, on the calling thread.
-//! * **IRREDUNDANT** — the per-seed picks then go through the same
-//!   unate-covering solver as the exact path, which drops every product
-//!   the remaining ones already cover.
-//!
-//! The result is valid and hazard-free by construction (each required cube
-//! is inside its own pick, and every pick passes the full DHF-implicant
-//! predicate), costs at most one product per required cube, but is not
-//! guaranteed minimum — [`FunctionSpec::dhf_primes`] stays the exactness
-//! oracle the property suite compares against, exactly as the reference
-//! engines of earlier layers do.
+//! [`FunctionSpec::minimize_opts`] runs the same covering step over the
+//! picks as over an enumerated prime set, which drops every pick the
+//! others already cover (IRREDUNDANT). The cover is valid and hazard-free
+//! by construction (each required cube is inside its own pick, and every
+//! pick passes the full DHF-implicant predicate), costs at most one
+//! product per required cube, but is not guaranteed minimum —
+//! [`FunctionSpec::dhf_primes`] stays the exactness oracle the property
+//! suite compares against.
 
-use crate::cover::Cover;
-use crate::covering::CoveringProblem;
 use crate::cube::Cube;
-use crate::hfmin::{
-    trip_prime_gen_fault, FunctionSpec, HfminError, HfminResult, MinimizeOptions, MinimizeStats,
-    PrivilegedCube, SeedMasks,
-};
-use std::time::Instant;
+use crate::hfmin::{Constraints, FunctionSpec, SeedMasks};
 
 /// Leaf budget of one seed's EXPAND recursion: once this many cofactor
 /// leaves have been completed the remaining binate branches collapse into
 /// greedy completions. Bounds the per-seed work at a small constant while
 /// leaving room to explore genuinely different privileged resolutions.
 const LEAF_BUDGET: usize = 64;
-
-/// Branch-and-bound effort for the IRREDUNDANT covering pass. The column
-/// set here is at most one product per required cube, far smaller than the
-/// full prime set of the exact path, so a modest budget is almost always
-/// exact in practice.
-const IRREDUNDANT_EFFORT: u64 = 50_000;
 
 /// One seed's EXPAND state over the set `S` of freed variables (bit `i` of
 /// `s` set ⇔ variable `i` freed). Its buffers are reused across the seeds
@@ -188,18 +172,15 @@ impl SeedExpansion {
         &mut self,
         spec: &FunctionSpec,
         seed: Cube,
-        required: &[Cube],
-        off: &Cover,
-        privileged: &[PrivilegedCube],
+        sets: &Constraints,
     ) -> (Cube, usize, usize) {
-        self.masks.compile(seed, off, privileged);
+        self.masks.compile(seed, sets);
         let (freeable, seed_value) = (self.masks.freeable, self.masks.value);
         // r' ⊆ expanded cube ⇔ its gain mask ⊆ S: every variable the
         // expanded cube still fixes must be fixed to the same value in r'.
         self.gains.clear();
         self.gains.extend(
-            required
-                .iter()
+            (sets.required.iter())
                 .filter(|r| **r != seed)
                 .map(|r| freeable & !(r.care_mask() & !(r.value_mask() ^ seed_value))),
         );
@@ -226,86 +207,29 @@ impl SeedExpansion {
         }
         let (_, _, s) = best.expect("expansion always completes at least one leaf");
         let pick = self.masks.cube_of(spec.num_vars(), s);
-        debug_assert!(spec.is_dhf_implicant(&pick, off, privileged));
+        debug_assert!(spec.is_dhf_implicant(&pick, &sets.off, &sets.privileged));
         debug_assert!(pick.contains_cube(&seed));
         (pick, self.max_depth, self.leaves.len())
     }
 }
 
-/// Runs the full cube-cofactor minimization: per-seed EXPAND, in
-/// required-cube order over one reused [`SeedExpansion`], then the
-/// IRREDUNDANT covering pass over the picks.
-///
-/// # Errors
-///
-/// Returns [`HfminError::NoHazardFreeCover`] when some required cube is
-/// not a DHF implicant, and [`HfminError::Injected`] when `opts.fault` is
-/// armed with an error-kind fault.
-pub(crate) fn minimize_cofactor(
-    spec: &FunctionSpec,
-    required: &[Cube],
-    opts: &MinimizeOptions,
-) -> Result<HfminResult, HfminError> {
-    trip_prime_gen_fault(opts.fault)?;
-    let expand_span = bmbe_obs::span!("hfmin.expand", "hfmin");
-    let t_expand = Instant::now();
-    let off = spec.off_set_ordered();
-    let privileged = spec.privileged_cubes();
-    // Every required cube must be feasible up front: a cube that a later
-    // pick happens to cover can still be a non-implicant, which makes the
-    // whole specification infeasible, not redundant.
-    for r in required {
-        if !spec.is_dhf_implicant(r, &off, &privileged) {
-            return Err(HfminError::NoHazardFreeCover { required: *r });
-        }
-    }
+/// The cube-cofactor EXPAND of one function: each required cube, in
+/// order, grown to its pick over one reused [`SeedExpansion`]. Returns the
+/// distinct picks in first-pick order and the deepest recursion level.
+pub(crate) fn cofactor_picks(spec: &FunctionSpec, sets: &Constraints) -> (Vec<Cube>, usize) {
     let mut exp = SeedExpansion::default();
-    let mut implicants: Vec<Cube> = Vec::new();
-    let mut cofactor_depth = 0usize;
-    let mut leaves_total = 0usize;
-    for r in required {
-        let (pick, depth, leaves) = exp.expand_seed(spec, *r, required, &off, &privileged);
-        cofactor_depth = cofactor_depth.max(depth);
-        leaves_total += leaves;
-        if !implicants.contains(&pick) {
-            implicants.push(pick);
+    let mut picks: Vec<Cube> = Vec::new();
+    let (mut depth, mut leaves) = (0usize, 0usize);
+    for r in &sets.required {
+        let (pick, seed_depth, seed_leaves) = exp.expand_seed(spec, *r, sets);
+        depth = depth.max(seed_depth);
+        leaves += seed_leaves;
+        if !picks.contains(&pick) {
+            picks.push(pick);
         }
     }
-    bmbe_obs::trace_counter!("hfmin.cofactor.seeds", required.len() as u64);
-    bmbe_obs::trace_counter!("hfmin.cofactor.leaves", leaves_total as u64);
-    bmbe_obs::trace_counter!("hfmin.cofactor.depth", cofactor_depth as u64);
-    let prime_gen = t_expand.elapsed();
-    drop(expand_span);
-    let _irr_span = bmbe_obs::span!("hfmin.irredundant", "hfmin");
-    let t_cover = Instant::now();
-    let mut problem = CoveringProblem::new(required.len());
-    for p in &implicants {
-        let rows: Vec<usize> = required
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| p.contains_cube(r))
-            .map(|(i, _)| i)
-            .collect();
-        problem.add_column(rows, 1, p.num_literals() as u64);
-    }
-    let solution = problem
-        .solve(IRREDUNDANT_EFFORT)
-        .expect("every required cube is contained in its own seed's pick");
-    let covering = t_cover.elapsed();
-    let cover: Cover = solution.columns.iter().map(|&c| implicants[c]).collect();
-    debug_assert!(spec.verify_cover(&cover).is_ok());
-    Ok(HfminResult {
-        cover,
-        // The covering step may be exact over the picks, but the picks are
-        // not the full prime set, so the cover is never provably minimum.
-        exact: false,
-        num_primes: implicants.len(),
-        stats: MinimizeStats {
-            prime_gen,
-            covering,
-            cofactor_funcs: 1,
-            cofactor_depth,
-            ..MinimizeStats::default()
-        },
-    })
+    bmbe_obs::trace_counter!("hfmin.cofactor.seeds", sets.required.len() as u64);
+    bmbe_obs::trace_counter!("hfmin.cofactor.leaves", leaves as u64);
+    bmbe_obs::trace_counter!("hfmin.cofactor.depth", depth as u64);
+    (picks, depth)
 }

@@ -15,6 +15,14 @@
 //!   contain its start point, and one touching a 0→1 cube must contain its
 //!   end point.
 //!
+//! [`FunctionSpec::minimize_opts`] is the one driver for both engines. It
+//! derives the required, OFF and privileged sets once, checks that every
+//! required cube is feasible, and runs one EXPAND chosen by width: up to
+//! the backend's threshold of variables it enumerates every DHF prime by
+//! canonical ascent, beyond it takes one cube-cofactor pick per required
+//! cube ([`crate::espresso`]). One covering step and one post-check then
+//! turn either column set into the cover.
+//!
 //! Every entry point runs on the calling thread. A burst-mode controller
 //! kept within the paper's §4.4 size restrictions minimizes in about a
 //! millisecond, so the flow spreads whole controller shapes over its
@@ -28,34 +36,55 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
-/// Variable-count ceiling for exhaustive DHF-prime enumeration; larger
-/// functions use greedy expansion orders (see [`FunctionSpec::dhf_primes`]).
+/// Variable-count ceiling of exhaustive DHF-prime enumeration: the width
+/// threshold of [`MinimizeBackend::ExactPrimes`], above which
+/// [`FunctionSpec::dhf_primes`] refuses with [`HfminError::TooWide`].
 pub const EXACT_PRIME_VARS: usize = 14;
 
-/// Variable-count ceiling up to which [`MinimizeBackend::Auto`] stays on the
-/// exact prime-enumerating engine; larger functions are routed to the
-/// espresso-style cube-cofactor backend. Matches the widest specs the
-/// property suite cross-checks against the exactness oracle.
+/// The width threshold of [`MinimizeBackend::Auto`]: functions of at most
+/// this many variables enumerate their primes, wider ones take the
+/// cube-cofactor picks. Matches the widest specs the property suite
+/// cross-checks against the exactness oracle.
 pub const AUTO_EXACT_VARS: usize = 10;
 
-/// Which engine [`FunctionSpec::minimize_opts`] uses to build the cover.
+/// Covering effort over an enumerated prime set, which runs to thousands
+/// of columns on wide functions.
+const PRIME_COVER_EFFORT: u64 = 200_000;
+
+/// Covering effort over the cube-cofactor picks: at most one column per
+/// required cube, so a modest budget is almost always exact in practice.
+const PICK_COVER_EFFORT: u64 = 50_000;
+
+/// Which EXPAND [`FunctionSpec::minimize_opts`] runs, as a width
+/// threshold: a function of at most the backend's threshold of variables
+/// enumerates every DHF prime, a wider one takes the cube-cofactor picks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MinimizeBackend {
-    /// Enumerate all DHF primes via the canonical-ascent worklist (exact up
-    /// to [`EXACT_PRIME_VARS`] variables, greedy orders beyond), then solve
-    /// the covering problem over the full prime set. The exactness oracle.
+    /// Threshold [`EXACT_PRIME_VARS`]: every function it can enumerate gets
+    /// the full prime set and an exactly solved covering problem (the
+    /// exactness oracle); wider functions take the cube-cofactor picks, as
+    /// under [`MinimizeBackend::Auto`].
     ExactPrimes,
-    /// Espresso-style recursive cube-cofactor minimizer
-    /// ([`crate::espresso`]): expand each required cube to one good DHF
-    /// prime without enumerating the rest, then drop redundant products.
-    /// Valid and hazard-free by construction; not guaranteed minimum.
+    /// No threshold: every function takes the espresso-style cube-cofactor
+    /// picks ([`crate::espresso`]), one good DHF prime per required cube
+    /// without enumerating the rest. Valid and hazard-free by construction;
+    /// not guaranteed minimum.
     CubeCofactor,
-    /// Per function: [`MinimizeBackend::ExactPrimes`] up to
-    /// [`AUTO_EXACT_VARS`] variables, [`MinimizeBackend::CubeCofactor`]
-    /// beyond — small controllers keep their exact covers while the big
-    /// cluster functions skip prime enumeration entirely.
+    /// Threshold [`AUTO_EXACT_VARS`]: small controllers keep their exact
+    /// covers while the big cluster functions skip prime enumeration.
     #[default]
     Auto,
+}
+
+impl MinimizeBackend {
+    /// The widest function, in variables, this backend enumerates.
+    fn exact_vars(self) -> Option<usize> {
+        match self {
+            MinimizeBackend::ExactPrimes => Some(EXACT_PRIME_VARS),
+            MinimizeBackend::CubeCofactor => None,
+            MinimizeBackend::Auto => Some(AUTO_EXACT_VARS),
+        }
+    }
 }
 
 /// How an injected prime-generation fault manifests (the logic-crate end of
@@ -92,7 +121,7 @@ impl Default for MinimizeOptions {
 }
 
 /// Trips an armed prime-generation fault (no-op when unarmed).
-pub(crate) fn trip_prime_gen_fault(fault: Option<PrimeGenFault>) -> Result<(), HfminError> {
+fn trip_prime_gen_fault(fault: Option<PrimeGenFault>) -> Result<(), HfminError> {
     match fault {
         None => Ok(()),
         Some(PrimeGenFault::Error) => Err(HfminError::Injected),
@@ -174,6 +203,12 @@ pub enum HfminError {
         /// What the check found.
         detail: String,
     },
+    /// Prime enumeration was asked for a function wider than
+    /// [`EXACT_PRIME_VARS`] variables, where it is exponential.
+    TooWide {
+        /// The function's variable count.
+        vars: usize,
+    },
 }
 
 impl fmt::Display for HfminError {
@@ -204,6 +239,10 @@ impl fmt::Display for HfminError {
             HfminError::BadCover { detail } => {
                 write!(f, "internal: minimizer produced a bad cover: {detail}")
             }
+            HfminError::TooWide { vars } => write!(
+                f,
+                "prime enumeration refused: {vars} variables exceed {EXACT_PRIME_VARS}"
+            ),
         }
     }
 }
@@ -214,18 +253,17 @@ impl std::error::Error for HfminError {}
 /// flow's phase times come from the `hfmin.*` spans, not from here.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinimizeStats {
-    /// Time spent generating DHF implicants (all primes on the exact path;
-    /// the cube-cofactor EXPAND pass on the espresso-style path). Kept
-    /// because the benchmark harness (`perfbench/src/replay.rs`), which
-    /// builds against this API as it is, reads it.
+    /// Time spent in the `hfmin.prime_gen` span: the feasibility check and
+    /// the EXPAND (all primes, or the cube-cofactor picks). Kept because
+    /// the benchmark harness (`perfbench/src/replay.rs`), which builds
+    /// against this API as it is, reads it.
     pub prime_gen: Duration,
-    /// Time spent selecting products (the unate-covering solver on the
-    /// exact path; the IRREDUNDANT pass on the espresso-style path). Kept
+    /// Time spent in the `hfmin.covering` span, selecting products. Kept
     /// for the benchmark harness, as `prime_gen` is.
     pub covering: Duration,
-    /// Functions minimized through the exact prime-enumerating engine.
+    /// Functions whose primes were enumerated.
     pub exact_funcs: usize,
-    /// Functions minimized through the cube-cofactor backend.
+    /// Functions that took the cube-cofactor picks.
     pub cofactor_funcs: usize,
     /// Deepest cube-cofactor recursion observed (0 on the exact path).
     pub cofactor_depth: usize,
@@ -255,6 +293,30 @@ pub struct HfminResult {
     pub num_primes: usize,
     /// Per-phase timing of this run.
     pub stats: MinimizeStats,
+}
+
+/// The sets one minimization works from, derived once per function.
+pub(crate) struct Constraints {
+    /// Required cubes, in specification order, without duplicates.
+    pub(crate) required: Vec<Cube>,
+    /// The OFF-set, largest cube (fewest literals) first, so the implicant
+    /// tests meet the likeliest blocker early. Same set, same results.
+    pub(crate) off: Cover,
+    /// Privileged cubes of the dynamic transitions.
+    pub(crate) privileged: Vec<PrivilegedCube>,
+}
+
+impl Constraints {
+    /// The sets of `spec`, given its OFF-set in specification order.
+    fn of(spec: &FunctionSpec, off: &Cover) -> Constraints {
+        let mut largest_first = off.cubes().to_vec();
+        largest_first.sort_by_key(Cube::num_literals);
+        Constraints {
+            required: spec.required_cubes(),
+            off: Cover::from_cubes(largest_first),
+            privileged: spec.privileged_cubes(),
+        }
+    }
 }
 
 /// Multiply-add hasher for the ascent's sets of masks and cubes: one
@@ -328,7 +390,7 @@ pub(crate) struct SeedMasks {
 impl SeedMasks {
     /// Compiles the constraints of `seed`, a DHF implicant, into this
     /// instance's buffers.
-    pub(crate) fn compile(&mut self, seed: Cube, off: &Cover, privileged: &[PrivilegedCube]) {
+    pub(crate) fn compile(&mut self, seed: Cube, sets: &Constraints) {
         let freeable = seed.care_mask();
         let value = seed.value_mask();
         self.freeable = freeable;
@@ -336,7 +398,7 @@ impl SeedMasks {
         // Online minimal-set build: skip a mask that contains a kept one,
         // evict the kept masks that contain the new one.
         self.off.clear();
-        for o in off.cubes() {
+        for o in sets.off.cubes() {
             let d = (value ^ o.value_mask()) & (freeable & o.care_mask());
             debug_assert!(d != 0, "seed must be an implicant");
             if self.off.iter().any(|&k| k & !d == 0) {
@@ -347,7 +409,7 @@ impl SeedMasks {
         }
         self.privileged.clear();
         self.exempt = 0;
-        for p in privileged {
+        for p in &sets.privileged {
             let d = (value ^ p.cube.value_mask()) & (freeable & p.cube.care_mask());
             if d == 0 {
                 // The seed intersects this privileged cube; as a DHF
@@ -532,14 +594,18 @@ impl FunctionSpec {
     /// [`HfminError::DegenerateDynamic`] for a dynamic transition whose
     /// start equals its end.
     pub fn check_consistency(&self) -> Result<(), HfminError> {
+        self.check_consistency_against(&self.off_set())
+    }
+
+    /// [`FunctionSpec::check_consistency`] against `off`, this function's
+    /// OFF-set in specification order.
+    fn check_consistency_against(&self, off: &Cover) -> Result<(), HfminError> {
         for t in &self.transitions {
             if t.is_dynamic() && t.start == t.end {
                 return Err(HfminError::DegenerateDynamic { transition: *t });
             }
         }
-        let on = self.on_set();
-        let off = self.off_set();
-        for c_on in on.cubes() {
+        for c_on in self.on_set().cubes() {
             for c_off in off.cubes() {
                 if let Some(ix) = c_on.intersection(c_off) {
                     let point = ix.points().next().expect("nonempty intersection");
@@ -566,72 +632,74 @@ impl FunctionSpec {
             .all(|p| !cube.intersects(&p.cube) || cube.contains_point(p.point))
     }
 
-    /// Generates DHF-prime implicants containing at least one required cube
-    /// (sufficient for covering, since the ON-set is the union of the
-    /// required cubes).
-    ///
-    /// Up to [`EXACT_PRIME_VARS`] variables the enumeration is exhaustive
-    /// (exact minimization, as in Minimalist), via the canonical-ascent
-    /// worklist of [`FunctionSpec::expand_canonical`]; beyond that a set of
-    /// greedy expansion orders is used per required cube — still hazard-free
-    /// by construction, possibly not minimum (this is the synthesis run-time
-    /// pressure the paper's §4.4 size restrictions exist to contain).
+    /// The first required cube that is not a DHF implicant, as the error
+    /// that makes the whole specification infeasible: a cube that some
+    /// later prime or pick happens to cover is still not redundant.
+    fn check_feasible(&self, sets: &Constraints) -> Result<(), HfminError> {
+        match sets
+            .required
+            .iter()
+            .find(|r| !self.is_dhf_implicant(r, &sets.off, &sets.privileged))
+        {
+            Some(r) => Err(HfminError::NoHazardFreeCover { required: *r }),
+            None => Ok(()),
+        }
+    }
+
+    /// The constraint sets of a function narrow enough to enumerate, each
+    /// required cube checked feasible.
+    fn enumerable_constraints(&self) -> Result<Constraints, HfminError> {
+        if self.n > EXACT_PRIME_VARS {
+            return Err(HfminError::TooWide { vars: self.n });
+        }
+        let sets = Constraints::of(self, &self.off_set());
+        self.check_feasible(&sets)?;
+        Ok(sets)
+    }
+
+    /// Generates every DHF-prime implicant containing at least one required
+    /// cube (sufficient for covering, since the ON-set is the union of the
+    /// required cubes): exact minimization, as in Minimalist, via the
+    /// canonical-ascent worklist of [`FunctionSpec::expand_canonical`].
     ///
     /// # Errors
     ///
-    /// Returns [`HfminError::NoHazardFreeCover`] when some required cube is
-    /// not a DHF implicant.
+    /// Returns [`HfminError::TooWide`] above [`EXACT_PRIME_VARS`] variables,
+    /// where the enumeration is exponential, and
+    /// [`HfminError::NoHazardFreeCover`] when some required cube is not a
+    /// DHF implicant.
     pub fn dhf_primes(&self) -> Result<Vec<Cube>, HfminError> {
-        let off = self.off_set_ordered();
-        let privileged = self.privileged_cubes();
-        let required = self.required_cubes();
-        let mut primes: MaskSet<Cube> = MaskSet::default();
-        let exact = self.n <= EXACT_PRIME_VARS;
-        let mut visited: MaskSet<Cube> = MaskSet::default();
-        for r in &required {
-            if !self.is_dhf_implicant(r, &off, &privileged) {
-                return Err(HfminError::NoHazardFreeCover { required: *r });
-            }
-            if exact {
-                self.expand_canonical(*r, &off, &privileged, &mut visited, &mut primes);
-            } else {
-                self.expand_heuristic(*r, &off, &privileged, &mut primes);
-            }
-        }
-        Ok(Self::maximal_sorted(primes))
+        let sets = self.enumerable_constraints()?;
+        Ok(self.enumerate_primes(&sets))
     }
 
     /// Reference implementation of [`FunctionSpec::dhf_primes`]: the seed's
     /// exhaustive per-cube recursion. Kept as the oracle the canonical-ascent
     /// worklist is property-tested (and benchmarked) against; the two return
-    /// exactly the same prime set.
+    /// exactly the same prime set, and refuse the same specifications.
+    ///
+    /// # Errors
+    ///
+    /// As [`FunctionSpec::dhf_primes`].
     pub fn dhf_primes_reference(&self) -> Result<Vec<Cube>, HfminError> {
-        let off = self.off_set();
-        let privileged = self.privileged_cubes();
-        let required = self.required_cubes();
+        let sets = self.enumerable_constraints()?;
         let mut primes: MaskSet<Cube> = MaskSet::default();
-        let exact = self.n <= EXACT_PRIME_VARS;
         let mut visited: MaskSet<Cube> = MaskSet::default();
-        for r in &required {
-            if !self.is_dhf_implicant(r, &off, &privileged) {
-                return Err(HfminError::NoHazardFreeCover { required: *r });
-            }
-            if exact {
-                self.expand_to_primes(*r, &off, &privileged, &mut visited, &mut primes);
-            } else {
-                self.expand_heuristic(*r, &off, &privileged, &mut primes);
-            }
+        for r in &sets.required {
+            self.expand_to_primes(*r, &sets, &mut visited, &mut primes);
         }
         Ok(Self::maximal_sorted(primes))
     }
 
-    /// The OFF-set with its cubes ordered largest (fewest literals) first,
-    /// so [`FunctionSpec::is_dhf_implicant`] hits the likeliest blocker
-    /// early. Same set, same results, faster rejection.
-    pub(crate) fn off_set_ordered(&self) -> Cover {
-        let mut cubes = self.off_set().cubes().to_vec();
-        cubes.sort_by_key(Cube::num_literals);
-        Cover::from_cubes(cubes)
+    /// The canonical-ascent EXPAND: every DHF prime above some required
+    /// cube, maximal ones only, in a deterministic order.
+    fn enumerate_primes(&self, sets: &Constraints) -> Vec<Cube> {
+        let mut primes: MaskSet<Cube> = MaskSet::default();
+        let mut visited: MaskSet<Cube> = MaskSet::default();
+        for r in &sets.required {
+            self.expand_canonical(*r, sets, &mut visited, &mut primes);
+        }
+        Self::maximal_sorted(primes)
     }
 
     /// Keeps only maximal cubes, in a deterministic order.
@@ -646,36 +714,6 @@ impl FunctionSpec {
         }
         maximal.sort_unstable();
         maximal
-    }
-
-    /// Greedy maximal expansion under several variable orders.
-    fn expand_heuristic(
-        &self,
-        seed: Cube,
-        off: &Cover,
-        privileged: &[PrivilegedCube],
-        primes: &mut MaskSet<Cube>,
-    ) {
-        let n = self.n;
-        let starts: Vec<usize> = (0..n).step_by((n / 8).max(1)).collect();
-        for (pass, &start) in starts.iter().enumerate() {
-            let mut cube = seed;
-            for k in 0..n {
-                let i = if pass % 2 == 0 {
-                    (start + k) % n
-                } else {
-                    (start + n - k) % n
-                };
-                if !cube.is_fixed(i) {
-                    continue;
-                }
-                let bigger = cube.with_free(i);
-                if self.is_dhf_implicant(&bigger, off, privileged) {
-                    cube = bigger;
-                }
-            }
-            primes.insert(cube);
-        }
     }
 
     /// Canonical-ascent worklist expansion of one required cube to the DHF
@@ -700,8 +738,7 @@ impl FunctionSpec {
     fn expand_canonical(
         &self,
         seed: Cube,
-        off: &Cover,
-        privileged: &[PrivilegedCube],
+        sets: &Constraints,
         visited: &mut MaskSet<Cube>,
         primes: &mut MaskSet<Cube>,
     ) {
@@ -709,7 +746,7 @@ impl FunctionSpec {
             return; // region already explored from an earlier seed
         }
         let mut m = SeedMasks::default();
-        m.compile(seed, off, privileged);
+        m.compile(seed, sets);
         let ordered = m.freeable & !m.exempt;
         let mut worklist: Vec<u64> = vec![0];
         let mut explored = 0u64;
@@ -749,8 +786,7 @@ impl FunctionSpec {
     fn expand_to_primes(
         &self,
         cube: Cube,
-        off: &Cover,
-        privileged: &[PrivilegedCube],
+        sets: &Constraints,
         visited: &mut MaskSet<Cube>,
         primes: &mut MaskSet<Cube>,
     ) {
@@ -763,9 +799,9 @@ impl FunctionSpec {
                 continue;
             }
             let bigger = cube.with_free(i);
-            if self.is_dhf_implicant(&bigger, off, privileged) {
+            if self.is_dhf_implicant(&bigger, &sets.off, &sets.privileged) {
                 grew = true;
-                self.expand_to_primes(bigger, off, privileged, visited, primes);
+                self.expand_to_primes(bigger, sets, visited, primes);
             }
         }
         if !grew {
@@ -785,7 +821,12 @@ impl FunctionSpec {
     }
 
     /// [`FunctionSpec::minimize`] with explicit [`MinimizeOptions`]: backend
-    /// selection and deterministic fault injection.
+    /// selection and deterministic fault injection. The one minimization
+    /// driver: consistency, the constraint sets, the prime-generation
+    /// fault, feasibility, the EXPAND the backend's width threshold picks,
+    /// one covering step and one post-check. It annotates the enclosing
+    /// span with `hfmin.engine` and `hfmin.vars`, and counts each cover it
+    /// returns as `hfmin.engine.exact` or `hfmin.engine.cofactor`.
     ///
     /// # Errors
     ///
@@ -793,9 +834,10 @@ impl FunctionSpec {
     /// infeasibility; see [`HfminError`]. Returns [`HfminError::Injected`]
     /// when `opts.fault` is armed with [`PrimeGenFault::Error`].
     pub fn minimize_opts(&self, opts: &MinimizeOptions) -> Result<HfminResult, HfminError> {
-        self.check_consistency()?;
-        let required = self.required_cubes();
-        if required.is_empty() {
+        let off = self.off_set();
+        self.check_consistency_against(&off)?;
+        let sets = Constraints::of(self, &off);
+        if sets.required.is_empty() {
             return Ok(HfminResult {
                 cover: Cover::empty(),
                 exact: true,
@@ -803,49 +845,62 @@ impl FunctionSpec {
                 stats: MinimizeStats::default(),
             });
         }
-        let use_cofactor = match opts.backend {
-            MinimizeBackend::ExactPrimes => false,
-            MinimizeBackend::CubeCofactor => true,
-            MinimizeBackend::Auto => self.n > AUTO_EXACT_VARS,
-        };
-        if use_cofactor {
-            return crate::espresso::minimize_cofactor(self, &required, opts);
-        }
+        let enumerate = opts.backend.exact_vars().is_some_and(|max| self.n <= max);
+        let engine = if enumerate { "exact" } else { "cofactor" };
+        bmbe_obs::annotate_str!("hfmin.engine", engine);
+        bmbe_obs::annotate_num!("hfmin.vars", self.n);
         trip_prime_gen_fault(opts.fault)?;
-        let _span = bmbe_obs::span!("hfmin.prime_gen", "hfmin");
-        let t_primes = Instant::now();
-        let primes = self.dhf_primes()?;
-        let prime_gen = t_primes.elapsed();
-        drop(_span);
+        let span = bmbe_obs::span!("hfmin.prime_gen", "hfmin");
+        let started = Instant::now();
+        self.check_feasible(&sets)?;
+        let (columns, cofactor_depth) = if enumerate {
+            (self.enumerate_primes(&sets), 0)
+        } else {
+            crate::espresso::cofactor_picks(self, &sets)
+        };
+        let prime_gen = started.elapsed();
+        drop(span);
         let _span = bmbe_obs::span!("hfmin.covering", "hfmin");
-        let mut problem = CoveringProblem::new(required.len());
-        for p in &primes {
-            let rows: Vec<usize> = required
-                .iter()
-                .enumerate()
+        let started = Instant::now();
+        let mut problem = CoveringProblem::new(sets.required.len());
+        for p in &columns {
+            let rows: Vec<usize> = (sets.required.iter().enumerate())
                 .filter(|(_, r)| p.contains_cube(r))
                 .map(|(i, _)| i)
                 .collect();
             problem.add_column(rows, 1, p.num_literals() as u64);
         }
-        let t_cover = Instant::now();
-        let solution = problem
-            .solve(200_000)
-            .expect("every required cube is a dhf-implicant contained in some prime");
-        let covering = t_cover.elapsed();
-        let cover: Cover = solution.columns.iter().map(|&c| primes[c]).collect();
-        check_required_covered(&required, &cover, &primes)?;
+        let effort = if enumerate {
+            PRIME_COVER_EFFORT
+        } else {
+            PICK_COVER_EFFORT
+        };
+        // `solve` refuses only when some required cube lies in no column;
+        // the post-check over every column then names that cube.
+        let (selected, solved_exactly) = match problem.solve(effort) {
+            Some(solution) => (solution.columns, solution.exact),
+            None => ((0..columns.len()).collect(), false),
+        };
+        let covering = started.elapsed();
+        let cover: Cover = selected.iter().map(|&c| columns[c]).collect();
+        check_required_covered(&sets.required, &cover, &columns)?;
+        if enumerate {
+            bmbe_obs::trace_counter!("hfmin.engine.exact", 1);
+        } else {
+            bmbe_obs::trace_counter!("hfmin.engine.cofactor", 1);
+        }
         Ok(HfminResult {
             cover,
-            // Above EXACT_PRIME_VARS the columns are greedy expansions, not
-            // the full prime set, so an exact covering proves nothing.
-            exact: solution.exact && self.n <= EXACT_PRIME_VARS,
-            num_primes: primes.len(),
+            // The picks are not the full prime set, so only an enumerated,
+            // exactly solved cover is provably minimum.
+            exact: enumerate && solved_exactly,
+            num_primes: columns.len(),
             stats: MinimizeStats {
                 prime_gen,
                 covering,
-                exact_funcs: 1,
-                ..MinimizeStats::default()
+                exact_funcs: usize::from(enumerate),
+                cofactor_funcs: usize::from(!enumerate),
+                cofactor_depth,
             },
         })
     }
@@ -880,9 +935,9 @@ impl FunctionSpec {
     }
 }
 
-/// The exact path's post-covering check: every required cube must lie in
-/// one product of the selected `cover` (the covering solver guarantees it;
-/// a violation is an internal error, reported instead of panicking).
+/// The post-covering check of both engines: every required cube must lie
+/// in one product of the selected `cover` (the covering solver guarantees
+/// it; a violation is an internal error, reported instead of panicking).
 fn check_required_covered(
     required: &[Cube],
     cover: &Cover,
@@ -949,22 +1004,47 @@ mod tests {
     }
 
     #[test]
-    fn exactness_needs_the_full_prime_set() -> Result<(), HfminError> {
+    fn exact_primes_enumerates_up_to_its_threshold() -> Result<(), HfminError> {
         let opts = MinimizeOptions {
             backend: MinimizeBackend::ExactPrimes,
             ..MinimizeOptions::default()
         };
-        for (n, enumerated) in [
-            (EXACT_PRIME_VARS, true),
-            (EXACT_PRIME_VARS + 1, false),
-            (20, false),
-        ] {
+        let spec = consensus_spec_over(EXACT_PRIME_VARS);
+        let result = spec.minimize_opts(&opts)?;
+        assert_eq!(spec.verify_cover(&result.cover), Ok(()));
+        assert_eq!(result.stats.exact_funcs, 1);
+        assert!(result.exact);
+        for n in [EXACT_PRIME_VARS + 1, 20] {
             let spec = consensus_spec_over(n);
             let result = spec.minimize_opts(&opts)?;
             assert_eq!(spec.verify_cover(&result.cover), Ok(()), "n={n}");
-            assert_eq!(result.stats.exact_funcs, 1, "n={n}");
-            assert_eq!(result.exact, enumerated, "n={n}");
+            assert_eq!(result.stats.cofactor_funcs, 1, "n={n}");
+            assert_eq!(result.stats.exact_funcs, 0, "n={n}");
+            assert!(!result.exact, "n={n}");
         }
+        Ok(())
+    }
+
+    #[test]
+    fn exact_primes_takes_the_cofactor_picks_above_its_threshold() -> Result<(), HfminError> {
+        let backend = |backend| MinimizeOptions {
+            backend,
+            ..MinimizeOptions::default()
+        };
+        for n in [EXACT_PRIME_VARS + 1, 20] {
+            let spec = consensus_spec_over(n);
+            let exact = spec.minimize_opts(&backend(MinimizeBackend::ExactPrimes))?;
+            let cofactor = spec.minimize_opts(&backend(MinimizeBackend::CubeCofactor))?;
+            assert!(exact.cover == cofactor.cover, "n={n}: {}", exact.cover);
+            assert_eq!(exact.num_primes, cofactor.num_primes, "n={n}");
+        }
+        // Enumeration itself refuses that width instead of walking it.
+        let wide = consensus_spec_over(EXACT_PRIME_VARS + 1);
+        let too_wide = Err(HfminError::TooWide {
+            vars: EXACT_PRIME_VARS + 1,
+        });
+        assert_eq!(wide.dhf_primes(), too_wide);
+        assert_eq!(wide.dhf_primes_reference(), too_wide);
         Ok(())
     }
 

@@ -49,7 +49,7 @@ pub use ring::{Record, RecordKind, Sample};
 use ring::ThreadBuffer;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -187,6 +187,17 @@ pub fn set_run_id(id: u64) {
     RUN_ID.store(if id == 0 { 1 } else { id }, Ordering::Relaxed);
 }
 
+/// Locks one of the tracer's global tables, recovering from a poisoned
+/// lock: each table is only appended to, read or drained under its lock,
+/// so a thread that panicked while holding it left no half-made entry,
+/// and tracing carries on instead of panicking in every later caller.
+pub(crate) fn lock_table<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(|poisoned| {
+        table.clear_poison();
+        poisoned.into_inner()
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Dynamic strings (annotation values)
 // ---------------------------------------------------------------------------
@@ -201,7 +212,7 @@ fn strings() -> &'static Mutex<Vec<String>> {
 /// of annotated values per run is small (job labels, shape digests), so the
 /// linear probe under the lock is fine off the hot path.
 pub fn intern(s: &str) -> u32 {
-    let mut table = strings().lock().expect("obs string lock");
+    let mut table = lock_table(strings());
     if let Some(ix) = table.iter().position(|t| t == s) {
         return (ix + 1) as u32;
     }
@@ -211,7 +222,7 @@ pub fn intern(s: &str) -> u32 {
 
 /// A snapshot of the dynamic string table: id `i + 1` → string.
 pub fn string_table() -> Vec<String> {
-    strings().lock().expect("obs string lock").clone()
+    lock_table(strings()).clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +257,7 @@ impl Callsite {
         if id != 0 {
             return id;
         }
-        let mut table = callsites().lock().expect("obs callsite lock");
+        let mut table = lock_table(callsites());
         // Re-check under the lock (two threads can race to register).
         let id = self.id.load(Ordering::Relaxed);
         if id != 0 {
@@ -267,7 +278,7 @@ fn callsites() -> &'static Mutex<Vec<(&'static str, &'static str)>> {
 /// Resolves every registered callsite id (index `id - 1`) to
 /// `(name, category)`.
 pub fn callsite_table() -> Vec<(&'static str, &'static str)> {
-    callsites().lock().expect("obs callsite lock").clone()
+    lock_table(callsites()).clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -586,7 +597,6 @@ macro_rules! vlog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
 
     /// Tracing state (the enabled flag, rings, span-id counter) is
     /// process-global; tests that toggle or drain it serialize here.
@@ -595,6 +605,21 @@ mod tests {
         LOCK.get_or_init(|| Mutex::new(()))
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn a_poisoned_string_table_still_interns() {
+        let poisoner = std::thread::spawn(|| {
+            let _table = lock_table(strings());
+            panic!("poisoning the string table on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        let id = intern("interned after a poisoning panic");
+        assert_eq!(
+            string_table()[id as usize - 1],
+            "interned after a poisoning panic"
+        );
+        assert!(!strings().is_poisoned());
     }
 
     #[test]

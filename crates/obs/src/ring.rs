@@ -171,7 +171,7 @@ pub fn register_thread() -> Arc<ThreadBuffer> {
         .name()
         .unwrap_or("worker")
         .to_string();
-    let mut reg = registry().lock().expect("obs registry lock");
+    let mut reg = crate::lock_table(registry());
     let lane = reg.next_lane;
     reg.next_lane += 1;
     let buf = Arc::new(ThreadBuffer::new(lane, name));
@@ -195,7 +195,7 @@ pub struct Drained {
 /// strong reference) are pruned after draining so the registry does not
 /// grow with every short-lived worker fan-out.
 pub fn drain_all() -> Drained {
-    let mut reg = registry().lock().expect("obs registry lock");
+    let mut reg = crate::lock_table(registry());
     let mut out = Drained {
         dropped: reg.retired_drops,
         ..Drained::default()

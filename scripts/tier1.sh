@@ -65,7 +65,12 @@
 #      holding `unwrap()`, `expect(` or `panic!(` must not exceed their
 #      committed ceilings, so the counts can only fall. The scope is
 #      crates/*/src without the bench crate and the criterion/proptest
-#      stand-ins, plus src/, inline test modules included.
+#      stand-ins, plus src/, inline test modules included;
+#  15. clippy correctness: every workspace target (tests, benches and
+#      examples included) must pass clippy's `correctness` and
+#      `suspicious` groups as errors, with every other lint allowed, so
+#      a deny-by-default bug lint such as `never_loop` fails CI instead
+#      of only stopping a developer's clippy run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -369,7 +374,7 @@ rm -rf "$gauntlet_dir"
 
 echo "== tier1: panic-site ceiling =="
 # A change that removes sites lowers the ceiling here in the same change.
-for gate in 'unwrap() 321' 'expect( 77' 'panic!( 38'; do
+for gate in 'unwrap() 321' 'expect( 69' 'panic!( 38'; do
     set -- $gate
     count="$(grep -rF --include='*.rs' "$1" crates/*/src src \
         | grep -v '^crates/\(bench\|criterion\|proptest\)/' | wc -l)"
@@ -379,5 +384,9 @@ for gate in 'unwrap() 321' 'expect( 77' 'panic!( 38'; do
     fi
     echo "tier1: $count library source lines hold '$1' (ceiling $2)"
 done
+
+echo "== tier1: clippy correctness and suspicious lints =="
+cargo clippy --workspace --all-targets --release -- \
+    -A clippy::all -D clippy::correctness -D clippy::suspicious
 
 echo "tier1: all gates passed"
