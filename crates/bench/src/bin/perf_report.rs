@@ -2,9 +2,9 @@
 //! the serial per-instance reference flow against the cached + parallel
 //! production flow on every benchmark design and writes `BENCH_flow.json`,
 //! including a per-phase profile (compile / statemin / synth / primes /
-//! covering / verify / map), the exact work counts of the minimizer
-//! ([`COUNTERS`]) and, when a previous `BENCH_flow.json` exists,
-//! before/after numbers against it.
+//! covering / verify / map), the exact work counts of the minimizer and
+//! of clustering ([`COUNTERS`]) and, when a previous `BENCH_flow.json`
+//! exists, before/after numbers against it.
 //!
 //! The phase times are span wall times: the untimed runs (the cold run
 //! that counts cache hits and misses, and the per-backend runs) are traced,
@@ -36,14 +36,17 @@ const SAMPLES: usize = 9;
 
 /// The minimizer's work counts and engine decisions (functions whose
 /// primes were enumerated, and functions that took the cube-cofactor
-/// picks), totalled from each design's traced cold run: deterministic
-/// functions of the design, so `bench_trend` gates them exactly.
+/// picks) and clustering's merged and refused channels, totalled from each
+/// design's traced cold run: deterministic functions of the design, so
+/// `bench_trend` gates them exactly.
 const COUNTERS: &[&str] = &[
     "hfmin.worklist.explored",
     "hfmin.cofactor.seeds",
     "hfmin.cofactor.leaves",
     "hfmin.engine.exact",
     "hfmin.engine.cofactor",
+    "cluster.merged",
+    "cluster.refused",
 ];
 
 /// Median of a sample vector.
@@ -88,6 +91,11 @@ struct Row {
     /// the per-backend before/after the perf-smoke gate checks.
     prime_gen_auto_s: f64,
     prime_gen_exact_s: f64,
+    /// Whether the exact backend enumerates primes for more functions
+    /// than the default (their traced `hfmin.engine.exact` totals
+    /// differ). Only then does the report carry their timing ratio:
+    /// where both run the same engines, the ratio times identical work.
+    backends_differ: bool,
     prev_reference_s: Option<f64>,
     prev_cached_s: Option<f64>,
 }
@@ -229,23 +237,30 @@ fn run() -> Result<bool, String> {
         threads_used = result.threads_used;
         // Per-backend prime generation, cold cache, median of 3: the Auto
         // default (which routes wide functions to the cube-cofactor
-        // engine) against the exact prime-enumerating backend.
-        let prime_gen_median = |backend: MinimizeBackend| -> Result<f64, String> {
+        // engine) against the exact prime-enumerating backend. Each also
+        // returns its traced count of functions whose primes were
+        // enumerated.
+        let prime_gen_median = |backend: MinimizeBackend| -> Result<(f64, i64), String> {
+            let mut exact_funcs = 0;
             let samples = (0..3)
                 .map(|_| {
                     let mut options = FlowOptions::optimized();
                     options.minimize_backend = backend;
-                    traced_flow(|| {
+                    let (_, trace) = traced_flow(|| {
                         run_control_flow(&design.compiled, &options, &library)
                             .map_err(|e| format!("{}/{backend:?}: {e}", design.name))
-                    })
-                    .map(|(_, trace)| Phases::of(&trace).prime_gen)
+                    })?;
+                    let totals = trace
+                        .counter_totals()
+                        .map_err(|e| format!("{}/{backend:?}: {e}", design.name))?;
+                    exact_funcs = totals.get("hfmin.engine.exact").copied().unwrap_or(0);
+                    Ok(Phases::of(&trace).prime_gen)
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
-            Ok(median(samples))
+            Ok((median(samples), exact_funcs))
         };
-        let prime_gen_auto_s = prime_gen_median(MinimizeBackend::Auto)?;
-        let prime_gen_exact_s = prime_gen_median(MinimizeBackend::ExactPrimes)?;
+        let (prime_gen_auto_s, auto_exact) = prime_gen_median(MinimizeBackend::Auto)?;
+        let (prime_gen_exact_s, exact_exact) = prime_gen_median(MinimizeBackend::ExactPrimes)?;
         rows.push(Row {
             design: design.name.to_string(),
             components: result.controllers.len(),
@@ -258,6 +273,7 @@ fn run() -> Result<bool, String> {
             counts,
             prime_gen_auto_s,
             prime_gen_exact_s,
+            backends_differ: exact_exact != auto_exact,
             prev_reference_s,
             prev_cached_s,
         });
@@ -383,12 +399,17 @@ fn run() -> Result<bool, String> {
         }
         let _ = write!(
             json,
-            ", \"backends\": {{\"auto_prime_gen_s\": {:.6}, \"exact_prime_gen_s\": {:.6}, \
-             \"auto_speedup_vs_exact\": {:.3}}}",
-            r.prime_gen_auto_s,
-            r.prime_gen_exact_s,
-            r.prime_gen_exact_s / r.prime_gen_auto_s.max(f64::EPSILON)
+            ", \"backends\": {{\"auto_prime_gen_s\": {:.6}, \"exact_prime_gen_s\": {:.6}",
+            r.prime_gen_auto_s, r.prime_gen_exact_s,
         );
+        if r.backends_differ {
+            let _ = write!(
+                json,
+                ", \"auto_speedup_vs_exact\": {:.3}",
+                r.prime_gen_exact_s / r.prime_gen_auto_s.max(f64::EPSILON)
+            );
+        }
+        json.push('}');
         let p = &r.spans;
         let _ = write!(
             json,

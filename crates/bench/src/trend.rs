@@ -5,7 +5,7 @@
 //!
 //! - **Exact** — structural counts (controllers, cache hits/misses, shape
 //!   counts, the minimizer's traced work counts and engine choices,
-//!   event counts, lane
+//!   clustering's traced merged and refused channels, event counts, lane
 //!   counts, the states each §4.3 verification path explores). These are
 //!   deterministic functions of the design set, so *any* drift is a real
 //!   behavioural change and fails the gate.
@@ -16,6 +16,14 @@
 //!   tier-1 script's own absolute thresholds (e.g. "compiled ≥ 5x event")
 //!   — the sentinel catches a ratio cratering *relative to what this repo
 //!   last recorded*, wherever the absolute bar happens to sit on the host.
+//!   `perf_report` writes `auto_speedup_vs_exact` only for a design whose
+//!   exact backend enumerates primes for more functions than its default
+//!   one; elsewhere both backends run the same engines and the ratio would
+//!   time identical work, so those rows carry no such field and nothing is
+//!   gated there.
+//!
+//! A field the baseline row lacks is skipped, so a metric is gated on
+//! exactly the rows whose committed report carries it.
 //!
 //! Absolute seconds are not gated at all: comparing wall seconds across
 //! machines is noise, and the ratios already normalize them away.
@@ -84,6 +92,8 @@ pub const FLOW_SPECS: &[Spec] = &[
     Spec::exact("designs", "hfmin.cofactor.leaves"),
     Spec::exact("designs", "hfmin.engine.exact"),
     Spec::exact("designs", "hfmin.engine.cofactor"),
+    Spec::exact("designs", "cluster.merged"),
+    Spec::exact("designs", "cluster.refused"),
     Spec::ratio("designs", "speedup"),
     Spec::ratio("designs", "auto_speedup_vs_exact"),
 ];
@@ -360,8 +370,8 @@ mod tests {
   "bench": "flow_e2e",
   "note": "brackets in prose [do] not confuse the scanner",
   "designs": [
-    {"design": "A", "controllers": 3, "cache_hits": 1, "cache_misses": 2, "speedup": 1.5, "backends": {"auto_speedup_vs_exact": 2.0}, "phases": {"shapes": 2}, "counters": {"hfmin.worklist.explored": 0, "hfmin.cofactor.seeds": 40, "hfmin.cofactor.leaves": 41, "hfmin.engine.exact": 0, "hfmin.engine.cofactor": 2}},
-    {"design": "B", "controllers": 12, "cache_hits": 7, "cache_misses": 5, "speedup": 1.2, "backends": {"auto_speedup_vs_exact": 20.0}, "phases": {"shapes": 5}, "counters": {"hfmin.worklist.explored": 48, "hfmin.cofactor.seeds": 539, "hfmin.cofactor.leaves": 540, "hfmin.engine.exact": 3, "hfmin.engine.cofactor": 28}}
+    {"design": "A", "controllers": 3, "cache_hits": 1, "cache_misses": 2, "speedup": 1.5, "backends": {"auto_prime_gen_s": 0.001, "exact_prime_gen_s": 0.001}, "phases": {"shapes": 2}, "counters": {"hfmin.worklist.explored": 0, "hfmin.cofactor.seeds": 40, "hfmin.cofactor.leaves": 41, "hfmin.engine.exact": 0, "hfmin.engine.cofactor": 2, "cluster.merged": 7, "cluster.refused": 3}},
+    {"design": "B", "controllers": 12, "cache_hits": 7, "cache_misses": 5, "speedup": 1.2, "backends": {"auto_prime_gen_s": 0.002, "exact_prime_gen_s": 0.04, "auto_speedup_vs_exact": 20.0}, "phases": {"shapes": 5}, "counters": {"hfmin.worklist.explored": 48, "hfmin.cofactor.seeds": 539, "hfmin.cofactor.leaves": 540, "hfmin.engine.exact": 3, "hfmin.engine.cofactor": 28, "cluster.merged": 5, "cluster.refused": 12}}
   ]
 }"#;
 
@@ -369,8 +379,9 @@ mod tests {
     fn identical_reports_pass() {
         let outcome = compare(FLOW, FLOW, FLOW_SPECS);
         assert!(outcome.pass(), "breaches: {:?}", outcome.breaches);
-        // 2 designs x 11 specs, all present.
-        assert_eq!(outcome.checked, 22);
+        // 2 designs x 13 specs, less A's backend ratio, which A's row
+        // lacks because its backends run the same engines.
+        assert_eq!(outcome.checked, 25);
     }
 
     #[test]
@@ -394,6 +405,15 @@ mod tests {
             (b.design.as_str(), b.metric.as_str()),
             ("B", "hfmin.worklist.explored")
         );
+        // So is one more refused merge.
+        let drifted = FLOW.replace("\"cluster.refused\": 3", "\"cluster.refused\": 4");
+        let outcome = compare(FLOW, &drifted, FLOW_SPECS);
+        assert_eq!(outcome.breaches.len(), 1);
+        let b = &outcome.breaches[0];
+        assert_eq!(
+            (b.design.as_str(), b.metric.as_str()),
+            ("A", "cluster.refused")
+        );
     }
 
     #[test]
@@ -413,14 +433,21 @@ mod tests {
         // Improvements always pass.
         let improved = FLOW.replace("\"speedup\": 1.2", "\"speedup\": 99.0");
         assert!(compare(FLOW, &improved, FLOW_SPECS).pass());
+        // A row whose baseline carries no backend ratio gates none, even
+        // when the fresh report writes one.
+        let added = FLOW.replace(
+            "\"exact_prime_gen_s\": 0.001}",
+            "\"exact_prime_gen_s\": 0.001, \"auto_speedup_vs_exact\": 0.01}",
+        );
+        assert!(compare(FLOW, &added, FLOW_SPECS).pass());
     }
 
     #[test]
     fn lost_design_and_lost_field_breach() {
         let lost_design = FLOW.replace("\"design\": \"B\"", "\"design\": \"Z\"");
         let outcome = compare(FLOW, &lost_design, FLOW_SPECS);
-        // All eleven of B's gated metrics go missing.
-        assert_eq!(outcome.breaches.len(), 11);
+        // All thirteen of B's gated metrics go missing.
+        assert_eq!(outcome.breaches.len(), 13);
         assert!(outcome
             .breaches
             .iter()

@@ -178,17 +178,50 @@ fn inline_at_channel(
 /// Thread-safe: the lock is held to look up or insert, never across a
 /// compile. Two threads that miss the same program at once both compile it
 /// and store the same count.
+///
+/// The memo holds no I/O of its own. A persistent owner pre-fills it with
+/// [`MergeMemo::with_entries`] and saves what it compiled with
+/// [`MergeMemo::take_compiled`].
 #[derive(Debug, Default)]
 pub struct MergeMemo {
-    states: Mutex<HashMap<String, usize>>,
+    states: Mutex<Shelf>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+}
+
+/// The guarded state of a [`MergeMemo`]: every stored count, and the
+/// counts compiled since the last [`MergeMemo::take_compiled`], in compile
+/// order.
+#[derive(Debug, Default)]
+struct Shelf {
+    states: HashMap<String, usize>,
+    compiled: Vec<(String, usize)>,
 }
 
 impl MergeMemo {
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A memo holding `entries`, pairs of a merged program's
+    /// [`canonical_text`] and its state count. Its hits and misses start
+    /// at 0, and none of the entries counts as compiled.
+    pub fn with_entries(entries: Vec<(String, usize)>) -> Self {
+        MergeMemo {
+            states: Mutex::new(Shelf {
+                states: entries.into_iter().collect(),
+                compiled: Vec::new(),
+            }),
+            ..Self::default()
+        }
+    }
+
+    /// The `(canonical text, states)` pairs this memo compiled and stored
+    /// since the last call, in compile order. A program two threads
+    /// compiled at once appears once.
+    pub fn take_compiled(&self) -> Vec<(String, usize)> {
+        std::mem::take(&mut self.shelf().compiled)
     }
 
     /// Lookups served without compiling.
@@ -201,10 +234,10 @@ impl MergeMemo {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Locks the map, recovering from a poisoned lock: the map is only
-    /// read or inserted into under the lock, so a panic elsewhere cannot
-    /// leave a wrong count behind.
-    fn map(&self) -> MutexGuard<'_, HashMap<String, usize>> {
+    /// Locks the shelf, recovering from a poisoned lock: the shelf is only
+    /// read, inserted into or drained under the lock, so a panic elsewhere
+    /// cannot leave a wrong count behind.
+    fn shelf(&self) -> MutexGuard<'_, Shelf> {
         self.states.lock().unwrap_or_else(|poisoned| {
             self.states.clear_poison();
             poisoned.into_inner()
@@ -214,7 +247,7 @@ impl MergeMemo {
     /// The BM state count of `merged`, compiled on a miss.
     fn states(&self, merged: &ChExpr) -> Result<usize, CompileError> {
         let key = canonical_text(merged);
-        let stored = self.map().get(&key).copied();
+        let stored = self.shelf().states.get(&key).copied();
         if let Some(states) = stored {
             self.hits.fetch_add(1, Ordering::Relaxed);
             bmbe_obs::trace_counter!("cluster.memo.hits", 1);
@@ -223,7 +256,10 @@ impl MergeMemo {
         self.misses.fetch_add(1, Ordering::Relaxed);
         bmbe_obs::trace_counter!("cluster.memo.misses", 1);
         let states = compile_to_bm("merged", merged)?.num_states();
-        self.map().insert(key, states);
+        let mut shelf = self.shelf();
+        if shelf.states.insert(key.clone(), states).is_none() {
+            shelf.compiled.push((key, states));
+        }
         Ok(states)
     }
 }
@@ -413,13 +449,59 @@ mod tests {
             assert!(matches!(err, AcrFailure::NotSynthesizable(_)), "{err}");
         }
         assert_eq!((memo.hits(), memo.misses()), (0, 2));
+        assert!(
+            memo.take_compiled().is_empty(),
+            "a failed compile is not recorded"
+        );
+    }
+
+    #[test]
+    fn memo_reports_each_stored_compile_once() -> Result<(), AcrFailure> {
+        let s1 = sequencer("p", &names(&["x", "m"]));
+        let s2 = sequencer("m", &names(&["y", "z"]));
+        let memo = MergeMemo::new();
+        let merged = activation_channel_removal_with(&s1, &s2, "m", None, &memo)?;
+        activation_channel_removal_with(&s1, &s2, "m", None, &memo)?;
+        let states = compile_to_bm("merged", &merged)
+            .map_err(AcrFailure::NotSynthesizable)?
+            .num_states();
+        let compiled = memo.take_compiled();
+        assert_eq!(compiled, vec![(canonical_text(&merged), states)]);
+        assert!(memo.take_compiled().is_empty(), "the list is drained");
+        // A memo pre-filled with the pair serves the merge without a
+        // compile and reports nothing as compiled.
+        let warm = MergeMemo::with_entries(compiled);
+        assert_eq!((warm.hits(), warm.misses()), (0, 0));
+        let served = activation_channel_removal_with(&s1, &s2, "m", None, &warm)?;
+        assert_eq!(served, merged);
+        assert_eq!((warm.hits(), warm.misses()), (1, 0));
+        assert!(warm.take_compiled().is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn threads_racing_one_compile_report_it_once() {
+        let s1 = sequencer("p", &names(&["x", "m"]));
+        let s2 = sequencer("m", &names(&["y", "z"]));
+        let memo = MergeMemo::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    activation_channel_removal_with(&s1, &s2, "m", None, &memo)
+                });
+            }
+        });
+        assert_eq!(memo.hits() + memo.misses(), 4);
+        assert_eq!(memo.take_compiled().len(), 1);
     }
 
     #[test]
     fn memo_recovers_from_a_poisoned_lock() {
         let memo = MergeMemo::new();
         let poison = std::panic::AssertUnwindSafe(|| {
-            let _guard = memo.map();
+            let _guard = memo.shelf();
             panic!("simulated crash while holding the memo lock");
         });
         assert!(std::panic::catch_unwind(poison).is_err());

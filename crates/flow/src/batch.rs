@@ -613,7 +613,8 @@ pub struct ShapeStats {
 /// differential gauntlet, and — over a private registry — what
 /// [`crate::run_control_flow_with`] runs. Clustering goes through the merge
 /// memo of the registry's cache, so every design sharing the cache shares
-/// the memo.
+/// the memo, and over a disk layer the merges it compiled are appended to
+/// the merge log before its shapes resolve.
 ///
 /// # Errors
 ///
@@ -658,6 +659,7 @@ pub(crate) fn run_flow(
     let _flow_span = bmbe_obs::span!("flow.run", "flow");
     bmbe_obs::annotate_str!("job.design", design.netlist.name());
     let part = Partition::of(design, options, registry.cache.merge_memo())?;
+    registry.cache.persist_merges();
     let keyed: Vec<KeyedProgram> = {
         let _s = bmbe_obs::span!("flow.key", "flow");
         part.ctrl

@@ -47,6 +47,39 @@
 //!   lost, only the warm-start is. The `cache_io` fault phase
 //!   (`BMBE_FAULT=cache_io:<n>[:err]`, where `<n>` counts disk operations
 //!   on the handle) injects exactly these failures for the tests.
+//!
+//! # The merge log
+//!
+//! Next to the shape entries the directory holds one append-only file,
+//! [`MERGE_LOG`] (`merges.log`), that keeps clustering's merge memo
+//! ([`bmbe_core::MergeMemo`]): the BM state count of every merged program
+//! a flow over this directory compiled, keyed by its canonical text.
+//!
+//! ```text
+//! header: | magic "BMBEMRGS" | MERGE_LOG_VERSION u32 le |
+//! record: | len u32 le | fnv64(payload) u64 le | payload: states u64 le, canonical text |
+//! ```
+//!
+//! A record holds its full key, so no digest collision can serve a wrong
+//! count. The shape entries' durability rules carry over:
+//!
+//! - **Creation is atomic; appends are not synced.** The header is written
+//!   to a process-unique temp file that is hard-linked into place (the
+//!   link fails harmlessly when another writer published the log first),
+//!   so no reader sees a log without its header. Each flow appends its
+//!   records with one `write_all` on an `O_APPEND` handle and no fsync: a
+//!   lost or torn tail costs recompiles, never a wrong count.
+//! - **A bad log is evicted.** A wrong magic, another version, a short
+//!   record, a checksum mismatch, non-UTF-8 text or a zero state count
+//!   anywhere in the file evicts it like a bad shape entry; the records
+//!   before the fault are still served.
+//! - **I/O failures degrade** to a memo that starts empty, or to records
+//!   left unpersisted. The log's read and each append are one `cache_io`
+//!   operation each.
+//! - **Version rule.** Bump [`MERGE_LOG_VERSION`] whenever
+//!   `compile_to_bm`'s state counts can change, as [`FORMAT_VERSION`] is
+//!   bumped for shapes: a log of another version is evicted, and its
+//!   merges compile again.
 
 use super::codec::{decode_entry, encode_entry, fnv64};
 use super::{CacheKey, SynthArtifact};
@@ -72,6 +105,22 @@ pub const FORMAT_VERSION: u32 = 3;
 pub const CACHE_DIR_ENV: &str = "BMBE_CACHE_DIR";
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
+
+/// File name of the merge log in the cache directory. It is not a 16-hex
+/// name, so [`DiskCache::len`] counts shape entries only.
+pub const MERGE_LOG: &str = "merges.log";
+
+/// First eight bytes of the merge log.
+pub const MERGE_LOG_MAGIC: [u8; 8] = *b"BMBEMRGS";
+
+/// Merge log format version. Bump it whenever `compile_to_bm`'s state
+/// counts can change; a log of any other version is evicted on load.
+pub const MERGE_LOG_VERSION: u32 = 1;
+
+const MERGE_HEADER_LEN: usize = 8 + 4;
+
+/// A record's `len u32 | fnv64 u64` prefix.
+const RECORD_HEADER_LEN: usize = 4 + 8;
 
 /// Producer provenance stamped into every entry's header: which run wrote
 /// it, and when (wall clock).
@@ -171,6 +220,11 @@ impl DiskCache {
         self.dir.join(format!("{:016x}", key.digest()))
     }
 
+    /// The merge log's path.
+    pub fn merge_log_path(&self) -> PathBuf {
+        self.dir.join(MERGE_LOG)
+    }
+
     /// Counts one disk operation and fires the armed `cache_io` fault if
     /// this is the targeted one. Reads and writes share the counter.
     fn io_op(&self) -> io::Result<()> {
@@ -226,8 +280,14 @@ impl DiskCache {
                 bmbe_obs::event!("cache.disk.producer_run", provenance.run as i64);
                 Ok(Arc::new(artifact))
             }
-            Ok(_) => self.evict(&path, "digest collision: stored key differs"),
-            Err(why) => self.evict(&path, &why),
+            Ok(_) => {
+                self.evict(&path, "digest collision: stored key differs");
+                Err(DiskMiss::Evicted)
+            }
+            Err(why) => {
+                self.evict(&path, &why);
+                Err(DiskMiss::Evicted)
+            }
         }
     }
 
@@ -251,7 +311,7 @@ impl DiskCache {
         Ok(Some(bytes))
     }
 
-    fn evict(&self, path: &Path, why: &str) -> Result<Arc<SynthArtifact>, DiskMiss> {
+    fn evict(&self, path: &Path, why: &str) {
         // Best-effort delete: the entry is bad whether or not the unlink
         // succeeds, and a racing writer may already have replaced it.
         let _ = fs::remove_file(path);
@@ -274,7 +334,91 @@ impl DiskCache {
                 ("why", why.to_string()),
             ],
         );
-        Err(DiskMiss::Evicted)
+    }
+
+    /// Reads the merge log once and returns its `(canonical text, states)`
+    /// records in append order; no log is an empty list. A log that fails
+    /// validation anywhere is evicted, and the records before the fault
+    /// are returned.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure reading the log (including an injected `cache_io`
+    /// fault); the log is left in place.
+    pub fn load_merges(&self) -> io::Result<Vec<(String, usize)>> {
+        let path = self.merge_log_path();
+        let Some(bytes) = self.read_entry(&path)? else {
+            return Ok(Vec::new());
+        };
+        let (merges, fault) = parse_merge_log(&bytes);
+        if let Some(why) = fault {
+            self.evict(&path, &why);
+        }
+        bmbe_obs::trace_counter!("cluster.memo.loaded", merges.len());
+        Ok(merges)
+    }
+
+    /// Appends one batch of `(canonical text, states)` records to the
+    /// merge log with one `write_all` on an `O_APPEND` handle, publishing
+    /// the log's header first when there is no log.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure (including an injected `cache_io` fault); the
+    /// caller degrades to records left unpersisted.
+    pub fn append_merges(&self, merges: &[(String, usize)]) -> io::Result<()> {
+        self.io_op()?;
+        let mut bytes = Vec::new();
+        for (text, states) in merges {
+            let mut payload = Vec::with_capacity(8 + text.len());
+            payload.extend_from_slice(&(*states as u64).to_le_bytes());
+            payload.extend_from_slice(text.as_bytes());
+            let len = u32::try_from(payload.len()).map_err(|_| {
+                io::Error::new(io::ErrorKind::InvalidInput, "merge record too long")
+            })?;
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        let path = self.merge_log_path();
+        let result = (|| {
+            let mut log = match fs::OpenOptions::new().append(true).open(&path) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    self.publish_merge_log(&path)?;
+                    fs::OpenOptions::new().append(true).open(&path)?
+                }
+                opened => opened?,
+            };
+            log.write_all(&bytes)
+        })();
+        if result.is_err() {
+            bmbe_obs::trace_counter!("cache.disk.write_errors", 1);
+        } else {
+            bmbe_obs::trace_counter!("cluster.memo.persisted", merges.len());
+            bmbe_obs::trace_counter!("cache.disk.bytes_written", bytes.len() as u64);
+        }
+        result
+    }
+
+    /// Publishes a merge log holding only its header: the header goes to
+    /// a unique temp file that is hard-linked into place, so no reader or
+    /// appender sees a log without it. The link fails when another writer
+    /// published the log first, which serves as well.
+    fn publish_merge_log(&self, path: &Path) -> io::Result<()> {
+        let mut header = Vec::with_capacity(MERGE_HEADER_LEN);
+        header.extend_from_slice(&MERGE_LOG_MAGIC);
+        header.extend_from_slice(&MERGE_LOG_VERSION.to_le_bytes());
+        let tmp = self.dir.join(format!(
+            ".merges.{}.{}.tmp",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed),
+        ));
+        let result = fs::write(&tmp, &header).and_then(|()| match fs::hard_link(&tmp, path) {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(()),
+            linked => linked,
+        });
+        let _ = fs::remove_file(&tmp);
+        result
     }
 
     /// Writes the entry for `key` atomically (temp file + rename) and
@@ -331,9 +475,10 @@ impl DiskCache {
         self.len() == 0
     }
 
-    /// Total size in bytes of the committed entries.
+    /// Total size in bytes of the committed entries and the merge log.
     pub fn dir_bytes(&self) -> u64 {
         self.entries()
+            .chain([self.merge_log_path()])
             .filter_map(|p| fs::metadata(p).ok())
             .map(|m| m.len())
             .sum()
@@ -363,24 +508,24 @@ fn validate(bytes: &[u8]) -> Result<(&[u8], Provenance), String> {
     if header[..8] != MAGIC {
         return Err("bad magic".to_string());
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    let version = le_u32(&header[8..]);
     if version != FORMAT_VERSION {
         return Err(format!(
             "format version {version} (this build reads {FORMAT_VERSION})"
         ));
     }
     let provenance = Provenance {
-        run: u64::from_le_bytes(header[12..20].try_into().expect("8 bytes")),
-        produced_ns: u64::from_le_bytes(header[20..28].try_into().expect("8 bytes")),
+        run: le_u64(&header[12..]),
+        produced_ns: le_u64(&header[20..]),
     };
-    let payload_len = u64::from_le_bytes(header[28..36].try_into().expect("8 bytes"));
+    let payload_len = le_u64(&header[28..]);
     if payload_len != payload.len() as u64 {
         return Err(format!(
             "truncated: header claims {payload_len} payload bytes, file has {}",
             payload.len()
         ));
     }
-    let checksum = u64::from_le_bytes(header[36..44].try_into().expect("8 bytes"));
+    let checksum = le_u64(&header[36..]);
     let actual = fnv64(payload);
     if checksum != actual {
         return Err(format!(
@@ -388,4 +533,87 @@ fn validate(bytes: &[u8]) -> Result<(&[u8], Provenance), String> {
         ));
     }
     Ok((payload, provenance))
+}
+
+/// Splits a merge log into its valid records and, when some part of it
+/// fails validation, the reason. The records before the fault are kept.
+fn parse_merge_log(bytes: &[u8]) -> (Vec<(String, usize)>, Option<String>) {
+    let mut merges = Vec::new();
+    let Some((header, mut rest)) = bytes.split_at_checked(MERGE_HEADER_LEN) else {
+        return (
+            merges,
+            Some(format!("short merge log: {} bytes", bytes.len())),
+        );
+    };
+    if header[..8] != MERGE_LOG_MAGIC {
+        return (merges, Some("bad merge log magic".to_string()));
+    }
+    let version = le_u32(&header[8..]);
+    if version != MERGE_LOG_VERSION {
+        return (
+            merges,
+            Some(format!(
+                "merge log version {version} (this build reads {MERGE_LOG_VERSION})"
+            )),
+        );
+    }
+    while !rest.is_empty() {
+        match merge_record(rest) {
+            Ok((merge, tail)) => {
+                merges.push(merge);
+                rest = tail;
+            }
+            Err(why) => {
+                let why = format!("merge record {}: {why}", merges.len());
+                return (merges, Some(why));
+            }
+        }
+    }
+    (merges, None)
+}
+
+/// Decodes the merge record at the front of `bytes` and returns it with the
+/// bytes after it.
+fn merge_record(bytes: &[u8]) -> Result<((String, usize), &[u8]), String> {
+    let (head, rest) = bytes
+        .split_at_checked(RECORD_HEADER_LEN)
+        .ok_or_else(|| format!("short record header: {} bytes", bytes.len()))?;
+    let len = le_u32(head) as usize;
+    let checksum = le_u64(&head[4..]);
+    let (payload, rest) = rest.split_at_checked(len).ok_or_else(|| {
+        format!(
+            "short record: {len} payload bytes claimed, {} left",
+            rest.len()
+        )
+    })?;
+    let actual = fnv64(payload);
+    if checksum != actual {
+        return Err(format!(
+            "checksum mismatch: record {checksum:#018x}, payload {actual:#018x}"
+        ));
+    }
+    let (states, text) = payload
+        .split_at_checked(8)
+        .ok_or_else(|| format!("payload of {len} bytes holds no state count"))?;
+    let states = le_u64(states);
+    let states = usize::try_from(states)
+        .ok()
+        .filter(|&s| s > 0)
+        .ok_or_else(|| format!("state count {states}"))?;
+    let text = std::str::from_utf8(text).map_err(|e| format!("canonical text: {e}"))?;
+    Ok(((text.to_string(), states), rest))
+}
+
+/// The little-endian `u32` at the front of `bytes` (which holds at least 4).
+fn le_u32(bytes: &[u8]) -> u32 {
+    let mut word = [0; 4];
+    word.copy_from_slice(&bytes[..4]);
+    u32::from_le_bytes(word)
+}
+
+/// The little-endian `u64` at the front of `bytes` (which holds at least 8).
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
 }

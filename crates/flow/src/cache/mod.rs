@@ -33,7 +33,10 @@
 //! write-through. Disk hits are promoted into the memory map; disk
 //! failures of any kind (I/O errors, corrupt entries, even a panicking
 //! filesystem) degrade to an ordinary miss, so `synthesize_*` callers
-//! are untouched whether or not a cache directory is configured.
+//! are untouched whether or not a cache directory is configured. The disk
+//! layer also keeps clustering's merge memo in its merge log (see
+//! [`disk`]), so a cache opened over a filled directory compiles no merge
+//! an earlier process compiled there.
 
 pub mod codec;
 pub mod disk;
@@ -398,8 +401,10 @@ struct Shelf {
 /// Poison-tolerant: see the module docs and [`CacheStats`].
 ///
 /// It also owns the [`MergeMemo`] that every flow clustering through this
-/// cache shares, so a fleet compiles each merge shape once. The memo lives
-/// in memory only; nothing of it is written to disk.
+/// cache shares, so a fleet compiles each merge shape once. Over a disk
+/// layer the memo persists too: the cache opens with every state count
+/// the directory's merge log holds, and each flow appends the counts it
+/// compiled ([`ControllerCache::persist_merges`]).
 #[derive(Debug, Default)]
 pub struct ControllerCache {
     entries: Mutex<Shelf>,
@@ -417,12 +422,25 @@ impl ControllerCache {
         Self::default()
     }
 
-    /// An empty cache layered over a persistent store: lookups read
-    /// through to disk, stores write through, disk failures degrade to
-    /// misses.
+    /// A cache layered over a persistent store: lookups read through to
+    /// disk, stores write through, disk failures degrade to misses. The
+    /// merge memo starts with the store's merge log, read here once; a
+    /// failed or panicking read degrades to a memo that starts empty.
     pub fn with_disk(disk: DiskCache) -> Self {
+        let merges = match bmbe_par::catch_job(|| disk.load_merges()) {
+            Ok(Ok(entries)) => MergeMemo::with_entries(entries),
+            Ok(Err(e)) => {
+                bmbe_obs::vlog!(1, "bmbe-flow: merge log read failed (degrading): {e}");
+                MergeMemo::new()
+            }
+            Err(payload) => {
+                bmbe_obs::vlog!(1, "bmbe-flow: merge log read panicked: {payload}");
+                MergeMemo::new()
+            }
+        };
         ControllerCache {
             disk: Some(disk),
+            merges,
             ..Self::default()
         }
     }
@@ -446,6 +464,29 @@ impl ControllerCache {
     /// `hits()` and `misses()` count the merge lookups of all of them.
     pub fn merge_memo(&self) -> &MergeMemo {
         &self.merges
+    }
+
+    /// Drains the state counts the merge memo compiled since the last call
+    /// and, over a disk layer, appends them to the merge log. A failed or
+    /// panicking append leaves them unpersisted; a memory-only cache just
+    /// drops the list.
+    pub fn persist_merges(&self) {
+        let compiled = self.merges.take_compiled();
+        let Some(disk) = &self.disk else {
+            return;
+        };
+        if compiled.is_empty() {
+            return;
+        }
+        match bmbe_par::catch_job(|| disk.append_merges(&compiled)) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                bmbe_obs::vlog!(1, "bmbe-flow: merge log append failed (degrading): {e}");
+            }
+            Err(payload) => {
+                bmbe_obs::vlog!(1, "bmbe-flow: merge log append panicked: {payload}");
+            }
+        }
     }
 
     /// Locks the entry map, recovering from a poisoned mutex instead of

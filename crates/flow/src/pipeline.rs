@@ -313,7 +313,10 @@ impl Partition {
         let components_before = ctrl.components.len();
         let cluster_report = options.optimize.then(|| {
             let _s = bmbe_obs::span!("flow.cluster", "flow");
-            ctrl.t2_clustering_with(&options.cluster, merges)
+            let report = ctrl.t2_clustering_with(&options.cluster, merges);
+            bmbe_obs::trace_counter!("cluster.merged", report.eliminated_channels.len());
+            bmbe_obs::trace_counter!("cluster.refused", report.rejected.len());
+            report
         });
         let templates = if options.use_templates {
             template_table(&design.netlist)

@@ -6,12 +6,15 @@
 //! message moves it.
 //!
 //! It also re-checks the merge memo: clustering whole design sets through
-//! one shared `MergeMemo` must give what each design gives alone.
+//! one shared `MergeMemo` must give what each design gives alone, and so
+//! must a flow through a cache whose memo an earlier process persisted.
 
 use bmbe_balsa::CompiledDesign;
 use bmbe_core::opt::cluster::ClusterReport;
 use bmbe_core::{balsa_to_ch, print_ch, ClusterOptions, CtrlNetlist, MergeMemo};
 use bmbe_designs::{all_designs, generate_corpus, CorpusSpec};
+use bmbe_flow::{flow_through_registry, ControllerCache, DiskCache, FlowOptions, ShapeRegistry};
+use bmbe_gates::Library;
 
 /// Recorded with the rescanning `T1` and the list-based Table 2 expansion,
 /// which the current code must reproduce exactly.
@@ -144,4 +147,61 @@ fn a_second_pass_through_one_memo_compiles_nothing() {
     pass();
     assert_eq!(memo.misses(), misses, "the second pass compiled a merge");
     assert!(memo.hits() >= misses, "{} hits", memo.hits());
+}
+
+/// The merge lookups of one pass over `set` that compile and fail: a
+/// second clustering pass through one memo compiles only those.
+fn failing_compiles(set: &[(String, CompiledDesign)], opts: &ClusterOptions) -> usize {
+    let memo = MergeMemo::new();
+    let pass = || {
+        for (_, design) in set {
+            cluster(design, |c| c.t2_clustering_with(opts, &memo));
+        }
+    };
+    pass();
+    let first = memo.misses();
+    pass();
+    memo.misses() - first
+}
+
+#[test]
+fn a_reopened_disk_cache_changes_no_clustering_result() {
+    let library = Library::cmos035();
+    let options = FlowOptions::optimized();
+    for seed in [11, 23] {
+        let set = benchmark_set(seed);
+        let dir =
+            std::env::temp_dir().join(format!("bmbe-cluster-pin-{seed}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pass = |cache: &ControllerCache| {
+            let registry = ShapeRegistry::new(cache, &library);
+            for (name, design) in &set {
+                let (flow, _) = flow_through_registry(name, design, &options, &registry, 1)
+                    .unwrap_or_else(|e| panic!("seed {seed}, design {name}: {e}"));
+                let components: Vec<(String, String)> = flow
+                    .controllers
+                    .iter()
+                    .map(|c| (c.name.clone(), print_ch(&c.program)))
+                    .collect();
+                let alone = cluster(design, |c| c.t2_clustering(&options.cluster));
+                let report = flow.cluster_report.expect("optimized flows cluster");
+                assert_eq!((components, report), alone, "seed {seed}, design {name}");
+            }
+        };
+        let cold = ControllerCache::with_disk(DiskCache::open(&dir).expect("scratch cache"));
+        pass(&cold);
+        let warm = ControllerCache::with_disk(DiskCache::open(&dir).expect("reopen"));
+        pass(&warm);
+        let _ = std::fs::remove_dir_all(&dir);
+        let failing = failing_compiles(&set, &options.cluster);
+        let (cold_misses, warm_misses) = (cold.merge_memo().misses(), warm.merge_memo().misses());
+        assert_eq!(
+            warm_misses, failing,
+            "seed {seed}: the reopened memo compiled {warm_misses} merges (cold: {cold_misses})"
+        );
+        assert!(
+            cold_misses > 10 * failing.max(1),
+            "seed {seed}: {cold_misses} cold misses"
+        );
+    }
 }

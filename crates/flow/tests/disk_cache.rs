@@ -2,13 +2,16 @@
 //! are evicted (never served), concurrent writers leave only complete
 //! entries (atomic rename, no torn reads), and artifacts served from a
 //! memory hit, a disk hit, or cold synthesis are bit-identical at 1 and 4
-//! threads.
+//! threads. The merge log survives every truncation and byte flip: it
+//! serves only records that were written and evicts what fails validation.
 
 use bmbe_core::balsa_to_ch::balsa_to_ch;
+use bmbe_core::opt::cluster::ClusterReport;
+use bmbe_core::print_ch;
 use bmbe_designs::all_designs;
 use bmbe_flow::cache::codec::encode_entry;
 use bmbe_flow::{
-    run_control_flow_with, CacheKey, ControllerCache, DiskCache, DiskMiss, FlowOptions,
+    run_control_flow_with, CacheKey, ControllerCache, DiskCache, DiskMiss, FlowOptions, FlowResult,
     KeyedProgram,
 };
 use bmbe_gates::Library;
@@ -255,4 +258,77 @@ fn concurrent_writers_never_expose_a_torn_entry() {
         .load(&key)
         .expect("entry");
     assert_eq!(encode_entry(&key, &survivor), expected);
+}
+
+/// A flow's clustering: its components as `(name, printed program)` and
+/// its report.
+fn clustering(flow: FlowResult) -> (Vec<(String, String)>, Option<ClusterReport>) {
+    let components = flow
+        .controllers
+        .iter()
+        .map(|c| (c.name.clone(), print_ch(&c.program)))
+        .collect();
+    (components, flow.cluster_report)
+}
+
+#[test]
+fn every_truncation_and_byte_flip_of_the_merge_log_is_served_faithfully_or_evicted() {
+    let scratch = Scratch::new("merge-log");
+    let library = Library::cmos035();
+    let designs = all_designs().expect("shipped designs build");
+    let stack = designs
+        .iter()
+        .find(|d| d.name == "Stack")
+        .expect("Stack ships");
+    let dir = &scratch.0;
+    let flow = |cache: &ControllerCache| {
+        run_control_flow_with(&stack.compiled, &FlowOptions::optimized(), &library, cache)
+            .map(clustering)
+    };
+    let cold = ControllerCache::with_disk(DiskCache::open(dir).expect("create cache dir"));
+    flow(&cold).expect("cold flow");
+    // The clustering over a fresh memo, with no merge log at all.
+    let expected = flow(&ControllerCache::new()).expect("memory-only flow");
+    let disk = DiskCache::open(dir).expect("reopen");
+    let log = disk.merge_log_path();
+    let good = fs::read(&log).expect("the cold flow writes a merge log");
+    let written = disk.load_merges().expect("the pristine log loads");
+    assert!(written.len() > 1, "{} records", written.len());
+    // Where each record ends: a 12-byte header, then per record a 12-byte
+    // prefix, the 8-byte state count and the text.
+    let ends: Vec<usize> = written
+        .iter()
+        .scan(12, |end, (text, _)| {
+            *end += 12 + 8 + text.len();
+            Some(*end)
+        })
+        .collect();
+    assert_eq!(ends.last(), Some(&good.len()));
+    // `mutated` must load as the first `kept` records, evicted or not, and
+    // a flow through a cache opened over it must cluster as a fresh memo.
+    let check = |mutated: &[u8], kept: usize, evicted: bool, what: &str| {
+        fs::write(&log, mutated).expect("rewrite log");
+        let loaded = disk.load_merges().expect("a readable log loads");
+        assert_eq!(loaded[..], written[..kept], "{what}");
+        assert_eq!(!log.exists(), evicted, "{what}: evicted");
+        fs::write(&log, mutated).expect("rewrite log");
+        let reopened = ControllerCache::with_disk(DiskCache::open(dir).expect("reopen"));
+        let got = flow(&reopened).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(got, expected, "{what}");
+    };
+    let before = |at: usize| ends.iter().filter(|&&end| end <= at).count();
+    for len in 0..good.len() {
+        let boundary = len == 12 || ends.contains(&len);
+        check(
+            &good[..len],
+            before(len),
+            !boundary,
+            &format!("cut at {len}"),
+        );
+    }
+    for at in 0..good.len() {
+        let mut flipped = good.clone();
+        flipped[at] ^= 0xff;
+        check(&flipped, before(at), true, &format!("flip at {at}"));
+    }
 }

@@ -293,11 +293,13 @@ fn faulted_cache_write_degrades_to_a_miss_and_the_flow_succeeds() {
     let shapes = component_keys(counter, &FlowOptions::optimized());
     let unique: std::collections::HashSet<&String> = shapes.iter().map(|(_, k)| k).collect();
     assert_eq!(unique.len(), 2, "test assumes two unique shapes");
-    // Disk op order for a cold 2-shape run: load #0, load #1 (both miss),
-    // then store #2, store #3. Fault op 2: the first store fails.
+    // Disk op order for a cold 2-shape run: the merge log read #0 (no log
+    // yet) as the cache opens, the append of the merges clustering
+    // compiled #1, load #2, load #3 (both miss), then store #4, store #5.
+    // Fault op 4: the first store fails.
     let plan = FaultPlan {
         phase: FaultPhase::CacheIo,
-        nth: 2,
+        nth: 4,
         kind: FaultKind::Error,
     };
     let cache = bmbe_flow::ControllerCache::with_disk(
@@ -359,10 +361,13 @@ fn faulted_cache_read_is_a_miss_and_the_flow_succeeds() {
     .expect("cold flow");
     let entries = DiskCache::open(&scratch.0).expect("reopen").len();
     assert!(entries > 0);
-    // Fault the first read of a fresh cache: that shape re-synthesizes.
+    // Fault the first shape read of a fresh cache: that shape
+    // re-synthesizes. Op #0 is the merge log read as the cache opens;
+    // every merge is then served from the log, so nothing is appended and
+    // the first shape read is op #1.
     let plan = FaultPlan {
         phase: FaultPhase::CacheIo,
-        nth: 0,
+        nth: 1,
         kind: FaultKind::Error,
     };
     let cache = bmbe_flow::ControllerCache::with_disk(
@@ -388,9 +393,11 @@ fn cache_io_panic_is_contained_by_the_cache_layer() {
     let scratch = ScratchDir::new("panic");
     let library = Library::cmos035();
     let designs = all_designs().expect("shipped designs build");
+    // Cold op order: the merge log read #0, the merge append #1, then the
+    // first shape read #2, which panics.
     let plan = FaultPlan {
         phase: FaultPhase::CacheIo,
-        nth: 0,
+        nth: 2,
         kind: FaultKind::Panic,
     };
     let cache = bmbe_flow::ControllerCache::with_disk(
@@ -404,4 +411,93 @@ fn cache_io_panic_is_contained_by_the_cache_layer() {
     )
     .expect("a panicking disk layer must not fail the flow");
     assert!(flow.cache_misses > 0);
+}
+
+/// One flow of `design` over a cache opened on `dir` (with `fault` armed
+/// on its disk layer), and the merge lookups that compiled in it.
+fn flow_over(
+    design: &bmbe_designs::Design,
+    dir: &std::path::Path,
+    fault: Option<FaultPlan>,
+) -> (bmbe_flow::FlowResult, usize) {
+    let cache = ControllerCache::with_disk(
+        bmbe_flow::DiskCache::with_fault(dir, fault).expect("open cache dir"),
+    );
+    let flow = run_control_flow_with(
+        &design.compiled,
+        &FlowOptions::optimized(),
+        &Library::cmos035(),
+        &cache,
+    )
+    .expect("a cache_io fault must not fail the flow");
+    (flow, cache.merge_memo().misses())
+}
+
+/// A faulted merge log read (an error or a panic as the cache opens)
+/// degrades to a merge memo that starts empty: the flow compiles every
+/// merge again and succeeds, the log stays in place, and the next clean
+/// cache over the directory compiles nothing.
+#[test]
+fn faulted_merge_log_read_starts_an_empty_memo_and_the_flow_succeeds() {
+    let designs = all_designs().expect("shipped designs build");
+    let counter = &designs[0];
+    for kind in [FaultKind::Error, FaultKind::Panic] {
+        let scratch = ScratchDir::new(&format!("log-read-{kind:?}"));
+        let (cold, compiled) = flow_over(counter, &scratch.0, None);
+        assert!(compiled > 0, "the cold flow compiles merges");
+        let log = scratch.0.join(bmbe_flow::cache::disk::MERGE_LOG);
+        assert!(log.exists(), "the cold flow writes the merge log");
+        // Op #0 is the merge log read.
+        let plan = FaultPlan {
+            phase: FaultPhase::CacheIo,
+            nth: 0,
+            kind,
+        };
+        let (faulted, misses) = flow_over(counter, &scratch.0, Some(plan));
+        assert_eq!(misses, compiled, "{kind:?}: the memo starts empty");
+        assert_eq!(faulted.cluster_report, cold.cluster_report, "{kind:?}");
+        assert_eq!(faulted.cache_misses, 0, "{kind:?}: shapes still hit");
+        assert!(log.exists(), "{kind:?}: an unreadable log is not evicted");
+        let (_, misses) = flow_over(counter, &scratch.0, None);
+        assert_eq!(misses, 0, "{kind:?}: the next clean run compiles nothing");
+    }
+}
+
+/// A faulted merge log append (an error or a panic) leaves that flow's
+/// merges unpersisted and the flow succeeds; the next clean run compiles
+/// them again and backfills the log, and the run after it compiles
+/// nothing.
+#[test]
+fn faulted_merge_log_append_leaves_merges_unpersisted_and_the_flow_succeeds() {
+    let designs = all_designs().expect("shipped designs build");
+    let counter = &designs[0];
+    for kind in [FaultKind::Error, FaultKind::Panic] {
+        let scratch = ScratchDir::new(&format!("log-append-{kind:?}"));
+        // Cold op order: the merge log read #0, the merge append #1.
+        let plan = FaultPlan {
+            phase: FaultPhase::CacheIo,
+            nth: 1,
+            kind,
+        };
+        let (faulted, compiled) = flow_over(counter, &scratch.0, Some(plan));
+        assert!(compiled > 0, "the cold flow compiles merges");
+        assert_eq!(faulted.cache_misses, 2, "{kind:?}");
+        let log = scratch.0.join(bmbe_flow::cache::disk::MERGE_LOG);
+        assert!(!log.exists(), "{kind:?}: the faulted append wrote no log");
+        let disk = bmbe_flow::DiskCache::open(&scratch.0).expect("reopen");
+        assert_eq!(disk.len(), 2, "{kind:?}: the shapes still landed");
+        let (backfill, misses) = flow_over(counter, &scratch.0, None);
+        assert_eq!(
+            misses, compiled,
+            "{kind:?}: the unpersisted merges compile again"
+        );
+        assert_eq!(backfill.cluster_report, faulted.cluster_report, "{kind:?}");
+        let records = disk.load_merges().expect("log readable");
+        assert_eq!(records.len(), compiled, "{kind:?}: the log is backfilled");
+        let (_, misses) = flow_over(counter, &scratch.0, None);
+        assert_eq!(
+            misses, 0,
+            "{kind:?}: the run after the backfill compiles nothing"
+        );
+    }
 }

@@ -31,14 +31,19 @@
 #      engine's aggregate events/s by at least 5x (per-lane parity with
 #      the event engine is asserted inside sim_report itself);
 #   9. batch + persistent cache: five batch_report fleets, each over a
-#      fresh temporary BMBE_CACHE_DIR, must each emit pure-JSON stdout
-#      and synthesize each distinct shape exactly once; five more
-#      *processes* over the first cache directory, each run right after
-#      one cold process (cold k, then warm k), must each synthesize
-#      nothing, and the median of their Microprocessor-core wall times
-#      must be at least 3x below the median of the cold processes';
-#  10. cache_io fault smoke: with BMBE_FAULT=cache_io:0:err the disk
-#      layer degrades to misses and the same fleet must still succeed;
+#      fresh temporary BMBE_CACHE_DIR, must each emit pure-JSON stdout,
+#      synthesize each distinct shape exactly once and compile merges
+#      (a positive "merge_misses"); five more *processes* over the first
+#      cache directory, each run right after one cold process (cold k,
+#      then warm k), must each synthesize nothing and compile no merge
+#      ("merge_misses": 0, every merge state count served from the
+#      directory's merge log), and the median of their
+#      Microprocessor-core wall times must be at least 3x below the
+#      median of the cold processes';
+#  10. cache_io fault smoke: with BMBE_FAULT=cache_io:0:err (disk op 0
+#      is the merge log read as the cache opens) the disk layer degrades
+#      to a merge memo that starts empty and the same fleet must still
+#      succeed;
 #  11. fleet trace correlation: two traced batch_report processes (cold,
 #      then warm over the same scratch cache) each leave a
 #      self-describing JSONL stream; trace_report --check validates every
@@ -201,6 +206,7 @@ for run in cold1 cold2 cold3 cold4 cold5 warm1 warm2 warm3 warm4 warm5; do
     fi
     summary="$(grep '"summary": true' "$out")"
     synth="$(printf '%s' "$summary" | sed 's/.*"synthesized": \([0-9]*\).*/\1/')"
+    merge_misses="$(printf '%s' "$summary" | sed 's/.*"merge_misses": \([0-9]*\).*/\1/')"
     case "$run" in
     cold*)
         # Exactly-once: a cold fleet synthesizes each distinct shape once.
@@ -209,11 +215,23 @@ for run in cold1 cold2 cold3 cold4 cold5 warm1 warm2 warm3 warm4 warm5; do
             echo "tier1: FAIL: $run batch synthesized $synth of $distinct distinct shapes (must be all, exactly once)" >&2
             exit 1
         fi
+        # A fresh directory has no merge log: clustering compiles.
+        case "$merge_misses" in
+        '' | *[!0-9]* | 0)
+            echo "tier1: FAIL: $run batch over a fresh cache reads merge_misses '$merge_misses' (must be positive)" >&2
+            exit 1
+            ;;
+        esac
         ;;
     warm*)
-        # Second process, same cache directory: everything resolves from disk.
+        # Second process, same cache directory: every shape resolves from
+        # disk, and every merge state count from the merge log.
         if [ "$synth" != "0" ]; then
             echo "tier1: FAIL: $run cross-process batch re-synthesized $synth shapes" >&2
+            exit 1
+        fi
+        if [ "$merge_misses" != "0" ]; then
+            echo "tier1: FAIL: $run cross-process batch compiled $merge_misses merges" >&2
             exit 1
         fi
         ;;
@@ -238,7 +256,8 @@ fi
 echo "tier1: Microprocessor cold ${cold_s}s vs warm-disk ${warm_s}s (cross-process medians of 5)"
 
 echo "== tier1: cache_io fault smoke =="
-# A faulted disk layer degrades to cache misses; the fleet must succeed.
+# A faulted disk layer degrades to cache misses (op 0, the merge log
+# read, to a memo that starts empty); the fleet must succeed.
 fault_cache_dir="$(mktemp -d)"
 if ! BMBE_FAULT=cache_io:0:err BMBE_CACHE_DIR="$fault_cache_dir" \
     cargo run --release -p bmbe-bench --bin batch_report -- \
@@ -374,7 +393,7 @@ rm -rf "$gauntlet_dir"
 
 echo "== tier1: panic-site ceiling =="
 # A change that removes sites lowers the ceiling here in the same change.
-for gate in 'unwrap() 321' 'expect( 69' 'panic!( 38'; do
+for gate in 'unwrap() 321' 'expect( 64' 'panic!( 38'; do
     set -- $gate
     count="$(grep -rF --include='*.rs' "$1" crates/*/src src \
         | grep -v '^crates/\(bench\|criterion\|proptest\)/' | wc -l)"
