@@ -9,8 +9,8 @@
 //! `--check` additionally validates everything a trace consumer relies on
 //! and exits non-zero on the first violation:
 //!
-//! - the emitted Chrome trace and every JSONL line parse as JSON
-//!   (`bmbe_obs::export::validate_json`, dependency-free);
+//! - the emitted Chrome trace parses as JSON (`bmbe_obs::json::parse`),
+//!   as every JSONL line already has for the count totals;
 //! - every span closes exactly once, LIFO per lane, nothing dropped
 //!   (`bmbe_obs::export::validate`);
 //! - the span lanes cover all six per-shape flow phases and the simulator
@@ -28,7 +28,8 @@ use bmbe_designs::all_designs;
 use bmbe_flow::{run_control_flow, simulate, to_flow_scenario, FlowOptions};
 use bmbe_gates::Library;
 use bmbe_obs::analyze::parse_merged;
-use bmbe_obs::export::{escape, validate, validate_json};
+use bmbe_obs::export::{escape, validate};
+use bmbe_obs::json;
 use bmbe_sim::prims::Delays;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -116,15 +117,10 @@ fn run() -> Result<bool, String> {
         }
         let chrome = std::fs::read_to_string(&out_path)
             .map_err(|e| fail(format!("read back {out_path}: {e}")))?;
-        if let Err((at, e)) = validate_json(&chrome) {
+        if let Err((at, e)) = json::parse(&chrome) {
             return Err(fail(format!(
                 "{out_path} is not valid JSON at byte {at}: {e}"
             )));
-        }
-        for (n, line) in jsonl.lines().enumerate() {
-            if let Err((at, e)) = validate_json(line) {
-                return Err(fail(format!("{jsonl_path} line {}: byte {at}: {e}", n + 1)));
-            }
         }
         for name in REQUIRED_SPANS {
             if !trace.has_callsite(name) {

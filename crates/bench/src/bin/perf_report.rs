@@ -19,7 +19,7 @@
 //! `bmbe_obs::vlog!` at verbosity ≥ 1 (`BMBE_VERBOSE=1`).
 
 use bmbe_bench::report::{emit_report, run_main};
-use bmbe_bench::trend::design_field;
+use bmbe_bench::trend::{design_field, read_report};
 use bmbe_designs::all_designs;
 use bmbe_flow::{
     reference_flow, run_control_flow, run_control_flow_with, ControllerCache, FlowOptions,
@@ -37,8 +37,9 @@ const SAMPLES: usize = 9;
 /// The minimizer's work counts and engine decisions (functions whose
 /// primes were enumerated, and functions that took the cube-cofactor
 /// picks) and clustering's merged and refused channels, totalled from each
-/// design's traced cold run: deterministic functions of the design, so
-/// `bench_trend` gates them exactly.
+/// design's traced cold run: deterministic functions of the design. This
+/// is the one list of their names: each row's `counters` object holds
+/// them, and `bench_trend` gates every member of that object exactly.
 const COUNTERS: &[&str] = &[
     "hfmin.worklist.explored",
     "hfmin.cofactor.seeds",
@@ -154,19 +155,6 @@ impl Phases {
     }
 }
 
-/// Reads the previous report's per-design reference/cached seconds so the new
-/// report can carry before/after numbers. Tolerant by construction: any
-/// missing file, design, or field simply yields `None`.
-fn previous_numbers(design: &str) -> (Option<f64>, Option<f64>) {
-    let Ok(text) = std::fs::read_to_string("BENCH_flow.json") else {
-        return (None, None);
-    };
-    (
-        design_field(&text, "designs", design, "reference_s"),
-        design_field(&text, "designs", design, "cached_parallel_s"),
-    )
-}
-
 fn main() -> ExitCode {
     run_main("perf_report", run)
 }
@@ -179,10 +167,18 @@ fn run() -> Result<bool, String> {
         ..FlowOptions::optimized()
     };
     let designs = all_designs().map_err(|e| format!("shipped designs: {e}"))?;
+    // The previous report's per-design reference/cached seconds, for
+    // before/after numbers.
+    let previous = read_report("BENCH_flow.json");
     let mut rows = Vec::new();
     let mut threads_used = 1;
     for design in &designs {
-        let (prev_reference_s, prev_cached_s) = previous_numbers(design.name);
+        let previous = |key| {
+            let report = previous.as_ref()?;
+            design_field(report, "designs", design.name, &[key])
+        };
+        let (prev_reference_s, prev_cached_s) =
+            (previous("reference_s"), previous("cached_parallel_s"));
         // Preflight each configuration once with any BMBE_FAULT plan armed:
         // an injected (or genuine) failure surfaces here as a structured
         // error instead of a panic mid-timing. The timed runs below then

@@ -12,7 +12,7 @@
 //! `bmbe_obs::vlog!` at verbosity ≥ 1 (`BMBE_VERBOSE=1`).
 
 use bmbe_bench::report::{emit_report, run_main};
-use bmbe_bench::trend::design_field;
+use bmbe_bench::trend::{design_field, read_report};
 use bmbe_core::components::{decision_wait, sequencer};
 use bmbe_core::opt::verify_acr_compared;
 use bmbe_designs::{all_designs, scenario_variants};
@@ -21,6 +21,7 @@ use bmbe_flow::{
     FlowResult, Scenario, SimBackend, SimOutcome,
 };
 use bmbe_gates::Library;
+use bmbe_obs::json::Json;
 use bmbe_sim::prims::Delays;
 use bmbe_sim::LANES;
 use std::fmt::Write as _;
@@ -54,17 +55,11 @@ impl Row {
     }
 }
 
-/// Reads the pre-change engine's throughput for one design from
-/// `BENCH_sim_baseline.json`. Tolerant by construction: a missing file,
-/// design, or field simply yields `None`.
-fn baseline_events_per_sec(design: &str) -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_sim_baseline.json").ok()?;
-    design_field(&text, "designs", design, "run_loop_events_per_sec")
-}
-
 /// Runs one scenario `SAMPLES` times on the event engine and keeps the
-/// median run-loop and end-to-end wall times.
+/// median run-loop and end-to-end wall times, next to the pre-change
+/// engine's throughput read from `baseline` (`BENCH_sim_baseline.json`).
 fn measure(
+    baseline: Option<&Json>,
     design: &bmbe_designs::scenarios::Design,
     flow: &FlowResult,
     scenario: &Scenario,
@@ -101,7 +96,9 @@ fn measure(
             events_per_sec: reference.events as f64 / wall_s,
             peak_queue_depth: reference.stats.peak_queue_depth,
         },
-        baseline_events_per_sec: baseline_events_per_sec(design.name),
+        baseline_events_per_sec: baseline.and_then(|report| {
+            design_field(report, "designs", design.name, &["run_loop_events_per_sec"])
+        }),
     })
 }
 
@@ -254,6 +251,7 @@ fn run() -> Result<bool, String> {
     // flow itself also arms it via `with_env_fault`, so either side of
     // the pipeline can be poisoned from the same variable.
     let fault = FaultPlan::from_env();
+    let baseline = read_report("BENCH_sim_baseline.json");
     let mut rows: Vec<Row> = Vec::with_capacity(designs.len());
     let mut backends: Vec<BackendRow> = Vec::with_capacity(designs.len());
     for design in &designs {
@@ -264,7 +262,13 @@ fn run() -> Result<bool, String> {
         )
         .map_err(|e| format!("{} flow: {e}", design.name))?;
         let scenario = to_flow_scenario(&design.scenario);
-        rows.push(measure(design, &flow, &scenario, &delays)?);
+        rows.push(measure(
+            baseline.as_ref(),
+            design,
+            &flow,
+            &scenario,
+            &delays,
+        )?);
         backends.push(measure_backends(design, &flow, &delays, fault.as_ref())?);
     }
     let verify = verify_rows()?;

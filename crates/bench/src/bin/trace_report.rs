@@ -10,17 +10,19 @@
 //! trace_report [--check] FILE...
 //! ```
 //!
-//! `--check` additionally validates every input line as JSON
-//! (`bmbe_obs::export::validate_json`) and requires a non-empty critical
-//! path, exiting non-zero on the first violation. This is the gate the
-//! tier-1 CI script runs over a merged cold+warm batch fleet trace.
+//! Every line is parsed as JSON once (`bmbe_obs::json::parse`, through
+//! `bmbe_obs::analyze::parse_merged`); a malformed line is an error naming
+//! its line, counted through the files in argument order, and byte.
+//! `--check` additionally requires a non-empty critical path. This is the
+//! gate the tier-1 CI script runs over a merged cold+warm batch fleet
+//! trace.
 //!
 //! Human-readable narration goes to stderr (`BMBE_VERBOSE=1`); stdout is
 //! pure JSON.
 
 use bmbe_bench::report::run_main;
 use bmbe_obs::analyze::parse_merged;
-use bmbe_obs::export::{escape, validate_json};
+use bmbe_obs::export::escape;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -47,16 +49,6 @@ fn run() -> Result<bool, String> {
     let mut merged = String::new();
     for file in &files {
         let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
-        if check {
-            for (n, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if let Err((at, e)) = validate_json(line) {
-                    return Err(format!("--check: {file} line {}: byte {at}: {e}", n + 1));
-                }
-            }
-        }
         merged.push_str(&text);
         if !merged.ends_with('\n') {
             merged.push('\n');

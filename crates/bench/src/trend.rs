@@ -4,11 +4,10 @@
 //! Two gate policies, chosen per metric:
 //!
 //! - **Exact** — structural counts (controllers, cache hits/misses, shape
-//!   counts, the minimizer's traced work counts and engine choices,
-//!   clustering's traced merged and refused channels, event counts, lane
-//!   counts, the states each §4.3 verification path explores). These are
-//!   deterministic functions of the design set, so *any* drift is a real
-//!   behavioural change and fails the gate.
+//!   counts, every traced count of a row's `counters` object, event
+//!   counts, lane counts, the states each §4.3 verification path
+//!   explores). These are deterministic functions of the design set, so
+//!   *any* drift is a real behavioural change and fails the gate.
 //! - **Ratio** — timing ratios (`speedup`, `auto_speedup_vs_exact`,
 //!   `compiled_vs_event`). Wall-clock ratios move with host load, so the
 //!   gate only fires on a collapse: the fresh value may not fall below
@@ -22,8 +21,13 @@
 //!   time identical work, so those rows carry no such field and nothing is
 //!   gated there.
 //!
-//! A field the baseline row lacks is skipped, so a metric is gated on
-//! exactly the rows whose committed report carries it.
+//! Each report is parsed once by [`bmbe_obs::json::parse`]. A gated field
+//! is read at its [`Spec::path`] inside the row its `design` (or
+//! `obligation`) names, and nowhere else. A path that ends at an object
+//! gates every member of it, so the `counters` object gates whatever
+//! counts `perf_report` writes there. A field the baseline row lacks is
+//! skipped, so a metric is gated on exactly the rows whose committed
+//! report carries it.
 //!
 //! Absolute seconds are not gated at all: comparing wall seconds across
 //! machines is noise, and the ratios already normalize them away.
@@ -33,6 +37,7 @@
 //! `sim_report`'s baseline throughput).
 
 use bmbe_obs::export::escape;
+use bmbe_obs::json::{self, Json};
 use std::fmt;
 
 /// A gated ratio metric may not fall below this fraction of its baseline
@@ -51,31 +56,32 @@ pub enum Policy {
 /// One gated metric: where to find it and how to judge it.
 #[derive(Debug, Clone, Copy)]
 pub struct Spec {
-    /// The top-level JSON array the blocks live in (`"designs"`,
+    /// The top-level JSON array the rows live in (`"designs"`,
     /// `"backends"` or `"verification"`).
     pub section: &'static str,
-    /// The field name inside each design block (matched as `"field":`, so
-    /// `speedup` does not collide with `auto_speedup_vs_exact`).
-    pub field: &'static str,
+    /// The object keys that lead from a row to the field. A path that
+    /// ends at an object gates each of its members.
+    pub path: &'static [&'static str],
     /// Exact or ratio-floor gating.
     pub policy: Policy,
 }
 
 impl Spec {
-    /// A structural count of `section`'s blocks, gated exactly.
-    pub const fn exact(section: &'static str, field: &'static str) -> Spec {
+    /// A structural count at `path` in `section`'s rows, gated exactly.
+    pub const fn exact(section: &'static str, path: &'static [&'static str]) -> Spec {
         Spec {
             section,
-            field,
+            path,
             policy: Policy::Exact,
         }
     }
 
-    /// A timing ratio of `section`'s blocks, gated at [`RATIO_FLOOR`].
-    pub const fn ratio(section: &'static str, field: &'static str) -> Spec {
+    /// A timing ratio at `path` in `section`'s rows, gated at
+    /// [`RATIO_FLOOR`].
+    pub const fn ratio(section: &'static str, path: &'static [&'static str]) -> Spec {
         Spec {
             section,
-            field,
+            path,
             policy: Policy::Ratio,
         }
     }
@@ -83,29 +89,23 @@ impl Spec {
 
 /// The gated metrics of `BENCH_flow.json`.
 pub const FLOW_SPECS: &[Spec] = &[
-    Spec::exact("designs", "controllers"),
-    Spec::exact("designs", "cache_hits"),
-    Spec::exact("designs", "cache_misses"),
-    Spec::exact("designs", "shapes"),
-    Spec::exact("designs", "hfmin.worklist.explored"),
-    Spec::exact("designs", "hfmin.cofactor.seeds"),
-    Spec::exact("designs", "hfmin.cofactor.leaves"),
-    Spec::exact("designs", "hfmin.engine.exact"),
-    Spec::exact("designs", "hfmin.engine.cofactor"),
-    Spec::exact("designs", "cluster.merged"),
-    Spec::exact("designs", "cluster.refused"),
-    Spec::ratio("designs", "speedup"),
-    Spec::ratio("designs", "auto_speedup_vs_exact"),
+    Spec::exact("designs", &["controllers"]),
+    Spec::exact("designs", &["cache_hits"]),
+    Spec::exact("designs", &["cache_misses"]),
+    Spec::exact("designs", &["phases", "shapes"]),
+    Spec::exact("designs", &["counters"]),
+    Spec::ratio("designs", &["speedup"]),
+    Spec::ratio("designs", &["backends", "auto_speedup_vs_exact"]),
 ];
 
 /// The gated metrics of `BENCH_sim.json`.
 pub const SIM_SPECS: &[Spec] = &[
-    Spec::exact("designs", "events"),
-    Spec::exact("backends", "lanes"),
-    Spec::exact("backends", "events"),
-    Spec::ratio("backends", "compiled_vs_event"),
-    Spec::exact("verification", "otf_states"),
-    Spec::exact("verification", "materialized_states"),
+    Spec::exact("designs", &["events"]),
+    Spec::exact("backends", &["lanes"]),
+    Spec::exact("backends", &["events"]),
+    Spec::ratio("backends", &["compiled_vs_event"]),
+    Spec::exact("verification", &["otf_states"]),
+    Spec::exact("verification", &["materialized_states"]),
 ];
 
 /// One gate violation: the metric, both values, and why it failed.
@@ -116,7 +116,8 @@ pub struct Breach {
     pub section: String,
     /// The design (or verification obligation) the block belongs to.
     pub design: String,
-    /// The metric field name.
+    /// The metric: the last key of its path, or the member name of a
+    /// gated object.
     pub metric: String,
     /// The committed baseline value (`None` when the *fresh* side lost the
     /// design or field entirely).
@@ -196,158 +197,92 @@ impl Outcome {
     }
 }
 
-/// Extracts the text of the `"<section>": [ ... ]` array, bracket-matched
-/// with JSON string awareness (the baseline `note` fields are free-form
-/// prose).
-fn section_text<'a>(text: &'a str, section: &str) -> Option<&'a str> {
-    let needle = format!("\"{section}\": [");
-    let start = text.find(&needle)? + needle.len();
-    let bytes = text.as_bytes();
-    let mut depth = 1usize;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, &b) in bytes[start..].iter().enumerate() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => esc = true,
-            b'"' => in_str = !in_str,
-            b'[' if !in_str => depth += 1,
-            b']' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&text[start..start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+/// The rows of the report's `section` array, each with its `design` (or,
+/// for a verification row, its `obligation`).
+fn rows<'a>(report: &'a Json, section: &str) -> impl Iterator<Item = (&'a str, &'a Json)> {
+    let rows = report.get(section).and_then(Json::as_array);
+    rows.unwrap_or_default().iter().filter_map(|row| {
+        let name = row.get("design").or_else(|| row.get("obligation"));
+        Some((name.and_then(Json::as_str)?, row))
+    })
 }
 
-/// Splits a section's text into per-design `{...}` blocks (depth-matched;
-/// blocks nest objects like `"phases": {...}`).
-fn blocks(section: &str) -> Vec<&str> {
-    let bytes = section.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    let mut open = 0usize;
-    for (i, &b) in bytes.iter().enumerate() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => esc = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => {
-                if depth == 0 {
-                    open = i;
-                }
-                depth += 1;
-            }
-            b'}' if !in_str => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    out.push(&section[open..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+/// Reads the number at `path` in the row of `design` in the report's
+/// `section` array, and from nowhere else: a row that lacks the field
+/// reads `None`, never another row's or another sub-object's value. A
+/// missing section or design is `None` too.
+pub fn design_field(report: &Json, section: &str, design: &str, path: &[&str]) -> Option<f64> {
+    row(report, section, design)?.at(path)?.as_f64()
 }
 
-/// Pulls `"field": <number>` out of one design block.
-fn number_field(block: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = block.find(&needle)? + needle.len();
-    let rest = block[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Reads and parses the report at `path`. Tolerant by construction: a
+/// missing or unparsable file is `None`, as [`design_field`] reads a
+/// missing design or field, so a report bin's before/after numbers are
+/// simply left out.
+pub fn read_report(path: &str) -> Option<Json> {
+    json::parse(&std::fs::read_to_string(path).ok()?).ok()
 }
 
-/// Pulls the block's name out of one block: its `"design"`, or for a
-/// verification row its `"obligation"`.
-fn design_name(block: &str) -> Option<&str> {
-    ["\"design\": \"", "\"obligation\": \""]
-        .iter()
-        .find_map(|needle| {
-            let at = block.find(needle)? + needle.len();
-            block[at..].find('"').map(|end| &block[at..at + end])
-        })
-}
-
-/// Reads `"field": <number>` from the block of `design` in the report's
-/// `section` array, and from nowhere else: a row that lacks the field reads
-/// `None`, never a later row's value. A missing section or design is `None`
-/// too.
-pub fn design_field(report: &str, section: &str, design: &str, field: &str) -> Option<f64> {
-    let block = blocks(section_text(report, section)?)
-        .into_iter()
-        .find(|b| design_name(b) == Some(design))?;
-    number_field(block, field)
+/// The row of `design` in the report's `section` array.
+fn row<'a>(report: &'a Json, section: &str, design: &str) -> Option<&'a Json> {
+    let mut rows = rows(report, section);
+    rows.find(|&(name, _)| name == design).map(|(_, row)| row)
 }
 
 /// Compares one fresh report against its baseline under `specs`. Iterates
-/// the *baseline's* designs: a design or gated field the fresh report
-/// lost is itself a breach (the benchmark surface shrank), while designs
-/// only the fresh side has are ignored (growth is not a regression).
+/// the *baseline's* rows: a row or gated field the fresh report lost is
+/// itself a breach (the benchmark surface shrank), while rows only the
+/// fresh side has are ignored (growth is not a regression). A fresh
+/// report that does not parse has lost every field.
 pub fn compare(baseline: &str, current: &str, specs: &[Spec]) -> Outcome {
     let mut outcome = Outcome::default();
-    let sections: Vec<&'static str> = {
-        let mut s: Vec<&'static str> = specs.iter().map(|sp| sp.section).collect();
-        s.dedup();
-        s
+    let baseline = match json::parse(baseline) {
+        Ok(report) => report,
+        Err((at, e)) => {
+            outcome
+                .no_baseline
+                .push(format!("baseline is not JSON: byte {at}: {e}"));
+            return outcome;
+        }
     };
-    for section in sections {
-        let base_blocks = section_text(baseline, section)
-            .map(blocks)
-            .unwrap_or_default();
-        let cur_text = section_text(current, section);
-        let cur_blocks = cur_text.map(blocks).unwrap_or_default();
-        for base_block in base_blocks {
-            let Some(design) = design_name(base_block) else {
+    let current = json::parse(current).unwrap_or(Json::Null);
+    for spec in specs {
+        for (design, base_row) in rows(&baseline, spec.section) {
+            let Some(base) = base_row.at(spec.path) else {
+                // The baseline itself lacks the field (e.g. an old
+                // schema); nothing to gate against.
                 continue;
             };
-            let cur_block = cur_blocks
-                .iter()
-                .find(|b| design_name(b) == Some(design))
-                .copied();
-            for spec in specs.iter().filter(|sp| sp.section == section) {
-                let base_value = number_field(base_block, spec.field);
-                let cur_value = cur_block.and_then(|b| number_field(b, spec.field));
-                let Some(base_value) = base_value else {
-                    // The baseline itself lacks the field (e.g. an old
-                    // schema); nothing to gate against.
+            let cur = row(&current, spec.section, design).and_then(|row| row.at(spec.path));
+            let leaf = spec.path.last().copied().unwrap_or_default();
+            let fields: Vec<(&str, &Json, Option<&Json>)> = match base {
+                Json::Obj(members) => members
+                    .iter()
+                    .map(|(name, value)| (name.as_str(), value, cur.and_then(|c| c.get(name))))
+                    .collect(),
+                value => vec![(leaf, value, cur)],
+            };
+            for (metric, base, cur) in fields {
+                let Some(base_value) = base.as_f64() else {
                     continue;
                 };
                 outcome.checked += 1;
-                let breach = |cur: Option<f64>| Breach {
-                    section: section.to_string(),
-                    design: design.to_string(),
-                    metric: spec.field.to_string(),
-                    baseline: Some(base_value),
-                    current: cur,
-                    policy: spec.policy,
+                let cur_value = cur.and_then(Json::as_f64);
+                let bad = match spec.policy {
+                    // Numbers keep their source text, so a count matches
+                    // exactly however large it is.
+                    Policy::Exact => cur != Some(base),
+                    Policy::Ratio => cur_value.is_none_or(|cur| cur < base_value * RATIO_FLOOR),
                 };
-                match cur_value {
-                    None => outcome.breaches.push(breach(None)),
-                    Some(cur) => {
-                        let bad = match spec.policy {
-                            Policy::Exact => cur != base_value,
-                            Policy::Ratio => cur < base_value * RATIO_FLOOR,
-                        };
-                        if bad {
-                            outcome.breaches.push(breach(Some(cur)));
-                        }
-                    }
+                if bad {
+                    outcome.breaches.push(Breach {
+                        section: spec.section.to_string(),
+                        design: design.to_string(),
+                        metric: metric.to_string(),
+                        baseline: Some(base_value),
+                        current: cur_value,
+                        policy: spec.policy,
+                    });
                 }
             }
         }
@@ -405,6 +340,13 @@ mod tests {
             (b.design.as_str(), b.metric.as_str()),
             ("B", "hfmin.worklist.explored")
         );
+        // Counts compare exactly, past where an f64 rounds 2^53 + 1 down.
+        let big = FLOW.replace(
+            "\"cluster.merged\": 5",
+            "\"cluster.merged\": 9007199254740993",
+        );
+        let rounded = big.replace("9007199254740993", "9007199254740992");
+        assert_eq!(compare(&big, &rounded, FLOW_SPECS).breaches.len(), 1);
         // So is one more refused merge.
         let drifted = FLOW.replace("\"cluster.refused\": 3", "\"cluster.refused\": 4");
         let outcome = compare(FLOW, &drifted, FLOW_SPECS);
@@ -485,41 +427,111 @@ mod tests {
     }
 
     #[test]
-    fn speedup_needle_does_not_match_longer_names() {
-        // A block whose only "speedup"-like field is the nested backend
-        // ratio must read as missing `speedup`, not silently borrow it.
-        let block = r#"{"design": "A", "backends": {"auto_speedup_vs_exact": 2.0}}"#;
-        assert_eq!(number_field(block, "speedup"), None);
-        assert_eq!(number_field(block, "auto_speedup_vs_exact"), Some(2.0));
+    fn a_field_is_read_only_at_its_path_in_its_own_row() -> Result<(), (usize, String)> {
+        // Both sub-objects hold `wall_s`; only the event one is gated.
+        let report = r#"{"backends": [
+    {"design": "A", "compiled": {"wall_s": 0.001}, "event": {"wall_s": 0.009}}
+]}"#;
+        let parsed = json::parse(report)?;
+        let event_wall = &["event", "wall_s"][..];
+        assert_eq!(
+            design_field(&parsed, "backends", "A", event_wall),
+            Some(0.009)
+        );
+        let specs = &[Spec::exact("backends", &["event", "wall_s"])];
+        let compiled_drift = report.replace("0.001", "0.002");
+        assert!(compare(report, &compiled_drift, specs).pass());
+        let event_drift = report.replace("0.009", "0.008");
+        assert_eq!(compare(report, &event_drift, specs).breaches.len(), 1);
+        // A row whose only "speedup"-like field is the nested backend
+        // ratio lacks `speedup`; it does not borrow the other.
+        let row = r#"{"designs": [{"design": "A", "backends": {"auto_speedup_vs_exact": 2.0}}]}"#;
+        assert_eq!(
+            design_field(&json::parse(row)?, "designs", "A", &["speedup"]),
+            None
+        );
+        let base = r#"{"designs": [{"design": "A", "speedup": 2.0, "backends": {"auto_speedup_vs_exact": 2.0}}]}"#;
+        let outcome = compare(base, row, FLOW_SPECS);
+        assert_eq!(outcome.checked, 2);
+        assert_eq!(outcome.breaches.len(), 1);
+        let b = &outcome.breaches[0];
+        assert_eq!((b.metric.as_str(), b.current), ("speedup", None));
+        Ok(())
     }
 
     #[test]
-    fn design_field_reads_only_the_named_row() {
-        let report = r#"{"designs": [
+    fn every_counter_of_a_row_is_gated() {
+        // A count both rows carry is gated with no spec naming it.
+        let with_new = FLOW.replace(
+            "\"cluster.refused\": 12}",
+            "\"cluster.refused\": 12, \"x.new\": 4}",
+        );
+        assert_eq!(compare(&with_new, &with_new, FLOW_SPECS).checked, 26);
+        let drifted = with_new.replace("\"x.new\": 4", "\"x.new\": 5");
+        let outcome = compare(&with_new, &drifted, FLOW_SPECS);
+        assert_eq!(outcome.breaches.len(), 1);
+        let b = &outcome.breaches[0];
+        assert_eq!((b.design.as_str(), b.metric.as_str()), ("B", "x.new"));
+        // The fresh side losing it is a breach too.
+        assert_eq!(compare(&with_new, FLOW, FLOW_SPECS).breaches.len(), 1);
+    }
+
+    #[test]
+    fn design_field_reads_only_the_named_row() -> Result<(), (usize, String)> {
+        let report = json::parse(
+            r#"{"designs": [
     {"design": "Stack", "cached_parallel_s": 0.004},
     {"design": "Microprocessor core", "reference_s": 0.015, "cached_parallel_s": 0.012}
-]}"#;
+]}"#,
+        )?;
+        let field = |section, design, key| design_field(&report, section, design, &[key]);
         // Stack lacks the field; the next row's value must not leak in.
+        assert_eq!(field("designs", "Stack", "reference_s"), None);
+        assert_eq!(field("designs", "Stack", "cached_parallel_s"), Some(0.004));
         assert_eq!(
-            design_field(report, "designs", "Stack", "reference_s"),
-            None
-        );
-        assert_eq!(
-            design_field(report, "designs", "Stack", "cached_parallel_s"),
-            Some(0.004)
-        );
-        assert_eq!(
-            design_field(report, "designs", "Microprocessor core", "reference_s"),
+            field("designs", "Microprocessor core", "reference_s"),
             Some(0.015)
         );
-        assert_eq!(
-            design_field(report, "designs", "Absent", "reference_s"),
-            None
-        );
-        assert_eq!(
-            design_field(report, "backends", "Stack", "reference_s"),
-            None
-        );
+        assert_eq!(field("designs", "Absent", "reference_s"), None);
+        assert_eq!(field("backends", "Stack", "reference_s"), None);
+        Ok(())
+    }
+
+    #[test]
+    fn a_breach_reads_back_value_for_value() -> Result<(), (usize, String)> {
+        let breach = Breach {
+            section: "verification".to_string(),
+            design: "a\"b\\c\td\u{1}".to_string(),
+            metric: "otf_states".to_string(),
+            baseline: Some(123.0),
+            current: None,
+            policy: Policy::Exact,
+        };
+        let parsed = json::parse(&breach.to_json())?;
+        let text = |key| parsed.get(key).and_then(Json::as_str);
+        assert_eq!(text("section"), Some("verification"));
+        assert_eq!(text("design"), Some(breach.design.as_str()));
+        assert_eq!(text("metric"), Some("otf_states"));
+        assert_eq!(text("policy"), Some("exact"));
+        assert_eq!(parsed.get("baseline").and_then(Json::as_f64), Some(123.0));
+        assert_eq!(parsed.get("current"), Some(&Json::Null));
+        Ok(())
+    }
+
+    #[test]
+    fn every_truncation_of_the_committed_sim_report_parses_or_errs() {
+        let report = include_str!("../../../BENCH_sim.json");
+        assert!(compare(report, report, SIM_SPECS).pass());
+        for cut in (0..report.len()).filter(|&cut| report.is_char_boundary(cut)) {
+            let prefix = &report[..cut];
+            let whole = prefix.trim_end() == report.trim_end();
+            assert_eq!(json::parse(prefix).is_ok(), whole, "cut at {cut}");
+            assert_eq!(
+                compare(report, prefix, SIM_SPECS).pass(),
+                whole,
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! program of its controller; these are what the Balsa-to-CH translator
 //! instantiates for every control component of the netlist.
 
-use crate::ast::{ChActivity, ChExpr, InterleaveOp};
+use crate::ast::{ChExpr, InterleaveOp};
 
 /// An n-way sequencer: activated on `activate`, performs handshakes on each
 /// `outs[i]` in order (§3.4).
@@ -189,12 +189,6 @@ pub fn while_loop(activate: &str, guard: &str, body: &str) -> ChExpr {
             ],
         })),
     )))
-}
-
-/// The CH activity of a named standard component's channel, used in tests
-/// and the translator.
-pub fn channel_activity(expr: &ChExpr, name: &str) -> Option<ChActivity> {
-    expr.channels().get(name).copied()
 }
 
 #[cfg(test)]

@@ -224,6 +224,21 @@ impl MergeMemo {
         std::mem::take(&mut self.shelf().compiled)
     }
 
+    /// The number of distinct merged programs the memo holds a state
+    /// count for.
+    pub fn len(&self) -> usize {
+        self.shelf().states.len()
+    }
+
+    /// Every stored `(canonical text, states)` pair, sorted by text.
+    pub fn entries(&self) -> Vec<(String, usize)> {
+        let mut entries: Vec<(String, usize)> = (self.shelf().states.iter())
+            .map(|(text, &states)| (text.clone(), states))
+            .collect();
+        entries.sort_unstable();
+        entries
+    }
+
     /// Lookups served without compiling.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)

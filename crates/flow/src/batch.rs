@@ -369,11 +369,15 @@ pub struct JobReport {
     pub control_area: f64,
     /// Distinct shapes this job needed.
     pub distinct_shapes: usize,
-    /// Shapes served from the shared cache.
+    /// Shapes served from the shared cache. Above one job worker, which
+    /// of `cache_hits`, `synthesized` and `shared` counts a shape that
+    /// other jobs also need follows thread timing; their sum,
+    /// `distinct_shapes`, does not.
     pub cache_hits: usize,
     /// Shapes this job synthesized (flights it claimed).
     pub synthesized: usize,
-    /// Shapes reused from another job's in-flight synthesis.
+    /// Shapes reused from another job's in-flight synthesis (see
+    /// `cache_hits`).
     pub shared: usize,
     /// Simulated scenario lanes (0 when the sim stage was skipped).
     pub sim_lanes: usize,
@@ -475,7 +479,11 @@ fn dump_failure(failure: &JobFailure) {
 }
 
 /// The whole batch's outcome: per-job results in job order plus the
-/// fleet-wide shape accounting.
+/// fleet-wide shape accounting. Above one job worker, how resolutions
+/// split between `cache_hits` and `shared_waits` follows thread timing, so
+/// it may differ run to run; `distinct_shapes`, `synthesized` and the sum
+/// `cache_hits + shared_waits` do not (nor do the jobs' split totals; see
+/// [`JobReport::cache_hits`]).
 pub struct BatchSummary {
     /// Per-job outcomes, in submission order.
     pub jobs: Vec<Result<JobReport, JobFailure>>,

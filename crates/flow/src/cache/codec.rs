@@ -1,10 +1,14 @@
-//! Binary codec for persisted synthesis artifacts.
+//! Binary codec for every file in a cache directory.
 //!
-//! [`super::disk::DiskCache`] stores one [`SynthArtifact`] per file; this
-//! module defines the *payload* encoding — a compact, versioned,
-//! deterministic binary form of the cache key and the artifact's results
-//! (controller covers, state assignment, function specs, mapped netlist,
-//! subject graph). The encoding is:
+//! [`super::disk::DiskCache`] stores one [`SynthArtifact`] per file and
+//! one merge log; this module defines both the *framing* every such file
+//! shares and the *payload* encodings. A file is a header
+//! ([`Writer::header`]: an eight-byte magic naming the file kind, then
+//! [`FORMAT_VERSION`]) followed by checksummed records ([`Writer::record`]:
+//! `len u64 | fnv64 u64 | payload`), all little-endian. The payloads are a
+//! compact, deterministic binary form of the cache key and the artifact's
+//! results (controller covers, state assignment, function specs, mapped
+//! netlist, subject graph), or of one merge-log record. The encoding is:
 //!
 //! - **self-contained** — no external schema; every variable-length field
 //!   carries its length, every enum a one-byte tag;
@@ -16,15 +20,12 @@
 //!   syntheses of one shape thus encode to the same bytes, so a disk hit
 //!   can be byte-compared against a fresh synthesis in the durability
 //!   tests;
-//! - **strict on decode** — any truncation, unknown tag, or length
-//!   overrun is a typed [`CodecError`], never a panic or a partial value.
-//!   So is a mapped netlist whose gates break the order the mapper emits
-//!   and every evaluator relies on ([`check_gate_order`]). The disk layer
-//!   treats every decode error as a corrupt entry and evicts it.
-//!
-//! Versioning lives in the entry *header* (see `disk.rs`), not here: a
-//! payload is only decoded after the header's format version and checksum
-//! have been verified.
+//! - **strict on decode** — a wrong magic, another format version, a
+//!   checksum mismatch, any truncation, unknown tag, or length overrun is
+//!   a typed [`CodecError`], never a panic or a partial value. So is a
+//!   mapped netlist whose gates break the order the mapper emits and every
+//!   evaluator relies on ([`check_gate_order`]). The disk layer treats
+//!   every decode error as a corrupt file.
 
 use super::{CacheKey, SynthArtifact};
 use crate::profile::PhaseProfile;
@@ -73,6 +74,23 @@ pub enum CodecError {
     },
     /// The mapped netlist breaks the mapper's gate order.
     BadGate(GateOrderError),
+    /// A file did not start with the magic of its kind.
+    BadMagic {
+        /// The magic the reader expected.
+        expected: [u8; 8],
+    },
+    /// A file was written under another [`FORMAT_VERSION`].
+    BadVersion {
+        /// The version the file carries.
+        version: u64,
+    },
+    /// A record's payload does not match its checksum.
+    BadChecksum {
+        /// The checksum the record carries.
+        stored: u64,
+        /// The checksum of the payload as read.
+        actual: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -87,14 +105,45 @@ impl fmt::Display for CodecError {
                 write!(f, "{extra} trailing bytes after the payload")
             }
             CodecError::BadGate(e) => write!(f, "mapped netlist: {e}"),
+            CodecError::BadMagic { expected } => {
+                write!(
+                    f,
+                    "bad magic (expected {:?})",
+                    String::from_utf8_lossy(expected)
+                )
+            }
+            CodecError::BadVersion { version } => {
+                write!(
+                    f,
+                    "format version {version} (this build reads {FORMAT_VERSION})"
+                )
+            }
+            CodecError::BadChecksum { stored, actual } => {
+                write!(
+                    f,
+                    "checksum mismatch: stored {stored:#018x}, payload {actual:#018x}"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a over a byte slice — the checksum the disk layer stores in the
-/// entry header, and the same construction [`CacheKey::digest`] uses.
+/// The format version of every cache file, written in its header. Bump it
+/// whenever a file's layout changes, or whenever the bytes stored for the
+/// same key could change (a synthesis or `compile_to_bm` change that
+/// alters an artifact or a merged program's state count): a file of any
+/// other version is evicted, and its contents are computed again. v2 added
+/// producer provenance to shape entries; v3 dropped the wall-clock profile
+/// and the minimizer stats from their payload; v4 gave shape entries and
+/// the merge log this one header and record framing, and covers the
+/// `ExactPrimes` artifacts of functions above 14 variables that changed
+/// without a bump.
+pub const FORMAT_VERSION: u64 = 4;
+
+/// FNV-1a over a byte slice — the checksum of every record, and the same
+/// construction [`CacheKey::digest`] uses.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -126,11 +175,25 @@ impl Writer {
         self.buf
     }
 
+    /// A file header: `magic`, then [`FORMAT_VERSION`].
+    pub(crate) fn header(&mut self, magic: &[u8; 8]) {
+        self.buf.extend_from_slice(magic);
+        self.u64(FORMAT_VERSION);
+    }
+
+    /// A checksummed record: `len u64 | fnv64(payload) u64 | payload`.
+    pub(crate) fn record(&mut self, payload: &[u8]) {
+        self.usize(payload.len());
+        self.u64(fnv64(payload));
+        self.buf.extend_from_slice(payload);
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    fn u64(&mut self, v: u64) {
+    /// A little-endian `u64`.
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -180,13 +243,57 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a file header written by [`Writer::header`] with `magic`.
+    ///
+    /// # Errors
+    ///
+    /// A short header, another magic or another format version.
+    pub(crate) fn header(&mut self, magic: &[u8; 8]) -> Result<(), CodecError> {
+        if self.take(8, "file magic")? != magic {
+            return Err(CodecError::BadMagic { expected: *magic });
+        }
+        match self.u64("format version")? {
+            FORMAT_VERSION => Ok(()),
+            version => Err(CodecError::BadVersion { version }),
+        }
+    }
+
+    /// Reads a record written by [`Writer::record`] and returns its
+    /// payload.
+    ///
+    /// # Errors
+    ///
+    /// A short record or a checksum mismatch.
+    pub(crate) fn record(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.u64("record length")?;
+        let stored = self.u64("record checksum")?;
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        let payload = self.take(len, "record payload")?;
+        let actual = fnv64(payload);
+        if stored != actual {
+            return Err(CodecError::BadChecksum { stored, actual });
+        }
+        Ok(payload)
+    }
+
+    /// Whether every byte has been read.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
     fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+    /// Reads a little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Fewer than eight bytes are left.
+    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        let mut word = [0; 8];
+        word.copy_from_slice(self.take(8, what)?);
+        Ok(u64::from_le_bytes(word))
     }
 
     fn len(&mut self, what: &'static str) -> Result<usize, CodecError> {
@@ -215,8 +322,13 @@ impl<'a> Reader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| CodecError::BadTag { what, tag: 0xff })
     }
 
-    fn finish(self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
+    /// Ends the read.
+    ///
+    /// # Errors
+    ///
+    /// Bytes are left unread.
+    pub(crate) fn finish(self) -> Result<(), CodecError> {
+        if self.is_empty() {
             Ok(())
         } else {
             Err(CodecError::TrailingBytes {
@@ -701,6 +813,34 @@ pub fn decode_entry(bytes: &[u8]) -> Result<(CacheKey, SynthArtifact), CodecErro
     ))
 }
 
+/// Encodes one merge-log record payload: a merged program's canonical
+/// text and its BM state count.
+pub(crate) fn encode_merge(text: &str, states: usize) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.usize(states);
+    w.str(text);
+    w.into_bytes()
+}
+
+/// Decodes a merge-log record payload produced by [`encode_merge`].
+///
+/// # Errors
+///
+/// A truncated or overlong payload, non-UTF-8 text, or a zero state count.
+pub(crate) fn decode_merge(bytes: &[u8]) -> Result<(String, usize), CodecError> {
+    let mut r = Reader::new(bytes);
+    let states = r.usize("merge states")?;
+    if states == 0 {
+        return Err(CodecError::BadLength {
+            what: "merge states",
+            len: 0,
+        });
+    }
+    let text = r.str("merge text")?;
+    r.finish()?;
+    Ok((text, states))
+}
+
 #[cfg(test)]
 mod codec_tests {
     use super::*;
@@ -883,6 +1023,55 @@ mod codec_tests {
             err,
             Some(CodecError::BadGate(GateOrderError::Root { root: 0 }))
         );
+    }
+
+    #[test]
+    fn framing_faults_are_typed_errors() -> Result<(), CodecError> {
+        let mut w = Writer::new();
+        w.header(b"BMBETEST");
+        w.record(b"payload");
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        r.header(b"BMBETEST")?;
+        assert_eq!(r.record()?, b"payload");
+        r.finish()?;
+        let other = Reader::new(&bytes).header(b"BMBEOTHR");
+        assert_eq!(
+            other,
+            Err(CodecError::BadMagic {
+                expected: *b"BMBEOTHR"
+            })
+        );
+        let mut old = bytes.clone();
+        old[8] = 3;
+        let version = Reader::new(&old).header(b"BMBETEST");
+        assert_eq!(version, Err(CodecError::BadVersion { version: 3 }));
+        // A flipped payload byte, then a length past the end: a checksum
+        // mismatch and a truncation, never a giant allocation.
+        let mut flipped = bytes.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 1;
+        let mut long = bytes.clone();
+        long[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        let record_err = |bytes: &[u8]| -> Result<Option<CodecError>, CodecError> {
+            let mut r = Reader::new(bytes);
+            r.header(b"BMBETEST")?;
+            Ok(r.record().err())
+        };
+        let checksum = record_err(&flipped)?;
+        assert!(matches!(checksum, Some(CodecError::BadChecksum { .. })));
+        let truncated = record_err(&long)?;
+        assert!(matches!(truncated, Some(CodecError::Truncated { .. })));
+        Ok(())
+    }
+
+    #[test]
+    fn merge_records_round_trip_and_reject_a_zero_count() -> Result<(), CodecError> {
+        let payload = encode_merge("(seq a b)", 7);
+        assert_eq!(decode_merge(&payload)?, ("(seq a b)".to_string(), 7));
+        assert!(decode_merge(&encode_merge("x", 0)).is_err());
+        assert!(decode_merge(&payload[..payload.len() - 1]).is_err());
+        Ok(())
     }
 
     #[test]

@@ -41,7 +41,7 @@
 pub mod codec;
 pub mod disk;
 
-pub use disk::{DiskCache, DiskMiss, Provenance, CACHE_DIR_ENV};
+pub use disk::{DiskCache, DiskMiss, CACHE_DIR_ENV};
 
 use crate::fault::{FaultKind, FaultPhase, FaultPlan};
 use crate::profile::PhaseProfile;
@@ -425,10 +425,21 @@ impl ControllerCache {
     /// A cache layered over a persistent store: lookups read through to
     /// disk, stores write through, disk failures degrade to misses. The
     /// merge memo starts with the store's merge log, read here once; a
-    /// failed or panicking read degrades to a memo that starts empty.
+    /// failed or panicking read degrades to a memo that starts empty. A
+    /// log that holds some text more than once (the memo holds fewer
+    /// texts than the log has records) is rewritten with each text once.
     pub fn with_disk(disk: DiskCache) -> Self {
         let merges = match bmbe_par::catch_job(|| disk.load_merges()) {
-            Ok(Ok(entries)) => MergeMemo::with_entries(entries),
+            Ok(Ok(entries)) => {
+                let records = entries.len();
+                let memo = MergeMemo::with_entries(entries);
+                if memo.len() < records {
+                    if let Err(e) = disk.rewrite_merges(&memo.entries()) {
+                        bmbe_obs::vlog!(1, "bmbe-flow: merge log rewrite failed: {e}");
+                    }
+                }
+                memo
+            }
             Ok(Err(e)) => {
                 bmbe_obs::vlog!(1, "bmbe-flow: merge log read failed (degrading): {e}");
                 MergeMemo::new()

@@ -34,8 +34,8 @@ pub use batch::{
 pub use bmbe_logic::MinimizeBackend;
 pub use bmbe_sim::SimBackend;
 pub use cache::{
-    CacheKey, CacheStats, ControllerCache, DiskCache, DiskMiss, KeyedProgram, Provenance,
-    ShapeError, SynthArtifact, CACHE_DIR_ENV,
+    CacheKey, CacheStats, ControllerCache, DiskCache, DiskMiss, KeyedProgram, ShapeError,
+    SynthArtifact, CACHE_DIR_ENV,
 };
 pub use csim::{batch_input_ports, compile_sim, simulate_scenarios, CompiledSim};
 pub use experiment::{compare, compare_with, Comparison};

@@ -75,15 +75,6 @@ impl Wiring {
         self.chans.insert(name.to_string(), c);
         c
     }
-
-    /// Wire names by id.
-    fn names(self) -> Vec<String> {
-        let mut names = vec![String::new(); self.wires.len()];
-        for (name, w) in self.wires {
-            names[w.0] = name;
-        }
-        names
-    }
 }
 
 /// Lowers a design with its synthesized controllers into the circuit both
@@ -232,7 +223,7 @@ pub fn lower(
 
     Circuit {
         num_slots: w.num_slots,
-        wire_names: w.names(),
+        num_wires: w.wires.len(),
         parts,
         driver,
         providers,

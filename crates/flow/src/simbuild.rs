@@ -218,12 +218,6 @@ pub fn simulate(
     });
     let lane = bind(&circuit, scenario)?;
     let mut sim = circuit.event_sim(&program, &lane, delays);
-    if std::env::var_os("BMBE_SIM_TRACE").is_some() {
-        sim.trace_wires(circuit.wire_names.clone());
-        // The wire-change log goes through `vlog!` at level 1; asking for a
-        // sim trace implies asking for that verbosity.
-        bmbe_obs::ensure_verbosity(1);
-    }
     sim.init();
     drop(build);
     let run_span = bmbe_obs::span!("sim.run", "sim");

@@ -229,3 +229,60 @@ fn shared_failures_are_not_retried() {
     );
     assert_eq!(summary.synthesized, summary.distinct_shapes - 1);
 }
+
+/// A job line reads back through the JSON parser value for value, whatever
+/// its label holds.
+#[test]
+fn job_lines_read_back_value_for_value() -> Result<(), (usize, String)> {
+    use bmbe_flow::{job_json, JobFailure, JobReport};
+    use bmbe_obs::json::{parse, Json};
+    let label = "a\"b\\c\td\u{1}.balsa";
+    let report = JobReport {
+        label: label.to_string(),
+        design: "tick".to_string(),
+        components_before: 3,
+        controllers: 2,
+        products: 9,
+        control_area: 1234.5,
+        distinct_shapes: 2,
+        cache_hits: 1,
+        synthesized: 1,
+        shared: 0,
+        sim_lanes: 64,
+        sim_completed: 64,
+        wall_s: 0.25,
+    };
+    let line = parse(&job_json(&Ok(report)))?;
+    let text = |line: &Json, key| line.get(key).and_then(Json::as_str).map(str::to_string);
+    let int = |key| line.get(key).and_then(Json::as_i64);
+    assert_eq!(text(&line, "job").as_deref(), Some(label));
+    assert_eq!(text(&line, "design").as_deref(), Some("tick"));
+    assert_eq!(line.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(
+        ["controllers", "products", "distinct_shapes", "cache_hits"].map(int),
+        [Some(2), Some(9), Some(2), Some(1)]
+    );
+    assert_eq!(
+        ["synthesized", "shared", "sim_lanes", "sim_completed"].map(int),
+        [Some(1), Some(0), Some(64), Some(64)]
+    );
+    assert_eq!(
+        line.get("control_area").and_then(Json::as_f64),
+        Some(1234.5)
+    );
+    assert_eq!(line.get("wall_s").and_then(Json::as_f64), Some(0.25));
+    let failure = JobFailure {
+        label: label.to_string(),
+        design: String::new(),
+        component: "seq\t1".to_string(),
+        cache_key: "00ff".to_string(),
+        phase: "synth",
+        error: "line 1\nline \"2\"".to_string(),
+    };
+    let line = parse(&job_json(&Err(failure)))?;
+    assert_eq!(text(&line, "job").as_deref(), Some(label));
+    assert_eq!(line.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(text(&line, "component").as_deref(), Some("seq\t1"));
+    assert_eq!(text(&line, "error").as_deref(), Some("line 1\nline \"2\""));
+    Ok(())
+}

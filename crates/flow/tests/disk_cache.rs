@@ -3,7 +3,8 @@
 //! entries (atomic rename, no torn reads), and artifacts served from a
 //! memory hit, a disk hit, or cold synthesis are bit-identical at 1 and 4
 //! threads. The merge log survives every truncation and byte flip: it
-//! serves only records that were written and evicts what fails validation.
+//! serves only records that were written, keeps the records before a
+//! fault, and holds each merged program once.
 
 use bmbe_core::balsa_to_ch::balsa_to_ch;
 use bmbe_core::opt::cluster::ClusterReport;
@@ -11,8 +12,8 @@ use bmbe_core::print_ch;
 use bmbe_designs::all_designs;
 use bmbe_flow::cache::codec::encode_entry;
 use bmbe_flow::{
-    run_control_flow_with, CacheKey, ControllerCache, DiskCache, DiskMiss, FlowOptions, FlowResult,
-    KeyedProgram,
+    run_control_flow_with, CacheKey, ControllerCache, DiskCache, DiskMiss, FaultKind, FaultPhase,
+    FaultPlan, FlowOptions, FlowResult, KeyedProgram,
 };
 use bmbe_gates::Library;
 use std::fs;
@@ -294,23 +295,29 @@ fn every_truncation_and_byte_flip_of_the_merge_log_is_served_faithfully_or_evict
     let good = fs::read(&log).expect("the cold flow writes a merge log");
     let written = disk.load_merges().expect("the pristine log loads");
     assert!(written.len() > 1, "{} records", written.len());
-    // Where each record ends: a 12-byte header, then per record a 12-byte
-    // prefix, the 8-byte state count and the text.
+    // Where each record ends: a 16-byte header, then per record a 16-byte
+    // prefix, the 8-byte state count, the 8-byte text length and the text.
     let ends: Vec<usize> = written
         .iter()
-        .scan(12, |end, (text, _)| {
-            *end += 12 + 8 + text.len();
+        .scan(16, |end, (text, _)| {
+            *end += 16 + 8 + 8 + text.len();
             Some(*end)
         })
         .collect();
     assert_eq!(ends.last(), Some(&good.len()));
-    // `mutated` must load as the first `kept` records, evicted or not, and
-    // a flow through a cache opened over it must cluster as a fresh memo.
-    let check = |mutated: &[u8], kept: usize, evicted: bool, what: &str| {
+    // `mutated` must load as the first `kept` records and leave a log of
+    // exactly those records behind, and a flow through a cache opened over
+    // it must cluster as a fresh memo.
+    let check = |mutated: &[u8], kept: usize, what: &str| {
         fs::write(&log, mutated).expect("rewrite log");
         let loaded = disk.load_merges().expect("a readable log loads");
         assert_eq!(loaded[..], written[..kept], "{what}");
-        assert_eq!(!log.exists(), evicted, "{what}: evicted");
+        let kept_end = kept.checked_sub(1).map_or(16, |last| ends[last]);
+        let left = fs::read(&log).expect("a faulted log survives");
+        assert!(
+            left[..] == good[..kept_end],
+            "{what}: the log holds its kept records"
+        );
         fs::write(&log, mutated).expect("rewrite log");
         let reopened = ControllerCache::with_disk(DiskCache::open(dir).expect("reopen"));
         let got = flow(&reopened).unwrap_or_else(|e| panic!("{what}: {e}"));
@@ -318,17 +325,71 @@ fn every_truncation_and_byte_flip_of_the_merge_log_is_served_faithfully_or_evict
     };
     let before = |at: usize| ends.iter().filter(|&&end| end <= at).count();
     for len in 0..good.len() {
-        let boundary = len == 12 || ends.contains(&len);
-        check(
-            &good[..len],
-            before(len),
-            !boundary,
-            &format!("cut at {len}"),
-        );
+        check(&good[..len], before(len), &format!("cut at {len}"));
     }
     for at in 0..good.len() {
         let mut flipped = good.clone();
         flipped[at] ^= 0xff;
-        check(&flipped, before(at), true, &format!("flip at {at}"));
+        check(&flipped, before(at), &format!("flip at {at}"));
     }
+}
+
+/// One Stack flow over a cache opened on `dir` (with `fault` armed on its
+/// disk layer), and the merges it compiled.
+fn stack_flow(dir: &std::path::Path, fault: Option<FaultPlan>) -> Result<usize, String> {
+    let designs = all_designs().map_err(|e| e.to_string())?;
+    let stack = designs
+        .iter()
+        .find(|d| d.name == "Stack")
+        .ok_or("Stack ships")?;
+    let disk = DiskCache::with_fault(dir, fault).map_err(|e| e.to_string())?;
+    let cache = ControllerCache::with_disk(disk);
+    let options = FlowOptions::optimized();
+    run_control_flow_with(&stack.compiled, &options, &Library::cmos035(), &cache)
+        .map_err(|e| e.to_string())?;
+    Ok(cache.merge_memo().misses())
+}
+
+/// The records a fresh handle loads from the merge log in `dir`.
+fn log_records(dir: &std::path::Path) -> Result<usize, String> {
+    let disk = DiskCache::open(dir).map_err(|e| e.to_string())?;
+    disk.load_merges()
+        .map(|m| m.len())
+        .map_err(|e| e.to_string())
+}
+
+#[test]
+fn a_torn_merge_log_keeps_its_records_for_every_later_process() -> Result<(), String> {
+    let scratch = Scratch::new("merge-log-torn");
+    let compiled = stack_flow(&scratch.0, None)?;
+    assert_eq!((compiled, log_records(&scratch.0)?), (9, 9));
+    let log = scratch.0.join(bmbe_flow::cache::disk::MERGE_LOG);
+    let good = fs::read(&log).map_err(|e| e.to_string())?;
+    fs::write(&log, &good[..good.len() - 5]).map_err(|e| e.to_string())?;
+    // The next process compiles the torn record only, and the one after
+    // it compiles nothing.
+    assert_eq!(stack_flow(&scratch.0, None)?, 1);
+    assert_eq!(stack_flow(&scratch.0, None)?, 0);
+    assert_eq!(log_records(&scratch.0)?, 9);
+    Ok(())
+}
+
+#[test]
+fn a_merge_log_holding_a_text_twice_is_rewritten_once_each() -> Result<(), String> {
+    let scratch = Scratch::new("merge-log-repeats");
+    stack_flow(&scratch.0, None)?;
+    assert_eq!(log_records(&scratch.0)?, 9);
+    // A failed log read starts an empty memo, whose compiles append every
+    // merge again.
+    let read_fault = FaultPlan {
+        phase: FaultPhase::CacheIo,
+        nth: 0,
+        kind: FaultKind::Error,
+    };
+    assert_eq!(stack_flow(&scratch.0, Some(read_fault))?, 9);
+    assert_eq!(log_records(&scratch.0)?, 18);
+    // The next clean open rewrites the log with each text once.
+    assert_eq!(stack_flow(&scratch.0, None)?, 0);
+    assert_eq!(log_records(&scratch.0)?, 9);
+    Ok(())
 }

@@ -9,7 +9,7 @@ use bmbe_flow::{
     run_batch, run_control_flow_with, BatchJob, ControllerCache, DiskCache, FaultPlan, FlowOptions,
 };
 use bmbe_gates::Library;
-use bmbe_obs::export::validate_json;
+use bmbe_obs::json;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -88,7 +88,7 @@ fn faulted_batch_job_dumps_failing_identity() {
 
     // The dump is valid JSON and carries the failing job's full identity,
     // correlated with what the structured failure reports.
-    validate_json(dump).expect("dump is valid JSON");
+    json::parse(dump).expect("dump is valid JSON");
     assert!(dump.contains("\"flight\": true"));
     for (key, value) in [
         ("design", failure.design.as_str()),
@@ -158,7 +158,7 @@ fn evicting_a_corrupt_disk_entry_dumps() {
         .iter()
         .find(|d| d.contains("\"reason\": \"disk-evict\""))
         .expect("eviction leaves a dump behind");
-    validate_json(dump).expect("dump is valid JSON");
+    json::parse(dump).expect("dump is valid JSON");
     assert!(
         dump.contains("cache.disk.evicted"),
         "eviction breadcrumb recorded: {dump}"

@@ -808,7 +808,7 @@ pub fn reference_run(
         scenario.input_values.contains_key(port)
     });
     let lane = bind(&circuit, scenario)?;
-    let mut sim = Sim::with_size(circuit.num_wires(), circuit.num_slots);
+    let mut sim = Sim::with_size(circuit.num_wires, circuit.num_slots);
     let mut watch = Vec::new();
     for (i, part) in circuit.parts.iter().enumerate() {
         watch.clear();

@@ -4,7 +4,7 @@
 //! the output of syntax-directed compilation and the input of the burst-mode
 //! back-end.
 
-use crate::kind::{Activity, ComponentKind, PortSpec};
+use crate::kind::{Activity, ComponentKind};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -285,16 +285,6 @@ impl Netlist {
         self.names.get(name).map(|id| self.channel(*id))
     }
 
-    /// Channels whose either end is external.
-    pub fn external_channels(&self) -> Vec<&Channel> {
-        self.channels
-            .iter()
-            .filter(|c| {
-                c.active == Some(Endpoint::External) || c.passive == Some(Endpoint::External)
-            })
-            .collect()
-    }
-
     /// Checks structural sanity: every channel has exactly one active and
     /// one passive end.
     ///
@@ -346,11 +336,6 @@ impl Netlist {
             datapath,
             internal_control,
         }
-    }
-
-    /// The port signature of a component's port.
-    pub fn port_spec(&self, component: ComponentId, port: usize) -> PortSpec {
-        self.components[component.0 as usize].kind.ports()[port].clone()
     }
 }
 

@@ -67,11 +67,6 @@ impl CoveringProblem {
         self.num_rows
     }
 
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Solves the problem.
     ///
     /// Returns `None` when some row is covered by no column (infeasible).

@@ -14,6 +14,7 @@
 //! records, and [`MergedTrace::counter_totals`] is their one reader. It has
 //! no dependencies beyond this crate.
 
+use crate::json::{self, Json};
 use std::collections::{BTreeMap, HashMap};
 
 /// One reconstructed span.
@@ -141,84 +142,48 @@ pub struct WaitRow {
     pub owner_hotspot: Option<String>,
 }
 
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                c => out.push(c),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn num_field(line: &str, key: &str) -> Option<i64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Parses a merged JSONL stream (one or more concatenated
-/// [`crate::export::export_jsonl`] outputs) into a span forest.
+/// [`crate::export::export_jsonl`] outputs) into a span forest. Each line
+/// is parsed whole by [`crate::json::parse`].
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line (1-based).
+/// Returns a message naming the first malformed line (1-based) and, for
+/// a syntax error, its byte offset.
 pub fn parse_merged(text: &str) -> Result<MergedTrace, String> {
     let mut out = MergedTrace::default();
     // (run, span id) -> node index, for parenting and annotations.
     let mut open: HashMap<(u64, u64), usize> = HashMap::new();
     let mut run = 0u64;
     for (ix, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
         let lineno = ix + 1;
-        let kind = str_field(line, "kind")
-            .ok_or_else(|| format!("line {lineno}: missing \"kind\" field"))?;
+        let record =
+            json::parse(line).map_err(|(at, e)| format!("line {lineno}: byte {at}: {e}"))?;
+        let text_of = |key: &str| record.get(key).and_then(Json::as_str);
+        let num_of = |key: &str| record.get(key).and_then(Json::as_i64);
+        let missing = |key: &str| format!("line {lineno}: missing {key:?} field");
+        let kind = text_of("kind").ok_or_else(|| missing("kind"))?;
         if kind == "meta" {
-            let hex = str_field(line, "run")
-                .ok_or_else(|| format!("line {lineno}: meta line missing \"run\""))?;
-            run = u64::from_str_radix(&hex, 16)
+            let hex = text_of("run").ok_or_else(|| missing("run"))?;
+            run = u64::from_str_radix(hex, 16)
                 .map_err(|_| format!("line {lineno}: bad run id {hex:?}"))?;
             if !out.runs.contains(&run) {
                 out.runs.push(run);
             }
             out.dropped
-                .push((run, num_field(line, "dropped").unwrap_or(0) as u64));
+                .push((run, num_of("dropped").unwrap_or(0) as u64));
             continue;
         }
         out.lines += 1;
-        let name = str_field(line, "name")
-            .ok_or_else(|| format!("line {lineno}: missing \"name\" field"))?;
-        let t_ns = num_field(line, "t_ns")
-            .ok_or_else(|| format!("line {lineno}: missing \"t_ns\" field"))?
-            as u64;
-        let span = num_field(line, "span").unwrap_or(0) as u64;
-        match kind.as_str() {
+        let name = text_of("name").ok_or_else(|| missing("name"))?.to_string();
+        let t_ns = num_of("t_ns").ok_or_else(|| missing("t_ns"))? as u64;
+        let span = num_of("span").unwrap_or(0) as u64;
+        match kind {
             "open" => {
-                let parent_id = num_field(line, "parent").unwrap_or(0) as u64;
+                let parent_id = num_of("parent").unwrap_or(0) as u64;
                 let parent = if parent_id == 0 {
                     None
                 } else {
@@ -229,7 +194,7 @@ pub fn parse_merged(text: &str) -> Result<MergedTrace, String> {
                     run,
                     id: span,
                     name,
-                    lane: num_field(line, "lane").unwrap_or(0) as u32,
+                    lane: num_of("lane").unwrap_or(0) as u32,
                     start_ns: t_ns,
                     end_ns: t_ns,
                     parent,
@@ -250,16 +215,16 @@ pub fn parse_merged(text: &str) -> Result<MergedTrace, String> {
             }
             "annot" => {
                 if let Some(&node) = open.get(&(run, span)) {
-                    if let Some(s) = str_field(line, "str") {
-                        out.nodes[node].strs.push((name, s));
-                    } else if let Some(v) = num_field(line, "value") {
+                    if let Some(s) = text_of("str") {
+                        out.nodes[node].strs.push((name, s.to_string()));
+                    } else if let Some(v) = num_of("value") {
                         out.nodes[node].nums.push((name, v));
                     }
                 }
             }
             "counter" => {
                 let total = out.counters.entry(name).or_insert(0);
-                *total = num_field(line, "value")
+                *total = num_of("value")
                     .and_then(|delta| total.checked_add(delta))
                     .ok_or_else(|| {
                         format!("line {lineno}: counter value missing or overflowing")
@@ -611,5 +576,54 @@ mod tests {
         assert!(parse_merged("{\"nope\": 1}\n").is_err());
         assert!(parse_merged("{\"kind\": \"meta\"}\n").is_err());
         assert!(parse_merged("{\"kind\": \"wat\", \"name\": \"x\", \"t_ns\": 0}\n").is_err());
+    }
+
+    #[test]
+    fn an_unterminated_line_is_an_error_naming_its_line_and_byte() {
+        let line =
+            "{\"kind\": \"counter\", \"name\": \"x\", \"t_ns\": 1, \"value\": 5 trailing garbage";
+        assert_eq!(
+            parse_merged(line).err().as_deref(),
+            Some("line 1: byte 55: expected ',' or '}'")
+        );
+    }
+
+    #[test]
+    fn every_truncation_of_a_traced_stream_parses_or_errs() -> Result<(), String> {
+        let _l = crate::tests::global_lock();
+        let every_control: String = (0..0x20u8).map(char::from).collect();
+        drop(crate::flush());
+        crate::set_enabled(true);
+        {
+            let _root = crate::span!("test.trunc.root");
+            crate::annotate_str!("test.trunc.label", &every_control);
+            crate::annotate_num!("test.trunc.n", -3);
+            crate::trace_counter!("test.trunc.count", 2);
+            crate::event!("test.trunc.instant", 7);
+            let _child = crate::span!("test.trunc.child");
+        }
+        crate::set_enabled(false);
+        let stream = crate::export::export_jsonl(&crate::flush());
+        // The whole stream reads back value for value.
+        let trace = parse_merged(&stream)?;
+        let root = trace.roots.first().map(|&r| &trace.nodes[r]);
+        let root = root.ok_or("the stream has a root span")?;
+        assert_eq!(
+            root.str_annot("test.trunc.label"),
+            Some(every_control.as_str())
+        );
+        assert_eq!(root.num("test.trunc.n"), Some(-3));
+        assert_eq!(trace.counter_totals()?.get("test.trunc.count"), Some(&2));
+        // A prefix parses exactly when it ends at a line end.
+        for cut in (0..=stream.len()).filter(|&cut| stream.is_char_boundary(cut)) {
+            let line_end =
+                cut == 0 || stream[..cut].ends_with('\n') || stream[cut..].starts_with('\n');
+            assert_eq!(
+                parse_merged(&stream[..cut]).is_ok(),
+                line_end,
+                "cut at {cut}"
+            );
+        }
+        Ok(())
     }
 }

@@ -1,8 +1,8 @@
 //! Trace exporters: Chrome trace-event JSON (`chrome://tracing`,
 //! [Perfetto](https://ui.perfetto.dev)), a JSONL event log, span-tree
 //! canonicalization (the determinism tests compare trees, not timestamps),
-//! trace validation, and a dependency-free JSON well-formedness checker
-//! used by `obs_report --check`.
+//! and trace validation. What these exporters write reads back through
+//! [`crate::json::parse`].
 
 use crate::ring::{Drained, RecordKind, Sample};
 use std::collections::HashMap;
@@ -338,168 +338,10 @@ pub fn canonical_span_forest(trace: &Trace) -> String {
     rendered.join(";")
 }
 
-/// A dependency-free JSON well-formedness check (objects, arrays, strings
-/// with escapes, numbers, booleans, null). Accepts exactly one top-level
-/// value. Used by `obs_report --check` to prove the emitted `trace.json`
-/// parses.
-///
-/// # Errors
-///
-/// Returns `(byte offset, description)` of the first syntax error.
-pub fn validate_json(text: &str) -> Result<(), (usize, String)> {
-    let b = text.as_bytes();
-    let mut i = 0usize;
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
-    fn value(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            None => Err((*i, "unexpected end of input".into())),
-            Some(b'{') => {
-                *i += 1;
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Ok(());
-                }
-                loop {
-                    skip_ws(b, i);
-                    if b.get(*i) != Some(&b'"') {
-                        return Err((*i, "expected object key".into()));
-                    }
-                    string(b, i)?;
-                    skip_ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return Err((*i, "expected ':'".into()));
-                    }
-                    *i += 1;
-                    value(b, i)?;
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return Ok(());
-                        }
-                        _ => return Err((*i, "expected ',' or '}'".into())),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(());
-                }
-                loop {
-                    value(b, i)?;
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return Ok(());
-                        }
-                        _ => return Err((*i, "expected ',' or ']'".into())),
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, "true"),
-            Some(b'f') => literal(b, i, "false"),
-            Some(b'n') => literal(b, i, "null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-            Some(c) => Err((*i, format!("unexpected byte {:?}", *c as char))),
-        }
-    }
-    fn string(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-        *i += 1; // opening quote
-        while let Some(&c) = b.get(*i) {
-            match c {
-                b'"' => {
-                    *i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                        Some(b'u') => {
-                            if b.len() < *i + 5
-                                || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                            {
-                                return Err((*i, "bad \\u escape".into()));
-                            }
-                            *i += 5;
-                        }
-                        _ => return Err((*i, "bad escape".into())),
-                    }
-                }
-                c if c < 0x20 => return Err((*i, "raw control character in string".into())),
-                _ => *i += 1,
-            }
-        }
-        Err((*i, "unterminated string".into()))
-    }
-    fn literal(b: &[u8], i: &mut usize, lit: &str) -> Result<(), (usize, String)> {
-        if b[*i..].starts_with(lit.as_bytes()) {
-            *i += lit.len();
-            Ok(())
-        } else {
-            Err((*i, format!("expected {lit}")))
-        }
-    }
-    fn number(b: &[u8], i: &mut usize) -> Result<(), (usize, String)> {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
-        }
-        let mut digits = 0;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err((start, "bad number".into()));
-        }
-        if b.get(*i) == Some(&b'.') {
-            *i += 1;
-            if !b.get(*i).is_some_and(u8::is_ascii_digit) {
-                return Err((*i, "bad fraction".into()));
-            }
-            while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                *i += 1;
-            }
-        }
-        if matches!(b.get(*i), Some(b'e' | b'E')) {
-            *i += 1;
-            if matches!(b.get(*i), Some(b'+' | b'-')) {
-                *i += 1;
-            }
-            if !b.get(*i).is_some_and(u8::is_ascii_digit) {
-                return Err((*i, "bad exponent".into()));
-            }
-            while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                *i += 1;
-            }
-        }
-        Ok(())
-    }
-    value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err((i, "trailing content after top-level value".into()));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, Json};
     use crate::ring::Record;
 
     #[test]
@@ -510,8 +352,8 @@ mod tests {
         assert_eq!(escape("plain"), "plain");
         let every_control: String = (0..0x20u8).map(char::from).collect();
         assert_eq!(
-            validate_json(&format!("\"{}\"", escape(&every_control))),
-            Ok(())
+            parse(&format!("\"{}\"", escape(&every_control))),
+            Ok(Json::Str(every_control))
         );
     }
 
@@ -573,16 +415,20 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_valid_json() {
+    fn chrome_export_is_valid_json() -> Result<(), (usize, String)> {
         let trace = toy_trace();
-        let chrome = export_chrome(&trace);
-        validate_json(&chrome).unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
-        assert!(chrome.contains("\"ph\": \"B\""));
-        assert!(chrome.contains("\"tid\": 0"));
+        let chrome = parse(&export_chrome(&trace))?;
+        let events = chrome.get("traceEvents").and_then(Json::as_array);
+        let events = events.unwrap_or_default();
+        let field = |event: &Json, key: &str| event.get(key).cloned();
+        assert_eq!(events.len(), 7, "one thread name and six records");
+        assert_eq!(field(&events[1], "ph"), Some(Json::Str("B".to_string())));
+        assert_eq!(field(&events[1], "tid"), Some(Json::Num("0".to_string())));
         // Every JSONL line parses too.
         for line in export_jsonl(&trace).lines() {
-            validate_json(line).unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
+            parse(line)?;
         }
+        Ok(())
     }
 
     #[test]
@@ -596,31 +442,23 @@ mod tests {
             s.rec.value = delta;
             trace.events.push(s);
         }
-        let chrome = export_chrome(&trace);
-        assert_eq!(validate_json(&chrome), Ok(()));
-        let field = |line: &str, key: &str, end: char| {
-            let at = line.find(key)? + key.len();
-            line[at..].split(end).next().map(str::to_string)
-        };
+        let chrome = parse(&export_chrome(&trace)).map_err(|(at, e)| format!("byte {at}: {e}"))?;
+        let events = chrome.get("traceEvents").and_then(Json::as_array);
         let mut last = std::collections::BTreeMap::new();
-        for line in chrome.lines().filter(|l| l.contains("\"ph\": \"C\"")) {
-            let total = field(line, "\"value\": ", '}').and_then(|v| v.parse::<i64>().ok());
-            let name = field(line, "\"name\": \"", '"').ok_or("C event without a name")?;
-            last.insert(name, total.ok_or("C event without a total")?);
+        for event in events.unwrap_or_default() {
+            if event.get("ph").and_then(Json::as_str) != Some("C") {
+                continue;
+            }
+            let name = event.get("name").and_then(Json::as_str);
+            let total = event.at(&["args", "value"]).and_then(Json::as_i64);
+            last.insert(
+                name.ok_or("C event without a name")?.to_string(),
+                total.ok_or("C event without a total")?,
+            );
         }
         let totals = crate::analyze::parse_merged(&export_jsonl(&trace))?.counter_totals()?;
         assert_eq!(last, totals);
         assert_eq!((totals["jobs.pending"], totals["cache.hits"]), (0, 6));
         Ok(())
-    }
-
-    #[test]
-    fn json_validator_rejects_malformed() {
-        assert!(validate_json("{\"a\": 1}").is_ok());
-        assert!(validate_json("[1, 2.5e-3, \"x\\n\", true, null]").is_ok());
-        assert!(validate_json("{\"a\": }").is_err());
-        assert!(validate_json("[1, 2").is_err());
-        assert!(validate_json("{} extra").is_err());
-        assert!(validate_json("\"unterminated").is_err());
     }
 }

@@ -33,6 +33,12 @@
 //! time; the Chrome export shows each name's running total as a counter
 //! track.
 //!
+//! ## Reading JSON back
+//!
+//! [`json::parse`] is the one JSON reader: the trace analyzer parses every
+//! JSONL line with it, and the `--check` paths and report gates read the
+//! Chrome trace and the committed reports through it.
+//!
 //! ## Verbosity
 //!
 //! [`vlog!`] writes human-readable progress to **stderr**, gated by a
@@ -41,6 +47,7 @@
 
 pub mod analyze;
 pub mod export;
+pub mod json;
 pub mod recorder;
 pub mod ring;
 

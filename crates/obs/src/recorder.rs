@@ -293,6 +293,7 @@ pub fn dump(reason: &str, context: &[(&str, String)]) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn notes_are_bounded_and_dump_renders_valid_json() {
@@ -317,9 +318,16 @@ mod tests {
                 ("phase", "synth".to_string()),
             ],
         );
-        crate::export::validate_json(&doc).unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
-        assert!(doc.contains("\"reason\": \"unit-test\""));
-        assert!(doc.contains("\\\"quoted\\\""));
+        let doc = crate::json::parse(&doc);
+        let field = |path: &[&str]| {
+            let value = doc.as_ref().ok().and_then(|d| d.at(path));
+            value.and_then(Json::as_str).map(str::to_string)
+        };
+        assert_eq!(field(&["reason"]).as_deref(), Some("unit-test"), "{doc:?}");
+        assert_eq!(
+            field(&["context", "design"]).as_deref(),
+            Some("Stack \"quoted\"")
+        );
     }
 
     #[test]
@@ -350,9 +358,18 @@ mod tests {
         let written = dump("test-failure", &[("component", "seq_3".to_string())])
             .expect("dump with an override sink");
         let doc = std::fs::read_to_string(&written).unwrap();
-        crate::export::validate_json(&doc).unwrap_or_else(|(at, e)| panic!("at byte {at}: {e}"));
-        assert!(doc.contains("\"component\": \"seq_3\""));
-        assert!(doc.contains("before the failure"));
+        let doc = crate::json::parse(&doc);
+        let context = doc
+            .as_ref()
+            .ok()
+            .and_then(|d| d.at(&["context", "component"]));
+        assert_eq!(context.and_then(Json::as_str), Some("seq_3"), "{doc:?}");
+        let events = doc.as_ref().ok().and_then(|d| d.get("events"));
+        assert!(events
+            .and_then(Json::as_array)
+            .unwrap_or_default()
+            .iter()
+            .any(|e| e.get("detail").and_then(Json::as_str) == Some("before the failure")));
         set_flight_out(None);
         let _ = std::fs::remove_dir_all(&dir);
     }

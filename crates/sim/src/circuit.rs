@@ -186,8 +186,8 @@ impl Part {
 /// handles scenarios bind to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
-    /// Wire names by id (for the wire-change trace log).
-    pub wire_names: Vec<String>,
+    /// Number of wires; ids are dense, `NodeId(0..num_wires)`.
+    pub num_wires: usize,
     /// Number of data slots.
     pub num_slots: usize,
     /// The parts; part `i` is primitive `PrimId(i)`.
@@ -260,11 +260,6 @@ impl<'a> LaneSpec<'a> {
 }
 
 impl Circuit {
-    /// Number of wires.
-    pub fn num_wires(&self) -> usize {
-        self.wire_names.len()
-    }
-
     /// Builds the event simulation of one bound lane over `program`, the
     /// circuit's event program: part `i` becomes primitive `PrimId(i)`,
     /// watching [`Part::watch`] through the program's index. Only run
@@ -350,7 +345,7 @@ impl Circuit {
                 watch
             })
             .collect();
-        Watchers::new(self.num_wires(), watched.iter().map(Vec::as_slice))
+        Watchers::new(self.num_wires, watched.iter().map(Vec::as_slice))
     }
 }
 

@@ -526,11 +526,11 @@ impl<'a> RunState<'a> {
             });
         }
         RunState {
-            wires: vec![0; c.circuit.num_wires()],
-            changed: vec![0; c.circuit.num_wires()],
+            wires: vec![0; c.circuit.num_wires],
+            changed: vec![0; c.circuit.num_wires],
             chg_dirty: Vec::new(),
-            pend_val: vec![0; c.circuit.num_wires()],
-            pend_mask: vec![0; c.circuit.num_wires()],
+            pend_val: vec![0; c.circuit.num_wires],
+            pend_mask: vec![0; c.circuit.num_wires],
             pend_dirty: Vec::new(),
             slots: vec![0; c.circuit.num_slots * LANES],
             pstates,
@@ -1170,7 +1170,7 @@ mod tests {
     /// A circuit of `wires` wires and these parts, the driver first.
     fn circuit(wires: usize, parts: Vec<Part>) -> Arc<Circuit> {
         Arc::new(Circuit {
-            wire_names: (0..wires).map(|i| format!("w{i}")).collect(),
+            num_wires: wires,
             num_slots: 0,
             parts,
             driver: PrimId(0),

@@ -187,8 +187,6 @@ pub struct Sim<P> {
     now: Time,
     /// Count of processed events (for run-away detection).
     pub events_processed: u64,
-    /// Wire names for the wire-change log; `None` keeps the log off.
-    trace: Option<Vec<String>>,
 }
 
 impl<P: Primitive> Default for Sim<P> {
@@ -220,7 +218,6 @@ impl<P: Primitive> Sim<P> {
             queue: Queue::default(),
             now: 0,
             events_processed: 0,
-            trace: None,
         }
     }
 
@@ -229,14 +226,6 @@ impl<P: Primitive> Sim<P> {
         self.nodes.push(false);
         Arc::make_mut(&mut self.watchers).add_wire();
         NodeId(self.nodes.len() - 1)
-    }
-
-    /// Logs every applied wire change under these wire names (debugging
-    /// aid). Lines go to stderr via `bmbe_obs::vlog!` at verbosity ≥ 1;
-    /// callers should also call `bmbe_obs::ensure_verbosity(1)` (the flow
-    /// does when `BMBE_SIM_TRACE` is set).
-    pub fn trace_wires(&mut self, names: Vec<String>) {
-        self.trace = Some(names);
     }
 
     /// Current value of a wire.
@@ -301,10 +290,6 @@ impl<P: Primitive> Sim<P> {
                 continue;
             }
             self.nodes[node.0] = value;
-            if let Some(names) = &self.trace {
-                bmbe_obs::vlog!(1, "[{:>8}ps] {} <- {}", t, names[node.0], value as u8);
-                bmbe_obs::event!("sim.wire_change", node.0 as i64);
-            }
             // Indexed delivery: the watcher lists are fixed once simulation
             // starts (primitives cannot register new ones), so no
             // defensive clone.

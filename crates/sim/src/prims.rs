@@ -727,7 +727,7 @@ mod tests {
             ack: act.ack,
         });
         let circuit = Circuit {
-            wire_names: (0..wires).map(|w| format!("w{w}")).collect(),
+            num_wires: wires,
             num_slots: slots,
             parts,
             driver,

@@ -46,9 +46,11 @@
 #      succeed;
 #  11. fleet trace correlation: two traced batch_report processes (cold,
 #      then warm over the same scratch cache) each leave a
-#      self-describing JSONL stream; trace_report --check validates every
+#      self-describing JSONL stream; trace_report --check parses every
 #      line and must find a non-empty critical path rooted at batch.run
-#      in the merged cold+warm trace;
+#      in the merged cold+warm trace, and two damaged copies of the cold
+#      stream (one line cut short, one line of 100,000 nested '[') must
+#      each fail it with a structured error line, not a crash;
 #  12. perf-regression sentinel: bench_trend comparing the fresh
 #      BENCH_flow.json / BENCH_sim.json from step 6/8 against the
 #      committed baselines must pass, an injected structural
@@ -284,7 +286,7 @@ for stream in "$trace_dir/cold.jsonl" "$trace_dir/warm.jsonl"; do
         exit 1
     fi
 done
-# --check validates every JSONL line and requires a non-empty critical
+# Every JSONL line parses, and --check requires a non-empty critical
 # path; the report must root that path at the fleet's batch.run span.
 trace_report_out="$trace_dir/trace_report.json"
 cargo run --release -p bmbe-bench --bin trace_report -- --check \
@@ -295,6 +297,26 @@ if ! grep -q '"name": "batch.run"' "$trace_report_out"; then
     exit 1
 fi
 echo "tier1: merged cold+warm fleet trace has a batch.run critical path"
+# A damaged stream is a typed, positioned error: a line cut short, then a
+# line nested deeper than the parser's limit.
+damaged="$trace_dir/damaged.jsonl"
+for damage in truncated nested; do
+    case "$damage" in
+    truncated) sed '2s/.\{10\}$//' "$trace_dir/cold.jsonl" >"$damaged" ;;
+    nested) { cat "$trace_dir/cold.jsonl"; printf '%100000s\n' '' | tr ' ' '['; } >"$damaged" ;;
+    esac
+    if cargo run --release -p bmbe-bench --bin trace_report -- --check "$damaged" \
+        >/dev/null 2>"$trace_dir/damaged.err"; then
+        echo "tier1: FAIL: trace_report --check passed a stream with a $damage line" >&2
+        exit 1
+    fi
+    if ! grep -q '^error: trace_report: ' "$trace_dir/damaged.err"; then
+        echo "tier1: FAIL: no structured error line for a $damage line" >&2
+        cat "$trace_dir/damaged.err" >&2
+        exit 1
+    fi
+done
+echo "tier1: trace_report rejects a truncated and a deeply nested line with an error line"
 
 echo "== tier1: perf-regression sentinel (bench_trend) =="
 # The fresh reports generated by the perf smokes above must clear the
@@ -393,7 +415,7 @@ rm -rf "$gauntlet_dir"
 
 echo "== tier1: panic-site ceiling =="
 # A change that removes sites lowers the ceiling here in the same change.
-for gate in 'unwrap() 321' 'expect( 64' 'panic!( 38'; do
+for gate in 'unwrap() 321' 'expect( 63' 'panic!( 34'; do
     set -- $gate
     count="$(grep -rF --include='*.rs' "$1" crates/*/src src \
         | grep -v '^crates/\(bench\|criterion\|proptest\)/' | wc -l)"
